@@ -13,16 +13,17 @@ import numpy as np
 
 from obsprune import (
     SparsityConfig,
-    accumulate_hessian,
+    bundle_from_hessian,
     column_norms,
     gen_activations,
     gen_columnar,
     gen_uniform,
-    loss_profile,
     importance_scores,
+    loss_profile,
     magnitude_prune,
     prune_layer,
-    rose_prune_layer,
+    raw_hessian,
+    rose_prune_from_hessian,
     wanda_prune,
 )
 
@@ -33,16 +34,18 @@ SEED = 0
 
 def run_all(name, w, acts):
     cfg = SparsityConfig(sparsity=SPARSITY, blocksize=BLOCK)
-    norms = column_norms(acts)
+    # the activations are read once; every method works from H = X.T X
+    h = raw_hessian(acts)
+    norms = column_norms(h)
     profile = loss_profile(importance_scores(w, norms), cfg)
-    bundle = accumulate_hessian(acts, cfg.damp_fraction)
+    bundle = bundle_from_hessian(h, cfg.damp_fraction)
 
     results = {
-        "magnitude": magnitude_prune(w, cfg, acts),
-        "act-weighted magnitude": wanda_prune(w, norms, cfg, acts),
-        "second-order": prune_layer(w, bundle, acts, cfg),
+        "magnitude": magnitude_prune(w, cfg, h),
+        "act-weighted magnitude": wanda_prune(w, norms, cfg, h),
+        "second-order": prune_layer(w, bundle, cfg),
     }
-    reordered, plan, _ = rose_prune_layer(w, acts, cfg)
+    reordered, plan, _ = rose_prune_from_hessian(w, h, cfg)
     results["second-order + reorder"] = reordered
 
     print(f"\n{name}: relative block-loss range R_rel = "

@@ -20,6 +20,7 @@ from .engine import (
     select_block_mask,
 )
 from .errors import (
+    ConfigError,
     DimensionError,
     IndefiniteHessianError,
     NumericOverflowError,
@@ -31,13 +32,12 @@ from .oracle import exact_masked_reconstruction, naive_obs_prune
 from .reorder import (
     LossProfile,
     ReorderPlan,
-    StabilityHistogram,
     build_reorder_plan,
     importance_scores,
     loss_profile,
     prune_with_block_order,
+    rose_prune_from_hessian,
     rose_prune_layer,
-    weight_stability_histogram,
 )
 from .rtns import read_manifest, read_tensor, write_manifest, write_tensor
 from .synth import gen_activations, gen_columnar, gen_uniform

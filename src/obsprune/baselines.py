@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .calibration import ActivationNorms
-from .engine import PruneOutcome, _stacked
+from .engine import PruneOutcome, outcome_from_trajectory
 from .errors import DimensionError
 from .tensors import (
     PruneMask,
@@ -22,44 +20,33 @@ def _outcome(
     w: np.ndarray,
     kept: np.ndarray,
     config: SparsityConfig,
-    activations: Sequence[np.ndarray] | None,
+    hessian: np.ndarray | None,
 ) -> PruneOutcome:
     """Assemble a PruneOutcome for a no-compensation method.
 
     The trajectory records the error after masking each successive block
-    left to right; without activations the error fields are NaN.
+    left to right: with D = w - pruned, the error of the first k columns is
+    the leading k x k sum of (D.T @ D) * H.  Without a raw Hessian the
+    error fields are NaN.
     """
     pruned = np.where(kept, w, 0.0)
-    mask = PruneMask(kept=kept, pattern=config.pattern)
-    if activations is None:
+    if hessian is None:
         return PruneOutcome(
             pruned_weights=pruned,
-            mask=mask,
+            mask=PruneMask(kept=kept, pattern=config.pattern),
             block_error_trajectory=np.zeros(0),
             final_error=float("nan"),
             relative_error=float("nan"),
         )
-    xs = _stacked(activations)
-    if xs.shape[1] != w.shape[1]:
-        raise DimensionError(
-            f"activation cols {xs.shape[1]} != weight cols {w.shape[1]}"
-        )
-    trajectory = []
-    w_cur = w.copy()
-    for i1, i2 in config.block_ranges(w.shape[1]):
-        w_cur[:, i1:i2] = pruned[:, i1:i2]
-        diff = (w - w_cur) @ xs.T
-        trajectory.append(float(np.sum(diff * diff)))
-    absolute = trajectory[-1] if trajectory else 0.0
-    ref = w @ xs.T
-    denom = float(np.sum(ref * ref))
-    return PruneOutcome(
-        pruned_weights=pruned,
-        mask=mask,
-        block_error_trajectory=np.asarray(trajectory),
-        final_error=absolute,
-        relative_error=absolute / denom if denom > 0 else 0.0,
-    )
+    h = as_matrix(hessian)
+    n = w.shape[1]
+    if h.shape != (n, n):
+        raise DimensionError(f"Hessian shape {h.shape} != weight cols {n}")
+    d = w - pruned
+    prefix = ((d.T @ d) * h).cumsum(axis=0).cumsum(axis=1)
+    ends = [i2 - 1 for _, i2 in config.block_ranges(n)]
+    trajectory = prefix[ends, ends]
+    return outcome_from_trajectory(w, pruned, kept, config.pattern, trajectory, h)
 
 
 def _nm_kept(scores: np.ndarray, pat: SemiStructured) -> np.ndarray:
@@ -78,9 +65,12 @@ def _nm_kept(scores: np.ndarray, pat: SemiStructured) -> np.ndarray:
 def magnitude_prune(
     w: np.ndarray,
     config: SparsityConfig,
-    activations: Sequence[np.ndarray] | None = None,
+    hessian: np.ndarray | None = None,
 ) -> PruneOutcome:
-    """Zero the layer-globally smallest |w| entries; no compensation."""
+    """Zero the layer-globally smallest |w| entries; no compensation.
+
+    ``hessian`` is the raw X.T @ X the errors are measured in.
+    """
     w = as_matrix(w)
     rows, n = w.shape
     mag = np.abs(w)
@@ -94,16 +84,19 @@ def magnitude_prune(
             cidx = np.tile(np.arange(n), rows)
             order = np.lexsort((ridx, cidx, mag.ravel()))
             kept.ravel()[order[:k]] = False
-    return _outcome(w, kept, config, activations)
+    return _outcome(w, kept, config, hessian)
 
 
 def wanda_prune(
     w: np.ndarray,
     norms: ActivationNorms,
     config: SparsityConfig,
-    activations: Sequence[np.ndarray] | None = None,
+    hessian: np.ndarray | None = None,
 ) -> PruneOutcome:
-    """Zero the per-row smallest |w| * activation-norm entries."""
+    """Zero the per-row smallest |w| * activation-norm entries.
+
+    ``hessian`` is the raw X.T @ X the errors are measured in.
+    """
     w = as_matrix(w)
     rows, n = w.shape
     if norms.n != n:
@@ -117,4 +110,4 @@ def wanda_prune(
         if k > 0:
             order = np.argsort(scores, axis=1, kind="stable")
             np.put_along_axis(kept, order[:, :k], False, axis=1)
-    return _outcome(w, kept, config, activations)
+    return _outcome(w, kept, config, hessian)

@@ -1,8 +1,10 @@
-"""Hessian accumulation and activation norms from calibration batches.
+"""Hessian accumulation from calibration batches, and what derives from it.
 
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
-of the input activations, dampened by a multiple of its mean diagonal.  Its
-inverse is produced via two stable Cholesky factorizations: factor H,
+H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
+activation batches are read; column norms, the factor and every error are
+derived from H.  For pruning, H is dampened by a multiple of its mean
+diagonal and inverted via two stable Cholesky factorizations: factor H,
 invert through triangular solves, then factor the inverse itself.  The
 upper transpose of that second factor drives the compensation engine.
 """
@@ -24,25 +26,31 @@ DEGENERATE_DIAG = 1e-30
 
 @dataclass(frozen=True)
 class HessianBundle:
-    """Dampened Hessian, its inverse, and the factor used for pruning.
+    """Raw Hessian, the dampened inverse, and the factor used for pruning.
 
     ``chol_upper`` is L.T where inv_hessian = L @ L.T with L lower
     triangular; its trailing blocks reproduce the inverses of all trailing
     Hessian submatrices, which is what lets one factorization serve the
-    whole left-to-right pruning sweep.
+    whole left-to-right pruning sweep.  ``raw`` is X.T @ X without
+    dampening, the matrix every reconstruction error is measured in.
     """
 
     n: int
-    hessian: np.ndarray
+    raw: np.ndarray
     inv_hessian: np.ndarray
     chol_upper: np.ndarray
     damp_lambda: float
     dead_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
+    @property
+    def hessian(self) -> np.ndarray:
+        """The dampened Hessian raw + damp_lambda * I that was factored."""
+        return self.raw + self.damp_lambda * np.eye(self.n)
+
 
 @dataclass(frozen=True)
 class ActivationNorms:
-    """Per-column l2 norms of the stacked calibration activations."""
+    """Per-column l2 norms of the calibration activations."""
 
     n: int
     norms: np.ndarray
@@ -92,9 +100,8 @@ def bundle_from_hessian(raw: np.ndarray, damp_fraction: float = 0.0) -> HessianB
     diag = raw.diagonal()
     lam = float(damp_fraction * diag.mean()) if n else 0.0
     dead = np.flatnonzero(diag == 0.0)
-    hessian = raw + lam * np.eye(n)
 
-    c = _cholesky_lower(hessian, "dampened Hessian")
+    c = _cholesky_lower(raw + lam * np.eye(n), "dampened Hessian")
     inv, info = lapack.dpotri(c, lower=1)
     if info != 0:
         raise IndefiniteHessianError(f"dpotri failed with info={info}")
@@ -104,7 +111,7 @@ def bundle_from_hessian(raw: np.ndarray, damp_fraction: float = 0.0) -> HessianB
     low = _cholesky_lower(inv, "inverse Hessian")
     return HessianBundle(
         n=n,
-        hessian=hessian,
+        raw=raw,
         inv_hessian=inv,
         chol_upper=low.T.copy(),
         damp_lambda=lam,
@@ -119,14 +126,12 @@ def accumulate_hessian(
     return bundle_from_hessian(raw_hessian(activations), damp_fraction)
 
 
-def column_norms(activations: Sequence[np.ndarray]) -> ActivationNorms:
-    """l2 norm of each activation column, accumulated across batches."""
-    batches = _check_batches(activations)
-    n = batches[0].shape[1]
-    sq = np.zeros(n)
-    for b in batches:
-        sq += np.einsum("ij,ij->j", b, b)
-    return ActivationNorms(n=n, norms=np.sqrt(sq))
+def column_norms(raw: np.ndarray) -> ActivationNorms:
+    """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
+    raw = as_matrix(raw)
+    if raw.shape[0] != raw.shape[1]:
+        raise DimensionError("hessian must be square")
+    return ActivationNorms(n=raw.shape[0], norms=np.sqrt(raw.diagonal()))
 
 
 def cholesky_inverse_identity_check(bundle: HessianBundle, i: int) -> float:

@@ -16,9 +16,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -26,18 +24,29 @@ import numpy as np
 
 from . import __version__
 from .baselines import magnitude_prune, wanda_prune
-from .calibration import accumulate_hessian, column_norms
-from .engine import prune_layer, reconstruction_error
-from .errors import PruneError
+from .calibration import (
+    accumulate_hessian,
+    bundle_from_hessian,
+    column_norms,
+    raw_hessian,
+)
+from .engine import obs_update_row, prune_layer
+from .errors import ConfigError, PruneError
 from .oracle import exact_masked_reconstruction, naive_obs_prune
 from .reorder import (
-    build_reorder_plan,
     importance_scores,
     loss_profile,
     prune_with_block_order,
-    rose_prune_layer,
+    rose_prune_from_hessian,
 )
-from .rtns import RtnsFormatError, read_manifest, read_tensor, write_tensor
+from .rtns import (
+    RtnsFormatError,
+    atomic_write,
+    read_manifest,
+    read_tensor,
+    write_json,
+    write_tensor,
+)
 from .synth import gen_activations, gen_columnar, gen_uniform
 from .tensors import SemiStructured, SparsityConfig
 
@@ -92,8 +101,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="synthetic activation column correlation")
     p.add_argument("--out", type=Path, default=Path("."),
                    help="output directory for reports")
-    p.add_argument("--threads", type=int, default=1,
-                   help="1 guarantees bitwise-deterministic output")
 
 
 def _make_config(args) -> SparsityConfig:
@@ -120,9 +127,12 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _load_inputs(args, config: SparsityConfig):
-    """Weights plus activation batches, from files or generators."""
-    if args.synth is not None:
+def _load_inputs(args, config: SparsityConfig, weights=None):
+    """Weights plus activation batches, from files or generators.
+
+    ``weights`` overrides ``--weights`` with another layer's file.
+    """
+    if weights is None and args.synth is not None:
         if args.synth == "columnar":
             n_blocks = math.ceil(args.cols / config.blocksize)
             hot = args.hot_block if args.hot_block is not None else n_blocks - 1
@@ -137,9 +147,10 @@ def _load_inputs(args, config: SparsityConfig):
             )
         ]
         return w, acts
-    if args.weights is None:
+    weights = weights or args.weights
+    if weights is None:
         raise SystemExit2("need --weights or --synth")
-    w = read_tensor(args.weights)
+    w = read_tensor(weights)
     if args.acts is not None:
         acts = read_manifest(args.acts)
     else:
@@ -151,35 +162,22 @@ def _load_inputs(args, config: SparsityConfig):
     return w, acts
 
 
-def _run_method(method, w, acts, config, block_order=None):
-    """Returns (outcome, plan_or_None, profile_or_None)."""
-    if block_order is not None:
-        outcome, plan = prune_with_block_order(w, acts, config, block_order)
-        return outcome, plan, None
+def _run_method(method, w, raw, config):
+    """Returns (outcome, plan_or_None, profile_or_None) from the raw Hessian."""
     if method == "magnitude":
-        return magnitude_prune(w, config, acts), None, None
+        return magnitude_prune(w, config, raw), None, None
     if method == "wanda":
-        return wanda_prune(w, column_norms(acts), config, acts), None, None
+        return wanda_prune(w, column_norms(raw), config, raw), None, None
     if method == "sparsegpt":
-        bundle = accumulate_hessian(acts, config.damp_fraction)
-        return prune_layer(w, bundle, acts, config), None, None
+        bundle = bundle_from_hessian(raw, config.damp_fraction)
+        return prune_layer(w, bundle, config), None, None
     if method in ("rose", "rose-ascending"):
-        outcome, plan, profile = rose_prune_layer(
-            w, acts, config, descending=(method == "rose")
-        )
-        return outcome, plan, profile
+        return rose_prune_from_hessian(w, raw, config, descending=(method == "rose"))
     raise SystemExit2(f"unknown method {method!r}")
 
 
-def _profile_for(w, acts, config):
-    return loss_profile(importance_scores(w, column_norms(acts)), config)
-
-
-def _atomic_json(path: Path, doc):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(doc, f, indent=2)
-    os.replace(tmp, path)
+def _profile_for(w, raw, config):
+    return loss_profile(importance_scores(w, column_norms(raw)), config)
 
 
 def _config_doc(config: SparsityConfig, args) -> dict:
@@ -201,12 +199,15 @@ def cmd_prune(args) -> int:
     config = _make_config(args)
     w, acts = _load_inputs(args, config)
     t0 = time.perf_counter()
-    outcome, plan, profile = _run_method(
-        args.method, w, acts, config, block_order=args.block_order
-    )
+    raw = raw_hessian(acts)
+    if args.block_order is not None:
+        outcome, plan = prune_with_block_order(w, acts, config, args.block_order)
+        profile = None
+    else:
+        outcome, plan, profile = _run_method(args.method, w, raw, config)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if profile is None:
-        profile = _profile_for(w, acts, config)
+        profile = _profile_for(w, raw, config)
 
     args.out.mkdir(parents=True, exist_ok=True)
     weights_path = args.out / "pruned_weights.rtns"
@@ -223,7 +224,7 @@ def cmd_prune(args) -> int:
     }
     if plan is not None and plan.was_reordered:
         report["permutation"] = [int(i) for i in plan.permutation.forward]
-    _atomic_json(args.out / "report.json", report)
+    write_json(args.out / "report.json", report)
     print(f"wrote {weights_path} and {args.out / 'report.json'}")
     return 0
 
@@ -235,76 +236,67 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise SystemExit2(f"unknown method {m!r}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for sparsity in args.sparsity:
-        config = SparsityConfig(
+    configs = [
+        SparsityConfig(
             sparsity=sparsity,
             blocksize=args.blocksize if args.blocksize is not None else 128,
             damp_fraction=args.damp,
             columnar_threshold=args.threshold,
         )
-        w, acts = _load_inputs(args, config)
-        profile = _profile_for(w, acts, config)
+        for sparsity in args.sparsity
+    ]
+    # the inputs depend on the blocksize only, which every config shares
+    w, acts = _load_inputs(args, configs[0])
+    raw = raw_hessian(acts)
+    del acts
+    args.out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for config in configs:
+        profile = _profile_for(w, raw, config)
         for method in methods:
             t0 = time.perf_counter()
-            outcome, plan, _ = _run_method(method, w, acts, config)
+            outcome, plan, _ = _run_method(method, w, raw, config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rows.append({
                 "method": method,
-                "sparsity": sparsity,
+                "sparsity": config.sparsity,
                 "relative_error": outcome.relative_error,
                 "r_rel": profile.relative_range,
                 "was_reordered": bool(plan.was_reordered) if plan else False,
                 "wall_ms": wall_ms,
             })
     out_path = args.out / "compare.csv"
-    fd, tmp = tempfile.mkstemp(dir=args.out, suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as f:
-        writer = csv.DictWriter(
-            f,
-            fieldnames=["method", "sparsity", "relative_error", "r_rel",
-                        "was_reordered", "wall_ms"],
-        )
+
+    def write(f):
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    os.replace(tmp, out_path)
+
+    atomic_write(out_path, write, newline="")
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_detect(args) -> int:
     config = _make_config(args)
-    layers = []
     if args.weights is not None:
         paths = [args.weights, *(args.more_weights or [])]
     elif args.synth is not None:
         paths = [None]
     else:
         raise SystemExit2("need --weights or --synth")
+    layers = []
     for path in paths:
-        if path is None:
-            w, acts = _load_inputs(args, config)
-            name = f"synth-{args.synth}"
-        else:
-            w = read_tensor(path)
-            if args.acts is not None:
-                acts = read_manifest(args.acts)
-            else:
-                acts = [gen_activations(args.samples, w.shape[1],
-                                        args.correlation,
-                                        args.seed + ACT_SEED_OFFSET)]
-            name = str(path)
-        profile = _profile_for(w, acts, config)
+        w, acts = _load_inputs(args, config, path)
+        profile = _profile_for(w, raw_hessian(acts), config)
         layers.append({
-            "layer": name,
+            "layer": f"synth-{args.synth}" if path is None else str(path),
             "R_rel": profile.relative_range,
             "columnar": profile.relative_range > config.columnar_threshold,
             "block_losses": list(profile.block_losses),
         })
     args.out.mkdir(parents=True, exist_ok=True)
-    out_path = args.out / "detect.json"
-    _atomic_json(out_path, {"layers": layers})
+    write_json(args.out / "detect.json", {"layers": layers})
     print(json.dumps({"layers": layers}, indent=2))
     return 0
 
@@ -321,7 +313,6 @@ def cmd_verify(args) -> int:
         inv = np.linalg.inv(h)
         row = rng.standard_normal(n)
         q = int(rng.integers(0, n))
-        from .engine import obs_update_row
         kept = np.ones(n, dtype=bool)
         kept[q] = False
         got = obs_update_row(row, q, inv)
@@ -337,7 +328,7 @@ def cmd_verify(args) -> int:
         W = rng.standard_normal((max(2, n // 2), n))
         config = SparsityConfig(sparsity=p, blocksize=16, damp_fraction=args.damp)
         bundle = accumulate_hessian([X], config.damp_fraction)
-        fast = prune_layer(W, bundle, [X], config)
+        fast = prune_layer(W, bundle, config)
         slow = naive_obs_prune(W, [X], config)
         if not np.array_equal(fast.mask.kept, slow.mask.kept):
             failures += 1
@@ -403,7 +394,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PruneError, RtnsFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -4,9 +4,12 @@ Columns are processed left to right in blocks.  The mask for a block is
 fixed once at block entry from the weights as they stand and the squared
 diagonals of the stored upper factor.  Pruned columns are zeroed and every
 row is compensated in parallel along the factor's trailing row; updates to
-columns beyond the current block are deferred to block end, which is
-arithmetically identical to eager application because those columns are
-never read inside the block.
+columns beyond the current block are deferred to block end, because those
+columns are never read inside the block.
+
+No activations are needed: every error is a quadratic form in the raw
+Hessian, and the per-block error follows in closed form from the OBS
+errors the sweep already computes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .tensors import (
     PruneMask,
     SemiStructured,
     SparsityConfig,
-    Unstructured,
     as_matrix,
     pruned_count,
 )
@@ -113,62 +115,90 @@ def select_block_mask(
     return PruneMask(kept=kept, pattern=pat)
 
 
-def _stacked(activations: Sequence[np.ndarray]) -> np.ndarray:
-    mats = [as_matrix(a) for a in activations]
-    if not mats:
-        raise DimensionError("need at least one activation batch")
-    return np.vstack(mats)
+def _quadratic(d: np.ndarray, hessian: np.ndarray) -> float:
+    """Sum over the rows of d of d @ H @ d, i.e. ||d X.T||^2 for H = X.T X."""
+    return float(np.sum((d @ hessian) * d))
+
+
+def outcome_from_trajectory(
+    w_dense: np.ndarray,
+    pruned: np.ndarray,
+    kept: np.ndarray,
+    pattern,
+    trajectory,
+    hessian: np.ndarray,
+) -> PruneOutcome:
+    """Assemble a PruneOutcome whose final error ends the trajectory.
+
+    The relative error divides by the dense layer's output energy
+    sum(w @ H @ w) in the raw Hessian.
+    """
+    absolute = float(trajectory[-1]) if len(trajectory) else 0.0
+    denom = _quadratic(w_dense, hessian)
+    return PruneOutcome(
+        pruned_weights=pruned,
+        mask=PruneMask(kept=kept, pattern=pattern),
+        block_error_trajectory=np.asarray(trajectory, dtype=np.float64),
+        final_error=absolute,
+        relative_error=absolute / denom if denom > 0 else 0.0,
+    )
 
 
 def reconstruction_error(
     w_dense: np.ndarray,
     w_pruned: np.ndarray,
-    activations: Sequence[np.ndarray],
+    hessian: np.ndarray,
 ) -> tuple[float, float]:
-    """Squared output error of the pruned layer, absolute and relative."""
+    """Squared output error of the pruned layer, absolute and relative.
+
+    ``hessian`` is the raw X.T @ X, so the absolute error is
+    ||(w_dense - w_pruned) X.T||^2.
+    """
     wd = as_matrix(w_dense)
     wp = as_matrix(w_pruned)
+    h = as_matrix(hessian)
     if wd.shape != wp.shape:
         raise DimensionError(f"weight shapes differ: {wd.shape} vs {wp.shape}")
-    xs = _stacked(activations)
-    if xs.shape[1] != wd.shape[1]:
+    if h.shape != (wd.shape[1], wd.shape[1]):
         raise DimensionError(
-            f"activation cols {xs.shape[1]} != weight cols {wd.shape[1]}"
+            f"Hessian shape {h.shape} != weight cols {wd.shape[1]}"
         )
-    diff = (wd - wp) @ xs.T
-    absolute = float(np.sum(diff * diff))
-    ref = wd @ xs.T
-    denom = float(np.sum(ref * ref))
+    absolute = _quadratic(wd - wp, h)
+    denom = _quadratic(wd, h)
     relative = absolute / denom if denom > 0 else 0.0
     return absolute, relative
+
+
+#: below this fraction of the dampened loss, the closed-form raw error has
+#: cancelled to rounding noise and is measured directly instead
+CANCELLATION = 1e-6
 
 
 def prune_layer(
     w: np.ndarray,
     bundle: HessianBundle,
-    activations: Sequence[np.ndarray],
     config: SparsityConfig,
-    eager_updates: bool = False,
 ) -> PruneOutcome:
     """Prune one layer block by block with OBS compensation.
 
-    ``eager_updates`` applies cross-block compensation immediately per
-    column instead of at block end; the two modes are bitwise identical
-    and the flag exists so tests can prove it.
+    The error after block k is measured in the raw Hessian.  With every
+    pruned column compensated, the dampened loss equals the summed squared
+    OBS errors, so raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  Once
+    a column is pruned without compensation (degenerate inverse diagonal),
+    or the subtraction cancels, sum(d @ H_raw @ d) is computed instead.
     """
     w_dense = as_matrix(w)
     rows, n = w_dense.shape
     if n != bundle.n:
         raise DimensionError(f"weight cols {n} != Hessian size {bundle.n}")
-    xs = _stacked(activations)
-    if xs.shape[1] != n:
-        raise DimensionError(f"activation cols {xs.shape[1]} != weight cols {n}")
 
     upper = bundle.chol_upper
     dead = set(int(j) for j in bundle.dead_columns)
     w_cur = w_dense.copy()
     kept_full = np.ones((rows, n), dtype=bool)
     trajectory = []
+    loss = 0.0
+    uncompensated = False
 
     for block_index, (i1, i2) in enumerate(config.block_ranges(n)):
         bw = i2 - i1
@@ -196,6 +226,7 @@ def prune_layer(
                         "without compensation",
                         RuntimeWarning,
                     )
+                    uncompensated = True
                 e = np.zeros(rows)
             else:
                 e = np.where(kept_c, 0.0, col) / d[c]
@@ -203,11 +234,7 @@ def prune_layer(
             if c + 1 < bw:
                 w_cur[:, q + 1 : i2] -= np.outer(e, upper[q, q + 1 : i2])
             errs[:, c] = e
-            if eager_updates and i2 < n:
-                w_cur[:, i2:] -= np.outer(e, upper[q, i2:])
-        if not eager_updates and i2 < n:
-            # per-column application in order keeps this bitwise equal to
-            # the eager path
+        if i2 < n:
             for c in range(bw):
                 w_cur[:, i2:] -= np.outer(errs[:, c], upper[i1 + c, i2:])
 
@@ -215,17 +242,13 @@ def prune_layer(
             raise NumericOverflowError(
                 f"non-finite weights after block {block_index}", block=block_index
             )
-        diff = (w_dense - w_cur) @ xs.T
-        trajectory.append(float(np.sum(diff * diff)))
+        loss += float(np.sum(errs * errs))
+        delta = w_dense - w_cur
+        raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
+        if uncompensated or raw_err < CANCELLATION * loss:
+            raw_err = _quadratic(delta, bundle.raw)
+        trajectory.append(raw_err)
 
-    absolute = trajectory[-1] if trajectory else 0.0
-    ref = w_dense @ xs.T
-    denom = float(np.sum(ref * ref))
-    relative = absolute / denom if denom > 0 else 0.0
-    return PruneOutcome(
-        pruned_weights=w_cur,
-        mask=PruneMask(kept=kept_full, pattern=config.pattern),
-        block_error_trajectory=np.asarray(trajectory),
-        final_error=absolute,
-        relative_error=relative,
+    return outcome_from_trajectory(
+        w_dense, w_cur, kept_full, config.pattern, trajectory, bundle.raw
     )

@@ -5,6 +5,10 @@ class PruneError(Exception):
     """Base class for all library errors."""
 
 
+class ConfigError(PruneError, ValueError):
+    """A pruning configuration value is out of range or inconsistent."""
+
+
 class DimensionError(PruneError):
     """Shapes of the supplied operands do not agree."""
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import DEGENERATE_DIAG, raw_hessian
-from .engine import PruneOutcome, _stacked, select_block_mask
+from .engine import PruneOutcome, select_block_mask
 from .errors import DimensionError, OracleScaleError, SingularOracleError
 from .tensors import PruneMask, SparsityConfig, as_matrix
 
@@ -59,17 +59,18 @@ def naive_obs_prune(
 
     Uses the same mask-selection rule and dampening as the engine, but no
     precomputed factor and no deferred updates, so agreement with
-    ``prune_layer`` exercises the whole Cholesky shortcut.
+    ``prune_layer`` exercises the whole Cholesky shortcut.  Its errors are
+    measured on the stacked activations, independently of the closed forms
+    the engine derives from the Hessian.
     """
     w_dense = as_matrix(w)
     rows, n = w_dense.shape
     if n > ORACLE_MAX_COLS:
         raise OracleScaleError(f"oracle capped at {ORACLE_MAX_COLS} columns, got {n}")
-    xs = _stacked(activations)
-    if xs.shape[1] != n:
-        raise DimensionError(f"activation cols {xs.shape[1]} != weight cols {n}")
-
     raw = raw_hessian(activations)
+    if raw.shape[0] != n:
+        raise DimensionError(f"activation cols {raw.shape[0]} != weight cols {n}")
+    xs = np.vstack([as_matrix(a) for a in activations])
     lam = config.damp_fraction * raw.diagonal().mean()
     dead = np.flatnonzero(raw.diagonal() == 0.0)
     h = raw + lam * np.eye(n)

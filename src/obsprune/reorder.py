@@ -12,14 +12,19 @@ mapped back to the original channel order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import ActivationNorms, accumulate_hessian, column_norms
-from .engine import PruneOutcome, prune_layer, reconstruction_error
-from .errors import DimensionError
+from .calibration import (
+    ActivationNorms,
+    bundle_from_hessian,
+    column_norms,
+    raw_hessian,
+)
+from .engine import PruneOutcome, prune_layer
+from .errors import ConfigError, DimensionError
 from .tensors import (
     Permutation,
     PruneMask,
@@ -39,7 +44,6 @@ class LossProfile:
 
     block_losses: np.ndarray
     column_losses: np.ndarray
-    selected_scores: list
     relative_range: float
     blocksize: int
 
@@ -99,14 +103,12 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     ranges = list(config.block_ranges(n))
     col_losses = np.zeros(n)
     block_losses = np.zeros(len(ranges))
-    selected = []
     for k, (i1, i2) in enumerate(ranges):
         sub = scores[:, i1:i2]
         sel = _selected_mask(sub, config)
         picked = np.where(sel, sub, 0.0)
         col_losses[i1:i2] = picked.sum(axis=0)
         block_losses[k] = picked.sum()
-        selected.append(np.sort(sub[sel]))
     mean = block_losses.mean() if block_losses.size else 0.0
     if mean > 0:
         rel = float((block_losses.max() - block_losses.min()) / mean)
@@ -115,7 +117,6 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     return LossProfile(
         block_losses=block_losses,
         column_losses=col_losses,
-        selected_scores=selected,
         relative_range=rel,
         blocksize=config.blocksize,
     )
@@ -165,37 +166,53 @@ def build_reorder_plan(
 
 def _prune_permuted(
     w: np.ndarray,
-    activations: Sequence[np.ndarray],
+    raw: np.ndarray,
     config: SparsityConfig,
     perm: Permutation,
-    eager_updates: bool,
 ) -> PruneOutcome:
-    """Prune in permuted column order and map the result back."""
-    w = as_matrix(w)
-    wp = apply_column_permutation(w, perm)
-    acts_p = [apply_column_permutation(as_matrix(x), perm) for x in activations]
-    # triangular factors are not permutation-stable, so refactor on the
-    # permuted activations instead of permuting the stored factor
-    bundle = accumulate_hessian(acts_p, config.damp_fraction)
-    out = prune_layer(wp, bundle, acts_p, config, eager_updates=eager_updates)
+    """Prune in permuted column order and map the result back.
 
+    Triangular factors are not permutation-stable, so the permuted raw
+    Hessian H[p][:, p] is factored afresh.  The errors need no mapping:
+    they are invariant under a common permutation of W and H.
+    """
+    idx = perm.forward
+    bundle = bundle_from_hessian(raw[np.ix_(idx, idx)], config.damp_fraction)
+    out = prune_layer(apply_column_permutation(w, perm), bundle, config)
     inv = perm.inverted()
-    w_back = apply_column_permutation(out.pruned_weights, inv)
     kept_back = apply_column_permutation(out.mask.kept, inv)
-    mask_back = PruneMask(kept=kept_back, pattern=config.pattern)
-    absolute, relative = reconstruction_error(w, w_back, activations)
-
-    trajectory = out.block_error_trajectory.copy()
-    if trajectory.size:
-        # same objective measured in original order; agrees to rounding
-        trajectory[-1] = absolute
-    return PruneOutcome(
-        pruned_weights=w_back,
-        mask=mask_back,
-        block_error_trajectory=trajectory,
-        final_error=absolute,
-        relative_error=relative,
+    return replace(
+        out,
+        pruned_weights=apply_column_permutation(out.pruned_weights, inv),
+        mask=PruneMask(kept=kept_back, pattern=config.pattern),
     )
+
+
+def rose_prune_from_hessian(
+    w: np.ndarray,
+    raw: np.ndarray,
+    config: SparsityConfig,
+    descending: bool = True,
+) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
+    """``rose_prune_layer`` on an already-accumulated raw Hessian X.T @ X."""
+    w = as_matrix(w)
+    raw = as_matrix(raw)
+    scores = importance_scores(w, column_norms(raw))
+    profile = loss_profile(scores, config)
+    plan = build_reorder_plan(profile, config, descending=descending)
+
+    if not plan.was_reordered:
+        bundle = bundle_from_hessian(raw, config.damp_fraction)
+        outcome = prune_layer(w, bundle, config)
+    else:
+        outcome = _prune_permuted(w, raw, config, plan.permutation)
+        if isinstance(config.pattern, SemiStructured) and not mask_pattern_valid(
+            outcome.mask
+        ):
+            raise ConfigError(
+                "reordering broke the n:m pattern in original coordinates"
+            )
+    return outcome, plan, profile
 
 
 def rose_prune_layer(
@@ -203,29 +220,9 @@ def rose_prune_layer(
     activations: Sequence[np.ndarray],
     config: SparsityConfig,
     descending: bool = True,
-    eager_updates: bool = False,
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Score, reorder if columnar, prune, and restore channel order."""
-    w = as_matrix(w)
-    norms = column_norms(activations)
-    scores = importance_scores(w, norms)
-    profile = loss_profile(scores, config)
-    plan = build_reorder_plan(profile, config, descending=descending)
-
-    if not plan.was_reordered:
-        bundle = accumulate_hessian(activations, config.damp_fraction)
-        outcome = prune_layer(w, bundle, activations, config, eager_updates=eager_updates)
-    else:
-        outcome = _prune_permuted(
-            w, activations, config, plan.permutation, eager_updates
-        )
-        if isinstance(config.pattern, SemiStructured) and not mask_pattern_valid(
-            outcome.mask
-        ):
-            raise ValueError(
-                "reordering broke the n:m pattern in original coordinates"
-            )
-    return outcome, plan, profile
+    return rose_prune_from_hessian(w, raw_hessian(activations), config, descending)
 
 
 def prune_with_block_order(
@@ -257,44 +254,5 @@ def prune_with_block_order(
         was_reordered=not block_stage.is_identity(),
         threshold_used=config.columnar_threshold,
     )
-    outcome = _prune_permuted(w, activations, config, block_stage, False)
+    outcome = _prune_permuted(w, raw_hessian(activations), config, block_stage)
     return outcome, plan
-
-
-@dataclass(frozen=True)
-class StabilityHistogram:
-    """Distribution of relative weight changes |dw| / |w|."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    fraction_under: float
-    stable_limit: float
-
-
-def weight_stability_histogram(
-    w_before: np.ndarray,
-    w_after: np.ndarray,
-    bins: int = 20,
-    stable_limit: float = 0.3,
-) -> StabilityHistogram:
-    """How far kept weights moved during compensation.
-
-    Entries that were zero before pruning are excluded, as are pruned
-    entries (zero after).  Reports the fraction of kept weights whose
-    relative change stays under ``stable_limit``.
-    """
-    wb = as_matrix(w_before)
-    wa = as_matrix(w_after)
-    if wb.shape != wa.shape:
-        raise DimensionError(f"shapes differ: {wb.shape} vs {wa.shape}")
-    keep = (wb != 0) & (wa != 0)
-    ratios = np.abs(wa[keep] - wb[keep]) / np.abs(wb[keep])
-    if ratios.size == 0:
-        ratios = np.zeros(1)
-    counts, edges = np.histogram(ratios, bins=bins)
-    return StabilityHistogram(
-        bin_edges=edges,
-        counts=counts,
-        fraction_under=float(np.mean(ratios < stable_limit)),
-        stable_limit=stable_limit,
-    )

@@ -7,6 +7,7 @@ payload in little-endian.  Readers reject unknown magic, version or dtype.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -25,25 +26,42 @@ class RtnsFormatError(ValueError):
     """Raised for malformed or unsupported tensor files."""
 
 
+def atomic_write(path, write, mode="w", **open_kwargs) -> None:
+    """Create ``path`` by calling ``write(f)`` on a temp file, then renaming.
+
+    If anything raises, the temp file is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, **open_kwargs) as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON, atomically."""
+    atomic_write(path, lambda f: json.dump(doc, f, indent=2))
+
+
 def write_tensor(path, array, dtype="float64") -> None:
     """Write a 1-D or 2-D array, atomically (temp file + rename)."""
     a = np.asarray(array, dtype=dtype)
     if a.ndim not in (1, 2):
         raise RtnsFormatError(f"only rank 1 and 2 supported, got {a.ndim}")
     code = _CODES[a.dtype]
-    path = Path(path)
     header = MAGIC + struct.pack("<BBBB", VERSION, code, a.ndim, 0)
     header += b"".join(struct.pack("<Q", d) for d in a.shape)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(header)
-            f.write(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def write(f):
+        f.write(header)
+        f.write(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+
+    atomic_write(path, write, "wb")
 
 
 def read_tensor(path) -> np.ndarray:
@@ -91,9 +109,5 @@ def read_manifest(path) -> list[np.ndarray]:
 
 
 def write_manifest(path, batch_paths) -> None:
-    path = Path(path)
-    doc = {"batches": [str(p) for p in batch_paths]}
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(doc, f, indent=2)
-    os.replace(tmp, path)
+    """Write a manifest listing ``batch_paths`` in order, atomically."""
+    write_json(path, {"batches": [str(p) for p in batch_paths]})

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 def as_matrix(a) -> np.ndarray:
@@ -42,7 +42,7 @@ class SemiStructured:
 
     def __post_init__(self):
         if not (0 < self.n < self.m):
-            raise ValueError(f"need 0 < n < m, got {self.n}:{self.m}")
+            raise ConfigError(f"need 0 < n < m, got {self.n}:{self.m}")
 
     @property
     def sparsity(self) -> float:
@@ -67,21 +67,21 @@ class SparsityConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.sparsity < 1.0:
-            raise ValueError(f"sparsity must be in [0, 1), got {self.sparsity}")
+            raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
         if self.blocksize < 1:
-            raise ValueError("blocksize must be >= 1")
-        if self.damp_fraction < 0:
-            raise ValueError("damp_fraction must be >= 0")
+            raise ConfigError("blocksize must be >= 1")
+        if not self.damp_fraction >= 0:
+            raise ConfigError("damp_fraction must be >= 0")
         if self.pattern is None:
             object.__setattr__(self, "pattern", Unstructured(self.sparsity))
         p = self.pattern
         if isinstance(p, SemiStructured):
             if self.blocksize % p.m != 0:
-                raise ValueError(
+                raise ConfigError(
                     f"blocksize {self.blocksize} is not a multiple of m={p.m}"
                 )
             if abs(self.sparsity - p.sparsity) > 1e-12:
-                raise ValueError(
+                raise ConfigError(
                     f"sparsity {self.sparsity} inconsistent with {p.n}:{p.m} pattern"
                 )
 

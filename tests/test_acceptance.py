@@ -23,6 +23,7 @@ from obsprune import (
     obs_update_row,
     prune_layer,
     prune_with_block_order,
+    raw_hessian,
     reconstruction_error,
     rose_prune_layer,
 )
@@ -68,7 +69,7 @@ def columnar_runs():
             runs["rose"][(seed, p)] = (out, plan, prof, w, x)
             asc, aplan, _ = rose_prune_layer(w, [x], cfg, descending=False)
             runs["rose-ascending"][(seed, p)] = (asc, aplan, None, w, x)
-            plain = prune_layer(w, bundle, [x], cfg)
+            plain = prune_layer(w, bundle, cfg)
             runs["sparsegpt"][(seed, p)] = (plain, None, None, w, x)
             TRAJECTORIES.extend(
                 [out.block_error_trajectory, asc.block_error_trajectory,
@@ -127,7 +128,7 @@ def test_criterion_3_engine_matches_naive_oracle():
         w = rng.standard_normal((max(4, n // 2), n))
         cfg = SparsityConfig(sparsity=p, blocksize=16)
         bundle = accumulate_hessian([x], cfg.damp_fraction)
-        fast = prune_layer(w, bundle, [x], cfg)
+        fast = prune_layer(w, bundle, cfg)
         slow = naive_obs_prune(w, [x], cfg)
         masks_equal &= bool(np.array_equal(fast.mask.kept, slow.mask.kept))
         denom = max(abs(slow.final_error), 1e-300)
@@ -172,7 +173,7 @@ def test_criterion_5_gate_behavior(columnar_runs):
         uni_rels.append(prof.relative_range)
         uniform_ok &= prof.relative_range < 0.5 and not plan.was_reordered
         bundle = accumulate_hessian([x], cfg.damp_fraction)
-        plain = prune_layer(w, bundle, [x], cfg)
+        plain = prune_layer(w, bundle, cfg)
         bitwise_ok &= bool(
             np.array_equal(out.pruned_weights, plain.pruned_weights)
         )
@@ -254,8 +255,8 @@ def test_criterion_8_permutation_soundness(columnar_runs):
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        a1, r1 = reconstruction_error(w, out.pruned_weights, [x])
-        a2, r2 = reconstruction_error(wp, wpp, [xp])
+        a1, r1 = reconstruction_error(w, out.pruned_weights, raw_hessian([x]))
+        a2, r2 = reconstruction_error(wp, wpp, raw_hessian([xp]))
         dev = max(abs(a1 - a2) / max(1.0, abs(a1)), abs(r1 - r2))
         worst = max(worst, dev)
         ok &= dev <= 1e-9

@@ -9,6 +9,7 @@ from obsprune import (
     column_norms,
     magnitude_prune,
     mask_sparsity,
+    raw_hessian,
     reconstruction_error,
     wanda_prune,
 )
@@ -31,10 +32,10 @@ def test_magnitude_error_matches_direct_evaluation():
     w = rng.standard_normal((6, 16))
     x = rng.standard_normal((40, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    out = magnitude_prune(w, cfg, activations=[x])
+    out = magnitude_prune(w, cfg, hessian=raw_hessian([x]))
     diff = (w - out.pruned_weights) @ x.T
     assert out.final_error == pytest.approx(float(np.sum(diff * diff)))
-    absolute, relative = reconstruction_error(w, out.pruned_weights, [x])
+    absolute, relative = reconstruction_error(w, out.pruned_weights, raw_hessian([x]))
     assert out.final_error == pytest.approx(absolute)
     assert out.relative_error == pytest.approx(relative)
 
@@ -61,7 +62,7 @@ def test_wanda_matches_per_row_sort_oracle():
     rng = np.random.default_rng(4)
     w = rng.standard_normal((8, 8))
     x = rng.standard_normal((32, 8))
-    norms = column_norms([x])
+    norms = column_norms(raw_hessian([x]))
     out = wanda_prune(w, norms, SparsityConfig(sparsity=0.5, blocksize=8))
     scores = np.abs(w) * norms.norms
     for r in range(8):
@@ -88,7 +89,7 @@ def test_baselines_semi_structured(pattern):
     w = rng.standard_normal((5, 32))
     x = rng.standard_normal((64, 32))
     cfg = SparsityConfig.semi_structured(n_keep, m)
-    norms = column_norms([x])
+    norms = column_norms(raw_hessian([x]))
     for out in (magnitude_prune(w, cfg), wanda_prune(w, norms, cfg)):
         groups = out.mask.kept.reshape(5, 32 // m, m)
         assert np.all(groups.sum(axis=2) == n_keep)
@@ -99,10 +100,11 @@ def test_mask_respect_and_sparsity_invariants():
     w = rng.standard_normal((10, 24))
     x = rng.standard_normal((50, 24))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    norms = column_norms([x])
+    h = raw_hessian([x])
+    norms = column_norms(h)
     for out in (
-        magnitude_prune(w, cfg, activations=[x]),
-        wanda_prune(w, norms, cfg, activations=[x]),
+        magnitude_prune(w, cfg, hessian=h),
+        wanda_prune(w, norms, cfg, hessian=h),
     ):
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         assert mask_sparsity(out.mask) == pytest.approx(0.5, abs=1 / 24)

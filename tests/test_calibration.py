@@ -8,6 +8,7 @@ from obsprune import (
     bundle_from_hessian,
     cholesky_inverse_identity_check,
     column_norms,
+    raw_hessian,
 )
 
 
@@ -97,20 +98,20 @@ def test_requires_batches_and_consistent_cols():
 
 
 def test_column_norms_345():
-    norms = column_norms([np.array([[3.0, 0.0], [4.0, 0.0]])])
+    norms = column_norms(raw_hessian([np.array([[3.0, 0.0], [4.0, 0.0]])]))
     np.testing.assert_allclose(norms.norms, [5.0, 0.0])
 
 
 def test_column_norms_identity():
-    norms = column_norms([np.eye(3)])
+    norms = column_norms(raw_hessian([np.eye(3)]))
     np.testing.assert_allclose(norms.norms, [1.0, 1.0, 1.0])
 
 
 def test_column_norms_batches_match_stacked():
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((7, 4)), rng.standard_normal((9, 4))
-    split = column_norms([a, b])
-    stacked = column_norms([np.vstack([a, b])])
+    split = column_norms(raw_hessian([a, b]))
+    stacked = column_norms(raw_hessian([np.vstack([a, b])]))
     np.testing.assert_allclose(split.norms, stacked.norms, rtol=1e-12)
 
 
@@ -119,7 +120,9 @@ def test_column_norms_row_permutation_invariant():
     x = rng.standard_normal((20, 5))
     shuffled = x[rng.permutation(20)]
     np.testing.assert_allclose(
-        column_norms([x]).norms, column_norms([shuffled]).norms, rtol=1e-12
+        column_norms(raw_hessian([x])).norms,
+        column_norms(raw_hessian([shuffled])).norms,
+        rtol=1e-12,
     )
 
 
@@ -131,7 +134,7 @@ def test_zero_rows_batch_changes_nothing():
     b2 = accumulate_hessian([x, zeros], 0.01)
     np.testing.assert_array_equal(b1.hessian, b2.hessian)
     np.testing.assert_array_equal(
-        column_norms([x]).norms, column_norms([x, zeros]).norms
+        column_norms(b1.raw).norms, column_norms(b2.raw).norms
     )
 
 

@@ -179,3 +179,21 @@ def test_hidden_block_order_flag(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["was_reordered"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sparsity", "1.5"],
+    ["--sparsity", "nan"],
+    ["--sparsity", "0.5", "--blocksize", "0"],
+    ["--sparsity", "0.5", "--damp", "nan"],
+])
+def test_bad_config_exit_2(tmp_path, capsys, flags):
+    code = main(["prune", "--synth", "uniform", *flags, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_threads_option_removed(capsys):
+    assert run(["prune", "--synth", "uniform", "--sparsity", "0.5",
+                "--threads", "1"]) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsprune import (
     DimensionError,
@@ -11,9 +13,11 @@ from obsprune import (
     obs_saliency,
     obs_update_row,
     prune_layer,
+    raw_hessian,
     reconstruction_error,
     select_block_mask,
 )
+from obsprune.calibration import DEGENERATE_DIAG
 from obsprune.tensors import SemiStructured
 
 
@@ -104,11 +108,13 @@ class TestBlockMask:
 class TestReconstructionError:
     def test_equal_weights(self):
         w, x = random_layer(0)
-        assert reconstruction_error(w, w, [x]) == (0.0, 0.0)
+        assert reconstruction_error(w, w, raw_hessian([x])) == (0.0, 0.0)
 
     def test_zero_pruned(self):
         w, x = random_layer(1)
-        absolute, relative = reconstruction_error(w, np.zeros_like(w), [x])
+        absolute, relative = reconstruction_error(
+            w, np.zeros_like(w), raw_hessian([x])
+        )
         assert relative == pytest.approx(1.0)
         assert absolute > 0
 
@@ -116,11 +122,11 @@ class TestReconstructionError:
         w = np.array([[1.0, 1.0]])
         x = np.eye(2)
         wp = np.array([[1.0, 0.0]])
-        assert reconstruction_error(w, wp, [x]) == (1.0, 0.5)
+        assert reconstruction_error(w, wp, raw_hessian([x])) == (1.0, 0.5)
 
     def test_zero_denominator(self):
         w = np.zeros((2, 2))
-        assert reconstruction_error(w, w, [np.eye(2)]) == (0.0, 0.0)
+        assert reconstruction_error(w, w, np.eye(2)) == (0.0, 0.0)
 
 
 class TestPruneLayer:
@@ -128,7 +134,7 @@ class TestPruneLayer:
         w, x = random_layer(2)
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
         b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, [x], cfg)
+        out = prune_layer(w, b, cfg)
         np.testing.assert_array_equal(out.pruned_weights, w)
         assert out.relative_error <= 1e-10
         assert out.mask.kept.all()
@@ -143,7 +149,7 @@ class TestPruneLayer:
         w = rng.standard_normal((5, 6))
         cfg = SparsityConfig(sparsity=0.5, blocksize=3, damp_fraction=0.0)
         b = accumulate_hessian([x], 0.0)
-        out = prune_layer(w, b, [x], cfg)
+        out = prune_layer(w, b, cfg)
         pruned = ~out.mask.kept
         expected = float(np.sum((w * w * scales**2)[pruned]))
         assert out.final_error == pytest.approx(expected, abs=1e-8)
@@ -155,7 +161,7 @@ class TestPruneLayer:
         w, x = random_layer(3, rows=10, n=24)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, [x], cfg)
+        out = prune_layer(w, b, cfg)
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         assert mask_sparsity(out.mask) == pytest.approx(0.5, abs=1 / (10 * 8))
         assert np.all(np.isfinite(out.pruned_weights))
@@ -164,27 +170,18 @@ class TestPruneLayer:
         w, x = random_layer(4, rows=6, n=32)
         cfg = SparsityConfig(sparsity=0.75, blocksize=8)
         b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, [x], cfg)
+        out = prune_layer(w, b, cfg)
         traj = out.block_error_trajectory
         assert traj.size == 4
         assert np.all(np.diff(traj) >= 0)
         assert traj[-1] == out.final_error
-
-    def test_lazy_equals_eager_bitwise(self):
-        w, x = random_layer(5, rows=7, n=40)
-        cfg = SparsityConfig(sparsity=0.6, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        lazy = prune_layer(w, b, [x], cfg, eager_updates=False)
-        eager = prune_layer(w, b, [x], cfg, eager_updates=True)
-        assert np.array_equal(lazy.pruned_weights, eager.pruned_weights)
-        assert np.array_equal(lazy.mask.kept, eager.mask.kept)
 
     def test_semi_structured_group_constraint(self):
         w, x = random_layer(6, rows=9, n=32)
         for n_keep, m in ((2, 4), (4, 8)):
             cfg = SparsityConfig.semi_structured(n_keep, m)
             b = accumulate_hessian([x], cfg.damp_fraction)
-            out = prune_layer(w, b, [x], cfg)
+            out = prune_layer(w, b, cfg)
             groups = out.mask.kept.reshape(9, 32 // m, m)
             assert np.all(groups.sum(axis=2) == n_keep)
 
@@ -193,7 +190,7 @@ class TestPruneLayer:
         cfg = SparsityConfig(sparsity=0.5, blocksize=4)
         b = accumulate_hessian([x], cfg.damp_fraction)
         with pytest.raises(DimensionError):
-            prune_layer(w[:, :-1], b, [x], cfg)
+            prune_layer(w[:, :-1], b, cfg)
 
     def test_dead_column_pruned_first(self):
         rng = np.random.default_rng(30)
@@ -203,5 +200,80 @@ class TestPruneLayer:
         w[:, 3] = 50.0  # huge weight on a dead channel
         cfg = SparsityConfig(sparsity=0.25, blocksize=8)
         b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, [x], cfg)
+        out = prune_layer(w, b, cfg)
         assert not out.mask.kept[:, 3].any()
+
+
+def block_state(w0, w_final, bundle, i2):
+    """Weights after the block ending at column i2, from optimality alone.
+
+    Columns before i2 are final.  Every pruned column was compensated over
+    the columns after it, so the trailing weights minimize the dampened
+    loss given the leading ones: D_t = -D_l H_lt inv(H_tt).
+    """
+    h = bundle.hessian
+    d_lead = w0[:, :i2] - w_final[:, :i2]
+    d_trail = -np.linalg.solve(h[i2:, i2:], (d_lead @ h[:i2, i2:]).T).T
+    return np.hstack([w_final[:, :i2], w0[:, i2:] - d_trail])
+
+
+class TestClosedFormTrajectory:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        rows=st.integers(1, 8),
+        n_blocks=st.integers(1, 6),
+        blocksize=st.sampled_from([1, 3, 4, 8]),
+        sparsity=st.floats(0.0, 0.9),
+        semi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_activations_every_block(
+        self, rows, n_blocks, blocksize, sparsity, semi, seed
+    ):
+        n = n_blocks * blocksize
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, n))
+        x = rng.standard_normal((3 * n, n))
+        if semi and blocksize % 4 == 0:
+            cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
+        else:
+            cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
+        b = accumulate_hessian([x], cfg.damp_fraction)
+        out = prune_layer(w, b, cfg)
+        measured = []
+        for _, i2 in cfg.block_ranges(n):
+            d = (w - block_state(w, out.pruned_weights, b, i2)) @ x.T
+            measured.append(float(np.sum(d * d)))
+        np.testing.assert_allclose(
+            out.block_error_trajectory, measured, rtol=1e-9, atol=0
+        )
+
+    def test_uncompensated_fallback_matches_activations(self):
+        # columns 4-7 scaled by 1e16 have degenerate inverse diagonals and
+        # are pruned without compensation; the other columns are compensated
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((64, 16))
+        x[:, 4:8] *= 1e16
+        w = rng.standard_normal((6, 16))
+        cfg = SparsityConfig.semi_structured(2, 4, damp_fraction=0.0)
+        b = accumulate_hessian([x], cfg.damp_fraction)
+        degenerate = b.chol_upper.diagonal() ** 2 < DEGENERATE_DIAG
+        np.testing.assert_array_equal(np.flatnonzero(degenerate), [4, 5, 6, 7])
+        with pytest.warns(RuntimeWarning, match="without compensation"):
+            out = prune_layer(w, b, cfg)
+        d = (w - out.pruned_weights) @ x.T
+        assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
+        assert out.block_error_trajectory[-1] == out.final_error
+
+    def test_dead_block_error_is_exactly_zero(self):
+        # pruning a block of dead channels costs nothing in the raw Hessian,
+        # while the closed form would cancel to rounding noise
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((48, 16))
+        x[:, :8] = 0.0
+        w = rng.standard_normal((5, 16))
+        cfg = SparsityConfig(sparsity=0.5, blocksize=8)
+        out = prune_layer(w, accumulate_hessian([x], cfg.damp_fraction), cfg)
+        assert out.block_error_trajectory[0] == 0.0
+        d = (w - out.pruned_weights) @ x.T
+        assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)

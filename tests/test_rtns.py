@@ -7,6 +7,7 @@ from obsprune.rtns import (
     RtnsFormatError,
     read_manifest,
     read_tensor,
+    write_json,
     write_manifest,
     write_tensor,
 )
@@ -82,3 +83,15 @@ def test_manifest_requires_batches(tmp_path):
     (tmp_path / "m.json").write_text("{}")
     with pytest.raises(RtnsFormatError):
         read_manifest(tmp_path / "m.json")
+
+
+def test_failed_write_leaves_target_and_no_temp(tmp_path):
+    target = tmp_path / "doc.json"
+    write_json(target, {"ok": 1})
+    before = target.read_bytes()
+    # json.dump has written part of the document when it meets the object
+    with pytest.raises(TypeError):
+        write_json(target, {"ok": 2, "bad": object()})
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
