@@ -36,13 +36,12 @@ def run_all(name, w, acts):
     cfg = SparsityConfig(sparsity=SPARSITY, blocksize=BLOCK)
     # the activations are read once; every method works from H = X.T X
     h = raw_hessian(acts)
-    norms = column_norms(h)
-    profile = loss_profile(importance_scores(w, norms), cfg)
+    profile = loss_profile(importance_scores(w, column_norms(h)), cfg)
     bundle = bundle_from_hessian(h, cfg.damp_fraction)
 
     results = {
         "magnitude": magnitude_prune(w, cfg, h),
-        "act-weighted magnitude": wanda_prune(w, norms, cfg, h),
+        "act-weighted magnitude": wanda_prune(w, cfg, h),
         "second-order": prune_layer(w, bundle, cfg),
     }
     reordered, plan, _ = rose_prune_from_hessian(w, h, cfg)

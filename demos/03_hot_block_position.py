@@ -17,6 +17,7 @@ from obsprune import (
     gen_activations,
     gen_columnar,
     prune_with_block_order,
+    raw_hessian,
 )
 
 ROWS, COLS, BLOCK = 64, 256, 32
@@ -28,7 +29,7 @@ def main():
     k = COLS // BLOCK
     cfg = SparsityConfig(sparsity=0.7, blocksize=BLOCK)
     w = gen_columnar(ROWS, COLS, BLOCK, HOT, hot_gain=10.0, seed=SEED)
-    acts = [gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)]
+    h = raw_hessian([gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)])
 
     print(f"{k} blocks of {BLOCK} columns, hot block index {HOT}, "
           f"sparsity {cfg.sparsity}\n")
@@ -37,7 +38,7 @@ def main():
     rest = [b for b in range(k) if b != HOT]
     for pos in range(k):
         order = rest[:pos] + [HOT] + rest[pos:]
-        out, _ = prune_with_block_order(w, acts, cfg, order)
+        out, _ = prune_with_block_order(w, h, cfg, order)
         errors.append(out.final_error)
         bar = "#" * int(40 * out.final_error / max(errors[0], 1e-300) / 2)
         print(f"  {pos:2d} of {k - 1:2d}          {out.final_error:12.4e}  {bar}")

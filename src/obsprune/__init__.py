@@ -3,7 +3,6 @@ loss-ordered channel reordering."""
 
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import (
-    ActivationNorms,
     HessianBundle,
     accumulate_hessian,
     bundle_from_hessian,

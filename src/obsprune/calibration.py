@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionError, IndefiniteHessianError
+from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
 from .tensors import as_matrix
 
 #: Squared inverse-factor diagonals below this are treated as degenerate.
@@ -48,24 +48,18 @@ class HessianBundle:
         return self.raw + self.damp_lambda * np.eye(self.n)
 
 
-@dataclass(frozen=True)
-class ActivationNorms:
-    """Per-column l2 norms of the calibration activations."""
-
-    n: int
-    norms: np.ndarray
-
-
 def _check_batches(activations: Sequence[np.ndarray]) -> list[np.ndarray]:
     batches = [as_matrix(b) for b in activations]
     if not batches:
         raise DimensionError("need at least one activation batch")
     n = batches[0].shape[1]
-    for b in batches:
+    for i, b in enumerate(batches):
         if b.shape[1] != n:
             raise DimensionError(
                 f"batch has {b.shape[1]} columns, expected {n}"
             )
+        if not np.all(np.isfinite(b)):
+            raise NumericOverflowError(f"activation batch {i} is not finite")
     return batches
 
 
@@ -126,12 +120,12 @@ def accumulate_hessian(
     return bundle_from_hessian(raw_hessian(activations), damp_fraction)
 
 
-def column_norms(raw: np.ndarray) -> ActivationNorms:
+def column_norms(raw: np.ndarray) -> np.ndarray:
     """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
     raw = as_matrix(raw)
     if raw.shape[0] != raw.shape[1]:
         raise DimensionError("hessian must be square")
-    return ActivationNorms(n=raw.shape[0], norms=np.sqrt(raw.diagonal()))
+    return np.sqrt(raw.diagonal())
 
 
 def cholesky_inverse_identity_check(bundle: HessianBundle, i: int) -> float:

@@ -31,7 +31,7 @@ from .calibration import (
     raw_hessian,
 )
 from .engine import obs_update_row, prune_layer
-from .errors import ConfigError, PruneError
+from .errors import ConfigError, NumericOverflowError, PruneError
 from .oracle import exact_masked_reconstruction, naive_obs_prune
 from .reorder import (
     importance_scores,
@@ -130,7 +130,9 @@ class SystemExit2(SystemExit):
 def _load_inputs(args, config: SparsityConfig, weights=None):
     """Weights plus activation batches, from files or generators.
 
-    ``weights`` overrides ``--weights`` with another layer's file.
+    ``weights`` overrides ``--weights`` with another layer's file.  The
+    weights are checked here, before any Hessian work: they must be finite,
+    and an n:m pattern must tile their columns.
     """
     if weights is None and args.synth is not None:
         if args.synth == "columnar":
@@ -146,19 +148,23 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
                 args.samples, args.cols, args.correlation, args.seed + ACT_SEED_OFFSET
             )
         ]
-        return w, acts
-    weights = weights or args.weights
-    if weights is None:
-        raise SystemExit2("need --weights or --synth")
-    w = read_tensor(weights)
-    if args.acts is not None:
-        acts = read_manifest(args.acts)
     else:
-        acts = [
-            gen_activations(
-                args.samples, w.shape[1], args.correlation, args.seed + ACT_SEED_OFFSET
-            )
-        ]
+        weights = weights or args.weights
+        if weights is None:
+            raise SystemExit2("need --weights or --synth")
+        w = read_tensor(weights)
+        if args.acts is not None:
+            acts = read_manifest(args.acts)
+        else:
+            acts = [
+                gen_activations(
+                    args.samples, w.shape[1], args.correlation,
+                    args.seed + ACT_SEED_OFFSET,
+                )
+            ]
+    if not np.all(np.isfinite(w)):
+        raise NumericOverflowError(f"{weights or 'synthetic'} weights are not finite")
+    config.block_ranges(w.shape[1])  # raises ConfigError for an untiled n:m
     return w, acts
 
 
@@ -167,7 +173,7 @@ def _run_method(method, w, raw, config):
     if method == "magnitude":
         return magnitude_prune(w, config, raw), None, None
     if method == "wanda":
-        return wanda_prune(w, column_norms(raw), config, raw), None, None
+        return wanda_prune(w, config, raw), None, None
     if method == "sparsegpt":
         bundle = bundle_from_hessian(raw, config.damp_fraction)
         return prune_layer(w, bundle, config), None, None
@@ -201,7 +207,7 @@ def cmd_prune(args) -> int:
     t0 = time.perf_counter()
     raw = raw_hessian(acts)
     if args.block_order is not None:
-        outcome, plan = prune_with_block_order(w, acts, config, args.block_order)
+        outcome, plan = prune_with_block_order(w, raw, config, args.block_order)
         profile = None
     else:
         outcome, plan, profile = _run_method(args.method, w, raw, config)

@@ -22,13 +22,7 @@ import numpy as np
 
 from .calibration import DEGENERATE_DIAG, HessianBundle
 from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
-from .tensors import (
-    PruneMask,
-    SemiStructured,
-    SparsityConfig,
-    as_matrix,
-    pruned_count,
-)
+from .tensors import PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
 @dataclass(frozen=True)
@@ -75,14 +69,12 @@ def select_block_mask(
 ) -> PruneMask:
     """Choose the keep/prune mask for one block of columns.
 
-    Saliency is w**2 / inv_diag.  Unstructured masks prune the globally
-    smallest entries of the block until the rounded per-block count is met;
-    n:m masks prune the m-n smallest entries of every row group.  Ties go
-    to the smaller column index, then the smaller row index.  Columns in
-    ``force_cols`` (dead calibration channels) are pruned first.
+    Saliency is w**2 / inv_diag, and ``tensors.pruned_entries`` applies the
+    pattern's rule to it.  Columns in ``force_cols`` (dead calibration
+    channels) get saliency -inf, so they are pruned first.
     """
     w_block = as_matrix(w_block)
-    rows, bw = w_block.shape
+    bw = w_block.shape[1]
     inv_diag = np.asarray(inv_h_block_diag, dtype=np.float64)
     if inv_diag.shape != (bw,):
         raise DimensionError(
@@ -91,28 +83,7 @@ def select_block_mask(
     s = w_block * w_block / inv_diag
     if len(force_cols):
         s[:, np.asarray(force_cols, dtype=np.intp)] = -np.inf
-
-    kept = np.ones((rows, bw), dtype=bool)
-    pat = config.pattern
-    if isinstance(pat, SemiStructured):
-        if bw % pat.m != 0:
-            raise DimensionError(
-                f"block width {bw} not a multiple of group size {pat.m}"
-            )
-        groups = s.reshape(rows, bw // pat.m, pat.m)
-        # stable sort keeps the lower column on ties
-        order = np.argsort(groups, axis=2, kind="stable")
-        drop = order[:, :, : pat.m - pat.n]
-        kv = kept.reshape(rows, bw // pat.m, pat.m)
-        np.put_along_axis(kv, drop, False, axis=2)
-    else:
-        k = pruned_count(config.sparsity, rows, bw)
-        if k > 0:
-            ridx = np.repeat(np.arange(rows), bw)
-            cidx = np.tile(np.arange(bw), rows)
-            order = np.lexsort((ridx, cidx, s.ravel()))
-            kept.ravel()[order[:k]] = False
-    return PruneMask(kept=kept, pattern=pat)
+    return PruneMask(kept=~pruned_entries(s, config), pattern=config.pattern)
 
 
 def _quadratic(d: np.ndarray, hessian: np.ndarray) -> float:

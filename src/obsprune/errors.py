@@ -26,9 +26,10 @@ class IndefiniteHessianError(PruneError):
 
 
 class NumericOverflowError(PruneError):
-    """A non-finite value appeared during pruning.
+    """A non-finite value was found in the input or appeared during pruning.
 
-    ``block`` is the zero-based index of the column block being processed.
+    ``block`` is the zero-based index of the column block being processed,
+    or None when the value came with the input.
     """
 
     def __init__(self, message, block=None):

@@ -17,12 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import (
-    ActivationNorms,
-    bundle_from_hessian,
-    column_norms,
-    raw_hessian,
-)
+from .calibration import bundle_from_hessian, column_norms, raw_hessian
 from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError, DimensionError
 from .tensors import (
@@ -34,7 +29,7 @@ from .tensors import (
     as_matrix,
     compose_permutations,
     mask_pattern_valid,
-    pruned_count,
+    pruned_entries,
 )
 
 
@@ -45,7 +40,6 @@ class LossProfile:
     block_losses: np.ndarray
     column_losses: np.ndarray
     relative_range: float
-    blocksize: int
 
     @property
     def block_count(self) -> int:
@@ -60,52 +54,27 @@ class ReorderPlan:
     column_stage: Permutation
     block_stage: Permutation
     was_reordered: bool
-    threshold_used: float
 
 
-def importance_scores(w: np.ndarray, norms: ActivationNorms) -> np.ndarray:
+def importance_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Per-weight score |w_ij| * norm_j."""
     w = as_matrix(w)
-    if w.shape[1] != norms.n:
-        raise DimensionError(f"weight cols {w.shape[1]} != norms size {norms.n}")
-    return np.abs(w) * norms.norms
-
-
-def _selected_mask(scores_block: np.ndarray, config: SparsityConfig) -> np.ndarray:
-    """Boolean mask of the candidate (pre-pruned) entries of one block."""
-    rows, bw = scores_block.shape
-    sel = np.zeros((rows, bw), dtype=bool)
-    pat = config.pattern
-    if isinstance(pat, SemiStructured):
-        if bw % pat.m != 0:
-            raise DimensionError(
-                f"block width {bw} not a multiple of group size {pat.m}"
-            )
-        groups = scores_block.reshape(rows, bw // pat.m, pat.m)
-        order = np.argsort(groups, axis=2, kind="stable")
-        drop = order[:, :, : pat.m - pat.n]
-        sv = sel.reshape(rows, bw // pat.m, pat.m)
-        np.put_along_axis(sv, drop, True, axis=2)
-    else:
-        k = pruned_count(config.sparsity, rows, bw)
-        if k > 0:
-            ridx = np.repeat(np.arange(rows), bw)
-            cidx = np.tile(np.arange(bw), rows)
-            order = np.lexsort((ridx, cidx, scores_block.ravel()))
-            sel.ravel()[order[:k]] = True
-    return sel
+    norms = np.asarray(norms, dtype=np.float64)
+    if norms.shape != (w.shape[1],):
+        raise DimensionError(f"weight cols {w.shape[1]} != norms shape {norms.shape}")
+    return np.abs(w) * norms
 
 
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     """Column and block losses from the pre-pruning candidate set."""
     scores = as_matrix(scores)
     rows, n = scores.shape
-    ranges = list(config.block_ranges(n))
+    ranges = config.block_ranges(n)
     col_losses = np.zeros(n)
     block_losses = np.zeros(len(ranges))
     for k, (i1, i2) in enumerate(ranges):
         sub = scores[:, i1:i2]
-        sel = _selected_mask(sub, config)
+        sel = pruned_entries(sub, config)
         picked = np.where(sel, sub, 0.0)
         col_losses[i1:i2] = picked.sum(axis=0)
         block_losses[k] = picked.sum()
@@ -118,7 +87,6 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
         block_losses=block_losses,
         column_losses=col_losses,
         relative_range=rel,
-        blocksize=config.blocksize,
     )
 
 
@@ -139,12 +107,11 @@ def build_reorder_plan(
     weights first; it exists for the worst-case comparison runs.
     """
     n = profile.column_losses.size
-    eta = config.columnar_threshold
     identity = Permutation.identity(n)
-    if not profile.relative_range > eta:
-        return ReorderPlan(identity, identity, identity, False, eta)
+    if not profile.relative_range > config.columnar_threshold:
+        return ReorderPlan(identity, identity, identity, False)
 
-    ranges = list(config.block_ranges(n))
+    ranges = config.block_ranges(n)
     col_forward = np.arange(n)
     for i1, i2 in ranges:
         order = _stable_order(profile.column_losses[i1:i2], descending)
@@ -160,7 +127,6 @@ def build_reorder_plan(
         column_stage=column_stage,
         block_stage=block_stage,
         was_reordered=True,
-        threshold_used=eta,
     )
 
 
@@ -227,18 +193,19 @@ def rose_prune_layer(
 
 def prune_with_block_order(
     w: np.ndarray,
-    activations: Sequence[np.ndarray],
+    raw: np.ndarray,
     config: SparsityConfig,
     block_order: Sequence[int],
 ) -> tuple[PruneOutcome, ReorderPlan]:
     """Prune with an explicit block order, bypassing loss-based planning.
 
-    ``block_order`` lists source block indices in the order they should be
-    pruned; no column-level reordering is applied.
+    ``raw`` is the accumulated X.T @ X.  ``block_order`` lists source block
+    indices in the order they should be pruned; no column-level reordering
+    is applied.
     """
     w = as_matrix(w)
     n = w.shape[1]
-    ranges = list(config.block_ranges(n))
+    ranges = config.block_ranges(n)
     order = np.asarray(block_order, dtype=np.intp)
     if not np.array_equal(np.sort(order), np.arange(len(ranges))):
         raise DimensionError(
@@ -252,7 +219,6 @@ def prune_with_block_order(
         column_stage=identity,
         block_stage=block_stage,
         was_reordered=not block_stage.is_identity(),
-        threshold_used=config.columnar_threshold,
     )
-    outcome = _prune_permuted(w, raw_hessian(activations), config, block_stage)
+    outcome = _prune_permuted(w, as_matrix(raw), config, block_stage)
     return outcome, plan

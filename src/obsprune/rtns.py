@@ -2,13 +2,15 @@
 
 Layout: magic ``RTNS``, u8 version (=1), u8 dtype (1=f32, 2=f64), u8 ndim,
 one zero pad byte, then ndim little-endian u64 dims, then the row-major
-payload in little-endian.  Readers reject unknown magic, version or dtype.
+payload in little-endian.  Readers reject unknown magic, version or dtype,
+and a payload longer or shorter than the dims say.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -77,12 +79,22 @@ def read_tensor(path) -> np.ndarray:
             raise RtnsFormatError(f"{path}: unsupported dtype code {code}")
         if ndim not in (1, 2):
             raise RtnsFormatError(f"{path}: unsupported rank {ndim}")
-        dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+        raw_dims = f.read(8 * ndim)
+        if len(raw_dims) != 8 * ndim:
+            raise RtnsFormatError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        if max(dims) > np.iinfo(np.intp).max:
+            raise RtnsFormatError(f"{path}: dims {dims} exceed the array size limit")
         dt = _DTYPES[code]
-        count = int(np.prod(dims))
-        payload = f.read(count * dt.itemsize)
-        if len(payload) != count * dt.itemsize:
-            raise RtnsFormatError(f"{path}: truncated payload")
+        size = math.prod(dims) * dt.itemsize
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if size > remaining:
+            raise RtnsFormatError(
+                f"{path}: dims {dims} need {size} payload bytes, file has {remaining}"
+            )
+        if size < remaining:
+            raise RtnsFormatError(f"{path}: {remaining - size} trailing bytes")
+        payload = f.read(size)
     data = np.frombuffer(payload, dtype=dt).reshape(dims)
     return data.astype(np.float64)
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -31,7 +33,7 @@ def gen_columnar(
     """
     n_blocks = math.ceil(cols / blocksize)
     if not 0 <= hot_block_index < n_blocks:
-        raise ValueError(
+        raise ConfigError(
             f"hot_block_index {hot_block_index} out of range [0, {n_blocks})"
         )
     w = _rng(seed).standard_normal((rows, cols))
@@ -59,7 +61,7 @@ def gen_activations(
     per row, which has exactly that covariance.
     """
     if not 0.0 <= correlation < 1.0:
-        raise ValueError(f"correlation must be in [0, 1), got {correlation}")
+        raise ConfigError(f"correlation must be in [0, 1), got {correlation}")
     rng = _rng(seed)
     base = rng.standard_normal((samples, cols))
     if correlation == 0.0:

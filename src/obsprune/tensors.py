@@ -96,10 +96,18 @@ class SparsityConfig:
             **kw,
         )
 
-    def block_ranges(self, n: int):
-        """Yield (start, stop) column ranges of each block of width blocksize."""
-        for start in range(0, n, self.blocksize):
-            yield start, min(start + self.blocksize, n)
+    def block_ranges(self, n: int) -> list[tuple[int, int]]:
+        """(start, stop) column ranges of each block of width blocksize.
+
+        Raises ConfigError when an n:m pattern's groups do not tile n columns.
+        """
+        p = self.pattern
+        if isinstance(p, SemiStructured) and n % p.m != 0:
+            raise ConfigError(f"{n} columns do not split into groups of m={p.m}")
+        return [
+            (start, min(start + self.blocksize, n))
+            for start in range(0, n, self.blocksize)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +210,43 @@ def pruned_count(sparsity: float, rows: int, block_width: int) -> int:
     Ties at .5 round up; the fixed rule keeps masks deterministic.
     """
     return int(np.floor(sparsity * rows * block_width + 0.5))
+
+
+def smallest_per_row(v: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k smallest entries in each row of ``v``.
+
+    Ties at the threshold go to the lower index.  ``v`` must hold no NaN;
+    -inf entries are the first chosen.
+    """
+    if k <= 0:
+        return np.zeros(v.shape, dtype=bool)
+    threshold = np.partition(v, k - 1, axis=1)[:, k - 1 : k]
+    below = v < threshold
+    at = v == threshold
+    room = k - np.count_nonzero(below, axis=1, keepdims=True)
+    return below | (at & (np.cumsum(at, axis=1) <= room))
+
+
+def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
+    """Boolean mask of the entries one block of scores loses under ``config``.
+
+    Unstructured: the pruned_count smallest of the whole block, ties to the
+    lower column, then the lower row (the block read column by column).
+    n:m: the m - n smallest of every group of m consecutive columns in a
+    row, ties to the lower column.
+    """
+    rows, width = scores.shape
+    pat = config.pattern
+    if isinstance(pat, SemiStructured):
+        if width % pat.m != 0:
+            raise DimensionError(
+                f"block width {width} not a multiple of group size {pat.m}"
+            )
+        groups = scores.reshape(rows * width // pat.m, pat.m)
+        return smallest_per_row(groups, pat.m - pat.n).reshape(rows, width)
+    k = pruned_count(config.sparsity, rows, width)
+    flat = smallest_per_row(scores.T.reshape(1, -1), k)
+    return flat.reshape(width, rows).T.copy()
 
 
 def mask_pattern_valid(mask: PruneMask) -> bool:

@@ -271,11 +271,11 @@ def test_criterion_9_hot_block_position_sweep():
     errors = np.zeros((10, k_blocks))
     for s, seed in enumerate(range(10)):
         w = gen_columnar(64, 256, 32, hot, 10.0, seed)
-        x = gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)
+        h = raw_hessian([gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)])
         rest = [b for b in range(k_blocks) if b != hot]
         for pos in range(k_blocks):
             order = rest[:pos] + [hot] + rest[pos:]
-            out, _ = prune_with_block_order(w, [x], cfg, order)
+            out, _ = prune_with_block_order(w, h, cfg, order)
             errors[s, pos] = out.final_error
     medians = np.median(errors, axis=0)
     ok = bool(np.all(np.diff(medians) >= -1e-12))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsprune import (
-    ActivationNorms,
     SparsityConfig,
     column_norms,
     magnitude_prune,
@@ -17,13 +16,13 @@ from obsprune import (
 
 def test_magnitude_zero_sparsity():
     w = np.random.default_rng(0).standard_normal((3, 8))
-    out = magnitude_prune(w, SparsityConfig(sparsity=0.0, blocksize=4))
+    out = magnitude_prune(w, SparsityConfig(sparsity=0.0, blocksize=4), np.eye(8))
     np.testing.assert_array_equal(out.pruned_weights, w)
 
 
 def test_magnitude_smallest_two():
     w = np.array([[1.0, -4.0, 2.0, 3.0]])
-    out = magnitude_prune(w, SparsityConfig(sparsity=0.5, blocksize=4))
+    out = magnitude_prune(w, SparsityConfig(sparsity=0.5, blocksize=4), np.eye(4))
     np.testing.assert_array_equal(out.mask.kept, [[False, True, False, True]])
 
 
@@ -32,7 +31,7 @@ def test_magnitude_error_matches_direct_evaluation():
     w = rng.standard_normal((6, 16))
     x = rng.standard_normal((40, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    out = magnitude_prune(w, cfg, hessian=raw_hessian([x]))
+    out = magnitude_prune(w, cfg, raw_hessian([x]))
     diff = (w - out.pruned_weights) @ x.T
     assert out.final_error == pytest.approx(float(np.sum(diff * diff)))
     absolute, relative = reconstruction_error(w, out.pruned_weights, raw_hessian([x]))
@@ -43,16 +42,16 @@ def test_magnitude_error_matches_direct_evaluation():
 def test_wanda_zero_sparsity():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((3, 8))
-    norms = ActivationNorms(n=8, norms=rng.uniform(0.5, 2, 8))
-    out = wanda_prune(w, norms, SparsityConfig(sparsity=0.0, blocksize=4))
+    raw = np.diag(rng.uniform(0.5, 2, 8) ** 2)
+    out = wanda_prune(w, SparsityConfig(sparsity=0.0, blocksize=4), raw)
     np.testing.assert_array_equal(out.pruned_weights, w)
 
 
 def test_wanda_equal_norms_is_per_row_magnitude():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((4, 8))
-    norms = ActivationNorms(n=8, norms=np.full(8, 2.5))
-    out = wanda_prune(w, norms, SparsityConfig(sparsity=0.5, blocksize=8))
+    raw = np.diag(np.full(8, 2.5**2))
+    out = wanda_prune(w, SparsityConfig(sparsity=0.5, blocksize=8), raw)
     for r in range(4):
         drop = set(np.argsort(np.abs(w[r]), kind="stable")[:4])
         assert set(np.flatnonzero(~out.mask.kept[r])) == drop
@@ -62,9 +61,9 @@ def test_wanda_matches_per_row_sort_oracle():
     rng = np.random.default_rng(4)
     w = rng.standard_normal((8, 8))
     x = rng.standard_normal((32, 8))
-    norms = column_norms(raw_hessian([x]))
-    out = wanda_prune(w, norms, SparsityConfig(sparsity=0.5, blocksize=8))
-    scores = np.abs(w) * norms.norms
+    h = raw_hessian([x])
+    out = wanda_prune(w, SparsityConfig(sparsity=0.5, blocksize=8), h)
+    scores = np.abs(w) * column_norms(h)
     for r in range(8):
         drop = set(np.argsort(scores[r], kind="stable")[:4])
         assert set(np.flatnonzero(~out.mask.kept[r])) == drop
@@ -77,8 +76,8 @@ def test_wanda_scale_invariance(scale, seed):
     w = rng.standard_normal((3, 8))
     base = rng.uniform(0.1, 2.0, 8)
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    m1 = wanda_prune(w, ActivationNorms(8, base), cfg).mask.kept
-    m2 = wanda_prune(w, ActivationNorms(8, scale * base), cfg).mask.kept
+    m1 = wanda_prune(w, cfg, np.diag(base**2)).mask.kept
+    m2 = wanda_prune(w, cfg, np.diag((scale * base) ** 2)).mask.kept
     assert np.array_equal(m1, m2)
 
 
@@ -89,8 +88,8 @@ def test_baselines_semi_structured(pattern):
     w = rng.standard_normal((5, 32))
     x = rng.standard_normal((64, 32))
     cfg = SparsityConfig.semi_structured(n_keep, m)
-    norms = column_norms(raw_hessian([x]))
-    for out in (magnitude_prune(w, cfg), wanda_prune(w, norms, cfg)):
+    h = raw_hessian([x])
+    for out in (magnitude_prune(w, cfg, h), wanda_prune(w, cfg, h)):
         groups = out.mask.kept.reshape(5, 32 // m, m)
         assert np.all(groups.sum(axis=2) == n_keep)
 
@@ -101,11 +100,7 @@ def test_mask_respect_and_sparsity_invariants():
     x = rng.standard_normal((50, 24))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
     h = raw_hessian([x])
-    norms = column_norms(h)
-    for out in (
-        magnitude_prune(w, cfg, hessian=h),
-        wanda_prune(w, norms, cfg, hessian=h),
-    ):
+    for out in (magnitude_prune(w, cfg, h), wanda_prune(w, cfg, h)):
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         assert mask_sparsity(out.mask) == pytest.approx(0.5, abs=1 / 24)
         assert np.all(np.diff(out.block_error_trajectory) >= 0)

@@ -99,12 +99,12 @@ def test_requires_batches_and_consistent_cols():
 
 def test_column_norms_345():
     norms = column_norms(raw_hessian([np.array([[3.0, 0.0], [4.0, 0.0]])]))
-    np.testing.assert_allclose(norms.norms, [5.0, 0.0])
+    np.testing.assert_allclose(norms, [5.0, 0.0])
 
 
 def test_column_norms_identity():
     norms = column_norms(raw_hessian([np.eye(3)]))
-    np.testing.assert_allclose(norms.norms, [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(norms, [1.0, 1.0, 1.0])
 
 
 def test_column_norms_batches_match_stacked():
@@ -112,7 +112,7 @@ def test_column_norms_batches_match_stacked():
     a, b = rng.standard_normal((7, 4)), rng.standard_normal((9, 4))
     split = column_norms(raw_hessian([a, b]))
     stacked = column_norms(raw_hessian([np.vstack([a, b])]))
-    np.testing.assert_allclose(split.norms, stacked.norms, rtol=1e-12)
+    np.testing.assert_allclose(split, stacked, rtol=1e-12)
 
 
 def test_column_norms_row_permutation_invariant():
@@ -120,8 +120,8 @@ def test_column_norms_row_permutation_invariant():
     x = rng.standard_normal((20, 5))
     shuffled = x[rng.permutation(20)]
     np.testing.assert_allclose(
-        column_norms(raw_hessian([x])).norms,
-        column_norms(raw_hessian([shuffled])).norms,
+        column_norms(raw_hessian([x])),
+        column_norms(raw_hessian([shuffled])),
         rtol=1e-12,
     )
 
@@ -134,7 +134,7 @@ def test_zero_rows_batch_changes_nothing():
     b2 = accumulate_hessian([x, zeros], 0.01)
     np.testing.assert_array_equal(b1.hessian, b2.hessian)
     np.testing.assert_array_equal(
-        column_norms(b1.raw).norms, column_norms(b2.raw).norms
+        column_norms(b1.raw), column_norms(b2.raw)
     )
 
 

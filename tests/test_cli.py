@@ -1,10 +1,12 @@
 import csv
 import json
+import struct
+import sys
 
 import numpy as np
 import pytest
 
-from obsprune import read_tensor, write_manifest, write_tensor
+from obsprune import calibration, read_tensor, write_manifest, write_tensor
 from obsprune.cli import main
 from obsprune.synth import gen_activations, gen_uniform
 
@@ -14,6 +16,25 @@ def run(argv):
         return main(argv)
     except SystemExit as e:
         return e.code
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace ``calibration.<name>`` in every obsprune module that binds it."""
+    original = getattr(calibration, name)
+    for key, module in list(sys.modules.items()):
+        if key == "obsprune" or key.startswith("obsprune."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    """Fail the test if any code path factors a Hessian."""
+    def factor(*args, **kwargs):
+        raise AssertionError("the Hessian was factored")
+
+    patch_everywhere(monkeypatch, "bundle_from_hessian", factor)
 
 
 def test_prune_rose_columnar_report(tmp_path):
@@ -169,6 +190,24 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     assert code == 1
 
 
+def test_block_order_builds_hessian_once(tmp_path, monkeypatch):
+    calls = []
+    original = calibration.raw_hessian
+
+    def counted(activations):
+        calls.append(1)
+        return original(activations)
+
+    patch_everywhere(monkeypatch, "raw_hessian", counted)
+    code = run([
+        "prune", "--synth", "columnar", "--rows", "16", "--cols", "64",
+        "--blocksize", "16", "--sparsity", "0.7",
+        "--block-order", "3,0,1,2", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_hidden_block_order_flag(tmp_path):
     code = run([
         "prune", "--method", "sparsegpt", "--synth", "columnar",
@@ -186,12 +225,59 @@ def test_hidden_block_order_flag(tmp_path):
     ["--sparsity", "nan"],
     ["--sparsity", "0.5", "--blocksize", "0"],
     ["--sparsity", "0.5", "--damp", "nan"],
+    ["--pattern", "2:4", "--cols", "250"],
+    # the later --synth wins, as for any repeated option
+    ["--sparsity", "0.5", "--synth", "columnar", "--hot-block", "9"],
+    ["--sparsity", "0.5", "--correlation", "1.5"],
 ])
-def test_bad_config_exit_2(tmp_path, capsys, flags):
+def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
     code = main(["prune", "--synth", "uniform", *flags, "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+def write_bad_layer(tmp_path, fault):
+    """Flags loading a layer whose input is spoiled by ``fault``.
+
+    Every fault but the synthetic one writes weights and one activation
+    batch to disk.
+    """
+    if fault == "nan-hot-gain":
+        return ["--synth", "columnar", "--hot-gain", "nan"]
+    w = gen_uniform(8, 32, seed=0)
+    x = gen_activations(64, 32, 0.0, seed=1)
+    if fault == "nan-activation":
+        x[3, 5] = np.nan
+    if fault == "inf-weight":
+        w[2, 7] = np.inf
+    wpath = tmp_path / "w.rtns"
+    write_tensor(wpath, w)
+    write_tensor(tmp_path / "x.rtns", x)
+    if fault == "huge-dims":
+        raw = wpath.read_bytes()
+        wpath.write_bytes(raw[:8] + struct.pack("<QQ", 2**62, 2**62) + raw[24:])
+    if fault == "trailing-bytes":
+        wpath.write_bytes(wpath.read_bytes() + b"\x00" * 4)
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    return ["--weights", str(wpath), "--acts", str(tmp_path / "acts.json")]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["nan-activation", "inf-weight", "nan-hot-gain", "huge-dims", "trailing-bytes"],
+)
+def test_bad_input_exit_1(tmp_path, capsys, no_factoring, fault):
+    out = tmp_path / "out"
+    code = main([
+        "prune", *write_bad_layer(tmp_path, fault), "--sparsity", "0.5",
+        "--blocksize", "16", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
 
 
 def test_threads_option_removed(capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from obsprune import (
-    ActivationNorms,
     SparsityConfig,
     accumulate_hessian,
     apply_column_permutation,
@@ -22,24 +21,19 @@ from obsprune import (
 )
 
 
-def norms_of(values):
-    arr = np.asarray(values, dtype=float)
-    return ActivationNorms(n=arr.size, norms=arr)
-
-
 class TestScores:
     def test_unit_norms(self):
         w = np.array([[1.0, -2.0], [3.0, -4.0]])
-        s = importance_scores(w, norms_of([1.0, 1.0]))
+        s = importance_scores(w, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(s, np.abs(w))
 
     def test_scalar_case(self):
-        s = importance_scores(np.array([[-2.0]]), norms_of([3.0]))
+        s = importance_scores(np.array([[-2.0]]), np.array([3.0]))
         np.testing.assert_array_equal(s, [[6.0]])
 
     def test_dead_channel_zero_scores(self):
         w = np.array([[5.0, 7.0]])
-        s = importance_scores(w, norms_of([0.0, 1.0]))
+        s = importance_scores(w, np.array([0.0, 1.0]))
         np.testing.assert_array_equal(s[:, 0], [0.0])
 
 
@@ -207,7 +201,7 @@ class TestManualBlockOrder:
         w = gen_uniform(8, 32, seed=12)
         x = gen_activations(64, 32, 0.0, seed=13)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        out, plan = prune_with_block_order(w, [x], cfg, [0, 1, 2, 3])
+        out, plan = prune_with_block_order(w, raw_hessian([x]), cfg, [0, 1, 2, 3])
         assert not plan.was_reordered
         bundle = accumulate_hessian([x], cfg.damp_fraction)
         plain = prune_layer(w, bundle, cfg)
@@ -217,8 +211,9 @@ class TestManualBlockOrder:
         cfg = SparsityConfig(sparsity=0.7, blocksize=32)
         w = gen_columnar(64, 128, 32, 3, 10.0, seed=14)
         x = gen_activations(256, 128, 0.3, seed=15)
-        first, _ = prune_with_block_order(w, [x], cfg, [3, 0, 1, 2])
-        last, _ = prune_with_block_order(w, [x], cfg, [0, 1, 2, 3])
+        h = raw_hessian([x])
+        first, _ = prune_with_block_order(w, h, cfg, [3, 0, 1, 2])
+        last, _ = prune_with_block_order(w, h, cfg, [0, 1, 2, 3])
         assert first.final_error < last.final_error
 
     def test_rejects_non_bijection(self):
@@ -226,5 +221,5 @@ class TestManualBlockOrder:
         x = gen_activations(32, 16, 0.0, seed=17)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         with pytest.raises(Exception):
-            prune_with_block_order(w, [x], cfg, [0, 0])
+            prune_with_block_order(w, raw_hessian([x]), cfg, [0, 0])
 

@@ -56,6 +56,12 @@ def test_header_layout(tmp_path):
         lambda b: b[:5] + b"\x09" + b[6:],      # bad dtype
         lambda b: b[:6] + b"\x03" + b[7:],      # bad rank
         lambda b: b[:-4],                        # truncated payload
+        lambda b: b + b"\x00" * 4,                # trailing bytes
+        lambda b: b[:12],                        # truncated dims
+        # dims whose product is far beyond the payload
+        lambda b: b[:8] + struct.pack("<QQ", 2**62, 2**62) + b[24:],
+        # one dim beyond any array size, with a zero-size product
+        lambda b: b[:8] + struct.pack("<QQ", 2**64 - 1, 0),
     ],
 )
 def test_reject_malformed(tmp_path, mutate):

@@ -14,7 +14,8 @@ from obsprune import (
     compose_permutations,
     mask_sparsity,
 )
-from obsprune.tensors import pruned_count
+from obsprune import loss_profile, magnitude_prune, select_block_mask, wanda_prune
+from obsprune.tensors import pruned_count, smallest_per_row
 
 
 def test_apply_permutation_direct():
@@ -138,3 +139,96 @@ def test_default_pattern_is_unstructured():
     cfg = SparsityConfig(sparsity=0.3)
     assert isinstance(cfg.pattern, Unstructured)
     assert cfg.pattern.sparsity == 0.3
+
+
+# ---------------------------------------------------------------------------
+# The selection kernel against the sort-based rules it replaced
+
+
+def reference_pruned(scores, config, per_row=False):
+    """Pruned entries by lexsort / stable argsort, one rule at a time."""
+    rows, width = scores.shape
+    pruned = np.zeros((rows, width), dtype=bool)
+    pat = config.pattern
+    if isinstance(pat, SemiStructured):
+        groups = scores.reshape(rows, width // pat.m, pat.m)
+        drop = np.argsort(groups, axis=2, kind="stable")[:, :, : pat.m - pat.n]
+        np.put_along_axis(
+            pruned.reshape(rows, width // pat.m, pat.m), drop, True, axis=2
+        )
+    elif per_row:
+        k = pruned_count(config.sparsity, 1, width)
+        drop = np.argsort(scores, axis=1, kind="stable")[:, :k]
+        np.put_along_axis(pruned, drop, True, axis=1)
+    else:
+        # smallest score first, ties to the lower column, then the lower row
+        k = pruned_count(config.sparsity, rows, width)
+        ridx, cidx = np.indices((rows, width))
+        order = np.lexsort((ridx.ravel(), cidx.ravel(), scores.ravel()))
+        pruned.ravel()[order[:k]] = True
+    return pruned
+
+
+def tie_heavy(draw, rows, width):
+    """Small-integer scores, so most rows hold ties."""
+    values = draw(st.lists(st.integers(0, 3), min_size=rows * width,
+                           max_size=rows * width))
+    return np.array(values, dtype=np.float64).reshape(rows, width)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_smallest_per_row_matches_stable_argsort(data):
+    rows = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, 12))
+    v = tie_heavy(data.draw, rows, width)
+    forced = data.draw(st.sets(st.integers(0, width - 1)))
+    v[:, sorted(forced)] = -np.inf
+    k = data.draw(st.integers(0, width))  # includes none and every entry
+    expect = np.zeros((rows, width), dtype=bool)
+    np.put_along_axis(expect, np.argsort(v, axis=1, kind="stable")[:, :k],
+                      True, axis=1)
+    np.testing.assert_array_equal(smallest_per_row(v, k), expect)
+
+
+CONFIGS = [
+    SparsityConfig(sparsity=0.0, blocksize=8),
+    SparsityConfig(sparsity=0.3, blocksize=8),
+    SparsityConfig(sparsity=0.5, blocksize=8),
+    SparsityConfig(sparsity=0.99, blocksize=8),
+    SparsityConfig.semi_structured(2, 4),
+    SparsityConfig.semi_structured(1, 4),
+]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data(), st.sampled_from(CONFIGS))
+def test_every_rule_matches_sort_reference(data, cfg):
+    rows = data.draw(st.integers(1, 6))
+    width = 4 * data.draw(st.integers(1, 3))
+    w = tie_heavy(data.draw, rows, width) * data.draw(st.sampled_from([1.0, -1.0]))
+    mag = np.abs(w)
+
+    # engine block rule: saliency w**2 / inv_diag, dead columns forced first
+    forced = sorted(data.draw(st.sets(st.integers(0, width - 1))))
+    saliency = w * w
+    saliency[:, forced] = -np.inf
+    block = select_block_mask(w, np.ones(width), cfg, forced)
+    np.testing.assert_array_equal(~block.kept, reference_pruned(saliency, cfg))
+
+    # the layer-global magnitude rule and the per-row (Wanda) rule
+    identity = np.eye(width)
+    np.testing.assert_array_equal(
+        ~magnitude_prune(w, cfg, identity).mask.kept, reference_pruned(mag, cfg)
+    )
+    np.testing.assert_array_equal(
+        ~wanda_prune(w, cfg, identity).mask.kept,
+        reference_pruned(mag, cfg, per_row=True),
+    )
+
+    # the loss profile's pre-pruning candidates, block by block
+    expect = np.zeros(width)
+    for i1, i2 in cfg.block_ranges(width):
+        sub = mag[:, i1:i2]
+        expect[i1:i2] = np.where(reference_pruned(sub, cfg), sub, 0.0).sum(axis=0)
+    np.testing.assert_array_equal(loss_profile(mag, cfg).column_losses, expect)
