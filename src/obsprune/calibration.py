@@ -4,9 +4,9 @@ The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
 activation batches are read; column norms, the factor and every error are
 derived from H.  For pruning, H is dampened by a multiple of its mean
-diagonal and inverted via two stable Cholesky factorizations: factor H,
-invert through triangular solves, then factor the inverse itself.  The
-upper transpose of that second factor drives the compensation engine.
+diagonal, and the upper Cholesky factor of its inverse, which drives the
+compensation engine, comes from one factorization: the Cholesky factor of
+H with rows and columns reversed, reversed back and inverted as a triangle.
 """
 
 from __future__ import annotations
@@ -26,18 +26,17 @@ DEGENERATE_DIAG = 1e-30
 
 @dataclass(frozen=True)
 class HessianBundle:
-    """Raw Hessian, the dampened inverse, and the factor used for pruning.
+    """Raw Hessian and the inverse factor used for pruning.
 
-    ``chol_upper`` is L.T where inv_hessian = L @ L.T with L lower
-    triangular; its trailing blocks reproduce the inverses of all trailing
-    Hessian submatrices, which is what lets one factorization serve the
-    whole left-to-right pruning sweep.  ``raw`` is X.T @ X without
+    ``chol_upper`` is the upper triangular U with inv(H) = U.T @ U for the
+    dampened Hessian H; its trailing blocks reproduce the inverses of all
+    trailing Hessian submatrices, which is what lets one factorization
+    serve the whole left-to-right pruning sweep.  ``raw`` is X.T @ X without
     dampening, the matrix every reconstruction error is measured in.
     """
 
     n: int
     raw: np.ndarray
-    inv_hessian: np.ndarray
     chol_upper: np.ndarray
     damp_lambda: float
     dead_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
@@ -73,18 +72,6 @@ def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
     return raw
 
 
-def _cholesky_lower(a: np.ndarray, what: str) -> np.ndarray:
-    c, info = lapack.dpotrf(a, lower=1, clean=1)
-    if info > 0:
-        raise IndefiniteHessianError(
-            f"{what} is not positive definite (pivot {info - 1})",
-            pivot=info - 1,
-        )
-    if info < 0:
-        raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-    return c
-
-
 def bundle_from_hessian(raw: np.ndarray, damp_fraction: float = 0.0) -> HessianBundle:
     """Build a HessianBundle from an already-accumulated raw Hessian."""
     raw = as_matrix(raw)
@@ -95,19 +82,23 @@ def bundle_from_hessian(raw: np.ndarray, damp_fraction: float = 0.0) -> HessianB
     lam = float(damp_fraction * diag.mean()) if n else 0.0
     dead = np.flatnonzero(diag == 0.0)
 
-    c = _cholesky_lower(raw + lam * np.eye(n), "dampened Hessian")
-    inv, info = lapack.dpotri(c, lower=1)
+    # the leading k x k block of the reversed H is H[n-k:, n-k:] reversed
+    h_rev = (raw + lam * np.eye(n))[::-1, ::-1]
+    c, info = lapack.dpotrf(h_rev, lower=1, clean=1)
+    if info > 0:
+        raise IndefiniteHessianError(
+            f"dampened Hessian is not positive definite (pivot {n - info})",
+            pivot=n - info,
+        )
+    if info < 0:
+        raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
+    upper, info = lapack.dtrtri(c[::-1, ::-1], lower=0)
     if info != 0:
-        raise IndefiniteHessianError(f"dpotri failed with info={info}")
-    # dpotri fills one triangle only
-    inv = np.tril(inv) + np.tril(inv, -1).T
-
-    low = _cholesky_lower(inv, "inverse Hessian")
+        raise IndefiniteHessianError(f"dtrtri failed with info={info}")
     return HessianBundle(
         n=n,
         raw=raw,
-        inv_hessian=inv,
-        chol_upper=low.T.copy(),
+        chol_upper=upper,
         damp_lambda=lam,
         dead_columns=dead,
     )
@@ -116,7 +107,7 @@ def bundle_from_hessian(raw: np.ndarray, damp_fraction: float = 0.0) -> HessianB
 def accumulate_hessian(
     activations: Sequence[np.ndarray], damp_fraction: float = 0.01
 ) -> HessianBundle:
-    """Accumulate X.T @ X over batches, dampen, invert, and factor."""
+    """Accumulate X.T @ X over batches, dampen, and factor the inverse."""
     return bundle_from_hessian(raw_hessian(activations), damp_fraction)
 
 

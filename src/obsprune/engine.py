@@ -3,9 +3,9 @@
 Columns are processed left to right in blocks.  The mask for a block is
 fixed once at block entry from the weights as they stand and the squared
 diagonals of the stored upper factor.  Pruned columns are zeroed and every
-row is compensated in parallel along the factor's trailing row; updates to
-columns beyond the current block are deferred to block end, because those
-columns are never read inside the block.
+row is compensated in parallel along the factor's trailing row.  Columns
+beyond the block are never read inside it, so their update waits for block
+end: one matrix product of the block's OBS errors and the factor's rows.
 
 No activations are needed: every error is a quadratic form in the raw
 Hessian, and the per-block error follows in closed form from the OBS
@@ -169,6 +169,8 @@ def prune_layer(
     kept_full = np.ones((rows, n), dtype=bool)
     trajectory = []
     loss = 0.0
+    # ||W0 - W_k||^2 over the columns of finished blocks, which never change
+    final_sq = 0.0
     uncompensated = False
 
     for block_index, (i1, i2) in enumerate(config.block_ranges(n)):
@@ -205,20 +207,20 @@ def prune_layer(
             if c + 1 < bw:
                 w_cur[:, q + 1 : i2] -= np.outer(e, upper[q, q + 1 : i2])
             errs[:, c] = e
-        if i2 < n:
-            for c in range(bw):
-                w_cur[:, i2:] -= np.outer(errs[:, c], upper[i1 + c, i2:])
+        w_cur[:, i2:] -= errs @ upper[i1:i2, i2:]
 
-        if not np.all(np.isfinite(w_cur)):
+        # columns before i1 are final and were checked with earlier blocks
+        if not np.all(np.isfinite(w_cur[:, i1:])):
             raise NumericOverflowError(
                 f"non-finite weights after block {block_index}", block=block_index
             )
         loss += float(np.sum(errs * errs))
-        delta = w_dense - w_cur
-        raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
+        tail = w_dense[:, i1:] - w_cur[:, i1:]
+        raw_err = loss - bundle.damp_lambda * (final_sq + float(np.sum(tail * tail)))
         if uncompensated or raw_err < CANCELLATION * loss:
-            raw_err = _quadratic(delta, bundle.raw)
+            raw_err = _quadratic(w_dense - w_cur, bundle.raw)
         trajectory.append(raw_err)
+        final_sq += float(np.sum(tail[:, :bw] * tail[:, :bw]))
 
     return outcome_from_trajectory(
         w_dense, w_cur, kept_full, config.pattern, trajectory, bundle.raw

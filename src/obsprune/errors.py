@@ -16,8 +16,10 @@ class DimensionError(PruneError):
 class IndefiniteHessianError(PruneError):
     """The (dampened) Hessian is not positive definite.
 
-    ``pivot`` is the zero-based index of the first failing Cholesky pivot,
-    or None when the failure was detected some other way.
+    ``pivot`` is the zero-based column at which the factorization failed:
+    H[pivot + 1:, pivot + 1:] is positive definite and H[pivot:, pivot:] is
+    not, because H is factored from its last column backwards.  It is None
+    when the failure was detected some other way.
     """
 
     def __init__(self, message, pivot=None):

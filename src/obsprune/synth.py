@@ -17,6 +17,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_sizes(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{name} must be >= 1, got {size}")
+
+
 def gen_columnar(
     rows: int,
     cols: int,
@@ -31,6 +37,7 @@ def gen_columnar(
     ``ramp`` adds a smooth per-block gain increase (block k scaled by
     1 + ramp * k) for multi-tier structure on top of the single hot block.
     """
+    _check_sizes(rows=rows, cols=cols)
     n_blocks = math.ceil(cols / blocksize)
     if not 0 <= hot_block_index < n_blocks:
         raise ConfigError(
@@ -49,6 +56,7 @@ def gen_columnar(
 
 def gen_uniform(rows: int, cols: int, seed: int) -> np.ndarray:
     """Standard-normal matrix with no block structure."""
+    _check_sizes(rows=rows, cols=cols)
     return _rng(seed).standard_normal((rows, cols))
 
 
@@ -60,6 +68,7 @@ def gen_activations(
     Realized as sqrt(1-c) * iid noise plus a shared sqrt(c) * common factor
     per row, which has exactly that covariance.
     """
+    _check_sizes(samples=samples, cols=cols)
     if not 0.0 <= correlation < 1.0:
         raise ConfigError(f"correlation must be in [0, 1), got {correlation}")
     rng = _rng(seed)

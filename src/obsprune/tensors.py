@@ -72,6 +72,11 @@ class SparsityConfig:
             raise ConfigError("blocksize must be >= 1")
         if not self.damp_fraction >= 0:
             raise ConfigError("damp_fraction must be >= 0")
+        if not 0.0 <= self.columnar_threshold < np.inf:
+            raise ConfigError(
+                "columnar_threshold must be finite and >= 0, "
+                f"got {self.columnar_threshold}"
+            )
         if self.pattern is None:
             object.__setattr__(self, "pattern", Unstructured(self.sparsity))
         p = self.pattern

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from obsprune import (
     DimensionError,
@@ -38,10 +39,15 @@ def random_spd(n, seed, cond=1e3):
     return (h + h.T) / 2
 
 
+def inverse(bundle):
+    """The dampened inverse Hessian that the bundle's factor encodes."""
+    return bundle.chol_upper.T @ bundle.chol_upper
+
+
 def test_identity_activations():
     b = accumulate_hessian([np.eye(2)], damp_fraction=0.0)
     np.testing.assert_allclose(b.hessian, np.eye(2))
-    np.testing.assert_allclose(b.inv_hessian, np.eye(2))
+    np.testing.assert_allclose(inverse(b), np.eye(2))
     np.testing.assert_allclose(b.chol_upper, np.eye(2))
     assert b.damp_lambda == 0.0
 
@@ -50,23 +56,23 @@ def test_diagonal_case():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
     b = accumulate_hessian([x], damp_fraction=0.0)
     np.testing.assert_allclose(b.hessian, np.diag([4.0, 1.0]))
-    np.testing.assert_allclose(b.inv_hessian, np.diag([0.25, 1.0]))
+    np.testing.assert_allclose(inverse(b), np.diag([0.25, 1.0]))
 
 
 def test_inverse_matches_gauss_oracle():
     x = np.random.default_rng(3).standard_normal((16, 8))
     b = accumulate_hessian([x], damp_fraction=0.01)
     expected = gauss_inverse(b.hessian)
-    assert np.max(np.abs(b.inv_hessian - expected)) < 1e-8
+    assert np.max(np.abs(inverse(b) - expected)) < 1e-8
 
 
 def test_bundle_invariants():
     x = np.random.default_rng(4).standard_normal((40, 12))
     b = accumulate_hessian([x], damp_fraction=0.01)
-    assert np.max(np.abs(b.hessian @ b.inv_hessian - np.eye(12))) < 1e-8
+    assert np.max(np.abs(b.hessian @ inverse(b) - np.eye(12))) < 1e-8
     low = b.chol_upper.T
     assert np.allclose(low, np.tril(low))
-    assert np.max(np.abs(low @ low.T - b.inv_hessian)) < 1e-8
+    assert np.max(np.abs(low @ low.T - gauss_inverse(b.hessian))) < 1e-8
 
 
 def test_dampening_uses_mean_diagonal():
@@ -88,6 +94,45 @@ def test_indefinite_failure_names_pivot():
     with pytest.raises(IndefiniteHessianError) as exc:
         accumulate_hessian([x], damp_fraction=0.0)
     assert exc.value.pivot is not None
+
+
+@pytest.mark.parametrize("first,second", [(0, 7), (2, 5), (3, 4), (6, 7)])
+def test_indefinite_pivot_in_original_coordinates(first, second):
+    # columns first < second couple only to each other, through an
+    # indefinite 2 x 2 block: H[first + 1:, first + 1:] is positive definite
+    # and H[first:, first:] is not, while the leading block first fails at
+    # second
+    h = random_spd(8, seed=first)
+    for j in (first, second):
+        h[j, :] = h[:, j] = 0.0
+        h[j, j] = 1.0
+    h[first, second] = h[second, first] = 2.0
+    with pytest.raises(IndefiniteHessianError) as exc:
+        bundle_from_hessian(h)
+    assert exc.value.pivot == first
+    assert f"pivot {first}" in str(exc.value)
+
+
+def factor_of_inverse(h):
+    """Upper U with inv(h) = U.T @ U: factor h, invert it, factor the inverse."""
+    c, info = lapack.dpotrf(h, lower=1, clean=1)
+    assert info == 0
+    inv, info = lapack.dpotri(c, lower=1)
+    assert info == 0
+    inv = np.tril(inv) + np.tril(inv, -1).T
+    low, info = lapack.dpotrf(inv, lower=1, clean=1)
+    assert info == 0
+    return low.T
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_matches_inverse_then_factor_route(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 97))
+    x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
+    b = accumulate_hessian([x], damp_fraction=0.01)
+    want = factor_of_inverse(b.hessian)
+    assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_requires_batches_and_consistent_cols():

@@ -126,6 +126,32 @@ def test_compare_csv_schema(tmp_path):
         assert by_key[("rose", s)][4] == "True"  # columnar gate fired
 
 
+@pytest.mark.parametrize("methods,factors", [
+    ("sparsegpt", 1),
+    ("magnitude,wanda", 0),
+    # each rose run factors the Hessian in its own column order
+    ("sparsegpt,rose", 1 + 3),
+])
+def test_compare_factors_unpermuted_hessian_once(
+    tmp_path, monkeypatch, methods, factors
+):
+    calls = []
+    original = calibration.bundle_from_hessian
+
+    def counted(raw, damp_fraction=0.0):
+        calls.append(damp_fraction)
+        return original(raw, damp_fraction)
+
+    patch_everywhere(monkeypatch, "bundle_from_hessian", counted)
+    code = run([
+        "compare", "--methods", methods, "--synth", "columnar",
+        "--rows", "16", "--cols", "64", "--blocksize", "16",
+        "--sparsity", "0.5,0.6,0.7", "--damp", "0.02", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert calls == [0.02] * factors
+
+
 def test_detect_columnar_and_uniform(tmp_path, capsys):
     code = run([
         "detect", "--synth", "columnar", "--rows", "32", "--cols", "128",
@@ -229,6 +255,11 @@ def test_hidden_block_order_flag(tmp_path):
     # the later --synth wins, as for any repeated option
     ["--sparsity", "0.5", "--synth", "columnar", "--hot-block", "9"],
     ["--sparsity", "0.5", "--correlation", "1.5"],
+    ["--sparsity", "0.5", "--rows", "-1"],
+    ["--sparsity", "0.5", "--rows", "0"],
+    ["--sparsity", "0.5", "--cols", "0"],
+    ["--sparsity", "0.5", "--samples", "0"],
+    ["--sparsity", "0.5", "--threshold", "nan"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
     code = main(["prune", "--synth", "uniform", *flags, "--out", str(tmp_path)])

@@ -18,6 +18,7 @@ from obsprune import (
     select_block_mask,
 )
 from obsprune.calibration import DEGENERATE_DIAG
+from obsprune.engine import CANCELLATION
 from obsprune.tensors import SemiStructured
 
 
@@ -277,3 +278,92 @@ class TestClosedFormTrajectory:
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
+
+
+def rank1_reference(w, bundle, config):
+    """The engine's schedule with every update applied column by column.
+
+    Each pruned column's OBS error is subtracted from all later columns as
+    a rank-1 update at once, and the trajectory recomputes
+    ||W0 - W_k||^2 over the whole layer after every block.  ``prune_layer``
+    defers the updates to later blocks into one matrix product and keeps a
+    running sum, which changes only the rounding.
+    """
+    rows, n = w.shape
+    upper = bundle.chol_upper
+    w_cur = w.copy()
+    kept_full = np.ones((rows, n), dtype=bool)
+    trajectory = []
+    loss = 0.0
+    uncompensated = False
+    for i1, i2 in config.block_ranges(n):
+        d = upper.diagonal()[i1:i2]
+        force = [j - i1 for j in bundle.dead_columns if i1 <= j < i2]
+        kept = select_block_mask(
+            w_cur[:, i1:i2], np.maximum(d * d, DEGENERATE_DIAG), config, force
+        ).kept
+        kept_full[:, i1:i2] = kept
+        for c in range(i2 - i1):
+            q = i1 + c
+            e = np.zeros(rows)
+            if d[c] * d[c] < DEGENERATE_DIAG:
+                uncompensated |= not kept[:, c].all()
+            else:
+                e = np.where(kept[:, c], 0.0, w_cur[:, q]) / d[c]
+            w_cur[:, q] = np.where(kept[:, c], w_cur[:, q], 0.0)
+            w_cur[:, q + 1 :] -= np.outer(e, upper[q, q + 1 :])
+            loss += float(e @ e)
+        delta = w - w_cur
+        raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
+        if uncompensated or raw_err < CANCELLATION * loss:
+            raw_err = float(np.sum((delta @ bundle.raw) * delta))
+        trajectory.append(raw_err)
+    return w_cur, kept_full, np.array(trajectory)
+
+
+#: |prune_layer - reference| per weight, as a multiple of max |W0|; the two
+#: sum each later column's updates in a different order
+WEIGHT_ATOL = 1e-12
+
+
+class TestRank1Reference:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.integers(1, 8),
+        n_blocks=st.integers(1, 6),
+        blocksize=st.sampled_from([1, 3, 4, 8, 16]),
+        sparsity=st.floats(0.0, 0.9),
+        semi=st.booleans(),
+        n_dead=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(
+        self, rows, n_blocks, blocksize, sparsity, semi, n_dead, seed
+    ):
+        n = n_blocks * blocksize
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, n))
+        x = rng.standard_normal((3 * n, n))
+        # dead channels, with one live channel left so that lambda > 0
+        x[:, rng.choice(n, size=min(n_dead, n - 1), replace=False)] = 0.0
+        if semi and blocksize % 4 == 0:
+            cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
+        else:
+            cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
+        b = accumulate_hessian([x], cfg.damp_fraction)
+        out = prune_layer(w, b, cfg)
+        ref_w, ref_kept, ref_traj = rank1_reference(w, b, cfg)
+
+        np.testing.assert_array_equal(out.mask.kept, ref_kept)
+        np.testing.assert_allclose(
+            out.pruned_weights, ref_w, rtol=0, atol=WEIGHT_ATOL * np.abs(w).max()
+        )
+        np.testing.assert_allclose(
+            out.block_error_trajectory, ref_traj, rtol=1e-9, atol=0
+        )
+        again = prune_layer(w, b, cfg)
+        np.testing.assert_array_equal(again.pruned_weights, out.pruned_weights)
+        np.testing.assert_array_equal(again.mask.kept, out.mask.kept)
+        np.testing.assert_array_equal(
+            again.block_error_trajectory, out.block_error_trajectory
+        )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsprune import gen_activations, gen_columnar, gen_uniform
+from obsprune import ConfigError, gen_activations, gen_columnar, gen_uniform
 
 
 def test_columnar_reproducible():
@@ -69,3 +69,16 @@ def test_activations_rejects_bad_correlation():
         gen_activations(10, 4, 1.0, seed=0)
     with pytest.raises(ValueError):
         gen_activations(10, 4, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: gen_columnar(0, 16, 4, 0, 10.0, seed=0),
+    lambda: gen_columnar(4, 0, 4, 0, 10.0, seed=0),
+    lambda: gen_uniform(-1, 16, seed=0),
+    lambda: gen_uniform(4, 0, seed=0),
+    lambda: gen_activations(0, 4, 0.0, seed=0),
+    lambda: gen_activations(10, -2, 0.3, seed=0),
+])
+def test_rejects_empty_sizes(generate):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        generate()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsprune import (
+    ConfigError,
     DimensionError,
     Permutation,
     PruneMask,
@@ -133,6 +134,13 @@ def test_config_validation():
     assert cfg.blocksize == 4 and cfg.sparsity == 0.5
     cfg8 = SparsityConfig.semi_structured(4, 8)
     assert cfg8.blocksize == 8 and cfg8.sparsity == 0.5
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1])
+def test_config_rejects_bad_columnar_threshold(threshold):
+    with pytest.raises(ConfigError, match="columnar_threshold"):
+        SparsityConfig(sparsity=0.5, columnar_threshold=threshold)
+    assert SparsityConfig(sparsity=0.5, columnar_threshold=0.0)
 
 
 def test_default_pattern_is_unstructured():
