@@ -12,7 +12,6 @@ from .calibration import (
 )
 from .engine import (
     PruneOutcome,
-    obs_saliency,
     obs_update_row,
     prune_layer,
     reconstruction_error,
@@ -32,8 +31,10 @@ from .reorder import (
     LossProfile,
     ReorderPlan,
     build_reorder_plan,
+    bundle_in_order,
     importance_scores,
     loss_profile,
+    prune_in_order,
     prune_with_block_order,
     rose_prune_from_hessian,
     rose_prune_layer,
@@ -45,7 +46,6 @@ from .tensors import (
     PruneMask,
     SemiStructured,
     SparsityConfig,
-    Unstructured,
     apply_column_permutation,
     compose_permutations,
     mask_pattern_valid,

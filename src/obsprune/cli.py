@@ -24,20 +24,17 @@ import numpy as np
 
 from . import __version__
 from .baselines import magnitude_prune, wanda_prune
-from .calibration import (
-    accumulate_hessian,
-    bundle_from_hessian,
-    column_norms,
-    raw_hessian,
-)
+from .calibration import accumulate_hessian, column_norms, raw_hessian
 from .engine import obs_update_row, prune_layer
-from .errors import ConfigError, NumericOverflowError, PruneError
+from .errors import ConfigError, DimensionError, NumericOverflowError, PruneError
 from .oracle import exact_masked_reconstruction, naive_obs_prune
 from .reorder import (
+    ReorderPlan,
+    build_reorder_plan,
+    bundle_in_order,
     importance_scores,
     loss_profile,
-    prune_with_block_order,
-    rose_prune_from_hessian,
+    prune_in_order,
 )
 from .rtns import (
     RtnsFormatError,
@@ -48,7 +45,7 @@ from .rtns import (
     write_tensor,
 )
 from .synth import gen_activations, gen_columnar, gen_uniform
-from .tensors import SemiStructured, SparsityConfig
+from .tensors import Permutation, SemiStructured, SparsityConfig, as_matrix
 
 METHODS = ("magnitude", "wanda", "sparsegpt", "rose", "rose-ascending")
 
@@ -103,38 +100,40 @@ def _add_common(p: argparse.ArgumentParser):
                    help="output directory for reports")
 
 
-def _make_config(args) -> SparsityConfig:
+def _make_configs(args) -> list[SparsityConfig]:
+    """One config per --sparsity value, or the one config of --pattern."""
+    common = dict(damp_fraction=args.damp, columnar_threshold=args.threshold)
     if args.pattern is not None:
-        return SparsityConfig.semi_structured(
-            args.pattern.n,
-            args.pattern.m,
-            damp_fraction=args.damp,
-            columnar_threshold=args.threshold,
-        )
+        if args.sparsity:
+            raise ConfigError("--pattern sets the sparsity; drop --sparsity")
+        pat = args.pattern
+        return [
+            SparsityConfig.semi_structured(pat.n, pat.m, args.blocksize, **common)
+        ]
     if not args.sparsity:
-        raise SystemExit2("--sparsity is required without --pattern")
-    return SparsityConfig(
-        sparsity=args.sparsity[0],
-        blocksize=args.blocksize if args.blocksize is not None else 128,
-        damp_fraction=args.damp,
-        columnar_threshold=args.threshold,
-    )
+        raise ConfigError("--sparsity is required without --pattern")
+    blocksize = 128 if args.blocksize is None else args.blocksize
+    return [SparsityConfig(s, blocksize, **common) for s in args.sparsity]
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+def _make_config(args) -> SparsityConfig:
+    """The one config of prune and detect."""
+    configs = _make_configs(args)
+    if len(configs) != 1:
+        raise ConfigError(f"{args.command} takes one --sparsity value")
+    return configs[0]
 
 
 def _load_inputs(args, config: SparsityConfig, weights=None):
     """Weights plus activation batches, from files or generators.
 
     ``weights`` overrides ``--weights`` with another layer's file.  The
-    weights are checked here, before any Hessian work: they must be finite,
-    and an n:m pattern must tile their columns.
+    inputs are checked here, before any Hessian work: the weights must be a
+    finite, non-empty matrix whose columns an n:m pattern tiles, and every
+    activation batch must have as many columns.
     """
-    if weights is None and args.synth is not None:
+    synthetic = weights is None and args.synth is not None
+    if synthetic:
         if args.synth == "columnar":
             n_blocks = math.ceil(args.cols / config.blocksize)
             hot = args.hot_block if args.hot_block is not None else n_blocks - 1
@@ -143,50 +142,71 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
             )
         else:
             w = gen_uniform(args.rows, args.cols, args.seed)
-        acts = [
-            gen_activations(
-                args.samples, args.cols, args.correlation, args.seed + ACT_SEED_OFFSET
-            )
-        ]
     else:
         weights = weights or args.weights
         if weights is None:
-            raise SystemExit2("need --weights or --synth")
-        w = read_tensor(weights)
-        if args.acts is not None:
-            acts = read_manifest(args.acts)
-        else:
-            acts = [
-                gen_activations(
-                    args.samples, w.shape[1], args.correlation,
-                    args.seed + ACT_SEED_OFFSET,
-                )
-            ]
+            raise ConfigError("need --weights or --synth")
+        w = as_matrix(read_tensor(weights))
+    if w.size == 0:
+        raise ConfigError(f"{weights} weights have shape {w.shape}: an empty layer")
     if not np.all(np.isfinite(w)):
         raise NumericOverflowError(f"{weights or 'synthetic'} weights are not finite")
-    config.block_ranges(w.shape[1])  # raises ConfigError for an untiled n:m
+    n = w.shape[1]
+    config.block_ranges(n)  # raises ConfigError for an untiled n:m
+    if args.acts is not None and not synthetic:
+        acts = read_manifest(args.acts)
+    else:
+        seed = args.seed + ACT_SEED_OFFSET
+        acts = [gen_activations(args.samples, n, args.correlation, seed)]
+    for i, b in enumerate(acts):
+        if np.shape(b)[1:] != (n,):
+            raise DimensionError(
+                f"activation batch {i} has shape {np.shape(b)}, expected (samples, {n})"
+            )
     return w, acts
-
-
-def _run_method(method, w, raw, config, bundle=None):
-    """Returns (outcome, plan_or_None, profile_or_None) from the raw Hessian.
-
-    ``bundle`` is raw factored with config's damping, when already built.
-    """
-    if method == "magnitude":
-        return magnitude_prune(w, config, raw), None, None
-    if method == "wanda":
-        return wanda_prune(w, config, raw), None, None
-    if method == "sparsegpt":
-        bundle = bundle or bundle_from_hessian(raw, config.damp_fraction)
-        return prune_layer(w, bundle, config), None, None
-    if method in ("rose", "rose-ascending"):
-        return rose_prune_from_hessian(w, raw, config, descending=(method == "rose"))
-    raise SystemExit2(f"unknown method {method!r}")
 
 
 def _profile_for(w, raw, config):
     return loss_profile(importance_scores(w, column_norms(raw)), config)
+
+
+def _plan_for(method, profile, config) -> ReorderPlan:
+    """The column order a method prunes in: rose's plan, else channel order."""
+    if method.startswith("rose"):
+        return build_reorder_plan(profile, config, descending=(method == "rose"))
+    return ReorderPlan(Permutation.identity(profile.column_losses.size), False)
+
+
+def _runs(methods, w, raw, configs):
+    """(config, method, outcome, plan, profile, wall_ms) for each config x method.
+
+    Each config gets one loss profile.  The damping does not depend on the
+    sparsity, so H is factored in channel order at most once, and that
+    factor serves every second-order run whose order is the identity.
+    """
+    identity_bundle = None
+    for config in configs:
+        profile = _profile_for(w, raw, config)
+        for method in methods:
+            t0 = time.perf_counter()
+            plan = _plan_for(method, profile, config)
+            order = plan.permutation
+            if method == "magnitude":
+                outcome = magnitude_prune(w, config, raw)
+            elif method == "wanda":
+                outcome = wanda_prune(w, config, raw)
+            else:
+                if not order.is_identity():
+                    bundle = bundle_in_order(raw, order, config.damp_fraction)
+                else:
+                    identity_bundle = identity_bundle or bundle_in_order(
+                        raw, order, config.damp_fraction
+                    )
+                    bundle = identity_bundle
+                outcome = prune_in_order(w, bundle, config, order)
+                del bundle  # free this factor before the next run builds its own
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            yield config, method, outcome, plan, profile, wall_ms
 
 
 def _config_doc(config: SparsityConfig, args) -> dict:
@@ -207,16 +227,9 @@ def _config_doc(config: SparsityConfig, args) -> dict:
 def cmd_prune(args) -> int:
     config = _make_config(args)
     w, acts = _load_inputs(args, config)
-    t0 = time.perf_counter()
     raw = raw_hessian(acts)
-    if args.block_order is not None:
-        outcome, plan = prune_with_block_order(w, raw, config, args.block_order)
-        profile = None
-    else:
-        outcome, plan, profile = _run_method(args.method, w, raw, config)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    if profile is None:
-        profile = _profile_for(w, raw, config)
+    del acts
+    [(_, _, outcome, plan, profile, wall_ms)] = _runs([args.method], w, raw, [config])
 
     args.out.mkdir(parents=True, exist_ok=True)
     weights_path = args.out / "pruned_weights.rtns"
@@ -228,10 +241,10 @@ def cmd_prune(args) -> int:
         "absolute_error": outcome.final_error,
         "block_error_trajectory": list(outcome.block_error_trajectory),
         "R_rel": profile.relative_range,
-        "was_reordered": bool(plan.was_reordered) if plan else False,
+        "was_reordered": plan.was_reordered,
         "timings_ms": {"prune": wall_ms},
     }
-    if plan is not None and plan.was_reordered:
+    if plan.was_reordered:
         report["permutation"] = [int(i) for i in plan.permutation.forward]
     write_json(args.out / "report.json", report)
     print(f"wrote {weights_path} and {args.out / 'report.json'}")
@@ -239,43 +252,28 @@ def cmd_prune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if not args.sparsity:
-        raise SystemExit2("--sparsity list is required")
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
         if m not in METHODS:
-            raise SystemExit2(f"unknown method {m!r}")
-    configs = [
-        SparsityConfig(
-            sparsity=sparsity,
-            blocksize=args.blocksize if args.blocksize is not None else 128,
-            damp_fraction=args.damp,
-            columnar_threshold=args.threshold,
-        )
-        for sparsity in args.sparsity
-    ]
+            raise ConfigError(f"unknown method {m!r}")
+    configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
     w, acts = _load_inputs(args, configs[0])
     raw = raw_hessian(acts)
     del acts
-    # the damping does not depend on the sparsity, so one factor serves all
-    bundle = bundle_from_hessian(raw, args.damp) if "sparsegpt" in methods else None
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for config in configs:
-        profile = _profile_for(w, raw, config)
-        for method in methods:
-            t0 = time.perf_counter()
-            outcome, plan, _ = _run_method(method, w, raw, config, bundle)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            rows.append({
-                "method": method,
-                "sparsity": config.sparsity,
-                "relative_error": outcome.relative_error,
-                "r_rel": profile.relative_range,
-                "was_reordered": bool(plan.was_reordered) if plan else False,
-                "wall_ms": wall_ms,
-            })
+    rows = [
+        {
+            "method": method,
+            "sparsity": config.sparsity,
+            "relative_error": outcome.relative_error,
+            "r_rel": profile.relative_range,
+            "was_reordered": plan.was_reordered,
+            "wall_ms": wall_ms,
+        }
+        for config, method, outcome, plan, profile, wall_ms
+        in _runs(methods, w, raw, configs)
+    ]
     out_path = args.out / "compare.csv"
 
     def write(f):
@@ -295,7 +293,7 @@ def cmd_detect(args) -> int:
     elif args.synth is not None:
         paths = [None]
     else:
-        raise SystemExit2("need --weights or --synth")
+        raise ConfigError("need --weights or --synth")
     layers = []
     for path in paths:
         w, acts = _load_inputs(args, config, path)
@@ -368,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="prune one layer")
     p.add_argument("--method", choices=METHODS, default="rose")
     _add_common(p)
-    p.add_argument("--block-order", type=lambda s: [int(x) for x in s.split(",")],
-                   default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("compare", help="method x sparsity sweep to CSV")

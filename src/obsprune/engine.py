@@ -36,15 +36,6 @@ class PruneOutcome:
     relative_error: float
 
 
-def obs_saliency(w_q: float, inv_h_qq: float) -> float:
-    """Loss increase from removing one weight: w_q**2 / inv_h_qq."""
-    if inv_h_qq <= 0:
-        raise IndefiniteHessianError(
-            f"inverse-Hessian diagonal must be positive, got {inv_h_qq}"
-        )
-    return w_q * w_q / inv_h_qq
-
-
 def obs_update_row(row: np.ndarray, q: int, inv_h: np.ndarray) -> np.ndarray:
     """Remove weight q from one row and optimally compensate the rest."""
     row = np.asarray(row, dtype=np.float64)

@@ -8,6 +8,9 @@ columns descending by column loss inside each block, then whole blocks
 descending by block loss.  High-loss weights are then pruned while plenty
 of later columns remain available for compensation, and the result is
 mapped back to the original channel order.
+
+Every second-order method is a column order plus ``prune_in_order``:
+SparseGPT is the identity order, ROSE the order of its reorder plan.
 """
 
 from __future__ import annotations
@@ -17,17 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import bundle_from_hessian, column_norms, raw_hessian
+from .calibration import HessianBundle, bundle_from_hessian, column_norms, raw_hessian
 from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError, DimensionError
 from .tensors import (
     Permutation,
     PruneMask,
-    SemiStructured,
     SparsityConfig,
     apply_column_permutation,
     as_matrix,
-    compose_permutations,
     mask_pattern_valid,
     pruned_entries,
 )
@@ -41,18 +42,12 @@ class LossProfile:
     column_losses: np.ndarray
     relative_range: float
 
-    @property
-    def block_count(self) -> int:
-        return self.block_losses.size
-
 
 @dataclass(frozen=True)
 class ReorderPlan:
-    """Composed column-then-block permutation of input channels."""
+    """The column order to prune in, and whether the gate chose it."""
 
     permutation: Permutation
-    column_stage: Permutation
-    block_stage: Permutation
     was_reordered: bool
 
 
@@ -103,54 +98,62 @@ def build_reorder_plan(
 ) -> ReorderPlan:
     """Two-level permutation, gated on the relative range of block losses.
 
-    ``descending=False`` flips both sort directions, pruning the cheapest
-    weights first; it exists for the worst-case comparison runs.
+    Blocks are sorted by block loss and the columns inside each block by
+    column loss; under an n:m pattern columns are sorted only inside their
+    group of m, so every group stays whole and the pattern holds in the
+    original channel order.  ``descending=False`` flips both sort
+    directions, pruning the cheapest weights first; it exists for the
+    worst-case comparison runs.
     """
     n = profile.column_losses.size
-    identity = Permutation.identity(n)
     if not profile.relative_range > config.columnar_threshold:
-        return ReorderPlan(identity, identity, identity, False)
-
+        return ReorderPlan(Permutation.identity(n), False)
     ranges = config.block_ranges(n)
-    col_forward = np.arange(n)
-    for i1, i2 in ranges:
-        order = _stable_order(profile.column_losses[i1:i2], descending)
-        col_forward[i1:i2] = i1 + order
-    block_order = _stable_order(profile.block_losses, descending)
-    block_forward = np.concatenate(
-        [np.arange(*ranges[b]) for b in block_order]
-    )
-    column_stage = Permutation(col_forward)
-    block_stage = Permutation(block_forward)
-    return ReorderPlan(
-        permutation=compose_permutations(block_stage, column_stage),
-        column_stage=column_stage,
-        block_stage=block_stage,
-        was_reordered=True,
-    )
+    width = config.blocksize if config.pattern is None else config.pattern.m
+    forward = []
+    for b in _stable_order(profile.block_losses, descending):
+        for j1 in range(*ranges[b], width):
+            j2 = min(j1 + width, ranges[b][1])
+            forward.append(j1 + _stable_order(profile.column_losses[j1:j2], descending))
+    return ReorderPlan(Permutation(np.concatenate(forward)), True)
 
 
-def _prune_permuted(
+def bundle_in_order(
+    raw: np.ndarray, order: Permutation, damp_fraction: float
+) -> HessianBundle:
+    """Factor H[order][:, order]; the identity order factors ``raw`` itself."""
+    raw = as_matrix(raw)
+    if not order.is_identity():
+        raw = raw[np.ix_(order.forward, order.forward)]
+    return bundle_from_hessian(raw, damp_fraction)
+
+
+def prune_in_order(
     w: np.ndarray,
-    raw: np.ndarray,
+    bundle: HessianBundle,
     config: SparsityConfig,
-    perm: Permutation,
+    order: Permutation,
 ) -> PruneOutcome:
-    """Prune in permuted column order and map the result back.
+    """Prune the columns of ``w`` in ``order`` and map the result back.
 
-    Triangular factors are not permutation-stable, so the permuted raw
-    Hessian H[p][:, p] is factored afresh.  The errors need no mapping:
-    they are invariant under a common permutation of W and H.
+    ``bundle`` factors H[order][:, order] (see ``bundle_in_order``):
+    triangular factors are not permutation-stable, so each order needs its
+    own.  The errors need no mapping: they are invariant under a common
+    permutation of W and H.  An n:m pattern is checked in the original
+    channel order.
     """
-    idx = perm.forward
-    bundle = bundle_from_hessian(raw[np.ix_(idx, idx)], config.damp_fraction)
-    out = prune_layer(apply_column_permutation(w, perm), bundle, config)
-    inv = perm.inverted()
-    kept_back = apply_column_permutation(out.mask.kept, inv)
+    w = as_matrix(w)
+    if order.size != w.shape[1]:
+        raise DimensionError(f"order size {order.size} != weight cols {w.shape[1]}")
+    if order.is_identity():
+        return prune_layer(w, bundle, config)
+    out = prune_layer(apply_column_permutation(w, order), bundle, config)
+    inv = order.inverted()
+    mask = PruneMask(apply_column_permutation(out.mask.kept, inv), config.pattern)
+    if not mask_pattern_valid(mask):
+        raise ConfigError("reordering broke the n:m pattern in original coordinates")
     return replace(
-        out,
-        pruned_weights=apply_column_permutation(out.pruned_weights, inv),
-        mask=PruneMask(kept=kept_back, pattern=config.pattern),
+        out, pruned_weights=apply_column_permutation(out.pruned_weights, inv), mask=mask
     )
 
 
@@ -162,23 +165,10 @@ def rose_prune_from_hessian(
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """``rose_prune_layer`` on an already-accumulated raw Hessian X.T @ X."""
     w = as_matrix(w)
-    raw = as_matrix(raw)
-    scores = importance_scores(w, column_norms(raw))
-    profile = loss_profile(scores, config)
+    profile = loss_profile(importance_scores(w, column_norms(raw)), config)
     plan = build_reorder_plan(profile, config, descending=descending)
-
-    if not plan.was_reordered:
-        bundle = bundle_from_hessian(raw, config.damp_fraction)
-        outcome = prune_layer(w, bundle, config)
-    else:
-        outcome = _prune_permuted(w, raw, config, plan.permutation)
-        if isinstance(config.pattern, SemiStructured) and not mask_pattern_valid(
-            outcome.mask
-        ):
-            raise ConfigError(
-                "reordering broke the n:m pattern in original coordinates"
-            )
-    return outcome, plan, profile
+    bundle = bundle_in_order(raw, plan.permutation, config.damp_fraction)
+    return prune_in_order(w, bundle, config, plan.permutation), plan, profile
 
 
 def rose_prune_layer(
@@ -204,21 +194,13 @@ def prune_with_block_order(
     is applied.
     """
     w = as_matrix(w)
-    n = w.shape[1]
-    ranges = config.block_ranges(n)
+    ranges = config.block_ranges(w.shape[1])
     order = np.asarray(block_order, dtype=np.intp)
     if not np.array_equal(np.sort(order), np.arange(len(ranges))):
         raise DimensionError(
             f"block order must be a bijection on [0, {len(ranges)})"
         )
-    block_forward = np.concatenate([np.arange(*ranges[b]) for b in order])
-    block_stage = Permutation(block_forward)
-    identity = Permutation.identity(n)
-    plan = ReorderPlan(
-        permutation=block_stage,
-        column_stage=identity,
-        block_stage=block_stage,
-        was_reordered=not block_stage.is_identity(),
-    )
-    outcome = _prune_permuted(w, as_matrix(raw), config, block_stage)
-    return outcome, plan
+    perm = Permutation(np.concatenate([np.arange(*ranges[b]) for b in order]))
+    bundle = bundle_in_order(raw, perm, config.damp_fraction)
+    outcome = prune_in_order(w, bundle, config, perm)
+    return outcome, ReorderPlan(perm, not perm.is_identity())

@@ -27,13 +27,6 @@ def as_matrix(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Unstructured:
-    """Prune a fraction ``sparsity`` of entries per column block."""
-
-    sparsity: float
-
-
-@dataclass(frozen=True)
 class SemiStructured:
     """Keep exactly ``n`` entries in every contiguous row group of ``m``."""
 
@@ -56,12 +49,13 @@ class SparsityConfig:
     ``blocksize`` is the number of consecutive input channels masked and
     compensated together.  ``damp_fraction`` scales the mean Hessian
     diagonal into the dampening term.  ``columnar_threshold`` gates the
-    reordering stage on the relative range of block losses.
+    reordering stage on the relative range of block losses.  ``pattern``
+    None prunes unstructured.
     """
 
     sparsity: float
     blocksize: int = 128
-    pattern: Unstructured | SemiStructured | None = None
+    pattern: SemiStructured | None = None
     damp_fraction: float = 0.01
     columnar_threshold: float = 0.5
 
@@ -77,10 +71,10 @@ class SparsityConfig:
                 "columnar_threshold must be finite and >= 0, "
                 f"got {self.columnar_threshold}"
             )
-        if self.pattern is None:
-            object.__setattr__(self, "pattern", Unstructured(self.sparsity))
         p = self.pattern
-        if isinstance(p, SemiStructured):
+        if p is not None:
+            if not isinstance(p, SemiStructured):
+                raise ConfigError(f"pattern must be SemiStructured or None, got {p!r}")
             if self.blocksize % p.m != 0:
                 raise ConfigError(
                     f"blocksize {self.blocksize} is not a multiple of m={p.m}"
@@ -187,7 +181,7 @@ class PruneMask:
     """Boolean keep/prune matrix plus the sparsity pattern that produced it."""
 
     kept: np.ndarray
-    pattern: Unstructured | SemiStructured
+    pattern: SemiStructured | None
 
     def __post_init__(self):
         k = np.asarray(self.kept, dtype=bool)
@@ -235,7 +229,7 @@ def smallest_per_row(v: np.ndarray, k: int) -> np.ndarray:
 def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
     """Boolean mask of the entries one block of scores loses under ``config``.
 
-    Unstructured: the pruned_count smallest of the whole block, ties to the
+    No pattern: the pruned_count smallest of the whole block, ties to the
     lower column, then the lower row (the block read column by column).
     n:m: the m - n smallest of every group of m consecutive columns in a
     row, ties to the lower column.
@@ -257,7 +251,7 @@ def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
 def mask_pattern_valid(mask: PruneMask) -> bool:
     """Check the mask against its declared pattern, group by group."""
     pat = mask.pattern
-    if isinstance(pat, Unstructured):
+    if pat is None:
         return True
     if mask.cols % pat.m != 0:
         return False

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from obsprune import calibration, read_tensor, write_manifest, write_tensor
+from obsprune import calibration, read_tensor, reorder, write_manifest, write_tensor
 from obsprune.cli import main
 from obsprune.synth import gen_activations, gen_uniform
 
@@ -18,9 +18,8 @@ def run(argv):
         return e.code
 
 
-def patch_everywhere(monkeypatch, name, replacement):
-    """Replace ``calibration.<name>`` in every obsprune module that binds it."""
-    original = getattr(calibration, name)
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace the function ``original`` in every obsprune module that binds it."""
     for key, module in list(sys.modules.items()):
         if key == "obsprune" or key.startswith("obsprune."):
             for attr, value in list(vars(module).items()):
@@ -34,7 +33,19 @@ def no_factoring(monkeypatch):
     def factor(*args, **kwargs):
         raise AssertionError("the Hessian was factored")
 
-    patch_everywhere(monkeypatch, "bundle_from_hessian", factor)
+    patch_everywhere(monkeypatch, calibration.bundle_from_hessian, factor)
+
+
+def count_calls(monkeypatch, function):
+    """Count the calls of ``function`` from anywhere in obsprune."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, function, counted)
+    return calls
 
 
 def test_prune_rose_columnar_report(tmp_path):
@@ -126,14 +137,17 @@ def test_compare_csv_schema(tmp_path):
         assert by_key[("rose", s)][4] == "True"  # columnar gate fired
 
 
-@pytest.mark.parametrize("methods,factors", [
-    ("sparsegpt", 1),
-    ("magnitude,wanda", 0),
-    # each rose run factors the Hessian in its own column order
-    ("sparsegpt,rose", 1 + 3),
+@pytest.mark.parametrize("methods,factors,synth", [
+    pytest.param("sparsegpt", 1, "columnar", id="sparsegpt-1"),
+    pytest.param("magnitude,wanda", 0, "columnar", id="magnitude,wanda-0"),
+    # each reordered rose run factors the Hessian in its own column order
+    pytest.param("sparsegpt,rose", 1 + 3, "columnar", id="sparsegpt,rose-4"),
+    # no rose run reorders a uniform layer, so all share the one factor
+    pytest.param("sparsegpt,rose,rose-ascending", 1, "uniform",
+                 id="uniform-sparsegpt,rose,rose-ascending-1"),
 ])
 def test_compare_factors_unpermuted_hessian_once(
-    tmp_path, monkeypatch, methods, factors
+    tmp_path, monkeypatch, methods, factors, synth
 ):
     calls = []
     original = calibration.bundle_from_hessian
@@ -142,14 +156,71 @@ def test_compare_factors_unpermuted_hessian_once(
         calls.append(damp_fraction)
         return original(raw, damp_fraction)
 
-    patch_everywhere(monkeypatch, "bundle_from_hessian", counted)
+    patch_everywhere(monkeypatch, original, counted)
     code = run([
-        "compare", "--methods", methods, "--synth", "columnar",
+        "compare", "--methods", methods, "--synth", synth,
         "--rows", "16", "--cols", "64", "--blocksize", "16",
         "--sparsity", "0.5,0.6,0.7", "--damp", "0.02", "--out", str(tmp_path),
     ])
     assert code == 0
     assert calls == [0.02] * factors
+    with open(tmp_path / "compare.csv", newline="") as f:
+        reordered = [r["was_reordered"] for r in csv.DictReader(f)
+                     if r["method"].startswith("rose")]
+    assert set(reordered) <= {"True" if synth == "columnar" else "False"}
+
+
+def test_compare_profiles_once_per_sparsity(tmp_path, monkeypatch):
+    profiles = count_calls(monkeypatch, reorder.loss_profile)
+    factors = count_calls(monkeypatch, calibration.bundle_from_hessian)
+    code = run([
+        "compare", "--synth", "uniform", "--rows", "16", "--cols", "64",
+        "--blocksize", "16", "--sparsity", "0.5,0.6,0.7,0.8",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert len(profiles) == 4
+    assert len(factors) == 1
+
+
+def test_compare_honours_pattern(tmp_path):
+    code = run([
+        "compare", "--methods", "magnitude,sparsegpt,rose", "--synth", "uniform",
+        "--rows", "8", "--cols", "32", "--pattern", "2:4", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    with open(tmp_path / "compare.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["method"], r["sparsity"]) for r in rows] == [
+        ("magnitude", "0.5"), ("sparsegpt", "0.5"), ("rose", "0.5")
+    ]
+
+
+def test_compare_rejects_pattern_with_sparsity(tmp_path, capsys, no_factoring):
+    code = main([
+        "compare", "--synth", "uniform", "--pattern", "2:4", "--sparsity", "0.3",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "compare.csv").exists()
+
+
+def test_prune_pattern_honours_blocksize(tmp_path):
+    code = run([
+        "prune", "--method", "rose", "--synth", "columnar", "--rows", "8",
+        "--cols", "256", "--pattern", "2:4", "--blocksize", "128",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["blocksize"] == 128
+    assert report["config"]["pattern"] == "2:4"
+    assert report["was_reordered"] is True
+    assert len(report["block_error_trajectory"]) == 2
+    w = read_tensor(tmp_path / "pruned_weights.rtns")
+    assert np.all((w.reshape(8, 64, 4) != 0.0).sum(axis=2) == 2)
 
 
 def test_detect_columnar_and_uniform(tmp_path, capsys):
@@ -216,36 +287,6 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     assert code == 1
 
 
-def test_block_order_builds_hessian_once(tmp_path, monkeypatch):
-    calls = []
-    original = calibration.raw_hessian
-
-    def counted(activations):
-        calls.append(1)
-        return original(activations)
-
-    patch_everywhere(monkeypatch, "raw_hessian", counted)
-    code = run([
-        "prune", "--synth", "columnar", "--rows", "16", "--cols", "64",
-        "--blocksize", "16", "--sparsity", "0.7",
-        "--block-order", "3,0,1,2", "--out", str(tmp_path),
-    ])
-    assert code == 0
-    assert len(calls) == 1
-
-
-def test_hidden_block_order_flag(tmp_path):
-    code = run([
-        "prune", "--method", "sparsegpt", "--synth", "columnar",
-        "--rows", "16", "--cols", "64", "--blocksize", "16",
-        "--hot-block", "3", "--sparsity", "0.7", "--seed", "9",
-        "--block-order", "3,0,1,2", "--out", str(tmp_path),
-    ])
-    assert code == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["was_reordered"] is True
-
-
 @pytest.mark.parametrize("flags", [
     ["--sparsity", "1.5"],
     ["--sparsity", "nan"],
@@ -260,6 +301,9 @@ def test_hidden_block_order_flag(tmp_path):
     ["--sparsity", "0.5", "--cols", "0"],
     ["--sparsity", "0.5", "--samples", "0"],
     ["--sparsity", "0.5", "--threshold", "nan"],
+    # prune takes one sparsity, and --pattern fixes it
+    ["--sparsity", "0.5,0.9"],
+    ["--pattern", "2:4", "--sparsity", "0.5"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
     code = main(["prune", "--synth", "uniform", *flags, "--out", str(tmp_path)])
@@ -279,6 +323,14 @@ def write_bad_layer(tmp_path, fault):
         return ["--synth", "columnar", "--hot-gain", "nan"]
     w = gen_uniform(8, 32, seed=0)
     x = gen_activations(64, 32, 0.0, seed=1)
+    if fault == "zero-cols":
+        w, x = np.zeros((4, 0)), np.zeros((16, 0))
+    if fault == "zero-rows":
+        w = np.zeros((0, 32))
+    if fault == "acts-cols-mismatch":
+        x = x[:, :24]
+    if fault == "one-dim-weights":
+        w = w[0]
     if fault == "nan-activation":
         x[3, 5] = np.nan
     if fault == "inf-weight":
@@ -292,23 +344,35 @@ def write_bad_layer(tmp_path, fault):
     if fault == "trailing-bytes":
         wpath.write_bytes(wpath.read_bytes() + b"\x00" * 4)
     write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
-    return ["--weights", str(wpath), "--acts", str(tmp_path / "acts.json")]
+    # sparsegpt factors H before anything else reads the activations
+    return ["--method", "sparsegpt", "--weights", str(wpath),
+            "--acts", str(tmp_path / "acts.json")]
+
+
+def assert_rejected(tmp_path, capsys, fault, code):
+    out = tmp_path / "out"
+    got = main([
+        "prune", *write_bad_layer(tmp_path, fault), "--sparsity", "0.5",
+        "--blocksize", "16", "--out", str(out),
+    ])
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
     "fault",
-    ["nan-activation", "inf-weight", "nan-hot-gain", "huge-dims", "trailing-bytes"],
+    ["nan-activation", "inf-weight", "nan-hot-gain", "huge-dims", "trailing-bytes",
+     "acts-cols-mismatch", "one-dim-weights"],
 )
 def test_bad_input_exit_1(tmp_path, capsys, no_factoring, fault):
-    out = tmp_path / "out"
-    code = main([
-        "prune", *write_bad_layer(tmp_path, fault), "--sparsity", "0.5",
-        "--blocksize", "16", "--out", str(out),
-    ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out / "report.json").exists()
+    assert_rejected(tmp_path, capsys, fault, 1)
+
+
+@pytest.mark.parametrize("fault", ["zero-cols", "zero-rows"])
+def test_empty_layer_exit_2(tmp_path, capsys, no_factoring, fault):
+    assert_rejected(tmp_path, capsys, fault, 2)
 
 
 def test_threads_option_removed(capsys):

@@ -10,7 +10,6 @@ from obsprune import (
     accumulate_hessian,
     exact_masked_reconstruction,
     mask_sparsity,
-    obs_saliency,
     obs_update_row,
     prune_layer,
     raw_hessian,
@@ -26,21 +25,6 @@ def random_layer(seed, rows=8, n=16, samples=None):
     rng = np.random.default_rng(seed)
     samples = samples or 4 * n
     return rng.standard_normal((rows, n)), rng.standard_normal((samples, n))
-
-
-class TestSaliency:
-    def test_zero_weight(self):
-        assert obs_saliency(0.0, 2.0) == 0.0
-
-    def test_direct_substitution(self):
-        assert obs_saliency(2.0, 0.5) == 8.0
-
-    def test_sign_invariance(self):
-        assert obs_saliency(-3.0, 1.0) == 9.0
-
-    def test_nonpositive_diag(self):
-        with pytest.raises(IndefiniteHessianError):
-            obs_saliency(1.0, 0.0)
 
 
 class TestUpdateRow:

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsprune import (
+    ConfigError,
+    DimensionError,
+    Permutation,
     SparsityConfig,
     accumulate_hessian,
     apply_column_permutation,
     build_reorder_plan,
-    compose_permutations,
+    bundle_from_hessian,
+    bundle_in_order,
     gen_activations,
     gen_columnar,
     gen_uniform,
     importance_scores,
     loss_profile,
     mask_pattern_valid,
+    prune_in_order,
     prune_layer,
     prune_with_block_order,
     raw_hessian,
@@ -67,7 +74,7 @@ class TestLossProfile:
         for k in range(3):
             seg = prof.column_losses[8 * k : 8 * (k + 1)]
             assert prof.block_losses[k] == pytest.approx(seg.sum(), abs=1e-9)
-        assert prof.block_count == 3
+        assert prof.block_losses.size == 3
 
 
 class TestReorderPlan:
@@ -85,7 +92,9 @@ class TestReorderPlan:
         s = np.array([[1.0, 3.0, 2.0, 9.0, 8.0, 7.0]])
         prof = loss_profile(s, cfg)
         plan = build_reorder_plan(prof, cfg)
-        np.testing.assert_array_equal(plan.column_stage.forward[:3], [1, 2, 0])
+        # the second block (loss 24) goes first, then the first block's
+        # columns by descending loss
+        np.testing.assert_array_equal(plan.permutation.forward, [3, 4, 5, 1, 2, 0])
 
     def test_block_order_descending(self):
         cfg = SparsityConfig(sparsity=0.99, blocksize=2, columnar_threshold=0.0)
@@ -94,22 +103,88 @@ class TestReorderPlan:
         prof = loss_profile(s, cfg)
         np.testing.assert_allclose(prof.block_losses, [1.0, 9.0, 5.0])
         plan = build_reorder_plan(prof, cfg)
-        np.testing.assert_array_equal(plan.block_stage.forward, [2, 3, 4, 5, 0, 1])
-
-    def test_composition_invariant(self):
-        cfg = SparsityConfig(sparsity=0.7, blocksize=8, columnar_threshold=0.0)
-        scores = np.random.default_rng(2).random((6, 24))
-        plan = build_reorder_plan(loss_profile(scores, cfg), cfg)
-        combined = compose_permutations(plan.block_stage, plan.column_stage)
-        np.testing.assert_array_equal(plan.permutation.forward, combined.forward)
+        np.testing.assert_array_equal(plan.permutation.forward, [2, 3, 4, 5, 0, 1])
 
     def test_column_stage_stays_within_blocks(self):
         cfg = SparsityConfig(sparsity=0.7, blocksize=8, columnar_threshold=0.0)
         scores = np.random.default_rng(3).random((6, 40))
         plan = build_reorder_plan(loss_profile(scores, cfg), cfg)
+        # every destination block holds one whole source block
         for i1 in range(0, 40, 8):
-            seg = plan.column_stage.forward[i1 : i1 + 8]
-            assert seg.min() >= i1 and seg.max() < i1 + 8
+            seg = plan.permutation.forward[i1 : i1 + 8]
+            start = seg.min()
+            assert start % 8 == 0 and seg.max() < start + 8
+
+
+class TestPruneInOrder:
+    @settings(deadline=None, max_examples=60)
+    @given(st.booleans(), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_equals_prune_layer_on_permuted_inputs(self, nm, rows, groups, seed):
+        rng = np.random.default_rng(seed)
+        n = 4 * groups
+        w = rng.standard_normal((rows, n))
+        # fewer samples than columns half of the time: H is rank deficient
+        samples = int(rng.choice([n // 2 + 1, 3 * n]))
+        raw = raw_hessian([rng.standard_normal((samples, n))])
+        if nm:
+            cfg = SparsityConfig.semi_structured(
+                2, 4, blocksize=4 * int(rng.integers(1, groups + 1))
+            )
+            # whole groups move, shuffled inside, so 2:4 holds in both orders
+            p = np.concatenate([4 * g + rng.permutation(4)
+                                for g in rng.permutation(groups)])
+        else:
+            cfg = SparsityConfig(sparsity=float(rng.choice([0.3, 0.5, 0.7])),
+                                 blocksize=int(rng.integers(1, n + 1)))
+            p = rng.permutation(n)
+        bundle = bundle_from_hessian(raw[np.ix_(p, p)], cfg.damp_fraction)
+
+        got = prune_in_order(w, bundle, cfg, Permutation(p))
+        # w[:, p] is laid out column-major, and BLAS rounds such an operand
+        # differently; prune_in_order hands prune_layer a row-major copy
+        direct = prune_layer(np.ascontiguousarray(w[:, p]), bundle, cfg)
+        weights = np.empty_like(w)
+        weights[:, p] = direct.pruned_weights
+        kept = np.empty(w.shape, dtype=bool)
+        kept[:, p] = direct.mask.kept
+        assert np.array_equal(got.pruned_weights, weights)
+        assert np.array_equal(got.mask.kept, kept)
+        assert np.array_equal(got.block_error_trajectory,
+                              direct.block_error_trajectory)
+        assert got.relative_error == direct.relative_error
+        assert mask_pattern_valid(got.mask)
+
+    @pytest.mark.parametrize("nm", [False, True])
+    def test_identity_order_is_prune_layer(self, nm):
+        w = gen_uniform(16, 64, seed=20)
+        raw = raw_hessian([gen_activations(128, 64, 0.3, seed=21)])
+        cfg = (SparsityConfig.semi_structured(2, 4) if nm
+               else SparsityConfig(sparsity=0.6, blocksize=16))
+        identity = Permutation.identity(64)
+        bundle = bundle_in_order(raw, identity, cfg.damp_fraction)
+        got = prune_in_order(w, bundle, cfg, identity)
+        plain = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction), cfg)
+        assert np.array_equal(got.pruned_weights, plain.pruned_weights)
+        assert np.array_equal(got.mask.kept, plain.mask.kept)
+        assert np.array_equal(got.block_error_trajectory,
+                              plain.block_error_trajectory)
+
+    def test_group_breaking_order_rejected(self):
+        # the first group of the order takes columns 0, 1 of the first 2:4
+        # group and 4, 5 of the second; the smallest weights are 0, 1, 2, 3
+        w = np.arange(1.0, 9.0).reshape(1, 8)
+        order = Permutation([0, 1, 4, 5, 2, 3, 6, 7])
+        cfg = SparsityConfig.semi_structured(2, 4)
+        bundle = bundle_in_order(np.eye(8), order, cfg.damp_fraction)
+        with pytest.raises(ConfigError, match="n:m"):
+            prune_in_order(w, bundle, cfg, order)
+
+    def test_order_size_checked(self):
+        cfg = SparsityConfig(sparsity=0.5, blocksize=4)
+        bundle = bundle_in_order(np.eye(8), Permutation.identity(8), 0.01)
+        with pytest.raises(DimensionError):
+            prune_in_order(np.ones((2, 8)), bundle, cfg, Permutation.identity(4))
 
 
 def columnar_fixture(seed, rows=64, cols=256, blocksize=128):
@@ -185,6 +260,16 @@ class TestRosePruneLayer:
             out, plan, _ = rose_prune_layer(w, [x], cfg)
             assert plan.was_reordered
             assert mask_pattern_valid(out.mask)
+
+    def test_semi_structured_groups_stay_whole_in_wide_blocks(self):
+        w = gen_columnar(16, 64, 16, 3, 10.0, seed=3)
+        x = gen_activations(128, 64, 0.3, seed=44)
+        cfg = SparsityConfig.semi_structured(2, 4, blocksize=16)
+        out, plan, _ = rose_prune_layer(w, [x], cfg)
+        assert plan.was_reordered
+        groups = plan.permutation.forward.reshape(16, 4)
+        assert np.all(groups // 4 == groups[:, :1] // 4)
+        assert mask_pattern_valid(out.mask)
 
     def test_gate_strictness(self):
         cfg = SparsityConfig(sparsity=0.5, blocksize=1, columnar_threshold=1.0)

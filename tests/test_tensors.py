@@ -10,7 +10,6 @@ from obsprune import (
     PruneMask,
     SemiStructured,
     SparsityConfig,
-    Unstructured,
     apply_column_permutation,
     compose_permutations,
     mask_sparsity,
@@ -84,12 +83,12 @@ def test_composition_associativity(n, seed):
 
 
 def test_mask_sparsity_counts():
-    dense = PruneMask(np.ones((4, 4), dtype=bool), Unstructured(0.0))
+    dense = PruneMask(np.ones((4, 4), dtype=bool), None)
     assert mask_sparsity(dense) == 0.0
 
     kept = np.ones((4, 4), dtype=bool)
     kept.ravel()[:8] = False
-    assert mask_sparsity(PruneMask(kept, Unstructured(0.5))) == 0.5
+    assert mask_sparsity(PruneMask(kept, None)) == 0.5
 
     kept24 = np.array([[True, False, True, False] * 2])
     assert mask_sparsity(PruneMask(kept24, SemiStructured(2, 4))) == 0.5
@@ -145,8 +144,13 @@ def test_config_rejects_bad_columnar_threshold(threshold):
 
 def test_default_pattern_is_unstructured():
     cfg = SparsityConfig(sparsity=0.3)
-    assert isinstance(cfg.pattern, Unstructured)
-    assert cfg.pattern.sparsity == 0.3
+    assert cfg.pattern is None
+    assert cfg.sparsity == 0.3
+
+
+def test_config_rejects_unknown_pattern():
+    with pytest.raises(ConfigError, match="pattern"):
+        SparsityConfig(sparsity=0.5, pattern="2:4")
 
 
 # ---------------------------------------------------------------------------
