@@ -3,6 +3,8 @@
 Prunes a columnar layer to 2:4 and 4:8 patterns (exactly N nonzeros in every
 group of M weights along each row) and shows that the pattern survives the
 reorder-back step: the mask is valid N:M in the original channel order.
+The reorder sorts whole 128-column blocks, the default blocksize of both
+patterns, and columns only inside their group of M.
 
 Run: python3 demos/02_semi_structured.py
 """
@@ -17,15 +19,16 @@ from obsprune import (
     rose_prune_layer,
 )
 
-ROWS, COLS = 32, 64
+ROWS, COLS = 32, 512
 SEED = 3
 
 
 def main():
-    acts = [gen_activations(256, COLS, correlation=0.3, seed=SEED + 1)]
+    acts = [gen_activations(2 * COLS, COLS, correlation=0.3, seed=SEED + 1)]
     for n, m in ((2, 4), (4, 8)):
         cfg = SparsityConfig.semi_structured(n, m)
-        w = gen_columnar(ROWS, COLS, m, hot_block_index=COLS // m - 1,
+        bs = cfg.blocksize
+        w = gen_columnar(ROWS, COLS, bs, hot_block_index=COLS // bs - 1,
                          hot_gain=10.0, seed=SEED)
         out, plan, profile = rose_prune_layer(w, acts, cfg)
         groups = out.mask.kept.reshape(ROWS, COLS // m, m)

@@ -74,8 +74,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--blocksize", type=int, default=None,
                    help="columns per pruning block (default 128)")
     p.add_argument("--pattern", type=_parse_pattern, default=None,
-                   help="semi-structured N:M pattern; sets blocksize to M "
-                        "and sparsity to (M-N)/M")
+                   help="semi-structured N:M pattern; sets sparsity to "
+                        "(M-N)/M and blocksize to the largest multiple of M "
+                        "up to 128; masks are chosen per group of M")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="relative-range gate for reordering (default 0.5)")
     p.add_argument("--damp", type=float, default=0.01,
@@ -330,12 +331,16 @@ def cmd_verify(args) -> int:
             failures += 1
             print(f"FAIL single-column compensation, trial {trial}")
 
-    for trial in range(10):
-        n = int(rng.integers(8, 65))
+    # trials 10-14 are 2:4, masks chosen per group inside wider blocks
+    for trial, blocksize in enumerate([16] * 10 + [8, 16, 24, 32, 40]):
+        nm = trial >= 10
+        n = 4 * int(rng.integers(8, 17)) if nm else int(rng.integers(8, 65))
         p = float(rng.choice([0.25, 0.5, 0.75]))
         X = rng.standard_normal((2 * n, n))
         W = rng.standard_normal((max(2, n // 2), n))
-        config = SparsityConfig(sparsity=p, blocksize=16, damp_fraction=args.damp)
+        common = dict(blocksize=blocksize, damp_fraction=args.damp)
+        config = (SparsityConfig.semi_structured(2, 4, **common) if nm
+                  else SparsityConfig(sparsity=p, **common))
         bundle = accumulate_hessian([X], config.damp_fraction)
         fast = prune_layer(W, bundle, config)
         slow = naive_obs_prune(W, [X], config)

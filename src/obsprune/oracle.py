@@ -57,7 +57,8 @@ def naive_obs_prune(
 ) -> PruneOutcome:
     """Reference pruner that inverts the trailing Hessian at every step.
 
-    Uses the same mask-selection rule and dampening as the engine, but no
+    Uses the same mask-selection rule and dampening as the engine (masks
+    chosen at block entry, or at the first column of each n:m group), but no
     precomputed factor and no deferred updates, so agreement with
     ``prune_layer`` exercises the whole Cholesky shortcut.  Its errors are
     measured on the stacked activations, independently of the closed forms
@@ -79,25 +80,23 @@ def naive_obs_prune(
     kept_full = np.ones((rows, n), dtype=bool)
     trajectory = []
 
+    group = config.group_width
     for i1, i2 in config.block_ranges(n):
-        bw = i2 - i1
-        inv_diag = np.empty(bw)
-        for c in range(bw):
-            j = i1 + c
-            inv_diag[c] = np.linalg.inv(h[j:, j:])[0, 0]
-        force = [int(j) - i1 for j in dead if i1 <= j < i2]
-        mask = select_block_mask(
-            w_cur[:, i1:i2],
-            np.maximum(inv_diag, DEGENERATE_DIAG),
-            config,
-            force,
-        )
-        kept_full[:, i1:i2] = mask.kept
-
-        for c in range(bw):
-            q = i1 + c
+        for q in range(i1, i2):
+            if (q - i1) % group == 0:
+                g2 = min(q + group, i2)
+                inv_diag = np.array(
+                    [np.linalg.inv(h[j:, j:])[0, 0] for j in range(q, g2)]
+                )
+                force = [int(j) - q for j in dead if q <= j < g2]
+                kept_full[:, q:g2] = select_block_mask(
+                    w_cur[:, q:g2],
+                    np.maximum(inv_diag, DEGENERATE_DIAG),
+                    config,
+                    force,
+                ).kept
             col = w_cur[:, q]
-            kept_c = mask.kept[:, c]
+            kept_c = kept_full[:, q]
             trailing_inv = np.linalg.inv(h[q:, q:])
             d = trailing_inv[0, 0]
             if d < DEGENERATE_DIAG:

@@ -109,7 +109,7 @@ def build_reorder_plan(
     if not profile.relative_range > config.columnar_threshold:
         return ReorderPlan(Permutation.identity(n), False)
     ranges = config.block_ranges(n)
-    width = config.blocksize if config.pattern is None else config.pattern.m
+    width = config.group_width
     forward = []
     for b in _stable_order(profile.block_losses, descending):
         for j1 in range(*ranges[b], width):

@@ -86,14 +86,24 @@ class SparsityConfig:
 
     @classmethod
     def semi_structured(cls, n: int, m: int, blocksize: int | None = None, **kw):
-        """Config for an n:m pattern; blocksize defaults to m."""
+        """Config for an n:m pattern.
+
+        ``blocksize`` defaults to the largest multiple of m that is at most
+        128 (m itself when m > 128).  Masks are chosen per group of m either
+        way; the blocksize sets how many columns share one lazy update.
+        """
         pat = SemiStructured(n, m)
         return cls(
             sparsity=pat.sparsity,
-            blocksize=m if blocksize is None else blocksize,
+            blocksize=max(m, 128 // m * m) if blocksize is None else blocksize,
             pattern=pat,
             **kw,
         )
+
+    @property
+    def group_width(self) -> int:
+        """Columns one mask choice covers: the block, or a group of m."""
+        return self.blocksize if self.pattern is None else self.pattern.m
 
     def block_ranges(self, n: int) -> list[tuple[int, int]]:
         """(start, stop) column ranges of each block of width blocksize.

@@ -108,7 +108,7 @@ def test_prune_semi_structured_pattern(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["config"]["pattern"] == "2:4"
-    assert report["config"]["blocksize"] == 4
+    assert report["config"]["blocksize"] == 128
     w = read_tensor(tmp_path / "pruned_weights.rtns")
     groups = (w.reshape(8, 8, 4) != 0.0).sum(axis=2)
     assert np.all(groups == 2)

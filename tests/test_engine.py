@@ -7,10 +7,13 @@ from obsprune import (
     DimensionError,
     IndefiniteHessianError,
     SparsityConfig,
+    Permutation,
     accumulate_hessian,
+    bundle_in_order,
     exact_masked_reconstruction,
     mask_sparsity,
     obs_update_row,
+    prune_in_order,
     prune_layer,
     raw_hessian,
     reconstruction_error,
@@ -267,34 +270,38 @@ class TestClosedFormTrajectory:
 def rank1_reference(w, bundle, config):
     """The engine's schedule with every update applied column by column.
 
-    Each pruned column's OBS error is subtracted from all later columns as
-    a rank-1 update at once, and the trajectory recomputes
-    ||W0 - W_k||^2 over the whole layer after every block.  ``prune_layer``
-    defers the updates to later blocks into one matrix product and keeps a
-    running sum, which changes only the rounding.
+    Masks are chosen at block entry (unstructured) or at the first column
+    of each group of m (n:m).  Each pruned column's OBS error is subtracted
+    from all later columns as a rank-1 update at once, and the trajectory
+    recomputes ||W0 - W_k||^2 over the whole layer after every block.
+    ``prune_layer`` defers the updates past a sub-block or a block into one
+    matrix product and keeps a running sum, which changes only the rounding.
     """
     rows, n = w.shape
     upper = bundle.chol_upper
+    d = upper.diagonal()
     w_cur = w.copy()
-    kept_full = np.ones((rows, n), dtype=bool)
+    kept = np.ones((rows, n), dtype=bool)
     trajectory = []
     loss = 0.0
     uncompensated = False
     for i1, i2 in config.block_ranges(n):
-        d = upper.diagonal()[i1:i2]
-        force = [j - i1 for j in bundle.dead_columns if i1 <= j < i2]
-        kept = select_block_mask(
-            w_cur[:, i1:i2], np.maximum(d * d, DEGENERATE_DIAG), config, force
-        ).kept
-        kept_full[:, i1:i2] = kept
-        for c in range(i2 - i1):
-            q = i1 + c
+        for q in range(i1, i2):
+            if (q - i1) % config.group_width == 0:
+                g2 = min(q + config.group_width, i2)
+                force = [j - q for j in bundle.dead_columns if q <= j < g2]
+                kept[:, q:g2] = select_block_mask(
+                    w_cur[:, q:g2],
+                    np.maximum(d[q:g2] ** 2, DEGENERATE_DIAG),
+                    config,
+                    force,
+                ).kept
             e = np.zeros(rows)
-            if d[c] * d[c] < DEGENERATE_DIAG:
-                uncompensated |= not kept[:, c].all()
+            if d[q] * d[q] < DEGENERATE_DIAG:
+                uncompensated |= not kept[:, q].all()
             else:
-                e = np.where(kept[:, c], 0.0, w_cur[:, q]) / d[c]
-            w_cur[:, q] = np.where(kept[:, c], w_cur[:, q], 0.0)
+                e = np.where(kept[:, q], 0.0, w_cur[:, q]) / d[q]
+            w_cur[:, q] = np.where(kept[:, q], w_cur[:, q], 0.0)
             w_cur[:, q + 1 :] -= np.outer(e, upper[q, q + 1 :])
             loss += float(e @ e)
         delta = w - w_cur
@@ -302,7 +309,7 @@ def rank1_reference(w, bundle, config):
         if uncompensated or raw_err < CANCELLATION * loss:
             raw_err = float(np.sum((delta @ bundle.raw) * delta))
         trajectory.append(raw_err)
-    return w_cur, kept_full, np.array(trajectory)
+    return w_cur, kept, np.array(trajectory)
 
 
 #: |prune_layer - reference| per weight, as a multiple of max |W0|; the two
@@ -315,7 +322,8 @@ class TestRank1Reference:
     @given(
         rows=st.integers(1, 8),
         n_blocks=st.integers(1, 6),
-        blocksize=st.sampled_from([1, 3, 4, 8, 16]),
+        # 1, 3, 20, 33 and 130 end blocks inside a sub-block of the engine
+        blocksize=st.sampled_from([1, 3, 4, 8, 16, 20, 33, 130]),
         sparsity=st.floats(0.0, 0.9),
         semi=st.booleans(),
         n_dead=st.integers(0, 3),
@@ -351,3 +359,87 @@ class TestRank1Reference:
         np.testing.assert_array_equal(
             again.block_error_trajectory, out.block_error_trajectory
         )
+
+
+class TestMaskGroups:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        rows=st.integers(1, 8),
+        groups=st.integers(1, 80),
+        nm=st.sampled_from([(2, 4), (1, 2), (4, 8)]),
+        groups_per_block=st.sampled_from([None, 1, 2, 3, 5, 33]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocksize_moves_rounding_only(
+        self, rows, groups, nm, groups_per_block, seed
+    ):
+        # n:m masks are chosen per group at its first column, so the width
+        # of the lazy batch (None: the default) changes no mask
+        n_keep, m = nm
+        n = groups * m
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, n))
+        x = rng.standard_normal((int(rng.choice([n // 2 + 1, 3 * n])), n))
+        blocksize = None if groups_per_block is None else groups_per_block * m
+        cfg = SparsityConfig.semi_structured(n_keep, m, blocksize=blocksize)
+        narrow = SparsityConfig.semi_structured(n_keep, m, blocksize=m)
+        b = accumulate_hessian([x], cfg.damp_fraction)
+        out = prune_layer(w, b, cfg)
+        ref = prune_layer(w, b, narrow)
+
+        np.testing.assert_array_equal(out.mask.kept, ref.mask.kept)
+        np.testing.assert_allclose(
+            out.pruned_weights, ref.pruned_weights,
+            rtol=0, atol=WEIGHT_ATOL * np.abs(w).max(),
+        )
+        assert out.final_error == pytest.approx(ref.final_error, rel=1e-9)
+        assert out.block_error_trajectory.size == len(cfg.block_ranges(n))
+
+
+def strided(a):
+    """A non-contiguous view holding the values of ``a``."""
+    room = np.zeros((a.shape[0], 2 * a.shape[1]))
+    room[:, ::2] = a
+    return room[:, ::2]
+
+
+class TestLayout:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        rows=st.integers(1, 12),
+        groups=st.integers(1, 24),
+        semi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_errors_depend_on_values_only(self, rows, groups, semi, seed):
+        n = 4 * groups
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, n))
+        raw = raw_hessian([rng.standard_normal((3 * n, n))])
+        if semi:
+            cfg = SparsityConfig.semi_structured(2, 4, blocksize=16)
+            p = np.concatenate([4 * g + rng.permutation(4)
+                                for g in rng.permutation(groups)])
+        else:
+            cfg = SparsityConfig(sparsity=0.6, blocksize=16)
+            p = rng.permutation(n)
+        order = Permutation(p)
+        plain = bundle_in_order(raw, Permutation.identity(n), cfg.damp_fraction)
+        permuted = bundle_in_order(raw, order, cfg.damp_fraction)
+
+        def errors(a, pruned):
+            direct = prune_layer(a, plain, cfg)
+            ordered = prune_in_order(a, permuted, cfg, order)
+            return [
+                direct.relative_error,
+                direct.final_error,
+                *direct.block_error_trajectory,
+                ordered.relative_error,
+                *ordered.block_error_trajectory,
+                *reconstruction_error(a, pruned, raw),
+            ]
+
+        pruned = prune_layer(w, plain, cfg).pruned_weights
+        want = errors(w, pruned)
+        for layout in (np.asfortranarray, strided):
+            assert errors(layout(w), layout(pruned)) == want

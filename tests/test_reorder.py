@@ -141,9 +141,7 @@ class TestPruneInOrder:
         bundle = bundle_from_hessian(raw[np.ix_(p, p)], cfg.damp_fraction)
 
         got = prune_in_order(w, bundle, cfg, Permutation(p))
-        # w[:, p] is laid out column-major, and BLAS rounds such an operand
-        # differently; prune_in_order hands prune_layer a row-major copy
-        direct = prune_layer(np.ascontiguousarray(w[:, p]), bundle, cfg)
+        direct = prune_layer(w[:, p], bundle, cfg)
         weights = np.empty_like(w)
         weights[:, p] = direct.pruned_weights
         kept = np.empty(w.shape, dtype=bool)
@@ -256,7 +254,7 @@ class TestRosePruneLayer:
         for seed in range(3):
             w = gen_columnar(32, 64, 4, 15, 10.0, seed)
             x = gen_activations(128, 64, 0.3, seed + 41)
-            cfg = SparsityConfig.semi_structured(2, 4)
+            cfg = SparsityConfig.semi_structured(2, 4, blocksize=4)
             out, plan, _ = rose_prune_layer(w, [x], cfg)
             assert plan.was_reordered
             assert mask_pattern_valid(out.mask)

@@ -130,9 +130,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SparsityConfig(sparsity=0.4, blocksize=4, pattern=SemiStructured(2, 4))
     cfg = SparsityConfig.semi_structured(2, 4)
-    assert cfg.blocksize == 4 and cfg.sparsity == 0.5
+    assert cfg.blocksize == 128 and cfg.sparsity == 0.5
     cfg8 = SparsityConfig.semi_structured(4, 8)
-    assert cfg8.blocksize == 8 and cfg8.sparsity == 0.5
+    assert cfg8.blocksize == 128 and cfg8.sparsity == 0.5
+
+
+@pytest.mark.parametrize("m, blocksize", [(3, 126), (128, 128), (200, 200)])
+def test_semi_structured_default_blocksize(m, blocksize):
+    # the largest multiple of m up to 128, or m itself past 128
+    assert SparsityConfig.semi_structured(1, m).blocksize == blocksize
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1])
