@@ -6,7 +6,6 @@ from .calibration import (
     HessianBundle,
     accumulate_hessian,
     bundle_from_hessian,
-    cholesky_inverse_identity_check,
     column_norms,
     raw_hessian,
 )
@@ -31,7 +30,6 @@ from .reorder import (
     LossProfile,
     ReorderPlan,
     build_reorder_plan,
-    bundle_in_order,
     importance_scores,
     loss_profile,
     prune_in_order,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import column_norms
+from .calibration import checked_hessian, column_norms
 from .engine import PruneOutcome, outcome_from_trajectory
 from .errors import DimensionError
 from .tensors import (
@@ -30,15 +30,21 @@ def _outcome(
     the leading k x k sum of (D.T @ D) * H for the raw Hessian H.
     """
     pruned = np.where(kept, w, 0.0)
-    h = as_matrix(raw)
-    n = w.shape[1]
-    if h.shape != (n, n):
-        raise DimensionError(f"Hessian shape {h.shape} != weight cols {n}")
     d = w - pruned
-    prefix = ((d.T @ d) * h).cumsum(axis=0).cumsum(axis=1)
-    ends = [i2 - 1 for _, i2 in config.block_ranges(n)]
+    prefix = ((d.T @ d) * raw).cumsum(axis=0).cumsum(axis=1)
+    ends = [i2 - 1 for _, i2 in config.block_ranges(w.shape[1])]
     trajectory = prefix[ends, ends]
-    return outcome_from_trajectory(w, pruned, kept, config.pattern, trajectory, h)
+    return outcome_from_trajectory(w, pruned, kept, config.pattern, trajectory, raw)
+
+
+def _checked_inputs(w, raw) -> tuple[np.ndarray, np.ndarray]:
+    """W and the raw Hessian, checked against each other before any masking."""
+    w = as_matrix(w)
+    raw = checked_hessian(raw)
+    n = w.shape[1]
+    if raw.shape != (n, n):
+        raise DimensionError(f"Hessian shape {raw.shape} != weight cols {n}")
+    return w, raw
 
 
 def magnitude_prune(
@@ -50,7 +56,7 @@ def magnitude_prune(
 
     ``raw`` is the X.T @ X the errors are measured in.
     """
-    w = as_matrix(w)
+    w, raw = _checked_inputs(w, raw)
     return _outcome(w, ~pruned_entries(np.abs(w), config), config, raw)
 
 
@@ -64,12 +70,9 @@ def wanda_prune(
     ``raw`` is the X.T @ X the norms, sqrt(diag(raw)), come from and the
     errors are measured in.
     """
-    w = as_matrix(w)
+    w, raw = _checked_inputs(w, raw)
     n = w.shape[1]
-    norms = column_norms(raw)
-    if norms.size != n:
-        raise DimensionError(f"norms size {norms.size} != weight cols {n}")
-    scores = np.abs(w) * norms
+    scores = np.abs(w) * column_norms(raw)
     if isinstance(config.pattern, SemiStructured):
         pruned = pruned_entries(scores, config)
     else:

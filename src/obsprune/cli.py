@@ -24,14 +24,18 @@ import numpy as np
 
 from . import __version__
 from .baselines import magnitude_prune, wanda_prune
-from .calibration import accumulate_hessian, column_norms, raw_hessian
+from .calibration import (
+    accumulate_hessian,
+    bundle_from_hessian,
+    column_norms,
+    raw_hessian,
+)
 from .engine import obs_update_row, prune_layer
 from .errors import ConfigError, DimensionError, NumericOverflowError, PruneError
 from .oracle import exact_masked_reconstruction, naive_obs_prune
 from .reorder import (
     ReorderPlan,
     build_reorder_plan,
-    bundle_in_order,
     importance_scores,
     loss_profile,
     prune_in_order,
@@ -198,13 +202,13 @@ def _runs(methods, w, raw, configs):
                 outcome = wanda_prune(w, config, raw)
             else:
                 if not order.is_identity():
-                    bundle = bundle_in_order(raw, order, config.damp_fraction)
+                    bundle = bundle_from_hessian(raw, config.damp_fraction, order)
                 else:
-                    identity_bundle = identity_bundle or bundle_in_order(
-                        raw, order, config.damp_fraction
+                    identity_bundle = identity_bundle or bundle_from_hessian(
+                        raw, config.damp_fraction
                     )
                     bundle = identity_bundle
-                outcome = prune_in_order(w, bundle, config, order)
+                outcome = prune_in_order(w, bundle, config)
                 del bundle  # free this factor before the next run builds its own
             wall_ms = (time.perf_counter() - t0) * 1000.0
             yield config, method, outcome, plan, profile, wall_ms

@@ -1,6 +1,7 @@
 """Block-wise second-order pruning with Cholesky-based compensation.
 
-Columns are processed left to right on a two-level lazy-batch schedule.
+Columns are processed in the order the Hessian bundle was factored in, left
+to right on a two-level lazy-batch schedule.
 
 - A block is ``config.blocksize`` columns.  Unstructured masks are chosen
   for the whole block at block entry; n:m masks are chosen per group of m
@@ -31,7 +32,7 @@ import numpy as np
 
 from .calibration import DEGENERATE_DIAG, HessianBundle
 from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
-from .tensors import PruneMask, SparsityConfig, as_matrix, pruned_entries
+from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,13 @@ def _quadratic(d: np.ndarray, hessian: np.ndarray) -> float:
     return float(np.sum((d @ np.ascontiguousarray(hessian)) * d))
 
 
+def _relative(absolute: float, denom: float) -> float:
+    """Error relative to the dense output energy; a layer with none has 0."""
+    if not np.isfinite(denom):
+        raise NumericOverflowError(f"dense output energy {denom} is not finite")
+    return absolute / denom if denom > 0 else 0.0
+
+
 def outcome_from_trajectory(
     w_dense: np.ndarray,
     pruned: np.ndarray,
@@ -116,7 +124,7 @@ def outcome_from_trajectory(
         mask=PruneMask(kept=kept, pattern=pattern),
         block_error_trajectory=np.asarray(trajectory, dtype=np.float64),
         final_error=absolute,
-        relative_error=absolute / denom if denom > 0 else 0.0,
+        relative_error=_relative(absolute, denom),
     )
 
 
@@ -140,9 +148,7 @@ def reconstruction_error(
             f"Hessian shape {h.shape} != weight cols {wd.shape[1]}"
         )
     absolute = _quadratic(wd - wp, h)
-    denom = _quadratic(wd, h)
-    relative = absolute / denom if denom > 0 else 0.0
-    return absolute, relative
+    return absolute, _relative(absolute, _quadratic(wd, h))
 
 
 #: below this fraction of the dampened loss, the closed-form raw error has
@@ -154,6 +160,13 @@ CANCELLATION = 1e-6
 SUB_BLOCK = 16
 
 
+def _channel_order(t: np.ndarray, order: Permutation) -> np.ndarray:
+    """The row-major (rows, n) matrix whose column order.forward[j] is t[j]."""
+    out = np.empty(t.shape[::-1], dtype=t.dtype)
+    out[:, order.forward] = t.T
+    return out
+
+
 def prune_layer(
     w: np.ndarray,
     bundle: HessianBundle,
@@ -161,7 +174,9 @@ def prune_layer(
 ) -> PruneOutcome:
     """Prune one layer block by block with OBS compensation.
 
-    The error after block k is measured in the raw Hessian.  With every
+    The columns of ``w`` are swept in ``bundle.order``, the order its
+    factor was made in; weights and mask come back in channel order.  The
+    error after block k is measured in the raw Hessian.  With every
     pruned column compensated, the dampened loss equals the summed squared
     OBS errors, so raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  Once
     a column is pruned without compensation (degenerate inverse diagonal),
@@ -178,13 +193,15 @@ def prune_layer(
     inv_diag = diag * diag
     degenerate = inv_diag < DEGENERATE_DIAG
     saliency_diag = np.maximum(inv_diag, DEGENERATE_DIAG)
+    order = bundle.order
     dead = np.zeros(n, dtype=bool)
-    dead[bundle.dead_columns] = True
+    dead[order.inverse[bundle.dead_columns]] = True
     group = config.group_width
     step = SUB_BLOCK if config.pattern is None else max(1, SUB_BLOCK // group) * group
 
-    # the sweep runs on W.T, so that every column it touches is contiguous
-    dense_t = w_dense.T.copy()
+    # the sweep runs on W.T in pruning order, so that every column it
+    # touches is contiguous
+    dense_t = w_dense.T[order.forward]
     cur = dense_t.copy()
     kept_t = np.ones((n, rows), dtype=bool)
     trajectory = []
@@ -239,14 +256,19 @@ def prune_layer(
         ]
         raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
         if uncompensated or raw_err < CANCELLATION * loss:
-            raw_err = _quadratic(w_dense - cur.T, bundle.raw)
+            raw_err = _quadratic(w_dense - _channel_order(cur, order), bundle.raw)
         trajectory.append(raw_err)
         final_sq += tail_sq[0]
 
     # the copies go before the error denominator allocates two of its own
     del dense_t
-    pruned_weights = cur.T.copy()
+    pruned_weights = _channel_order(cur, order)
     del cur
     return outcome_from_trajectory(
-        w_dense, pruned_weights, kept_t.T.copy(), config.pattern, trajectory, bundle.raw
+        w_dense,
+        pruned_weights,
+        _channel_order(kept_t, order),
+        config.pattern,
+        trajectory,
+        bundle.raw,
     )

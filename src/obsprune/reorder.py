@@ -9,13 +9,14 @@ descending by block loss.  High-loss weights are then pruned while plenty
 of later columns remain available for compensation, and the result is
 mapped back to the original channel order.
 
-Every second-order method is a column order plus ``prune_in_order``:
-SparseGPT is the identity order, ROSE the order of its reorder plan.
+Every second-order method is a column order, factored by
+``bundle_from_hessian``, plus ``prune_in_order``: SparseGPT is the identity
+order, ROSE the order of its reorder plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,9 +26,7 @@ from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError, DimensionError
 from .tensors import (
     Permutation,
-    PruneMask,
     SparsityConfig,
-    apply_column_permutation,
     as_matrix,
     mask_pattern_valid,
     pruned_entries,
@@ -118,43 +117,22 @@ def build_reorder_plan(
     return ReorderPlan(Permutation(np.concatenate(forward)), True)
 
 
-def bundle_in_order(
-    raw: np.ndarray, order: Permutation, damp_fraction: float
-) -> HessianBundle:
-    """Factor H[order][:, order]; the identity order factors ``raw`` itself."""
-    raw = as_matrix(raw)
-    if not order.is_identity():
-        raw = raw[np.ix_(order.forward, order.forward)]
-    return bundle_from_hessian(raw, damp_fraction)
-
-
 def prune_in_order(
     w: np.ndarray,
     bundle: HessianBundle,
     config: SparsityConfig,
-    order: Permutation,
 ) -> PruneOutcome:
-    """Prune the columns of ``w`` in ``order`` and map the result back.
+    """Prune ``w`` in the column order ``bundle`` was factored in.
 
-    ``bundle`` factors H[order][:, order] (see ``bundle_in_order``):
+    ``bundle`` factors H[order][:, order] (see ``bundle_from_hessian``):
     triangular factors are not permutation-stable, so each order needs its
-    own.  The errors need no mapping: they are invariant under a common
-    permutation of W and H.  An n:m pattern is checked in the original
-    channel order.
+    own.  ``prune_layer`` sweeps in that order and maps the result back; an
+    n:m pattern must also hold in the original channel order.
     """
-    w = as_matrix(w)
-    if order.size != w.shape[1]:
-        raise DimensionError(f"order size {order.size} != weight cols {w.shape[1]}")
-    if order.is_identity():
-        return prune_layer(w, bundle, config)
-    out = prune_layer(apply_column_permutation(w, order), bundle, config)
-    inv = order.inverted()
-    mask = PruneMask(apply_column_permutation(out.mask.kept, inv), config.pattern)
-    if not mask_pattern_valid(mask):
+    out = prune_layer(w, bundle, config)
+    if not mask_pattern_valid(out.mask):
         raise ConfigError("reordering broke the n:m pattern in original coordinates")
-    return replace(
-        out, pruned_weights=apply_column_permutation(out.pruned_weights, inv), mask=mask
-    )
+    return out
 
 
 def rose_prune_from_hessian(
@@ -167,8 +145,8 @@ def rose_prune_from_hessian(
     w = as_matrix(w)
     profile = loss_profile(importance_scores(w, column_norms(raw)), config)
     plan = build_reorder_plan(profile, config, descending=descending)
-    bundle = bundle_in_order(raw, plan.permutation, config.damp_fraction)
-    return prune_in_order(w, bundle, config, plan.permutation), plan, profile
+    bundle = bundle_from_hessian(raw, config.damp_fraction, plan.permutation)
+    return prune_in_order(w, bundle, config), plan, profile
 
 
 def rose_prune_layer(
@@ -201,6 +179,6 @@ def prune_with_block_order(
             f"block order must be a bijection on [0, {len(ranges)})"
         )
     perm = Permutation(np.concatenate([np.arange(*ranges[b]) for b in order]))
-    bundle = bundle_in_order(raw, perm, config.damp_fraction)
-    outcome = prune_in_order(w, bundle, config, perm)
+    bundle = bundle_from_hessian(raw, config.damp_fraction, perm)
+    outcome = prune_in_order(w, bundle, config)
     return outcome, ReorderPlan(perm, not perm.is_identity())

@@ -14,7 +14,6 @@ from obsprune import (
     accumulate_hessian,
     apply_column_permutation,
     bundle_from_hessian,
-    cholesky_inverse_identity_check,
     exact_masked_reconstruction,
     gen_activations,
     gen_columnar,
@@ -28,6 +27,8 @@ from obsprune import (
     rose_prune_layer,
 )
 from obsprune.tensors import pruned_count
+
+from hessian_helpers import cholesky_inverse_identity_check
 
 SEEDS = range(20)
 SPARSITIES = (0.6, 0.7, 0.8, 0.9)

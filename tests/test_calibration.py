@@ -1,16 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from obsprune import (
     DimensionError,
     IndefiniteHessianError,
+    NumericOverflowError,
+    Permutation,
+    SparsityConfig,
     accumulate_hessian,
     bundle_from_hessian,
-    cholesky_inverse_identity_check,
     column_norms,
+    magnitude_prune,
     raw_hessian,
+    rose_prune_from_hessian,
+    wanda_prune,
 )
+from obsprune.calibration import MIRROR_PANEL
+
+from hessian_helpers import cholesky_inverse_identity_check, dampened_hessian
 
 
 def gauss_inverse(a):
@@ -46,7 +58,7 @@ def inverse(bundle):
 
 def test_identity_activations():
     b = accumulate_hessian([np.eye(2)], damp_fraction=0.0)
-    np.testing.assert_allclose(b.hessian, np.eye(2))
+    np.testing.assert_allclose(dampened_hessian(b), np.eye(2))
     np.testing.assert_allclose(inverse(b), np.eye(2))
     np.testing.assert_allclose(b.chol_upper, np.eye(2))
     assert b.damp_lambda == 0.0
@@ -55,24 +67,24 @@ def test_identity_activations():
 def test_diagonal_case():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
     b = accumulate_hessian([x], damp_fraction=0.0)
-    np.testing.assert_allclose(b.hessian, np.diag([4.0, 1.0]))
+    np.testing.assert_allclose(dampened_hessian(b), np.diag([4.0, 1.0]))
     np.testing.assert_allclose(inverse(b), np.diag([0.25, 1.0]))
 
 
 def test_inverse_matches_gauss_oracle():
     x = np.random.default_rng(3).standard_normal((16, 8))
     b = accumulate_hessian([x], damp_fraction=0.01)
-    expected = gauss_inverse(b.hessian)
+    expected = gauss_inverse(dampened_hessian(b))
     assert np.max(np.abs(inverse(b) - expected)) < 1e-8
 
 
 def test_bundle_invariants():
     x = np.random.default_rng(4).standard_normal((40, 12))
     b = accumulate_hessian([x], damp_fraction=0.01)
-    assert np.max(np.abs(b.hessian @ inverse(b) - np.eye(12))) < 1e-8
+    assert np.max(np.abs(dampened_hessian(b) @ inverse(b) - np.eye(12))) < 1e-8
     low = b.chol_upper.T
     assert np.allclose(low, np.tril(low))
-    assert np.max(np.abs(low @ low.T - gauss_inverse(b.hessian))) < 1e-8
+    assert np.max(np.abs(low @ low.T - gauss_inverse(dampened_hessian(b)))) < 1e-8
 
 
 def test_dampening_uses_mean_diagonal():
@@ -80,7 +92,7 @@ def test_dampening_uses_mean_diagonal():
     b = accumulate_hessian([x], damp_fraction=0.1)
     # raw diag (4, 1), mean 2.5
     assert b.damp_lambda == pytest.approx(0.25)
-    np.testing.assert_allclose(b.hessian, np.diag([4.25, 1.25]))
+    np.testing.assert_allclose(dampened_hessian(b), np.diag([4.25, 1.25]))
 
 
 def test_dead_columns_recorded():
@@ -131,7 +143,7 @@ def test_factor_matches_inverse_then_factor_route(seed):
     n = int(rng.integers(1, 97))
     x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
     b = accumulate_hessian([x], damp_fraction=0.01)
-    want = factor_of_inverse(b.hessian)
+    want = factor_of_inverse(dampened_hessian(b))
     assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -177,7 +189,7 @@ def test_zero_rows_batch_changes_nothing():
     zeros = np.zeros((4, 6))
     b1 = accumulate_hessian([x], 0.01)
     b2 = accumulate_hessian([x, zeros], 0.01)
-    np.testing.assert_array_equal(b1.hessian, b2.hessian)
+    np.testing.assert_array_equal(dampened_hessian(b1), dampened_hessian(b2))
     np.testing.assert_array_equal(
         column_norms(b1.raw), column_norms(b2.raw)
     )
@@ -204,3 +216,143 @@ def test_cholesky_identity_index_range():
     b = bundle_from_hessian(np.eye(3))
     with pytest.raises(DimensionError):
         cholesky_inverse_identity_check(b, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indefinite_pivot_names_channel_in_any_order(seed):
+    # channels a and b couple only to each other, through an indefinite
+    # 2 x 2 block; H[order][:, order] is factored from its last column
+    # backwards, so it fails at whichever of the two comes first in the order
+    rng = np.random.default_rng(seed)
+    a, b = (int(c) for c in rng.choice(8, 2, replace=False))
+    h = random_spd(8, seed=seed)
+    for j in (a, b):
+        h[j, :] = h[:, j] = 0.0
+        h[j, j] = 1.0
+    h[a, b] = h[b, a] = 2.0
+    order = Permutation(rng.permutation(8))
+    first = a if order.inverse[a] < order.inverse[b] else b
+    with pytest.raises(IndefiniteHessianError) as exc:
+        bundle_from_hessian(h, 0.0, order)
+    assert exc.value.pivot == first
+    assert f"pivot {first}" in str(exc.value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_any_order_factors_the_permuted_hessian(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((60, 24))
+    raw = raw_hessian([x])
+    order = Permutation(rng.permutation(24))
+    b = bundle_from_hessian(raw, 0.01, order)
+    f = order.forward
+    assert b.order is order
+    assert b.damp_lambda == bundle_from_hessian(raw, 0.01).damp_lambda
+    want = factor_of_inverse(raw[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
+    assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
+    assert b.chol_upper.flags.c_contiguous
+    assert np.array_equal(b.chol_upper, np.triu(b.chol_upper))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, MIRROR_PANEL + 40),
+    cuts=st.lists(st.integers(0, 40), max_size=5),
+    layouts=st.lists(st.sampled_from(["C", "F", "f32"]), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_raw_hessian_any_split(n, cuts, layouts, seed):
+    rng = np.random.default_rng(seed)
+    # float32 values, so that a float32 batch holds exactly the rows of X
+    x = rng.standard_normal((40, n)).astype(np.float32).astype(np.float64)
+    bounds = [0, *sorted(cuts), 40]
+    batches = []
+    for (r1, r2), layout in zip(zip(bounds, bounds[1:]), layouts):
+        b = x[r1:r2]
+        if layout == "F":
+            b = np.asfortranarray(b)
+        elif layout == "f32":
+            b = b.astype(np.float32)
+        batches.append(b)
+    h = raw_hessian(batches)
+    assert np.array_equal(h, h.T)
+    want = x.T @ x
+    # the rounding of each entry scales with sqrt(H_ii H_jj)
+    scale = np.sqrt(np.outer(want.diagonal(), want.diagonal()))
+    assert np.all(np.abs(h - want) <= 1e-12 * scale)
+
+
+def traced_bytes(fn):
+    """(result, peak bytes, bytes still held) of one call, beyond those before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
+
+
+def test_memory_budget():
+    n = 512
+    square = 8 * n * n
+    rng = np.random.default_rng(11)
+    batches = [rng.standard_normal((64, n)) for _ in range(8)]
+    raw, peak, _ = traced_bytes(lambda: raw_hessian(batches))
+    assert peak <= square + 8 * MIRROR_PANEL * n
+
+    order = Permutation(rng.permutation(n))
+    _, peak, held = traced_bytes(lambda: bundle_from_hessian(raw, 0.01, order))
+    assert peak <= 2.5 * square
+    assert held <= 1.1 * square
+
+
+def nan_hessian():
+    h = random_spd(32, seed=10)
+    h[3, 7] = np.nan
+    return h
+
+
+def inf_hessian():
+    h = random_spd(32, seed=10)
+    h[5, 5] = np.inf
+    return h
+
+
+def run_baseline(fn):
+    return lambda h: fn(np.ones((2, h.shape[1])), SparsityConfig(0.5, blocksize=4), h)
+
+
+ENTRY_POINTS = {
+    "factor": lambda h: bundle_from_hessian(h, 0.01),
+    "factor-reordered": lambda h: bundle_from_hessian(
+        h, 0.01, Permutation(np.arange(h.shape[0])[::-1])
+    ),
+    "rose": lambda h: rose_prune_from_hessian(
+        np.ones((2, h.shape[1])), h, SparsityConfig(0.5, blocksize=4)
+    ),
+    "magnitude": run_baseline(magnitude_prune),
+    "wanda": run_baseline(wanda_prune),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("make,error", [
+    pytest.param(nan_hessian, NumericOverflowError, id="nan"),
+    pytest.param(inf_hessian, NumericOverflowError, id="inf"),
+    pytest.param(lambda: np.zeros((0, 0)), DimensionError, id="empty"),
+    pytest.param(lambda: np.ones((4, 8)), DimensionError, id="non-square"),
+])
+def test_bad_raw_hessian_rejected_before_factoring(
+    monkeypatch, capfd, entry, make, error
+):
+    factored = []
+    for name in ("dpotrf", "dtrtri"):
+        monkeypatch.setattr(
+            lapack, name, lambda *a, _name=name, **k: factored.append(_name)
+        )
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](make())
+    assert factored == []
+    assert capfd.readouterr() == ("", "")

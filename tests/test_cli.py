@@ -152,9 +152,9 @@ def test_compare_factors_unpermuted_hessian_once(
     calls = []
     original = calibration.bundle_from_hessian
 
-    def counted(raw, damp_fraction=0.0):
+    def counted(raw, damp_fraction=0.0, order=None):
         calls.append(damp_fraction)
-        return original(raw, damp_fraction)
+        return original(raw, damp_fraction, order)
 
     patch_everywhere(monkeypatch, original, counted)
     code = run([

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from obsprune import (
     DimensionError,
     IndefiniteHessianError,
+    NumericOverflowError,
     SparsityConfig,
     Permutation,
     accumulate_hessian,
-    bundle_in_order,
+    bundle_from_hessian,
     exact_masked_reconstruction,
     mask_sparsity,
     obs_update_row,
@@ -20,8 +21,10 @@ from obsprune import (
     select_block_mask,
 )
 from obsprune.calibration import DEGENERATE_DIAG
-from obsprune.engine import CANCELLATION
+from obsprune.engine import CANCELLATION, outcome_from_trajectory
 from obsprune.tensors import SemiStructured
+
+from hessian_helpers import dampened_hessian
 
 
 def random_layer(seed, rows=8, n=16, samples=None):
@@ -116,6 +119,14 @@ class TestReconstructionError:
         w = np.zeros((2, 2))
         assert reconstruction_error(w, w, np.eye(2)) == (0.0, 0.0)
 
+    def test_nan_denominator_raises(self):
+        w = np.array([[np.nan, 1.0]])
+        with pytest.raises(NumericOverflowError):
+            reconstruction_error(w, np.zeros_like(w), np.eye(2))
+        with pytest.raises(NumericOverflowError):
+            outcome_from_trajectory(w, np.zeros_like(w), np.ones_like(w, dtype=bool),
+                                    None, [0.0], np.eye(2))
+
 
 class TestPruneLayer:
     def test_zero_sparsity_is_identity(self):
@@ -191,6 +202,20 @@ class TestPruneLayer:
         out = prune_layer(w, b, cfg)
         assert not out.mask.kept[:, 3].any()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dead_column_pruned_first_in_any_order(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 8))
+        x[:, 3] = 0.0
+        w = rng.standard_normal((4, 8))
+        w[:, 3] = 50.0
+        cfg = SparsityConfig(sparsity=0.25, blocksize=4)
+        order = Permutation(rng.permutation(8))
+        b = bundle_from_hessian(raw_hessian([x]), cfg.damp_fraction, order)
+        np.testing.assert_array_equal(b.dead_columns, [3])
+        out = prune_layer(w, b, cfg)
+        assert not out.mask.kept[:, 3].any()
+
 
 def block_state(w0, w_final, bundle, i2):
     """Weights after the block ending at column i2, from optimality alone.
@@ -199,7 +224,7 @@ def block_state(w0, w_final, bundle, i2):
     the columns after it, so the trailing weights minimize the dampened
     loss given the leading ones: D_t = -D_l H_lt inv(H_tt).
     """
-    h = bundle.hessian
+    h = dampened_hessian(bundle)
     d_lead = w0[:, :i2] - w_final[:, :i2]
     d_trail = -np.linalg.solve(h[i2:, i2:], (d_lead @ h[:i2, i2:]).T).T
     return np.hstack([w_final[:, :i2], w0[:, i2:] - d_trail])
@@ -262,6 +287,22 @@ class TestClosedFormTrajectory:
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         out = prune_layer(w, accumulate_hessian([x], cfg.damp_fraction), cfg)
+        assert out.block_error_trajectory[0] == 0.0
+        d = (w - out.pruned_weights) @ x.T
+        assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dead_block_error_is_exactly_zero_in_any_order(self, seed):
+        # the dead channels 8-15 are swept first; the direct error that
+        # replaces the cancelled closed form is measured in channel order
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((48, 16))
+        x[:, 8:] = 0.0
+        w = rng.standard_normal((5, 16))
+        cfg = SparsityConfig(sparsity=0.5, blocksize=8)
+        order = Permutation(np.r_[8 + rng.permutation(8), rng.permutation(8)])
+        b = bundle_from_hessian(raw_hessian([x]), cfg.damp_fraction, order)
+        out = prune_layer(w, b, cfg)
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
@@ -424,12 +465,12 @@ class TestLayout:
             cfg = SparsityConfig(sparsity=0.6, blocksize=16)
             p = rng.permutation(n)
         order = Permutation(p)
-        plain = bundle_in_order(raw, Permutation.identity(n), cfg.damp_fraction)
-        permuted = bundle_in_order(raw, order, cfg.damp_fraction)
+        plain = bundle_from_hessian(raw, cfg.damp_fraction)
+        permuted = bundle_from_hessian(raw, cfg.damp_fraction, order)
 
         def errors(a, pruned):
             direct = prune_layer(a, plain, cfg)
-            ordered = prune_in_order(a, permuted, cfg, order)
+            ordered = prune_in_order(a, permuted, cfg)
             return [
                 direct.relative_error,
                 direct.final_error,
