@@ -11,7 +11,6 @@ from .calibration import (
 )
 from .engine import (
     PruneOutcome,
-    obs_update_row,
     prune_layer,
     reconstruction_error,
     select_block_mask,
@@ -25,7 +24,7 @@ from .errors import (
     PruneError,
     SingularOracleError,
 )
-from .oracle import exact_masked_reconstruction, naive_obs_prune
+from .oracle import exact_masked_reconstruction, naive_obs_prune, obs_update_row
 from .reorder import (
     LossProfile,
     ReorderPlan,

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import blas
 
-from .calibration import checked_hessian, column_norms
+from .calibration import checked_hessian, column_norms, mirror_upper
 from .engine import PruneOutcome, outcome_from_trajectory
 from .errors import DimensionError
 from .tensors import (
@@ -31,8 +32,17 @@ def _outcome(
     """
     pruned = np.where(kept, w, 0.0)
     d = w - pruned
-    prefix = ((d.T @ d) * raw).cumsum(axis=0).cumsum(axis=1)
-    ends = [i2 - 1 for _, i2 in config.block_ranges(w.shape[1])]
+    n = w.shape[1]
+    # D.T @ D into the lower triangle of the column-major prefix.T, which is
+    # the upper triangle of prefix; then the sums over both axes, in place,
+    # so that one n x n buffer serves every step
+    prefix = np.zeros((n, n))
+    blas.dsyrk(1.0, d.T, c=prefix.T, lower=1, overwrite_c=1)
+    mirror_upper(prefix)
+    prefix *= raw
+    np.cumsum(prefix, axis=0, out=prefix)
+    np.cumsum(prefix, axis=1, out=prefix)
+    ends = [i2 - 1 for _, i2 in config.block_ranges(n)]
     trajectory = prefix[ends, ends]
     return outcome_from_trajectory(w, pruned, kept, config.pattern, trajectory, raw)
 

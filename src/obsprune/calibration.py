@@ -88,16 +88,24 @@ def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
             acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
     if acc is None:
         raise DimensionError("need at least one activation batch")
-    # copy the upper triangle onto the lower one, one panel of columns at a
-    # time; inside the diagonal block the lower triangle is still zero
-    n = acc.shape[0]
+    # symmetric, so the row-major view holds the same matrix
+    return mirror_upper(acc).T
+
+
+def mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of square ``a`` onto its strict lower one.
+
+    In place, one panel of columns at a time, so that no temporary is
+    larger than a panel; the strict lower triangle must hold zeros, as
+    ``dsyrk`` leaves it.  Returns ``a``, now exactly symmetric.
+    """
+    n = a.shape[0]
     for j1 in range(0, n, MIRROR_PANEL):
         j2 = min(j1 + MIRROR_PANEL, n)
-        acc[j2:, j1:j2] = acc[j1:j2, j2:].T
-        diagonal = acc[j1:j2, j1:j2]
+        a[j2:, j1:j2] = a[j1:j2, j2:].T
+        diagonal = a[j1:j2, j1:j2]
         diagonal += np.triu(diagonal, 1).T
-    # symmetric, so the row-major view holds the same matrix
-    return acc.T
+    return a
 
 
 def bundle_from_hessian(

@@ -24,15 +24,9 @@ import numpy as np
 
 from . import __version__
 from .baselines import magnitude_prune, wanda_prune
-from .calibration import (
-    accumulate_hessian,
-    bundle_from_hessian,
-    column_norms,
-    raw_hessian,
-)
-from .engine import obs_update_row, prune_layer
+from .calibration import bundle_from_hessian, column_norms, raw_hessian
 from .errors import ConfigError, DimensionError, NumericOverflowError, PruneError
-from .oracle import exact_masked_reconstruction, naive_obs_prune
+from .oracle import cross_check
 from .reorder import (
     ReorderPlan,
     build_reorder_plan,
@@ -317,47 +311,11 @@ def cmd_detect(args) -> int:
 
 def cmd_verify(args) -> int:
     """Oracle cross-checks at small sizes; exit 0 iff all pass."""
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    for trial in range(20):
-        n = int(rng.integers(4, 17))
-        X = rng.standard_normal((2 * n, n))
-        h = X.T @ X + 0.05 * np.eye(n)
-        inv = np.linalg.inv(h)
-        row = rng.standard_normal(n)
-        q = int(rng.integers(0, n))
-        kept = np.ones(n, dtype=bool)
-        kept[q] = False
-        got = obs_update_row(row, q, inv)
-        ref = exact_masked_reconstruction(row, kept, h)
-        if np.max(np.abs(got - ref)) > 1e-8:
-            failures += 1
-            print(f"FAIL single-column compensation, trial {trial}")
-
-    # trials 10-14 are 2:4, masks chosen per group inside wider blocks
-    for trial, blocksize in enumerate([16] * 10 + [8, 16, 24, 32, 40]):
-        nm = trial >= 10
-        n = 4 * int(rng.integers(8, 17)) if nm else int(rng.integers(8, 65))
-        p = float(rng.choice([0.25, 0.5, 0.75]))
-        X = rng.standard_normal((2 * n, n))
-        W = rng.standard_normal((max(2, n // 2), n))
-        common = dict(blocksize=blocksize, damp_fraction=args.damp)
-        config = (SparsityConfig.semi_structured(2, 4, **common) if nm
-                  else SparsityConfig(sparsity=p, **common))
-        bundle = accumulate_hessian([X], config.damp_fraction)
-        fast = prune_layer(W, bundle, config)
-        slow = naive_obs_prune(W, [X], config)
-        if not np.array_equal(fast.mask.kept, slow.mask.kept):
-            failures += 1
-            print(f"FAIL mask equivalence, trial {trial}")
-        denom = max(abs(slow.final_error), 1e-300)
-        if abs(fast.final_error - slow.final_error) / denom > 1e-6:
-            failures += 1
-            print(f"FAIL error equivalence, trial {trial}")
-
+    failures = cross_check(args.seed, args.damp)
+    for line in failures:
+        print(line)
     if failures:
-        print(f"verify: {failures} failure(s)")
+        print(f"verify: {len(failures)} failure(s)")
         return 1
     print("verify: all oracle cross-checks passed")
     return 0

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import blas
 
 from .calibration import DEGENERATE_DIAG, HessianBundle
-from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
+from .errors import DimensionError, NumericOverflowError
 from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
@@ -44,22 +45,6 @@ class PruneOutcome:
     block_error_trajectory: np.ndarray
     final_error: float
     relative_error: float
-
-
-def obs_update_row(row: np.ndarray, q: int, inv_h: np.ndarray) -> np.ndarray:
-    """Remove weight q from one row and optimally compensate the rest."""
-    row = np.asarray(row, dtype=np.float64)
-    inv_h = as_matrix(inv_h)
-    if not 0 <= q < row.size:
-        raise DimensionError(f"column {q} out of range for row of size {row.size}")
-    d = inv_h[q, q]
-    if d <= 0:
-        raise IndefiniteHessianError(
-            f"inverse-Hessian diagonal at {q} must be positive, got {d}"
-        )
-    out = row - (row[q] / d) * inv_h[:, q]
-    out[q] = 0.0
-    return out
 
 
 def select_block_mask(
@@ -90,11 +75,25 @@ def select_block_mask(
 def _quadratic(d: np.ndarray, hessian: np.ndarray) -> float:
     """Sum over the rows of d of d @ H @ d, i.e. ||d X.T||^2 for H = X.T X.
 
-    Both operands go to BLAS row-major: BLAS sums a transposed operand in
-    another order, and the error must depend on the values alone.
+    Both operands are made row-major, whose transposes are the column-major
+    H.T and d.T that ``dgemm`` multiplies uncopied: BLAS sums a transposed
+    operand in another order, and the error must depend on the values alone.
     """
     d = np.ascontiguousarray(d)
-    return float(np.sum((d @ np.ascontiguousarray(hessian)) * d))
+    # the column-major (d @ H).T, whose transpose is row-major like d
+    dh = blas.dgemm(1.0, np.ascontiguousarray(hessian).T, d.T).T
+    return float(np.sum(dh * d))
+
+
+def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray):
+    """out -= upper_rows.T @ errs, in place on the row-major ``out``.
+
+    One ``dgemm`` on the transposes, which are column-major, accumulates
+    into ``out`` without a product temporary.  f2py rejects an empty ``c``,
+    which the last block's (empty) tail and a layer with no rows give.
+    """
+    if out.size:
+        blas.dgemm(-1.0, errs.T, upper_rows, beta=1.0, c=out.T, overwrite_c=1)
 
 
 def _relative(absolute: float, denom: float) -> float:
@@ -240,8 +239,10 @@ def prune_layer(
                 if q + 1 < s2:
                     cur[q + 1 : s2] -= np.outer(upper[q, q + 1 : s2], e)
             if s2 < i2:
-                cur[s2:i2] -= upper[s1:s2, s2:i2].T @ errs[s1 - i1 : s2 - i1]
-        cur[i2:] -= upper[i1:i2, i2:].T @ errs
+                _subtract_product(
+                    cur[s2:i2], upper[s1:s2, s2:i2], errs[s1 - i1 : s2 - i1]
+                )
+        _subtract_product(cur[i2:], upper[i1:i2, i2:], errs)
 
         # columns before i1 are final and were checked with earlier blocks
         if not np.all(np.isfinite(cur[i1:])):

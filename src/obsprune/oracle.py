@@ -1,10 +1,14 @@
 """Brute-force references for the compensation engine.
 
 These deliberately avoid the Cholesky shortcut: the exact reconstruction
-solves the normal equations of the fixed-mask least-squares problem, and
-the naive pruner re-inverts the trailing Hessian submatrix at every step.
-They ship with the library so the CLI can re-run the cross-checks on
-demand, but they are O(n**4) and capped at small sizes.
+solves the normal equations of the fixed-mask least-squares problem, the
+one-row update compensates from an explicit inverse, and the naive pruner
+re-inverts the trailing Hessian submatrix at every step.  They ship with
+the library so that ``cross_check`` (``obsprune verify``) can re-run the
+cross-checks on demand, but they are O(n**4) and capped at small sizes.
+
+This is the one module that uses numpy's linear algebra (``@`` and
+``np.linalg``); every other dense product runs on scipy's BLAS.
 """
 
 from __future__ import annotations
@@ -14,12 +18,33 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import DEGENERATE_DIAG, raw_hessian
-from .engine import PruneOutcome, select_block_mask
-from .errors import DimensionError, OracleScaleError, SingularOracleError
+from .calibration import DEGENERATE_DIAG, accumulate_hessian, raw_hessian
+from .engine import PruneOutcome, prune_layer, select_block_mask
+from .errors import (
+    DimensionError,
+    IndefiniteHessianError,
+    OracleScaleError,
+    SingularOracleError,
+)
 from .tensors import PruneMask, SparsityConfig, as_matrix
 
 ORACLE_MAX_COLS = 64
+
+
+def obs_update_row(row: np.ndarray, q: int, inv_h: np.ndarray) -> np.ndarray:
+    """Remove weight q from one row and optimally compensate the rest."""
+    row = np.asarray(row, dtype=np.float64)
+    inv_h = as_matrix(inv_h)
+    if not 0 <= q < row.size:
+        raise DimensionError(f"column {q} out of range for row of size {row.size}")
+    d = inv_h[q, q]
+    if d <= 0:
+        raise IndefiniteHessianError(
+            f"inverse-Hessian diagonal at {q} must be positive, got {d}"
+        )
+    out = row - (row[q] / d) * inv_h[:, q]
+    out[q] = 0.0
+    return out
 
 
 def exact_masked_reconstruction(
@@ -124,3 +149,47 @@ def naive_obs_prune(
         final_error=absolute,
         relative_error=absolute / denom if denom > 0 else 0.0,
     )
+
+
+def cross_check(seed: int, damp: float) -> list[str]:
+    """Run the oracle cross-checks at small sizes; one line per failure.
+
+    Twenty trials compare ``obs_update_row`` with the exact reconstruction
+    of one pruned column.  Fifteen compare ``prune_layer`` with
+    ``naive_obs_prune`` on masks and final error: ten unstructured, and
+    five 2:4 with masks chosen per group inside wider blocks.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+
+    for trial in range(20):
+        n = int(rng.integers(4, 17))
+        X = rng.standard_normal((2 * n, n))
+        h = X.T @ X + 0.05 * np.eye(n)
+        inv = np.linalg.inv(h)
+        row = rng.standard_normal(n)
+        q = int(rng.integers(0, n))
+        kept = np.ones(n, dtype=bool)
+        kept[q] = False
+        got = obs_update_row(row, q, inv)
+        ref = exact_masked_reconstruction(row, kept, h)
+        if np.max(np.abs(got - ref)) > 1e-8:
+            failures.append(f"FAIL single-column compensation, trial {trial}")
+
+    for trial, blocksize in enumerate([16] * 10 + [8, 16, 24, 32, 40]):
+        nm = trial >= 10
+        n = 4 * int(rng.integers(8, 17)) if nm else int(rng.integers(8, 65))
+        p = float(rng.choice([0.25, 0.5, 0.75]))
+        X = rng.standard_normal((2 * n, n))
+        W = rng.standard_normal((max(2, n // 2), n))
+        common = dict(blocksize=blocksize, damp_fraction=damp)
+        config = (SparsityConfig.semi_structured(2, 4, **common) if nm
+                  else SparsityConfig(sparsity=p, **common))
+        fast = prune_layer(W, accumulate_hessian([X], config.damp_fraction), config)
+        slow = naive_obs_prune(W, [X], config)
+        if not np.array_equal(fast.mask.kept, slow.mask.kept):
+            failures.append(f"FAIL mask equivalence, trial {trial}")
+        denom = max(abs(slow.final_error), 1e-300)
+        if abs(fast.final_error - slow.final_error) / denom > 1e-6:
+            failures.append(f"FAIL error equivalence, trial {trial}")
+    return failures

@@ -107,12 +107,17 @@ def read_manifest(path) -> list[np.ndarray]:
     """
     path = Path(path)
     with open(path) as f:
-        doc = json.load(f)
-    batches = doc.get("batches")
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise RtnsFormatError(f"{path}: manifest is not JSON: {e}") from e
+    batches = doc.get("batches") if isinstance(doc, dict) else None
     if not isinstance(batches, list) or not batches:
         raise RtnsFormatError(f"{path}: manifest needs a non-empty 'batches' list")
     out = []
-    for entry in batches:
+    for i, entry in enumerate(batches):
+        if not isinstance(entry, str):
+            raise RtnsFormatError(f"{path}: batch {i} is {entry!r}, not a path string")
         p = Path(entry)
         if not p.is_absolute():
             p = path.parent / p

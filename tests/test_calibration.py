@@ -308,6 +308,21 @@ def test_memory_budget():
     assert held <= 1.1 * square
 
 
+@pytest.mark.parametrize("prune", [magnitude_prune, wanda_prune])
+def test_baseline_memory_budget(prune):
+    """The baselines' error prefix sums are made in one n x n buffer.
+
+    Measured 1.41 n^2 at n=512 with 16 rows; a chain of temporaries,
+    ((D.T @ D) * H).cumsum().cumsum(), peaks at 2.07 n^2.
+    """
+    n = 512
+    rng = np.random.default_rng(12)
+    raw = raw_hessian([rng.standard_normal((1024, n))])
+    w = rng.standard_normal((16, n))
+    _, peak, _ = traced_bytes(lambda: prune(w, SparsityConfig(0.5), raw))
+    assert peak <= 1.6 * 8 * n * n
+
+
 def nan_hessian():
     h = random_spd(32, seed=10)
     h[3, 7] = np.nan

@@ -344,6 +344,13 @@ def write_bad_layer(tmp_path, fault):
     if fault == "trailing-bytes":
         wpath.write_bytes(wpath.read_bytes() + b"\x00" * 4)
     write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    manifests = {
+        "manifest-not-json": '{"batches": ["x.rtns"',
+        "manifest-not-object": '["x.rtns"]',
+        "manifest-entry-not-string": '{"batches": ["x.rtns", 7]}',
+    }
+    if fault in manifests:
+        (tmp_path / "acts.json").write_text(manifests[fault])
     # sparsegpt factors H before anything else reads the activations
     return ["--method", "sparsegpt", "--weights", str(wpath),
             "--acts", str(tmp_path / "acts.json")]
@@ -367,6 +374,14 @@ def assert_rejected(tmp_path, capsys, fault, code):
      "acts-cols-mismatch", "one-dim-weights"],
 )
 def test_bad_input_exit_1(tmp_path, capsys, no_factoring, fault):
+    assert_rejected(tmp_path, capsys, fault, 1)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["manifest-not-json", "manifest-not-object", "manifest-entry-not-string"],
+)
+def test_malformed_manifest_exit_1(tmp_path, capsys, no_factoring, fault):
     assert_rejected(tmp_path, capsys, fault, 1)
 
 

@@ -10,6 +10,8 @@ from obsprune import (
     naive_obs_prune,
     prune_layer,
 )
+from obsprune import oracle
+from obsprune.cli import main
 
 
 def test_nothing_pruned_returns_row():
@@ -97,3 +99,15 @@ def test_size_cap():
             [np.ones((4, 65))],
             SparsityConfig(sparsity=0.5, blocksize=16),
         )
+
+
+def test_verify_prints_each_failure_and_exits_1(monkeypatch, capsys):
+    # a one-row update that compensates nothing fails all 20 comparisons
+    # with the exact reconstruction, and nothing else
+    monkeypatch.setattr(oracle, "obs_update_row", lambda row, q, inv: row)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        *(f"FAIL single-column compensation, trial {t}" for t in range(20)),
+        "verify: 20 failure(s)",
+    ]
