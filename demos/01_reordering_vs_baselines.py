@@ -13,6 +13,7 @@ import numpy as np
 
 from obsprune import (
     SparsityConfig,
+    build_reorder_plan,
     bundle_from_hessian,
     column_norms,
     gen_activations,
@@ -23,7 +24,6 @@ from obsprune import (
     magnitude_prune,
     prune_layer,
     raw_hessian,
-    rose_prune_from_hessian,
     wanda_prune,
 )
 
@@ -44,8 +44,10 @@ def run_all(name, w, acts):
         "act-weighted magnitude": wanda_prune(w, cfg, h),
         "second-order": prune_layer(w, bundle, cfg),
     }
-    reordered, plan, _ = rose_prune_from_hessian(w, h, cfg)
-    results["second-order + reorder"] = reordered
+    # rose is the same engine, swept in the column order of its reorder plan
+    plan = build_reorder_plan(profile, cfg)
+    rose_bundle = bundle_from_hessian(h, cfg.damp_fraction, plan.permutation)
+    results["second-order + reorder"] = prune_layer(w, rose_bundle, cfg)
 
     print(f"\n{name}: relative block-loss range R_rel = "
           f"{profile.relative_range:.3f} "

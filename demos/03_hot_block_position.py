@@ -13,10 +13,12 @@ Run: python3 demos/03_hot_block_position.py
 import numpy as np
 
 from obsprune import (
+    Permutation,
     SparsityConfig,
+    bundle_from_hessian,
     gen_activations,
     gen_columnar,
-    prune_with_block_order,
+    prune_layer,
     raw_hessian,
 )
 
@@ -35,10 +37,13 @@ def main():
           f"sparsity {cfg.sparsity}\n")
     print("hot-block position   final error")
     errors = []
+    blocks = cfg.block_ranges(COLS)
     rest = [b for b in range(k) if b != HOT]
     for pos in range(k):
+        # whole blocks in this order, the columns of each left in place
         order = rest[:pos] + [HOT] + rest[pos:]
-        out, _ = prune_with_block_order(w, h, cfg, order)
+        perm = Permutation(np.concatenate([np.arange(*blocks[b]) for b in order]))
+        out = prune_layer(w, bundle_from_hessian(h, cfg.damp_fraction, perm), cfg)
         errors.append(out.final_error)
         bar = "#" * int(40 * out.final_error / max(errors[0], 1e-300) / 2)
         print(f"  {pos:2d} of {k - 1:2d}          {out.final_error:12.4e}  {bar}")

@@ -4,7 +4,6 @@ loss-ordered channel reordering."""
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import (
     HessianBundle,
-    accumulate_hessian,
     bundle_from_hessian,
     column_norms,
     raw_hessian,
@@ -31,9 +30,6 @@ from .reorder import (
     build_reorder_plan,
     importance_scores,
     loss_profile,
-    prune_in_order,
-    prune_with_block_order,
-    rose_prune_from_hessian,
     rose_prune_layer,
 )
 from .rtns import read_manifest, read_tensor, write_manifest, write_tensor
@@ -44,9 +40,7 @@ from .tensors import (
     SemiStructured,
     SparsityConfig,
     apply_column_permutation,
-    compose_permutations,
     mask_pattern_valid,
-    mask_sparsity,
 )
 
 __version__ = "0.1.0"

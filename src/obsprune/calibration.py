@@ -156,13 +156,6 @@ def bundle_from_hessian(
     )
 
 
-def accumulate_hessian(
-    activations: Sequence[np.ndarray], damp_fraction: float = 0.01
-) -> HessianBundle:
-    """Accumulate X.T @ X over batches, dampen, and factor the inverse."""
-    return bundle_from_hessian(raw_hessian(activations), damp_fraction)
-
-
 def column_norms(raw: np.ndarray) -> np.ndarray:
     """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
     raw = as_matrix(raw)

@@ -25,15 +25,10 @@ import numpy as np
 from . import __version__
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import bundle_from_hessian, column_norms, raw_hessian
+from .engine import prune_layer
 from .errors import ConfigError, DimensionError, NumericOverflowError, PruneError
 from .oracle import cross_check
-from .reorder import (
-    ReorderPlan,
-    build_reorder_plan,
-    importance_scores,
-    loss_profile,
-    prune_in_order,
-)
+from .reorder import ReorderPlan, build_reorder_plan, importance_scores, loss_profile
 from .rtns import (
     RtnsFormatError,
     atomic_write,
@@ -127,12 +122,17 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
     """Weights plus activation batches, from files or generators.
 
     ``weights`` overrides ``--weights`` with another layer's file.  The
-    inputs are checked here, before any Hessian work: the weights must be a
-    finite, non-empty matrix whose columns an n:m pattern tiles, and every
-    activation batch must have as many columns.
+    inputs are checked here, before any Hessian work: ``--synth`` names no
+    input file, the weights must be a finite, non-empty matrix whose
+    columns an n:m pattern tiles, and every activation batch must have as
+    many columns.
     """
-    synthetic = weights is None and args.synth is not None
-    if synthetic:
+    if args.synth is not None and (
+        args.weights or args.acts or getattr(args, "more_weights", None)
+    ):
+        raise ConfigError("--synth generates the layer and its activations; "
+                          "it takes no --weights, --acts or weight files")
+    if args.synth is not None:
         if args.synth == "columnar":
             n_blocks = math.ceil(args.cols / config.blocksize)
             hot = args.hot_block if args.hot_block is not None else n_blocks - 1
@@ -152,7 +152,7 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
         raise NumericOverflowError(f"{weights or 'synthetic'} weights are not finite")
     n = w.shape[1]
     config.block_ranges(n)  # raises ConfigError for an untiled n:m
-    if args.acts is not None and not synthetic:
+    if args.acts is not None:
         acts = read_manifest(args.acts)
     else:
         seed = args.seed + ACT_SEED_OFFSET
@@ -202,7 +202,7 @@ def _runs(methods, w, raw, configs):
                         raw, config.damp_fraction
                     )
                     bundle = identity_bundle
-                outcome = prune_in_order(w, bundle, config)
+                outcome = prune_layer(w, bundle, config)
                 del bundle  # free this factor before the next run builds its own
             wall_ms = (time.perf_counter() - t0) * 1000.0
             yield config, method, outcome, plan, profile, wall_ms
@@ -355,12 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # --verify anywhere is a shorthand for the verify subcommand
-    if "--verify" in argv:
-        argv = ["verify"] + [a for a in argv if a != "--verify"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # detect needs sparsity for the pre-pruning candidate size
     if args.command == "detect" and args.sparsity is None and args.pattern is None:
         args.sparsity = [0.7]

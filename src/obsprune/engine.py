@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .calibration import DEGENERATE_DIAG, HessianBundle
-from .errors import DimensionError, NumericOverflowError
+from .errors import ConfigError, DimensionError, NumericOverflowError
 from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
@@ -174,10 +174,12 @@ def prune_layer(
     """Prune one layer block by block with OBS compensation.
 
     The columns of ``w`` are swept in ``bundle.order``, the order its
-    factor was made in; weights and mask come back in channel order.  The
-    error after block k is measured in the raw Hessian.  With every
-    pruned column compensated, the dampened loss equals the summed squared
-    OBS errors, so raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  Once
+    factor was made in; weights and mask come back in channel order.  Under
+    an n:m pattern, an order that splits a group of m is rejected with a
+    ConfigError before the sweep.  The error after block k is measured in
+    the raw Hessian.  With every pruned column compensated, the dampened
+    loss equals the summed squared OBS errors, so
+    raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  Once
     a column is pruned without compensation (degenerate inverse diagonal),
     or the subtraction cancels, sum(d @ H_raw @ d) is computed instead.
     """
@@ -186,13 +188,20 @@ def prune_layer(
     rows, n = w_dense.shape
     if n != bundle.n:
         raise DimensionError(f"weight cols {n} != Hessian size {bundle.n}")
+    ranges = config.block_ranges(n)  # raises ConfigError for an untiled n:m
+    order = bundle.order
+    if config.pattern is not None:
+        m = config.pattern.m
+        groups = order.forward.reshape(-1, m) // m
+        if np.any(groups != groups[:, :1]):
+            raise ConfigError(f"the column order splits a group of m={m}: "
+                              "the n:m pattern would break in channel order")
 
     upper = bundle.chol_upper
     diag = upper.diagonal()
     inv_diag = diag * diag
     degenerate = inv_diag < DEGENERATE_DIAG
     saliency_diag = np.maximum(inv_diag, DEGENERATE_DIAG)
-    order = bundle.order
     dead = np.zeros(n, dtype=bool)
     dead[order.inverse[bundle.dead_columns]] = True
     group = config.group_width
@@ -209,7 +218,6 @@ def prune_layer(
     final_sq = 0.0
     uncompensated = False
 
-    ranges = config.block_ranges(n)
     for block_index, (i1, i2) in enumerate(ranges):
         errs = np.zeros((i2 - i1, rows))
         for s1 in range(i1, i2, step):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import DEGENERATE_DIAG, accumulate_hessian, raw_hessian
+from .calibration import DEGENERATE_DIAG, bundle_from_hessian, raw_hessian
 from .engine import PruneOutcome, prune_layer, select_block_mask
 from .errors import (
     DimensionError,
@@ -185,7 +185,8 @@ def cross_check(seed: int, damp: float) -> list[str]:
         common = dict(blocksize=blocksize, damp_fraction=damp)
         config = (SparsityConfig.semi_structured(2, 4, **common) if nm
                   else SparsityConfig(sparsity=p, **common))
-        fast = prune_layer(W, accumulate_hessian([X], config.damp_fraction), config)
+        bundle = bundle_from_hessian(raw_hessian([X]), config.damp_fraction)
+        fast = prune_layer(W, bundle, config)
         slow = naive_obs_prune(W, [X], config)
         if not np.array_equal(fast.mask.kept, slow.mask.kept):
             failures.append(f"FAIL mask equivalence, trial {trial}")

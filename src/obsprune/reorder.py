@@ -10,8 +10,10 @@ of later columns remain available for compensation, and the result is
 mapped back to the original channel order.
 
 Every second-order method is a column order, factored by
-``bundle_from_hessian``, plus ``prune_in_order``: SparseGPT is the identity
-order, ROSE the order of its reorder plan.
+``bundle_from_hessian``, plus ``prune_layer``, which sweeps the columns in
+the bundle's order: SparseGPT is the identity order, ROSE the order of its
+reorder plan.  Under an n:m pattern an order must keep every group of m
+whole, or ``prune_layer`` rejects it.
 """
 
 from __future__ import annotations
@@ -21,16 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import HessianBundle, bundle_from_hessian, column_norms, raw_hessian
+from .calibration import bundle_from_hessian, column_norms, raw_hessian
 from .engine import PruneOutcome, prune_layer
-from .errors import ConfigError, DimensionError
-from .tensors import (
-    Permutation,
-    SparsityConfig,
-    as_matrix,
-    mask_pattern_valid,
-    pruned_entries,
-)
+from .errors import DimensionError
+from .tensors import Permutation, SparsityConfig, as_matrix, pruned_entries
 
 
 @dataclass(frozen=True)
@@ -117,38 +113,6 @@ def build_reorder_plan(
     return ReorderPlan(Permutation(np.concatenate(forward)), True)
 
 
-def prune_in_order(
-    w: np.ndarray,
-    bundle: HessianBundle,
-    config: SparsityConfig,
-) -> PruneOutcome:
-    """Prune ``w`` in the column order ``bundle`` was factored in.
-
-    ``bundle`` factors H[order][:, order] (see ``bundle_from_hessian``):
-    triangular factors are not permutation-stable, so each order needs its
-    own.  ``prune_layer`` sweeps in that order and maps the result back; an
-    n:m pattern must also hold in the original channel order.
-    """
-    out = prune_layer(w, bundle, config)
-    if not mask_pattern_valid(out.mask):
-        raise ConfigError("reordering broke the n:m pattern in original coordinates")
-    return out
-
-
-def rose_prune_from_hessian(
-    w: np.ndarray,
-    raw: np.ndarray,
-    config: SparsityConfig,
-    descending: bool = True,
-) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
-    """``rose_prune_layer`` on an already-accumulated raw Hessian X.T @ X."""
-    w = as_matrix(w)
-    profile = loss_profile(importance_scores(w, column_norms(raw)), config)
-    plan = build_reorder_plan(profile, config, descending=descending)
-    bundle = bundle_from_hessian(raw, config.damp_fraction, plan.permutation)
-    return prune_in_order(w, bundle, config), plan, profile
-
-
 def rose_prune_layer(
     w: np.ndarray,
     activations: Sequence[np.ndarray],
@@ -156,29 +120,9 @@ def rose_prune_layer(
     descending: bool = True,
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Score, reorder if columnar, prune, and restore channel order."""
-    return rose_prune_from_hessian(w, raw_hessian(activations), config, descending)
-
-
-def prune_with_block_order(
-    w: np.ndarray,
-    raw: np.ndarray,
-    config: SparsityConfig,
-    block_order: Sequence[int],
-) -> tuple[PruneOutcome, ReorderPlan]:
-    """Prune with an explicit block order, bypassing loss-based planning.
-
-    ``raw`` is the accumulated X.T @ X.  ``block_order`` lists source block
-    indices in the order they should be pruned; no column-level reordering
-    is applied.
-    """
     w = as_matrix(w)
-    ranges = config.block_ranges(w.shape[1])
-    order = np.asarray(block_order, dtype=np.intp)
-    if not np.array_equal(np.sort(order), np.arange(len(ranges))):
-        raise DimensionError(
-            f"block order must be a bijection on [0, {len(ranges)})"
-        )
-    perm = Permutation(np.concatenate([np.arange(*ranges[b]) for b in order]))
-    bundle = bundle_from_hessian(raw, config.damp_fraction, perm)
-    outcome = prune_in_order(w, bundle, config)
-    return outcome, ReorderPlan(perm, not perm.is_identity())
+    raw = raw_hessian(activations)
+    profile = loss_profile(importance_scores(w, column_norms(raw)), config)
+    plan = build_reorder_plan(profile, config, descending=descending)
+    bundle = bundle_from_hessian(raw, config.damp_fraction, plan.permutation)
+    return prune_layer(w, bundle, config), plan, profile

@@ -30,13 +30,8 @@ def gen_columnar(
     hot_block_index: int,
     hot_gain: float,
     seed: int,
-    ramp: float = 0.0,
 ) -> np.ndarray:
-    """Standard-normal matrix with one column block scaled by ``hot_gain``.
-
-    ``ramp`` adds a smooth per-block gain increase (block k scaled by
-    1 + ramp * k) for multi-tier structure on top of the single hot block.
-    """
+    """Standard-normal matrix with one column block scaled by ``hot_gain``."""
     _check_sizes(rows=rows, cols=cols)
     n_blocks = math.ceil(cols / blocksize)
     if not 0 <= hot_block_index < n_blocks:
@@ -44,13 +39,8 @@ def gen_columnar(
             f"hot_block_index {hot_block_index} out of range [0, {n_blocks})"
         )
     w = _rng(seed).standard_normal((rows, cols))
-    for k in range(n_blocks):
-        i1, i2 = k * blocksize, min((k + 1) * blocksize, cols)
-        gain = 1.0 + ramp * k
-        if k == hot_block_index:
-            gain *= hot_gain
-        if gain != 1.0:
-            w[:, i1:i2] *= gain
+    i1 = hot_block_index * blocksize
+    w[:, i1 : i1 + blocksize] *= hot_gain
     return w
 
 

@@ -132,7 +132,7 @@ class Permutation:
     """
 
     forward: np.ndarray
-    inverse: np.ndarray = field(default=None)
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
         fwd = np.asarray(self.forward, dtype=np.intp)
@@ -152,9 +152,6 @@ class Permutation:
     def identity(cls, size: int) -> "Permutation":
         return cls(np.arange(size))
 
-    def inverted(self) -> "Permutation":
-        return Permutation(self.inverse.copy())
-
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.forward, np.arange(self.size)))
 
@@ -167,19 +164,6 @@ def apply_column_permutation(m: np.ndarray, p: Permutation) -> np.ndarray:
             f"permutation size {p.size} != matrix cols {m.shape[1]}"
         )
     return m[:, p.forward].copy()
-
-
-def compose_permutations(outer: Permutation, inner: Permutation) -> Permutation:
-    """Composition with ``forward[i] = inner.forward[outer.forward[i]]``.
-
-    Applying the result to a matrix equals applying ``inner`` first and then
-    ``outer``.
-    """
-    if outer.size != inner.size:
-        raise DimensionError(
-            f"permutation sizes differ: {outer.size} vs {inner.size}"
-        )
-    return Permutation(inner.forward[outer.forward])
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +190,6 @@ class PruneMask:
     @property
     def cols(self) -> int:
         return self.kept.shape[1]
-
-
-def mask_sparsity(mask: PruneMask) -> float:
-    """Fraction of pruned (False) entries."""
-    return float(np.count_nonzero(~mask.kept)) / mask.kept.size
 
 
 def pruned_count(sparsity: float, rows: int, block_width: int) -> int:

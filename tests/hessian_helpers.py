@@ -1,8 +1,25 @@
-"""Views of a HessianBundle that only the tests need."""
+"""Test-only helpers: HessianBundle construction and views, and column orders."""
 
 import numpy as np
 
-from obsprune import DimensionError, IndefiniteHessianError
+from obsprune import (
+    DimensionError,
+    IndefiniteHessianError,
+    Permutation,
+    bundle_from_hessian,
+    raw_hessian,
+)
+
+
+def accumulate_hessian(activations, damp_fraction=0.01):
+    """The bundle of X.T @ X over ``activations``, factored in channel order."""
+    return bundle_from_hessian(raw_hessian(activations), damp_fraction)
+
+
+def block_order(config, n, blocks):
+    """The column order that prunes whole blocks in the order ``blocks``."""
+    ranges = config.block_ranges(n)
+    return Permutation(np.concatenate([np.arange(*ranges[b]) for b in blocks]))
 
 
 def dampened_hessian(bundle):

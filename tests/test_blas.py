@@ -22,7 +22,6 @@ from obsprune import (
     SparsityConfig,
     bundle_from_hessian,
     magnitude_prune,
-    prune_in_order,
     prune_layer,
     raw_hessian,
     wanda_prune,
@@ -105,8 +104,9 @@ def test_zero_row_layer(method, pattern):
     if method == "prune_layer":
         out = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction), cfg)
     elif method == "prune_in_order":
+        # prune_layer swept in a reversed column order
         order = Permutation(np.arange(n)[::-1].copy())
-        out = prune_in_order(w, bundle_from_hessian(raw, cfg.damp_fraction, order), cfg)
+        out = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction, order), cfg)
     elif method == "magnitude":
         out = magnitude_prune(w, cfg, raw)
     else:

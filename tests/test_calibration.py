@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,17 +13,21 @@ from obsprune import (
     NumericOverflowError,
     Permutation,
     SparsityConfig,
-    accumulate_hessian,
     bundle_from_hessian,
     column_norms,
     magnitude_prune,
     raw_hessian,
-    rose_prune_from_hessian,
+    reorder,
+    rose_prune_layer,
     wanda_prune,
 )
 from obsprune.calibration import MIRROR_PANEL
 
-from hessian_helpers import cholesky_inverse_identity_check, dampened_hessian
+from hessian_helpers import (
+    accumulate_hessian,
+    cholesky_inverse_identity_check,
+    dampened_hessian,
+)
 
 
 def gauss_inverse(a):
@@ -339,14 +344,20 @@ def run_baseline(fn):
     return lambda h: fn(np.ones((2, h.shape[1])), SparsityConfig(0.5, blocksize=4), h)
 
 
+def run_rose(h):
+    """``rose_prune_layer`` with ``h`` in place of the Hessian of its batches."""
+    with mock.patch.object(reorder, "raw_hessian", lambda activations: h):
+        return rose_prune_layer(
+            np.ones((2, h.shape[1])), [], SparsityConfig(0.5, blocksize=4)
+        )
+
+
 ENTRY_POINTS = {
     "factor": lambda h: bundle_from_hessian(h, 0.01),
     "factor-reordered": lambda h: bundle_from_hessian(
         h, 0.01, Permutation(np.arange(h.shape[0])[::-1])
     ),
-    "rose": lambda h: rose_prune_from_hessian(
-        np.ones((2, h.shape[1])), h, SparsityConfig(0.5, blocksize=4)
-    ),
+    "rose": run_rose,
     "magnitude": run_baseline(magnitude_prune),
     "wanda": run_baseline(wanda_prune),
 }

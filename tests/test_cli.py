@@ -6,7 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from obsprune import calibration, read_tensor, reorder, write_manifest, write_tensor
+from obsprune import (
+    Permutation,
+    ReorderPlan,
+    calibration,
+    cli,
+    engine,
+    read_tensor,
+    reorder,
+    write_manifest,
+    write_tensor,
+)
 from obsprune.cli import main
 from obsprune.synth import gen_activations, gen_uniform
 
@@ -259,10 +269,6 @@ def test_verify_subcommand_passes():
     assert run(["verify", "--seed", "0"]) == 0
 
 
-def test_verify_flag_rewrite():
-    assert run(["--verify"]) == 0
-
-
 def test_missing_inputs_exit_2():
     assert run(["prune", "--method", "rose", "--sparsity", "0.5"]) == 2
 
@@ -304,13 +310,37 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     # prune takes one sparsity, and --pattern fixes it
     ["--sparsity", "0.5,0.9"],
     ["--pattern", "2:4", "--sparsity", "0.5"],
+    # --synth generates the layer, so an input file named beside it is
+    # rejected before it is read (none of these files exist)
+    ["--sparsity", "0.5", "--weights", "w.rtns"],
+    ["--sparsity", "0.5", "--acts", "a.json"],
+    ["detect", "--synth", "columnar", "extra.rtns"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
-    code = main(["prune", "--synth", "uniform", *flags, "--out", str(tmp_path)])
+    # a case that names its own subcommand replaces the prune prefix
+    argv = flags if flags[0] == "detect" else ["prune", "--synth", "uniform", *flags]
+    code = main([*argv, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "report.json").exists()
+    assert not any(tmp_path.iterdir())
+
+
+def test_group_splitting_order_exit_2(tmp_path, capsys, monkeypatch):
+    """An order that splits an n:m group fails in prune_layer, before the sweep."""
+    split = ReorderPlan(Permutation([0, 1, 4, 5, 2, 3, 6, 7, *range(8, 16)]), True)
+    monkeypatch.setattr(cli, "_plan_for", lambda method, profile, config: split)
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(engine, "select_block_mask", sweep)
+    code = main(["prune", "--method", "rose", "--synth", "uniform", "--pattern", "2:4",
+                 "--rows", "4", "--cols", "16", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n:m" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def write_bad_layer(tmp_path, fault):

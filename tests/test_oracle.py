@@ -5,13 +5,14 @@ from obsprune import (
     OracleScaleError,
     SingularOracleError,
     SparsityConfig,
-    accumulate_hessian,
     exact_masked_reconstruction,
     naive_obs_prune,
     prune_layer,
 )
 from obsprune import oracle
 from obsprune.cli import main
+
+from hessian_helpers import accumulate_hessian
 
 
 def test_nothing_pruned_returns_row():

@@ -8,7 +8,6 @@ from obsprune import (
     DimensionError,
     Permutation,
     SparsityConfig,
-    accumulate_hessian,
     apply_column_permutation,
     build_reorder_plan,
     bundle_from_hessian,
@@ -18,15 +17,14 @@ from obsprune import (
     importance_scores,
     loss_profile,
     mask_pattern_valid,
-    prune_in_order,
     prune_layer,
-    prune_with_block_order,
     raw_hessian,
     reconstruction_error,
-    rose_prune_from_hessian,
     rose_prune_layer,
 )
-from obsprune import reorder
+from obsprune import engine, reorder
+
+from hessian_helpers import accumulate_hessian, block_order
 
 
 class TestScores:
@@ -144,7 +142,7 @@ class TestPruneInOrder:
         # another order, so the two runs agree to rounding, masks exactly
         pre_permuted = bundle_from_hessian(raw[np.ix_(p, p)], cfg.damp_fraction)
 
-        got = prune_in_order(w, bundle, cfg)
+        got = prune_layer(w, bundle, cfg)
         direct = prune_layer(w[:, p], pre_permuted, cfg)
         weights = np.empty_like(w)
         weights[:, p] = direct.pruned_weights
@@ -165,22 +163,29 @@ class TestPruneInOrder:
                else SparsityConfig(sparsity=0.6, blocksize=16))
         identity = Permutation.identity(64)
         bundle = bundle_from_hessian(raw, cfg.damp_fraction, identity)
-        got = prune_in_order(w, bundle, cfg)
+        got = prune_layer(w, bundle, cfg)
         plain = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction), cfg)
         assert np.array_equal(got.pruned_weights, plain.pruned_weights)
         assert np.array_equal(got.mask.kept, plain.mask.kept)
         assert np.array_equal(got.block_error_trajectory,
                               plain.block_error_trajectory)
 
-    def test_group_breaking_order_rejected(self):
+    def test_group_breaking_order_rejected(self, monkeypatch):
         # the first group of the order takes columns 0, 1 of the first 2:4
-        # group and 4, 5 of the second; the smallest weights are 0, 1, 2, 3
-        w = np.arange(1.0, 9.0).reshape(1, 8)
+        # group and 4, 5 of the second; the smallest weights are 0, 1, 2, 3.
+        # A layer with no rows has no mask that could break the pattern, so
+        # only a check of the order itself rejects it.
         order = Permutation([0, 1, 4, 5, 2, 3, 6, 7])
         cfg = SparsityConfig.semi_structured(2, 4)
         bundle = bundle_from_hessian(np.eye(8), cfg.damp_fraction, order)
-        with pytest.raises(ConfigError, match="n:m"):
-            prune_in_order(w, bundle, cfg)
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(engine, "select_block_mask", sweep)
+        for w in (np.arange(1.0, 9.0).reshape(1, 8), np.zeros((0, 8))):
+            with pytest.raises(ConfigError, match="n:m"):
+                prune_layer(w, bundle, cfg)
 
     def test_order_size_checked(self):
         with pytest.raises(DimensionError, match="order size 4"):
@@ -217,17 +222,21 @@ class TestRosePruneLayer:
     def test_reordered_bundle_shares_callers_raw(self, monkeypatch):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        raw = raw_hessian([x])
-        bundles = []
+        raws, bundles = [], []
+
+        def hessian(activations):
+            raws.append(raw_hessian(activations))
+            return raws[-1]
 
         def spy(w, bundle, config):
             bundles.append(bundle)
-            return prune_in_order(w, bundle, config)
+            return prune_layer(w, bundle, config)
 
-        monkeypatch.setattr(reorder, "prune_in_order", spy)
-        _, plan, _ = rose_prune_from_hessian(w, raw, cfg)
+        monkeypatch.setattr(reorder, "raw_hessian", hessian)
+        monkeypatch.setattr(reorder, "prune_layer", spy)
+        _, plan, _ = rose_prune_layer(w, [x], cfg)
         assert plan.was_reordered
-        [bundle] = bundles
+        [raw], [bundle] = raws, bundles
         assert np.shares_memory(bundle.raw, raw)
         assert bundle.order is plan.permutation
 
@@ -253,7 +262,8 @@ class TestRosePruneLayer:
         bundle = accumulate_hessian([xp], cfg.damp_fraction)
         direct = prune_layer(wp, bundle, cfg)
         assert np.array_equal(perm_view, direct.mask.kept)
-        back = apply_column_permutation(direct.pruned_weights, plan.permutation.inverted())
+        inverse = Permutation(plan.permutation.inverse)
+        back = apply_column_permutation(direct.pruned_weights, inverse)
         assert np.array_equal(back, out.pruned_weights)
 
     def test_objective_permutation_invariance(self):
@@ -298,13 +308,18 @@ class TestRosePruneLayer:
         assert not plan.was_reordered  # strict inequality required
 
 
+def prune_blocks_in_order(w, raw, config, blocks):
+    order = block_order(config, w.shape[1], blocks)
+    return prune_layer(w, bundle_from_hessian(raw, config.damp_fraction, order), config)
+
+
 class TestManualBlockOrder:
     def test_identity_order_matches_plain(self):
         w = gen_uniform(8, 32, seed=12)
         x = gen_activations(64, 32, 0.0, seed=13)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        out, plan = prune_with_block_order(w, raw_hessian([x]), cfg, [0, 1, 2, 3])
-        assert not plan.was_reordered
+        assert block_order(cfg, 32, [0, 1, 2, 3]).is_identity()
+        out = prune_blocks_in_order(w, raw_hessian([x]), cfg, [0, 1, 2, 3])
         bundle = accumulate_hessian([x], cfg.damp_fraction)
         plain = prune_layer(w, bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
@@ -314,14 +329,14 @@ class TestManualBlockOrder:
         w = gen_columnar(64, 128, 32, 3, 10.0, seed=14)
         x = gen_activations(256, 128, 0.3, seed=15)
         h = raw_hessian([x])
-        first, _ = prune_with_block_order(w, h, cfg, [3, 0, 1, 2])
-        last, _ = prune_with_block_order(w, h, cfg, [0, 1, 2, 3])
+        first = prune_blocks_in_order(w, h, cfg, [3, 0, 1, 2])
+        last = prune_blocks_in_order(w, h, cfg, [0, 1, 2, 3])
         assert first.final_error < last.final_error
 
     def test_rejects_non_bijection(self):
         w = gen_uniform(4, 16, seed=16)
         x = gen_activations(32, 16, 0.0, seed=17)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        with pytest.raises(Exception):
-            prune_with_block_order(w, raw_hessian([x]), cfg, [0, 0])
+        with pytest.raises(ValueError, match="bijection"):
+            prune_blocks_in_order(w, raw_hessian([x]), cfg, [0, 0])
 

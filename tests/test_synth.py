@@ -24,15 +24,6 @@ def test_columnar_hot_block_is_scaled_base():
     np.testing.assert_array_equal(hot[:, 24:], base[:, 24:])
 
 
-def test_columnar_ramp_gains():
-    base = gen_uniform(4, 16, seed=9)
-    w = gen_columnar(4, 16, 4, 0, 2.0, seed=9, ramp=0.5)
-    # block k gains: (1 + 0.5k), block 0 additionally x2
-    np.testing.assert_allclose(w[:, 0:4], 2.0 * base[:, 0:4])
-    np.testing.assert_allclose(w[:, 4:8], 1.5 * base[:, 4:8])
-    np.testing.assert_allclose(w[:, 12:16], 2.5 * base[:, 12:16])
-
-
 def test_columnar_rejects_bad_hot_index():
     with pytest.raises(ValueError):
         gen_columnar(4, 16, 4, 4, 10.0, seed=0)
