@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import blas
 
-from .calibration import checked_hessian, column_norms, mirror_upper
-from .engine import PruneOutcome, outcome_from_trajectory
+from .calibration import checked_hessian, column_norms
+from .engine import PruneOutcome, error_prefix, outcome_from_trajectory
 from .errors import DimensionError
 from .tensors import (
     SemiStructured,
     SparsityConfig,
-    as_matrix,
+    finite_matrix,
     pruned_count,
     pruned_entries,
     smallest_per_row,
@@ -27,29 +26,18 @@ def _outcome(
     """Assemble a PruneOutcome for a no-compensation method.
 
     The trajectory records the error after masking each successive block
-    left to right: with D = w - pruned, the error of the first k columns is
-    the leading k x k sum of (D.T @ D) * H for the raw Hessian H.
+    left to right: the error prefix of D = w - pruned in the raw Hessian,
+    read at the block ends.
     """
     pruned = np.where(kept, w, 0.0)
-    d = w - pruned
-    n = w.shape[1]
-    # D.T @ D into the lower triangle of the column-major prefix.T, which is
-    # the upper triangle of prefix; then the sums over both axes, in place,
-    # so that one n x n buffer serves every step
-    prefix = np.zeros((n, n))
-    blas.dsyrk(1.0, d.T, c=prefix.T, lower=1, overwrite_c=1)
-    mirror_upper(prefix)
-    prefix *= raw
-    np.cumsum(prefix, axis=0, out=prefix)
-    np.cumsum(prefix, axis=1, out=prefix)
-    ends = [i2 - 1 for _, i2 in config.block_ranges(n)]
-    trajectory = prefix[ends, ends]
+    prefix = error_prefix(w - pruned, raw)
+    trajectory = prefix[[i2 for _, i2 in config.block_ranges(w.shape[1])]]
     return outcome_from_trajectory(w, pruned, kept, config.pattern, trajectory, raw)
 
 
 def _checked_inputs(w, raw) -> tuple[np.ndarray, np.ndarray]:
     """W and the raw Hessian, checked against each other before any masking."""
-    w = as_matrix(w)
+    w = finite_matrix(w)
     raw = checked_hessian(raw)
     n = w.shape[1]
     if raw.shape != (n, n):

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
-from .tensors import Permutation, as_matrix
+from .errors import DimensionError, IndefiniteHessianError
+from .tensors import Permutation, finite_matrix
 
 #: Squared inverse-factor diagonals below this are treated as degenerate.
 DEGENERATE_DIAG = 1e-30
@@ -51,17 +51,20 @@ class HessianBundle:
 
 
 def checked_hessian(raw) -> np.ndarray:
-    """``raw`` as a float64 matrix, once it is square, non-empty and finite.
+    """``raw`` as a float64 matrix, once it is a finite, non-empty Gram matrix.
 
-    The factor and the baselines call this where a caller's raw Hessian
-    enters, so a bad H fails before any factoring or error accounting.
+    Called where a caller's raw Hessian enters (the factor, the column norms
+    and the baselines), so a bad H fails before any factoring or scoring.
+    A Gram matrix's diagonal is >= 0: the first negative one is the pivot.
     """
-    raw = as_matrix(raw)
+    raw = finite_matrix(raw, "hessian")
     n = raw.shape[0]
     if n == 0 or raw.shape[1] != n:
         raise DimensionError(f"hessian must be square and non-empty, got {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise NumericOverflowError("hessian is not finite")
+    pivot = int(np.argmax(raw.diagonal() < 0))
+    if raw[pivot, pivot] < 0:
+        raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
+                                     pivot=pivot)
     return raw
 
 
@@ -70,42 +73,31 @@ def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
 
     One pass: each batch is checked as it arrives and added by ``dsyrk``
     into the upper triangle of one column-major buffer, which is mirrored
-    once at the end, so the result is exactly symmetric.
+    once at the end, in place one panel of columns at a time, so the result
+    is exactly symmetric and no temporary outgrows a panel.
     """
     acc = None
     for i, b in enumerate(activations):
-        b = as_matrix(b)
+        b = finite_matrix(b, f"activation batch {i}")
         if acc is None:
             acc = np.zeros((b.shape[1], b.shape[1]), order="F")
         elif b.shape[1] != acc.shape[0]:
             raise DimensionError(
                 f"batch has {b.shape[1]} columns, expected {acc.shape[0]}"
             )
-        if not np.isfinite(b).all():
-            raise NumericOverflowError(f"activation batch {i} is not finite")
         if b.size:
             # a row-major batch is the column-major b.T that BLAS reads uncopied
             acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
     if acc is None:
         raise DimensionError("need at least one activation batch")
-    # symmetric, so the row-major view holds the same matrix
-    return mirror_upper(acc).T
-
-
-def mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of square ``a`` onto its strict lower one.
-
-    In place, one panel of columns at a time, so that no temporary is
-    larger than a panel; the strict lower triangle must hold zeros, as
-    ``dsyrk`` leaves it.  Returns ``a``, now exactly symmetric.
-    """
-    n = a.shape[0]
+    n = acc.shape[0]
     for j1 in range(0, n, MIRROR_PANEL):
         j2 = min(j1 + MIRROR_PANEL, n)
-        a[j2:, j1:j2] = a[j1:j2, j2:].T
-        diagonal = a[j1:j2, j1:j2]
+        acc[j2:, j1:j2] = acc[j1:j2, j2:].T
+        diagonal = acc[j1:j2, j1:j2]
         diagonal += np.triu(diagonal, 1).T
-    return a
+    # symmetric, so the row-major view holds the same matrix
+    return acc.T
 
 
 def bundle_from_hessian(
@@ -158,7 +150,4 @@ def bundle_from_hessian(
 
 def column_norms(raw: np.ndarray) -> np.ndarray:
     """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
-    raw = as_matrix(raw)
-    if raw.shape[0] != raw.shape[1]:
-        raise DimensionError("hessian must be square")
-    return np.sqrt(raw.diagonal())
+    return np.sqrt(checked_hessian(raw).diagonal())

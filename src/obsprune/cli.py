@@ -26,7 +26,7 @@ from . import __version__
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import bundle_from_hessian, column_norms, raw_hessian
 from .engine import prune_layer
-from .errors import ConfigError, DimensionError, NumericOverflowError, PruneError
+from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
 from .reorder import ReorderPlan, build_reorder_plan, importance_scores, loss_profile
 from .rtns import (
@@ -38,7 +38,7 @@ from .rtns import (
     write_tensor,
 )
 from .synth import gen_activations, gen_columnar, gen_uniform
-from .tensors import Permutation, SemiStructured, SparsityConfig, as_matrix
+from .tensors import Permutation, SemiStructured, SparsityConfig, finite_matrix
 
 METHODS = ("magnitude", "wanda", "sparsegpt", "rose", "rose-ascending")
 
@@ -145,11 +145,10 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
         weights = weights or args.weights
         if weights is None:
             raise ConfigError("need --weights or --synth")
-        w = as_matrix(read_tensor(weights))
+        w = read_tensor(weights)
+    w = finite_matrix(w, f"{weights or 'synthetic'} weights")
     if w.size == 0:
         raise ConfigError(f"{weights} weights have shape {w.shape}: an empty layer")
-    if not np.all(np.isfinite(w)):
-        raise NumericOverflowError(f"{weights or 'synthetic'} weights are not finite")
     n = w.shape[1]
     config.block_ranges(n)  # raises ConfigError for an untiled n:m
     if args.acts is not None:

@@ -17,9 +17,9 @@ to right on a two-level lazy-batch schedule.
   updates every later column the same way.
 
 Columns past a sub-block (or block) are never read inside it, so deferring
-their updates changes only the rounding.  No activations are needed: every
-error is a quadratic form in the raw Hessian, and the per-block error
-follows in closed form from the OBS errors the sweep already computes.
+their updates changes only the rounding.  No activations are needed: the
+per-block error follows in closed form from the sweep's OBS errors, and
+every other error is a quadratic form in the raw Hessian, ``error_prefix``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from scipy.linalg import blas
 
 from .calibration import DEGENERATE_DIAG, HessianBundle
 from .errors import ConfigError, DimensionError, NumericOverflowError
-from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
+from .tensors import (Permutation, PruneMask, SparsityConfig, as_matrix,
+                      finite_matrix, pruned_entries)
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,25 @@ def select_block_mask(
     return PruneMask(kept=~pruned_entries(s, config), pattern=config.pattern)
 
 
-def _quadratic(d: np.ndarray, hessian: np.ndarray) -> float:
-    """Sum over the rows of d of d @ H @ d, i.e. ||d X.T||^2 for H = X.T X.
+def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """Entry e is the sum over the rows of d[:, :e] @ H[:e, :e] @ d[:, :e].
 
-    Both operands are made row-major, whose transposes are the column-major
-    H.T and d.T that ``dgemm`` multiplies uncopied: BLAS sums a transposed
-    operand in another order, and the error must depend on the values alone.
+    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X; the last entry is the
+    whole error.  One ``dtrmm`` makes G = 2 d triu(H), reading only the upper
+    triangle of H, and column j adds sum_rows d_j (G_j - H_jj d_j).  Both
+    operands are made row-major, whose transposes BLAS reads uncopied, so
+    the sums run in one order and the error depends on the values alone.
     """
     d = np.ascontiguousarray(d)
-    # the column-major (d @ H).T, whose transpose is row-major like d
-    dh = blas.dgemm(1.0, np.ascontiguousarray(hessian).T, d.T).T
-    return float(np.sum(dh * d))
+    h = np.ascontiguousarray(hessian)
+    prefix = np.zeros(d.shape[1] + 1)
+    # f2py rejects an empty operand, which a layer with no rows gives
+    if d.size:
+        g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
+        g -= h.diagonal() * d
+        g *= d
+        np.cumsum(g.sum(axis=0), out=prefix[1:])
+    return prefix
 
 
 def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray):
@@ -96,8 +105,9 @@ def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray)
         blas.dgemm(-1.0, errs.T, upper_rows, beta=1.0, c=out.T, overwrite_c=1)
 
 
-def _relative(absolute: float, denom: float) -> float:
+def _relative(absolute: float, w_dense: np.ndarray, hessian: np.ndarray) -> float:
     """Error relative to the dense output energy; a layer with none has 0."""
+    denom = float(error_prefix(w_dense, hessian)[-1])
     if not np.isfinite(denom):
         raise NumericOverflowError(f"dense output energy {denom} is not finite")
     return absolute / denom if denom > 0 else 0.0
@@ -117,13 +127,12 @@ def outcome_from_trajectory(
     sum(w @ H @ w) in the raw Hessian.
     """
     absolute = float(trajectory[-1]) if len(trajectory) else 0.0
-    denom = _quadratic(w_dense, hessian)
     return PruneOutcome(
         pruned_weights=pruned,
         mask=PruneMask(kept=kept, pattern=pattern),
         block_error_trajectory=np.asarray(trajectory, dtype=np.float64),
         final_error=absolute,
-        relative_error=_relative(absolute, denom),
+        relative_error=_relative(absolute, w_dense, hessian),
     )
 
 
@@ -146,8 +155,8 @@ def reconstruction_error(
         raise DimensionError(
             f"Hessian shape {h.shape} != weight cols {wd.shape[1]}"
         )
-    absolute = _quadratic(wd - wp, h)
-    return absolute, _relative(absolute, _quadratic(wd, h))
+    absolute = float(error_prefix(wd - wp, h)[-1])
+    return absolute, _relative(absolute, wd, h)
 
 
 #: below this fraction of the dampened loss, the closed-form raw error has
@@ -184,7 +193,7 @@ def prune_layer(
     or the subtraction cancels, sum(d @ H_raw @ d) is computed instead.
     """
     # row-major, so that every sum runs in one order whatever the caller's layout
-    w_dense = np.ascontiguousarray(as_matrix(w))
+    w_dense = np.ascontiguousarray(finite_matrix(w))
     rows, n = w_dense.shape
     if n != bundle.n:
         raise DimensionError(f"weight cols {n} != Hessian size {bundle.n}")
@@ -265,7 +274,8 @@ def prune_layer(
         ]
         raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
         if uncompensated or raw_err < CANCELLATION * loss:
-            raw_err = _quadratic(w_dense - _channel_order(cur, order), bundle.raw)
+            d = w_dense - _channel_order(cur, order)
+            raw_err = float(error_prefix(d, bundle.raw)[-1])
         trajectory.append(raw_err)
         final_sq += tail_sq[0]
 

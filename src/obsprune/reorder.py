@@ -26,7 +26,7 @@ import numpy as np
 from .calibration import bundle_from_hessian, column_norms, raw_hessian
 from .engine import PruneOutcome, prune_layer
 from .errors import DimensionError
-from .tensors import Permutation, SparsityConfig, as_matrix, pruned_entries
+from .tensors import Permutation, SparsityConfig, finite_matrix, pruned_entries
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class ReorderPlan:
 
 def importance_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Per-weight score |w_ij| * norm_j."""
-    w = as_matrix(w)
+    w = finite_matrix(w)
     norms = np.asarray(norms, dtype=np.float64)
     if norms.shape != (w.shape[1],):
         raise DimensionError(f"weight cols {w.shape[1]} != norms shape {norms.shape}")
@@ -56,8 +56,8 @@ def importance_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
-    """Column and block losses from the pre-pruning candidate set."""
-    scores = as_matrix(scores)
+    """Column and block losses from the candidate set of finite scores."""
+    scores = finite_matrix(scores, "scores")
     rows, n = scores.shape
     ranges = config.block_ranges(n)
     col_losses = np.zeros(n)
@@ -117,12 +117,11 @@ def rose_prune_layer(
     w: np.ndarray,
     activations: Sequence[np.ndarray],
     config: SparsityConfig,
-    descending: bool = True,
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
-    """Score, reorder if columnar, prune, and restore channel order."""
-    w = as_matrix(w)
+    """Check W, then score, reorder if columnar, prune and restore channel order."""
+    w = finite_matrix(w)
     raw = raw_hessian(activations)
     profile = loss_profile(importance_scores(w, column_norms(raw)), config)
-    plan = build_reorder_plan(profile, config, descending=descending)
+    plan = build_reorder_plan(profile, config)
     bundle = bundle_from_hessian(raw, config.damp_fraction, plan.permutation)
     return prune_layer(w, bundle, config), plan, profile

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericOverflowError
 
 
 def as_matrix(a) -> np.ndarray:
@@ -19,6 +19,14 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return m
+
+
+def finite_matrix(a, what: str = "weights") -> np.ndarray:
+    """``as_matrix(a)``, once every entry is finite; ``what`` names it in the error."""
+    m = as_matrix(a)
+    if not np.isfinite(m).all():
+        raise NumericOverflowError(f"{what} not finite")
     return m
 
 
@@ -64,8 +72,9 @@ class SparsityConfig:
             raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
         if self.blocksize < 1:
             raise ConfigError("blocksize must be >= 1")
-        if not self.damp_fraction >= 0:
-            raise ConfigError("damp_fraction must be >= 0")
+        if not 0.0 <= self.damp_fraction < np.inf:
+            raise ConfigError("damp_fraction must be finite and >= 0, "
+                              f"got {self.damp_fraction}")
         if not 0.0 <= self.columnar_threshold < np.inf:
             raise ConfigError(
                 "columnar_threshold must be finite and >= 0, "
@@ -123,12 +132,12 @@ class SparsityConfig:
 # Permutations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """A bijection on column indices with its precomputed inverse.
 
     ``forward[j]`` is the source column placed at destination ``j`` when the
-    permutation is applied to a matrix.
+    permutation is applied to a matrix.  Equality and hash are by identity.
     """
 
     forward: np.ndarray

@@ -13,6 +13,7 @@ from obsprune import (
     Permutation,
     SparsityConfig,
     apply_column_permutation,
+    build_reorder_plan,
     bundle_from_hessian,
     exact_masked_reconstruction,
     gen_activations,
@@ -71,7 +72,11 @@ def columnar_runs():
             cfg = SparsityConfig(sparsity=p, blocksize=BLOCK)
             out, plan, prof = rose_prune_layer(w, [x], cfg)
             runs["rose"][(seed, p)] = (out, plan, prof, w, x)
-            asc, aplan, _ = rose_prune_layer(w, [x], cfg, descending=False)
+            # rose's scores and gate with both sorts flipped
+            aplan = build_reorder_plan(prof, cfg, descending=False)
+            asc = prune_layer(
+                w, bundle_from_hessian(bundle.raw, 0.01, aplan.permutation), cfg
+            )
             runs["rose-ascending"][(seed, p)] = (asc, aplan, None, w, x)
             plain = prune_layer(w, bundle, cfg)
             runs["sparsegpt"][(seed, p)] = (plain, None, None, w, x)

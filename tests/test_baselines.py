@@ -38,6 +38,24 @@ def test_magnitude_error_matches_direct_evaluation():
     assert out.relative_error == pytest.approx(relative)
 
 
+@pytest.mark.parametrize("prune", [magnitude_prune, wanda_prune])
+@pytest.mark.parametrize("config", [
+    SparsityConfig(sparsity=0.6, blocksize=8),
+    SparsityConfig.semi_structured(2, 4, blocksize=8),
+], ids=["unstructured", "2:4"])
+def test_trajectory_is_error_at_each_block_end(prune, config):
+    """Entry k is ||D[:, :e] X[:, :e].T||^2 at the end e of block k."""
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((6, 36))
+    x = rng.standard_normal((50, 36)) * rng.uniform(0.1, 10, 36)
+    out = prune(w, config, raw_hessian([x]))
+    d = w - out.pruned_weights
+    ends = [i2 for _, i2 in config.block_ranges(36)]
+    assert ends[-1] - ends[-2] == 4  # a partial last block
+    want = [np.sum(np.square(d[:, :e] @ x[:, :e].T)) for e in ends]
+    np.testing.assert_allclose(out.block_error_trajectory, want, rtol=1e-10)
+
+
 def test_wanda_zero_sparsity():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((3, 8))

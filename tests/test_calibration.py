@@ -16,11 +16,13 @@ from obsprune import (
     bundle_from_hessian,
     column_norms,
     magnitude_prune,
+    prune_layer,
     raw_hessian,
     reorder,
     rose_prune_layer,
     wanda_prune,
 )
+from obsprune import baselines, engine
 from obsprune.calibration import MIRROR_PANEL
 
 from hessian_helpers import (
@@ -315,17 +317,19 @@ def test_memory_budget():
 
 @pytest.mark.parametrize("prune", [magnitude_prune, wanda_prune])
 def test_baseline_memory_budget(prune):
-    """The baselines' error prefix sums are made in one n x n buffer.
+    """The baselines' error trajectory allocates nothing of n x n doubles.
 
-    Measured 1.41 n^2 at n=512 with 16 rows; a chain of temporaries,
-    ((D.T @ D) * H).cumsum().cumsum(), peaks at 2.07 n^2.
+    It is read off ``error_prefix``, whose temporaries are rows x n.
+    Measured 0.17 n^2 (magnitude) and 0.20 n^2 (wanda) at n=512 with 16
+    rows, most of it the n^2 bytes of the finiteness check on H; an n x n
+    buffer of D.T @ D, as the prefix sums once used, peaked at 1.41 n^2.
     """
     n = 512
     rng = np.random.default_rng(12)
     raw = raw_hessian([rng.standard_normal((1024, n))])
     w = rng.standard_normal((16, n))
     _, peak, _ = traced_bytes(lambda: prune(w, SparsityConfig(0.5), raw))
-    assert peak <= 1.6 * 8 * n * n
+    assert peak <= 0.5 * 8 * n * n
 
 
 def nan_hessian():
@@ -337,6 +341,13 @@ def nan_hessian():
 def inf_hessian():
     h = random_spd(32, seed=10)
     h[5, 5] = np.inf
+    return h
+
+
+def negative_diagonal_hessian():
+    """A symmetric H whose diagonal goes negative at columns 5 and 9."""
+    h = random_spd(32, seed=10)
+    h[5, 5] = h[9, 9] = -1.0
     return h
 
 
@@ -369,6 +380,8 @@ ENTRY_POINTS = {
     pytest.param(inf_hessian, NumericOverflowError, id="inf"),
     pytest.param(lambda: np.zeros((0, 0)), DimensionError, id="empty"),
     pytest.param(lambda: np.ones((4, 8)), DimensionError, id="non-square"),
+    pytest.param(negative_diagonal_hessian, IndefiniteHessianError,
+                 id="negative-diagonal"),
 ])
 def test_bad_raw_hessian_rejected_before_factoring(
     monkeypatch, capfd, entry, make, error
@@ -378,7 +391,43 @@ def test_bad_raw_hessian_rejected_before_factoring(
         monkeypatch.setattr(
             lapack, name, lambda *a, _name=name, **k: factored.append(_name)
         )
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         ENTRY_POINTS[entry](make())
+    if error is IndefiniteHessianError:
+        # the first negative diagonal, in channel order whatever the order
+        assert exc.value.pivot == 5
     assert factored == []
     assert capfd.readouterr() == ("", "")
+
+
+def run_engine(w):
+    bundle = bundle_from_hessian(np.eye(w.shape[1]), 0.01)
+    return prune_layer(w, bundle, SparsityConfig(0.5, blocksize=4))
+
+
+WEIGHT_ENTRY_POINTS = {
+    "prune_layer": run_engine,
+    "rose": lambda w: rose_prune_layer(
+        w, [np.ones((4, w.shape[1]))], SparsityConfig(0.5, blocksize=4)
+    ),
+    "magnitude": lambda w: magnitude_prune(w, SparsityConfig(0.5), np.eye(w.shape[1])),
+    "wanda": lambda w: wanda_prune(w, SparsityConfig(0.5), np.eye(w.shape[1])),
+}
+
+
+@pytest.mark.parametrize("entry", list(WEIGHT_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected_at_entry(monkeypatch, entry, bad):
+    """Non-finite W fails before activations, Hessian or any mask is touched."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started on non-finite weights")
+
+    monkeypatch.setattr(reorder, "raw_hessian", started)
+    monkeypatch.setattr(engine, "select_block_mask", started)
+    monkeypatch.setattr(baselines, "pruned_entries", started)
+    monkeypatch.setattr(baselines, "smallest_per_row", started)
+    w = np.ones((2, 8))
+    w[1, 3] = bad
+    with pytest.raises(NumericOverflowError, match="weights not finite"):
+        WEIGHT_ENTRY_POINTS[entry](w)

@@ -315,6 +315,8 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     ["--sparsity", "0.5", "--weights", "w.rtns"],
     ["--sparsity", "0.5", "--acts", "a.json"],
     ["detect", "--synth", "columnar", "extra.rtns"],
+    # infinite damping would prune with no compensation at all
+    ["--sparsity", "0.5", "--damp", "inf"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
     # a case that names its own subcommand replaces the prune prefix

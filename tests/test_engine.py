@@ -18,7 +18,7 @@ from obsprune import (
     select_block_mask,
 )
 from obsprune.calibration import DEGENERATE_DIAG
-from obsprune.engine import CANCELLATION, outcome_from_trajectory
+from obsprune.engine import CANCELLATION, error_prefix, outcome_from_trajectory
 from obsprune.tensors import SemiStructured
 
 from hessian_helpers import accumulate_hessian, dampened_hessian
@@ -123,6 +123,46 @@ class TestReconstructionError:
         with pytest.raises(NumericOverflowError):
             outcome_from_trajectory(w, np.zeros_like(w), np.ones_like(w, dtype=bool),
                                     None, [0.0], np.eye(2))
+
+
+class TestErrorPrefix:
+    """``error_prefix`` against a long-double sum, on every layout of d."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        rows=st.integers(0, 6),
+        n=st.integers(0, 24),
+        dead=st.lists(st.integers(0, 23), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_long_double(self, rows, n, dead, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2 * n + 3, n)) * rng.uniform(0.1, 10, n)
+        x[:, [j for j in dead if j < n]] = 0.0  # dead channels
+        h = raw_hessian([x])
+        d = rng.standard_normal((rows, n)) * rng.uniform(0.01, 100, n)
+        spread = np.zeros((rows, 2 * n))
+        spread[:, ::2] = d
+        layouts = [d, np.asfortranarray(d), spread[:, ::2]]
+        got = error_prefix(layouts[0], h)
+        for other in layouts[1:]:
+            assert np.array_equal(error_prefix(other, h), got)
+
+        dl, hl = d.astype(np.longdouble), h.astype(np.longdouble)
+        assert got.shape == (n + 1,)
+        for e in range(n + 1):
+            de, he = dl[:, :e], hl[:e, :e]
+            want = np.sum((de @ he) * de)
+            scale = np.sum((np.abs(de) @ np.abs(he)) * np.abs(de))
+            assert abs(got[e] - want) <= 1e-12 * scale
+
+    def test_reads_only_the_upper_triangle(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((20, 9))
+        h = raw_hessian([x])
+        d = rng.standard_normal((4, 9))
+        upper = np.triu(h)
+        assert np.array_equal(error_prefix(d, upper), error_prefix(d, h))
 
 
 class TestPruneLayer:

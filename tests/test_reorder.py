@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from obsprune import (
     ConfigError,
     DimensionError,
+    NumericOverflowError,
     Permutation,
     SparsityConfig,
     apply_column_permutation,
     build_reorder_plan,
     bundle_from_hessian,
+    column_norms,
     gen_activations,
     gen_columnar,
     gen_uniform,
@@ -44,6 +46,19 @@ class TestScores:
 
 
 class TestLossProfile:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        """Non-finite scores would reach a selection that must see no NaN."""
+        norms = np.ones(8)
+        norms[5] = bad
+        cfg = SparsityConfig(0.5, blocksize=4)
+        with pytest.raises(NumericOverflowError, match="scores not finite"):
+            loss_profile(importance_scores(np.ones((2, 8)), norms), cfg)
+        w = np.ones((2, 8))
+        w[1, 2] = bad
+        with pytest.raises(NumericOverflowError, match="weights not finite"):
+            importance_scores(w, np.ones(8))
+
     def test_zero_sparsity(self):
         cfg = SparsityConfig(sparsity=0.0, blocksize=2)
         prof = loss_profile(np.arange(8.0).reshape(2, 4), cfg)
@@ -243,10 +258,13 @@ class TestRosePruneLayer:
     def test_ascending_worse_than_plain(self):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        asc, plan, _ = rose_prune_layer(w, [x], cfg, descending=False)
+        raw = raw_hessian([x])
+        profile = loss_profile(importance_scores(w, column_norms(raw)), cfg)
+        plan = build_reorder_plan(profile, cfg, descending=False)
         assert plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction)
-        plain = prune_layer(w, bundle, cfg)
+        damp = cfg.damp_fraction
+        asc = prune_layer(w, bundle_from_hessian(raw, damp, plan.permutation), cfg)
+        plain = prune_layer(w, bundle_from_hessian(raw, damp), cfg)
         assert asc.relative_error >= plain.relative_error
 
     def test_reorder_back_round_trip_exact(self):

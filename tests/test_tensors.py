@@ -24,6 +24,13 @@ def test_apply_permutation_direct():
     assert out.shape == m.shape
 
 
+def test_permutation_equality_and_hash_are_by_identity():
+    p, q = Permutation([1, 0, 2]), Permutation([1, 0, 2])
+    assert p == p and hash(p) == hash(p)
+    assert (p == q) is False
+    assert len({p, q}) == 2
+
+
 def test_apply_identity():
     m = np.arange(12.0).reshape(3, 4)
     np.testing.assert_array_equal(apply_column_permutation(m, Permutation.identity(4)), m)
@@ -103,6 +110,13 @@ def test_config_rejects_bad_columnar_threshold(threshold):
     with pytest.raises(ConfigError, match="columnar_threshold"):
         SparsityConfig(sparsity=0.5, columnar_threshold=threshold)
     assert SparsityConfig(sparsity=0.5, columnar_threshold=0.0)
+
+
+@pytest.mark.parametrize("damp", [np.nan, np.inf, -0.1])
+def test_config_rejects_bad_damp_fraction(damp):
+    with pytest.raises(ConfigError, match="damp_fraction"):
+        SparsityConfig(sparsity=0.5, damp_fraction=damp)
+    assert SparsityConfig(sparsity=0.5, damp_fraction=0.0)
 
 
 def test_default_pattern_is_unstructured():
