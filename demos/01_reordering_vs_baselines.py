@@ -15,7 +15,7 @@ from obsprune import (
     SparsityConfig,
     build_reorder_plan,
     bundle_from_hessian,
-    column_norms,
+    checked_layer,
     gen_activations,
     gen_columnar,
     gen_uniform,
@@ -34,20 +34,21 @@ SEED = 0
 
 def run_all(name, w, acts):
     cfg = SparsityConfig(sparsity=SPARSITY, blocksize=BLOCK)
-    # the activations are read once; every method works from H = X.T X
-    h = raw_hessian(acts)
-    profile = loss_profile(importance_scores(w, column_norms(h)), cfg)
-    bundle = bundle_from_hessian(h, cfg.damp_fraction)
+    # the activations are read once; every method works from the layer
+    # (W, H = X.T X), checked once
+    layer = checked_layer(w, raw_hessian(acts))
+    profile = loss_profile(importance_scores(layer), cfg)
+    bundle = bundle_from_hessian(layer, cfg.damp_fraction)
 
     results = {
-        "magnitude": magnitude_prune(w, cfg, h),
-        "act-weighted magnitude": wanda_prune(w, cfg, h),
-        "second-order": prune_layer(w, bundle, cfg),
+        "magnitude": magnitude_prune(layer, cfg),
+        "act-weighted magnitude": wanda_prune(layer, cfg),
+        "second-order": prune_layer(bundle, cfg),
     }
     # rose is the same engine, swept in the column order of its reorder plan
     plan = build_reorder_plan(profile, cfg)
-    rose_bundle = bundle_from_hessian(h, cfg.damp_fraction, plan.permutation)
-    results["second-order + reorder"] = prune_layer(w, rose_bundle, cfg)
+    rose_bundle = bundle_from_hessian(layer, cfg.damp_fraction, plan.permutation)
+    results["second-order + reorder"] = prune_layer(rose_bundle, cfg)
 
     print(f"\n{name}: relative block-loss range R_rel = "
           f"{profile.relative_range:.3f} "

@@ -16,6 +16,7 @@ from obsprune import (
     Permutation,
     SparsityConfig,
     bundle_from_hessian,
+    checked_layer,
     gen_activations,
     gen_columnar,
     prune_layer,
@@ -32,6 +33,7 @@ def main():
     cfg = SparsityConfig(sparsity=0.7, blocksize=BLOCK)
     w = gen_columnar(ROWS, COLS, BLOCK, HOT, hot_gain=10.0, seed=SEED)
     h = raw_hessian([gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)])
+    layer = checked_layer(w, h)
 
     print(f"{k} blocks of {BLOCK} columns, hot block index {HOT}, "
           f"sparsity {cfg.sparsity}\n")
@@ -43,7 +45,7 @@ def main():
         # whole blocks in this order, the columns of each left in place
         order = rest[:pos] + [HOT] + rest[pos:]
         perm = Permutation(np.concatenate([np.arange(*blocks[b]) for b in order]))
-        out = prune_layer(w, bundle_from_hessian(h, cfg.damp_fraction, perm), cfg)
+        out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, perm), cfg)
         errors.append(out.final_error)
         bar = "#" * int(40 * out.final_error / max(errors[0], 1e-300) / 2)
         print(f"  {pos:2d} of {k - 1:2d}          {out.final_error:12.4e}  {bar}")

@@ -4,7 +4,9 @@ loss-ordered channel reordering."""
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import (
     HessianBundle,
+    Layer,
     bundle_from_hessian,
+    checked_layer,
     column_norms,
     raw_hessian,
 )
@@ -40,7 +42,6 @@ from .tensors import (
     SemiStructured,
     SparsityConfig,
     apply_column_permutation,
-    mask_pattern_valid,
 )
 
 __version__ = "0.1.0"

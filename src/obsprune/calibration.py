@@ -1,14 +1,17 @@
-"""Hessian accumulation from calibration batches, and what derives from it.
+"""The checked layer: W, the raw Hessian of its inputs, and what derives from them.
 
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
 activation batches are read: it streams them with ``dsyrk`` into one
-triangle and mirrors it once.  Column norms, the factor and every error are
-derived from H.  For pruning, H is dampened by a multiple of its mean
-diagonal, and the upper Cholesky factor of its inverse, which drives the
-compensation engine, comes from one in-place factorization: the Cholesky
-factor of H in pruning order with rows and columns reversed, inverted as a
-triangle and reversed back.
+triangle and mirrors it once.  ``checked_layer`` is the one place W and H
+are checked against each other; the ``Layer`` it returns holds them with
+the column norms, the dead channels and the dense output energy, derived
+once, and every method reads them from it.  Every error is a quadratic form
+in H, ``error_prefix``.  For pruning, H is dampened by a multiple of its
+mean diagonal, and the upper Cholesky factor of its inverse, which drives
+the compensation engine, comes from one in-place factorization: the
+Cholesky factor of H in pruning order with rows and columns reversed,
+inverted as a triangle and reversed back.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import DimensionError, IndefiniteHessianError
+from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
 from .tensors import Permutation, finite_matrix
 
 #: Squared inverse-factor diagonals below this are treated as degenerate.
@@ -29,43 +32,88 @@ DEGENERATE_DIAG = 1e-30
 MIRROR_PANEL = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """One layer's weights and the raw Hessian of its inputs, checked together.
+
+    Built only by ``checked_layer``; equality is by identity.  ``w`` is
+    finite and row-major, so every sum over it runs in one order whatever
+    the caller's layout; ``raw`` is the caller's X.T @ X in channel order,
+    without dampening, the matrix every reconstruction error is measured
+    in.  ``norms`` are the column norms, ``dead_columns`` the channels whose
+    diagonal in H is zero, and ``dense_energy`` is the dense layer's output
+    energy sum(W @ H @ W.T).
+    """
+
+    w: np.ndarray
+    raw: np.ndarray
+    norms: np.ndarray
+    dead_columns: np.ndarray
+    dense_energy: float
+
+
+@dataclass(frozen=True, eq=False)
 class HessianBundle:
-    """Raw Hessian and the inverse factor used for pruning.
+    """A layer and the inverse factor used to prune it; equality is by identity.
 
     ``chol_upper`` is the upper triangular U with inv(H) = U.T @ U for the
     dampened Hessian H[order][:, order]; its trailing blocks reproduce the
     inverses of all trailing Hessian submatrices, which is what lets one
-    factorization serve the whole left-to-right pruning sweep.  ``raw`` is
-    the caller's X.T @ X in channel order, without dampening, the matrix
-    every reconstruction error is measured in; ``dead_columns`` are the
-    channels whose diagonal in it is zero.
+    factorization serve the whole left-to-right pruning sweep.
     """
 
-    n: int
-    raw: np.ndarray
+    layer: Layer
     chol_upper: np.ndarray
     damp_lambda: float
     order: Permutation
-    dead_columns: np.ndarray
 
 
-def checked_hessian(raw) -> np.ndarray:
-    """``raw`` as a float64 matrix, once it is a finite, non-empty Gram matrix.
+def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """Entry e is the sum over the rows of d[:, :e] @ H[:e, :e] @ d[:, :e].
 
-    Called where a caller's raw Hessian enters (the factor, the column norms
-    and the baselines), so a bad H fails before any factoring or scoring.
-    A Gram matrix's diagonal is >= 0: the first negative one is the pivot.
+    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X; the last entry is the
+    whole error.  One ``dtrmm`` makes G = 2 d triu(H), reading only the upper
+    triangle of H, and column j adds sum_rows d_j (G_j - H_jj d_j).  Both
+    operands are made row-major, whose transposes BLAS reads uncopied, so
+    the sums run in one order and the error depends on the values alone.
     """
+    d = np.ascontiguousarray(d)
+    h = np.ascontiguousarray(hessian)
+    prefix = np.zeros(d.shape[1] + 1)
+    # f2py rejects an empty operand, which a layer with no rows gives
+    if d.size:
+        g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
+        g -= h.diagonal() * d
+        g *= d
+        np.cumsum(g.sum(axis=0), out=prefix[1:])
+    return prefix
+
+
+def checked_layer(w, raw) -> Layer:
+    """The layer (W, H), once W and H pass every check, before any scoring.
+
+    W must be finite.  H must be finite, square, non-empty and as wide as
+    W, with a non-negative diagonal, as a Gram matrix's is: the first
+    negative entry is the pivot.  The dense output energy must be finite,
+    so that every relative error has a denominator.
+    """
+    w = np.ascontiguousarray(finite_matrix(w))
     raw = finite_matrix(raw, "hessian")
     n = raw.shape[0]
     if n == 0 or raw.shape[1] != n:
         raise DimensionError(f"hessian must be square and non-empty, got {raw.shape}")
-    pivot = int(np.argmax(raw.diagonal() < 0))
-    if raw[pivot, pivot] < 0:
+    if w.shape[1] != n:
+        raise DimensionError(f"weight cols {w.shape[1]} != Hessian size {n}")
+    diag = raw.diagonal()
+    pivot = int(np.argmax(diag < 0))
+    if diag[pivot] < 0:
         raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
                                      pivot=pivot)
-    return raw
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        energy = float(error_prefix(w, raw)[-1])
+    if not np.isfinite(energy):
+        raise NumericOverflowError(f"dense output energy {energy} is not finite")
+    return Layer(w, raw, column_norms(raw), np.flatnonzero(diag == 0.0), energy)
 
 
 def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
@@ -101,9 +149,9 @@ def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def bundle_from_hessian(
-    raw: np.ndarray, damp_fraction: float = 0.0, order: Permutation | None = None
+    layer: Layer, damp_fraction: float, order: Permutation | None = None
 ) -> HessianBundle:
-    """Factor the dampened H[order][:, order] (channel order by default).
+    """Factor the layer's dampened H[order][:, order] (channel order by default).
 
     The one copy of H made here is h = H[q][:, q] for q the order reversed,
     whose leading k x k block is the trailing block of H[order][:, order]
@@ -111,14 +159,13 @@ def bundle_from_hessian(
     factor, reversed back, outlives the call.  The damping comes from the
     diagonal in channel order, so every order of a layer gets the same one.
     """
-    raw = checked_hessian(raw)
+    raw = layer.raw
     n = raw.shape[0]
     if order is None:
         order = Permutation.identity(n)
     elif order.size != n:
         raise DimensionError(f"order size {order.size} != Hessian size {n}")
-    diag = raw.diagonal()
-    lam = float(damp_fraction * diag.mean())
+    lam = float(damp_fraction * raw.diagonal().mean())
     q = order.forward[::-1]
     h = raw[np.ix_(q, q)]
     h.reshape(-1)[:: n + 1] += lam
@@ -138,16 +185,9 @@ def bundle_from_hessian(
     # the strict upper triangle still holds the dampened H
     for j in range(1, n):
         inv_low[:j, j] = 0.0
-    return HessianBundle(
-        n=n,
-        raw=raw,
-        chol_upper=inv_low[::-1, ::-1].copy(),
-        damp_lambda=lam,
-        order=order,
-        dead_columns=np.flatnonzero(diag == 0.0),
-    )
+    return HessianBundle(layer, inv_low[::-1, ::-1].copy(), lam, order)
 
 
 def column_norms(raw: np.ndarray) -> np.ndarray:
     """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
-    return np.sqrt(checked_hessian(raw).diagonal())
+    return np.sqrt(raw.diagonal())

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import magnitude_prune, wanda_prune
-from .calibration import bundle_from_hessian, column_norms, raw_hessian
+from .calibration import Layer, bundle_from_hessian, checked_layer, raw_hessian
 from .engine import prune_layer
 from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
@@ -118,20 +118,12 @@ def _make_config(args) -> SparsityConfig:
     return configs[0]
 
 
-def _load_inputs(args, config: SparsityConfig, weights=None):
-    """Weights plus activation batches, from files or generators.
+def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
+    """One layer's weights: the file ``path`` (default ``--weights``) or --synth's.
 
-    ``weights`` overrides ``--weights`` with another layer's file.  The
-    inputs are checked here, before any Hessian work: ``--synth`` names no
-    input file, the weights must be a finite, non-empty matrix whose
-    columns an n:m pattern tiles, and every activation batch must have as
-    many columns.
+    They must be a finite, non-empty matrix whose columns an n:m pattern
+    tiles.
     """
-    if args.synth is not None and (
-        args.weights or args.acts or getattr(args, "more_weights", None)
-    ):
-        raise ConfigError("--synth generates the layer and its activations; "
-                          "it takes no --weights, --acts or weight files")
     if args.synth is not None:
         if args.synth == "columnar":
             n_blocks = math.ceil(args.cols / config.blocksize)
@@ -142,30 +134,56 @@ def _load_inputs(args, config: SparsityConfig, weights=None):
         else:
             w = gen_uniform(args.rows, args.cols, args.seed)
     else:
-        weights = weights or args.weights
-        if weights is None:
+        path = path or args.weights
+        if path is None:
             raise ConfigError("need --weights or --synth")
-        w = read_tensor(weights)
-    w = finite_matrix(w, f"{weights or 'synthetic'} weights")
+        w = read_tensor(path)
+    w = finite_matrix(w, f"{path or 'synthetic'} weights")
     if w.size == 0:
-        raise ConfigError(f"{weights} weights have shape {w.shape}: an empty layer")
-    n = w.shape[1]
-    config.block_ranges(n)  # raises ConfigError for an untiled n:m
+        raise ConfigError(f"{path} weights have shape {w.shape}: an empty layer")
+    config.block_ranges(w.shape[1])  # raises ConfigError for an untiled n:m
+    return w
+
+
+def _load_activations(args, n: int) -> list:
+    """The activation batches of the --acts manifest, or --synth's, n columns wide."""
     if args.acts is not None:
         acts = read_manifest(args.acts)
     else:
-        seed = args.seed + ACT_SEED_OFFSET
-        acts = [gen_activations(args.samples, n, args.correlation, seed)]
+        acts = [gen_activations(args.samples, n, args.correlation,
+                                args.seed + ACT_SEED_OFFSET)]
     for i, b in enumerate(acts):
         if np.shape(b)[1:] != (n,):
             raise DimensionError(
                 f"activation batch {i} has shape {np.shape(b)}, expected (samples, {n})"
             )
-    return w, acts
+    return acts
 
 
-def _profile_for(w, raw, config):
-    return loss_profile(importance_scores(w, column_norms(raw)), config)
+def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
+    """The checked layer of each weight file in ``paths`` (None: --weights or --synth).
+
+    ``--synth`` names no input file, and every weight matrix is checked
+    before any activation is read.  The activations are read, and their H
+    built, once per layer width: every file shares the one ``--acts``, and
+    the synthetic activations depend on the width alone.
+    """
+    if args.synth is not None and (
+        args.weights or args.acts or getattr(args, "more_weights", None)
+    ):
+        raise ConfigError("--synth generates the layer and its activations; "
+                          "it takes no --weights, --acts or weight files")
+    weights = [_load_weights(args, config, path) for path in paths]
+    hessians = {}
+    for w in weights:
+        n = w.shape[1]
+        if n not in hessians:
+            hessians[n] = raw_hessian(_load_activations(args, n))
+    return [checked_layer(w, hessians[w.shape[1]]) for w in weights]
+
+
+def _profile_for(layer: Layer, config):
+    return loss_profile(importance_scores(layer), config)
 
 
 def _plan_for(method, profile, config) -> ReorderPlan:
@@ -175,7 +193,7 @@ def _plan_for(method, profile, config) -> ReorderPlan:
     return ReorderPlan(Permutation.identity(profile.column_losses.size), False)
 
 
-def _runs(methods, w, raw, configs):
+def _runs(methods, layer: Layer, configs):
     """(config, method, outcome, plan, profile, wall_ms) for each config x method.
 
     Each config gets one loss profile.  The damping does not depend on the
@@ -184,24 +202,24 @@ def _runs(methods, w, raw, configs):
     """
     identity_bundle = None
     for config in configs:
-        profile = _profile_for(w, raw, config)
+        profile = _profile_for(layer, config)
         for method in methods:
             t0 = time.perf_counter()
             plan = _plan_for(method, profile, config)
             order = plan.permutation
             if method == "magnitude":
-                outcome = magnitude_prune(w, config, raw)
+                outcome = magnitude_prune(layer, config)
             elif method == "wanda":
-                outcome = wanda_prune(w, config, raw)
+                outcome = wanda_prune(layer, config)
             else:
                 if not order.is_identity():
-                    bundle = bundle_from_hessian(raw, config.damp_fraction, order)
+                    bundle = bundle_from_hessian(layer, config.damp_fraction, order)
                 else:
                     identity_bundle = identity_bundle or bundle_from_hessian(
-                        raw, config.damp_fraction
+                        layer, config.damp_fraction
                     )
                     bundle = identity_bundle
-                outcome = prune_layer(w, bundle, config)
+                outcome = prune_layer(bundle, config)
                 del bundle  # free this factor before the next run builds its own
             wall_ms = (time.perf_counter() - t0) * 1000.0
             yield config, method, outcome, plan, profile, wall_ms
@@ -224,10 +242,8 @@ def _config_doc(config: SparsityConfig, args) -> dict:
 
 def cmd_prune(args) -> int:
     config = _make_config(args)
-    w, acts = _load_inputs(args, config)
-    raw = raw_hessian(acts)
-    del acts
-    [(_, _, outcome, plan, profile, wall_ms)] = _runs([args.method], w, raw, [config])
+    [layer] = _load_inputs(args, config)
+    [(_, _, outcome, plan, profile, wall_ms)] = _runs([args.method], layer, [config])
 
     args.out.mkdir(parents=True, exist_ok=True)
     weights_path = args.out / "pruned_weights.rtns"
@@ -256,9 +272,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown method {m!r}")
     configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
-    w, acts = _load_inputs(args, configs[0])
-    raw = raw_hessian(acts)
-    del acts
+    [layer] = _load_inputs(args, configs[0])
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
         {
@@ -270,7 +284,7 @@ def cmd_compare(args) -> int:
             "wall_ms": wall_ms,
         }
         for config, method, outcome, plan, profile, wall_ms
-        in _runs(methods, w, raw, configs)
+        in _runs(methods, layer, configs)
     ]
     out_path = args.out / "compare.csv"
 
@@ -293,9 +307,8 @@ def cmd_detect(args) -> int:
     else:
         raise ConfigError("need --weights or --synth")
     layers = []
-    for path in paths:
-        w, acts = _load_inputs(args, config, path)
-        profile = _profile_for(w, raw_hessian(acts), config)
+    for path, layer in zip(paths, _load_inputs(args, config, paths)):
+        profile = _profile_for(layer, config)
         layers.append({
             "layer": f"synth-{args.synth}" if path is None else str(path),
             "R_rel": profile.relative_range,

@@ -1,7 +1,9 @@
 """Block-wise second-order pruning with Cholesky-based compensation.
 
-Columns are processed in the order the Hessian bundle was factored in, left
-to right on a two-level lazy-batch schedule.
+The engine prunes the bundle's ``Layer``, checked when it was built, and
+reads W, the dead channels and the dense output energy from it.  Columns are
+processed in the order the bundle was factored in, left to right on a
+two-level lazy-batch schedule.
 
 - A block is ``config.blocksize`` columns.  Unstructured masks are chosen
   for the whole block at block entry; n:m masks are chosen per group of m
@@ -19,7 +21,8 @@ to right on a two-level lazy-batch schedule.
 Columns past a sub-block (or block) are never read inside it, so deferring
 their updates changes only the rounding.  No activations are needed: the
 per-block error follows in closed form from the sweep's OBS errors, and
-every other error is a quadratic form in the raw Hessian, ``error_prefix``.
+every other error is a quadratic form in the raw Hessian,
+``calibration.error_prefix``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import blas
 
-from .calibration import DEGENERATE_DIAG, HessianBundle
+from .calibration import DEGENERATE_DIAG, HessianBundle, Layer, error_prefix
 from .errors import ConfigError, DimensionError, NumericOverflowError
-from .tensors import (Permutation, PruneMask, SparsityConfig, as_matrix,
-                      finite_matrix, pruned_entries)
+from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
 @dataclass(frozen=True)
@@ -70,28 +72,7 @@ def select_block_mask(
     s = w_block * w_block / inv_diag
     if len(force_cols):
         s[:, np.asarray(force_cols, dtype=np.intp)] = -np.inf
-    return PruneMask(kept=~pruned_entries(s, config), pattern=config.pattern)
-
-
-def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    """Entry e is the sum over the rows of d[:, :e] @ H[:e, :e] @ d[:, :e].
-
-    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X; the last entry is the
-    whole error.  One ``dtrmm`` makes G = 2 d triu(H), reading only the upper
-    triangle of H, and column j adds sum_rows d_j (G_j - H_jj d_j).  Both
-    operands are made row-major, whose transposes BLAS reads uncopied, so
-    the sums run in one order and the error depends on the values alone.
-    """
-    d = np.ascontiguousarray(d)
-    h = np.ascontiguousarray(hessian)
-    prefix = np.zeros(d.shape[1] + 1)
-    # f2py rejects an empty operand, which a layer with no rows gives
-    if d.size:
-        g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
-        g -= h.diagonal() * d
-        g *= d
-        np.cumsum(g.sum(axis=0), out=prefix[1:])
-    return prefix
+    return PruneMask(~pruned_entries(s, config))
 
 
 def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray):
@@ -105,58 +86,31 @@ def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray)
         blas.dgemm(-1.0, errs.T, upper_rows, beta=1.0, c=out.T, overwrite_c=1)
 
 
-def _relative(absolute: float, w_dense: np.ndarray, hessian: np.ndarray) -> float:
+def _relative(absolute: float, layer: Layer) -> float:
     """Error relative to the dense output energy; a layer with none has 0."""
-    denom = float(error_prefix(w_dense, hessian)[-1])
-    if not np.isfinite(denom):
-        raise NumericOverflowError(f"dense output energy {denom} is not finite")
-    return absolute / denom if denom > 0 else 0.0
+    return absolute / layer.dense_energy if layer.dense_energy > 0 else 0.0
 
 
 def outcome_from_trajectory(
-    w_dense: np.ndarray,
-    pruned: np.ndarray,
-    kept: np.ndarray,
-    pattern,
-    trajectory,
-    hessian: np.ndarray,
+    layer: Layer, pruned: np.ndarray, kept: np.ndarray, trajectory
 ) -> PruneOutcome:
-    """Assemble a PruneOutcome whose final error ends the trajectory.
-
-    The relative error divides by the dense layer's output energy
-    sum(w @ H @ w) in the raw Hessian.
-    """
+    """Assemble a PruneOutcome whose final error ends the trajectory."""
     absolute = float(trajectory[-1]) if len(trajectory) else 0.0
     return PruneOutcome(
         pruned_weights=pruned,
-        mask=PruneMask(kept=kept, pattern=pattern),
+        mask=PruneMask(kept),
         block_error_trajectory=np.asarray(trajectory, dtype=np.float64),
         final_error=absolute,
-        relative_error=_relative(absolute, w_dense, hessian),
+        relative_error=_relative(absolute, layer),
     )
 
 
-def reconstruction_error(
-    w_dense: np.ndarray,
-    w_pruned: np.ndarray,
-    hessian: np.ndarray,
-) -> tuple[float, float]:
-    """Squared output error of the pruned layer, absolute and relative.
-
-    ``hessian`` is the raw X.T @ X, so the absolute error is
-    ||(w_dense - w_pruned) X.T||^2.
-    """
-    wd = as_matrix(w_dense)
-    wp = as_matrix(w_pruned)
-    h = as_matrix(hessian)
-    if wd.shape != wp.shape:
-        raise DimensionError(f"weight shapes differ: {wd.shape} vs {wp.shape}")
-    if h.shape != (wd.shape[1], wd.shape[1]):
-        raise DimensionError(
-            f"Hessian shape {h.shape} != weight cols {wd.shape[1]}"
-        )
-    absolute = float(error_prefix(wd - wp, h)[-1])
-    return absolute, _relative(absolute, wd, h)
+def reconstruction_error(layer: Layer, w_pruned: np.ndarray) -> tuple[float, float]:
+    """Squared output error ||(W - w_pruned) X.T||^2, absolute and relative."""
+    if np.shape(w_pruned) != layer.w.shape:
+        raise DimensionError(f"pruned shape {np.shape(w_pruned)} != {layer.w.shape}")
+    absolute = float(error_prefix(layer.w - w_pruned, layer.raw)[-1])
+    return absolute, _relative(absolute, layer)
 
 
 #: below this fraction of the dampened loss, the closed-form raw error has
@@ -175,14 +129,11 @@ def _channel_order(t: np.ndarray, order: Permutation) -> np.ndarray:
     return out
 
 
-def prune_layer(
-    w: np.ndarray,
-    bundle: HessianBundle,
-    config: SparsityConfig,
-) -> PruneOutcome:
-    """Prune one layer block by block with OBS compensation.
+def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
+    """Prune the bundle's layer block by block with OBS compensation.
 
-    The columns of ``w`` are swept in ``bundle.order``, the order its
+    The layer was checked when it was built, so only the config is checked
+    here.  The columns of W are swept in ``bundle.order``, the order its
     factor was made in; weights and mask come back in channel order.  Under
     an n:m pattern, an order that splits a group of m is rejected with a
     ConfigError before the sweep.  The error after block k is measured in
@@ -192,11 +143,8 @@ def prune_layer(
     a column is pruned without compensation (degenerate inverse diagonal),
     or the subtraction cancels, sum(d @ H_raw @ d) is computed instead.
     """
-    # row-major, so that every sum runs in one order whatever the caller's layout
-    w_dense = np.ascontiguousarray(finite_matrix(w))
-    rows, n = w_dense.shape
-    if n != bundle.n:
-        raise DimensionError(f"weight cols {n} != Hessian size {bundle.n}")
+    layer = bundle.layer
+    rows, n = layer.w.shape
     ranges = config.block_ranges(n)  # raises ConfigError for an untiled n:m
     order = bundle.order
     if config.pattern is not None:
@@ -212,13 +160,13 @@ def prune_layer(
     degenerate = inv_diag < DEGENERATE_DIAG
     saliency_diag = np.maximum(inv_diag, DEGENERATE_DIAG)
     dead = np.zeros(n, dtype=bool)
-    dead[order.inverse[bundle.dead_columns]] = True
+    dead[order.inverse[layer.dead_columns]] = True
     group = config.group_width
     step = SUB_BLOCK if config.pattern is None else max(1, SUB_BLOCK // group) * group
 
     # the sweep runs on W.T in pruning order, so that every column it
     # touches is contiguous
-    dense_t = w_dense.T[order.forward]
+    dense_t = layer.w.T[order.forward]
     cur = dense_t.copy()
     kept_t = np.ones((n, rows), dtype=bool)
     trajectory = []
@@ -274,20 +222,15 @@ def prune_layer(
         ]
         raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
         if uncompensated or raw_err < CANCELLATION * loss:
-            d = w_dense - _channel_order(cur, order)
-            raw_err = float(error_prefix(d, bundle.raw)[-1])
+            d = layer.w - _channel_order(cur, order)
+            raw_err = float(error_prefix(d, layer.raw)[-1])
         trajectory.append(raw_err)
         final_sq += tail_sq[0]
 
-    # the copies go before the error denominator allocates two of its own
+    # the sweep's copies go before the outputs are allocated
     del dense_t
     pruned_weights = _channel_order(cur, order)
     del cur
     return outcome_from_trajectory(
-        w_dense,
-        pruned_weights,
-        _channel_order(kept_t, order),
-        config.pattern,
-        trajectory,
-        bundle.raw,
+        layer, pruned_weights, _channel_order(kept_t, order), trajectory
     )

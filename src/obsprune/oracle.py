@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import DEGENERATE_DIAG, bundle_from_hessian, raw_hessian
+from .calibration import (DEGENERATE_DIAG, bundle_from_hessian, checked_layer,
+                          raw_hessian)
 from .engine import PruneOutcome, prune_layer, select_block_mask
 from .errors import (
     DimensionError,
@@ -144,7 +145,7 @@ def naive_obs_prune(
     denom = float(np.sum(ref * ref))
     return PruneOutcome(
         pruned_weights=w_cur,
-        mask=PruneMask(kept=kept_full, pattern=config.pattern),
+        mask=PruneMask(kept_full),
         block_error_trajectory=np.asarray(trajectory),
         final_error=absolute,
         relative_error=absolute / denom if denom > 0 else 0.0,
@@ -185,8 +186,8 @@ def cross_check(seed: int, damp: float) -> list[str]:
         common = dict(blocksize=blocksize, damp_fraction=damp)
         config = (SparsityConfig.semi_structured(2, 4, **common) if nm
                   else SparsityConfig(sparsity=p, **common))
-        bundle = bundle_from_hessian(raw_hessian([X]), config.damp_fraction)
-        fast = prune_layer(W, bundle, config)
+        layer = checked_layer(W, raw_hessian([X]))
+        fast = prune_layer(bundle_from_hessian(layer, config.damp_fraction), config)
         slow = naive_obs_prune(W, [X], config)
         if not np.array_equal(fast.mask.kept, slow.mask.kept):
             failures.append(f"FAIL mask equivalence, trial {trial}")

@@ -9,7 +9,8 @@ descending by block loss.  High-loss weights are then pruned while plenty
 of later columns remain available for compensation, and the result is
 mapped back to the original channel order.
 
-Every second-order method is a column order, factored by
+The scores read the checked ``Layer``'s weights and column norms.  Every
+second-order method is a column order of that layer, factored by
 ``bundle_from_hessian``, plus ``prune_layer``, which sweeps the columns in
 the bundle's order: SparseGPT is the identity order, ROSE the order of its
 reorder plan.  Under an n:m pattern an order must keep every group of m
@@ -23,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import bundle_from_hessian, column_norms, raw_hessian
+from .calibration import Layer, bundle_from_hessian, checked_layer, raw_hessian
 from .engine import PruneOutcome, prune_layer
-from .errors import DimensionError
 from .tensors import Permutation, SparsityConfig, finite_matrix, pruned_entries
 
 
@@ -46,17 +46,17 @@ class ReorderPlan:
     was_reordered: bool
 
 
-def importance_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def importance_scores(layer: Layer) -> np.ndarray:
     """Per-weight score |w_ij| * norm_j."""
-    w = finite_matrix(w)
-    norms = np.asarray(norms, dtype=np.float64)
-    if norms.shape != (w.shape[1],):
-        raise DimensionError(f"weight cols {w.shape[1]} != norms shape {norms.shape}")
-    return np.abs(w) * norms
+    return np.abs(layer.w) * layer.norms
 
 
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
-    """Column and block losses from the candidate set of finite scores."""
+    """Column and block losses from the candidate set of finite scores.
+
+    |w| * norm can overflow to inf, so the scores are checked here, before a
+    selection that must see no NaN.
+    """
     scores = finite_matrix(scores, "scores")
     rows, n = scores.shape
     ranges = config.block_ranges(n)
@@ -120,8 +120,8 @@ def rose_prune_layer(
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Check W, then score, reorder if columnar, prune and restore channel order."""
     w = finite_matrix(w)
-    raw = raw_hessian(activations)
-    profile = loss_profile(importance_scores(w, column_norms(raw)), config)
+    layer = checked_layer(w, raw_hessian(activations))
+    profile = loss_profile(importance_scores(layer), config)
     plan = build_reorder_plan(profile, config)
-    bundle = bundle_from_hessian(raw, config.damp_fraction, plan.permutation)
-    return prune_layer(w, bundle, config), plan, profile
+    bundle = bundle_from_hessian(layer, config.damp_fraction, plan.permutation)
+    return prune_layer(bundle, config), plan, profile

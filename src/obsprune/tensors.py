@@ -181,24 +181,15 @@ def apply_column_permutation(m: np.ndarray, p: Permutation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PruneMask:
-    """Boolean keep/prune matrix plus the sparsity pattern that produced it."""
+    """Boolean keep/prune matrix: True where a weight is kept."""
 
     kept: np.ndarray
-    pattern: SemiStructured | None
 
     def __post_init__(self):
         k = np.asarray(self.kept, dtype=bool)
         if k.ndim != 2:
             raise DimensionError("mask must be 2-D")
         object.__setattr__(self, "kept", k)
-
-    @property
-    def rows(self) -> int:
-        return self.kept.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.kept.shape[1]
 
 
 def pruned_count(sparsity: float, rows: int, block_width: int) -> int:
@@ -244,14 +235,3 @@ def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
     k = pruned_count(config.sparsity, rows, width)
     flat = smallest_per_row(scores.T.reshape(1, -1), k)
     return flat.reshape(width, rows).T.copy()
-
-
-def mask_pattern_valid(mask: PruneMask) -> bool:
-    """Check the mask against its declared pattern, group by group."""
-    pat = mask.pattern
-    if pat is None:
-        return True
-    if mask.cols % pat.m != 0:
-        return False
-    groups = mask.kept.reshape(mask.rows, mask.cols // pat.m, pat.m)
-    return bool(np.all(groups.sum(axis=2) == pat.n))

@@ -7,13 +7,23 @@ from obsprune import (
     IndefiniteHessianError,
     Permutation,
     bundle_from_hessian,
+    checked_layer,
     raw_hessian,
 )
 
 
-def accumulate_hessian(activations, damp_fraction=0.01):
+def factor(raw, damp_fraction, order=None, w=None):
+    """The bundle of the layer (w, raw), factored in ``order``.
+
+    ``w`` defaults to one zero row, for tests of the factor alone.
+    """
+    w = np.zeros((1, np.shape(raw)[-1])) if w is None else w
+    return bundle_from_hessian(checked_layer(w, raw), damp_fraction, order)
+
+
+def accumulate_hessian(activations, damp_fraction=0.01, w=None):
     """The bundle of X.T @ X over ``activations``, factored in channel order."""
-    return bundle_from_hessian(raw_hessian(activations), damp_fraction)
+    return factor(raw_hessian(activations), damp_fraction, w=w)
 
 
 def block_order(config, n, blocks):
@@ -25,8 +35,8 @@ def block_order(config, n, blocks):
 def dampened_hessian(bundle):
     """The matrix the bundle factored: raw + damp_lambda * I, in its order."""
     f = bundle.order.forward
-    h = bundle.raw[np.ix_(f, f)]
-    h[np.diag_indices(bundle.n)] += bundle.damp_lambda
+    h = bundle.layer.raw[np.ix_(f, f)]
+    h[np.diag_indices(f.size)] += bundle.damp_lambda
     return h
 
 
@@ -37,8 +47,9 @@ def cholesky_inverse_identity_check(bundle, i):
     Cholesky factorization of the inverse Hessian encodes the inverses of
     all trailing submatrices.
     """
-    if not 0 <= i < bundle.n:
-        raise DimensionError(f"index {i} out of range [0, {bundle.n})")
+    n = bundle.order.size
+    if not 0 <= i < n:
+        raise DimensionError(f"index {i} out of range [0, {n})")
     trailing = dampened_hessian(bundle)[i:, i:]
     try:
         direct = np.linalg.inv(trailing)

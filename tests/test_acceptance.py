@@ -15,6 +15,7 @@ from obsprune import (
     apply_column_permutation,
     build_reorder_plan,
     bundle_from_hessian,
+    checked_layer,
     exact_masked_reconstruction,
     gen_activations,
     gen_columnar,
@@ -32,6 +33,7 @@ from hessian_helpers import (
     accumulate_hessian,
     block_order,
     cholesky_inverse_identity_check,
+    factor,
 )
 
 SEEDS = range(20)
@@ -67,7 +69,7 @@ def columnar_runs():
     runs = {"rose": {}, "rose-ascending": {}, "sparsegpt": {}}
     for seed in SEEDS:
         w, x = columnar_fixture(seed)
-        bundle = accumulate_hessian([x], 0.01)
+        bundle = accumulate_hessian([x], 0.01, w)
         for p in SPARSITIES:
             cfg = SparsityConfig(sparsity=p, blocksize=BLOCK)
             out, plan, prof = rose_prune_layer(w, [x], cfg)
@@ -75,10 +77,10 @@ def columnar_runs():
             # rose's scores and gate with both sorts flipped
             aplan = build_reorder_plan(prof, cfg, descending=False)
             asc = prune_layer(
-                w, bundle_from_hessian(bundle.raw, 0.01, aplan.permutation), cfg
+                bundle_from_hessian(bundle.layer, 0.01, aplan.permutation), cfg
             )
             runs["rose-ascending"][(seed, p)] = (asc, aplan, None, w, x)
-            plain = prune_layer(w, bundle, cfg)
+            plain = prune_layer(bundle, cfg)
             runs["sparsegpt"][(seed, p)] = (plain, None, None, w, x)
             TRAJECTORIES.extend(
                 [out.block_error_trajectory, asc.block_error_trajectory,
@@ -99,7 +101,7 @@ def test_criterion_1_trailing_cholesky_identity():
         eigs *= cond / eigs.max()
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         h = (q * eigs) @ q.T
-        bundle = bundle_from_hessian((h + h.T) / 2)
+        bundle = factor((h + h.T) / 2, 0.0)
         for i in range(n):
             worst = max(worst, cholesky_inverse_identity_check(bundle, i))
     elapsed = time.perf_counter() - t0
@@ -136,8 +138,8 @@ def test_criterion_3_engine_matches_naive_oracle():
         x = rng.standard_normal((2 * n, n))
         w = rng.standard_normal((max(4, n // 2), n))
         cfg = SparsityConfig(sparsity=p, blocksize=16)
-        bundle = accumulate_hessian([x], cfg.damp_fraction)
-        fast = prune_layer(w, bundle, cfg)
+        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        fast = prune_layer(bundle, cfg)
         slow = naive_obs_prune(w, [x], cfg)
         masks_equal &= bool(np.array_equal(fast.mask.kept, slow.mask.kept))
         denom = max(abs(slow.final_error), 1e-300)
@@ -181,8 +183,8 @@ def test_criterion_5_gate_behavior(columnar_runs):
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         uni_rels.append(prof.relative_range)
         uniform_ok &= prof.relative_range < 0.5 and not plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction)
-        plain = prune_layer(w, bundle, cfg)
+        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        plain = prune_layer(bundle, cfg)
         bitwise_ok &= bool(
             np.array_equal(out.pruned_weights, plain.pruned_weights)
         )
@@ -264,8 +266,9 @@ def test_criterion_8_permutation_soundness(columnar_runs):
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        a1, r1 = reconstruction_error(w, out.pruned_weights, raw_hessian([x]))
-        a2, r2 = reconstruction_error(wp, wpp, raw_hessian([xp]))
+        a1, r1 = reconstruction_error(checked_layer(w, raw_hessian([x])),
+                                      out.pruned_weights)
+        a2, r2 = reconstruction_error(checked_layer(wp, raw_hessian([xp])), wpp)
         dev = max(abs(a1 - a2) / max(1.0, abs(a1)), abs(r1 - r2))
         worst = max(worst, dev)
         ok &= dev <= 1e-9
@@ -281,10 +284,11 @@ def test_criterion_9_hot_block_position_sweep():
     for s, seed in enumerate(range(10)):
         w = gen_columnar(64, 256, 32, hot, 10.0, seed)
         h = raw_hessian([gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)])
+        layer = checked_layer(w, h)
         rest = [b for b in range(k_blocks) if b != hot]
         for pos in range(k_blocks):
             perm = block_order(cfg, 256, rest[:pos] + [hot] + rest[pos:])
-            out = prune_layer(w, bundle_from_hessian(h, cfg.damp_fraction, perm), cfg)
+            out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, perm), cfg)
             errors[s, pos] = out.final_error
     medians = np.median(errors, axis=0)
     ok = bool(np.all(np.diff(medians) >= -1e-12))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from obsprune import (
     SparsityConfig,
+    checked_layer,
     column_norms,
     magnitude_prune,
     raw_hessian,
@@ -15,13 +16,15 @@ from obsprune import (
 
 def test_magnitude_zero_sparsity():
     w = np.random.default_rng(0).standard_normal((3, 8))
-    out = magnitude_prune(w, SparsityConfig(sparsity=0.0, blocksize=4), np.eye(8))
+    cfg = SparsityConfig(sparsity=0.0, blocksize=4)
+    out = magnitude_prune(checked_layer(w, np.eye(8)), cfg)
     np.testing.assert_array_equal(out.pruned_weights, w)
 
 
 def test_magnitude_smallest_two():
     w = np.array([[1.0, -4.0, 2.0, 3.0]])
-    out = magnitude_prune(w, SparsityConfig(sparsity=0.5, blocksize=4), np.eye(4))
+    cfg = SparsityConfig(sparsity=0.5, blocksize=4)
+    out = magnitude_prune(checked_layer(w, np.eye(4)), cfg)
     np.testing.assert_array_equal(out.mask.kept, [[False, True, False, True]])
 
 
@@ -30,10 +33,11 @@ def test_magnitude_error_matches_direct_evaluation():
     w = rng.standard_normal((6, 16))
     x = rng.standard_normal((40, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    out = magnitude_prune(w, cfg, raw_hessian([x]))
+    layer = checked_layer(w, raw_hessian([x]))
+    out = magnitude_prune(layer, cfg)
     diff = (w - out.pruned_weights) @ x.T
     assert out.final_error == pytest.approx(float(np.sum(diff * diff)))
-    absolute, relative = reconstruction_error(w, out.pruned_weights, raw_hessian([x]))
+    absolute, relative = reconstruction_error(layer, out.pruned_weights)
     assert out.final_error == pytest.approx(absolute)
     assert out.relative_error == pytest.approx(relative)
 
@@ -48,7 +52,7 @@ def test_trajectory_is_error_at_each_block_end(prune, config):
     rng = np.random.default_rng(7)
     w = rng.standard_normal((6, 36))
     x = rng.standard_normal((50, 36)) * rng.uniform(0.1, 10, 36)
-    out = prune(w, config, raw_hessian([x]))
+    out = prune(checked_layer(w, raw_hessian([x])), config)
     d = w - out.pruned_weights
     ends = [i2 for _, i2 in config.block_ranges(36)]
     assert ends[-1] - ends[-2] == 4  # a partial last block
@@ -60,7 +64,7 @@ def test_wanda_zero_sparsity():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((3, 8))
     raw = np.diag(rng.uniform(0.5, 2, 8) ** 2)
-    out = wanda_prune(w, SparsityConfig(sparsity=0.0, blocksize=4), raw)
+    out = wanda_prune(checked_layer(w, raw), SparsityConfig(sparsity=0.0, blocksize=4))
     np.testing.assert_array_equal(out.pruned_weights, w)
 
 
@@ -68,7 +72,7 @@ def test_wanda_equal_norms_is_per_row_magnitude():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((4, 8))
     raw = np.diag(np.full(8, 2.5**2))
-    out = wanda_prune(w, SparsityConfig(sparsity=0.5, blocksize=8), raw)
+    out = wanda_prune(checked_layer(w, raw), SparsityConfig(sparsity=0.5, blocksize=8))
     for r in range(4):
         drop = set(np.argsort(np.abs(w[r]), kind="stable")[:4])
         assert set(np.flatnonzero(~out.mask.kept[r])) == drop
@@ -79,7 +83,7 @@ def test_wanda_matches_per_row_sort_oracle():
     w = rng.standard_normal((8, 8))
     x = rng.standard_normal((32, 8))
     h = raw_hessian([x])
-    out = wanda_prune(w, SparsityConfig(sparsity=0.5, blocksize=8), h)
+    out = wanda_prune(checked_layer(w, h), SparsityConfig(sparsity=0.5, blocksize=8))
     scores = np.abs(w) * column_norms(h)
     for r in range(8):
         drop = set(np.argsort(scores[r], kind="stable")[:4])
@@ -93,8 +97,8 @@ def test_wanda_scale_invariance(scale, seed):
     w = rng.standard_normal((3, 8))
     base = rng.uniform(0.1, 2.0, 8)
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    m1 = wanda_prune(w, cfg, np.diag(base**2)).mask.kept
-    m2 = wanda_prune(w, cfg, np.diag((scale * base) ** 2)).mask.kept
+    m1 = wanda_prune(checked_layer(w, np.diag(base**2)), cfg).mask.kept
+    m2 = wanda_prune(checked_layer(w, np.diag((scale * base) ** 2)), cfg).mask.kept
     assert np.array_equal(m1, m2)
 
 
@@ -105,8 +109,8 @@ def test_baselines_semi_structured(pattern):
     w = rng.standard_normal((5, 32))
     x = rng.standard_normal((64, 32))
     cfg = SparsityConfig.semi_structured(n_keep, m)
-    h = raw_hessian([x])
-    for out in (magnitude_prune(w, cfg, h), wanda_prune(w, cfg, h)):
+    layer = checked_layer(w, raw_hessian([x]))
+    for out in (magnitude_prune(layer, cfg), wanda_prune(layer, cfg)):
         groups = out.mask.kept.reshape(5, 32 // m, m)
         assert np.all(groups.sum(axis=2) == n_keep)
 
@@ -116,8 +120,8 @@ def test_mask_respect_and_sparsity_invariants():
     w = rng.standard_normal((10, 24))
     x = rng.standard_normal((50, 24))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    h = raw_hessian([x])
-    for out in (magnitude_prune(w, cfg, h), wanda_prune(w, cfg, h)):
+    layer = checked_layer(w, raw_hessian([x]))
+    for out in (magnitude_prune(layer, cfg), wanda_prune(layer, cfg)):
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         pruned = np.count_nonzero(~out.mask.kept) / out.mask.kept.size
         assert pruned == pytest.approx(0.5, abs=1 / 24)

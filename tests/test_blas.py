@@ -21,6 +21,7 @@ from obsprune import (
     Permutation,
     SparsityConfig,
     bundle_from_hessian,
+    checked_layer,
     magnitude_prune,
     prune_layer,
     raw_hessian,
@@ -100,17 +101,17 @@ def test_zero_row_layer(method, pattern):
     raw = raw_hessian([x])
     cfg = (SparsityConfig(0.5, 8) if pattern is None
            else SparsityConfig.semi_structured(*pattern, 8))
-    w = np.zeros((0, n))
+    layer = checked_layer(np.zeros((0, n)), raw)
     if method == "prune_layer":
-        out = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction), cfg)
+        out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction), cfg)
     elif method == "prune_in_order":
         # prune_layer swept in a reversed column order
         order = Permutation(np.arange(n)[::-1].copy())
-        out = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction, order), cfg)
+        out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, order), cfg)
     elif method == "magnitude":
-        out = magnitude_prune(w, cfg, raw)
+        out = magnitude_prune(layer, cfg)
     else:
-        out = wanda_prune(w, cfg, raw)
+        out = wanda_prune(layer, cfg)
     assert out.pruned_weights.shape == out.mask.kept.shape == (0, n)
     np.testing.assert_array_equal(out.block_error_trajectory, [0.0, 0.0])
     assert out.final_error == 0.0 and out.relative_error == 0.0
@@ -120,16 +121,17 @@ def test_zero_row_layer(method, pattern):
 LAYERS_SCRIPT = """
 import sys
 import numpy as np
-from obsprune import (SparsityConfig, bundle_from_hessian, gen_activations,
-                      gen_columnar, gen_uniform, prune_layer, raw_hessian,
-                      rose_prune_layer)
+from obsprune import (SparsityConfig, bundle_from_hessian, checked_layer,
+                      gen_activations, gen_columnar, gen_uniform, prune_layer,
+                      raw_hessian, rose_prune_layer)
 acts = [gen_activations(1024, 512, 0.3, seed) for seed in (11, 12)]
 w = gen_columnar(128, 512, 128, 3, 10.0, seed=5)
 rose, plan, _ = rose_prune_layer(w, acts, SparsityConfig(0.7))
 assert plan.was_reordered
 nm = SparsityConfig.semi_structured(2, 4)
 w_nm = gen_uniform(128, 512, seed=6)
-dense = prune_layer(w_nm, bundle_from_hessian(raw_hessian(acts), 0.01), nm)
+layer = checked_layer(w_nm, raw_hessian(acts))
+dense = prune_layer(bundle_from_hessian(layer, 0.01), nm)
 np.savez(sys.argv[1], w=w, w_nm=w_nm,
          rose_weights=rose.pruned_weights, rose_kept=rose.mask.kept,
          rose_order=plan.permutation.forward, rose_rel=rose.relative_error,

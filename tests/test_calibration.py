@@ -14,6 +14,7 @@ from obsprune import (
     Permutation,
     SparsityConfig,
     bundle_from_hessian,
+    checked_layer,
     column_norms,
     magnitude_prune,
     prune_layer,
@@ -29,6 +30,7 @@ from hessian_helpers import (
     accumulate_hessian,
     cholesky_inverse_identity_check,
     dampened_hessian,
+    factor,
 )
 
 
@@ -105,7 +107,7 @@ def test_dampening_uses_mean_diagonal():
 def test_dead_columns_recorded():
     x = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
     b = accumulate_hessian([x], damp_fraction=0.01)
-    np.testing.assert_array_equal(b.dead_columns, [1])
+    np.testing.assert_array_equal(b.layer.dead_columns, [1])
 
 
 def test_indefinite_failure_names_pivot():
@@ -127,7 +129,7 @@ def test_indefinite_pivot_in_original_coordinates(first, second):
         h[j, j] = 1.0
     h[first, second] = h[second, first] = 2.0
     with pytest.raises(IndefiniteHessianError) as exc:
-        bundle_from_hessian(h)
+        factor(h, 0.0)
     assert exc.value.pivot == first
     assert f"pivot {first}" in str(exc.value)
 
@@ -198,7 +200,7 @@ def test_zero_rows_batch_changes_nothing():
     b2 = accumulate_hessian([x, zeros], 0.01)
     np.testing.assert_array_equal(dampened_hessian(b1), dampened_hessian(b2))
     np.testing.assert_array_equal(
-        column_norms(b1.raw), column_norms(b2.raw)
+        column_norms(b1.layer.raw), column_norms(b2.layer.raw)
     )
 
 
@@ -208,19 +210,19 @@ def test_cholesky_identity_trivial_cases():
     full_dev = cholesky_inverse_identity_check(b, 0)
     assert full_dev <= 1e-8
 
-    bd = bundle_from_hessian(np.diag([4.0, 1.0]))
+    bd = factor(np.diag([4.0, 1.0]), 0.0)
     assert cholesky_inverse_identity_check(bd, 1) == 0.0
 
 
 def test_cholesky_identity_every_index():
     h = random_spd(32, seed=9, cond=1e4)
-    b = bundle_from_hessian(h)
+    b = factor(h, 0.0)
     for i in range(32):
         assert cholesky_inverse_identity_check(b, i) <= 1e-7
 
 
 def test_cholesky_identity_index_range():
-    b = bundle_from_hessian(np.eye(3))
+    b = factor(np.eye(3), 0.0)
     with pytest.raises(DimensionError):
         cholesky_inverse_identity_check(b, 3)
 
@@ -240,7 +242,7 @@ def test_indefinite_pivot_names_channel_in_any_order(seed):
     order = Permutation(rng.permutation(8))
     first = a if order.inverse[a] < order.inverse[b] else b
     with pytest.raises(IndefiniteHessianError) as exc:
-        bundle_from_hessian(h, 0.0, order)
+        factor(h, 0.0, order)
     assert exc.value.pivot == first
     assert f"pivot {first}" in str(exc.value)
 
@@ -251,10 +253,10 @@ def test_any_order_factors_the_permuted_hessian(seed):
     x = rng.standard_normal((60, 24))
     raw = raw_hessian([x])
     order = Permutation(rng.permutation(24))
-    b = bundle_from_hessian(raw, 0.01, order)
+    b = factor(raw, 0.01, order)
     f = order.forward
     assert b.order is order
-    assert b.damp_lambda == bundle_from_hessian(raw, 0.01).damp_lambda
+    assert b.damp_lambda == factor(raw, 0.01).damp_lambda
     want = factor_of_inverse(raw[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
     assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
     assert b.chol_upper.flags.c_contiguous
@@ -310,7 +312,8 @@ def test_memory_budget():
     assert peak <= square + 8 * MIRROR_PANEL * n
 
     order = Permutation(rng.permutation(n))
-    _, peak, held = traced_bytes(lambda: bundle_from_hessian(raw, 0.01, order))
+    layer = checked_layer(np.zeros((1, n)), raw)
+    _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, 0.01, order))
     assert peak <= 2.5 * square
     assert held <= 1.1 * square
 
@@ -319,16 +322,17 @@ def test_memory_budget():
 def test_baseline_memory_budget(prune):
     """The baselines' error trajectory allocates nothing of n x n doubles.
 
-    It is read off ``error_prefix``, whose temporaries are rows x n.
+    It is read off ``error_prefix``, whose temporaries are rows x n, and the
+    baselines check nothing: the layer was checked when it was built.
     Measured 0.17 n^2 (magnitude) and 0.20 n^2 (wanda) at n=512 with 16
-    rows, most of it the n^2 bytes of the finiteness check on H; an n x n
-    buffer of D.T @ D, as the prefix sums once used, peaked at 1.41 n^2.
+    rows; an n x n buffer of D.T @ D, as the prefix sums once used, peaked
+    at 1.41 n^2.
     """
     n = 512
     rng = np.random.default_rng(12)
-    raw = raw_hessian([rng.standard_normal((1024, n))])
-    w = rng.standard_normal((16, n))
-    _, peak, _ = traced_bytes(lambda: prune(w, SparsityConfig(0.5), raw))
+    layer = checked_layer(rng.standard_normal((16, n)),
+                          raw_hessian([rng.standard_normal((1024, n))]))
+    _, peak, _ = traced_bytes(lambda: prune(layer, SparsityConfig(0.5)))
     assert peak <= 0.5 * 8 * n * n
 
 
@@ -351,8 +355,13 @@ def negative_diagonal_hessian():
     return h
 
 
+def ones_layer(h):
+    """``checked_layer`` of a W of ones with ``h`` as its Hessian."""
+    return checked_layer(np.ones((2, h.shape[1])), h)
+
+
 def run_baseline(fn):
-    return lambda h: fn(np.ones((2, h.shape[1])), SparsityConfig(0.5, blocksize=4), h)
+    return lambda h: fn(ones_layer(h), SparsityConfig(0.5, blocksize=4))
 
 
 def run_rose(h):
@@ -364,9 +373,9 @@ def run_rose(h):
 
 
 ENTRY_POINTS = {
-    "factor": lambda h: bundle_from_hessian(h, 0.01),
+    "factor": lambda h: bundle_from_hessian(ones_layer(h), 0.01),
     "factor-reordered": lambda h: bundle_from_hessian(
-        h, 0.01, Permutation(np.arange(h.shape[0])[::-1])
+        ones_layer(h), 0.01, Permutation(np.arange(h.shape[0])[::-1])
     ),
     "rose": run_rose,
     "magnitude": run_baseline(magnitude_prune),
@@ -400,9 +409,14 @@ def test_bad_raw_hessian_rejected_before_factoring(
     assert capfd.readouterr() == ("", "")
 
 
+def identity_layer(w):
+    """``checked_layer`` of ``w`` with H = I."""
+    return checked_layer(w, np.eye(w.shape[1]))
+
+
 def run_engine(w):
-    bundle = bundle_from_hessian(np.eye(w.shape[1]), 0.01)
-    return prune_layer(w, bundle, SparsityConfig(0.5, blocksize=4))
+    bundle = bundle_from_hessian(identity_layer(w), 0.01)
+    return prune_layer(bundle, SparsityConfig(0.5, blocksize=4))
 
 
 WEIGHT_ENTRY_POINTS = {
@@ -410,8 +424,8 @@ WEIGHT_ENTRY_POINTS = {
     "rose": lambda w: rose_prune_layer(
         w, [np.ones((4, w.shape[1]))], SparsityConfig(0.5, blocksize=4)
     ),
-    "magnitude": lambda w: magnitude_prune(w, SparsityConfig(0.5), np.eye(w.shape[1])),
-    "wanda": lambda w: wanda_prune(w, SparsityConfig(0.5), np.eye(w.shape[1])),
+    "magnitude": lambda w: magnitude_prune(identity_layer(w), SparsityConfig(0.5)),
+    "wanda": lambda w: wanda_prune(identity_layer(w), SparsityConfig(0.5)),
 }
 
 
@@ -431,3 +445,38 @@ def test_non_finite_weights_rejected_at_entry(monkeypatch, entry, bad):
     w[1, 3] = bad
     with pytest.raises(NumericOverflowError, match="weights not finite"):
         WEIGHT_ENTRY_POINTS[entry](w)
+
+
+@pytest.mark.parametrize("entry", ["checked_layer", "rose"])
+def test_dense_energy_overflow_rejected_before_factoring(monkeypatch, capfd, entry):
+    """A finite W whose output energy overflows fails where the layer is built."""
+    factored = []
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
+    w = np.full((2, 8), 1e200)
+    with pytest.raises(NumericOverflowError, match="dense output energy inf"):
+        if entry == "rose":
+            with mock.patch.object(reorder, "raw_hessian", lambda acts: np.eye(8)):
+                rose_prune_layer(w, [], SparsityConfig(0.5, blocksize=4))
+        else:
+            checked_layer(w, np.eye(8))
+    assert factored == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_checked_layer_derives_once():
+    """W row-major, the norms, dead channels and dense energy of (W, H)."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((20, 6))
+    x[:, 2] = 0.0
+    w = np.asfortranarray(rng.standard_normal((3, 6)))
+    raw = raw_hessian([x])
+    layer = checked_layer(w, raw)
+    assert layer.w.flags.c_contiguous and np.array_equal(layer.w, w)
+    assert layer.raw is raw
+    np.testing.assert_array_equal(layer.norms, column_norms(raw))
+    np.testing.assert_array_equal(layer.dead_columns, [2])
+    assert layer.dense_energy == pytest.approx(np.sum(np.square(w @ x.T)), rel=1e-12)
+    # numpy fields: equality and hash are by identity, as for Permutation
+    bundles = [bundle_from_hessian(layer, 0.01) for _ in range(2)]
+    assert layer == layer and layer != checked_layer(w, raw)
+    assert bundles[0] == bundles[0] and len(set(bundles)) == 2

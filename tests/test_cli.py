@@ -18,7 +18,7 @@ from obsprune import (
     write_tensor,
 )
 from obsprune.cli import main
-from obsprune.synth import gen_activations, gen_uniform
+from obsprune.synth import gen_activations, gen_columnar, gen_uniform
 
 
 def run(argv):
@@ -162,9 +162,9 @@ def test_compare_factors_unpermuted_hessian_once(
     calls = []
     original = calibration.bundle_from_hessian
 
-    def counted(raw, damp_fraction=0.0, order=None):
+    def counted(layer, damp_fraction, order=None):
         calls.append(damp_fraction)
-        return original(raw, damp_fraction, order)
+        return original(layer, damp_fraction, order)
 
     patch_everywhere(monkeypatch, original, counted)
     code = run([
@@ -263,6 +263,100 @@ def test_detect_multiple_weight_files(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "detect.json").read_text())
     assert len(doc["layers"]) == 2
+
+
+def write_layers(tmp_path, count, bad=None):
+    """``detect`` flags for ``count`` weight files of one width and one manifest.
+
+    The file at index ``bad`` holds a NaN.
+    """
+    paths = []
+    for i in range(count):
+        w = gen_uniform(8, 32, seed=i)
+        if i == bad:
+            w[1, 1] = np.nan
+        paths.append(str(tmp_path / f"l{i}.rtns"))
+        write_tensor(paths[-1], w)
+    x = gen_activations(64, 32, 0.3, seed=9)
+    for i, batch in enumerate(np.array_split(x, 2)):
+        write_tensor(tmp_path / f"x{i}.rtns", batch)
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x0.rtns", tmp_path / "x1.rtns"])
+    return ["detect", "--weights", *paths, "--acts", str(tmp_path / "acts.json"),
+            "--blocksize", "16"]
+
+
+def test_detect_reads_shared_activations_once(tmp_path, monkeypatch):
+    """Three weight files share one --acts: one manifest read, one H."""
+    argv = write_layers(tmp_path, 3)
+    alone = []
+    for i, path in enumerate(argv[2:5]):
+        out = tmp_path / f"alone{i}"
+        assert run([*argv[:2], path, *argv[5:], "--out", str(out)]) == 0
+        alone += json.loads((out / "detect.json").read_text())["layers"]
+    manifests = count_calls(monkeypatch, cli.read_manifest)
+    hessians = count_calls(monkeypatch, cli.raw_hessian)
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    assert len(manifests) == 1 and len(hessians) == 1
+    assert json.loads((tmp_path / "detect.json").read_text())["layers"] == alone
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_detect_checks_every_weight_file_before_activations(
+    tmp_path, capsys, monkeypatch, bad
+):
+    def read(*args, **kwargs):
+        raise AssertionError("activations read before every weight file was checked")
+
+    monkeypatch.setattr(cli, "read_manifest", read)
+    out = tmp_path / "out"
+    assert main([*write_layers(tmp_path, 3, bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"l{bad}.rtns weights not finite" in err
+    assert not out.exists()
+
+
+def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
+    """One compare op over compare-sweep's shapes builds one layer.
+
+    256 x 1024 columnar weights, 2,048 samples in 4 float32 batches, every
+    method at 4 sparsities: the dense energy is computed once, in
+    ``checked_layer``, and ``error_prefix`` runs 9 times in all: that once
+    and once for each of the 8 baseline runs.
+    """
+    w = gen_columnar(256, 1024, 128, 7, 10.0, seed=0)
+    write_tensor(tmp_path / "w.rtns", w)
+    x = gen_activations(2048, 1024, 0.3, seed=1000003)
+    names = []
+    for i, batch in enumerate(np.array_split(x, 4)):
+        names.append(f"x{i}.rtns")
+        write_tensor(tmp_path / names[-1], batch, dtype="float32")
+    write_manifest(tmp_path / "acts.json", names)
+
+    layers = []
+    original = calibration.checked_layer
+
+    def checked(w, raw):
+        layers.append(original(w, raw))
+        return layers[-1]
+
+    patch_everywhere(monkeypatch, original, checked)
+    operands = []
+    prefix = calibration.error_prefix
+
+    def spy(d, hessian):
+        operands.append(d)
+        return prefix(d, hessian)
+
+    patch_everywhere(monkeypatch, prefix, spy)
+    code = run(["compare", "--weights", str(tmp_path / "w.rtns"),
+                "--acts", str(tmp_path / "acts.json"),
+                "--sparsity", "0.5,0.6,0.7,0.8", "--out", str(tmp_path / "out")])
+    assert code == 0
+    [layer] = layers
+    assert sum(d is layer.w for d in operands) == 1
+    assert len(operands) == 9
+    with open(tmp_path / "out" / "compare.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == 20
 
 
 def test_verify_subcommand_passes():
@@ -367,6 +461,9 @@ def write_bad_layer(tmp_path, fault):
         x[3, 5] = np.nan
     if fault == "inf-weight":
         w[2, 7] = np.inf
+    if fault == "huge-weight":
+        # finite, but the dense output energy overflows
+        w[2, 7] = 1e200
     wpath = tmp_path / "w.rtns"
     write_tensor(wpath, w)
     write_tensor(tmp_path / "x.rtns", x)
@@ -403,7 +500,7 @@ def assert_rejected(tmp_path, capsys, fault, code):
 @pytest.mark.parametrize(
     "fault",
     ["nan-activation", "inf-weight", "nan-hot-gain", "huge-dims", "trailing-bytes",
-     "acts-cols-mismatch", "one-dim-weights"],
+     "acts-cols-mismatch", "one-dim-weights", "huge-weight"],
 )
 def test_bad_input_exit_1(tmp_path, capsys, no_factoring, fault):
     assert_rejected(tmp_path, capsys, fault, 1)

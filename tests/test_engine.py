@@ -10,6 +10,7 @@ from obsprune import (
     SparsityConfig,
     Permutation,
     bundle_from_hessian,
+    checked_layer,
     exact_masked_reconstruction,
     obs_update_row,
     prune_layer,
@@ -18,7 +19,7 @@ from obsprune import (
     select_block_mask,
 )
 from obsprune.calibration import DEGENERATE_DIAG
-from obsprune.engine import CANCELLATION, error_prefix, outcome_from_trajectory
+from obsprune.engine import CANCELLATION, error_prefix
 from obsprune.tensors import SemiStructured
 
 from hessian_helpers import accumulate_hessian, dampened_hessian
@@ -96,12 +97,13 @@ class TestBlockMask:
 class TestReconstructionError:
     def test_equal_weights(self):
         w, x = random_layer(0)
-        assert reconstruction_error(w, w, raw_hessian([x])) == (0.0, 0.0)
+        layer = checked_layer(w, raw_hessian([x]))
+        assert reconstruction_error(layer, w) == (0.0, 0.0)
 
     def test_zero_pruned(self):
         w, x = random_layer(1)
         absolute, relative = reconstruction_error(
-            w, np.zeros_like(w), raw_hessian([x])
+            checked_layer(w, raw_hessian([x])), np.zeros_like(w)
         )
         assert relative == pytest.approx(1.0)
         assert absolute > 0
@@ -110,19 +112,26 @@ class TestReconstructionError:
         w = np.array([[1.0, 1.0]])
         x = np.eye(2)
         wp = np.array([[1.0, 0.0]])
-        assert reconstruction_error(w, wp, raw_hessian([x])) == (1.0, 0.5)
+        layer = checked_layer(w, raw_hessian([x]))
+        assert reconstruction_error(layer, wp) == (1.0, 0.5)
 
     def test_zero_denominator(self):
         w = np.zeros((2, 2))
-        assert reconstruction_error(w, w, np.eye(2)) == (0.0, 0.0)
+        assert reconstruction_error(checked_layer(w, np.eye(2)), w) == (0.0, 0.0)
+
+    def test_pruned_shape_checked(self):
+        layer = checked_layer(np.ones((2, 3)), np.eye(3))
+        for bad in (np.ones((1, 3)), np.ones(3), np.ones((2, 2))):
+            with pytest.raises(DimensionError, match="pruned shape"):
+                reconstruction_error(layer, bad)
 
     def test_nan_denominator_raises(self):
-        w = np.array([[np.nan, 1.0]])
-        with pytest.raises(NumericOverflowError):
-            reconstruction_error(w, np.zeros_like(w), np.eye(2))
-        with pytest.raises(NumericOverflowError):
-            outcome_from_trajectory(w, np.zeros_like(w), np.ones_like(w, dtype=bool),
-                                    None, [0.0], np.eye(2))
+        # reconstruction_error and outcome_from_trajectory divide by the
+        # layer's dense energy, so a layer whose energy is NaN or inf is
+        # rejected where it is built
+        for w in (np.array([[np.nan, 1.0]]), np.array([[1e200, 1.0]])):
+            with pytest.raises(NumericOverflowError):
+                checked_layer(w, np.eye(2))
 
 
 class TestErrorPrefix:
@@ -169,8 +178,8 @@ class TestPruneLayer:
     def test_zero_sparsity_is_identity(self):
         w, x = random_layer(2)
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
         np.testing.assert_array_equal(out.pruned_weights, w)
         assert out.relative_error <= 1e-10
         assert out.mask.kept.all()
@@ -184,8 +193,8 @@ class TestPruneLayer:
         x = q * scales
         w = rng.standard_normal((5, 6))
         cfg = SparsityConfig(sparsity=0.5, blocksize=3, damp_fraction=0.0)
-        b = accumulate_hessian([x], 0.0)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], 0.0, w)
+        out = prune_layer(b, cfg)
         pruned = ~out.mask.kept
         expected = float(np.sum((w * w * scales**2)[pruned]))
         assert out.final_error == pytest.approx(expected, abs=1e-8)
@@ -196,8 +205,8 @@ class TestPruneLayer:
     def test_mask_respect_and_sparsity(self):
         w, x = random_layer(3, rows=10, n=24)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         pruned = np.count_nonzero(~out.mask.kept) / out.mask.kept.size
         assert pruned == pytest.approx(0.5, abs=1 / (10 * 8))
@@ -206,8 +215,8 @@ class TestPruneLayer:
     def test_trajectory_monotone_and_final(self):
         w, x = random_layer(4, rows=6, n=32)
         cfg = SparsityConfig(sparsity=0.75, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
         traj = out.block_error_trajectory
         assert traj.size == 4
         assert np.all(np.diff(traj) >= 0)
@@ -217,17 +226,15 @@ class TestPruneLayer:
         w, x = random_layer(6, rows=9, n=32)
         for n_keep, m in ((2, 4), (4, 8)):
             cfg = SparsityConfig.semi_structured(n_keep, m)
-            b = accumulate_hessian([x], cfg.damp_fraction)
-            out = prune_layer(w, b, cfg)
+            b = accumulate_hessian([x], cfg.damp_fraction, w)
+            out = prune_layer(b, cfg)
             groups = out.mask.kept.reshape(9, 32 // m, m)
             assert np.all(groups.sum(axis=2) == n_keep)
 
     def test_dimension_mismatch(self):
         w, x = random_layer(7)
-        cfg = SparsityConfig(sparsity=0.5, blocksize=4)
-        b = accumulate_hessian([x], cfg.damp_fraction)
         with pytest.raises(DimensionError):
-            prune_layer(w[:, :-1], b, cfg)
+            checked_layer(w[:, :-1], raw_hessian([x]))
 
     def test_dead_column_pruned_first(self):
         rng = np.random.default_rng(30)
@@ -236,8 +243,8 @@ class TestPruneLayer:
         w = rng.standard_normal((4, 8))
         w[:, 3] = 50.0  # huge weight on a dead channel
         cfg = SparsityConfig(sparsity=0.25, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -249,9 +256,10 @@ class TestPruneLayer:
         w[:, 3] = 50.0
         cfg = SparsityConfig(sparsity=0.25, blocksize=4)
         order = Permutation(rng.permutation(8))
-        b = bundle_from_hessian(raw_hessian([x]), cfg.damp_fraction, order)
-        np.testing.assert_array_equal(b.dead_columns, [3])
-        out = prune_layer(w, b, cfg)
+        layer = checked_layer(w, raw_hessian([x]))
+        b = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        np.testing.assert_array_equal(b.layer.dead_columns, [3])
+        out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
 
 
@@ -289,8 +297,8 @@ class TestClosedFormTrajectory:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
         else:
             cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
         measured = []
         for _, i2 in cfg.block_ranges(n):
             d = (w - block_state(w, out.pruned_weights, b, i2)) @ x.T
@@ -307,11 +315,11 @@ class TestClosedFormTrajectory:
         x[:, 4:8] *= 1e16
         w = rng.standard_normal((6, 16))
         cfg = SparsityConfig.semi_structured(2, 4, damp_fraction=0.0)
-        b = accumulate_hessian([x], cfg.damp_fraction)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
         degenerate = b.chol_upper.diagonal() ** 2 < DEGENERATE_DIAG
         np.testing.assert_array_equal(np.flatnonzero(degenerate), [4, 5, 6, 7])
         with pytest.warns(RuntimeWarning, match="without compensation"):
-            out = prune_layer(w, b, cfg)
+            out = prune_layer(b, cfg)
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
         assert out.block_error_trajectory[-1] == out.final_error
@@ -324,7 +332,7 @@ class TestClosedFormTrajectory:
         x[:, :8] = 0.0
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        out = prune_layer(w, accumulate_hessian([x], cfg.damp_fraction), cfg)
+        out = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
@@ -339,8 +347,9 @@ class TestClosedFormTrajectory:
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         order = Permutation(np.r_[8 + rng.permutation(8), rng.permutation(8)])
-        b = bundle_from_hessian(raw_hessian([x]), cfg.damp_fraction, order)
-        out = prune_layer(w, b, cfg)
+        layer = checked_layer(w, raw_hessian([x]))
+        b = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        out = prune_layer(b, cfg)
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
@@ -368,7 +377,7 @@ def rank1_reference(w, bundle, config):
         for q in range(i1, i2):
             if (q - i1) % config.group_width == 0:
                 g2 = min(q + config.group_width, i2)
-                force = [j - q for j in bundle.dead_columns if q <= j < g2]
+                force = [j - q for j in bundle.layer.dead_columns if q <= j < g2]
                 kept[:, q:g2] = select_block_mask(
                     w_cur[:, q:g2],
                     np.maximum(d[q:g2] ** 2, DEGENERATE_DIAG),
@@ -386,7 +395,7 @@ def rank1_reference(w, bundle, config):
         delta = w - w_cur
         raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
         if uncompensated or raw_err < CANCELLATION * loss:
-            raw_err = float(np.sum((delta @ bundle.raw) * delta))
+            raw_err = float(np.sum((delta @ bundle.layer.raw) * delta))
         trajectory.append(raw_err)
     return w_cur, kept, np.array(trajectory)
 
@@ -421,8 +430,8 @@ class TestRank1Reference:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
         else:
             cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
         ref_w, ref_kept, ref_traj = rank1_reference(w, b, cfg)
 
         np.testing.assert_array_equal(out.mask.kept, ref_kept)
@@ -432,7 +441,7 @@ class TestRank1Reference:
         np.testing.assert_allclose(
             out.block_error_trajectory, ref_traj, rtol=1e-9, atol=0
         )
-        again = prune_layer(w, b, cfg)
+        again = prune_layer(b, cfg)
         np.testing.assert_array_equal(again.pruned_weights, out.pruned_weights)
         np.testing.assert_array_equal(again.mask.kept, out.mask.kept)
         np.testing.assert_array_equal(
@@ -462,9 +471,9 @@ class TestMaskGroups:
         blocksize = None if groups_per_block is None else groups_per_block * m
         cfg = SparsityConfig.semi_structured(n_keep, m, blocksize=blocksize)
         narrow = SparsityConfig.semi_structured(n_keep, m, blocksize=m)
-        b = accumulate_hessian([x], cfg.damp_fraction)
-        out = prune_layer(w, b, cfg)
-        ref = prune_layer(w, b, narrow)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
+        ref = prune_layer(b, narrow)
 
         np.testing.assert_array_equal(out.mask.kept, ref.mask.kept)
         np.testing.assert_allclose(
@@ -503,22 +512,24 @@ class TestLayout:
             cfg = SparsityConfig(sparsity=0.6, blocksize=16)
             p = rng.permutation(n)
         order = Permutation(p)
-        plain = bundle_from_hessian(raw, cfg.damp_fraction)
-        permuted = bundle_from_hessian(raw, cfg.damp_fraction, order)
 
         def errors(a, pruned):
-            direct = prune_layer(a, plain, cfg)
-            ordered = prune_layer(a, permuted, cfg)
+            layer = checked_layer(a, raw)
+            direct = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction), cfg)
+            ordered = prune_layer(
+                bundle_from_hessian(layer, cfg.damp_fraction, order), cfg
+            )
             return [
                 direct.relative_error,
                 direct.final_error,
                 *direct.block_error_trajectory,
                 ordered.relative_error,
                 *ordered.block_error_trajectory,
-                *reconstruction_error(a, pruned, raw),
+                *reconstruction_error(layer, pruned),
             ]
 
-        pruned = prune_layer(w, plain, cfg).pruned_weights
+        plain = bundle_from_hessian(checked_layer(w, raw), cfg.damp_fraction)
+        pruned = prune_layer(plain, cfg).pruned_weights
         want = errors(w, pruned)
         for layout in (np.asfortranarray, strided):
             assert errors(layout(w), layout(pruned)) == want

@@ -85,8 +85,8 @@ def test_naive_agrees_with_engine():
     w = rng.standard_normal((8, 16))
     x = rng.standard_normal((48, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=4)
-    bundle = accumulate_hessian([x], cfg.damp_fraction)
-    fast = prune_layer(w, bundle, cfg)
+    bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+    fast = prune_layer(bundle, cfg)
     slow = naive_obs_prune(w, [x], cfg)
     assert np.array_equal(fast.mask.kept, slow.mask.kept)
     rel = abs(fast.final_error - slow.final_error) / slow.final_error

@@ -12,13 +12,12 @@ from obsprune import (
     apply_column_permutation,
     build_reorder_plan,
     bundle_from_hessian,
-    column_norms,
+    checked_layer,
     gen_activations,
     gen_columnar,
     gen_uniform,
     importance_scores,
     loss_profile,
-    mask_pattern_valid,
     prune_layer,
     raw_hessian,
     reconstruction_error,
@@ -29,19 +28,30 @@ from obsprune import engine, reorder
 from hessian_helpers import accumulate_hessian, block_order
 
 
+def pattern_holds(kept, pattern):
+    """Every group of m consecutive columns in a row keeps exactly n."""
+    groups = kept.reshape(kept.shape[0], -1, pattern.m).sum(axis=2)
+    return bool(np.all(groups == pattern.n))
+
+
+def scores_with_norms(w, norms):
+    """``importance_scores`` of the layer whose column norms are ``norms``."""
+    return importance_scores(checked_layer(w, np.diag(np.square(norms))))
+
+
 class TestScores:
     def test_unit_norms(self):
         w = np.array([[1.0, -2.0], [3.0, -4.0]])
-        s = importance_scores(w, np.array([1.0, 1.0]))
+        s = scores_with_norms(w, [1.0, 1.0])
         np.testing.assert_array_equal(s, np.abs(w))
 
     def test_scalar_case(self):
-        s = importance_scores(np.array([[-2.0]]), np.array([3.0]))
+        s = scores_with_norms(np.array([[-2.0]]), [3.0])
         np.testing.assert_array_equal(s, [[6.0]])
 
     def test_dead_channel_zero_scores(self):
         w = np.array([[5.0, 7.0]])
-        s = importance_scores(w, np.array([0.0, 1.0]))
+        s = scores_with_norms(w, [0.0, 1.0])
         np.testing.assert_array_equal(s[:, 0], [0.0])
 
 
@@ -49,15 +59,15 @@ class TestLossProfile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
         """Non-finite scores would reach a selection that must see no NaN."""
-        norms = np.ones(8)
-        norms[5] = bad
+        scores = np.ones((2, 8))
+        scores[:, 5] = bad
         cfg = SparsityConfig(0.5, blocksize=4)
         with pytest.raises(NumericOverflowError, match="scores not finite"):
-            loss_profile(importance_scores(np.ones((2, 8)), norms), cfg)
+            loss_profile(scores, cfg)
         w = np.ones((2, 8))
         w[1, 2] = bad
         with pytest.raises(NumericOverflowError, match="weights not finite"):
-            importance_scores(w, np.ones(8))
+            checked_layer(w, np.eye(8))
 
     def test_zero_sparsity(self):
         cfg = SparsityConfig(sparsity=0.0, blocksize=2)
@@ -152,13 +162,16 @@ class TestPruneInOrder:
             cfg = SparsityConfig(sparsity=float(rng.choice([0.3, 0.5, 0.7])),
                                  blocksize=int(rng.integers(1, n + 1)))
             p = rng.permutation(n)
-        bundle = bundle_from_hessian(raw, cfg.damp_fraction, Permutation(p))
+        bundle = bundle_from_hessian(checked_layer(w, raw), cfg.damp_fraction,
+                                     Permutation(p))
         # the damping of the pre-permuted H comes from a diagonal summed in
         # another order, so the two runs agree to rounding, masks exactly
-        pre_permuted = bundle_from_hessian(raw[np.ix_(p, p)], cfg.damp_fraction)
+        pre_permuted = bundle_from_hessian(
+            checked_layer(w[:, p], raw[np.ix_(p, p)]), cfg.damp_fraction
+        )
 
-        got = prune_layer(w, bundle, cfg)
-        direct = prune_layer(w[:, p], pre_permuted, cfg)
+        got = prune_layer(bundle, cfg)
+        direct = prune_layer(pre_permuted, cfg)
         weights = np.empty_like(w)
         weights[:, p] = direct.pruned_weights
         kept = np.empty(w.shape, dtype=bool)
@@ -168,7 +181,7 @@ class TestPruneInOrder:
         np.testing.assert_allclose(got.block_error_trajectory,
                                    direct.block_error_trajectory, rtol=1e-9)
         assert got.relative_error == pytest.approx(direct.relative_error, rel=1e-9)
-        assert mask_pattern_valid(got.mask)
+        assert not nm or pattern_holds(got.mask.kept, cfg.pattern)
 
     @pytest.mark.parametrize("nm", [False, True])
     def test_identity_order_is_prune_layer(self, nm):
@@ -177,9 +190,9 @@ class TestPruneInOrder:
         cfg = (SparsityConfig.semi_structured(2, 4) if nm
                else SparsityConfig(sparsity=0.6, blocksize=16))
         identity = Permutation.identity(64)
-        bundle = bundle_from_hessian(raw, cfg.damp_fraction, identity)
-        got = prune_layer(w, bundle, cfg)
-        plain = prune_layer(w, bundle_from_hessian(raw, cfg.damp_fraction), cfg)
+        layer = checked_layer(w, raw)
+        got = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, identity), cfg)
+        plain = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction), cfg)
         assert np.array_equal(got.pruned_weights, plain.pruned_weights)
         assert np.array_equal(got.mask.kept, plain.mask.kept)
         assert np.array_equal(got.block_error_trajectory,
@@ -192,19 +205,21 @@ class TestPruneInOrder:
         # only a check of the order itself rejects it.
         order = Permutation([0, 1, 4, 5, 2, 3, 6, 7])
         cfg = SparsityConfig.semi_structured(2, 4)
-        bundle = bundle_from_hessian(np.eye(8), cfg.damp_fraction, order)
 
         def sweep(*args, **kwargs):
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(engine, "select_block_mask", sweep)
         for w in (np.arange(1.0, 9.0).reshape(1, 8), np.zeros((0, 8))):
+            layer = checked_layer(w, np.eye(8))
+            bundle = bundle_from_hessian(layer, cfg.damp_fraction, order)
             with pytest.raises(ConfigError, match="n:m"):
-                prune_layer(w, bundle, cfg)
+                prune_layer(bundle, cfg)
 
     def test_order_size_checked(self):
+        layer = checked_layer(np.ones((1, 8)), np.eye(8))
         with pytest.raises(DimensionError, match="order size 4"):
-            bundle_from_hessian(np.eye(8), 0.01, Permutation.identity(4))
+            bundle_from_hessian(layer, 0.01, Permutation.identity(4))
 
 
 def columnar_fixture(seed, rows=64, cols=256, blocksize=128):
@@ -220,8 +235,8 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=16)
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         assert not plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction)
-        plain = prune_layer(w, bundle, cfg)
+        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
         assert np.array_equal(out.mask.kept, plain.mask.kept)
 
@@ -230,41 +245,47 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         assert plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction)
-        plain = prune_layer(w, bundle, cfg)
+        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        plain = prune_layer(bundle, cfg)
         assert out.relative_error <= plain.relative_error
 
     def test_reordered_bundle_shares_callers_raw(self, monkeypatch):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        raws, bundles = [], []
+        raws, layers, bundles = [], [], []
 
         def hessian(activations):
             raws.append(raw_hessian(activations))
             return raws[-1]
 
-        def spy(w, bundle, config):
+        def checked(w, raw):
+            layers.append(checked_layer(w, raw))
+            return layers[-1]
+
+        def spy(bundle, config):
             bundles.append(bundle)
-            return prune_layer(w, bundle, config)
+            return prune_layer(bundle, config)
 
         monkeypatch.setattr(reorder, "raw_hessian", hessian)
+        monkeypatch.setattr(reorder, "checked_layer", checked)
         monkeypatch.setattr(reorder, "prune_layer", spy)
         _, plan, _ = rose_prune_layer(w, [x], cfg)
         assert plan.was_reordered
-        [raw], [bundle] = raws, bundles
-        assert np.shares_memory(bundle.raw, raw)
+        [raw], [layer], [bundle] = raws, layers, bundles
+        assert bundle.layer is layer
+        assert np.shares_memory(bundle.layer.raw, raw)
         assert bundle.order is plan.permutation
 
     def test_ascending_worse_than_plain(self):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        raw = raw_hessian([x])
-        profile = loss_profile(importance_scores(w, column_norms(raw)), cfg)
+        layer = checked_layer(w, raw_hessian([x]))
+        profile = loss_profile(importance_scores(layer), cfg)
         plan = build_reorder_plan(profile, cfg, descending=False)
         assert plan.was_reordered
         damp = cfg.damp_fraction
-        asc = prune_layer(w, bundle_from_hessian(raw, damp, plan.permutation), cfg)
-        plain = prune_layer(w, bundle_from_hessian(raw, damp), cfg)
+        asc = prune_layer(bundle_from_hessian(layer, damp, plan.permutation), cfg)
+        plain = prune_layer(bundle_from_hessian(layer, damp), cfg)
         assert asc.relative_error >= plain.relative_error
 
     def test_reorder_back_round_trip_exact(self):
@@ -277,8 +298,8 @@ class TestRosePruneLayer:
         perm_view = apply_column_permutation(out.mask.kept, plan.permutation)
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
-        bundle = accumulate_hessian([xp], cfg.damp_fraction)
-        direct = prune_layer(wp, bundle, cfg)
+        bundle = accumulate_hessian([xp], cfg.damp_fraction, wp)
+        direct = prune_layer(bundle, cfg)
         assert np.array_equal(perm_view, direct.mask.kept)
         inverse = Permutation(plan.permutation.inverse)
         back = apply_column_permutation(direct.pruned_weights, inverse)
@@ -291,8 +312,9 @@ class TestRosePruneLayer:
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        a1, r1 = reconstruction_error(w, out.pruned_weights, raw_hessian([x]))
-        a2, r2 = reconstruction_error(wp, wpp, raw_hessian([xp]))
+        layer = checked_layer(w, raw_hessian([x]))
+        a1, r1 = reconstruction_error(layer, out.pruned_weights)
+        a2, r2 = reconstruction_error(checked_layer(wp, raw_hessian([xp])), wpp)
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1)
         assert abs(r1 - r2) <= 1e-9
         assert out.final_error == pytest.approx(a1)
@@ -304,7 +326,7 @@ class TestRosePruneLayer:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=4)
             out, plan, _ = rose_prune_layer(w, [x], cfg)
             assert plan.was_reordered
-            assert mask_pattern_valid(out.mask)
+            assert pattern_holds(out.mask.kept, cfg.pattern)
 
     def test_semi_structured_groups_stay_whole_in_wide_blocks(self):
         w = gen_columnar(16, 64, 16, 3, 10.0, seed=3)
@@ -314,7 +336,7 @@ class TestRosePruneLayer:
         assert plan.was_reordered
         groups = plan.permutation.forward.reshape(16, 4)
         assert np.all(groups // 4 == groups[:, :1] // 4)
-        assert mask_pattern_valid(out.mask)
+        assert pattern_holds(out.mask.kept, cfg.pattern)
 
     def test_gate_strictness(self):
         cfg = SparsityConfig(sparsity=0.5, blocksize=1, columnar_threshold=1.0)
@@ -328,7 +350,8 @@ class TestRosePruneLayer:
 
 def prune_blocks_in_order(w, raw, config, blocks):
     order = block_order(config, w.shape[1], blocks)
-    return prune_layer(w, bundle_from_hessian(raw, config.damp_fraction, order), config)
+    layer = checked_layer(w, raw)
+    return prune_layer(bundle_from_hessian(layer, config.damp_fraction, order), config)
 
 
 class TestManualBlockOrder:
@@ -338,8 +361,8 @@ class TestManualBlockOrder:
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         assert block_order(cfg, 32, [0, 1, 2, 3]).is_identity()
         out = prune_blocks_in_order(w, raw_hessian([x]), cfg, [0, 1, 2, 3])
-        bundle = accumulate_hessian([x], cfg.damp_fraction)
-        plain = prune_layer(w, bundle, cfg)
+        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
 
     def test_earlier_hot_block_reduces_error(self):

@@ -12,7 +12,8 @@ from obsprune import (
     SparsityConfig,
     apply_column_permutation,
 )
-from obsprune import loss_profile, magnitude_prune, select_block_mask, wanda_prune
+from obsprune import (checked_layer, loss_profile, magnitude_prune, select_block_mask,
+                      wanda_prune)
 from obsprune.tensors import pruned_count, smallest_per_row
 
 
@@ -72,7 +73,7 @@ def test_semi_structured_sparsity_exact(rows, nm, groups, seed):
         for g in range(groups):
             idx = rng.choice(m, size=n, replace=False)
             kept[r, g * m + idx] = True
-    mask = PruneMask(kept, SemiStructured(n, m))
+    mask = PruneMask(kept)
     assert np.count_nonzero(~mask.kept) / mask.kept.size == (m - n) / m
 
 
@@ -206,12 +207,12 @@ def test_every_rule_matches_sort_reference(data, cfg):
     np.testing.assert_array_equal(~block.kept, reference_pruned(saliency, cfg))
 
     # the layer-global magnitude rule and the per-row (Wanda) rule
-    identity = np.eye(width)
+    layer = checked_layer(w, np.eye(width))
     np.testing.assert_array_equal(
-        ~magnitude_prune(w, cfg, identity).mask.kept, reference_pruned(mag, cfg)
+        ~magnitude_prune(layer, cfg).mask.kept, reference_pruned(mag, cfg)
     )
     np.testing.assert_array_equal(
-        ~wanda_prune(w, cfg, identity).mask.kept,
+        ~wanda_prune(layer, cfg).mask.kept,
         reference_pruned(mag, cfg, per_row=True),
     )
 
