@@ -6,6 +6,7 @@ import numpy as np
 
 from .calibration import Layer, error_prefix
 from .engine import PruneOutcome, outcome_from_trajectory
+from .reorder import importance_scores
 from .tensors import (
     SemiStructured,
     SparsityConfig,
@@ -37,7 +38,7 @@ def magnitude_prune(layer: Layer, config: SparsityConfig) -> PruneOutcome:
 def wanda_prune(layer: Layer, config: SparsityConfig) -> PruneOutcome:
     """Zero the per-row smallest |w| * activation-norm entries."""
     n = layer.w.shape[1]
-    scores = np.abs(layer.w) * layer.norms
+    scores = importance_scores(layer)
     if isinstance(config.pattern, SemiStructured):
         pruned = pruned_entries(scores, config)
     else:

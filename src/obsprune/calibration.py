@@ -11,7 +11,7 @@ in H, ``error_prefix``.  For pruning, H is dampened by a multiple of its
 mean diagonal, and the upper Cholesky factor of its inverse, which drives
 the compensation engine, comes from one in-place factorization: the
 Cholesky factor of H in pruning order with rows and columns reversed,
-inverted as a triangle and reversed back.
+inverted as a triangle and read in reverse.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class Layer:
 class HessianBundle:
     """A layer and the inverse factor used to prune it; equality is by identity.
 
-    ``chol_upper`` is the upper triangular U with inv(H) = U.T @ U for the
-    dampened Hessian H[order][:, order]; its trailing blocks reproduce the
-    inverses of all trailing Hessian submatrices, which is what lets one
-    factorization serve the whole left-to-right pruning sweep.
+    ``chol_upper`` is the upper triangular U, zeros below, with inv(H) =
+    U.T @ U for the dampened Hessian H[order][:, order], held as LAPACK's
+    buffer read in reverse, a view that is not C-contiguous.  Its trailing
+    blocks reproduce the inverses of all trailing Hessian submatrices, which
+    is what lets one factorization serve the whole left-to-right sweep.
     """
 
     layer: Layer
@@ -130,9 +131,8 @@ def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
         if acc is None:
             acc = np.zeros((b.shape[1], b.shape[1]), order="F")
         elif b.shape[1] != acc.shape[0]:
-            raise DimensionError(
-                f"batch has {b.shape[1]} columns, expected {acc.shape[0]}"
-            )
+            raise DimensionError(f"activation batch {i} has {b.shape[1]} columns, "
+                                 f"expected {acc.shape[0]}")
         if b.size:
             # a row-major batch is the column-major b.T that BLAS reads uncopied
             acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
@@ -155,9 +155,9 @@ def bundle_from_hessian(
 
     The one copy of H made here is h = H[q][:, q] for q the order reversed,
     whose leading k x k block is the trailing block of H[order][:, order]
-    reversed.  It is factored and inverted in place, and only the inverse
-    factor, reversed back, outlives the call.  The damping comes from the
-    diagonal in channel order, so every order of a layer gets the same one.
+    reversed.  It is factored and inverted in place, and U is that buffer
+    read in reverse.  The damping comes from the diagonal in channel order,
+    so every order of a layer gets the same one.
     """
     raw = layer.raw
     n = raw.shape[0]
@@ -169,8 +169,9 @@ def bundle_from_hessian(
     q = order.forward[::-1]
     h = raw[np.ix_(q, q)]
     h.reshape(-1)[:: n + 1] += lam
-    # h is symmetric, so h.T is the column-major matrix LAPACK overwrites
-    low, info = lapack.dpotrf(h.T, lower=1, overwrite_a=1, clean=0)
+    # h is symmetric, so h.T is the column-major matrix LAPACK overwrites;
+    # the default clean=1 zeroes its strict upper triangle, which dtrtri keeps
+    low, info = lapack.dpotrf(h.T, lower=1, overwrite_a=1)
     if info > 0:
         pivot = int(order.forward[n - info])
         raise IndefiniteHessianError(
@@ -182,10 +183,7 @@ def bundle_from_hessian(
     inv_low, info = lapack.dtrtri(low, lower=1, overwrite_c=1)
     if info != 0:
         raise IndefiniteHessianError(f"dtrtri failed with info={info}")
-    # the strict upper triangle still holds the dampened H
-    for j in range(1, n):
-        inv_low[:j, j] = 0.0
-    return HessianBundle(layer, inv_low[::-1, ::-1].copy(), lam, order)
+    return HessianBundle(layer, inv_low[::-1, ::-1], lam, order)
 
 
 def column_norms(raw: np.ndarray) -> np.ndarray:

@@ -146,7 +146,7 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
 
 
 def _load_activations(args, n: int) -> list:
-    """The activation batches of the --acts manifest, or --synth's, n columns wide."""
+    """The --acts manifest's batches, or --synth's, checked n wide before H is sized."""
     if args.acts is not None:
         acts = read_manifest(args.acts)
     else:

@@ -39,9 +39,9 @@ from .errors import ConfigError, DimensionError, NumericOverflowError
 from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneOutcome:
-    """Pruned weights plus the error accounting of one layer."""
+    """Pruned weights and the error accounting of a layer; equality is by identity."""
 
     pruned_weights: np.ndarray
     mask: PruneMask

@@ -29,9 +29,9 @@ from .engine import PruneOutcome, prune_layer
 from .tensors import Permutation, SparsityConfig, finite_matrix, pruned_entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossProfile:
-    """Estimated pruning losses per column and per block."""
+    """Estimated pruning losses per column and per block; equality is by identity."""
 
     block_losses: np.ndarray
     column_losses: np.ndarray

@@ -14,17 +14,17 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericOverflowError
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array, widening f32 input."""
+def as_matrix(a, what: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array, widening f32 input; ``what`` names it."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise DimensionError(f"{what} must be 2-D, got ndim={m.ndim}")
     return m
 
 
 def finite_matrix(a, what: str = "weights") -> np.ndarray:
-    """``as_matrix(a)``, once every entry is finite; ``what`` names it in the error."""
-    m = as_matrix(a)
+    """``as_matrix(a, what)``, once every entry is finite; ``what`` names it."""
+    m = as_matrix(a, what)
     if not np.isfinite(m).all():
         raise NumericOverflowError(f"{what} not finite")
     return m
@@ -179,9 +179,9 @@ def apply_column_permutation(m: np.ndarray, p: Permutation) -> np.ndarray:
 # Pruning masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneMask:
-    """Boolean keep/prune matrix: True where a weight is kept."""
+    """Boolean keep/prune matrix, True where kept; equality is by identity."""
 
     kept: np.ndarray
 

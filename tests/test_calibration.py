@@ -159,7 +159,7 @@ def test_factor_matches_inverse_then_factor_route(seed):
 def test_requires_batches_and_consistent_cols():
     with pytest.raises(DimensionError):
         accumulate_hessian([])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="activation batch 1"):
         accumulate_hessian([np.ones((2, 3)), np.ones((2, 4))])
 
 
@@ -259,7 +259,6 @@ def test_any_order_factors_the_permuted_hessian(seed):
     assert b.damp_lambda == factor(raw, 0.01).damp_lambda
     want = factor_of_inverse(raw[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
     assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
-    assert b.chol_upper.flags.c_contiguous
     assert np.array_equal(b.chol_upper, np.triu(b.chol_upper))
 
 
@@ -313,8 +312,9 @@ def test_memory_budget():
 
     order = Permutation(rng.permutation(n))
     layer = checked_layer(np.zeros((1, n)), raw)
+    # one n x n buffer, factored in place and held as it lies
     _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, 0.01, order))
-    assert peak <= 2.5 * square
+    assert peak <= 1.5 * square
     assert held <= 1.1 * square
 
 

@@ -455,6 +455,11 @@ def write_bad_layer(tmp_path, fault):
         w = np.zeros((0, 32))
     if fault == "acts-cols-mismatch":
         x = x[:, :24]
+    if fault == "acts-one-dim":
+        x = x[0]
+    if fault == "acts-wide":
+        # an H this wide would take 128 MB
+        x = gen_activations(2, 4096, 0.0, seed=1)
     if fault == "one-dim-weights":
         w = w[0]
     if fault == "nan-activation":
@@ -495,15 +500,25 @@ def assert_rejected(tmp_path, capsys, fault, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (out / "report.json").exists()
+    return err
 
 
 @pytest.mark.parametrize(
     "fault",
     ["nan-activation", "inf-weight", "nan-hot-gain", "huge-dims", "trailing-bytes",
-     "acts-cols-mismatch", "one-dim-weights", "huge-weight"],
+     "acts-cols-mismatch", "one-dim-weights", "huge-weight", "acts-one-dim",
+     "acts-wide"],
 )
-def test_bad_input_exit_1(tmp_path, capsys, no_factoring, fault):
-    assert_rejected(tmp_path, capsys, fault, 1)
+def test_bad_input_exit_1(tmp_path, capsys, monkeypatch, no_factoring, fault):
+    if fault.startswith("acts-"):
+        # an activation batch of the wrong shape is rejected before H is built
+        def built(*args, **kwargs):
+            raise AssertionError("the Hessian was built")
+
+        patch_everywhere(monkeypatch, calibration.raw_hessian, built)
+    err = assert_rejected(tmp_path, capsys, fault, 1)
+    if fault.startswith("acts-"):
+        assert "activation batch 0" in err
 
 
 @pytest.mark.parametrize(

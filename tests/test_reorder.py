@@ -240,6 +240,19 @@ class TestRosePruneLayer:
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
         assert np.array_equal(out.mask.kept, plain.mask.kept)
 
+    @pytest.mark.parametrize("part", ["outcome", "mask", "profile"])
+    def test_results_compare_by_identity(self, part):
+        """Two equal runs' results are unequal without raising, and hashable."""
+        w = gen_uniform(16, 64, seed=4)
+        x = gen_activations(128, 64, 0.3, seed=5)
+        cfg = SparsityConfig(sparsity=0.5, blocksize=16)
+        pick = {"outcome": lambda r: r[0], "mask": lambda r: r[0].mask,
+                "profile": lambda r: r[2]}[part]
+        a, b = (pick(rose_prune_layer(w, [x], cfg)) for _ in range(2))
+        assert a == a and hash(a) == hash(a)
+        assert (a == b) is False
+        assert len({a, b}) == 2
+
     def test_columnar_beats_plain_engine(self):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
