@@ -36,7 +36,7 @@ def run_all(name, w, acts):
     cfg = SparsityConfig(sparsity=SPARSITY, blocksize=BLOCK)
     # the activations are read once; every method works from the layer
     # (W, H = X.T X), checked once
-    layer = checked_layer(w, raw_hessian(acts))
+    layer = checked_layer(w, raw_hessian(acts, w.shape[1]))
     profile = loss_profile(importance_scores(layer), cfg)
     bundle = bundle_from_hessian(layer, cfg.damp_fraction)
 

@@ -32,7 +32,7 @@ def main():
     k = COLS // BLOCK
     cfg = SparsityConfig(sparsity=0.7, blocksize=BLOCK)
     w = gen_columnar(ROWS, COLS, BLOCK, HOT, hot_gain=10.0, seed=SEED)
-    h = raw_hessian([gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)])
+    h = raw_hessian([gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)], COLS)
     layer = checked_layer(w, h)
 
     print(f"{k} blocks of {BLOCK} columns, hot block index {HOT}, "

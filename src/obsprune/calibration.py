@@ -2,16 +2,16 @@
 
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
-activation batches are read: it streams them with ``dsyrk`` into one
-triangle and mirrors it once.  ``checked_layer`` is the one place W and H
-are checked against each other; the ``Layer`` it returns holds them with
-the column norms, the dead channels and the dense output energy, derived
-once, and every method reads them from it.  Every error is a quadratic form
-in H, ``error_prefix``.  For pruning, H is dampened by a multiple of its
-mean diagonal, and the upper Cholesky factor of its inverse, which drives
-the compensation engine, comes from one in-place factorization: the
-Cholesky factor of H in pruning order with rows and columns reversed,
-inverted as a triangle and read in reverse.
+activation batches are read and checked against the layer's width: it
+streams them with ``dsyrk`` into one triangle and mirrors it once.
+``checked_layer`` is the one place W and H are checked against each other;
+the ``Layer`` it returns holds them with the column norms, the dead
+channels and the dense output energy, derived once, and every method reads
+them from it.  Every error is a quadratic form in H, ``error_prefix``.  For
+pruning, H is dampened by a multiple of its mean diagonal, and the upper
+Cholesky factor of its inverse, which drives the compensation engine, comes
+from one in-place factorization: the Cholesky factor of H in pruning order
+with rows and columns reversed, inverted as a triangle and read in reverse.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
-from .tensors import Permutation, finite_matrix
+from .tensors import Permutation, as_matrix, finite_matrix
 
 #: Squared inverse-factor diagonals below this are treated as degenerate.
 DEGENERATE_DIAG = 1e-30
@@ -117,30 +117,33 @@ def checked_layer(w, raw) -> Layer:
     return Layer(w, raw, column_norms(raw), np.flatnonzero(diag == 0.0), energy)
 
 
-def raw_hessian(activations: Sequence[np.ndarray]) -> np.ndarray:
+def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
     """Sum of per-batch Gram matrices X.T @ X, without dampening.
 
-    One pass: each batch is checked as it arrives and added by ``dsyrk``
-    into the upper triangle of one column-major buffer, which is mirrored
-    once at the end, in place one panel of columns at a time, so the result
-    is exactly symmetric and no temporary outgrows a panel.
+    ``width`` is the layer's: W's column count.  One pass: each batch is
+    checked as it arrives, 2-D, ``width`` columns wide and finite, before
+    anything is allocated for it, so the width x width buffer is sized only
+    once batch 0 has passed.  Each batch is added by ``dsyrk`` into the
+    upper triangle of that column-major buffer, which is mirrored once at
+    the end, in place one panel of columns at a time, so the result is
+    exactly symmetric and no temporary outgrows a panel.
     """
     acc = None
     for i, b in enumerate(activations):
-        b = finite_matrix(b, f"activation batch {i}")
+        what = f"activation batch {i}"
+        b = as_matrix(b, what)
+        if b.shape[1] != width:
+            raise DimensionError(f"{what} has {b.shape[1]} columns, expected {width}")
+        b = finite_matrix(b, what)
         if acc is None:
-            acc = np.zeros((b.shape[1], b.shape[1]), order="F")
-        elif b.shape[1] != acc.shape[0]:
-            raise DimensionError(f"activation batch {i} has {b.shape[1]} columns, "
-                                 f"expected {acc.shape[0]}")
+            acc = np.zeros((width, width), order="F")
         if b.size:
             # a row-major batch is the column-major b.T that BLAS reads uncopied
             acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
     if acc is None:
         raise DimensionError("need at least one activation batch")
-    n = acc.shape[0]
-    for j1 in range(0, n, MIRROR_PANEL):
-        j2 = min(j1 + MIRROR_PANEL, n)
+    for j1 in range(0, width, MIRROR_PANEL):
+        j2 = min(j1 + MIRROR_PANEL, width)
         acc[j2:, j1:j2] = acc[j1:j2, j2:].T
         diagonal = acc[j1:j2, j1:j2]
         diagonal += np.triu(diagonal, 1).T

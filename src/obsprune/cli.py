@@ -26,7 +26,7 @@ from . import __version__
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import Layer, bundle_from_hessian, checked_layer, raw_hessian
 from .engine import prune_layer
-from .errors import ConfigError, DimensionError, PruneError
+from .errors import ConfigError, PruneError
 from .oracle import cross_check
 from .reorder import ReorderPlan, build_reorder_plan, importance_scores, loss_profile
 from .rtns import (
@@ -52,6 +52,14 @@ def _parse_pattern(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"pattern must look like N:M, got {text!r}")
     return SemiStructured(n, m)
+
+
+def _parse_seed(text):
+    # numpy's bit generators take no negative seed
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_sparsities(text):
@@ -85,7 +93,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--hot-gain", type=float, default=10.0)
     p.add_argument("--hot-block", type=int, default=None,
                    help="hot block index for columnar synth (default: last)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--samples", type=int, default=384,
                    help="synthetic calibration rows")
     p.add_argument("--correlation", type=float, default=0.3,
@@ -146,18 +154,11 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
 
 
 def _load_activations(args, n: int) -> list:
-    """The --acts manifest's batches, or --synth's, checked n wide before H is sized."""
+    """The --acts manifest's batches, or --synth's n wide; ``raw_hessian`` checks them."""
     if args.acts is not None:
-        acts = read_manifest(args.acts)
-    else:
-        acts = [gen_activations(args.samples, n, args.correlation,
-                                args.seed + ACT_SEED_OFFSET)]
-    for i, b in enumerate(acts):
-        if np.shape(b)[1:] != (n,):
-            raise DimensionError(
-                f"activation batch {i} has shape {np.shape(b)}, expected (samples, {n})"
-            )
-    return acts
+        return read_manifest(args.acts)
+    return [gen_activations(args.samples, n, args.correlation,
+                            args.seed + ACT_SEED_OFFSET)]
 
 
 def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
@@ -178,7 +179,7 @@ def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
     for w in weights:
         n = w.shape[1]
         if n not in hessians:
-            hessians[n] = raw_hessian(_load_activations(args, n))
+            hessians[n] = raw_hessian(_load_activations(args, n), n)
     return [checked_layer(w, hessians[w.shape[1]]) for w in weights]
 
 
@@ -300,12 +301,7 @@ def cmd_compare(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _make_config(args)
-    if args.weights is not None:
-        paths = [args.weights, *(args.more_weights or [])]
-    elif args.synth is not None:
-        paths = [None]
-    else:
-        raise ConfigError("need --weights or --synth")
+    paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
     layers = []
     for path, layer in zip(paths, _load_inputs(args, config, paths)):
         profile = _profile_for(layer, config)
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("verify", help="run oracle cross-checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--damp", type=float, default=0.01)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -94,9 +94,7 @@ def naive_obs_prune(
     rows, n = w_dense.shape
     if n > ORACLE_MAX_COLS:
         raise OracleScaleError(f"oracle capped at {ORACLE_MAX_COLS} columns, got {n}")
-    raw = raw_hessian(activations)
-    if raw.shape[0] != n:
-        raise DimensionError(f"activation cols {raw.shape[0]} != weight cols {n}")
+    raw = raw_hessian(activations, n)
     xs = np.vstack([as_matrix(a) for a in activations])
     lam = config.damp_fraction * raw.diagonal().mean()
     dead = np.flatnonzero(raw.diagonal() == 0.0)
@@ -186,7 +184,7 @@ def cross_check(seed: int, damp: float) -> list[str]:
         common = dict(blocksize=blocksize, damp_fraction=damp)
         config = (SparsityConfig.semi_structured(2, 4, **common) if nm
                   else SparsityConfig(sparsity=p, **common))
-        layer = checked_layer(W, raw_hessian([X]))
+        layer = checked_layer(W, raw_hessian([X], n))
         fast = prune_layer(bundle_from_hessian(layer, config.damp_fraction), config)
         slow = naive_obs_prune(W, [X], config)
         if not np.array_equal(fast.mask.kept, slow.mask.kept):

@@ -120,7 +120,7 @@ def rose_prune_layer(
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Check W, then score, reorder if columnar, prune and restore channel order."""
     w = finite_matrix(w)
-    layer = checked_layer(w, raw_hessian(activations))
+    layer = checked_layer(w, raw_hessian(activations, w.shape[1]))
     profile = loss_profile(importance_scores(layer), config)
     plan = build_reorder_plan(profile, config)
     bundle = bundle_from_hessian(layer, config.damp_fraction, plan.permutation)

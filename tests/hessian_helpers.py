@@ -21,9 +21,13 @@ def factor(raw, damp_fraction, order=None, w=None):
     return bundle_from_hessian(checked_layer(w, raw), damp_fraction, order)
 
 
-def accumulate_hessian(activations, damp_fraction=0.01, w=None):
-    """The bundle of X.T @ X over ``activations``, factored in channel order."""
-    return factor(raw_hessian(activations), damp_fraction, w=w)
+def accumulate_hessian(activations, damp_fraction=0.01, w=None, width=None):
+    """The bundle of X.T @ X over ``activations``, factored in channel order.
+
+    The batches must be ``width`` wide, W's width by default.
+    """
+    width = w.shape[1] if width is None else width
+    return factor(raw_hessian(activations, width), damp_fraction, w=w)
 
 
 def block_order(config, n, blocks):

@@ -266,9 +266,10 @@ def test_criterion_8_permutation_soundness(columnar_runs):
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        a1, r1 = reconstruction_error(checked_layer(w, raw_hessian([x])),
+        a1, r1 = reconstruction_error(checked_layer(w, raw_hessian([x], w.shape[1])),
                                       out.pruned_weights)
-        a2, r2 = reconstruction_error(checked_layer(wp, raw_hessian([xp])), wpp)
+        a2, r2 = reconstruction_error(
+            checked_layer(wp, raw_hessian([xp], wp.shape[1])), wpp)
         dev = max(abs(a1 - a2) / max(1.0, abs(a1)), abs(r1 - r2))
         worst = max(worst, dev)
         ok &= dev <= 1e-9
@@ -283,7 +284,7 @@ def test_criterion_9_hot_block_position_sweep():
     errors = np.zeros((10, k_blocks))
     for s, seed in enumerate(range(10)):
         w = gen_columnar(64, 256, 32, hot, 10.0, seed)
-        h = raw_hessian([gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)])
+        h = raw_hessian([gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)], 256)
         layer = checked_layer(w, h)
         rest = [b for b in range(k_blocks) if b != hot]
         for pos in range(k_blocks):

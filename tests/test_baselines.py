@@ -33,7 +33,7 @@ def test_magnitude_error_matches_direct_evaluation():
     w = rng.standard_normal((6, 16))
     x = rng.standard_normal((40, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    layer = checked_layer(w, raw_hessian([x]))
+    layer = checked_layer(w, raw_hessian([x], w.shape[1]))
     out = magnitude_prune(layer, cfg)
     diff = (w - out.pruned_weights) @ x.T
     assert out.final_error == pytest.approx(float(np.sum(diff * diff)))
@@ -52,7 +52,7 @@ def test_trajectory_is_error_at_each_block_end(prune, config):
     rng = np.random.default_rng(7)
     w = rng.standard_normal((6, 36))
     x = rng.standard_normal((50, 36)) * rng.uniform(0.1, 10, 36)
-    out = prune(checked_layer(w, raw_hessian([x])), config)
+    out = prune(checked_layer(w, raw_hessian([x], w.shape[1])), config)
     d = w - out.pruned_weights
     ends = [i2 for _, i2 in config.block_ranges(36)]
     assert ends[-1] - ends[-2] == 4  # a partial last block
@@ -82,7 +82,7 @@ def test_wanda_matches_per_row_sort_oracle():
     rng = np.random.default_rng(4)
     w = rng.standard_normal((8, 8))
     x = rng.standard_normal((32, 8))
-    h = raw_hessian([x])
+    h = raw_hessian([x], 8)
     out = wanda_prune(checked_layer(w, h), SparsityConfig(sparsity=0.5, blocksize=8))
     scores = np.abs(w) * column_norms(h)
     for r in range(8):
@@ -109,7 +109,7 @@ def test_baselines_semi_structured(pattern):
     w = rng.standard_normal((5, 32))
     x = rng.standard_normal((64, 32))
     cfg = SparsityConfig.semi_structured(n_keep, m)
-    layer = checked_layer(w, raw_hessian([x]))
+    layer = checked_layer(w, raw_hessian([x], w.shape[1]))
     for out in (magnitude_prune(layer, cfg), wanda_prune(layer, cfg)):
         groups = out.mask.kept.reshape(5, 32 // m, m)
         assert np.all(groups.sum(axis=2) == n_keep)
@@ -120,7 +120,7 @@ def test_mask_respect_and_sparsity_invariants():
     w = rng.standard_normal((10, 24))
     x = rng.standard_normal((50, 24))
     cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-    layer = checked_layer(w, raw_hessian([x]))
+    layer = checked_layer(w, raw_hessian([x], w.shape[1]))
     for out in (magnitude_prune(layer, cfg), wanda_prune(layer, cfg)):
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         pruned = np.count_nonzero(~out.mask.kept) / out.mask.kept.size

@@ -98,7 +98,7 @@ def test_zero_row_layer(method, pattern):
     """f2py's dgemm rejects an empty output; a layer with no rows has error 0."""
     n = 16
     x = np.random.default_rng(0).standard_normal((64, n))
-    raw = raw_hessian([x])
+    raw = raw_hessian([x], n)
     cfg = (SparsityConfig(0.5, 8) if pattern is None
            else SparsityConfig.semi_structured(*pattern, 8))
     layer = checked_layer(np.zeros((0, n)), raw)
@@ -130,7 +130,7 @@ rose, plan, _ = rose_prune_layer(w, acts, SparsityConfig(0.7))
 assert plan.was_reordered
 nm = SparsityConfig.semi_structured(2, 4)
 w_nm = gen_uniform(128, 512, seed=6)
-layer = checked_layer(w_nm, raw_hessian(acts))
+layer = checked_layer(w_nm, raw_hessian(acts, 512))
 dense = prune_layer(bundle_from_hessian(layer, 0.01), nm)
 np.savez(sys.argv[1], w=w, w_nm=w_nm,
          rose_weights=rose.pruned_weights, rose_kept=rose.mask.kept,

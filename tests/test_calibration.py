@@ -17,6 +17,7 @@ from obsprune import (
     checked_layer,
     column_norms,
     magnitude_prune,
+    naive_obs_prune,
     prune_layer,
     raw_hessian,
     reorder,
@@ -66,7 +67,7 @@ def inverse(bundle):
 
 
 def test_identity_activations():
-    b = accumulate_hessian([np.eye(2)], damp_fraction=0.0)
+    b = accumulate_hessian([np.eye(2)], damp_fraction=0.0, width=2)
     np.testing.assert_allclose(dampened_hessian(b), np.eye(2))
     np.testing.assert_allclose(inverse(b), np.eye(2))
     np.testing.assert_allclose(b.chol_upper, np.eye(2))
@@ -75,21 +76,21 @@ def test_identity_activations():
 
 def test_diagonal_case():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
-    b = accumulate_hessian([x], damp_fraction=0.0)
+    b = accumulate_hessian([x], damp_fraction=0.0, width=2)
     np.testing.assert_allclose(dampened_hessian(b), np.diag([4.0, 1.0]))
     np.testing.assert_allclose(inverse(b), np.diag([0.25, 1.0]))
 
 
 def test_inverse_matches_gauss_oracle():
     x = np.random.default_rng(3).standard_normal((16, 8))
-    b = accumulate_hessian([x], damp_fraction=0.01)
+    b = accumulate_hessian([x], damp_fraction=0.01, width=8)
     expected = gauss_inverse(dampened_hessian(b))
     assert np.max(np.abs(inverse(b) - expected)) < 1e-8
 
 
 def test_bundle_invariants():
     x = np.random.default_rng(4).standard_normal((40, 12))
-    b = accumulate_hessian([x], damp_fraction=0.01)
+    b = accumulate_hessian([x], damp_fraction=0.01, width=12)
     assert np.max(np.abs(dampened_hessian(b) @ inverse(b) - np.eye(12))) < 1e-8
     low = b.chol_upper.T
     assert np.allclose(low, np.tril(low))
@@ -98,7 +99,7 @@ def test_bundle_invariants():
 
 def test_dampening_uses_mean_diagonal():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
-    b = accumulate_hessian([x], damp_fraction=0.1)
+    b = accumulate_hessian([x], damp_fraction=0.1, width=2)
     # raw diag (4, 1), mean 2.5
     assert b.damp_lambda == pytest.approx(0.25)
     np.testing.assert_allclose(dampened_hessian(b), np.diag([4.25, 1.25]))
@@ -106,14 +107,14 @@ def test_dampening_uses_mean_diagonal():
 
 def test_dead_columns_recorded():
     x = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
-    b = accumulate_hessian([x], damp_fraction=0.01)
+    b = accumulate_hessian([x], damp_fraction=0.01, width=3)
     np.testing.assert_array_equal(b.layer.dead_columns, [1])
 
 
 def test_indefinite_failure_names_pivot():
     x = np.zeros((2, 3))
     with pytest.raises(IndefiniteHessianError) as exc:
-        accumulate_hessian([x], damp_fraction=0.0)
+        accumulate_hessian([x], damp_fraction=0.0, width=3)
     assert exc.value.pivot is not None
 
 
@@ -151,33 +152,35 @@ def test_factor_matches_inverse_then_factor_route(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 97))
     x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
-    b = accumulate_hessian([x], damp_fraction=0.01)
+    b = accumulate_hessian([x], damp_fraction=0.01, width=n)
     want = factor_of_inverse(dampened_hessian(b))
     assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_requires_batches_and_consistent_cols():
     with pytest.raises(DimensionError):
-        accumulate_hessian([])
+        accumulate_hessian([], width=3)
+    with pytest.raises(DimensionError, match="batch 0 has 4 columns, expected 3"):
+        accumulate_hessian([np.ones((2, 4)), np.ones((2, 3))], width=3)
     with pytest.raises(DimensionError, match="activation batch 1"):
-        accumulate_hessian([np.ones((2, 3)), np.ones((2, 4))])
+        accumulate_hessian([np.ones((2, 3)), np.ones((2, 4))], width=3)
 
 
 def test_column_norms_345():
-    norms = column_norms(raw_hessian([np.array([[3.0, 0.0], [4.0, 0.0]])]))
+    norms = column_norms(raw_hessian([np.array([[3.0, 0.0], [4.0, 0.0]])], 2))
     np.testing.assert_allclose(norms, [5.0, 0.0])
 
 
 def test_column_norms_identity():
-    norms = column_norms(raw_hessian([np.eye(3)]))
+    norms = column_norms(raw_hessian([np.eye(3)], 3))
     np.testing.assert_allclose(norms, [1.0, 1.0, 1.0])
 
 
 def test_column_norms_batches_match_stacked():
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((7, 4)), rng.standard_normal((9, 4))
-    split = column_norms(raw_hessian([a, b]))
-    stacked = column_norms(raw_hessian([np.vstack([a, b])]))
+    split = column_norms(raw_hessian([a, b], 4))
+    stacked = column_norms(raw_hessian([np.vstack([a, b])], 4))
     np.testing.assert_allclose(split, stacked, rtol=1e-12)
 
 
@@ -186,8 +189,8 @@ def test_column_norms_row_permutation_invariant():
     x = rng.standard_normal((20, 5))
     shuffled = x[rng.permutation(20)]
     np.testing.assert_allclose(
-        column_norms(raw_hessian([x])),
-        column_norms(raw_hessian([shuffled])),
+        column_norms(raw_hessian([x], 5)),
+        column_norms(raw_hessian([shuffled], 5)),
         rtol=1e-12,
     )
 
@@ -196,8 +199,8 @@ def test_zero_rows_batch_changes_nothing():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((15, 6))
     zeros = np.zeros((4, 6))
-    b1 = accumulate_hessian([x], 0.01)
-    b2 = accumulate_hessian([x, zeros], 0.01)
+    b1 = accumulate_hessian([x], 0.01, width=6)
+    b2 = accumulate_hessian([x, zeros], 0.01, width=6)
     np.testing.assert_array_equal(dampened_hessian(b1), dampened_hessian(b2))
     np.testing.assert_array_equal(
         column_norms(b1.layer.raw), column_norms(b2.layer.raw)
@@ -206,7 +209,7 @@ def test_zero_rows_batch_changes_nothing():
 
 def test_cholesky_identity_trivial_cases():
     x = np.random.default_rng(8).standard_normal((30, 6))
-    b = accumulate_hessian([x], 0.01)
+    b = accumulate_hessian([x], 0.01, width=6)
     full_dev = cholesky_inverse_identity_check(b, 0)
     assert full_dev <= 1e-8
 
@@ -251,7 +254,7 @@ def test_indefinite_pivot_names_channel_in_any_order(seed):
 def test_any_order_factors_the_permuted_hessian(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((60, 24))
-    raw = raw_hessian([x])
+    raw = raw_hessian([x], 24)
     order = Permutation(rng.permutation(24))
     b = factor(raw, 0.01, order)
     f = order.forward
@@ -282,7 +285,7 @@ def test_raw_hessian_any_split(n, cuts, layouts, seed):
         elif layout == "f32":
             b = b.astype(np.float32)
         batches.append(b)
-    h = raw_hessian(batches)
+    h = raw_hessian(batches, n)
     assert np.array_equal(h, h.T)
     want = x.T @ x
     # the rounding of each entry scales with sqrt(H_ii H_jj)
@@ -307,7 +310,7 @@ def test_memory_budget():
     square = 8 * n * n
     rng = np.random.default_rng(11)
     batches = [rng.standard_normal((64, n)) for _ in range(8)]
-    raw, peak, _ = traced_bytes(lambda: raw_hessian(batches))
+    raw, peak, _ = traced_bytes(lambda: raw_hessian(batches, n))
     assert peak <= square + 8 * MIRROR_PANEL * n
 
     order = Permutation(rng.permutation(n))
@@ -331,9 +334,29 @@ def test_baseline_memory_budget(prune):
     n = 512
     rng = np.random.default_rng(12)
     layer = checked_layer(rng.standard_normal((16, n)),
-                          raw_hessian([rng.standard_normal((1024, n))]))
+                          raw_hessian([rng.standard_normal((1024, n))], n))
     _, peak, _ = traced_bytes(lambda: prune(layer, SparsityConfig(0.5)))
     assert peak <= 0.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("prune", [rose_prune_layer, naive_obs_prune])
+@pytest.mark.parametrize("shape", [(2, 4096), (2, 24), (4096,)],
+                         ids=["wide", "narrow", "one-dim"])
+def test_batch_not_as_wide_as_w_rejected_before_h_is_sized(prune, shape):
+    """Batch 0 is checked against W's 32 columns before H is allocated.
+
+    Sizing H from a 2 x 4096 batch first, as ``raw_hessian`` once did,
+    peaked at 144 MB in ``rose_prune_layer`` and 129 MB in the oracle.
+    """
+    w, x = np.ones((8, 32)), np.ones(shape)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="activation batch 0"):
+            prune(w, [x], SparsityConfig(0.5, blocksize=16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def nan_hessian():
@@ -366,7 +389,7 @@ def run_baseline(fn):
 
 def run_rose(h):
     """``rose_prune_layer`` with ``h`` in place of the Hessian of its batches."""
-    with mock.patch.object(reorder, "raw_hessian", lambda activations: h):
+    with mock.patch.object(reorder, "raw_hessian", lambda activations, width: h):
         return rose_prune_layer(
             np.ones((2, h.shape[1])), [], SparsityConfig(0.5, blocksize=4)
         )
@@ -455,7 +478,7 @@ def test_dense_energy_overflow_rejected_before_factoring(monkeypatch, capfd, ent
     w = np.full((2, 8), 1e200)
     with pytest.raises(NumericOverflowError, match="dense output energy inf"):
         if entry == "rose":
-            with mock.patch.object(reorder, "raw_hessian", lambda acts: np.eye(8)):
+            with mock.patch.object(reorder, "raw_hessian", lambda acts, width: np.eye(8)):
                 rose_prune_layer(w, [], SparsityConfig(0.5, blocksize=4))
         else:
             checked_layer(w, np.eye(8))
@@ -469,7 +492,7 @@ def test_checked_layer_derives_once():
     x = rng.standard_normal((20, 6))
     x[:, 2] = 0.0
     w = np.asfortranarray(rng.standard_normal((3, 6)))
-    raw = raw_hessian([x])
+    raw = raw_hessian([x], 6)
     layer = checked_layer(w, raw)
     assert layer.w.flags.c_contiguous and np.array_equal(layer.w, w)
     assert layer.raw is raw

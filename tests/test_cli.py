@@ -285,6 +285,17 @@ def write_layers(tmp_path, count, bad=None):
             "--blocksize", "16"]
 
 
+def test_detect_weight_files_given_only_as_arguments(tmp_path):
+    """``detect a.rtns b.rtns`` reads both files, as ``--weights a.rtns b.rtns`` does."""
+    argv = write_layers(tmp_path, 2)
+    named = tmp_path / "named"
+    positional = tmp_path / "positional"
+    assert run([*argv, "--out", str(named)]) == 0
+    assert run(["detect", *argv[2:], "--out", str(positional)]) == 0
+    assert ((positional / "detect.json").read_text()
+            == (named / "detect.json").read_text())
+
+
 def test_detect_reads_shared_activations_once(tmp_path, monkeypatch):
     """Three weight files share one --acts: one manifest read, one H."""
     argv = write_layers(tmp_path, 3)
@@ -361,6 +372,17 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
 
 def test_verify_subcommand_passes():
     assert run(["verify", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "-1"],
+    ["prune", "--synth", "uniform", "--sparsity", "0.5", "--seed", "-1"],
+    ["prune", "--synth", "uniform", "--sparsity", "0.5", "--seed", "1.5"],
+])
+def test_bad_seed_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: seed must be a non-negative integer" in err
 
 
 def test_missing_inputs_exit_2():
@@ -511,11 +533,11 @@ def assert_rejected(tmp_path, capsys, fault, code):
 )
 def test_bad_input_exit_1(tmp_path, capsys, monkeypatch, no_factoring, fault):
     if fault.startswith("acts-"):
-        # an activation batch of the wrong shape is rejected before H is built
-        def built(*args, **kwargs):
-            raise AssertionError("the Hessian was built")
+        # raw_hessian rejects a batch of the wrong shape before adding it to H
+        def accumulated(*args, **kwargs):
+            raise AssertionError("a batch was accumulated")
 
-        patch_everywhere(monkeypatch, calibration.raw_hessian, built)
+        monkeypatch.setattr(calibration.blas, "dsyrk", accumulated)
     err = assert_rejected(tmp_path, capsys, fault, 1)
     if fault.startswith("acts-"):
         assert "activation batch 0" in err

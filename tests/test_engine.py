@@ -97,13 +97,13 @@ class TestBlockMask:
 class TestReconstructionError:
     def test_equal_weights(self):
         w, x = random_layer(0)
-        layer = checked_layer(w, raw_hessian([x]))
+        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         assert reconstruction_error(layer, w) == (0.0, 0.0)
 
     def test_zero_pruned(self):
         w, x = random_layer(1)
         absolute, relative = reconstruction_error(
-            checked_layer(w, raw_hessian([x])), np.zeros_like(w)
+            checked_layer(w, raw_hessian([x], w.shape[1])), np.zeros_like(w)
         )
         assert relative == pytest.approx(1.0)
         assert absolute > 0
@@ -112,7 +112,7 @@ class TestReconstructionError:
         w = np.array([[1.0, 1.0]])
         x = np.eye(2)
         wp = np.array([[1.0, 0.0]])
-        layer = checked_layer(w, raw_hessian([x]))
+        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         assert reconstruction_error(layer, wp) == (1.0, 0.5)
 
     def test_zero_denominator(self):
@@ -148,7 +148,7 @@ class TestErrorPrefix:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2 * n + 3, n)) * rng.uniform(0.1, 10, n)
         x[:, [j for j in dead if j < n]] = 0.0  # dead channels
-        h = raw_hessian([x])
+        h = raw_hessian([x], n)
         d = rng.standard_normal((rows, n)) * rng.uniform(0.01, 100, n)
         spread = np.zeros((rows, 2 * n))
         spread[:, ::2] = d
@@ -168,7 +168,7 @@ class TestErrorPrefix:
     def test_reads_only_the_upper_triangle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((20, 9))
-        h = raw_hessian([x])
+        h = raw_hessian([x], 9)
         d = rng.standard_normal((4, 9))
         upper = np.triu(h)
         assert np.array_equal(error_prefix(d, upper), error_prefix(d, h))
@@ -234,7 +234,7 @@ class TestPruneLayer:
     def test_dimension_mismatch(self):
         w, x = random_layer(7)
         with pytest.raises(DimensionError):
-            checked_layer(w[:, :-1], raw_hessian([x]))
+            checked_layer(w[:, :-1], raw_hessian([x], w.shape[1]))
 
     def test_dead_column_pruned_first(self):
         rng = np.random.default_rng(30)
@@ -256,7 +256,7 @@ class TestPruneLayer:
         w[:, 3] = 50.0
         cfg = SparsityConfig(sparsity=0.25, blocksize=4)
         order = Permutation(rng.permutation(8))
-        layer = checked_layer(w, raw_hessian([x]))
+        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         b = bundle_from_hessian(layer, cfg.damp_fraction, order)
         np.testing.assert_array_equal(b.layer.dead_columns, [3])
         out = prune_layer(b, cfg)
@@ -347,7 +347,7 @@ class TestClosedFormTrajectory:
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         order = Permutation(np.r_[8 + rng.permutation(8), rng.permutation(8)])
-        layer = checked_layer(w, raw_hessian([x]))
+        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         b = bundle_from_hessian(layer, cfg.damp_fraction, order)
         out = prune_layer(b, cfg)
         assert out.block_error_trajectory[0] == 0.0
@@ -503,7 +503,7 @@ class TestLayout:
         n = 4 * groups
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((rows, n))
-        raw = raw_hessian([rng.standard_normal((3 * n, n))])
+        raw = raw_hessian([rng.standard_normal((3 * n, n))], n)
         if semi:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=16)
             p = np.concatenate([4 * g + rng.permutation(4)

@@ -150,7 +150,7 @@ class TestPruneInOrder:
         w = rng.standard_normal((rows, n))
         # fewer samples than columns half of the time: H is rank deficient
         samples = int(rng.choice([n // 2 + 1, 3 * n]))
-        raw = raw_hessian([rng.standard_normal((samples, n))])
+        raw = raw_hessian([rng.standard_normal((samples, n))], n)
         if nm:
             cfg = SparsityConfig.semi_structured(
                 2, 4, blocksize=4 * int(rng.integers(1, groups + 1))
@@ -186,7 +186,7 @@ class TestPruneInOrder:
     @pytest.mark.parametrize("nm", [False, True])
     def test_identity_order_is_prune_layer(self, nm):
         w = gen_uniform(16, 64, seed=20)
-        raw = raw_hessian([gen_activations(128, 64, 0.3, seed=21)])
+        raw = raw_hessian([gen_activations(128, 64, 0.3, seed=21)], 64)
         cfg = (SparsityConfig.semi_structured(2, 4) if nm
                else SparsityConfig(sparsity=0.6, blocksize=16))
         identity = Permutation.identity(64)
@@ -267,8 +267,8 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
         raws, layers, bundles = [], [], []
 
-        def hessian(activations):
-            raws.append(raw_hessian(activations))
+        def hessian(activations, width):
+            raws.append(raw_hessian(activations, width))
             return raws[-1]
 
         def checked(w, raw):
@@ -292,7 +292,7 @@ class TestRosePruneLayer:
     def test_ascending_worse_than_plain(self):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        layer = checked_layer(w, raw_hessian([x]))
+        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         profile = loss_profile(importance_scores(layer), cfg)
         plan = build_reorder_plan(profile, cfg, descending=False)
         assert plan.was_reordered
@@ -325,9 +325,10 @@ class TestRosePruneLayer:
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        layer = checked_layer(w, raw_hessian([x]))
+        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         a1, r1 = reconstruction_error(layer, out.pruned_weights)
-        a2, r2 = reconstruction_error(checked_layer(wp, raw_hessian([xp])), wpp)
+        a2, r2 = reconstruction_error(
+            checked_layer(wp, raw_hessian([xp], wp.shape[1])), wpp)
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1)
         assert abs(r1 - r2) <= 1e-9
         assert out.final_error == pytest.approx(a1)
@@ -373,7 +374,7 @@ class TestManualBlockOrder:
         x = gen_activations(64, 32, 0.0, seed=13)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         assert block_order(cfg, 32, [0, 1, 2, 3]).is_identity()
-        out = prune_blocks_in_order(w, raw_hessian([x]), cfg, [0, 1, 2, 3])
+        out = prune_blocks_in_order(w, raw_hessian([x], w.shape[1]), cfg, [0, 1, 2, 3])
         bundle = accumulate_hessian([x], cfg.damp_fraction, w)
         plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
@@ -382,7 +383,7 @@ class TestManualBlockOrder:
         cfg = SparsityConfig(sparsity=0.7, blocksize=32)
         w = gen_columnar(64, 128, 32, 3, 10.0, seed=14)
         x = gen_activations(256, 128, 0.3, seed=15)
-        h = raw_hessian([x])
+        h = raw_hessian([x], w.shape[1])
         first = prune_blocks_in_order(w, h, cfg, [3, 0, 1, 2])
         last = prune_blocks_in_order(w, h, cfg, [0, 1, 2, 3])
         assert first.final_error < last.final_error
@@ -392,5 +393,5 @@ class TestManualBlockOrder:
         x = gen_activations(32, 16, 0.0, seed=17)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         with pytest.raises(ValueError, match="bijection"):
-            prune_blocks_in_order(w, raw_hessian([x]), cfg, [0, 0])
+            prune_blocks_in_order(w, raw_hessian([x], w.shape[1]), cfg, [0, 0])
 
