@@ -25,9 +25,6 @@ from scipy.linalg import blas, lapack
 from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
 from .tensors import Permutation, as_matrix, finite_matrix
 
-#: Squared inverse-factor diagonals below this are treated as degenerate.
-DEGENERATE_DIAG = 1e-30
-
 #: columns per panel when ``raw_hessian`` mirrors its triangle
 MIRROR_PANEL = 256
 
@@ -160,7 +157,8 @@ def bundle_from_hessian(
     whose leading k x k block is the trailing block of H[order][:, order]
     reversed.  It is factored and inverted in place, and U is that buffer
     read in reverse.  The damping comes from the diagonal in channel order,
-    so every order of a layer gets the same one.
+    so every order of a layer gets the same one; one that overflows raises
+    NumericOverflowError before H is copied.
     """
     raw = layer.raw
     n = raw.shape[0]
@@ -168,7 +166,13 @@ def bundle_from_hessian(
         order = Permutation.identity(n)
     elif order.size != n:
         raise DimensionError(f"order size {order.size} != Hessian size {n}")
-    lam = float(damp_fraction * raw.diagonal().mean())
+    diag = raw.diagonal()
+    with np.errstate(over="ignore"):  # raised just below
+        lam = float(damp_fraction * diag.mean())
+        top = float(diag.max()) + lam
+    if not np.isfinite(top):
+        raise NumericOverflowError(f"damping lambda = {lam} overflows the dampened "
+                                   f"diagonal (largest entry {top})")
     q = order.forward[::-1]
     h = raw[np.ix_(q, q)]
     h.reshape(-1)[:: n + 1] += lam

@@ -51,7 +51,11 @@ def _parse_pattern(text):
         n, m = (int(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"pattern must look like N:M, got {text!r}")
-    return SemiStructured(n, m)
+    try:
+        return SemiStructured(n, m)
+    except ConfigError as e:
+        # argparse reports only the name of a converter's ValueError
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _parse_seed(text):
@@ -369,7 +373,7 @@ def main(argv=None) -> int:
         args.sparsity = [0.7]
     try:
         return args.func(args)
-    except (PruneError, RtnsFormatError, OSError) as e:
+    except (PruneError, RtnsFormatError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, ConfigError) else 1
 

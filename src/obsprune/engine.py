@@ -27,14 +27,13 @@ every other error is a quadratic form in the raw Hessian,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import blas
 
-from .calibration import DEGENERATE_DIAG, HessianBundle, Layer, error_prefix
+from .calibration import HessianBundle, Layer, error_prefix
 from .errors import ConfigError, DimensionError, NumericOverflowError
 from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
@@ -137,11 +136,13 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     factor was made in; weights and mask come back in channel order.  Under
     an n:m pattern, an order that splits a group of m is rejected with a
     ConfigError before the sweep.  The error after block k is measured in
-    the raw Hessian.  With every pruned column compensated, the dampened
-    loss equals the summed squared OBS errors, so
-    raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  Once
-    a column is pruned without compensation (degenerate inverse diagonal),
-    or the subtraction cancels, sum(d @ H_raw @ d) is computed instead.
+    the raw Hessian.  Every pruned weight is compensated, so the dampened
+    loss equals the summed squared OBS errors, and
+    raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  When that closed
+    form is not finite (a huge damping overflows it) or has cancelled,
+    sum(d @ H_raw @ d) is computed instead.  No rule depends on the scale
+    of H: short of overflow or underflow, scaling X by 2**k leaves masks
+    and weights bit for bit and scales every error by 4**k.
     """
     layer = bundle.layer
     rows, n = layer.w.shape
@@ -157,8 +158,6 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     upper = bundle.chol_upper
     diag = upper.diagonal()
     inv_diag = diag * diag
-    degenerate = inv_diag < DEGENERATE_DIAG
-    saliency_diag = np.maximum(inv_diag, DEGENERATE_DIAG)
     dead = np.zeros(n, dtype=bool)
     dead[order.inverse[layer.dead_columns]] = True
     group = config.group_width
@@ -173,7 +172,6 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     loss = 0.0
     # ||W0 - W_k||^2 over the columns of finished blocks, which never change
     final_sq = 0.0
-    uncompensated = False
 
     for block_index, (i1, i2) in enumerate(ranges):
         errs = np.zeros((i2 - i1, rows))
@@ -184,22 +182,13 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
                     g2 = min(q + group, i2)
                     kept_t[q:g2] = select_block_mask(
                         cur[q:g2].T,
-                        saliency_diag[q:g2],
+                        inv_diag[q:g2],
                         config,
                         np.flatnonzero(dead[q:g2]),
                     ).kept.T
                 e = errs[q - i1]
                 pruned = ~kept_t[q]
-                if degenerate[q]:
-                    if np.any(pruned):
-                        warnings.warn(
-                            f"column {q}: degenerate inverse diagonal, pruning "
-                            "without compensation",
-                            RuntimeWarning,
-                        )
-                        uncompensated = True
-                else:
-                    np.divide(cur[q], diag[q], out=e, where=pruned)
+                np.divide(cur[q], diag[q], out=e, where=pruned)
                 cur[q, pruned] = 0.0
                 if q + 1 < s2:
                     cur[q + 1 : s2] -= np.outer(upper[q, q + 1 : s2], e)
@@ -214,14 +203,16 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             raise NumericOverflowError(
                 f"non-finite weights after block {block_index}", block=block_index
             )
-        loss += float(np.sum(errs * errs))
-        # one block at a time, so that no temporary spans the unfinished columns
-        tail_sq = [
-            float(np.sum(np.square(dense_t[j1:j2] - cur[j1:j2])))
-            for j1, j2 in ranges[block_index:]
-        ]
+        # a huge damping can overflow the closed form, which is then not finite
+        with np.errstate(over="ignore"):
+            loss += float(np.sum(errs * errs))
+            # one block at a time, so that no temporary spans the unfinished columns
+            tail_sq = [
+                float(np.sum(np.square(dense_t[j1:j2] - cur[j1:j2])))
+                for j1, j2 in ranges[block_index:]
+            ]
         raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
-        if uncompensated or raw_err < CANCELLATION * loss:
+        if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             d = layer.w - _channel_order(cur, order)
             raw_err = float(error_prefix(d, layer.raw)[-1])
         trajectory.append(raw_err)

@@ -13,13 +13,11 @@ This is the one module that uses numpy's linear algebra (``@`` and
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import (DEGENERATE_DIAG, bundle_from_hessian, checked_layer,
-                          raw_hessian)
+from .calibration import bundle_from_hessian, checked_layer, raw_hessian
 from .engine import PruneOutcome, prune_layer, select_block_mask
 from .errors import (
     DimensionError,
@@ -114,25 +112,12 @@ def naive_obs_prune(
                 )
                 force = [int(j) - q for j in dead if q <= j < g2]
                 kept_full[:, q:g2] = select_block_mask(
-                    w_cur[:, q:g2],
-                    np.maximum(inv_diag, DEGENERATE_DIAG),
-                    config,
-                    force,
+                    w_cur[:, q:g2], inv_diag, config, force
                 ).kept
             col = w_cur[:, q]
             kept_c = kept_full[:, q]
             trailing_inv = np.linalg.inv(h[q:, q:])
-            d = trailing_inv[0, 0]
-            if d < DEGENERATE_DIAG:
-                if not np.all(kept_c):
-                    warnings.warn(
-                        f"column {q}: degenerate inverse diagonal, pruning "
-                        "without compensation",
-                        RuntimeWarning,
-                    )
-                w_cur[:, q] = np.where(kept_c, col, 0.0)
-                continue
-            e = np.where(kept_c, 0.0, col) / d
+            e = np.where(kept_c, 0.0, col) / trailing_inv[0, 0]
             w_cur[:, q:] -= np.outer(e, trailing_inv[:, 0])
             w_cur[:, q] = np.where(kept_c, col, 0.0)
         diff = (w_dense - w_cur) @ xs.T

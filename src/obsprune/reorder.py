@@ -3,11 +3,11 @@
 Before any weight moves, a pre-pruning pass marks the entries most likely
 to be removed (smallest magnitude-times-activation-norm scores) and sums
 their scores into per-column and per-block losses.  Layers whose block
-losses fluctuate widely (relative range above a threshold) get reordered:
-columns descending by column loss inside each block, then whole blocks
-descending by block loss.  High-loss weights are then pruned while plenty
-of later columns remain available for compensation, and the result is
-mapped back to the original channel order.
+losses per column fluctuate widely (relative range above a threshold) get
+reordered: columns descending by column loss inside each block, then whole
+blocks descending by block loss.  High-loss weights are then pruned while
+plenty of later columns remain available for compensation, and the result
+is mapped back to the original channel order.
 
 The scores read the checked ``Layer``'s weights and column norms.  Every
 second-order method is a column order of that layer, factored by
@@ -54,23 +54,27 @@ def importance_scores(layer: Layer) -> np.ndarray:
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     """Column and block losses from the candidate set of finite scores.
 
-    |w| * norm can overflow to inf, so the scores are checked here, before a
-    selection that must see no NaN.
+    The relative range is taken over each block's loss per column, its sum
+    divided by its width.  |w| * norm can overflow to inf, so the scores
+    are checked here, before a selection that must see no NaN.
     """
     scores = finite_matrix(scores, "scores")
     rows, n = scores.shape
     ranges = config.block_ranges(n)
     col_losses = np.zeros(n)
     block_losses = np.zeros(len(ranges))
+    # per column, so that a short last block does not read as a cheap one
+    per_col = np.zeros(len(ranges))
     for k, (i1, i2) in enumerate(ranges):
         sub = scores[:, i1:i2]
         sel = pruned_entries(sub, config)
         picked = np.where(sel, sub, 0.0)
         col_losses[i1:i2] = picked.sum(axis=0)
         block_losses[k] = picked.sum()
-    mean = block_losses.mean() if block_losses.size else 0.0
+        per_col[k] = block_losses[k] / (i2 - i1)
+    mean = per_col.mean() if per_col.size else 0.0
     if mean > 0:
-        rel = float((block_losses.max() - block_losses.min()) / mean)
+        rel = float((per_col.max() - per_col.min()) / mean)
     else:
         rel = 0.0
     return LossProfile(

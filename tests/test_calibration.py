@@ -486,6 +486,22 @@ def test_dense_energy_overflow_rejected_before_factoring(monkeypatch, capfd, ent
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("damp,diagonal", [
+    pytest.param(1e308, 4.0, id="lambda"),
+    # lambda = 0.75e308 is finite, the dampened diagonal 2.25e308 is not
+    pytest.param(0.5, 1.5e308, id="dampened-diagonal"),
+])
+def test_overflowing_damping_rejected_before_factoring(monkeypatch, capfd, damp, diagonal):
+    """A finite damping fraction whose lambda overflows fails before dpotrf."""
+    factored = []
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
+    layer = checked_layer(np.zeros((2, 8)), np.eye(8) * diagonal)
+    with pytest.raises(NumericOverflowError, match="damping lambda"):
+        bundle_from_hessian(layer, damp)
+    assert factored == []
+    assert capfd.readouterr() == ("", "")
+
+
 def test_checked_layer_derives_once():
     """W row-major, the norms, dead channels and dense energy of (W, H)."""
     rng = np.random.default_rng(13)

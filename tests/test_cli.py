@@ -399,6 +399,34 @@ def test_bad_pattern_rejected():
     assert code == 2
 
 
+def test_pattern_reason_reported(capsys):
+    assert run(["prune", "--synth", "uniform", "--pattern", "4:2"]) == 2
+    assert "argument --pattern: need 0 < n < m, got 4:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prune", "--synth", "uniform", "--sparsity", "0.5", "--rows", "4", "--cols", "8"],
+    ["verify"],
+])
+def test_overflowing_damping_exit_1(tmp_path, capsys, argv):
+    """A finite --damp whose lambda overflows fails before any factoring."""
+    code = main([*argv, "--damp", "1e308",
+                 *(["--out", str(tmp_path)] if argv[0] == "prune" else [])])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: damping lambda = inf") and err.count("\n") == 1
+
+
+def test_unallocatable_layer_exit_1(tmp_path, capsys):
+    """A 71 PiB weight matrix fails to allocate at once, without a traceback."""
+    code = main(["prune", "--synth", "uniform", "--sparsity", "0.5",
+                 "--rows", "100000000", "--cols", "100000000", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_corrupt_weights_file_exit_1(tmp_path):
     bad = tmp_path / "bad.rtns"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)

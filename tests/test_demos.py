@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the library in ``src/``."""
+"""Every demo script runs to completion against the library in ``src/``.
+
+Each runs under ``python -W error``: the ini's ``filterwarnings = error``
+does not reach a subprocess, and the library emits no warning of its own.
+"""
 
 import os
 import subprocess
@@ -20,7 +24,7 @@ def test_demo_exits_zero(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         env=env,
         capture_output=True,
         text=True,

@@ -12,13 +12,15 @@ from obsprune import (
     bundle_from_hessian,
     checked_layer,
     exact_masked_reconstruction,
+    gen_columnar,
+    naive_obs_prune,
     obs_update_row,
     prune_layer,
     raw_hessian,
     reconstruction_error,
+    rose_prune_layer,
     select_block_mask,
 )
-from obsprune.calibration import DEGENERATE_DIAG
 from obsprune.engine import CANCELLATION, error_prefix
 from obsprune.tensors import SemiStructured
 
@@ -307,22 +309,35 @@ class TestClosedFormTrajectory:
             out.block_error_trajectory, measured, rtol=1e-9, atol=0
         )
 
-    def test_uncompensated_fallback_matches_activations(self):
-        # columns 4-7 scaled by 1e16 have degenerate inverse diagonals and
-        # are pruned without compensation; the other columns are compensated
+    def test_huge_columns_are_compensated(self):
+        # columns 4-7 scaled by 1e16 have inverse diagonals near 1e-32, and
+        # their pruned weights are compensated like every other column's
         rng = np.random.default_rng(40)
         x = rng.standard_normal((64, 16))
         x[:, 4:8] *= 1e16
         w = rng.standard_normal((6, 16))
         cfg = SparsityConfig.semi_structured(2, 4, damp_fraction=0.0)
         b = accumulate_hessian([x], cfg.damp_fraction, w)
-        degenerate = b.chol_upper.diagonal() ** 2 < DEGENERATE_DIAG
-        np.testing.assert_array_equal(np.flatnonzero(degenerate), [4, 5, 6, 7])
-        with pytest.warns(RuntimeWarning, match="without compensation"):
-            out = prune_layer(b, cfg)
+        assert np.all(b.chol_upper.diagonal()[4:8] ** 2 < 1e-30)
+        out = prune_layer(b, cfg)
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
         assert out.block_error_trajectory[-1] == out.final_error
+        slow = naive_obs_prune(w, [x], cfg)
+        np.testing.assert_array_equal(out.mask.kept, slow.mask.kept)
+
+    def test_huge_damping_falls_back_to_the_direct_error(self):
+        # lambda * ||W0 - W_k||^2 and sum(E**2) overflow: the closed form is
+        # not finite, and the error is measured in the raw Hessian instead
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((256, 64))
+        w = rng.uniform(-1.0, 1.0, (16, 64))
+        cfg = SparsityConfig(sparsity=0.5, blocksize=16, damp_fraction=4e304)
+        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        out = prune_layer(b, cfg)
+        assert b.damp_lambda * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
+        assert np.all(np.isfinite(out.block_error_trajectory))
+        assert out.final_error == error_prefix(w - out.pruned_weights, b.layer.raw)[-1]
 
     def test_dead_block_error_is_exactly_zero(self):
         # pruning a block of dead channels costs nothing in the raw Hessian,
@@ -372,29 +387,21 @@ def rank1_reference(w, bundle, config):
     kept = np.ones((rows, n), dtype=bool)
     trajectory = []
     loss = 0.0
-    uncompensated = False
     for i1, i2 in config.block_ranges(n):
         for q in range(i1, i2):
             if (q - i1) % config.group_width == 0:
                 g2 = min(q + config.group_width, i2)
                 force = [j - q for j in bundle.layer.dead_columns if q <= j < g2]
                 kept[:, q:g2] = select_block_mask(
-                    w_cur[:, q:g2],
-                    np.maximum(d[q:g2] ** 2, DEGENERATE_DIAG),
-                    config,
-                    force,
+                    w_cur[:, q:g2], d[q:g2] ** 2, config, force
                 ).kept
-            e = np.zeros(rows)
-            if d[q] * d[q] < DEGENERATE_DIAG:
-                uncompensated |= not kept[:, q].all()
-            else:
-                e = np.where(kept[:, q], 0.0, w_cur[:, q]) / d[q]
+            e = np.where(kept[:, q], 0.0, w_cur[:, q]) / d[q]
             w_cur[:, q] = np.where(kept[:, q], w_cur[:, q], 0.0)
             w_cur[:, q + 1 :] -= np.outer(e, upper[q, q + 1 :])
             loss += float(e @ e)
         delta = w - w_cur
         raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
-        if uncompensated or raw_err < CANCELLATION * loss:
+        if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             raw_err = float(np.sum((delta @ bundle.layer.raw) * delta))
         trajectory.append(raw_err)
     return w_cur, kept, np.array(trajectory)
@@ -447,6 +454,48 @@ class TestRank1Reference:
         np.testing.assert_array_equal(
             again.block_error_trajectory, out.block_error_trajectory
         )
+
+
+def scaled_run(method, k):
+    """``method`` on one 16x64 layer whose activations are scaled by 2**k.
+
+    Returns the outcome and the loss profile's R_rel (None without one).
+    Every layer has a dead channel; the rose layer is columnar, so that it
+    is reordered.
+    """
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((256, 64)) * 2.0**k
+    x[:, 5] = 0.0
+    unstructured = SparsityConfig(sparsity=0.5, blocksize=16)
+    if method == "rose":
+        w = gen_columnar(16, 64, 16, 2, 10.0, seed=43)
+        out, plan, profile = rose_prune_layer(w, [x], unstructured)
+        assert plan.was_reordered
+        return out, profile.relative_range
+    w = rng.standard_normal((16, 64))
+    if method == "oracle":
+        return naive_obs_prune(w, [x], unstructured), None
+    cfg = (SparsityConfig.semi_structured(2, 4, blocksize=16) if method == "2:4"
+           else unstructured)
+    return prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg), None
+
+
+class TestScale:
+    # no rule depends on the scale of X, so a power of two scales every
+    # error exactly and moves nothing else
+    @pytest.mark.parametrize("method", ["unstructured", "2:4", "rose", "oracle"])
+    @pytest.mark.parametrize("k", [-200, 50, 200])
+    def test_power_of_two_scales_errors_exactly(self, method, k):
+        base, base_r_rel = scaled_run(method, 0)
+        out, r_rel = scaled_run(method, k)
+        np.testing.assert_array_equal(out.mask.kept, base.mask.kept)
+        np.testing.assert_array_equal(out.pruned_weights, base.pruned_weights)
+        assert out.final_error == base.final_error * 4.0**k
+        np.testing.assert_array_equal(
+            out.block_error_trajectory, base.block_error_trajectory * 4.0**k
+        )
+        assert out.relative_error == base.relative_error
+        assert r_rel == base_r_rel
 
 
 class TestMaskGroups:

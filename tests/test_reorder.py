@@ -101,6 +101,30 @@ class TestLossProfile:
         assert prof.block_losses.size == 3
 
 
+    def test_relative_range_of_a_short_last_block_by_hand(self):
+        # block sums 2, 2, 1 over widths 2, 2, 1 are 1 per column in every
+        # block; the sums alone would give R_rel = (2 - 1) / (5 / 3)
+        cfg = SparsityConfig(sparsity=0.5, blocksize=2)
+        s = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0, 9.0]])
+        prof = loss_profile(s, cfg)
+        np.testing.assert_array_equal(prof.block_losses, [2.0, 2.0, 1.0])
+        assert prof.relative_range == 0.0
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_short_last_block_gates_on_loss_per_column(self, columnar):
+        """A 300-wide layer has a 44-column last block, whose sum reads low."""
+        cfg = SparsityConfig(0.7)
+        w = (gen_columnar(64, 300, 128, 2, 10.0, seed=0) if columnar
+             else gen_uniform(64, 300, seed=0))
+        x = gen_activations(384, 300, 0.3, seed=1000003)
+        prof = loss_profile(importance_scores(checked_layer(w, raw_hessian([x], 300))), cfg)
+        assert (prof.relative_range > cfg.columnar_threshold) == columnar
+        if not columnar:
+            # the sums alone would open the gate
+            sums = prof.block_losses
+            assert (sums.max() - sums.min()) / sums.mean() > cfg.columnar_threshold
+
+
 class TestReorderPlan:
     def test_gate_below_threshold_identity(self):
         cfg = SparsityConfig(sparsity=0.5, blocksize=4, columnar_threshold=10.0)
