@@ -148,6 +148,21 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
     return acc.T
 
 
+def damping(raw: np.ndarray, damp_fraction: float) -> float:
+    """lambda = damp_fraction * mean(diag H), the same in every column order.
+
+    One that overflows H + lambda I raises NumericOverflowError, with no warning.
+    """
+    diag = raw.diagonal()
+    with np.errstate(over="ignore"):  # raised just below
+        lam = float(damp_fraction * diag.mean())
+        top = float(diag.max()) + lam
+    if not np.isfinite(top):
+        raise NumericOverflowError(f"damping lambda = {lam} overflows the dampened "
+                                   f"diagonal (largest entry {top})")
+    return lam
+
+
 def bundle_from_hessian(
     layer: Layer, damp_fraction: float, order: Permutation | None = None
 ) -> HessianBundle:
@@ -156,9 +171,7 @@ def bundle_from_hessian(
     The one copy of H made here is h = H[q][:, q] for q the order reversed,
     whose leading k x k block is the trailing block of H[order][:, order]
     reversed.  It is factored and inverted in place, and U is that buffer
-    read in reverse.  The damping comes from the diagonal in channel order,
-    so every order of a layer gets the same one; one that overflows raises
-    NumericOverflowError before H is copied.
+    read in reverse.  ``damping`` is checked before H is copied.
     """
     raw = layer.raw
     n = raw.shape[0]
@@ -166,13 +179,7 @@ def bundle_from_hessian(
         order = Permutation.identity(n)
     elif order.size != n:
         raise DimensionError(f"order size {order.size} != Hessian size {n}")
-    diag = raw.diagonal()
-    with np.errstate(over="ignore"):  # raised just below
-        lam = float(damp_fraction * diag.mean())
-        top = float(diag.max()) + lam
-    if not np.isfinite(top):
-        raise NumericOverflowError(f"damping lambda = {lam} overflows the dampened "
-                                   f"diagonal (largest entry {top})")
+    lam = damping(raw, damp_fraction)
     q = order.forward[::-1]
     h = raw[np.ix_(q, q)]
     h.reshape(-1)[:: n + 1] += lam

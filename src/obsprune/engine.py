@@ -12,8 +12,10 @@ two-level lazy-batch schedule.
   squared diagonals of the stored upper factor as the OBS denominators.
 - Inside a block, the rank-1 column loop runs over sub-blocks of
   ``SUB_BLOCK`` columns (under n:m, a multiple of m, so that a group never
-  straddles two sub-blocks).  Each pruned column is zeroed and every row is
-  compensated along the factor's trailing row, within its sub-block only.
+  straddles two sub-blocks).  A column is one divide, by the factor's
+  diagonal where pruned and inf where kept, and one in-place ``dger`` along
+  the factor's trailing row, within its sub-block only.  Pruned entries
+  are zeroed once per block: no later column reads a finished one.
 - A finished sub-block updates the rest of its block with one matrix
   product of its OBS errors and the factor's rows; a finished block
   updates every later column the same way.
@@ -59,7 +61,9 @@ def select_block_mask(
 
     Saliency is w**2 / inv_diag, and ``tensors.pruned_entries`` applies the
     pattern's rule to it.  Columns in ``force_cols`` (dead calibration
-    channels) get saliency -inf, so they are pruned first.
+    channels) get saliency -inf, so they are pruned first.  Any other
+    saliency that overflows raises NumericOverflowError: ties at inf would
+    leave the mask to the tie-break.
     """
     w_block = as_matrix(w_block)
     bw = w_block.shape[1]
@@ -68,9 +72,11 @@ def select_block_mask(
         raise DimensionError(
             f"inverse diagonal length {inv_diag.shape} != block width {bw}"
         )
-    s = w_block * w_block / inv_diag
-    if len(force_cols):
-        s[:, np.asarray(force_cols, dtype=np.intp)] = -np.inf
+    with np.errstate(over="ignore"):  # raised just below
+        s = w_block * w_block / inv_diag
+    s[:, np.asarray(force_cols, dtype=np.intp)] = -np.inf
+    if np.any(s == np.inf):
+        raise NumericOverflowError("saliency w**2 / inv_diag overflows to inf")
     return PruneMask(~pruned_entries(s, config))
 
 
@@ -123,9 +129,7 @@ SUB_BLOCK = 16
 
 def _channel_order(t: np.ndarray, order: Permutation) -> np.ndarray:
     """The row-major (rows, n) matrix whose column order.forward[j] is t[j]."""
-    out = np.empty(t.shape[::-1], dtype=t.dtype)
-    out[:, order.forward] = t.T
-    return out
+    return t[order.inverse].T.copy()
 
 
 def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
@@ -140,7 +144,8 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     loss equals the summed squared OBS errors, and
     raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  When that closed
     form is not finite (a huge damping overflows it) or has cancelled,
-    sum(d @ H_raw @ d) is computed instead.  No rule depends on the scale
+    sum(d @ H_raw @ d) is computed instead; if that overflows too,
+    NumericOverflowError names the block.  No rule depends on the scale
     of H: short of overflow or underflow, scaling X by 2**k leaves masks
     and weights bit for bit and scales every error by 4**k.
     """
@@ -167,54 +172,59 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     # touches is contiguous
     dense_t = layer.w.T[order.forward]
     cur = dense_t.copy()
-    kept_t = np.ones((n, rows), dtype=bool)
+    pruned_t = np.zeros((n, rows), dtype=bool)
+    # a block's OBS errors, and its divisors during the column loop and
+    # the squares of the error sums after it
+    errs_buf, work = np.empty((2, min(config.blocksize, n), rows))
     trajectory = []
     loss = 0.0
     # ||W0 - W_k||^2 over the columns of finished blocks, which never change
     final_sq = 0.0
 
     for block_index, (i1, i2) in enumerate(ranges):
-        errs = np.zeros((i2 - i1, rows))
+        errs = errs_buf[: i2 - i1]
         for s1 in range(i1, i2, step):
             s2 = min(s1 + step, i2)
             for q in range(s1, s2):
                 if (q - i1) % group == 0:
                     g2 = min(q + group, i2)
-                    kept_t[q:g2] = select_block_mask(
-                        cur[q:g2].T,
-                        inv_diag[q:g2],
-                        config,
-                        np.flatnonzero(dead[q:g2]),
-                    ).kept.T
-                e = errs[q - i1]
-                pruned = ~kept_t[q]
-                np.divide(cur[q], diag[q], out=e, where=pruned)
-                cur[q, pruned] = 0.0
-                if q + 1 < s2:
-                    cur[q + 1 : s2] -= np.outer(upper[q, q + 1 : s2], e)
+                    pruned = ~select_block_mask(cur[q:g2].T, inv_diag[q:g2], config,
+                                                np.flatnonzero(dead[q:g2])).kept.T
+                    pruned_t[q:g2] = pruned
+                    # x / inf is 0 with x's sign, so a kept weight's error is 0
+                    work[q - i1 : g2 - i1] = np.where(pruned, diag[q:g2, None], np.inf)
+                e = np.divide(cur[q], work[q - i1], out=errs[q - i1])
+                # f2py rejects an empty operand: no later column, or no rows
+                if q + 1 < s2 and rows:
+                    blas.dger(-1.0, e, upper[q, q + 1 : s2],
+                              a=cur[q + 1 : s2].T, overwrite_a=1)
             if s2 < i2:
-                _subtract_product(
-                    cur[s2:i2], upper[s1:s2, s2:i2], errs[s1 - i1 : s2 - i1]
-                )
+                _subtract_product(cur[s2:i2], upper[s1:s2, s2:i2],
+                                  errs[s1 - i1 : s2 - i1])
         _subtract_product(cur[i2:], upper[i1:i2, i2:], errs)
+        cur[i1:i2][pruned_t[i1:i2]] = 0.0
 
-        # columns before i1 are final and were checked with earlier blocks
-        if not np.all(np.isfinite(cur[i1:])):
-            raise NumericOverflowError(
-                f"non-finite weights after block {block_index}", block=block_index
-            )
         # a huge damping can overflow the closed form, which is then not finite
         with np.errstate(over="ignore"):
-            loss += float(np.sum(errs * errs))
-            # one block at a time, so that no temporary spans the unfinished columns
-            tail_sq = [
-                float(np.sum(np.square(dense_t[j1:j2] - cur[j1:j2])))
-                for j1, j2 in ranges[block_index:]
-            ]
+            loss += float(np.sum(np.square(errs, out=work[: i2 - i1])))
+            # one block at a time, each squared in the one buffer
+            tail_sq = []
+            for j1, j2 in ranges[block_index:]:
+                d = np.subtract(dense_t[j1:j2], cur[j1:j2], out=work[: j2 - j1])
+                tail_sq.append(float(np.sum(np.square(d, out=d))))
         raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
-            d = layer.w - _channel_order(cur, order)
-            raw_err = float(error_prefix(d, layer.raw)[-1])
+            # a non-finite weight makes the tail sum not finite; columns
+            # before i1 are final and were checked with earlier blocks
+            finite = np.isfinite(sum(tail_sq)) or np.all(np.isfinite(cur[i1:]))
+            if finite:
+                d = layer.w - _channel_order(cur, order)
+                with np.errstate(over="ignore", invalid="ignore"):  # raised below
+                    raw_err = float(error_prefix(d, layer.raw)[-1])
+            if not np.isfinite(raw_err):
+                what = "reconstruction error" if finite else "weights"
+                raise NumericOverflowError(f"non-finite {what} after block "
+                                           f"{block_index}", block=block_index)
         trajectory.append(raw_err)
         final_sq += tail_sq[0]
 
@@ -223,5 +233,5 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     pruned_weights = _channel_order(cur, order)
     del cur
     return outcome_from_trajectory(
-        layer, pruned_weights, _channel_order(kept_t, order), trajectory
+        layer, pruned_weights, ~_channel_order(pruned_t, order), trajectory
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import bundle_from_hessian, checked_layer, raw_hessian
+from .calibration import bundle_from_hessian, checked_layer, damping, raw_hessian
 from .engine import PruneOutcome, prune_layer, select_block_mask
 from .errors import (
     DimensionError,
@@ -94,7 +94,7 @@ def naive_obs_prune(
         raise OracleScaleError(f"oracle capped at {ORACLE_MAX_COLS} columns, got {n}")
     raw = raw_hessian(activations, n)
     xs = np.vstack([as_matrix(a) for a in activations])
-    lam = config.damp_fraction * raw.diagonal().mean()
+    lam = damping(raw, config.damp_fraction)
     dead = np.flatnonzero(raw.diagonal() == 0.0)
     h = raw + lam * np.eye(n)
 

@@ -117,7 +117,7 @@ def test_zero_row_layer(method, pattern):
     assert out.final_error == 0.0 and out.relative_error == 0.0
 
 
-#: prunes one reordered unstructured layer and one 2:4 layer, saving both
+#: prunes a reordered unstructured layer, a 2:4 layer and a 1024-row layer
 LAYERS_SCRIPT = """
 import sys
 import numpy as np
@@ -132,11 +132,18 @@ nm = SparsityConfig.semi_structured(2, 4)
 w_nm = gen_uniform(128, 512, seed=6)
 layer = checked_layer(w_nm, raw_hessian(acts, 512))
 dense = prune_layer(bundle_from_hessian(layer, 0.01), nm)
-np.savez(sys.argv[1], w=w, w_nm=w_nm,
+# 1024 rows: the column loop's 15-column dger is large enough to be threaded
+w_tall = gen_uniform(1024, 128, seed=7)
+tall_acts = [gen_activations(512, 128, 0.3, 13)]
+tall_layer = checked_layer(w_tall, raw_hessian(tall_acts, 128))
+tall = prune_layer(bundle_from_hessian(tall_layer, 0.01), SparsityConfig(0.5))
+np.savez(sys.argv[1], w_rose=w, w_nm=w_nm, w_tall=w_tall,
          rose_weights=rose.pruned_weights, rose_kept=rose.mask.kept,
          rose_order=plan.permutation.forward, rose_rel=rose.relative_error,
          nm_weights=dense.pruned_weights, nm_kept=dense.mask.kept,
-         nm_rel=dense.relative_error)
+         nm_rel=dense.relative_error,
+         tall_weights=tall.pruned_weights, tall_kept=tall.mask.kept,
+         tall_rel=tall.relative_error)
 """
 
 
@@ -163,7 +170,8 @@ def test_thread_count_contract(tmp_path):
     one = prune_with_threads(1, tmp_path / "one.npz")
     two = prune_with_threads(2, tmp_path / "two.npz")
     np.testing.assert_array_equal(one["rose_order"], two["rose_order"])
-    for layer, w in (("rose", one["w"]), ("nm", one["w_nm"])):
+    for layer in ("rose", "nm", "tall"):
+        w = one[f"w_{layer}"]
         np.testing.assert_array_equal(one[f"{layer}_kept"], two[f"{layer}_kept"])
         np.testing.assert_allclose(
             one[f"{layer}_weights"], two[f"{layer}_weights"],

@@ -418,6 +418,16 @@ def test_overflowing_damping_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error: damping lambda = inf") and err.count("\n") == 1
 
 
+def test_overflowing_saliency_exit_1(tmp_path, capsys):
+    """A finite lambda whose saliencies w**2 / [H^-1]_qq overflow fails cleanly."""
+    code = main(["prune", "--synth", "uniform", "--sparsity", "0.5", "--rows", "16",
+                 "--cols", "64", "--damp", "1e305", "--out", str(tmp_path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: saliency") and err.count("\n") == 1
+
+
 def test_unallocatable_layer_exit_1(tmp_path, capsys):
     """A 71 PiB weight matrix fails to allocate at once, without a traceback."""
     code = main(["prune", "--synth", "uniform", "--sparsity", "0.5",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from obsprune import (
     DimensionError,
+    HessianBundle,
     IndefiniteHessianError,
     NumericOverflowError,
     SparsityConfig,
@@ -94,6 +95,17 @@ class TestBlockMask:
         m = select_block_mask(w, np.ones(2), cfg)
         # all saliencies tie: column 0 goes first, rows top to bottom
         np.testing.assert_array_equal(m.kept, [[False, True], [False, True]])
+
+    def test_overflowing_saliency_raises(self):
+        # 1e200**2 overflows: every such weight would tie at inf and the
+        # mask among them would fall to the tie-break
+        cfg = SparsityConfig(sparsity=0.5, blocksize=2)
+        w = np.array([[1e200, 1.0], [1.0, 1e200]])
+        with pytest.raises(NumericOverflowError, match="saliency"):
+            select_block_mask(w, np.ones(2), cfg)
+        # a forced column is pruned first whatever its saliency
+        m = select_block_mask(np.array([[1e200, 1.0]]), np.ones(2), cfg, [0])
+        np.testing.assert_array_equal(m.kept, [[False, True]])
 
 
 class TestReconstructionError:
@@ -410,6 +422,41 @@ def rank1_reference(w, bundle, config):
 #: |prune_layer - reference| per weight, as a multiple of max |W0|; the two
 #: sum each later column's updates in a different order
 WEIGHT_ATOL = 1e-12
+
+
+def corner_bundle(coupling):
+    """A 3x8 layer whose factor couples the tiny column 0 to column 5.
+
+    H = I with a dead channel 0, and U = I but for U[0, 0] = 1e-10 and
+    U[0, 5] = ``coupling``: pruning column 0 moves column 5 by about
+    1e10 * coupling, in the first block's update of the later columns.
+    """
+    w = np.random.default_rng(0).standard_normal((3, 8))
+    h = np.eye(8)
+    h[0, 0] = 0.0
+    u = np.eye(8)
+    u[0, 0] = 1e-10
+    u[0, 5] = coupling
+    return HessianBundle(checked_layer(w, h), u, 0.0, Permutation.identity(8))
+
+
+class TestOverflow:
+    def test_overflowing_direct_error_names_the_block(self):
+        # the weights stay finite near 1e210, but neither the closed form
+        # nor the direct error sum(d @ H @ d) fits a double
+        b = corner_bundle(1e200)
+        with pytest.raises(NumericOverflowError,
+                           match="non-finite reconstruction error after block 0") as info:
+            prune_layer(b, SparsityConfig(0.5, blocksize=4))
+        assert info.value.block == 0
+
+    def test_non_finite_weights_name_the_block(self):
+        # column 5 overflows to -inf in block 0's update of the later columns
+        b = corner_bundle(1e308)
+        with pytest.raises(NumericOverflowError,
+                           match="non-finite weights after block 0") as info:
+            prune_layer(b, SparsityConfig(0.5, blocksize=4))
+        assert info.value.block == 0
 
 
 class TestRank1Reference:

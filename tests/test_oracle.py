@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsprune import (
+    NumericOverflowError,
     OracleScaleError,
     SingularOracleError,
     SparsityConfig,
@@ -91,6 +92,17 @@ def test_naive_agrees_with_engine():
     assert np.array_equal(fast.mask.kept, slow.mask.kept)
     rel = abs(fast.final_error - slow.final_error) / slow.final_error
     assert rel < 1e-6
+
+
+def test_overflowing_damping_raises():
+    # lambda = 1e308 * mean(diag H) overflows; a numpy warning would fail
+    # the test under the suite's filterwarnings = error
+    rng = np.random.default_rng(21)
+    w = rng.standard_normal((4, 8))
+    x = rng.standard_normal((16, 8))
+    cfg = SparsityConfig(0.5, blocksize=4, damp_fraction=1e308)
+    with pytest.raises(NumericOverflowError, match="damping lambda = inf"):
+        naive_obs_prune(w, [x], cfg)
 
 
 def test_size_cap():
