@@ -9,27 +9,25 @@ reconstruction error of each.
 Run: python3 demos/01_reordering_vs_baselines.py
 """
 
-import numpy as np
-
 from obsprune import (
     SparsityConfig,
-    build_reorder_plan,
-    bundle_from_hessian,
     checked_layer,
     gen_activations,
     gen_columnar,
     gen_uniform,
-    importance_scores,
-    loss_profile,
-    magnitude_prune,
-    prune_layer,
+    prune_runs,
     raw_hessian,
-    wanda_prune,
 )
 
 ROWS, COLS, BLOCK = 64, 256, 128
 SPARSITY = 0.7
 SEED = 0
+LABELS = {
+    "magnitude": "magnitude",
+    "wanda": "act-weighted magnitude",
+    "sparsegpt": "second-order",
+    "rose": "second-order + reorder",
+}
 
 
 def run_all(name, w, acts):
@@ -37,24 +35,16 @@ def run_all(name, w, acts):
     # the activations are read once; every method works from the layer
     # (W, H = X.T X), checked once
     layer = checked_layer(w, raw_hessian(acts, w.shape[1]))
-    profile = loss_profile(importance_scores(layer), cfg)
-    bundle = bundle_from_hessian(layer, cfg.damp_fraction)
-
-    results = {
-        "magnitude": magnitude_prune(layer, cfg),
-        "act-weighted magnitude": wanda_prune(layer, cfg),
-        "second-order": prune_layer(bundle, cfg),
-    }
-    # rose is the same engine, swept in the column order of its reorder plan
-    plan = build_reorder_plan(profile, cfg)
-    rose_bundle = bundle_from_hessian(layer, cfg.damp_fraction, plan.permutation)
-    results["second-order + reorder"] = prune_layer(rose_bundle, cfg)
+    # rose is the same engine, swept in the column order of its reorder
+    # plan; it runs last, and its plan and profile head the report
+    runs = list(prune_runs(layer, list(LABELS), [cfg]))
+    _, _, _, plan, profile, _ = runs[-1]
 
     print(f"\n{name}: relative block-loss range R_rel = "
           f"{profile.relative_range:.3f} "
           f"({'reordered' if plan.was_reordered else 'left in place'})")
-    for label, out in results.items():
-        print(f"  {label:24s} relative error {out.relative_error:.4f}")
+    for _, method, out, *_ in runs:
+        print(f"  {LABELS[method]:24s} relative error {out.relative_error:.4f}")
 
 
 def main():

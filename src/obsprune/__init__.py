@@ -8,6 +8,7 @@ from .calibration import (
     bundle_from_hessian,
     checked_layer,
     column_norms,
+    importance_scores,
     raw_hessian,
 )
 from .engine import (
@@ -27,11 +28,12 @@ from .errors import (
 )
 from .oracle import exact_masked_reconstruction, naive_obs_prune, obs_update_row
 from .reorder import (
+    METHODS,
     LossProfile,
     ReorderPlan,
     build_reorder_plan,
-    importance_scores,
     loss_profile,
+    prune_runs,
     rose_prune_layer,
 )
 from .rtns import read_manifest, read_tensor, write_manifest, write_tensor

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import Layer, error_prefix
+from .calibration import Layer, error_prefix, importance_scores
 from .engine import PruneOutcome, outcome_from_trajectory
-from .reorder import importance_scores
 from .tensors import (
     SemiStructured,
     SparsityConfig,

@@ -203,3 +203,8 @@ def bundle_from_hessian(
 def column_norms(raw: np.ndarray) -> np.ndarray:
     """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
     return np.sqrt(raw.diagonal())
+
+
+def importance_scores(layer: Layer) -> np.ndarray:
+    """Per-weight score |w_ij| * norm_j."""
+    return np.abs(layer.w) * layer.norms

@@ -7,7 +7,9 @@ Subcommands
     verify   re-run the oracle cross-checks at small sizes
 
 Weights and activations come from RTNS tensor files (``--weights`` /
-``--acts`` manifest) or from the synthetic generators (``--synth``).
+``--acts`` manifest) or from the synthetic generators (``--synth``).  prune
+and compare run every method through the library's one pipeline,
+``reorder.prune_runs``; this module only reads inputs and writes reports.
 """
 
 from __future__ import annotations
@@ -17,18 +19,15 @@ import csv
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import magnitude_prune, wanda_prune
-from .calibration import Layer, bundle_from_hessian, checked_layer, raw_hessian
-from .engine import prune_layer
+from .calibration import Layer, checked_layer, importance_scores, raw_hessian
 from .errors import ConfigError, PruneError
 from .oracle import cross_check
-from .reorder import ReorderPlan, build_reorder_plan, importance_scores, loss_profile
+from .reorder import METHODS, loss_profile, prune_runs
 from .rtns import (
     RtnsFormatError,
     atomic_write,
@@ -38,9 +37,7 @@ from .rtns import (
     write_tensor,
 )
 from .synth import gen_activations, gen_columnar, gen_uniform
-from .tensors import Permutation, SemiStructured, SparsityConfig, finite_matrix
-
-METHODS = ("magnitude", "wanda", "sparsegpt", "rose", "rose-ascending")
+from .tensors import SemiStructured, SparsityConfig, finite_matrix
 
 #: Seed offset separating activation draws from weight draws.
 ACT_SEED_OFFSET = 1000003
@@ -187,52 +184,9 @@ def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
     return [checked_layer(w, hessians[w.shape[1]]) for w in weights]
 
 
-def _profile_for(layer: Layer, config):
-    return loss_profile(importance_scores(layer), config)
-
-
-def _plan_for(method, profile, config) -> ReorderPlan:
-    """The column order a method prunes in: rose's plan, else channel order."""
-    if method.startswith("rose"):
-        return build_reorder_plan(profile, config, descending=(method == "rose"))
-    return ReorderPlan(Permutation.identity(profile.column_losses.size), False)
-
-
-def _runs(methods, layer: Layer, configs):
-    """(config, method, outcome, plan, profile, wall_ms) for each config x method.
-
-    Each config gets one loss profile.  The damping does not depend on the
-    sparsity, so H is factored in channel order at most once, and that
-    factor serves every second-order run whose order is the identity.
-    """
-    identity_bundle = None
-    for config in configs:
-        profile = _profile_for(layer, config)
-        for method in methods:
-            t0 = time.perf_counter()
-            plan = _plan_for(method, profile, config)
-            order = plan.permutation
-            if method == "magnitude":
-                outcome = magnitude_prune(layer, config)
-            elif method == "wanda":
-                outcome = wanda_prune(layer, config)
-            else:
-                if not order.is_identity():
-                    bundle = bundle_from_hessian(layer, config.damp_fraction, order)
-                else:
-                    identity_bundle = identity_bundle or bundle_from_hessian(
-                        layer, config.damp_fraction
-                    )
-                    bundle = identity_bundle
-                outcome = prune_layer(bundle, config)
-                del bundle  # free this factor before the next run builds its own
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            yield config, method, outcome, plan, profile, wall_ms
-
-
 def _config_doc(config: SparsityConfig, args) -> dict:
     pat = config.pattern
-    doc = {
+    return {
         "sparsity": config.sparsity,
         "blocksize": config.blocksize,
         "pattern": (f"{pat.n}:{pat.m}" if isinstance(pat, SemiStructured)
@@ -242,13 +196,12 @@ def _config_doc(config: SparsityConfig, args) -> dict:
         "seed": args.seed,
         "synth": args.synth,
     }
-    return doc
 
 
 def cmd_prune(args) -> int:
     config = _make_config(args)
     [layer] = _load_inputs(args, config)
-    [(_, _, outcome, plan, profile, wall_ms)] = _runs([args.method], layer, [config])
+    [(*_, outcome, plan, profile, wall_ms)] = prune_runs(layer, [args.method], [config])
 
     args.out.mkdir(parents=True, exist_ok=True)
     weights_path = args.out / "pruned_weights.rtns"
@@ -271,14 +224,10 @@ def cmd_prune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    methods = args.methods.split(",") if args.methods else list(METHODS)
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
+    methods = args.methods.split(",") if args.methods else METHODS
     configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
     [layer] = _load_inputs(args, configs[0])
-    args.out.mkdir(parents=True, exist_ok=True)
     rows = [
         {
             "method": method,
@@ -289,8 +238,9 @@ def cmd_compare(args) -> int:
             "wall_ms": wall_ms,
         }
         for config, method, outcome, plan, profile, wall_ms
-        in _runs(methods, layer, configs)
+        in prune_runs(layer, methods, configs)
     ]
+    args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "compare.csv"
 
     def write(f):
@@ -308,7 +258,7 @@ def cmd_detect(args) -> int:
     paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
     layers = []
     for path, layer in zip(paths, _load_inputs(args, config, paths)):
-        profile = _profile_for(layer, config)
+        profile = loss_profile(importance_scores(layer), config)
         layers.append({
             "layer": f"synth-{args.synth}" if path is None else str(path),
             "R_rel": profile.relative_range,

@@ -56,8 +56,8 @@ def select_block_mask(
     inv_h_block_diag: np.ndarray,
     config: SparsityConfig,
     force_cols: Sequence[int] = (),
-) -> PruneMask:
-    """Choose the keep/prune mask for one block, or one n:m group, of columns.
+) -> np.ndarray:
+    """The boolean mask, True where pruned, of one block or n:m group of columns.
 
     Saliency is w**2 / inv_diag, and ``tensors.pruned_entries`` applies the
     pattern's rule to it.  Columns in ``force_cols`` (dead calibration
@@ -77,7 +77,7 @@ def select_block_mask(
     s[:, np.asarray(force_cols, dtype=np.intp)] = -np.inf
     if np.any(s == np.inf):
         raise NumericOverflowError("saliency w**2 / inv_diag overflows to inf")
-    return PruneMask(~pruned_entries(s, config))
+    return pruned_entries(s, config)
 
 
 def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray):
@@ -188,8 +188,8 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             for q in range(s1, s2):
                 if (q - i1) % group == 0:
                     g2 = min(q + group, i2)
-                    pruned = ~select_block_mask(cur[q:g2].T, inv_diag[q:g2], config,
-                                                np.flatnonzero(dead[q:g2])).kept.T
+                    pruned = select_block_mask(cur[q:g2].T, inv_diag[q:g2], config,
+                                               np.flatnonzero(dead[q:g2])).T
                     pruned_t[q:g2] = pruned
                     # x / inf is 0 with x's sign, so a kept weight's error is 0
                     work[q - i1 : g2 - i1] = np.where(pruned, diag[q:g2, None], np.inf)

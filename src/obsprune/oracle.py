@@ -99,7 +99,7 @@ def naive_obs_prune(
     h = raw + lam * np.eye(n)
 
     w_cur = w_dense.copy()
-    kept_full = np.ones((rows, n), dtype=bool)
+    pruned_full = np.zeros((rows, n), dtype=bool)
     trajectory = []
 
     group = config.group_width
@@ -111,15 +111,15 @@ def naive_obs_prune(
                     [np.linalg.inv(h[j:, j:])[0, 0] for j in range(q, g2)]
                 )
                 force = [int(j) - q for j in dead if q <= j < g2]
-                kept_full[:, q:g2] = select_block_mask(
+                pruned_full[:, q:g2] = select_block_mask(
                     w_cur[:, q:g2], inv_diag, config, force
-                ).kept
+                )
             col = w_cur[:, q]
-            kept_c = kept_full[:, q]
+            pruned_c = pruned_full[:, q]
             trailing_inv = np.linalg.inv(h[q:, q:])
-            e = np.where(kept_c, 0.0, col) / trailing_inv[0, 0]
+            e = np.where(pruned_c, col, 0.0) / trailing_inv[0, 0]
             w_cur[:, q:] -= np.outer(e, trailing_inv[:, 0])
-            w_cur[:, q] = np.where(kept_c, col, 0.0)
+            w_cur[:, q] = np.where(pruned_c, 0.0, col)
         diff = (w_dense - w_cur) @ xs.T
         trajectory.append(float(np.sum(diff * diff)))
 
@@ -128,7 +128,7 @@ def naive_obs_prune(
     denom = float(np.sum(ref * ref))
     return PruneOutcome(
         pruned_weights=w_cur,
-        mask=PruneMask(kept_full),
+        mask=PruneMask(~pruned_full),
         block_error_trajectory=np.asarray(trajectory),
         final_error=absolute,
         relative_error=absolute / denom if denom > 0 else 0.0,

@@ -9,24 +9,32 @@ blocks descending by block loss.  High-loss weights are then pruned while
 plenty of later columns remain available for compensation, and the result
 is mapped back to the original channel order.
 
-The scores read the checked ``Layer``'s weights and column norms.  Every
-second-order method is a column order of that layer, factored by
-``bundle_from_hessian``, plus ``prune_layer``, which sweeps the columns in
-the bundle's order: SparseGPT is the identity order, ROSE the order of its
-reorder plan.  Under an n:m pattern an order must keep every group of m
-whole, or ``prune_layer`` rejects it.
+``prune_runs`` is the one pipeline, run by ``rose_prune_layer``, the CLI
+and demo 01: it turns a method name into profile, plan, factor and prune
+on one checked ``Layer``.  Every second-order method is a column order of
+that layer, factored by ``bundle_from_hessian``, plus ``prune_layer``,
+which sweeps the columns in the bundle's order: SparseGPT is the identity
+order, ROSE the order of its reorder plan.  Under an n:m pattern an order
+must keep every group of m whole, or ``prune_layer`` rejects it.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import Layer, bundle_from_hessian, checked_layer, raw_hessian
+from .baselines import magnitude_prune, wanda_prune
+from .calibration import (Layer, bundle_from_hessian, checked_layer,
+                          importance_scores, raw_hessian)
 from .engine import PruneOutcome, prune_layer
+from .errors import ConfigError
 from .tensors import Permutation, SparsityConfig, finite_matrix, pruned_entries
+
+#: every method ``prune_runs`` runs, in the order ``obsprune compare`` runs them
+METHODS = ("magnitude", "wanda", "sparsegpt", "rose", "rose-ascending")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +52,6 @@ class ReorderPlan:
 
     permutation: Permutation
     was_reordered: bool
-
-
-def importance_scores(layer: Layer) -> np.ndarray:
-    """Per-weight score |w_ij| * norm_j."""
-    return np.abs(layer.w) * layer.norms
 
 
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
@@ -117,6 +120,43 @@ def build_reorder_plan(
     return ReorderPlan(Permutation(np.concatenate(forward)), True)
 
 
+def prune_runs(layer: Layer, methods: Sequence[str],
+               configs: Sequence[SparsityConfig]):
+    """(config, method, outcome, plan, profile, wall_ms) for each config x method.
+
+    Each config gets one loss profile.  magnitude and wanda do not
+    compensate; sparsegpt sweeps in channel order, rose in its plan's order
+    and rose-ascending in the flipped one.  H is factored in channel order
+    once per damping, for every second-order run left in place.  An unknown
+    method raises ConfigError before any run.
+    """
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ConfigError(f"unknown method {unknown[0]!r}")
+    in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
+    factors = {}
+    for config in configs:
+        profile = loss_profile(importance_scores(layer), config)
+        for method in methods:
+            t0 = time.perf_counter()
+            plan = in_place
+            if method.startswith("rose"):
+                plan = build_reorder_plan(profile, config, method == "rose")
+            if method == "magnitude":
+                outcome = magnitude_prune(layer, config)
+            elif method == "wanda":
+                outcome = wanda_prune(layer, config)
+            elif plan.was_reordered:
+                outcome = prune_layer(bundle_from_hessian(
+                    layer, config.damp_fraction, plan.permutation), config)
+            else:
+                damp = config.damp_fraction
+                if damp not in factors:
+                    factors = {damp: bundle_from_hessian(layer, damp)}
+                outcome = prune_layer(factors[damp], config)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            yield config, method, outcome, plan, profile, wall_ms
+
+
 def rose_prune_layer(
     w: np.ndarray,
     activations: Sequence[np.ndarray],
@@ -125,7 +165,5 @@ def rose_prune_layer(
     """Check W, then score, reorder if columnar, prune and restore channel order."""
     w = finite_matrix(w)
     layer = checked_layer(w, raw_hessian(activations, w.shape[1]))
-    profile = loss_profile(importance_scores(layer), config)
-    plan = build_reorder_plan(profile, config)
-    bundle = bundle_from_hessian(layer, config.damp_fraction, plan.permutation)
-    return prune_layer(bundle, config), plan, profile
+    [(_, _, outcome, plan, profile, _)] = prune_runs(layer, ["rose"], [config])
+    return outcome, plan, profile

@@ -21,6 +21,8 @@ def _check_sizes(**sizes: int) -> None:
     for name, size in sizes.items():
         if size < 1:
             raise ConfigError(f"{name} must be >= 1, got {size}")
+    if math.prod(sizes.values()) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"float64 shape {tuple(sizes.values())} is too big for numpy")
 
 
 def gen_columnar(
@@ -40,7 +42,8 @@ def gen_columnar(
         )
     w = _rng(seed).standard_normal((rows, cols))
     i1 = hot_block_index * blocksize
-    w[:, i1 : i1 + blocksize] *= hot_gain
+    with np.errstate(over="ignore"):  # an overflow gives inf; callers check
+        w[:, i1 : i1 + blocksize] *= hot_gain
     return w
 
 

@@ -161,9 +161,6 @@ class Permutation:
     def identity(cls, size: int) -> "Permutation":
         return cls(np.arange(size))
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.forward, np.arange(self.size)))
-
 
 def apply_column_permutation(m: np.ndarray, p: Permutation) -> np.ndarray:
     """Return a copy of ``m`` with columns reordered by ``p``."""

@@ -460,6 +460,9 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     ["--sparsity", "0.5", "--rows", "0"],
     ["--sparsity", "0.5", "--cols", "0"],
     ["--sparsity", "0.5", "--samples", "0"],
+    # shapes whose float64 byte count numpy cannot even size
+    ["--sparsity", "0.5", "--rows", "100000000000", "--cols", "100000000000"],
+    ["--sparsity", "0.5", "--samples", "1000000000000000000"],
     ["--sparsity", "0.5", "--threshold", "nan"],
     # prune takes one sparsity, and --pattern fixes it
     ["--sparsity", "0.5,0.9"],
@@ -469,12 +472,16 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     ["--sparsity", "0.5", "--weights", "w.rtns"],
     ["--sparsity", "0.5", "--acts", "a.json"],
     ["detect", "--synth", "columnar", "extra.rtns"],
+    # the library rejects an unknown method before any run
+    ["compare", "--synth", "uniform", "--sparsity", "0.5",
+     "--methods", "magnitude,sparsegtp"],
     # infinite damping would prune with no compensation at all
     ["--sparsity", "0.5", "--damp", "inf"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
     # a case that names its own subcommand replaces the prune prefix
-    argv = flags if flags[0] == "detect" else ["prune", "--synth", "uniform", *flags]
+    argv = (flags if flags[0] in ("compare", "detect")
+            else ["prune", "--synth", "uniform", *flags])
     code = main([*argv, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -485,7 +492,8 @@ def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
 def test_group_splitting_order_exit_2(tmp_path, capsys, monkeypatch):
     """An order that splits an n:m group fails in prune_layer, before the sweep."""
     split = ReorderPlan(Permutation([0, 1, 4, 5, 2, 3, 6, 7, *range(8, 16)]), True)
-    monkeypatch.setattr(cli, "_plan_for", lambda method, profile, config: split)
+    monkeypatch.setattr(reorder, "build_reorder_plan",
+                        lambda profile, config, descending=True: split)
 
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep started")
@@ -507,6 +515,9 @@ def write_bad_layer(tmp_path, fault):
     """
     if fault == "nan-hot-gain":
         return ["--synth", "columnar", "--hot-gain", "nan"]
+    if fault == "huge-hot-gain":
+        # finite, but the hot block overflows to inf
+        return ["--synth", "columnar", "--hot-gain", "1e308"]
     w = gen_uniform(8, 32, seed=0)
     x = gen_activations(64, 32, 0.0, seed=1)
     if fault == "zero-cols":
@@ -565,9 +576,9 @@ def assert_rejected(tmp_path, capsys, fault, code):
 
 @pytest.mark.parametrize(
     "fault",
-    ["nan-activation", "inf-weight", "nan-hot-gain", "huge-dims", "trailing-bytes",
-     "acts-cols-mismatch", "one-dim-weights", "huge-weight", "acts-one-dim",
-     "acts-wide"],
+    ["nan-activation", "inf-weight", "nan-hot-gain", "huge-hot-gain", "huge-dims",
+     "trailing-bytes", "acts-cols-mismatch", "one-dim-weights", "huge-weight",
+     "acts-one-dim", "acts-wide"],
 )
 def test_bad_input_exit_1(tmp_path, capsys, monkeypatch, no_factoring, fault):
     if fault.startswith("acts-"):

@@ -69,32 +69,33 @@ class TestUpdateRow:
 class TestBlockMask:
     def test_zero_sparsity_keeps_all(self):
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
-        m = select_block_mask(np.ones((3, 4)), np.ones(4), cfg)
-        assert m.kept.all()
+        pruned = select_block_mask(np.ones((3, 4)), np.ones(4), cfg)
+        assert pruned.dtype == bool and pruned.shape == (3, 4)
+        assert not pruned.any()
 
     def test_two_four_prunes_smallest(self):
         cfg = SparsityConfig.semi_structured(2, 4)
         w = np.array([[1.0, 5.0, 2.0, 4.0]])
-        m = select_block_mask(w, np.ones(4), cfg)
-        np.testing.assert_array_equal(m.kept, [[False, True, False, True]])
+        pruned = select_block_mask(w, np.ones(4), cfg)
+        np.testing.assert_array_equal(pruned, [[True, False, True, False]])
 
     def test_matches_exhaustive_sort_oracle(self):
         rng = np.random.default_rng(13)
         w = rng.standard_normal((4, 8))
         inv = rng.uniform(0.5, 2.0, 8)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        m = select_block_mask(w, inv, cfg)
+        pruned = select_block_mask(w, inv, cfg)
         sal = (w * w / inv).ravel()
         expect_pruned = set(np.argsort(sal, kind="stable")[:16])
-        got_pruned = set(np.flatnonzero(~m.kept.ravel()))
+        got_pruned = set(np.flatnonzero(pruned.ravel()))
         assert got_pruned == expect_pruned
 
     def test_tie_break_lower_column_then_row(self):
         cfg = SparsityConfig(sparsity=0.5, blocksize=2)
         w = np.ones((2, 2))
-        m = select_block_mask(w, np.ones(2), cfg)
+        pruned = select_block_mask(w, np.ones(2), cfg)
         # all saliencies tie: column 0 goes first, rows top to bottom
-        np.testing.assert_array_equal(m.kept, [[False, True], [False, True]])
+        np.testing.assert_array_equal(pruned, [[True, False], [True, False]])
 
     def test_overflowing_saliency_raises(self):
         # 1e200**2 overflows: every such weight would tie at inf and the
@@ -104,8 +105,8 @@ class TestBlockMask:
         with pytest.raises(NumericOverflowError, match="saliency"):
             select_block_mask(w, np.ones(2), cfg)
         # a forced column is pruned first whatever its saliency
-        m = select_block_mask(np.array([[1e200, 1.0]]), np.ones(2), cfg, [0])
-        np.testing.assert_array_equal(m.kept, [[False, True]])
+        pruned = select_block_mask(np.array([[1e200, 1.0]]), np.ones(2), cfg, [0])
+        np.testing.assert_array_equal(pruned, [[True, False]])
 
 
 class TestReconstructionError:
@@ -404,9 +405,9 @@ def rank1_reference(w, bundle, config):
             if (q - i1) % config.group_width == 0:
                 g2 = min(q + config.group_width, i2)
                 force = [j - q for j in bundle.layer.dead_columns if q <= j < g2]
-                kept[:, q:g2] = select_block_mask(
+                kept[:, q:g2] = ~select_block_mask(
                     w_cur[:, q:g2], d[q:g2] ** 2, config, force
-                ).kept
+                )
             e = np.where(kept[:, q], 0.0, w_cur[:, q]) / d[q]
             w_cur[:, q] = np.where(kept[:, q], w_cur[:, q], 0.0)
             w_cur[:, q + 1 :] -= np.outer(e, upper[q, q + 1 :])

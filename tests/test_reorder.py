@@ -18,12 +18,15 @@ from obsprune import (
     gen_uniform,
     importance_scores,
     loss_profile,
+    magnitude_prune,
     prune_layer,
+    prune_runs,
     raw_hessian,
     reconstruction_error,
     rose_prune_layer,
+    wanda_prune,
 )
-from obsprune import engine, reorder
+from obsprune import cli, engine, reorder
 
 from hessian_helpers import accumulate_hessian, block_order
 
@@ -131,7 +134,7 @@ class TestReorderPlan:
         prof = loss_profile(np.random.default_rng(1).random((3, 8)), cfg)
         plan = build_reorder_plan(prof, cfg)
         assert not plan.was_reordered
-        assert plan.permutation.is_identity()
+        np.testing.assert_array_equal(plan.permutation.forward, np.arange(8))
 
     def test_descending_columns_within_block(self):
         cfg = SparsityConfig(sparsity=0.99, blocksize=3, columnar_threshold=0.0)
@@ -386,6 +389,83 @@ class TestRosePruneLayer:
         assert not plan.was_reordered  # strict inequality required
 
 
+def assert_same_outcome(a, b):
+    np.testing.assert_array_equal(a.pruned_weights, b.pruned_weights)
+    np.testing.assert_array_equal(a.mask.kept, b.mask.kept)
+    np.testing.assert_array_equal(a.block_error_trajectory, b.block_error_trajectory)
+    assert (a.final_error, a.relative_error) == (b.final_error, b.relative_error)
+
+
+class TestPruneRuns:
+    def test_every_method_runs_its_own_pipeline(self):
+        w, x = columnar_fixture(seed=3, rows=16, cols=64, blocksize=16)
+        layer = checked_layer(w, raw_hessian([x], 64))
+        configs = [SparsityConfig(0.5, 16), SparsityConfig(0.7, 16)]
+        runs = list(prune_runs(layer, reorder.METHODS, configs))
+        assert [(c, m) for c, m, *_ in runs] == [
+            (c, m) for c in configs for m in reorder.METHODS
+        ]
+        for config, method, outcome, plan, profile, wall_ms in runs:
+            assert wall_ms >= 0.0
+            assert profile.relative_range == loss_profile(
+                importance_scores(layer), config).relative_range
+            if method.startswith("rose"):
+                want = build_reorder_plan(profile, config, method == "rose")
+                assert plan.was_reordered
+                np.testing.assert_array_equal(plan.permutation.forward,
+                                              want.permutation.forward)
+            else:
+                assert not plan.was_reordered
+                np.testing.assert_array_equal(plan.permutation.forward, np.arange(64))
+            direct = {
+                "magnitude": lambda: magnitude_prune(layer, config),
+                "wanda": lambda: wanda_prune(layer, config),
+            }.get(method, lambda: prune_layer(bundle_from_hessian(
+                layer, config.damp_fraction, plan.permutation), config))
+            assert_same_outcome(outcome, direct())
+
+    def test_rose_prune_layer_is_the_rose_run(self):
+        w, x = columnar_fixture(seed=8, rows=16, cols=64, blocksize=16)
+        cfg = SparsityConfig(0.6, 16)
+        out, plan, profile = rose_prune_layer(w, [x], cfg)
+        layer = checked_layer(w, raw_hessian([x], 64))
+        [(_, method, run, run_plan, run_profile, _)] = prune_runs(layer, ["rose"],
+                                                                  [cfg])
+        assert method == "rose" and plan.was_reordered == run_plan.was_reordered
+        assert_same_outcome(out, run)
+        np.testing.assert_array_equal(plan.permutation.forward,
+                                      run_plan.permutation.forward)
+        np.testing.assert_array_equal(profile.block_losses, run_profile.block_losses)
+        assert profile.relative_range == run_profile.relative_range
+
+    def test_cli_runs_the_library_methods(self):
+        assert cli.METHODS is reorder.METHODS
+
+    def test_unknown_method_rejected(self):
+        layer = checked_layer(gen_uniform(4, 8, seed=0), np.eye(8))
+        with pytest.raises(ConfigError, match="sparsegtp"):
+            list(prune_runs(layer, ["sparsegtp"], [SparsityConfig(0.5, 4)]))
+
+    def test_channel_factor_is_shared_per_damping(self, monkeypatch):
+        """One channel-order factor per damping, never one from another damping."""
+        layer = checked_layer(gen_uniform(8, 32, seed=2), raw_hessian(
+            [gen_activations(64, 32, 0.3, seed=3)], 32))
+        calls = []
+
+        def counted(layer, damp_fraction, order=None):
+            calls.append(damp_fraction)
+            return bundle_from_hessian(layer, damp_fraction, order)
+
+        monkeypatch.setattr(reorder, "bundle_from_hessian", counted)
+        configs = [SparsityConfig(p, 8, damp_fraction=d)
+                   for d, p in [(0.01, 0.5), (0.01, 0.6), (0.1, 0.5)]]
+        runs = list(prune_runs(layer, ["sparsegpt"], configs))
+        assert calls == [0.01, 0.1]
+        for config, _, outcome, *_ in runs:
+            assert_same_outcome(outcome, prune_layer(
+                bundle_from_hessian(layer, config.damp_fraction), config))
+
+
 def prune_blocks_in_order(w, raw, config, blocks):
     order = block_order(config, w.shape[1], blocks)
     layer = checked_layer(w, raw)
@@ -397,7 +477,8 @@ class TestManualBlockOrder:
         w = gen_uniform(8, 32, seed=12)
         x = gen_activations(64, 32, 0.0, seed=13)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        assert block_order(cfg, 32, [0, 1, 2, 3]).is_identity()
+        np.testing.assert_array_equal(block_order(cfg, 32, [0, 1, 2, 3]).forward,
+                                      np.arange(32))
         out = prune_blocks_in_order(w, raw_hessian([x], w.shape[1]), cfg, [0, 1, 2, 3])
         bundle = accumulate_hessian([x], cfg.damp_fraction, w)
         plain = prune_layer(bundle, cfg)

@@ -204,7 +204,8 @@ def test_every_rule_matches_sort_reference(data, cfg):
     saliency = w * w
     saliency[:, forced] = -np.inf
     block = select_block_mask(w, np.ones(width), cfg, forced)
-    np.testing.assert_array_equal(~block.kept, reference_pruned(saliency, cfg))
+    assert block.dtype == bool
+    np.testing.assert_array_equal(block, reference_pruned(saliency, cfg))
 
     # the layer-global magnitude rule and the per-row (Wanda) rule
     layer = checked_layer(w, np.eye(width))
