@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .calibration import Layer, error_prefix, importance_scores
-from .engine import PruneOutcome, outcome_from_trajectory
+from .engine import PruneOutcome
 from .tensors import (
+    PruneMask,
     SemiStructured,
     SparsityConfig,
     pruned_count,
@@ -26,7 +27,7 @@ def _outcome(layer: Layer, kept: np.ndarray, config: SparsityConfig) -> PruneOut
     pruned = np.where(kept, w, 0.0)
     prefix = error_prefix(w - pruned, layer.raw)
     trajectory = prefix[[i2 for _, i2 in config.block_ranges(w.shape[1])]]
-    return outcome_from_trajectory(layer, pruned, kept, trajectory)
+    return PruneOutcome(pruned, PruneMask(kept), trajectory, layer.dense_energy)
 
 
 def magnitude_prune(layer: Layer, config: SparsityConfig) -> PruneOutcome:

@@ -67,7 +67,10 @@ def _parse_sparsities(text):
     items = [t for t in text.split(",") if t.strip()]
     if not items:
         raise argparse.ArgumentTypeError("sparsity list is empty")
-    return [float(t) for t in items]
+    try:
+        return [float(t) for t in items]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sparsity must be a number, got {text!r}")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -154,21 +157,15 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
     return w
 
 
-def _load_activations(args, n: int) -> list:
-    """The --acts manifest's batches, or --synth's n wide; ``raw_hessian`` checks them."""
-    if args.acts is not None:
-        return read_manifest(args.acts)
-    return [gen_activations(args.samples, n, args.correlation,
-                            args.seed + ACT_SEED_OFFSET)]
-
-
 def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
     """The checked layer of each weight file in ``paths`` (None: --weights or --synth).
 
     ``--synth`` names no input file, and every weight matrix is checked
-    before any activation is read.  The activations are read, and their H
-    built, once per layer width: every file shares the one ``--acts``, and
-    the synthetic activations depend on the width alone.
+    before any activation is read.  The ``--acts`` manifest is read, and its
+    H built, once, as wide as the first file, since every file shares it;
+    ``checked_layer`` rejects a file of another width.  Without ``--acts``
+    each width gets its own synthetic H: those activations depend on the
+    width alone.
     """
     if args.synth is not None and (
         args.weights or args.acts or getattr(args, "more_weights", None)
@@ -176,11 +173,12 @@ def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
         raise ConfigError("--synth generates the layer and its activations; "
                           "it takes no --weights, --acts or weight files")
     weights = [_load_weights(args, config, path) for path in paths]
-    hessians = {}
-    for w in weights:
-        n = w.shape[1]
-        if n not in hessians:
-            hessians[n] = raw_hessian(_load_activations(args, n), n)
+    if args.acts is not None:
+        raw = raw_hessian(read_manifest(args.acts), weights[0].shape[1])
+        return [checked_layer(w, raw) for w in weights]
+    hessians = {n: raw_hessian([gen_activations(args.samples, n, args.correlation,
+                                                args.seed + ACT_SEED_OFFSET)], n)
+                for n in dict.fromkeys(w.shape[1] for w in weights)}
     return [checked_layer(w, hessians[w.shape[1]]) for w in weights]
 
 

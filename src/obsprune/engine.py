@@ -24,7 +24,8 @@ Columns past a sub-block (or block) are never read inside it, so deferring
 their updates changes only the rounding.  No activations are needed: the
 per-block error follows in closed form from the sweep's OBS errors, and
 every other error is a quadratic form in the raw Hessian,
-``calibration.error_prefix``.
+``calibration.error_prefix``.  Every method returns a ``PruneOutcome``,
+which derives its final and relative error from that per-block trajectory.
 """
 
 from __future__ import annotations
@@ -40,15 +41,31 @@ from .errors import ConfigError, DimensionError, NumericOverflowError
 from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
 
 
+def _relative(absolute: float, energy: float) -> float:
+    """Error relative to the dense output energy; a layer with none has 0."""
+    return absolute / energy if energy > 0 else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class PruneOutcome:
-    """Pruned weights and the error accounting of a layer; equality is by identity."""
+    """Pruned weights, mask, error after each block and the dense output energy.
+
+    The final error ends the trajectory and the relative error divides it by
+    the energy, so neither can disagree with it.  Equality is by identity.
+    """
 
     pruned_weights: np.ndarray
     mask: PruneMask
     block_error_trajectory: np.ndarray
-    final_error: float
-    relative_error: float
+    dense_energy: float
+
+    @property
+    def final_error(self) -> float:
+        return float(self.block_error_trajectory[-1])
+
+    @property
+    def relative_error(self) -> float:
+        return _relative(self.final_error, self.dense_energy)
 
 
 def select_block_mask(
@@ -91,31 +108,12 @@ def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray)
         blas.dgemm(-1.0, errs.T, upper_rows, beta=1.0, c=out.T, overwrite_c=1)
 
 
-def _relative(absolute: float, layer: Layer) -> float:
-    """Error relative to the dense output energy; a layer with none has 0."""
-    return absolute / layer.dense_energy if layer.dense_energy > 0 else 0.0
-
-
-def outcome_from_trajectory(
-    layer: Layer, pruned: np.ndarray, kept: np.ndarray, trajectory
-) -> PruneOutcome:
-    """Assemble a PruneOutcome whose final error ends the trajectory."""
-    absolute = float(trajectory[-1]) if len(trajectory) else 0.0
-    return PruneOutcome(
-        pruned_weights=pruned,
-        mask=PruneMask(kept),
-        block_error_trajectory=np.asarray(trajectory, dtype=np.float64),
-        final_error=absolute,
-        relative_error=_relative(absolute, layer),
-    )
-
-
 def reconstruction_error(layer: Layer, w_pruned: np.ndarray) -> tuple[float, float]:
     """Squared output error ||(W - w_pruned) X.T||^2, absolute and relative."""
     if np.shape(w_pruned) != layer.w.shape:
         raise DimensionError(f"pruned shape {np.shape(w_pruned)} != {layer.w.shape}")
     absolute = float(error_prefix(layer.w - w_pruned, layer.raw)[-1])
-    return absolute, _relative(absolute, layer)
+    return absolute, _relative(absolute, layer.dense_energy)
 
 
 #: below this fraction of the dampened loss, the closed-form raw error has
@@ -232,6 +230,5 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     del dense_t
     pruned_weights = _channel_order(cur, order)
     del cur
-    return outcome_from_trajectory(
-        layer, pruned_weights, ~_channel_order(pruned_t, order), trajectory
-    )
+    return PruneOutcome(pruned_weights, PruneMask(~_channel_order(pruned_t, order)),
+                        np.array(trajectory), layer.dense_energy)

@@ -3,8 +3,9 @@
 These deliberately avoid the Cholesky shortcut: the exact reconstruction
 solves the normal equations of the fixed-mask least-squares problem, the
 one-row update compensates from an explicit inverse, and the naive pruner
-re-inverts the trailing Hessian submatrix at every step.  They ship with
-the library so that ``cross_check`` (``obsprune verify``) can re-run the
+re-inverts the trailing Hessian submatrix at every step and measures its
+outcome's errors and dense energy on the activations.  They ship with the
+library so that ``cross_check`` (``obsprune verify``) can re-run the
 cross-checks on demand, but they are O(n**4) and capped at small sizes.
 
 This is the one module that uses numpy's linear algebra (``@`` and
@@ -84,9 +85,9 @@ def naive_obs_prune(
     Uses the same mask-selection rule and dampening as the engine (masks
     chosen at block entry, or at the first column of each n:m group), but no
     precomputed factor and no deferred updates, so agreement with
-    ``prune_layer`` exercises the whole Cholesky shortcut.  Its errors are
-    measured on the stacked activations, independently of the closed forms
-    the engine derives from the Hessian.
+    ``prune_layer`` exercises the whole Cholesky shortcut.  Its errors and
+    their denominator, the dense energy ||W X.T||^2, are measured on the
+    stacked activations, independently of the engine and its Hessian.
     """
     w_dense = as_matrix(w)
     rows, n = w_dense.shape
@@ -123,16 +124,9 @@ def naive_obs_prune(
         diff = (w_dense - w_cur) @ xs.T
         trajectory.append(float(np.sum(diff * diff)))
 
-    absolute = trajectory[-1] if trajectory else 0.0
     ref = w_dense @ xs.T
-    denom = float(np.sum(ref * ref))
-    return PruneOutcome(
-        pruned_weights=w_cur,
-        mask=PruneMask(~pruned_full),
-        block_error_trajectory=np.asarray(trajectory),
-        final_error=absolute,
-        relative_error=absolute / denom if denom > 0 else 0.0,
-    )
+    return PruneOutcome(w_cur, PruneMask(~pruned_full), np.array(trajectory),
+                        float(np.sum(ref * ref)))
 
 
 def cross_check(seed: int, damp: float) -> list[str]:

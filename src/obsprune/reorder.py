@@ -126,9 +126,9 @@ def prune_runs(layer: Layer, methods: Sequence[str],
 
     Each config gets one loss profile.  magnitude and wanda do not
     compensate; sparsegpt sweeps in channel order, rose in its plan's order
-    and rose-ascending in the flipped one.  H is factored in channel order
-    once per damping, for every second-order run left in place.  An unknown
-    method raises ConfigError before any run.
+    and rose-ascending in the flipped one.  Runs left in place share the
+    channel-order factor of H, kept until a config with another damping
+    needs one.  An unknown method raises ConfigError before any run.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")

@@ -265,6 +265,23 @@ def test_detect_multiple_weight_files(tmp_path):
     assert len(doc["layers"]) == 2
 
 
+def test_detect_synthesizes_activations_per_width(tmp_path):
+    """Without --acts, a 64- and a 128-wide file each get their own synthetic H."""
+    paths = []
+    for i, cols in enumerate((64, 128)):
+        paths.append(str(tmp_path / f"l{i}.rtns"))
+        write_tensor(paths[-1], gen_uniform(8, cols, seed=i))
+    flags = ["--sparsity", "0.5", "--blocksize", "16"]
+    assert run(["detect", *paths, *flags, "--out", str(tmp_path / "both")]) == 0
+    both = json.loads((tmp_path / "both" / "detect.json").read_text())["layers"]
+    assert [layer["layer"] for layer in both] == paths
+    # each layer reports what it reports when it is detected alone
+    for i, (path, layer) in enumerate(zip(paths, both)):
+        out = tmp_path / f"alone{i}"
+        assert run(["detect", path, *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "detect.json").read_text())["layers"] == [layer]
+
+
 def write_layers(tmp_path, count, bad=None):
     """``detect`` flags for ``count`` weight files of one width and one manifest.
 
@@ -326,6 +343,24 @@ def test_detect_checks_every_weight_file_before_activations(
     assert not out.exists()
 
 
+def test_detect_rejects_a_second_width(tmp_path, capsys, monkeypatch):
+    """Files of 64 and 128 columns on one manifest: one read, then a width error."""
+    paths = []
+    for i, cols in enumerate((64, 128)):
+        paths.append(str(tmp_path / f"l{i}.rtns"))
+        write_tensor(paths[-1], gen_uniform(8, cols, seed=i))
+    write_tensor(tmp_path / "x.rtns", gen_activations(128, 64, 0.3, seed=9))
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    manifests = count_calls(monkeypatch, cli.read_manifest)
+    out = tmp_path / "out"
+    assert main(["detect", *paths, "--acts", str(tmp_path / "acts.json"),
+                 "--blocksize", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: weight cols 128 != Hessian size 64\n"
+    assert len(manifests) == 1
+    assert not out.exists()
+
+
 def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
     """One compare op over compare-sweep's shapes builds one layer.
 
@@ -383,6 +418,14 @@ def test_bad_seed_is_a_usage_error(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "argument --seed: seed must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("command", ["prune", "compare"])
+@pytest.mark.parametrize("sparsity", ["abc", "0.5,x"])
+def test_non_numeric_sparsity_is_a_usage_error(capsys, command, sparsity):
+    assert run([command, "--synth", "uniform", "--sparsity", sparsity]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --sparsity: sparsity must be a number, got {sparsity!r}" in err
 
 
 def test_missing_inputs_exit_2():

@@ -7,9 +7,11 @@ from obsprune import (
     DimensionError,
     HessianBundle,
     IndefiniteHessianError,
+    METHODS,
     NumericOverflowError,
     SparsityConfig,
     Permutation,
+    PruneOutcome,
     bundle_from_hessian,
     checked_layer,
     exact_masked_reconstruction,
@@ -17,6 +19,7 @@ from obsprune import (
     naive_obs_prune,
     obs_update_row,
     prune_layer,
+    prune_runs,
     raw_hessian,
     reconstruction_error,
     rose_prune_layer,
@@ -141,12 +144,47 @@ class TestReconstructionError:
                 reconstruction_error(layer, bad)
 
     def test_nan_denominator_raises(self):
-        # reconstruction_error and outcome_from_trajectory divide by the
+        # reconstruction_error and every PruneOutcome divide by the
         # layer's dense energy, so a layer whose energy is NaN or inf is
         # rejected where it is built
         for w in (np.array([[np.nan, 1.0]]), np.array([[1e200, 1.0]])):
             with pytest.raises(NumericOverflowError):
                 checked_layer(w, np.eye(2))
+
+
+class TestOutcome:
+    """Every method's final and relative error derive from its trajectory."""
+
+    @pytest.mark.parametrize("config", [SparsityConfig(0.5, blocksize=16),
+                                        SparsityConfig.semi_structured(2, 4, 16)])
+    @pytest.mark.parametrize("gain", [10.0, 0.0])
+    def test_errors_derive_from_trajectory(self, config, gain):
+        # a columnar layer, so that rose reorders; gain 0 is an all-zero W
+        w = gain * gen_columnar(8, 48, 16, 2, 10.0, seed=4)
+        x = np.random.default_rng(4).standard_normal((96, 48))
+        layer = checked_layer(w, raw_hessian([x], 48))
+        outcomes = [o for *_, o, _, _, _ in prune_runs(layer, METHODS, [config])]
+        assert all(o.dense_energy == layer.dense_energy for o in outcomes)
+        # the oracle measures its energy on the stacked activations
+        oracle = naive_obs_prune(w, [x], config)
+        assert oracle.dense_energy == pytest.approx(layer.dense_energy, rel=1e-12)
+        for out in [*outcomes, oracle]:
+            assert len(out.block_error_trajectory) == len(config.block_ranges(48))
+            assert out.final_error == out.block_error_trajectory[-1]
+            if gain:
+                assert out.relative_error == out.final_error / out.dense_energy
+            else:
+                assert out.relative_error == 0.0
+
+    def test_errors_are_not_stored(self):
+        out, _, _ = rose_prune_layer(np.eye(4), [np.eye(4)],
+                                     SparsityConfig(0.5, blocksize=4))
+        with pytest.raises(TypeError):
+            PruneOutcome(out.pruned_weights, out.mask, out.block_error_trajectory,
+                         out.dense_energy, final_error=0.0)
+        for name in ("final_error", "relative_error"):
+            with pytest.raises(AttributeError):
+                setattr(out, name, 0.0)
 
 
 class TestErrorPrefix:
