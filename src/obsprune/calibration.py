@@ -27,6 +27,8 @@ from .tensors import Permutation, as_matrix, finite_matrix
 
 #: columns per panel when ``raw_hessian`` mirrors its triangle
 MIRROR_PANEL = 256
+#: rows per panel when ``bundle_from_hessian`` gathers H's columns
+GATHER_PANEL = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +172,9 @@ def bundle_from_hessian(
 
     The one copy of H made here is h = H[q][:, q] for q the order reversed,
     whose leading k x k block is the trailing block of H[order][:, order]
-    reversed.  It is factored and inverted in place, and U is that buffer
-    read in reverse.  ``damping`` is checked before H is copied.
+    reversed.  Gathered by rows, then by column panels of 64 rows (a peak
+    of n**2 + 64 n doubles), it is factored and inverted in place; U is
+    that buffer read in reverse.  ``damping`` is checked before H is copied.
     """
     raw = layer.raw
     n = raw.shape[0]
@@ -181,7 +184,9 @@ def bundle_from_hessian(
         raise DimensionError(f"order size {order.size} != Hessian size {n}")
     lam = damping(raw, damp_fraction)
     q = order.forward[::-1]
-    h = raw[np.ix_(q, q)]
+    h = raw.take(q, axis=0)
+    for i in range(0, n, GATHER_PANEL):
+        h[i : i + GATHER_PANEL] = h[i : i + GATHER_PANEL].take(q, axis=1)
     h.reshape(-1)[:: n + 1] += lam
     # h is symmetric, so h.T is the column-major matrix LAPACK overwrites;
     # the default clean=1 zeroes its strict upper triangle, which dtrtri keeps

@@ -91,6 +91,8 @@ def naive_obs_prune(
     """
     w_dense = as_matrix(w)
     rows, n = w_dense.shape
+    if n == 0:
+        raise DimensionError("layer must have at least one column")
     if n > ORACLE_MAX_COLS:
         raise OracleScaleError(f"oracle capped at {ORACLE_MAX_COLS} columns, got {n}")
     raw = raw_hessian(activations, n)

@@ -200,16 +200,21 @@ def pruned_count(sparsity: float, rows: int, block_width: int) -> int:
 def smallest_per_row(v: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k smallest entries in each row of ``v``.
 
-    Ties at the threshold go to the lower index.  ``v`` must hold no NaN;
-    -inf entries are the first chosen.
+    Ties at the threshold go to the lower index, broken only in the rows
+    whose ties overflow k.  ``v`` must hold no NaN; -inf entries are the
+    first chosen.
     """
     if k <= 0:
         return np.zeros(v.shape, dtype=bool)
     threshold = np.partition(v, k - 1, axis=1)[:, k - 1 : k]
-    below = v < threshold
-    at = v == threshold
-    room = k - np.count_nonzero(below, axis=1, keepdims=True)
-    return below | (at & (np.cumsum(at, axis=1) <= room))
+    pruned = v <= threshold
+    over = np.count_nonzero(pruned, axis=1) > k
+    if over.any():
+        v, threshold = v[over], threshold[over]
+        below, at = v < threshold, v == threshold
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        pruned[over] = below | (at & (np.cumsum(at, axis=1) <= room))
+    return pruned
 
 
 def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:

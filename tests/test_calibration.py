@@ -265,6 +265,25 @@ def test_any_order_factors_the_permuted_hessian(seed):
     assert np.array_equal(b.chol_upper, np.triu(b.chol_upper))
 
 
+def test_panel_gather_factors_the_direct_gather_bitwise():
+    # H[q][:, q] is gathered by rows, then by column panels of 64 rows, an
+    # exact copy: n = 300 ends in a partial panel
+    n = 300
+    rng = np.random.default_rng(13)
+    layer = checked_layer(np.zeros((1, n)),
+                          raw_hessian([rng.standard_normal((n + 20, n))], n))
+    order = Permutation(rng.permutation(n))
+    b = bundle_from_hessian(layer, 0.01, order)
+    q = order.forward[::-1]
+    h = layer.raw[np.ix_(q, q)]
+    h.reshape(-1)[:: n + 1] += b.damp_lambda
+    low, info = lapack.dpotrf(h.T, lower=1, overwrite_a=1)
+    assert info == 0
+    inv_low, info = lapack.dtrtri(low, lower=1, overwrite_c=1)
+    assert info == 0
+    np.testing.assert_array_equal(b.chol_upper, inv_low[::-1, ::-1])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     n=st.integers(1, MIRROR_PANEL + 40),
@@ -315,9 +334,10 @@ def test_memory_budget():
 
     order = Permutation(rng.permutation(n))
     layer = checked_layer(np.zeros((1, n)), raw)
-    # one n x n buffer, factored in place and held as it lies
+    # one n x n buffer, gathered by rows then by 64-row column panels
+    # (n^2 + 64 n), factored in place and held as it lies
     _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, 0.01, order))
-    assert peak <= 1.5 * square
+    assert peak <= 1.25 * square
     assert held <= 1.1 * square
 
 

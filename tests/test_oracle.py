@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsprune import (
+    DimensionError,
     NumericOverflowError,
     OracleScaleError,
     SingularOracleError,
@@ -112,6 +113,16 @@ def test_size_cap():
             [np.ones((4, 65))],
             SparsityConfig(sparsity=0.5, blocksize=16),
         )
+
+
+def test_no_columns_rejected_before_hessian(monkeypatch):
+    # the library's checked_layer rejects n = 0; the oracle must too, before
+    # raw_hessian and damping, whose mean of an empty diagonal would warn
+    built = []
+    monkeypatch.setattr(oracle, "raw_hessian", lambda *a: built.append(a))
+    with pytest.raises(DimensionError, match="at least one column"):
+        naive_obs_prune(np.zeros((2, 0)), [np.zeros((3, 0))], SparsityConfig(0.5, 4))
+    assert built == []
 
 
 def test_verify_prints_each_failure_and_exits_1(monkeypatch, capsys):

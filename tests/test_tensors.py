@@ -181,6 +181,27 @@ def test_smallest_per_row_matches_stable_argsort(data):
     np.testing.assert_array_equal(smallest_per_row(v, k), expect)
 
 
+def test_smallest_per_row_breaks_only_overflowing_ties():
+    # rows 0-2 hold more entries at or below the threshold than k: a
+    # +0.0/-0.0 tie, four -inf for three places, four 1.0 for two; rows 3-4
+    # fill k exactly, row 3 with -inf and a +0.0/-0.0 pair of its own
+    k = 3
+    v = np.array([
+        [2.0, 0.0, -1.0, -0.0, 0.0, 5.0],
+        [-np.inf, 3.0, -np.inf, -np.inf, -np.inf, 1.0],
+        [1.0, 1.0, 1.0, 1.0, 0.5, 2.0],
+        [-np.inf, 4.0, 0.0, -0.0, 9.0, 7.0],
+        [3.0, 2.0, 1.0, 0.0, -1.0, -2.0],
+    ])
+    at_or_below = v <= np.sort(v, axis=1)[:, k - 1 : k]
+    assert (at_or_below.sum(axis=1) > k).tolist() == [True] * 3 + [False] * 2
+    expect = np.zeros(v.shape, dtype=bool)
+    np.put_along_axis(expect, np.argsort(v, axis=1, kind="stable")[:, :k],
+                      True, axis=1)
+    np.testing.assert_array_equal(smallest_per_row(v, k), expect)
+    np.testing.assert_array_equal(np.flatnonzero(expect[0]), [1, 2, 3])
+
+
 CONFIGS = [
     SparsityConfig(sparsity=0.0, blocksize=8),
     SparsityConfig(sparsity=0.3, blocksize=8),
@@ -188,6 +209,9 @@ CONFIGS = [
     SparsityConfig(sparsity=0.99, blocksize=8),
     SparsityConfig.semi_structured(2, 4),
     SparsityConfig.semi_structured(1, 4),
+    SparsityConfig.semi_structured(1, 2),
+    SparsityConfig.semi_structured(3, 4),
+    SparsityConfig.semi_structured(2, 8),
 ]
 
 
@@ -195,7 +219,8 @@ CONFIGS = [
 @given(st.data(), st.sampled_from(CONFIGS))
 def test_every_rule_matches_sort_reference(data, cfg):
     rows = data.draw(st.integers(1, 6))
-    width = 4 * data.draw(st.integers(1, 3))
+    step = 4 if cfg.pattern is None else cfg.pattern.m
+    width = step * data.draw(st.integers(1, 3))
     w = tie_heavy(data.draw, rows, width) * data.draw(st.sampled_from([1.0, -1.0]))
     mag = np.abs(w)
 
