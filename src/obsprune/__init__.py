@@ -11,12 +11,7 @@ from .calibration import (
     importance_scores,
     raw_hessian,
 )
-from .engine import (
-    PruneOutcome,
-    prune_layer,
-    reconstruction_error,
-    select_block_mask,
-)
+from .engine import PruneOutcome, prune_layer, reconstruction_error
 from .errors import (
     ConfigError,
     DimensionError,

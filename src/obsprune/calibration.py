@@ -39,15 +39,15 @@ class Layer:
     finite and row-major, so every sum over it runs in one order whatever
     the caller's layout; ``raw`` is the caller's X.T @ X in channel order,
     without dampening, the matrix every reconstruction error is measured
-    in.  ``norms`` are the column norms, ``dead_columns`` the channels whose
-    diagonal in H is zero, and ``dense_energy`` is the dense layer's output
-    energy sum(W @ H @ W.T).
+    in.  ``norms`` are the column norms, ``dead`` is True for each channel
+    whose diagonal in H is zero, and ``dense_energy`` is the dense layer's
+    output energy sum(W @ H @ W.T).
     """
 
     w: np.ndarray
     raw: np.ndarray
     norms: np.ndarray
-    dead_columns: np.ndarray
+    dead: np.ndarray
     dense_energy: float
 
 
@@ -113,7 +113,7 @@ def checked_layer(w, raw) -> Layer:
         energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
-    return Layer(w, raw, column_norms(raw), np.flatnonzero(diag == 0.0), energy)
+    return Layer(w, raw, column_norms(raw), diag == 0.0, energy)
 
 
 def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:

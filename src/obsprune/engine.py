@@ -31,14 +31,13 @@ which derives its final and relative error from that per-block trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import blas
 
 from .calibration import HessianBundle, Layer, error_prefix
 from .errors import ConfigError, DimensionError, NumericOverflowError
-from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, pruned_entries
+from .tensors import Permutation, PruneMask, SparsityConfig, pruned_entries
 
 
 def _relative(absolute: float, energy: float) -> float:
@@ -69,29 +68,20 @@ class PruneOutcome:
 
 
 def select_block_mask(
-    w_block: np.ndarray,
-    inv_h_block_diag: np.ndarray,
-    config: SparsityConfig,
-    force_cols: Sequence[int] = (),
+    w_block: np.ndarray, inv_diag: np.ndarray, config: SparsityConfig, dead: np.ndarray
 ) -> np.ndarray:
     """The boolean mask, True where pruned, of one block or n:m group of columns.
 
+    The sweep's mask step, over float64 arrays shaped by ``block_ranges``:
+    ``inv_diag`` has one entry and ``dead`` one boolean per column.
     Saliency is w**2 / inv_diag, and ``tensors.pruned_entries`` applies the
-    pattern's rule to it.  Columns in ``force_cols`` (dead calibration
-    channels) get saliency -inf, so they are pruned first.  Any other
-    saliency that overflows raises NumericOverflowError: ties at inf would
-    leave the mask to the tie-break.
+    pattern's rule to it.  Dead calibration channels get saliency -inf, so
+    they are pruned first.  Any other saliency that overflows raises
+    NumericOverflowError: ties at inf would leave the mask to the tie-break.
     """
-    w_block = as_matrix(w_block)
-    bw = w_block.shape[1]
-    inv_diag = np.asarray(inv_h_block_diag, dtype=np.float64)
-    if inv_diag.shape != (bw,):
-        raise DimensionError(
-            f"inverse diagonal length {inv_diag.shape} != block width {bw}"
-        )
     with np.errstate(over="ignore"):  # raised just below
         s = w_block * w_block / inv_diag
-    s[:, np.asarray(force_cols, dtype=np.intp)] = -np.inf
+    s[:, dead] = -np.inf
     if np.any(s == np.inf):
         raise NumericOverflowError("saliency w**2 / inv_diag overflows to inf")
     return pruned_entries(s, config)
@@ -161,8 +151,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     upper = bundle.chol_upper
     diag = upper.diagonal()
     inv_diag = diag * diag
-    dead = np.zeros(n, dtype=bool)
-    dead[order.inverse[layer.dead_columns]] = True
+    dead = layer.dead[order.forward]
     group = config.group_width
     step = SUB_BLOCK if config.pattern is None else max(1, SUB_BLOCK // group) * group
 
@@ -187,7 +176,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
                 if (q - i1) % group == 0:
                     g2 = min(q + group, i2)
                     pruned = select_block_mask(cur[q:g2].T, inv_diag[q:g2], config,
-                                               np.flatnonzero(dead[q:g2])).T
+                                               dead[q:g2]).T
                     pruned_t[q:g2] = pruned
                     # x / inf is 0 with x's sign, so a kept weight's error is 0
                     work[q - i1 : g2 - i1] = np.where(pruned, diag[q:g2, None], np.inf)

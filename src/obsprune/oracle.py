@@ -98,7 +98,7 @@ def naive_obs_prune(
     raw = raw_hessian(activations, n)
     xs = np.vstack([as_matrix(a) for a in activations])
     lam = damping(raw, config.damp_fraction)
-    dead = np.flatnonzero(raw.diagonal() == 0.0)
+    dead = raw.diagonal() == 0.0
     h = raw + lam * np.eye(n)
 
     w_cur = w_dense.copy()
@@ -113,9 +113,8 @@ def naive_obs_prune(
                 inv_diag = np.array(
                     [np.linalg.inv(h[j:, j:])[0, 0] for j in range(q, g2)]
                 )
-                force = [int(j) - q for j in dead if q <= j < g2]
                 pruned_full[:, q:g2] = select_block_mask(
-                    w_cur[:, q:g2], inv_diag, config, force
+                    w_cur[:, q:g2], inv_diag, config, dead[q:g2]
                 )
             col = w_cur[:, q]
             pruned_c = pruned_full[:, q]

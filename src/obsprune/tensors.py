@@ -223,15 +223,11 @@ def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
     No pattern: the pruned_count smallest of the whole block, ties to the
     lower column, then the lower row (the block read column by column).
     n:m: the m - n smallest of every group of m consecutive columns in a
-    row, ties to the lower column.
+    row, ties to the lower column, in a block that ``block_ranges`` tiled.
     """
     rows, width = scores.shape
     pat = config.pattern
     if isinstance(pat, SemiStructured):
-        if width % pat.m != 0:
-            raise DimensionError(
-                f"block width {width} not a multiple of group size {pat.m}"
-            )
         groups = scores.reshape(rows * width // pat.m, pat.m)
         return smallest_per_row(groups, pat.m - pat.n).reshape(rows, width)
     k = pruned_count(config.sparsity, rows, width)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsprune import (
+    ConfigError,
     SparsityConfig,
     checked_layer,
     column_norms,
@@ -12,6 +13,7 @@ from obsprune import (
     reconstruction_error,
     wanda_prune,
 )
+from obsprune import tensors
 
 
 def test_magnitude_zero_sparsity():
@@ -113,6 +115,19 @@ def test_baselines_semi_structured(pattern):
     for out in (magnitude_prune(layer, cfg), wanda_prune(layer, cfg)):
         groups = out.mask.kept.reshape(5, 32 // m, m)
         assert np.all(groups.sum(axis=2) == n_keep)
+
+
+@pytest.mark.parametrize("prune", [magnitude_prune, wanda_prune])
+def test_untiled_semi_structured_rejected_before_selection(monkeypatch, prune):
+    """6 columns under 2:4 fail in block_ranges, as in prune_layer, before selection."""
+
+    def selected(*args, **kwargs):
+        raise AssertionError("selection ran on an untiled n:m layer")
+
+    monkeypatch.setattr(tensors, "smallest_per_row", selected)
+    layer = checked_layer(np.ones((2, 6)), np.eye(6))
+    with pytest.raises(ConfigError, match="6 columns do not split into groups of m=4"):
+        prune(layer, SparsityConfig.semi_structured(2, 4))
 
 
 def test_mask_respect_and_sparsity_invariants():

@@ -108,7 +108,7 @@ def test_dampening_uses_mean_diagonal():
 def test_dead_columns_recorded():
     x = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
     b = accumulate_hessian([x], damp_fraction=0.01, width=3)
-    np.testing.assert_array_equal(b.layer.dead_columns, [1])
+    np.testing.assert_array_equal(np.flatnonzero(b.layer.dead), [1])
 
 
 def test_indefinite_failure_names_pivot():
@@ -533,7 +533,7 @@ def test_checked_layer_derives_once():
     assert layer.w.flags.c_contiguous and np.array_equal(layer.w, w)
     assert layer.raw is raw
     np.testing.assert_array_equal(layer.norms, column_norms(raw))
-    np.testing.assert_array_equal(layer.dead_columns, [2])
+    np.testing.assert_array_equal(np.flatnonzero(layer.dead), [2])
     assert layer.dense_energy == pytest.approx(np.sum(np.square(w @ x.T)), rel=1e-12)
     # numpy fields: equality and hash are by identity, as for Permutation
     bundles = [bundle_from_hessian(layer, 0.01) for _ in range(2)]

@@ -23,9 +23,8 @@ from obsprune import (
     raw_hessian,
     reconstruction_error,
     rose_prune_layer,
-    select_block_mask,
 )
-from obsprune.engine import CANCELLATION, error_prefix
+from obsprune.engine import CANCELLATION, error_prefix, select_block_mask
 from obsprune.tensors import SemiStructured
 
 from hessian_helpers import accumulate_hessian, dampened_hessian
@@ -72,14 +71,14 @@ class TestUpdateRow:
 class TestBlockMask:
     def test_zero_sparsity_keeps_all(self):
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
-        pruned = select_block_mask(np.ones((3, 4)), np.ones(4), cfg)
+        pruned = select_block_mask(np.ones((3, 4)), np.ones(4), cfg, np.zeros(4, bool))
         assert pruned.dtype == bool and pruned.shape == (3, 4)
         assert not pruned.any()
 
     def test_two_four_prunes_smallest(self):
         cfg = SparsityConfig.semi_structured(2, 4)
         w = np.array([[1.0, 5.0, 2.0, 4.0]])
-        pruned = select_block_mask(w, np.ones(4), cfg)
+        pruned = select_block_mask(w, np.ones(4), cfg, np.zeros(4, bool))
         np.testing.assert_array_equal(pruned, [[True, False, True, False]])
 
     def test_matches_exhaustive_sort_oracle(self):
@@ -87,7 +86,7 @@ class TestBlockMask:
         w = rng.standard_normal((4, 8))
         inv = rng.uniform(0.5, 2.0, 8)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        pruned = select_block_mask(w, inv, cfg)
+        pruned = select_block_mask(w, inv, cfg, np.zeros(8, bool))
         sal = (w * w / inv).ravel()
         expect_pruned = set(np.argsort(sal, kind="stable")[:16])
         got_pruned = set(np.flatnonzero(pruned.ravel()))
@@ -96,7 +95,7 @@ class TestBlockMask:
     def test_tie_break_lower_column_then_row(self):
         cfg = SparsityConfig(sparsity=0.5, blocksize=2)
         w = np.ones((2, 2))
-        pruned = select_block_mask(w, np.ones(2), cfg)
+        pruned = select_block_mask(w, np.ones(2), cfg, np.zeros(2, bool))
         # all saliencies tie: column 0 goes first, rows top to bottom
         np.testing.assert_array_equal(pruned, [[True, False], [True, False]])
 
@@ -106,9 +105,10 @@ class TestBlockMask:
         cfg = SparsityConfig(sparsity=0.5, blocksize=2)
         w = np.array([[1e200, 1.0], [1.0, 1e200]])
         with pytest.raises(NumericOverflowError, match="saliency"):
-            select_block_mask(w, np.ones(2), cfg)
+            select_block_mask(w, np.ones(2), cfg, np.zeros(2, bool))
         # a forced column is pruned first whatever its saliency
-        pruned = select_block_mask(np.array([[1e200, 1.0]]), np.ones(2), cfg, [0])
+        pruned = select_block_mask(np.array([[1e200, 1.0]]), np.ones(2), cfg,
+                                   np.array([True, False]))
         np.testing.assert_array_equal(pruned, [[True, False]])
 
 
@@ -311,7 +311,7 @@ class TestPruneLayer:
         order = Permutation(rng.permutation(8))
         layer = checked_layer(w, raw_hessian([x], w.shape[1]))
         b = bundle_from_hessian(layer, cfg.damp_fraction, order)
-        np.testing.assert_array_equal(b.layer.dead_columns, [3])
+        np.testing.assert_array_equal(np.flatnonzero(b.layer.dead), [3])
         out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
 
@@ -442,9 +442,8 @@ def rank1_reference(w, bundle, config):
         for q in range(i1, i2):
             if (q - i1) % config.group_width == 0:
                 g2 = min(q + config.group_width, i2)
-                force = [j - q for j in bundle.layer.dead_columns if q <= j < g2]
                 kept[:, q:g2] = ~select_block_mask(
-                    w_cur[:, q:g2], d[q:g2] ** 2, config, force
+                    w_cur[:, q:g2], d[q:g2] ** 2, config, bundle.layer.dead[q:g2]
                 )
             e = np.where(kept[:, q], 0.0, w_cur[:, q]) / d[q]
             w_cur[:, q] = np.where(kept[:, q], w_cur[:, q], 0.0)

@@ -12,8 +12,8 @@ from obsprune import (
     SparsityConfig,
     apply_column_permutation,
 )
-from obsprune import (checked_layer, loss_profile, magnitude_prune, select_block_mask,
-                      wanda_prune)
+from obsprune import checked_layer, loss_profile, magnitude_prune, wanda_prune
+from obsprune.engine import select_block_mask
 from obsprune.tensors import pruned_count, smallest_per_row
 
 
@@ -225,7 +225,8 @@ def test_every_rule_matches_sort_reference(data, cfg):
     mag = np.abs(w)
 
     # engine block rule: saliency w**2 / inv_diag, dead columns forced first
-    forced = sorted(data.draw(st.sets(st.integers(0, width - 1))))
+    forced = np.zeros(width, dtype=bool)
+    forced[sorted(data.draw(st.sets(st.integers(0, width - 1))))] = True
     saliency = w * w
     saliency[:, forced] = -np.inf
     block = select_block_mask(w, np.ones(width), cfg, forced)
