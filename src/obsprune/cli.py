@@ -27,7 +27,7 @@ from . import __version__
 from .calibration import Layer, checked_layer, importance_scores, raw_hessian
 from .errors import ConfigError, PruneError
 from .oracle import cross_check
-from .reorder import METHODS, loss_profile, prune_runs
+from .reorder import METHODS, build_reorder_plan, loss_profile, prune_runs
 from .rtns import (
     RtnsFormatError,
     atomic_write,
@@ -222,7 +222,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    methods = args.methods.split(",") if args.methods else METHODS
+    methods = METHODS if args.methods is None else args.methods.split(",")
     configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
     [layer] = _load_inputs(args, configs[0])
@@ -260,7 +260,7 @@ def cmd_detect(args) -> int:
         layers.append({
             "layer": f"synth-{args.synth}" if path is None else str(path),
             "R_rel": profile.relative_range,
-            "columnar": profile.relative_range > config.columnar_threshold,
+            "columnar": build_reorder_plan(profile, config).was_reordered,
             "block_losses": list(profile.block_losses),
         })
     args.out.mkdir(parents=True, exist_ok=True)

@@ -87,12 +87,6 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     )
 
 
-def _stable_order(values: np.ndarray, descending: bool) -> np.ndarray:
-    if descending:
-        return np.argsort(-values, kind="stable")
-    return np.argsort(values, kind="stable")
-
-
 def build_reorder_plan(
     profile: LossProfile,
     config: SparsityConfig,
@@ -100,24 +94,23 @@ def build_reorder_plan(
 ) -> ReorderPlan:
     """Two-level permutation, gated on the relative range of block losses.
 
-    Blocks are sorted by block loss and the columns inside each block by
-    column loss; under an n:m pattern columns are sorted only inside their
-    group of m, so every group stays whole and the pattern holds in the
-    original channel order.  ``descending=False`` flips both sort
-    directions, pruning the cheapest weights first; it exists for the
-    worst-case comparison runs.
+    One stable sort: blocks by block loss, then groups in place inside
+    their block, then columns by column loss.  A group is the block, or
+    under an n:m pattern a group of m, so every group stays whole and the
+    pattern holds in the original channel order.  Ties keep channel order.
+    ``descending=False`` flips both directions, pruning the cheapest
+    weights first; it exists for the worst-case comparison runs.
     """
     n = profile.column_losses.size
     if not profile.relative_range > config.columnar_threshold:
         return ReorderPlan(Permutation.identity(n), False)
-    ranges = config.block_ranges(n)
-    width = config.group_width
-    forward = []
-    for b in _stable_order(profile.block_losses, descending):
-        for j1 in range(*ranges[b], width):
-            j2 = min(j1 + width, ranges[b][1])
-            forward.append(j1 + _stable_order(profile.column_losses[j1:j2], descending))
-    return ReorderPlan(Permutation(np.concatenate(forward)), True)
+    config.block_ranges(n)  # raises ConfigError for an untiled n:m
+    j = np.arange(n)
+    sign = -1.0 if descending else 1.0
+    # tied blocks fall back on the group index, which keeps them in channel order
+    forward = np.lexsort((sign * profile.column_losses, j // config.group_width,
+                          sign * profile.block_losses[j // config.blocksize]))
+    return ReorderPlan(Permutation(forward), True)
 
 
 def prune_runs(layer: Layer, methods: Sequence[str],
@@ -134,8 +127,10 @@ def prune_runs(layer: Layer, methods: Sequence[str],
         raise ConfigError(f"unknown method {unknown[0]!r}")
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
     factors = {}
-    for config in configs:
-        profile = loss_profile(importance_scores(layer), config)
+    scores = importance_scores(layer)
+    profiles = [loss_profile(scores, config) for config in configs]
+    del scores  # one scoring serves every profile, and is freed before any run
+    for config, profile in zip(configs, profiles):
         for method in methods:
             t0 = time.perf_counter()
             plan = in_place

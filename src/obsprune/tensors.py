@@ -30,6 +30,11 @@ def finite_matrix(a, what: str = "weights") -> np.ndarray:
     return m
 
 
+def _integer(x) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # Sparsity patterns
 
@@ -42,6 +47,8 @@ class SemiStructured:
     m: int
 
     def __post_init__(self):
+        if not (_integer(self.n) and _integer(self.m)):
+            raise ConfigError(f"n and m must be integers, got {self.n!r}:{self.m!r}")
         if not (0 < self.n < self.m):
             raise ConfigError(f"need 0 < n < m, got {self.n}:{self.m}")
 
@@ -70,8 +77,8 @@ class SparsityConfig:
     def __post_init__(self):
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if self.blocksize < 1:
-            raise ConfigError("blocksize must be >= 1")
+        if not (_integer(self.blocksize) and self.blocksize >= 1):
+            raise ConfigError(f"blocksize must be an integer >= 1: {self.blocksize!r}")
         if not 0.0 <= self.damp_fraction < np.inf:
             raise ConfigError("damp_fraction must be finite and >= 0, "
                               f"got {self.damp_fraction}")
@@ -144,11 +151,14 @@ class Permutation:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=np.intp)
+        fwd = np.asarray(self.forward)
+        if fwd.dtype.kind not in "iu":
+            raise ConfigError(f"forward must hold integer indices, got {fwd.dtype}")
+        fwd = fwd.astype(np.intp, copy=False)
         object.__setattr__(self, "forward", fwd)
         n = fwd.size
         if not np.array_equal(np.sort(fwd), np.arange(n)):
-            raise ValueError("forward is not a bijection on [0, size)")
+            raise ConfigError("forward is not a bijection on [0, size)")
         inv = np.empty(n, dtype=np.intp)
         inv[fwd] = np.arange(n)
         object.__setattr__(self, "inverse", inv)
@@ -181,12 +191,6 @@ class PruneMask:
     """Boolean keep/prune matrix, True where kept; equality is by identity."""
 
     kept: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.kept, dtype=bool)
-        if k.ndim != 2:
-            raise DimensionError("mask must be 2-D")
-        object.__setattr__(self, "kept", k)
 
 
 def pruned_count(sparsity: float, rows: int, block_width: int) -> int:

@@ -217,6 +217,17 @@ def test_compare_rejects_pattern_with_sparsity(tmp_path, capsys, no_factoring):
     assert not (tmp_path / "compare.csv").exists()
 
 
+@pytest.mark.parametrize("methods", ["", ",", "rose,,wanda", "rose,"])
+def test_compare_rejects_an_empty_method_name(tmp_path, capsys, no_factoring, methods):
+    """Only a missing --methods means every method; an empty name is unknown."""
+    code = main(["compare", "--synth", "uniform", "--sparsity", "0.5",
+                 "--methods", methods, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown method ''\n"
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_prune_pattern_honours_blocksize(tmp_path):
     code = run([
         "prune", "--method", "rose", "--synth", "columnar", "--rows", "8",
@@ -250,6 +261,25 @@ def test_detect_columnar_and_uniform(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "b" / "detect.json").read_text())
     assert doc["layers"][0]["columnar"] is False
+
+
+def test_detect_verdict_is_the_rose_plan(tmp_path):
+    """detect's verdict is prune --method rose's, on either side of R_rel."""
+    layer = ["--synth", "columnar", "--rows", "16", "--cols", "64",
+             "--blocksize", "16", "--sparsity", "0.7", "--seed", "3"]
+    assert run(["detect", *layer, "--out", str(tmp_path)]) == 0
+    [doc] = json.loads((tmp_path / "detect.json").read_text())["layers"]
+    r_rel = doc["R_rel"]
+    for threshold, columnar in [(np.nextafter(r_rel, 0.0), True), (r_rel, False),
+                                (np.nextafter(r_rel, np.inf), False)]:
+        out = tmp_path / repr(threshold)
+        flags = [*layer, "--threshold", repr(float(threshold)), "--out", str(out)]
+        assert run(["detect", *flags]) == 0
+        assert run(["prune", "--method", "rose", *flags]) == 0
+        [doc] = json.loads((out / "detect.json").read_text())["layers"]
+        report = json.loads((out / "report.json").read_text())
+        assert doc["R_rel"] == report["R_rel"] == r_rel
+        assert doc["columnar"] is report["was_reordered"] is columnar
 
 
 def test_detect_multiple_weight_files(tmp_path):

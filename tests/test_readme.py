@@ -1,7 +1,11 @@
-"""README's Python examples run as written, in order, in one namespace."""
+"""README's examples run as written: the Python blocks in order, in one
+namespace, and every ``obsprune`` command line of the shell blocks."""
 
 import re
+import shlex
 from pathlib import Path
+
+from obsprune import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +17,16 @@ def test_python_blocks_run_in_order(capsys):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    """Every ``obsprune`` line of the shell blocks exits 0, run in a scratch dir."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    commands = [shlex.split(line) for block in blocks for line in block.splitlines()
+                if line.startswith("obsprune ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)  # detect writes its report to .
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, shlex.join(argv)
+    assert (tmp_path / "detect.json").is_file()
+    assert (tmp_path / "run" / "compare.csv").is_file()

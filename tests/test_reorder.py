@@ -167,6 +167,63 @@ class TestReorderPlan:
             assert start % 8 == 0 and seg.max() < start + 8
 
 
+def nested_loop_plan(profile, config, descending):
+    """The two-level plan as a nested loop: the reference for the one sort.
+
+    Blocks in the stable order of their losses; inside each, every group
+    of ``group_width`` columns in channel order, its columns in the stable
+    order of their losses.
+    """
+    def stable_order(values):
+        return np.argsort(-values if descending else values, kind="stable")
+
+    ranges = config.block_ranges(profile.column_losses.size)
+    width = config.group_width
+    forward = []
+    for b in stable_order(profile.block_losses):
+        for j1 in range(*ranges[b], width):
+            j2 = min(j1 + width, ranges[b][1])
+            forward.append(j1 + stable_order(profile.column_losses[j1:j2]))
+    return np.concatenate(forward)
+
+
+@st.composite
+def gated_profiles(draw):
+    """A config and a profile that opens its gate, with losses that tie.
+
+    Losses come from a few values, zero among them; the last block may be
+    short, and n:m groups sit inside blocks up to four groups wide.
+    """
+    m = draw(st.sampled_from([None, 2, 4, 8]))
+    unit = 1 if m is None else m
+    blocksize = unit * draw(st.integers(1, 4))
+    cols = unit * draw(st.integers(1, 24 // unit + 4))
+    if m is None:
+        config = SparsityConfig(0.5, blocksize, columnar_threshold=0.0)
+    else:
+        config = SparsityConfig.semi_structured(m // 2, m, blocksize,
+                                                columnar_threshold=0.0)
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    n_blocks = len(config.block_ranges(cols))
+    profile = reorder.LossProfile(
+        block_losses=np.array(draw(st.lists(values, min_size=n_blocks,
+                                             max_size=n_blocks))),
+        column_losses=np.array(draw(st.lists(values, min_size=cols, max_size=cols))),
+        relative_range=1.0,
+    )
+    return config, profile
+
+
+@settings(deadline=None, max_examples=300)
+@given(gated_profiles(), st.booleans())
+def test_one_sort_matches_nested_loop(case, descending):
+    config, profile = case
+    plan = build_reorder_plan(profile, config, descending)
+    assert plan.was_reordered
+    np.testing.assert_array_equal(plan.permutation.forward,
+                                  nested_loop_plan(profile, config, descending))
+
+
 class TestPruneInOrder:
     @settings(deadline=None, max_examples=60)
     @given(st.booleans(), st.integers(1, 6), st.integers(1, 6),

@@ -47,6 +47,35 @@ def test_forward_not_bijection():
         Permutation(np.array([0, 0, 2]))
 
 
+@pytest.mark.parametrize("forward", [[1.7, 0.2], [1.0, 0.0], [True, False],
+                                     np.array([0, 0]), [0, 2], [-1, 0]],
+                         ids=["float", "whole-float", "bool", "repeat", "gap",
+                              "negative"])
+def test_permutation_rejects_what_is_no_index_bijection(forward):
+    with pytest.raises(ConfigError, match="integer indices|bijection"):
+        Permutation(forward)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SparsityConfig(0.5, blocksize=16.0),
+    lambda: SparsityConfig(0.5, blocksize=True),
+    lambda: SemiStructured(2.5, 4),
+    lambda: SemiStructured(2, 4.0),
+    lambda: SemiStructured(True, 4),
+    lambda: SparsityConfig.semi_structured(2, 4, blocksize=8.0),
+], ids=["blocksize-float", "blocksize-bool", "n-float", "m-float", "n-bool",
+        "nm-blocksize-float"])
+def test_config_sizes_must_be_integers(make):
+    with pytest.raises(ConfigError, match="integer"):
+        make()
+
+
+def test_config_sizes_take_numpy_integers():
+    cfg = SparsityConfig.semi_structured(np.int64(2), np.int32(4), np.int64(8))
+    assert cfg.blocksize == 8 and cfg.pattern == SemiStructured(2, 4)
+    assert Permutation(np.array([1, 0], dtype=np.uint8)).forward.dtype == np.intp
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_permutation_round_trip(n, seed):
