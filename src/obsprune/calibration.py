@@ -10,8 +10,9 @@ channels and the dense output energy, derived once, and every method reads
 them from it.  Every error is a quadratic form in H, ``error_prefix``.  For
 pruning, H is dampened by a multiple of its mean diagonal, and the upper
 Cholesky factor of its inverse, which drives the compensation engine, comes
-from one in-place factorization: the Cholesky factor of H in pruning order
-with rows and columns reversed, inverted as a triangle and read in reverse.
+from one in-place factorization: LAPACK's upper Cholesky factor of H in
+pruning order with rows and columns reversed, inverted as a triangle and
+read transposed and in reverse.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class HessianBundle:
 
     ``chol_upper`` is the upper triangular U, zeros below, with inv(H) =
     U.T @ U for the dampened Hessian H[order][:, order], held as LAPACK's
-    buffer read in reverse, a view that is not C-contiguous.  Its trailing
-    blocks reproduce the inverses of all trailing Hessian submatrices, which
-    is what lets one factorization serve the whole left-to-right sweep.
+    buffer transposed and read in reverse, a view with strides (-8n, -8).
+    Its trailing blocks reproduce the inverses of all trailing Hessian
+    submatrices, which is what lets one factorization serve the whole
+    left-to-right sweep.
     """
 
     layer: Layer
@@ -173,8 +175,9 @@ def bundle_from_hessian(
     The one copy of H made here is h = H[q][:, q] for q the order reversed,
     whose leading k x k block is the trailing block of H[order][:, order]
     reversed.  Gathered by rows, then by column panels of 64 rows (a peak
-    of n**2 + 64 n doubles), it is factored and inverted in place; U is
-    that buffer read in reverse.  ``damping`` is checked before H is copied.
+    of n**2 + 64 n doubles), it is factored (upper ``dpotrf``) and inverted
+    in place; U is that buffer transposed and read in reverse.  ``damping``
+    is checked before H is copied.
     """
     raw = layer.raw
     n = raw.shape[0]
@@ -188,9 +191,10 @@ def bundle_from_hessian(
     for i in range(0, n, GATHER_PANEL):
         h[i : i + GATHER_PANEL] = h[i : i + GATHER_PANEL].take(q, axis=1)
     h.reshape(-1)[:: n + 1] += lam
-    # h is symmetric, so h.T is the column-major matrix LAPACK overwrites;
-    # the default clean=1 zeroes its strict upper triangle, which dtrtri keeps
-    low, info = lapack.dpotrf(h.T, lower=1, overwrite_a=1)
+    # h is symmetric, so h.T is the column-major matrix LAPACK overwrites,
+    # where the upper variant runs faster than the lower; the default
+    # clean=1 zeroes its strict lower triangle, which dtrtri keeps
+    up, info = lapack.dpotrf(h.T, lower=0, overwrite_a=1)
     if info > 0:
         pivot = int(order.forward[n - info])
         raise IndefiniteHessianError(
@@ -199,10 +203,10 @@ def bundle_from_hessian(
         )
     if info < 0:
         raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-    inv_low, info = lapack.dtrtri(low, lower=1, overwrite_c=1)
+    inv_up, info = lapack.dtrtri(up, lower=0, overwrite_c=1)
     if info != 0:
         raise IndefiniteHessianError(f"dtrtri failed with info={info}")
-    return HessianBundle(layer, inv_low[::-1, ::-1], lam, order)
+    return HessianBundle(layer, inv_up.T[::-1, ::-1], lam, order)
 
 
 def column_norms(raw: np.ndarray) -> np.ndarray:
@@ -211,5 +215,5 @@ def column_norms(raw: np.ndarray) -> np.ndarray:
 
 
 def importance_scores(layer: Layer) -> np.ndarray:
-    """Per-weight score |w_ij| * norm_j."""
-    return np.abs(layer.w) * layer.norms
+    """Per-weight score |w_ij| * norm_j, checked finite here, where it is made."""
+    return finite_matrix(np.abs(layer.w) * layer.norms, "scores")

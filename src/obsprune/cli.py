@@ -223,6 +223,10 @@ def cmd_prune(args) -> int:
 
 def cmd_compare(args) -> int:
     methods = METHODS if args.methods is None else args.methods.split(",")
+    # a typo fails before any input is read; prune_runs would only reject
+    # it once the layer is loaded
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ConfigError(f"unknown method {unknown[0]!r}")
     configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
     [layer] = _load_inputs(args, configs[0])

@@ -50,7 +50,8 @@ class PruneOutcome:
     """Pruned weights, mask, error after each block and the dense output energy.
 
     The final error ends the trajectory and the relative error divides it by
-    the energy, so neither can disagree with it.  Equality is by identity.
+    the energy, so neither can disagree with it.  The engine's weights and
+    mask may be column-major.  Equality is by identity.
     """
 
     pruned_weights: np.ndarray
@@ -79,23 +80,39 @@ def select_block_mask(
     they are pruned first.  Any other saliency that overflows raises
     NumericOverflowError: ties at inf would leave the mask to the tie-break.
     """
+    # in the sweep's own (width, rows) layout, as w_block is its transpose
+    t = w_block.T
     with np.errstate(over="ignore"):  # raised just below
-        s = w_block * w_block / inv_diag
-    s[:, dead] = -np.inf
-    if np.any(s == np.inf):
+        s = np.multiply(t, t)
+        s /= inv_diag[:, None]
+    if dead.any():
+        s[dead] = -np.inf
+    if s.max(initial=-np.inf) == np.inf:
         raise NumericOverflowError("saliency w**2 / inv_diag overflows to inf")
-    return pruned_entries(s, config)
+    return pruned_entries(s.T, config)
 
 
 def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray):
     """out -= upper_rows.T @ errs, in place on the row-major ``out``.
 
     One ``dgemm`` on the transposes, which are column-major, accumulates
-    into ``out`` without a product temporary.  f2py rejects an empty ``c``,
+    into ``out`` without a product temporary.  f2py copies the factor's
+    strided rows either way; their transpose, read with ``trans_b``, copies
+    in memory order, which timed faster.  f2py rejects an empty ``c``,
     which the last block's (empty) tail and a layer with no rows give.
     """
     if out.size:
-        blas.dgemm(-1.0, errs.T, upper_rows, beta=1.0, c=out.T, overwrite_c=1)
+        blas.dgemm(-1.0, errs.T, upper_rows.T, trans_b=1, beta=1.0, c=out.T,
+                   overwrite_c=1)
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    """sum(a**2) of a contiguous array, by ``ddot`` in one pass.
+
+    f2py rejects the empty ``a`` of a layer with no rows.
+    """
+    a = a.reshape(-1)
+    return blas.ddot(a, a) if a.size else 0.0
 
 
 def reconstruction_error(layer: Layer, w_pruned: np.ndarray) -> tuple[float, float]:
@@ -116,8 +133,11 @@ SUB_BLOCK = 16
 
 
 def _channel_order(t: np.ndarray, order: Permutation) -> np.ndarray:
-    """The row-major (rows, n) matrix whose column order.forward[j] is t[j]."""
-    return t[order.inverse].T.copy()
+    """The (rows, n) matrix whose column order.forward[j] is t[j].
+
+    One gather on the transposed view, so the result may be column-major.
+    """
+    return t.T[:, order.inverse]
 
 
 def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
@@ -161,7 +181,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     cur = dense_t.copy()
     pruned_t = np.zeros((n, rows), dtype=bool)
     # a block's OBS errors, and its divisors during the column loop and
-    # the squares of the error sums after it
+    # the differences of the error's running sum after it
     errs_buf, work = np.empty((2, min(config.blocksize, n), rows))
     trajectory = []
     loss = 0.0
@@ -175,11 +195,13 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             for q in range(s1, s2):
                 if (q - i1) % group == 0:
                     g2 = min(q + group, i2)
-                    pruned = select_block_mask(cur[q:g2].T, inv_diag[q:g2], config,
-                                               dead[q:g2]).T
-                    pruned_t[q:g2] = pruned
-                    # x / inf is 0 with x's sign, so a kept weight's error is 0
-                    work[q - i1 : g2 - i1] = np.where(pruned, diag[q:g2, None], np.inf)
+                    pruned = pruned_t[q:g2]
+                    pruned[...] = select_block_mask(cur[q:g2].T, inv_diag[q:g2],
+                                                    config, dead[q:g2]).T
+                    # diag / 1 where pruned and diag / 0 = inf where kept, with
+                    # no branch; x / inf is 0, so a kept weight's error is 0
+                    with np.errstate(divide="ignore"):
+                        np.divide(diag[q:g2, None], pruned, out=work[q - i1 : g2 - i1])
                 e = np.divide(cur[q], work[q - i1], out=errs[q - i1])
                 # f2py rejects an empty operand: no later column, or no rows
                 if q + 1 < s2 and rows:
@@ -189,16 +211,15 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
                 _subtract_product(cur[s2:i2], upper[s1:s2, s2:i2],
                                   errs[s1 - i1 : s2 - i1])
         _subtract_product(cur[i2:], upper[i1:i2, i2:], errs)
-        cur[i1:i2][pruned_t[i1:i2]] = 0.0
+        np.copyto(cur[i1:i2], 0.0, where=pruned_t[i1:i2])
 
         # a huge damping can overflow the closed form, which is then not finite
         with np.errstate(over="ignore"):
-            loss += float(np.sum(np.square(errs, out=work[: i2 - i1])))
-            # one block at a time, each squared in the one buffer
-            tail_sq = []
-            for j1, j2 in ranges[block_index:]:
-                d = np.subtract(dense_t[j1:j2], cur[j1:j2], out=work[: j2 - j1])
-                tail_sq.append(float(np.sum(np.square(d, out=d))))
+            loss += _squared_norm(errs)
+            # one block at a time, each in the one buffer
+            tail_sq = [_squared_norm(np.subtract(dense_t[j1:j2], cur[j1:j2],
+                                                 out=work[: j2 - j1]))
+                       for j1, j2 in ranges[block_index:]]
         raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             # a non-finite weight makes the tail sum not finite; columns

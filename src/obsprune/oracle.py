@@ -3,8 +3,9 @@
 These deliberately avoid the Cholesky shortcut: the exact reconstruction
 solves the normal equations of the fixed-mask least-squares problem, the
 one-row update compensates from an explicit inverse, and the naive pruner
-re-inverts the trailing Hessian submatrix at every step and measures its
-outcome's errors and dense energy on the activations.  They ship with the
+re-inverts the trailing Hessian submatrix at every step, chooses its own
+masks from those inverses by a stable sort, and measures its outcome's
+errors and dense energy on the activations.  They ship with the
 library so that ``cross_check`` (``obsprune verify``) can re-run the
 cross-checks on demand, but they are O(n**4) and capped at small sizes.
 
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import bundle_from_hessian, checked_layer, damping, raw_hessian
-from .engine import PruneOutcome, prune_layer, select_block_mask
+from .engine import PruneOutcome, prune_layer
 from .errors import (
     DimensionError,
     IndefiniteHessianError,
@@ -75,6 +76,26 @@ def exact_masked_reconstruction(
     return out
 
 
+def _naive_mask(saliency: np.ndarray, config: SparsityConfig) -> np.ndarray:
+    """True where pruned, by a stable argsort of each group of candidates.
+
+    Unstructured: one group, the block read column by column, which loses
+    its floor(p * rows * width + 0.5) smallest.  n:m: each row's groups of
+    m, which lose their m - n smallest.  Ties go to the earlier candidate.
+    """
+    rows, width = saliency.shape
+    pat = config.pattern
+    if pat is None:
+        groups = saliency.T.reshape(1, -1)
+        drop = int(np.floor(config.sparsity * rows * width + 0.5))
+    else:
+        groups, drop = saliency.reshape(-1, pat.m), pat.m - pat.n
+    pruned = np.zeros(groups.shape, dtype=bool)
+    smallest = np.argsort(groups, axis=1, kind="stable")[:, :drop]
+    np.put_along_axis(pruned, smallest, True, axis=1)
+    return pruned.reshape(width, rows).T if pat is None else pruned.reshape(rows, width)
+
+
 def naive_obs_prune(
     w: np.ndarray,
     activations: Sequence[np.ndarray],
@@ -85,9 +106,10 @@ def naive_obs_prune(
     Uses the same mask-selection rule and dampening as the engine (masks
     chosen at block entry, or at the first column of each n:m group), but no
     precomputed factor and no deferred updates, so agreement with
-    ``prune_layer`` exercises the whole Cholesky shortcut.  Its errors and
-    their denominator, the dense energy ||W X.T||^2, are measured on the
-    stacked activations, independently of the engine and its Hessian.
+    ``prune_layer`` exercises the whole Cholesky shortcut.  Its masks take
+    their saliency from its own inverses and dead channels from its own H.
+    Its errors and their denominator, the dense energy ||W X.T||^2, are
+    measured on the stacked activations, independently of the engine.
     """
     w_dense = as_matrix(w)
     rows, n = w_dense.shape
@@ -113,9 +135,9 @@ def naive_obs_prune(
                 inv_diag = np.array(
                     [np.linalg.inv(h[j:, j:])[0, 0] for j in range(q, g2)]
                 )
-                pruned_full[:, q:g2] = select_block_mask(
-                    w_cur[:, q:g2], inv_diag, config, dead[q:g2]
-                )
+                saliency = w_cur[:, q:g2] ** 2 / inv_diag
+                saliency[:, dead[q:g2]] = -np.inf
+                pruned_full[:, q:g2] = _naive_mask(saliency, config)
             col = w_cur[:, q]
             pruned_c = pruned_full[:, q]
             trailing_inv = np.linalg.inv(h[q:, q:])
@@ -136,7 +158,8 @@ def cross_check(seed: int, damp: float) -> list[str]:
     Twenty trials compare ``obs_update_row`` with the exact reconstruction
     of one pruned column.  Fifteen compare ``prune_layer`` with
     ``naive_obs_prune`` on masks and final error: ten unstructured, and
-    five 2:4 with masks chosen per group inside wider blocks.
+    five 2:4 with masks chosen per group inside wider blocks.  Given a
+    damping, every other one has three dead channels with large weights.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -161,6 +184,10 @@ def cross_check(seed: int, damp: float) -> list[str]:
         p = float(rng.choice([0.25, 0.5, 0.75]))
         X = rng.standard_normal((2 * n, n))
         W = rng.standard_normal((max(2, n // 2), n))
+        if trial % 2 and damp > 0:
+            dead = rng.choice(n, size=3, replace=False)
+            X[:, dead] = 0.0
+            W[:, dead] *= 100.0
         common = dict(blocksize=blocksize, damp_fraction=damp)
         config = (SparsityConfig.semi_structured(2, 4, **common) if nm
                   else SparsityConfig(sparsity=p, **common))

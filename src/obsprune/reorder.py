@@ -58,10 +58,10 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     """Column and block losses from the candidate set of finite scores.
 
     The relative range is taken over each block's loss per column, its sum
-    divided by its width.  |w| * norm can overflow to inf, so the scores
-    are checked here, before a selection that must see no NaN.
+    divided by its width.  The scores must be finite, as
+    ``importance_scores`` checks them where it makes them: a selection must
+    see no NaN.
     """
-    scores = finite_matrix(scores, "scores")
     rows, n = scores.shape
     ranges = config.block_ranges(n)
     col_losses = np.zeros(n)

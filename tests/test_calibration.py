@@ -277,11 +277,11 @@ def test_panel_gather_factors_the_direct_gather_bitwise():
     q = order.forward[::-1]
     h = layer.raw[np.ix_(q, q)]
     h.reshape(-1)[:: n + 1] += b.damp_lambda
-    low, info = lapack.dpotrf(h.T, lower=1, overwrite_a=1)
+    up, info = lapack.dpotrf(h.T, lower=0, overwrite_a=1)
     assert info == 0
-    inv_low, info = lapack.dtrtri(low, lower=1, overwrite_c=1)
+    inv_up, info = lapack.dtrtri(up, lower=0, overwrite_c=1)
     assert info == 0
-    np.testing.assert_array_equal(b.chol_upper, inv_low[::-1, ::-1])
+    np.testing.assert_array_equal(b.chol_upper, inv_up.T[::-1, ::-1])
 
 
 @settings(deadline=None, max_examples=60)

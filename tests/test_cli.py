@@ -228,6 +228,17 @@ def test_compare_rejects_an_empty_method_name(tmp_path, capsys, no_factoring, me
     assert not (tmp_path / "compare.csv").exists()
 
 
+def test_compare_rejects_an_unknown_method_before_reading(tmp_path, capsys,
+                                                          monkeypatch):
+    built = count_calls(monkeypatch, calibration.raw_hessian)
+    code = main(["compare", "--synth", "uniform", "--sparsity", "0.5",
+                 "--methods", "sparsegtp", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown method 'sparsegtp'\n"
+    assert built == []
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_prune_pattern_honours_blocksize(tmp_path):
     code = run([
         "prune", "--method", "rose", "--synth", "columnar", "--rows", "8",

@@ -99,6 +99,25 @@ class TestBlockMask:
         # all saliencies tie: column 0 goes first, rows top to bottom
         np.testing.assert_array_equal(pruned, [[True, False], [True, False]])
 
+    @pytest.mark.parametrize("config", [SparsityConfig(0.5, blocksize=8),
+                                        SparsityConfig(0.0, blocksize=8),
+                                        SparsityConfig.semi_structured(2, 4, 8)])
+    @pytest.mark.parametrize("dead", [[], [1, 6]])
+    def test_same_mask_in_either_layout(self, config, dead):
+        # the sweep passes a transposed view of its own row-major buffer
+        rng = np.random.default_rng(14)
+        w = rng.standard_normal((6, 8))
+        inv = rng.uniform(0.5, 2.0, 8)
+        is_dead = np.isin(np.arange(8), dead)
+        c = select_block_mask(np.ascontiguousarray(w), inv, config, is_dead)
+        f = select_block_mask(np.asfortranarray(w), inv, config, is_dead)
+        np.testing.assert_array_equal(c, f)
+        if config.sparsity:
+            # fewer dead weights than pruned ones, and one per group of 4
+            assert c[:, dead].all()
+        else:
+            assert not c.any()
+
     def test_overflowing_saliency_raises(self):
         # 1e200**2 overflows: every such weight would tie at inf and the
         # mask among them would fall to the tie-break
@@ -229,11 +248,14 @@ class TestErrorPrefix:
 
 class TestPruneLayer:
     def test_zero_sparsity_is_identity(self):
+        # every block keeps every weight, a dead channel's too: each OBS
+        # error is 0, and no weight changes by a single bit
         w, x = random_layer(2)
+        x[:, 5] = 0.0
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
         b = accumulate_hessian([x], cfg.damp_fraction, w)
         out = prune_layer(b, cfg)
-        np.testing.assert_array_equal(out.pruned_weights, w)
+        assert np.ascontiguousarray(out.pruned_weights).tobytes() == w.tobytes()
         assert out.relative_error <= 1e-10
         assert out.mask.kept.all()
 

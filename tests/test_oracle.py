@@ -95,6 +95,27 @@ def test_naive_agrees_with_engine():
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("cfg", [SparsityConfig(0.5, blocksize=8),
+                                 SparsityConfig.semi_structured(2, 4, 8)])
+def test_naive_agrees_with_engine_on_dead_channels(cfg):
+    # the dead channels hold the largest weights, so only forcing their
+    # saliency to -inf prunes them; the oracle forces them from its own H
+    rng = np.random.default_rng(22)
+    w = rng.standard_normal((8, 32))
+    x = rng.standard_normal((96, 32))
+    dead = [3, 9, 17, 30]
+    x[:, dead] = 0.0
+    w[:, dead] *= 100.0
+    fast = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+    slow = naive_obs_prune(w, [x], cfg)
+    assert not slow.mask.kept[:, dead].any()
+    np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
+    np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
+                               rtol=0, atol=1e-12 * np.abs(w).max())
+    np.testing.assert_allclose(fast.block_error_trajectory,
+                               slow.block_error_trajectory, rtol=1e-9, atol=0)
+
+
 def test_overflowing_damping_raises():
     # lambda = 1e308 * mean(diag H) overflows; a numpy warning would fail
     # the test under the suite's filterwarnings = error

@@ -26,7 +26,8 @@ from obsprune import (
     rose_prune_layer,
     wanda_prune,
 )
-from obsprune import cli, engine, reorder
+from obsprune import calibration, cli, engine, reorder, tensors
+from obsprune.calibration import Layer
 
 from hessian_helpers import accumulate_hessian, block_order
 
@@ -57,21 +58,26 @@ class TestScores:
         s = scores_with_norms(w, [0.0, 1.0])
         np.testing.assert_array_equal(s[:, 0], [0.0])
 
-
-class TestLossProfile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_rejected(self, bad):
-        """Non-finite scores would reach a selection that must see no NaN."""
-        scores = np.ones((2, 8))
-        scores[:, 5] = bad
-        cfg = SparsityConfig(0.5, blocksize=4)
+    def test_non_finite_scores_rejected(self, bad):
+        """Non-finite scores would reach a selection that must see no NaN.
+
+        ``checked_layer`` rejects such weights, and every layer whose
+        |w| * norm overflows (its dense energy overflows first), so the
+        ``Layer`` is built directly.
+        """
+        w = np.ones((2, 8))
+        w[0, 5] = bad
+        layer = Layer(w, np.eye(8), np.ones(8), np.zeros(8, bool), 1.0)
         with pytest.raises(NumericOverflowError, match="scores not finite"):
-            loss_profile(scores, cfg)
+            importance_scores(layer)
         w = np.ones((2, 8))
         w[1, 2] = bad
         with pytest.raises(NumericOverflowError, match="weights not finite"):
             checked_layer(w, np.eye(8))
 
+
+class TestLossProfile:
     def test_zero_sparsity(self):
         cfg = SparsityConfig(sparsity=0.0, blocksize=2)
         prof = loss_profile(np.arange(8.0).reshape(2, 4), cfg)
@@ -502,6 +508,26 @@ class TestPruneRuns:
         layer = checked_layer(gen_uniform(4, 8, seed=0), np.eye(8))
         with pytest.raises(ConfigError, match="sparsegtp"):
             list(prune_runs(layer, ["sparsegtp"], [SparsityConfig(0.5, 4)]))
+
+    def test_scores_are_checked_once(self, monkeypatch):
+        """One scoring, checked where it is made, serves every loss profile.
+
+        wanda is left out: it scores the layer itself, once per run.
+        """
+        checked = []
+
+        def counted(a, what="weights"):
+            checked.append(what)
+            return tensors.finite_matrix(a, what)
+
+        for module in (calibration, reorder):
+            monkeypatch.setattr(module, "finite_matrix", counted)
+        layer = checked_layer(gen_columnar(8, 32, 8, 3, 10.0, seed=2), raw_hessian(
+            [gen_activations(64, 32, 0.3, seed=3)], 32))
+        configs = [SparsityConfig(p, 8) for p in (0.5, 0.6, 0.7, 0.8)]
+        methods = [m for m in reorder.METHODS if m != "wanda"]
+        assert len(list(prune_runs(layer, methods, configs))) == 16
+        assert checked.count("scores") == 1
 
     def test_channel_factor_is_shared_per_damping(self, monkeypatch):
         """One channel-order factor per damping, never one from another damping."""
