@@ -10,15 +10,22 @@ two-level lazy-batch schedule.
   at the group's first column.  Either way a mask is chosen from the
   weights as they stand after every earlier column's update, with the
   squared diagonals of the stored upper factor as the OBS denominators.
+- The sweep holds W0 and the difference D = W0 - W.  A block is loaded
+  once, as W0 - D over its columns, into a buffer of its own; a finished
+  block is written over its rows of the W0 copy, which becomes the output,
+  and its own difference goes back into D.
 - Inside a block, the rank-1 column loop runs over sub-blocks of
   ``SUB_BLOCK`` columns (under n:m, a multiple of m, so that a group never
   straddles two sub-blocks).  A column is one divide, by the factor's
   diagonal where pruned and inf where kept, and one in-place ``dger`` along
   the factor's trailing row, within its sub-block only.  Pruned entries
-  are zeroed once per block: no later column reads a finished one.
+  are zeroed once per block, by multiplying their bits by 0, which makes
+  them +0.0 without a branch: no later column reads a finished one.
 - A finished sub-block updates the rest of its block with one matrix
-  product of its OBS errors and the factor's rows; a finished block
-  updates every later column the same way.
+  product of its OBS errors and the factor's rows; a finished block adds
+  its product into D for every later column the same way.  D then holds
+  W0 - W_k for every column, so ||W0 - W_k||^2 past a block is one
+  ``ddot`` over its rows, not a subtraction per later block.
 
 Columns past a sub-block (or block) are never read inside it, so deferring
 their updates changes only the rounding.  No activations are needed: the
@@ -92,8 +99,9 @@ def select_block_mask(
     return pruned_entries(s.T, config)
 
 
-def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray):
-    """out -= upper_rows.T @ errs, in place on the row-major ``out``.
+def _add_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray,
+                 alpha: float):
+    """out += alpha * upper_rows.T @ errs, in place on the row-major ``out``.
 
     One ``dgemm`` on the transposes, which are column-major, accumulates
     into ``out`` without a product temporary.  f2py copies the factor's
@@ -102,7 +110,7 @@ def _subtract_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray)
     which the last block's (empty) tail and a layer with no rows give.
     """
     if out.size:
-        blas.dgemm(-1.0, errs.T, upper_rows.T, trans_b=1, beta=1.0, c=out.T,
+        blas.dgemm(alpha, errs.T, upper_rows.T, trans_b=1, beta=1.0, c=out.T,
                    overwrite_c=1)
 
 
@@ -176,69 +184,77 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     step = SUB_BLOCK if config.pattern is None else max(1, SUB_BLOCK // group) * group
 
     # the sweep runs on W.T in pruning order, so that every column it
-    # touches is contiguous
+    # touches is contiguous; each finished block overwrites its rows of
+    # dense_t, which becomes the output
     dense_t = layer.w.T[order.forward]
-    cur = dense_t.copy()
+    # delta = W0 - W: the finished blocks' differences, and the later
+    # columns' updates, added in one product per block
+    delta = np.zeros((n, rows))
     pruned_t = np.zeros((n, rows), dtype=bool)
-    # a block's OBS errors, and its divisors during the column loop and
-    # the differences of the error's running sum after it
-    errs_buf, work = np.empty((2, min(config.blocksize, n), rows))
+    # the block being swept, its OBS errors, and its divisors
+    blk_buf, errs_buf, div_buf = np.empty((3, min(config.blocksize, n), rows))
     trajectory = []
     loss = 0.0
     # ||W0 - W_k||^2 over the columns of finished blocks, which never change
     final_sq = 0.0
 
     for block_index, (i1, i2) in enumerate(ranges):
-        errs = errs_buf[: i2 - i1]
-        for s1 in range(i1, i2, step):
-            s2 = min(s1 + step, i2)
+        width = i2 - i1
+        blk = np.subtract(dense_t[i1:i2], delta[i1:i2], out=blk_buf[:width])
+        errs, div = errs_buf[:width], div_buf[:width]
+        ublk = upper[i1:i2, i1:i2]
+        diag_b, inv_b = diag[i1:i2], inv_diag[i1:i2]
+        pruned_b, dead_b = pruned_t[i1:i2], dead[i1:i2]
+        for s1 in range(0, width, step):
+            s2 = min(s1 + step, width)
             for q in range(s1, s2):
-                if (q - i1) % group == 0:
-                    g2 = min(q + group, i2)
-                    pruned = pruned_t[q:g2]
-                    pruned[...] = select_block_mask(cur[q:g2].T, inv_diag[q:g2],
-                                                    config, dead[q:g2]).T
+                if q % group == 0:
+                    g = slice(q, q + group)
+                    pruned = pruned_b[g]
+                    pruned[...] = select_block_mask(blk[g].T, inv_b[g], config,
+                                                    dead_b[g]).T
                     # diag / 1 where pruned and diag / 0 = inf where kept, with
                     # no branch; x / inf is 0, so a kept weight's error is 0
                     with np.errstate(divide="ignore"):
-                        np.divide(diag[q:g2, None], pruned, out=work[q - i1 : g2 - i1])
-                e = np.divide(cur[q], work[q - i1], out=errs[q - i1])
+                        np.divide(diag_b[g, None], pruned, out=div[g])
+                e = np.divide(blk[q], div[q], out=errs[q])
                 # f2py rejects an empty operand: no later column, or no rows
                 if q + 1 < s2 and rows:
-                    blas.dger(-1.0, e, upper[q, q + 1 : s2],
-                              a=cur[q + 1 : s2].T, overwrite_a=1)
-            if s2 < i2:
-                _subtract_product(cur[s2:i2], upper[s1:s2, s2:i2],
-                                  errs[s1 - i1 : s2 - i1])
-        _subtract_product(cur[i2:], upper[i1:i2, i2:], errs)
-        np.copyto(cur[i1:i2], 0.0, where=pruned_t[i1:i2])
+                    blas.dger(-1.0, e, ublk[q, q + 1 : s2],
+                              a=blk[q + 1 : s2].T, overwrite_a=1)
+            if s2 < width:
+                _add_product(blk[s2:], ublk[s1:s2, s2:], errs[s1:s2], -1.0)
+        _add_product(delta[i2:], upper[i1:i2, i2:], errs, 1.0)
+        # multiplying the bits by 0 or 1 makes pruned entries +0.0, branch-free
+        bits = blk.view(np.uint64)
+        bits *= ~pruned_b
+        np.subtract(dense_t[i1:i2], blk, out=delta[i1:i2])
+        dense_t[i1:i2] = blk
 
         # a huge damping can overflow the closed form, which is then not finite
         with np.errstate(over="ignore"):
             loss += _squared_norm(errs)
-            # one block at a time, each in the one buffer
-            tail_sq = [_squared_norm(np.subtract(dense_t[j1:j2], cur[j1:j2],
-                                                 out=work[: j2 - j1]))
-                       for j1, j2 in ranges[block_index:]]
-        raw_err = loss - bundle.damp_lambda * (final_sq + sum(tail_sq))
+            block_sq = _squared_norm(delta[i1:i2])
+            tail_sq = block_sq + _squared_norm(delta[i2:])
+        raw_err = loss - bundle.damp_lambda * (final_sq + tail_sq)
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             # a non-finite weight makes the tail sum not finite; columns
             # before i1 are final and were checked with earlier blocks
-            finite = np.isfinite(sum(tail_sq)) or np.all(np.isfinite(cur[i1:]))
+            finite = np.isfinite(tail_sq) or np.all(np.isfinite(delta[i1:]))
             if finite:
-                d = layer.w - _channel_order(cur, order)
                 with np.errstate(over="ignore", invalid="ignore"):  # raised below
-                    raw_err = float(error_prefix(d, layer.raw)[-1])
+                    raw_err = float(error_prefix(_channel_order(delta, order),
+                                                 layer.raw)[-1])
             if not np.isfinite(raw_err):
                 what = "reconstruction error" if finite else "weights"
                 raise NumericOverflowError(f"non-finite {what} after block "
                                            f"{block_index}", block=block_index)
         trajectory.append(raw_err)
-        final_sq += tail_sq[0]
+        final_sq += block_sq
 
-    # the sweep's copies go before the outputs are allocated
+    # the sweep's differences go before the outputs are allocated
+    del delta
+    pruned_weights = _channel_order(dense_t, order)
     del dense_t
-    pruned_weights = _channel_order(cur, order)
-    del cur
     return PruneOutcome(pruned_weights, PruneMask(~_channel_order(pruned_t, order)),
                         np.array(trajectory), layer.dense_energy)

@@ -226,6 +226,10 @@ def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
 
     No pattern: the pruned_count smallest of the whole block, ties to the
     lower column, then the lower row (the block read column by column).
+    The threshold, the k-th smallest score, is taken in the block's memory
+    order, which it does not depend on; the mask has the layout of
+    ``scores <= threshold``.  Only when ties at the threshold overflow k
+    is the block read column by column, transposed, to break them.
     n:m: the m - n smallest of every group of m consecutive columns in a
     row, ties to the lower column, in a block that ``block_ranges`` tiled.
     """
@@ -235,5 +239,12 @@ def pruned_entries(scores: np.ndarray, config: SparsityConfig) -> np.ndarray:
         groups = scores.reshape(rows * width // pat.m, pat.m)
         return smallest_per_row(groups, pat.m - pat.n).reshape(rows, width)
     k = pruned_count(config.sparsity, rows, width)
-    flat = smallest_per_row(scores.T.reshape(1, -1), k)
-    return flat.reshape(width, rows).T.copy()
+    if k <= 0:
+        return np.zeros(scores.shape, dtype=bool)
+    flat = scores.flatten(order="K")
+    flat.partition(k - 1)
+    pruned = scores <= flat[k - 1]
+    if np.count_nonzero(pruned) > k:
+        by_column = smallest_per_row(scores.T.reshape(1, -1), k)
+        pruned[...] = by_column.reshape(width, rows).T
+    return pruned

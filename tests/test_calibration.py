@@ -341,6 +341,28 @@ def test_memory_budget():
     assert held <= 1.1 * square
 
 
+def test_prune_layer_memory_budget():
+    """prune_layer's peak at 64 x 512 with 128-column blocks, in a shuffled order.
+
+    The sweep holds W0 and W0 - W in pruning order, the mask, and three
+    block buffers: the block it sweeps, its OBS errors and its divisors.
+    f2py's copy of the factor's rows for block 0's product into the later
+    columns sets the peak.  When the sweep held W itself, with two block
+    buffers, the peak was 1,088,480 bytes; the bound is that plus one
+    block of 64 x 128 doubles and 4 KiB for Python objects.  Measured:
+    1,154,928.
+    """
+    rows, n = 64, 512
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((rows, n))
+    layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
+    b = bundle_from_hessian(layer, 0.01, Permutation(rng.permutation(n)))
+    config = SparsityConfig(0.5)
+    prune_layer(b, config)
+    _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
+    assert peak <= 1_088_480 + 8 * rows * config.blocksize + 4096
+
+
 @pytest.mark.parametrize("prune", [magnitude_prune, wanda_prune])
 def test_baseline_memory_budget(prune):
     """The baselines' error trajectory allocates nothing of n x n doubles.

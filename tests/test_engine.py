@@ -24,6 +24,7 @@ from obsprune import (
     reconstruction_error,
     rose_prune_layer,
 )
+from obsprune import engine
 from obsprune.engine import CANCELLATION, error_prefix, select_block_mask
 from obsprune.tensors import SemiStructured
 
@@ -194,6 +195,20 @@ class TestOutcome:
                 assert out.relative_error == out.final_error / out.dense_energy
             else:
                 assert out.relative_error == 0.0
+
+    @pytest.mark.parametrize("config", [SparsityConfig(0.5, blocksize=16),
+                                        SparsityConfig.semi_structured(2, 4, 16)])
+    def test_pruned_weights_are_positive_zero(self, config):
+        # the sweep clears a pruned entry's bits, so a negative weight leaves
+        # +0.0 with its sign bit clear, as the baselines' np.where does
+        w = gen_columnar(8, 48, 16, 2, 10.0, seed=5)
+        x = np.random.default_rng(5).standard_normal((96, 48))
+        layer = checked_layer(w, raw_hessian([x], 48))
+        for _, method, out, *_ in prune_runs(layer, METHODS, [config]):
+            pruned = ~out.mask.kept
+            assert (w[pruned] < 0).any(), method
+            lost = out.pruned_weights[pruned]
+            assert not lost.any() and not np.signbit(lost).any(), method
 
     def test_errors_are_not_stored(self):
         out, _, _ = rose_prune_layer(np.eye(4), [np.eye(4)],
@@ -411,6 +426,53 @@ class TestClosedFormTrajectory:
         assert b.damp_lambda * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
         assert np.all(np.isfinite(out.block_error_trajectory))
         assert out.final_error == error_prefix(w - out.pruned_weights, b.layer.raw)[-1]
+
+    @pytest.mark.parametrize("semi", [False, True])
+    def test_fallback_in_a_middle_block_measures_the_rebuilt_tail(
+        self, monkeypatch, semi
+    ):
+        # with the closed form always refused, every block's error is
+        # error_prefix of W0 - W_k, whose later columns the sweep holds only
+        # as the updates added into W0 - W; in a shuffled order W_k must come
+        # back in channel order, as optimality alone gives it
+        rng = np.random.default_rng(44)
+        rows, n = 6, 48
+        w = rng.standard_normal((rows, n))
+        x = rng.standard_normal((3 * n, n))
+        if semi:
+            cfg = SparsityConfig.semi_structured(2, 4, blocksize=16)
+            p = np.concatenate([4 * g + rng.permutation(4)
+                                for g in rng.permutation(n // 4)])
+        else:
+            cfg = SparsityConfig(0.5, blocksize=16)
+            p = rng.permutation(n)
+        order = Permutation(p)
+        layer = checked_layer(w, raw_hessian([x], n))
+        b = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        monkeypatch.setattr(engine, "CANCELLATION", np.inf)
+        measured = []
+
+        def recorded(d, hessian):
+            measured.append(np.array(d))
+            return error_prefix(d, hessian)
+
+        monkeypatch.setattr(engine, "error_prefix", recorded)
+        out = prune_layer(b, cfg)
+        assert len(measured) == 3
+
+        w0, final = w[:, p], out.pruned_weights[:, p]
+        for k, (_, i2) in enumerate(cfg.block_ranges(n)):
+            w_k = block_state(w0, final, b, i2)[:, order.inverse]
+            np.testing.assert_allclose(measured[k], w - w_k, rtol=0,
+                                       atol=WEIGHT_ATOL * np.abs(w).max())
+            assert out.block_error_trajectory[k] == pytest.approx(
+                error_prefix(w - w_k, layer.raw)[-1], rel=1e-9)
+        # the closed form, had it been taken, agrees with each entry
+        monkeypatch.undo()
+        again = prune_layer(b, cfg)
+        np.testing.assert_array_equal(again.mask.kept, out.mask.kept)
+        np.testing.assert_allclose(again.block_error_trajectory,
+                                   out.block_error_trajectory, rtol=1e-9, atol=0)
 
     def test_dead_block_error_is_exactly_zero(self):
         # pruning a block of dead channels costs nothing in the raw Hessian,

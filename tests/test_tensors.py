@@ -13,8 +13,9 @@ from obsprune import (
     apply_column_permutation,
 )
 from obsprune import checked_layer, loss_profile, magnitude_prune, wanda_prune
+from obsprune import tensors
 from obsprune.engine import select_block_mask
-from obsprune.tensors import pruned_count, smallest_per_row
+from obsprune.tensors import pruned_count, pruned_entries, smallest_per_row
 
 
 def test_apply_permutation_direct():
@@ -278,3 +279,64 @@ def test_every_rule_matches_sort_reference(data, cfg):
         sub = mag[:, i1:i2]
         expect[i1:i2] = np.where(reference_pruned(sub, cfg), sub, 0.0).sum(axis=0)
     np.testing.assert_array_equal(loss_profile(mag, cfg).column_losses, expect)
+
+
+def column_major_pruned(scores, k):
+    """The k smallest scores by stable argsort, the block read column by column."""
+    rows, width = scores.shape
+    pruned = np.zeros(width * rows, dtype=bool)
+    pruned[np.argsort(scores.T.ravel(), kind="stable")[:k]] = True
+    return pruned.reshape(width, rows).T
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_block_selection_matches_stable_argsort_in_every_layout(data):
+    # the threshold is taken in memory order, and the ties it leaves are
+    # broken column by column, so C- and F-ordered blocks and a column
+    # slice of a wider C matrix all give the reference's mask
+    rows = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, 12))
+    if data.draw(st.booleans()):
+        scores = tie_heavy(data.draw, rows, width)
+    else:
+        # no ties but at -inf
+        scores = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))
+                                       ).permutation(rows * width).reshape(rows, width)
+        scores = scores.astype(np.float64)
+    forced = data.draw(st.sets(st.integers(0, rows * width - 1)))
+    scores.ravel()[sorted(forced)] = -np.inf
+    cfg = SparsityConfig(data.draw(st.floats(0.0, 0.99)), blocksize=width)
+    k = pruned_count(cfg.sparsity, rows, width)
+    expect = column_major_pruned(scores, k)
+    wide = np.zeros((rows, width + 5))
+    wide[:, 2 : 2 + width] = scores
+    for block in (np.ascontiguousarray(scores), np.asfortranarray(scores),
+                  wide[:, 2 : 2 + width]):
+        got = pruned_entries(block, cfg)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, expect)
+
+
+def test_block_selection_breaks_ties_only_when_they_overflow(monkeypatch):
+    calls = []
+
+    def counted(v, k):
+        calls.append(k)
+        return smallest_per_row(v, k)
+
+    monkeypatch.setattr(tensors, "smallest_per_row", counted)
+    cfg = SparsityConfig(0.5, blocksize=4)  # k = 4 of 8
+    # four entries at the threshold 1.0 fill k exactly
+    exact = np.array([[1.0, 1.0, 3.0, 4.0], [1.0, 1.0, 5.0, 6.0]])
+    np.testing.assert_array_equal(pruned_entries(exact, cfg),
+                                  column_major_pruned(exact, 4))
+    assert calls == []
+    # five entries at 1.0 for four places: the four in columns 0 and 1 go
+    # before the one in column 2
+    over = np.array([[1.0, 1.0, 1.0, 4.0], [1.0, 1.0, 5.0, 6.0]])
+    got = pruned_entries(np.asfortranarray(over), cfg)
+    np.testing.assert_array_equal(got, column_major_pruned(over, 4))
+    np.testing.assert_array_equal(got, [[True, True, False, False],
+                                        [True, True, False, False]])
+    assert calls == [4]
