@@ -2,17 +2,18 @@
 
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
-activation batches are read and checked against the layer's width: it
-streams them with ``dsyrk`` into one triangle and mirrors it once.
-``checked_layer`` is the one place W and H are checked against each other;
-the ``Layer`` it returns holds them with the column norms, the dead
-channels and the dense output energy, derived once, and every method reads
-them from it.  Every error is a quadratic form in H, ``error_prefix``.  For
-pruning, H is dampened by a multiple of its mean diagonal, and the upper
-Cholesky factor of its inverse, which drives the compensation engine, comes
-from one in-place factorization: LAPACK's upper Cholesky factor of H in
-pruning order with rows and columns reversed, inverted as a triangle and
-read transposed and in reverse.
+activation batches are read and checked: it streams them with ``dsyrk``
+into one triangle, reads each batch's finiteness off H's diagonal, and
+mirrors the triangle once.  ``checked_layer`` is the one place W and H are
+checked against each other; the ``Layer`` it returns holds them with the
+column norms, the dead channels and the dense output energy, derived once,
+and every method reads them from it.  Every error is a quadratic form in
+H: ``error_total`` gives the whole of one, ``error_prefix`` its running
+sum over the columns.  For pruning, H is dampened by a multiple of its mean
+diagonal, and the upper Cholesky factor of its inverse, which drives the
+compensation engine, comes from one in-place factorization: LAPACK's upper
+Cholesky factor of H in pruning order with rows and columns reversed,
+inverted as a triangle and read transposed and in reverse.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from scipy.linalg import blas, lapack
 from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
 from .tensors import Permutation, as_matrix, finite_matrix
 
-#: columns per panel when ``raw_hessian`` mirrors its triangle; of 64 and
-#: 256, 64 mirrored a 2048 x 2048 triangle faster (13 vs 16 ms), and the
-#: two tied at 1024
+#: rows per panel when ``raw_hessian`` mirrors its triangle; of 32, 64, 128
+#: and 256, 64 mirrored fastest at n = 1024 and 2048 (at 2048: 11.5, 8.2,
+#: 10.3 and 18.0 ms, 2 BLAS threads)
 MIRROR_PANEL = 64
 #: rows per panel when ``bundle_from_hessian`` gathers H's columns
 GATHER_PANEL = 64
@@ -75,11 +76,12 @@ class HessianBundle:
 def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     """Entry e is the sum over the rows of d[:, :e] @ H[:e, :e] @ d[:, :e].
 
-    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X; the last entry is the
-    whole error.  One ``dtrmm`` makes G = 2 d triu(H), reading only the upper
-    triangle of H, and column j adds sum_rows d_j (G_j - H_jj d_j).  Both
-    operands are made row-major, whose transposes BLAS reads uncopied, so
-    the sums run in one order and the error depends on the values alone.
+    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X, for the baselines'
+    error at each block end; ``error_total`` gives the last entry alone.
+    One ``dtrmm`` makes G = 2 d triu(H), reading only the upper triangle of
+    H, and column j adds sum_rows d_j (G_j - H_jj d_j).  Both operands are
+    made row-major, whose transposes BLAS reads uncopied, so the sums run
+    in one order and the error depends on the values alone.
     """
     d = np.ascontiguousarray(d)
     h = np.ascontiguousarray(hessian)
@@ -93,13 +95,34 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     return prefix
 
 
+def error_total(d: np.ndarray, hessian: np.ndarray) -> float:
+    """The sum over the rows of d @ H @ d, ||d X.T||^2 for H = X.T X.
+
+    ``error_prefix``'s G = 2 d triu(H), then <d, G> - sum_j H_jj ||d_j||^2
+    by two ``ddot``s, the second over G's buffer refilled with d H_jj: no
+    prefix and no temporary beyond G.  <d, G> holds the second term, so
+    where it overflows the total is inf, not inf - inf, with no warning.
+    """
+    d = np.ascontiguousarray(d)
+    h = np.ascontiguousarray(hessian)
+    # f2py rejects an empty operand, which a layer with no rows gives
+    if not d.size:
+        return 0.0
+    g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
+    flat_d, flat_g = d.reshape(-1), g.reshape(-1)
+    cross = blas.ddot(flat_d, flat_g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(d, h.diagonal(), out=g)
+    return cross if np.isinf(cross) else cross - blas.ddot(flat_d, flat_g)
+
+
 def checked_layer(w, raw) -> Layer:
     """The layer (W, H), once W and H pass every check, before any scoring.
 
     W must be finite.  H must be finite, square, non-empty and as wide as
     W, with a non-negative diagonal, as a Gram matrix's is: the first
-    negative entry is the pivot.  The dense output energy must be finite,
-    so that every relative error has a denominator.
+    negative entry is the pivot.  The dense output energy, ``error_total``
+    of W, must be finite, so that every relative error has a denominator.
     """
     w = np.ascontiguousarray(finite_matrix(w))
     raw = finite_matrix(raw, "hessian")
@@ -113,8 +136,7 @@ def checked_layer(w, raw) -> Layer:
     if diag[pivot] < 0:
         raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
                                      pivot=pivot)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-        energy = float(error_prefix(w, raw)[-1])
+    energy = error_total(w, raw)
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
     return Layer(w, raw, column_norms(raw), diag == 0.0, energy)
@@ -124,11 +146,13 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
     """Sum of per-batch Gram matrices X.T @ X, without dampening.
 
     ``width`` is the layer's: W's column count.  One pass: each batch is
-    checked as it arrives, 2-D, ``width`` columns wide and finite, before
-    anything is allocated for it, so the width x width buffer is sized only
-    once batch 0 has passed.  Each batch is added by ``dsyrk`` into the
-    upper triangle of that column-major buffer, which is mirrored once at
-    the end, in place one panel of columns at a time, so the result is
+    checked as it arrives, 2-D and ``width`` columns wide, before anything
+    is allocated for it, so the width x width buffer is sized only once
+    batch 0 has passed.  Each batch is added by ``dsyrk`` into the upper
+    triangle of that column-major buffer, and then checked on its diagonal:
+    a NaN or infinity in column j, or squares that overflow, make H_jj NaN
+    or inf, so one O(width) read names the batch.  The triangle is mirrored
+    once at the end, in place one panel of rows at a time, so the result is
     exactly symmetric and no temporary outgrows a panel.
     """
     acc = None
@@ -137,17 +161,19 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
         b = as_matrix(b, what)
         if b.shape[1] != width:
             raise DimensionError(f"{what} has {b.shape[1]} columns, expected {width}")
-        b = finite_matrix(b, what)
         if acc is None:
             acc = np.zeros((width, width), order="F")
         if b.size:
             # a row-major batch is the column-major b.T that BLAS reads uncopied
             acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
+            if not np.isfinite(acc.diagonal()).all():
+                raise NumericOverflowError(f"{what} is not finite or overflows "
+                                           "the Hessian")
     if acc is None:
         raise DimensionError("need at least one activation batch")
     for j1 in range(0, width, MIRROR_PANEL):
         j2 = min(j1 + MIRROR_PANEL, width)
-        acc[j2:, j1:j2] = acc[j1:j2, j2:].T
+        acc[j1:j2, :j1] = acc[:j1, j1:j2].T
         diagonal = acc[j1:j2, j1:j2]
         diagonal += np.triu(diagonal, 1).T
     # symmetric, so the row-major view holds the same matrix
@@ -223,5 +249,12 @@ def column_norms(raw: np.ndarray) -> np.ndarray:
 
 
 def importance_scores(layer: Layer) -> np.ndarray:
-    """Per-weight score |w_ij| * norm_j, checked finite here, where it is made."""
-    return finite_matrix(np.abs(layer.w) * layer.norms, "scores")
+    """Per-weight score |w_ij| * norm_j, made in place on one copy of |W|.
+
+    Finite for every checked layer: a score overflows only where H_jj > 1,
+    and there |w_ij| H_jj, a factor of the dense energy's diagonal term,
+    overflows first, so ``checked_layer`` has rejected the layer.
+    """
+    scores = np.abs(layer.w)
+    scores *= layer.norms
+    return scores

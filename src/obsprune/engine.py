@@ -31,7 +31,7 @@ Columns past a sub-block (or block) are never read inside it, so deferring
 their updates changes only the rounding.  No activations are needed: the
 per-block error follows in closed form from the sweep's OBS errors, and
 every other error is a quadratic form in the raw Hessian,
-``calibration.error_prefix``.  Every method returns a ``PruneOutcome``,
+``calibration.error_total``.  Every method returns a ``PruneOutcome``,
 which derives its final and relative error from that per-block trajectory.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .calibration import HessianBundle, Layer, error_prefix
+from .calibration import HessianBundle, Layer, error_total
 from .errors import ConfigError, DimensionError, NumericOverflowError
 from .tensors import Permutation, PruneMask, SparsityConfig, pruned_entries
 
@@ -127,7 +127,7 @@ def reconstruction_error(layer: Layer, w_pruned: np.ndarray) -> tuple[float, flo
     """Squared output error ||(W - w_pruned) X.T||^2, absolute and relative."""
     if np.shape(w_pruned) != layer.w.shape:
         raise DimensionError(f"pruned shape {np.shape(w_pruned)} != {layer.w.shape}")
-    absolute = float(error_prefix(layer.w - w_pruned, layer.raw)[-1])
+    absolute = error_total(layer.w - w_pruned, layer.raw)
     return absolute, _relative(absolute, layer.dense_energy)
 
 
@@ -242,9 +242,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             # before i1 are final and were checked with earlier blocks
             finite = np.isfinite(tail_sq) or np.all(np.isfinite(delta[i1:]))
             if finite:
-                with np.errstate(over="ignore", invalid="ignore"):  # raised below
-                    raw_err = float(error_prefix(_channel_order(delta, order),
-                                                 layer.raw)[-1])
+                raw_err = error_total(_channel_order(delta, order), layer.raw)
             if not np.isfinite(raw_err):
                 what = "reconstruction error" if finite else "weights"
                 raise NumericOverflowError(f"non-finite {what} after block "

@@ -59,8 +59,8 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
 
     The relative range is taken over each block's loss per column, its sum
     divided by its width.  The scores must be finite, as
-    ``importance_scores`` checks them where it makes them: a selection must
-    see no NaN.
+    ``importance_scores`` makes them for every checked layer: a selection
+    must see no NaN.
     """
     rows, n = scores.shape
     ranges = config.block_ranges(n)

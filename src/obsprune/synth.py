@@ -59,7 +59,9 @@ def gen_activations(
     """Rows drawn from N(0, (1-c) I + c J) for equicorrelated columns.
 
     Realized as sqrt(1-c) * iid noise plus a shared sqrt(c) * common factor
-    per row, which has exactly that covariance.
+    per row, which has exactly that covariance.  The noise is scaled and the
+    factor added in place, so the output is the one samples x cols array
+    made.
     """
     _check_sizes(samples=samples, cols=cols)
     if not 0.0 <= correlation < 1.0:
@@ -69,4 +71,6 @@ def gen_activations(
     if correlation == 0.0:
         return base
     shared = rng.standard_normal((samples, 1))
-    return math.sqrt(1.0 - correlation) * base + math.sqrt(correlation) * shared
+    base *= math.sqrt(1.0 - correlation)
+    base += math.sqrt(correlation) * shared
+    return base

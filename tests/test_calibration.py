@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from obsprune import (
     DimensionError,
@@ -310,6 +310,98 @@ def test_raw_hessian_any_split(n, cuts, layouts, seed):
     # the rounding of each entry scales with sqrt(H_ii H_jj)
     scale = np.sqrt(np.outer(want.diagonal(), want.diagonal()))
     assert np.all(np.abs(h - want) <= 1e-12 * scale)
+
+
+def batch_in_layout(b, layout):
+    """``b`` as a row-major, column-major or float32 batch."""
+    if layout == "F":
+        return np.asfortranarray(b)
+    return b.astype(np.float32) if layout == "f32" else b
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(1, 40),
+    rows=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    which=st.integers(0, 3),
+    layout=st.sampled_from(["C", "F", "f32"]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_non_finite_batch_named_before_factoring(n, rows, which, layout, bad, seed):
+    """A NaN or infinity anywhere in any batch fails on H's diagonal.
+
+    Batch ``which`` holds one bad entry in a random row and column; the
+    batches before it are finite, some with no rows, and the None after it
+    is never read.  The error names the batch, and nothing is factored.
+    """
+    rng = np.random.default_rng(seed)
+    which = min(which, len(rows) - 1)
+    rows[which] = max(rows[which], 1)
+    batches = [batch_in_layout(rng.standard_normal((r, n)), layout) for r in rows]
+    x = rng.standard_normal((rows[which], n))
+    x[rng.integers(rows[which]), rng.integers(n)] = bad
+    batches[which] = batch_in_layout(x, layout)
+
+    def never(*args, **kwargs):
+        raise AssertionError("factored")
+
+    with mock.patch.object(lapack, "dpotrf", never), pytest.raises(
+        NumericOverflowError, match=f"activation batch {which} is not finite"
+    ):
+        rose_prune_layer(np.ones((2, n)), iter([*batches[: which + 1], None]),
+                         SparsityConfig(0.5, blocksize=8))
+
+
+@pytest.mark.parametrize("batches,which", [
+    # one square overflows
+    ([np.ones((3, 4)), np.diag([1.0, 1e200, 1.0, 1.0])], 1),
+    # no square overflows, but the running sum does, in the second batch
+    ([np.full((1, 4), 1e154), np.full((2, 4), 1e154)], 1),
+    ([np.full((2, 4), 1e154)], 0),
+], ids=["square", "sum-across-batches", "sum-in-batch"])
+def test_finite_batch_whose_squares_overflow_is_named(batches, which):
+    with pytest.raises(NumericOverflowError, match=f"activation batch {which} "):
+        raw_hessian(batches, 4)
+
+
+def test_zero_row_batches_and_dead_columns_pass():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((12, 5))
+    x[:, [1, 4]] = 0.0
+    empty = np.zeros((0, 5))
+    h = raw_hessian([empty, x[:7], empty, x[7:], empty], 5)
+    np.testing.assert_array_equal(h.diagonal()[[1, 4]], 0.0)
+    np.testing.assert_array_equal(h, raw_hessian([x[:7], x[7:]], 5))
+
+
+def column_panel_mirror(acc):
+    """Mirror the upper triangle of ``acc`` one panel of columns at a time.
+
+    Each panel's below-diagonal part is copied from the rows above it, as
+    ``raw_hessian`` once did; the row-major view of the result.
+    """
+    acc = np.array(acc, order="F")
+    n = acc.shape[0]
+    for j1 in range(0, n, MIRROR_PANEL):
+        j2 = min(j1 + MIRROR_PANEL, n)
+        acc[j2:, j1:j2] = acc[j1:j2, j2:].T
+        diagonal = acc[j1:j2, j1:j2]
+        diagonal += np.triu(diagonal, 1).T
+    return acc.T
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_row_panel_mirror_is_the_column_panel_mirror(n):
+    rng = np.random.default_rng(n)
+    batches = [rng.standard_normal((r, n)) for r in (n + 3, 5)]
+    acc = np.zeros((n, n), order="F")
+    for b in batches:
+        acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
+    got = raw_hessian(batches, n)
+    want = column_panel_mirror(acc)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got, got.T)
 
 
 def traced_bytes(fn):

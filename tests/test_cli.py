@@ -406,9 +406,9 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
     """One compare op over compare-sweep's shapes builds one layer.
 
     256 x 1024 columnar weights, 2,048 samples in 4 float32 batches, every
-    method at 4 sparsities: the dense energy is computed once, in
-    ``checked_layer``, and ``error_prefix`` runs 9 times in all: that once
-    and once for each of the 8 baseline runs.
+    method at 4 sparsities: the dense energy is computed once, by
+    ``error_total`` in ``checked_layer``, and ``error_prefix`` once for
+    each of the 8 baseline runs.
     """
     w = gen_columnar(256, 1024, 128, 7, 10.0, seed=0)
     write_tensor(tmp_path / "w.rtns", w)
@@ -427,21 +427,21 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
         return layers[-1]
 
     patch_everywhere(monkeypatch, original, checked)
-    operands = []
-    prefix = calibration.error_prefix
+    operands = {"error_total": [], "error_prefix": []}
+    for name, calls in operands.items():
+        def spy(d, hessian, _calls=calls, _kernel=getattr(calibration, name)):
+            _calls.append(d)
+            return _kernel(d, hessian)
 
-    def spy(d, hessian):
-        operands.append(d)
-        return prefix(d, hessian)
-
-    patch_everywhere(monkeypatch, prefix, spy)
+        patch_everywhere(monkeypatch, getattr(calibration, name), spy)
     code = run(["compare", "--weights", str(tmp_path / "w.rtns"),
                 "--acts", str(tmp_path / "acts.json"),
                 "--sparsity", "0.5,0.6,0.7,0.8", "--out", str(tmp_path / "out")])
     assert code == 0
     [layer] = layers
-    assert sum(d is layer.w for d in operands) == 1
-    assert len(operands) == 9
+    [energy] = operands["error_total"]
+    assert energy is layer.w
+    assert len(operands["error_prefix"]) == 8
     with open(tmp_path / "out" / "compare.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == 20
 

@@ -25,7 +25,8 @@ from obsprune import (
     rose_prune_layer,
 )
 from obsprune import engine
-from obsprune.engine import CANCELLATION, error_prefix, select_block_mask
+from obsprune.calibration import error_prefix, error_total
+from obsprune.engine import CANCELLATION, select_block_mask
 from obsprune.tensors import SemiStructured
 
 from hessian_helpers import accumulate_hessian, dampened_hessian
@@ -222,7 +223,8 @@ class TestOutcome:
 
 
 class TestErrorPrefix:
-    """``error_prefix`` against a long-double sum, on every layout of d."""
+    """``error_prefix`` and ``error_total`` against a long-double sum, on every
+    layout of d."""
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -241,8 +243,10 @@ class TestErrorPrefix:
         spread[:, ::2] = d
         layouts = [d, np.asfortranarray(d), spread[:, ::2]]
         got = error_prefix(layouts[0], h)
+        total = error_total(layouts[0], h)
         for other in layouts[1:]:
             assert np.array_equal(error_prefix(other, h), got)
+            assert error_total(other, h) == total
 
         dl, hl = d.astype(np.longdouble), h.astype(np.longdouble)
         assert got.shape == (n + 1,)
@@ -251,6 +255,8 @@ class TestErrorPrefix:
             want = np.sum((de @ he) * de)
             scale = np.sum((np.abs(de) @ np.abs(he)) * np.abs(de))
             assert abs(got[e] - want) <= 1e-12 * scale
+        # the total is the last entry, made without the prefix
+        assert abs(total - want) <= 1e-12 * scale
 
     def test_reads_only_the_upper_triangle(self):
         rng = np.random.default_rng(3)
@@ -432,7 +438,7 @@ class TestClosedFormTrajectory:
         self, monkeypatch, semi
     ):
         # with the closed form always refused, every block's error is
-        # error_prefix of W0 - W_k, whose later columns the sweep holds only
+        # error_total of W0 - W_k, whose later columns the sweep holds only
         # as the updates added into W0 - W; in a shuffled order W_k must come
         # back in channel order, as optimality alone gives it
         rng = np.random.default_rng(44)
@@ -454,9 +460,9 @@ class TestClosedFormTrajectory:
 
         def recorded(d, hessian):
             measured.append(np.array(d))
-            return error_prefix(d, hessian)
+            return error_total(d, hessian)
 
-        monkeypatch.setattr(engine, "error_prefix", recorded)
+        monkeypatch.setattr(engine, "error_total", recorded)
         out = prune_layer(b, cfg)
         assert len(measured) == 3
 

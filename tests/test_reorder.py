@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from obsprune import (
@@ -26,8 +26,7 @@ from obsprune import (
     rose_prune_layer,
     wanda_prune,
 )
-from obsprune import calibration, cli, engine, reorder, tensors
-from obsprune.calibration import Layer
+from obsprune import cli, engine, reorder
 
 from hessian_helpers import accumulate_hessian, block_order
 
@@ -58,23 +57,36 @@ class TestScores:
         s = scores_with_norms(w, [0.0, 1.0])
         np.testing.assert_array_equal(s[:, 0], [0.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_scores_rejected(self, bad):
-        """Non-finite scores would reach a selection that must see no NaN.
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 6),
+        w_exp=st.integers(-20, 308),
+        h_exp=st.integers(-300, 308),
+        rho=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_checked_layer_scores_finite(self, n, w_exp, h_exp, rho, seed):
+        """A selection must see no NaN, and no layer that passed gives one.
 
-        ``checked_layer`` rejects such weights, and every layer whose
-        |w| * norm overflows (its dense energy overflows first), so the
-        ``Layer`` is built directly.
+        |W| ~ 10**w_exp and H_jj ~ 10**h_exp range up to overflow, and
+        H = S ((1 - rho) I + rho J) S correlates the columns fully at rho = 1,
+        where W's signs can cancel the dense energy.  A score overflows only
+        where |w| H_jj, and so the energy's diagonal term, overflows first.
         """
-        w = np.ones((2, 8))
-        w[0, 5] = bad
-        layer = Layer(w, np.eye(8), np.ones(8), np.zeros(8, bool), 1.0)
-        with pytest.raises(NumericOverflowError, match="scores not finite"):
-            importance_scores(layer)
-        w = np.ones((2, 8))
-        w[1, 2] = bad
-        with pytest.raises(NumericOverflowError, match="weights not finite"):
-            checked_layer(w, np.eye(8))
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.5, 2.0, n) * 10.0 ** (h_exp / 2)
+        signs = rng.choice([-1.0, 1.0], (3, n))
+        with np.errstate(over="ignore"):  # checked_layer rejects an inf
+            w = signs * rng.uniform(0.5, 2.0, (3, n)) * 10.0 ** w_exp
+            h = np.outer(s, s) * ((1.0 - rho) * np.eye(n) + rho)
+        try:
+            layer = checked_layer(w, h)
+        except NumericOverflowError:
+            return
+        scores = importance_scores(layer)
+        assert np.all(np.isfinite(scores))
+        # steer the search toward the largest scores a checked layer can have
+        target(float(np.log10(scores.max())))
 
 
 class TestLossProfile:
@@ -510,24 +522,23 @@ class TestPruneRuns:
             list(prune_runs(layer, ["sparsegtp"], [SparsityConfig(0.5, 4)]))
 
     def test_scores_are_checked_once(self, monkeypatch):
-        """One scoring, checked where it is made, serves every loss profile.
+        """One scoring serves every loss profile.
 
         wanda is left out: it scores the layer itself, once per run.
         """
-        checked = []
+        scored = []
 
-        def counted(a, what="weights"):
-            checked.append(what)
-            return tensors.finite_matrix(a, what)
+        def counted(layer):
+            scored.append(layer)
+            return importance_scores(layer)
 
-        for module in (calibration, reorder):
-            monkeypatch.setattr(module, "finite_matrix", counted)
+        monkeypatch.setattr(reorder, "importance_scores", counted)
         layer = checked_layer(gen_columnar(8, 32, 8, 3, 10.0, seed=2), raw_hessian(
             [gen_activations(64, 32, 0.3, seed=3)], 32))
         configs = [SparsityConfig(p, 8) for p in (0.5, 0.6, 0.7, 0.8)]
         methods = [m for m in reorder.METHODS if m != "wanda"]
         assert len(list(prune_runs(layer, methods, configs))) == 16
-        assert checked.count("scores") == 1
+        assert scored == [layer]
 
     def test_channel_factor_is_shared_per_damping(self, monkeypatch):
         """One channel-order factor per damping, never one from another damping."""

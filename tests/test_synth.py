@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,3 +76,26 @@ def test_activations_rejects_bad_correlation():
 def test_rejects_empty_sizes(generate):
     with pytest.raises(ConfigError, match="must be >= 1"):
         generate()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1000003])
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.9])
+def test_activations_are_the_scaled_noise_plus_the_shared_factor(seed, c):
+    rng = np.random.Generator(np.random.Philox(seed))
+    base = rng.standard_normal((300, 40))
+    want = base
+    if c:
+        want = math.sqrt(1.0 - c) * base + math.sqrt(c) * rng.standard_normal((300, 1))
+    assert np.array_equal(gen_activations(300, 40, c, seed), want)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_activations_made_in_one_copy(c):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = gen_activations(2000, 300, c, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.nbytes
