@@ -57,6 +57,31 @@ class TestScores:
         s = scores_with_norms(w, [0.0, 1.0])
         np.testing.assert_array_equal(s[:, 0], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        """No input whose score would be NaN or inf reaches a scoring.
+
+        ``importance_scores`` trusts its layer, so ``checked_layer`` rejects
+        each such input first: a non-finite weight, a non-finite H_jj, and
+        finite ones whose score |w| sqrt(H_jj) overflows.
+        """
+        w = np.ones((2, 8))
+        w[1, 2] = bad
+        with pytest.raises(NumericOverflowError, match="weights not finite"):
+            checked_layer(w, np.eye(8))
+        h = np.eye(8)
+        h[5, 5] = bad
+        with pytest.raises(NumericOverflowError, match="hessian not finite"):
+            checked_layer(np.ones((2, 8)), h)
+        w = np.ones((2, 8))
+        w[0, 5] = 1e300
+        h = np.eye(8)
+        h[5, 5] = 1e300
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.abs(w) * np.sqrt(h.diagonal())).all()
+        with pytest.raises(NumericOverflowError, match="dense output energy"):
+            checked_layer(w, h)
+
     @settings(deadline=None, max_examples=200)
     @given(
         n=st.integers(1, 6),
