@@ -3,12 +3,15 @@ loss-ordered channel reordering."""
 
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import (
+    DampedInverse,
     HessianBundle,
     Layer,
     bundle_from_hessian,
+    bundle_from_inverse,
     checked_layer,
     column_norms,
     importance_scores,
+    invert_in_place,
     raw_hessian,
 )
 from .engine import PruneOutcome, prune_layer, reconstruction_error

@@ -10,10 +10,13 @@ column norms, the dead channels and the dense output energy, derived once,
 and every method reads them from it.  Every error is a quadratic form in
 H: ``error_total`` gives the whole of one, ``error_prefix`` its running
 sum over the columns.  For pruning, H is dampened by a multiple of its mean
-diagonal, and the upper Cholesky factor of its inverse, which drives the
-compensation engine, comes from one in-place factorization: LAPACK's upper
-Cholesky factor of H in pruning order with rows and columns reversed,
-inverted as a triangle and read transposed and in reverse.
+diagonal, and the upper Cholesky factor of its inverse drives the
+compensation engine.  It is made one of two ways.  ``bundle_from_hessian``
+factors H in pruning order with rows and columns reversed, inverts the
+factor as a triangle and reads it transposed and in reverse.  Once a
+channel-order factor exists, ``invert_in_place`` turns its buffer into the
+whole inverse, and ``bundle_from_inverse`` gathers that inverse in another
+order and factors it with one ``dpotrf``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .tensors import Permutation, as_matrix, finite_matrix
 #: and 256, 64 mirrored fastest at n = 1024 and 2048 (at 2048: 11.5, 8.2,
 #: 10.3 and 18.0 ms, 2 BLAS threads)
 MIRROR_PANEL = 64
-#: rows per panel when ``bundle_from_hessian`` gathers H's columns
+#: rows per panel when a factor gathers the columns of H or of its inverse
 GATHER_PANEL = 64
 
 
@@ -60,17 +63,36 @@ class HessianBundle:
     """A layer and the inverse factor used to prune it; equality is by identity.
 
     ``chol_upper`` is the upper triangular U, zeros below, with inv(H) =
-    U.T @ U for the dampened Hessian H[order][:, order], held as LAPACK's
-    buffer transposed and read in reverse, a view with strides (-8n, -8).
-    Its trailing blocks reproduce the inverses of all trailing Hessian
-    submatrices, which is what lets one factorization serve the whole
-    left-to-right sweep.
+    U.T @ U for the dampened Hessian H[order][:, order].  From
+    ``bundle_from_hessian`` it is LAPACK's buffer transposed and read in
+    reverse, a view with strides (-8n, -8); from ``bundle_from_inverse`` it
+    is LAPACK's buffer itself, a plain column-major array.  Its trailing
+    blocks reproduce the inverses of all trailing Hessian submatrices,
+    which is what lets one factorization serve the whole left-to-right
+    sweep.
     """
 
     layer: Layer
     chol_upper: np.ndarray
     damp_lambda: float
     order: Permutation
+
+
+@dataclass(frozen=True, eq=False)
+class DampedInverse:
+    """A layer's inverse dampened Hessian, made once per damping; equality is by identity.
+
+    ``reversed`` is 4**shift * inv(H + damp_lambda I) in channel order with
+    rows and columns reversed, whole and exactly symmetric.  The power of
+    two, set by H's largest dampened diagonal, keeps its entries near the
+    scale of 1, so that they neither underflow nor overflow where the
+    factors made from them do not.
+    """
+
+    layer: Layer
+    reversed: np.ndarray
+    damp_lambda: float
+    shift: int
 
 
 def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
@@ -171,13 +193,23 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
                                            "the Hessian")
     if acc is None:
         raise DimensionError("need at least one activation batch")
-    for j1 in range(0, width, MIRROR_PANEL):
-        j2 = min(j1 + MIRROR_PANEL, width)
-        acc[j1:j2, :j1] = acc[:j1, j1:j2].T
-        diagonal = acc[j1:j2, j1:j2]
-        diagonal += np.triu(diagonal, 1).T
+    _mirror_upper(acc)
     # symmetric, so the row-major view holds the same matrix
     return acc.T
+
+
+def _mirror_upper(a: np.ndarray):
+    """Copy the upper triangle of ``a``, whose strict lower one is zero, below it.
+
+    In place, one panel of ``MIRROR_PANEL`` rows at a time, so the result
+    is exactly symmetric and no temporary outgrows a panel.
+    """
+    n = a.shape[0]
+    for j1 in range(0, n, MIRROR_PANEL):
+        j2 = min(j1 + MIRROR_PANEL, n)
+        a[j1:j2, :j1] = a[:j1, j1:j2].T
+        diagonal = a[j1:j2, j1:j2]
+        diagonal += np.triu(diagonal, 1).T
 
 
 def damping(raw: np.ndarray, damp_fraction: float) -> float:
@@ -202,11 +234,9 @@ def bundle_from_hessian(
 
     The one copy of H made here is h = H[q][:, q] for q the order reversed,
     whose leading k x k block is the trailing block of H[order][:, order]
-    reversed.  Only its lower triangle, the one upper ``dpotrf`` reads of
-    h.T, is gathered: each panel of 64 rows takes its rows of H, then its
-    first columns in the order q (a peak of n**2 + 64 n doubles).  It is
-    factored and inverted in place; U is that buffer transposed and read
-    in reverse.  ``damping`` is checked before H is copied.
+    reversed.  It is gathered by ``_gather_lower``, factored and inverted
+    in place; U is that buffer transposed and read in reverse.  ``damping``
+    is checked before H is copied.
     """
     raw = layer.raw
     n = raw.shape[0]
@@ -216,31 +246,95 @@ def bundle_from_hessian(
         raise DimensionError(f"order size {order.size} != Hessian size {n}")
     lam = damping(raw, damp_fraction)
     q = order.forward[::-1]
+    h = _gather_lower(raw, q)
+    h.reshape(-1)[:: n + 1] += lam
+    inv_up, info = lapack.dtrtri(_upper_cholesky(h, q), lower=0, overwrite_c=1)
+    if info != 0:
+        raise IndefiniteHessianError(f"dtrtri failed with info={info}")
+    return HessianBundle(layer, inv_up.T[::-1, ::-1], lam, order)
+
+
+def invert_in_place(bundle: HessianBundle) -> DampedInverse:
+    """The damped inverse, written over the channel-order bundle's own factor.
+
+    The bundle's buffer holds inv(R) for the reversed H + lambda I = R.T R,
+    so one ``dlauum``, inv(R) inv(R).T, makes the inverse of H in reversed
+    order, and the panel mirror makes it whole.  inv(R) is first scaled by
+    2**shift, a power of two that grows by k when H grows by 4**k, so no
+    bit of the result depends on the scale of H.  The bundle must not be
+    used afterwards.
+    """
+    if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
+        raise ValueError("only a channel-order factor can be inverted in place")
+    # the column-major buffer dtrtri wrote, upper inv(R) and zeros below
+    buf = bundle.chol_upper[::-1, ::-1].T
+    top = bundle.layer.raw.diagonal().max() + bundle.damp_lambda
+    shift = int(np.frexp(top)[1]) // 2
+    np.ldexp(buf, shift, out=buf)
+    buf, info = lapack.dlauum(buf, lower=0, overwrite_c=1)
+    if info != 0:
+        raise IndefiniteHessianError(f"dlauum failed with info={info}")
+    _mirror_upper(buf)
+    # symmetric, so the row-major view, whose rows gather fastest, is the same
+    return DampedInverse(bundle.layer, buf.T, bundle.damp_lambda, shift)
+
+
+def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBundle:
+    """Factor the dampened H[order][:, order] from the layer's damped inverse.
+
+    inv(H)[order][:, order] is gathered from the reversed inverse by
+    ``_gather_lower`` and factored by one upper ``dpotrf``, which is U
+    itself: no reversal and no triangular inverse.  Scaling back by
+    2**-shift is exact, so U matches ``bundle_from_hessian``'s to rounding.
+    """
+    n = inverse.reversed.shape[0]
+    if order.size != n:
+        raise DimensionError(f"order size {order.size} != Hessian size {n}")
+    # channel j is row and column n - 1 - j of the reversed inverse
+    h = _gather_lower(inverse.reversed, (n - 1) - order.forward)
+    up = _upper_cholesky(h, order.forward)
+    np.ldexp(up, -inverse.shift, out=up)
+    return HessianBundle(inverse.layer, up, inverse.damp_lambda, order)
+
+
+def _gather_lower(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The lower triangle of m[q][:, q], row-major, in one new buffer.
+
+    Only the triangle the upper ``dpotrf`` reads of its transpose is
+    gathered: each panel of 64 rows takes its rows of m, then its first
+    columns in the order q (a peak of n**2 + 64 n doubles).
+    """
+    n = q.size
     h = np.empty((n, n))
     for i in range(0, n, GATHER_PANEL):
         j = min(i + GATHER_PANEL, n)
         # q is a permutation, so no index clips; the default mode="raise"
         # would buffer the rows before writing them into h
-        raw.take(q[i:j], axis=0, out=h[i:j], mode="clip")
+        m.take(q[i:j], axis=0, out=h[i:j], mode="clip")
         h[i:j, :j] = h[i:j].take(q[:j], axis=1)
-    h.reshape(-1)[:: n + 1] += lam
-    # h.T is the column-major matrix LAPACK overwrites, where the upper
-    # variant runs faster than the lower; it reads only the upper triangle
-    # of h.T, the one gathered, and the default clean=1 zeroes the strict
-    # lower one, left ungathered, which dtrtri keeps
+    return h
+
+
+def _upper_cholesky(h: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """LAPACK's upper Cholesky factor of h.T, in h's buffer, zeros below.
+
+    h.T is the column-major matrix LAPACK overwrites, where the upper
+    variant runs faster than the lower.  It reads only the upper triangle
+    of h.T, the one ``_gather_lower`` gathers, and its default clean=1
+    zeroes the strict lower one, left ungathered.  ``channels[j]`` names
+    the channel of h's column j, the pivot an IndefiniteHessianError
+    reports.
+    """
     up, info = lapack.dpotrf(h.T, lower=0, overwrite_a=1)
     if info > 0:
-        pivot = int(order.forward[n - info])
+        pivot = int(channels[info - 1])
         raise IndefiniteHessianError(
             f"dampened Hessian is not positive definite (pivot {pivot})",
             pivot=pivot,
         )
     if info < 0:
         raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-    inv_up, info = lapack.dtrtri(up, lower=0, overwrite_c=1)
-    if info != 0:
-        raise IndefiniteHessianError(f"dtrtri failed with info={info}")
-    return HessianBundle(layer, inv_up.T[::-1, ::-1], lam, order)
+    return up
 
 
 def column_norms(raw: np.ndarray) -> np.ndarray:

@@ -230,8 +230,17 @@ def cmd_compare(args) -> int:
     configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
     [layer] = _load_inputs(args, configs[0])
-    rows = [
-        {
+    # rows go in sparsity x method order, whatever order the runs finish in;
+    # a slot is emptied once filled, so a repeated config or method fills
+    # its slots in turn
+    slots = [(id(config), method) for config in configs for method in methods]
+    rows = [None] * len(slots)
+    for config, method, outcome, plan, profile, wall_ms in prune_runs(
+        layer, methods, configs
+    ):
+        i = slots.index((id(config), method))
+        slots[i] = None
+        rows[i] = {
             "method": method,
             "sparsity": config.sparsity,
             "relative_error": outcome.relative_error,
@@ -239,9 +248,6 @@ def cmd_compare(args) -> int:
             "was_reordered": plan.was_reordered,
             "wall_ms": wall_ms,
         }
-        for config, method, outcome, plan, profile, wall_ms
-        in prune_runs(layer, methods, configs)
-    ]
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "compare.csv"
 

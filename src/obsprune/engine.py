@@ -105,12 +105,17 @@ def _add_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray,
 
     One ``dgemm`` on the transposes, which are column-major, accumulates
     into ``out`` without a product temporary.  f2py copies the factor's
-    strided rows either way; their transpose, read with ``trans_b``, copies
-    in memory order, which timed faster.  f2py rejects an empty ``c``,
-    which the last block's (empty) tail and a layer with no rows give.
+    strided rows into a column-major operand either way; it is handed the
+    rows, or their transpose to read with ``trans_b``, whichever runs down
+    its columns in memory order, which timed faster: the rows of a
+    column-major factor, the transpose of a reversed one.  f2py rejects an
+    empty ``c``, which the last block's (empty) tail and a layer with no
+    rows give.
     """
     if out.size:
-        blas.dgemm(alpha, errs.T, upper_rows.T, trans_b=1, beta=1.0, c=out.T,
+        down, across = (abs(s) for s in upper_rows.strides)
+        b, trans_b = (upper_rows, 0) if down <= across else (upper_rows.T, 1)
+        blas.dgemm(alpha, errs.T, b, trans_b=trans_b, beta=1.0, c=out.T,
                    overwrite_c=1)
 
 

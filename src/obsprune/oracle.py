@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import bundle_from_hessian, checked_layer, damping, raw_hessian
+from .calibration import (bundle_from_hessian, bundle_from_inverse, checked_layer,
+                          damping, invert_in_place, raw_hessian)
 from .engine import PruneOutcome, prune_layer
 from .errors import (
     DimensionError,
@@ -27,7 +28,7 @@ from .errors import (
     OracleScaleError,
     SingularOracleError,
 )
-from .tensors import PruneMask, SparsityConfig, as_matrix
+from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix
 
 ORACLE_MAX_COLS = 64
 
@@ -160,6 +161,9 @@ def cross_check(seed: int, damp: float) -> list[str]:
     ``naive_obs_prune`` on masks and final error: ten unstructured, and
     five 2:4 with masks chosen per group inside wider blocks.  Given a
     damping, every other one has three dead channels with large weights.
+    A last trial factors H in a random order from its damped inverse and
+    from H itself, and compares the factors; given a damping, with three
+    dead channels.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -199,4 +203,16 @@ def cross_check(seed: int, damp: float) -> list[str]:
         denom = max(abs(slow.final_error), 1e-300)
         if abs(fast.final_error - slow.final_error) / denom > 1e-6:
             failures.append(f"FAIL error equivalence, trial {trial}")
+
+    n = int(rng.integers(8, 65))
+    X = rng.standard_normal((2 * n, n))
+    if damp > 0:
+        X[:, rng.choice(n, size=3, replace=False)] = 0.0
+    layer = checked_layer(np.zeros((1, n)), raw_hessian([X], n))
+    order = Permutation(rng.permutation(n))
+    want = bundle_from_hessian(layer, damp, order).chol_upper
+    inverse = invert_in_place(bundle_from_hessian(layer, damp))
+    got = bundle_from_inverse(inverse, order).chol_upper
+    if np.max(np.abs(got - want)) > 1e-12 * np.max(np.abs(want)):
+        failures.append("FAIL factor from the damped inverse")
     return failures

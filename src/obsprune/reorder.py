@@ -12,10 +12,11 @@ is mapped back to the original channel order.
 ``prune_runs`` is the one pipeline, run by ``rose_prune_layer``, the CLI
 and demo 01: it turns a method name into profile, plan, factor and prune
 on one checked ``Layer``.  Every second-order method is a column order of
-that layer, factored by ``bundle_from_hessian``, plus ``prune_layer``,
-which sweeps the columns in the bundle's order: SparseGPT is the identity
-order, ROSE the order of its reorder plan.  Under an n:m pattern an order
-must keep every group of m whole, or ``prune_layer`` rejects it.
+that layer, factored from H or from its damped inverse, plus
+``prune_layer``, which sweeps the columns in the bundle's order: SparseGPT
+is the identity order, ROSE the order of its reorder plan.  Under an n:m
+pattern an order must keep every group of m whole, or ``prune_layer``
+rejects it.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import magnitude_prune, wanda_prune
-from .calibration import (Layer, bundle_from_hessian, checked_layer,
-                          importance_scores, raw_hessian)
+from .calibration import (Layer, bundle_from_hessian, bundle_from_inverse,
+                          checked_layer, importance_scores, invert_in_place,
+                          raw_hessian)
 from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError
 from .tensors import Permutation, SparsityConfig, finite_matrix, pruned_entries
 
-#: every method ``prune_runs`` runs, in the order ``obsprune compare`` runs them
+#: every method ``prune_runs`` runs, in the order ``obsprune compare`` lists them
 METHODS = ("magnitude", "wanda", "sparsegpt", "rose", "rose-ascending")
 
 
@@ -120,35 +122,58 @@ def prune_runs(layer: Layer, methods: Sequence[str],
 
     Each config gets one loss profile.  magnitude and wanda do not
     compensate; sparsegpt sweeps in channel order, rose in its plan's order
-    and rose-ascending in the flipped one.  Runs left in place share the
-    channel-order factor of H, kept until a config with another damping
-    needs one.  An unknown method raises ConfigError before any run.
+    and rose-ascending in the flipped one.  Runs are grouped by damping, in
+    the order the dampings first appear, and yielded as they finish.  In
+    each group the runs left in place go first, in config x method order,
+    and share the channel-order factor of H.  The reordered runs follow in
+    the same order.  If the channel factor was made, the first of them
+    overwrites it with the damped inverse (``invert_in_place``), and each
+    is factored from that (``bundle_from_inverse``); otherwise each factors
+    H itself.  A run's wall_ms covers its plan, its factor and its prune,
+    and the first reordered one's also the inversion.  An unknown method
+    raises ConfigError before any run.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
-    factors = {}
     scores = importance_scores(layer)
     profiles = [loss_profile(scores, config) for config in configs]
     del scores  # one scoring serves every profile, and is freed before any run
-    for config, profile in zip(configs, profiles):
-        for method in methods:
-            t0 = time.perf_counter()
-            plan = in_place
-            if method.startswith("rose"):
-                plan = build_reorder_plan(profile, config, method == "rose")
-            if method == "magnitude":
-                outcome = magnitude_prune(layer, config)
-            elif method == "wanda":
-                outcome = wanda_prune(layer, config)
-            elif plan.was_reordered:
-                outcome = prune_layer(bundle_from_hessian(
-                    layer, config.damp_fraction, plan.permutation), config)
-            else:
-                damp = config.damp_fraction
-                if damp not in factors:
-                    factors = {damp: bundle_from_hessian(layer, damp)}
-                outcome = prune_layer(factors[damp], config)
+    for damp in dict.fromkeys(config.damp_fraction for config in configs):
+        channel = inverse = None
+        reordered = []
+        for config, profile in zip(configs, profiles):
+            if config.damp_fraction != damp:
+                continue
+            for method in methods:
+                t0 = time.perf_counter()
+                plan = in_place
+                if method.startswith("rose"):
+                    plan = build_reorder_plan(profile, config, method == "rose")
+                if plan.was_reordered:
+                    reordered.append((config, method, plan, profile,
+                                      time.perf_counter() - t0))
+                    continue
+                if method == "magnitude":
+                    outcome = magnitude_prune(layer, config)
+                elif method == "wanda":
+                    outcome = wanda_prune(layer, config)
+                else:
+                    if channel is None:
+                        channel = bundle_from_hessian(layer, damp)
+                    outcome = prune_layer(channel, config)
+                wall_ms = (time.perf_counter() - t0) * 1000.0
+                yield config, method, outcome, plan, profile, wall_ms
+        for config, method, plan, profile, plan_s in reordered:
+            # the run's clock includes its plan, built above
+            t0 = time.perf_counter() - plan_s
+            if channel is not None:
+                inverse, channel = invert_in_place(channel), None
+            order = plan.permutation
+            # the factor is bound to no name, so it is freed before the next one
+            outcome = prune_layer(bundle_from_hessian(layer, damp, order)
+                                  if inverse is None
+                                  else bundle_from_inverse(inverse, order), config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             yield config, method, outcome, plan, profile, wall_ms
 

@@ -14,8 +14,11 @@ from obsprune import (
     Permutation,
     SparsityConfig,
     bundle_from_hessian,
+    bundle_from_inverse,
     checked_layer,
     column_norms,
+    gen_columnar,
+    invert_in_place,
     magnitude_prune,
     naive_obs_prune,
     prune_layer,
@@ -25,7 +28,7 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import baselines, engine
-from obsprune.calibration import MIRROR_PANEL
+from obsprune.calibration import GATHER_PANEL, MIRROR_PANEL, DampedInverse
 
 from hessian_helpers import (
     accumulate_hessian,
@@ -284,6 +287,79 @@ def test_panel_gather_factors_the_direct_gather_bitwise():
     np.testing.assert_array_equal(b.chol_upper, inv_up.T[::-1, ::-1])
 
 
+def layer_with_dead(n, dead, seed):
+    """A layer of one zero row whose H has ``dead`` zero channels."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
+    x[:, rng.choice(n, size=dead, replace=False)] = 0.0
+    return checked_layer(np.zeros((1, n)), raw_hessian([x], n))
+
+
+def group_keeping_order(n, m, seed):
+    """A random order that keeps each group of m columns whole, as a 2:4 plan must."""
+    rng = np.random.default_rng(seed)
+    groups = rng.permutation(n // m)[:, None] * m
+    return Permutation((groups + rng.permuted(np.tile(np.arange(m), (n // m, 1)),
+                                              axis=1)).reshape(-1))
+
+
+@pytest.mark.parametrize("n,dead", [(1, 0), (37, 0), (130, 3), (200, 5)])
+def test_inverse_in_place_is_the_damped_inverse(n, dead):
+    layer = layer_with_dead(n, dead, seed=n)
+    b = bundle_from_hessian(layer, 0.01)
+    held = b.chol_upper
+    inv = invert_in_place(b)
+    # written over the factor's own buffer, whole and exactly symmetric
+    assert np.shares_memory(inv.reversed, held)
+    assert np.array_equal(inv.reversed, inv.reversed.T)
+    assert (inv.layer, inv.damp_lambda) == (layer, b.damp_lambda)
+    want = np.linalg.inv(dampened_hessian(b))
+    got = np.ldexp(inv.reversed[::-1, ::-1], -2 * inv.shift)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dead", [0, 3])
+@pytest.mark.parametrize("kind", ["identity", "random", "2:4 groups"])
+def test_factor_from_inverse_matches_factor_of_h(kind, dead):
+    n = 2 * GATHER_PANEL + 12
+    layer = layer_with_dead(n, dead, seed=dead)
+    order = {"identity": Permutation.identity(n),
+             "random": Permutation(np.random.default_rng(5).permutation(n)),
+             "2:4 groups": group_keeping_order(n, 4, seed=6)}[kind]
+    want = bundle_from_hessian(layer, 0.01, order)
+    got = bundle_from_inverse(invert_in_place(bundle_from_hessian(layer, 0.01)), order)
+    assert got.layer is layer and got.order is order
+    assert got.damp_lambda == want.damp_lambda
+    # LAPACK's buffer itself, upper triangular
+    u = got.chol_upper
+    assert u.flags.f_contiguous and np.array_equal(u, np.triu(u))
+    assert np.max(np.abs(u - want.chol_upper)) <= 1e-12 * np.max(np.abs(want.chol_upper))
+    for i in (0, n // 3, n - 1):
+        assert cholesky_inverse_identity_check(got, i) <= 1e-12 * np.max(
+            np.abs(u.T @ u))
+
+
+def test_only_a_channel_order_factor_is_inverted():
+    layer = layer_with_dead(8, 0, seed=1)
+    b = bundle_from_hessian(layer, 0.01, Permutation(np.arange(8)[::-1].copy()))
+    with pytest.raises(ValueError, match="channel-order"):
+        invert_in_place(b)
+
+
+def test_indefinite_inverse_names_the_channel_in_its_order():
+    # an inverse that is not positive definite fails in dpotrf at column 2
+    # of the order, which is channel 5; the reversed matrix is read at n-1-j
+    n = 6
+    layer = layer_with_dead(n, 0, seed=2)
+    m = np.eye(n)
+    m[5, 5] = -1.0
+    order = Permutation(np.array([1, 0, 5, 2, 3, 4]))
+    inverse = DampedInverse(layer, m[::-1, ::-1].copy(), 0.0, 0)
+    with pytest.raises(IndefiniteHessianError) as exc:
+        bundle_from_inverse(inverse, order)
+    assert exc.value.pivot == 5
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     n=st.integers(1, MIRROR_PANEL + 40),
@@ -471,6 +547,38 @@ def test_baseline_memory_budget(prune):
                           raw_hessian([rng.standard_normal((1024, n))], n))
     _, peak, _ = traced_bytes(lambda: prune(layer, SparsityConfig(0.5)))
     assert peak <= 0.5 * 8 * n * n
+
+
+def test_prune_runs_memory_budget():
+    """Every method at four sparsities holds two factor-sized buffers at most.
+
+    The channel-order factor becomes the damped inverse in place, and each
+    reordered factor is gathered beside it, so the peak is two n x n
+    buffers and a gather panel, one sweep, and the outcome of the run
+    before.  Keeping the channel factor beside the inverse adds n x n.
+    """
+    rows, n = 64, 512
+    square = 8 * n * n
+    rng = np.random.default_rng(14)
+    w = gen_columnar(rows, n, 128, 3, 10.0, seed=14)
+    layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
+    configs = [SparsityConfig(p) for p in (0.5, 0.6, 0.7, 0.8)]
+    inverse = invert_in_place(bundle_from_hessian(layer, 0.01))
+    b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
+    outcome, sweep, _ = traced_bytes(lambda: prune_layer(b, configs[0]))
+    del inverse, b
+    held = outcome.pruned_weights.nbytes + outcome.mask.kept.nbytes
+
+    def every_run():
+        reordered = 0
+        for _, _, _, plan, _, _ in reorder.prune_runs(layer, reorder.METHODS,
+                                                      configs):
+            reordered += plan.was_reordered
+        return reordered
+
+    reordered, peak, _ = traced_bytes(every_run)
+    assert reordered == 8
+    assert peak <= 2 * (square + 8 * GATHER_PANEL * n) + sweep + held + 2**16
 
 
 @pytest.mark.parametrize("prune", [rose_prune_layer, naive_obs_prune])

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from obsprune import (
     Permutation,
@@ -147,20 +148,22 @@ def test_compare_csv_schema(tmp_path):
         assert by_key[("rose", s)][4] == "True"  # columnar gate fired
 
 
-@pytest.mark.parametrize("methods,factors,synth", [
-    pytest.param("sparsegpt", 1, "columnar", id="sparsegpt-1"),
-    pytest.param("magnitude,wanda", 0, "columnar", id="magnitude,wanda-0"),
-    # each reordered rose run factors the Hessian in its own column order
-    pytest.param("sparsegpt,rose", 1 + 3, "columnar", id="sparsegpt,rose-4"),
+@pytest.mark.parametrize("methods,direct,from_inverse,synth", [
+    pytest.param("sparsegpt", 1, 0, "columnar", id="sparsegpt-1"),
+    pytest.param("magnitude,wanda", 0, 0, "columnar", id="magnitude,wanda-0"),
+    # each reordered rose run factors the Hessian in its own column order,
+    # from the inverse that the channel-order factor becomes
+    pytest.param("sparsegpt,rose", 1, 3, "columnar", id="sparsegpt,rose-4"),
     # no rose run reorders a uniform layer, so all share the one factor
-    pytest.param("sparsegpt,rose,rose-ascending", 1, "uniform",
+    pytest.param("sparsegpt,rose,rose-ascending", 1, 0, "uniform",
                  id="uniform-sparsegpt,rose,rose-ascending-1"),
 ])
 def test_compare_factors_unpermuted_hessian_once(
-    tmp_path, monkeypatch, methods, factors, synth
+    tmp_path, monkeypatch, methods, direct, from_inverse, synth
 ):
     calls = []
     original = calibration.bundle_from_hessian
+    inverted = count_calls(monkeypatch, calibration.bundle_from_inverse)
 
     def counted(layer, damp_fraction, order=None):
         calls.append(damp_fraction)
@@ -173,11 +176,60 @@ def test_compare_factors_unpermuted_hessian_once(
         "--sparsity", "0.5,0.6,0.7", "--damp", "0.02", "--out", str(tmp_path),
     ])
     assert code == 0
-    assert calls == [0.02] * factors
+    assert calls == [0.02] * direct
+    assert len(inverted) == from_inverse
     with open(tmp_path / "compare.csv", newline="") as f:
         reordered = [r["was_reordered"] for r in csv.DictReader(f)
                      if r["method"].startswith("rose")]
     assert set(reordered) <= {"True" if synth == "columnar" else "False"}
+
+
+def test_compare_inverts_one_factor(tmp_path, monkeypatch):
+    """Per damping, one dtrtri and one dlauum; one dpotrf per column order."""
+    calls = {"dpotrf": 0, "dtrtri": 0, "dlauum": 0}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(lapack, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, spy)
+    code = run([
+        "compare", "--synth", "columnar", "--rows", "16", "--cols", "64",
+        "--blocksize", "16", "--sparsity", "0.5,0.6,0.7,0.8", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    with open(tmp_path / "compare.csv", newline="") as f:
+        reordered = sum(r["was_reordered"] == "True" for r in csv.DictReader(f))
+    assert reordered == 8
+    assert calls == {"dpotrf": 1 + reordered, "dtrtri": 1, "dlauum": 1}
+
+
+def test_compare_rows_keep_sparsity_by_method_order(tmp_path):
+    # the reordered rose runs finish after sparsegpt's, but their rows go
+    # first, as --methods lists them, with the values of the direct route
+    argv = ["compare", "--methods", "rose,sparsegpt", "--synth", "columnar",
+            "--rows", "32", "--cols", "128", "--blocksize", "32",
+            "--sparsity", "0.5,0.7", "--seed", "4"]
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "compare.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["method"], r["sparsity"]) for r in rows] == [
+        ("rose", "0.5"), ("sparsegpt", "0.5"), ("rose", "0.7"), ("sparsegpt", "0.7")]
+
+    args = cli.build_parser().parse_args(argv)
+    configs = cli._make_configs(args)
+    [layer] = cli._load_inputs(args, configs[0])
+    scores = calibration.importance_scores(layer)
+    for config, (rose, sparsegpt) in zip(configs, zip(rows[::2], rows[1::2])):
+        plan = reorder.build_reorder_plan(reorder.loss_profile(scores, config), config)
+        assert plan.was_reordered and rose["was_reordered"] == "True"
+        direct = engine.prune_layer(calibration.bundle_from_hessian(
+            layer, config.damp_fraction, plan.permutation), config)
+        assert float(rose["relative_error"]) == pytest.approx(direct.relative_error,
+                                                              rel=1e-9, abs=0)
+        in_place = engine.prune_layer(calibration.bundle_from_hessian(
+            layer, config.damp_fraction), config)
+        assert float(sparsegpt["relative_error"]) == in_place.relative_error
 
 
 def test_compare_profiles_once_per_sparsity(tmp_path, monkeypatch):

@@ -431,7 +431,8 @@ class TestClosedFormTrajectory:
         out = prune_layer(b, cfg)
         assert b.damp_lambda * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
         assert np.all(np.isfinite(out.block_error_trajectory))
-        assert out.final_error == error_prefix(w - out.pruned_weights, b.layer.raw)[-1]
+        # the fallback's own kernel, on the weights' final difference
+        assert out.final_error == error_total(w - out.pruned_weights, b.layer.raw)
 
     @pytest.mark.parametrize("semi", [False, True])
     def test_fallback_in_a_middle_block_measures_the_rebuilt_tail(
@@ -636,15 +637,21 @@ def scaled_run(method, k):
 
     Returns the outcome and the loss profile's R_rel (None without one).
     Every layer has a dead channel; the rose layer is columnar, so that it
-    is reordered.
+    is reordered.  "rose" factors H in its plan's order; "rose-inverse"
+    runs after sparsegpt, so its factor comes from the damped inverse.
     """
     rng = np.random.default_rng(43)
     x = rng.standard_normal((256, 64)) * 2.0**k
     x[:, 5] = 0.0
     unstructured = SparsityConfig(sparsity=0.5, blocksize=16)
-    if method == "rose":
+    if method.startswith("rose"):
         w = gen_columnar(16, 64, 16, 2, 10.0, seed=43)
-        out, plan, profile = rose_prune_layer(w, [x], unstructured)
+        if method == "rose":
+            out, plan, profile = rose_prune_layer(w, [x], unstructured)
+        else:
+            layer = checked_layer(w, raw_hessian([x], 64))
+            [_, (_, _, out, plan, profile, _)] = prune_runs(
+                layer, ["sparsegpt", "rose"], [unstructured])
         assert plan.was_reordered
         return out, profile.relative_range
     w = rng.standard_normal((16, 64))
@@ -658,9 +665,22 @@ def scaled_run(method, k):
 class TestScale:
     # no rule depends on the scale of X, so a power of two scales every
     # error exactly and moves nothing else
-    @pytest.mark.parametrize("method", ["unstructured", "2:4", "rose", "oracle"])
+    @pytest.mark.parametrize("method", ["unstructured", "2:4", "rose", "oracle",
+                                        "rose-inverse"])
     @pytest.mark.parametrize("k", [-200, 50, 200])
     def test_power_of_two_scales_errors_exactly(self, method, k):
+        self.assert_scales_exactly(method, k)
+
+    # diag(H) near 2**-1008 and 2**1008, the widest range over which the
+    # direct route stays exact; at the top, the damped inverse's entries
+    # would underflow unscaled
+    @pytest.mark.parametrize("method", ["rose", "rose-inverse"])
+    @pytest.mark.parametrize("k", [-508, 500])
+    def test_both_factor_routes_scale_exactly_at_the_extremes(self, method, k):
+        self.assert_scales_exactly(method, k)
+
+    @staticmethod
+    def assert_scales_exactly(method, k):
         base, base_r_rel = scaled_run(method, 0)
         out, r_rel = scaled_run(method, k)
         np.testing.assert_array_equal(out.mask.kept, base.mask.kept)

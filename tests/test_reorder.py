@@ -496,15 +496,31 @@ def assert_same_outcome(a, b):
     assert (a.final_error, a.relative_error) == (b.final_error, b.relative_error)
 
 
+def assert_close_outcome(a, b, w0):
+    """The same masks; weights within 1e-12 max|W0| and errors within rtol 1e-9.
+
+    What a factor made from the damped inverse, not from H, may move.
+    """
+    np.testing.assert_array_equal(a.mask.kept, b.mask.kept)
+    np.testing.assert_allclose(a.pruned_weights, b.pruned_weights, rtol=0,
+                               atol=1e-12 * np.abs(w0).max())
+    np.testing.assert_allclose(a.block_error_trajectory, b.block_error_trajectory,
+                               rtol=1e-9, atol=0)
+    assert a.relative_error == pytest.approx(b.relative_error, rel=1e-9, abs=0)
+
+
 class TestPruneRuns:
     def test_every_method_runs_its_own_pipeline(self):
         w, x = columnar_fixture(seed=3, rows=16, cols=64, blocksize=16)
         layer = checked_layer(w, raw_hessian([x], 64))
         configs = [SparsityConfig(0.5, 16), SparsityConfig(0.7, 16)]
         runs = list(prune_runs(layer, reorder.METHODS, configs))
-        assert [(c, m) for c, m, *_ in runs] == [
-            (c, m) for c in configs for m in reorder.METHODS
-        ]
+        # the runs left in place go first, then the reordered ones, each
+        # in config x method order
+        grid = [(c, m) for c in configs for m in reorder.METHODS]
+        assert [(c, m) for c, m, *_ in runs] == (
+            [(c, m) for c, m in grid if not m.startswith("rose")]
+            + [(c, m) for c, m in grid if m.startswith("rose")])
         for config, method, outcome, plan, profile, wall_ms in runs:
             assert wall_ms >= 0.0
             assert profile.relative_range == loss_profile(
@@ -522,7 +538,33 @@ class TestPruneRuns:
                 "wanda": lambda: wanda_prune(layer, config),
             }.get(method, lambda: prune_layer(bundle_from_hessian(
                 layer, config.damp_fraction, plan.permutation), config))
-            assert_same_outcome(outcome, direct())
+            # a reordered plan is factored from the damped inverse
+            if plan.was_reordered:
+                assert_close_outcome(outcome, direct(), w)
+            else:
+                assert_same_outcome(outcome, direct())
+
+    @pytest.mark.parametrize("semi", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reordered_runs_match_the_direct_factor(self, seed, semi):
+        # after sparsegpt's channel factor, both rose runs factor their
+        # orders from the damped inverse; dead channels carry large weights
+        w, x = columnar_fixture(seed, rows=32, cols=128, blocksize=32)
+        dead = np.random.default_rng(seed).choice(128, size=3, replace=False)
+        x[:, dead] = 0.0
+        w[:, dead] *= 100.0
+        layer = checked_layer(w, raw_hessian([x], 128))
+        configs = ([SparsityConfig.semi_structured(2, 4, blocksize=32)] if semi
+                   else [SparsityConfig(p, 32) for p in (0.5, 0.7)])
+        reordered = 0
+        for config, method, outcome, plan, _, _ in prune_runs(
+            layer, ["sparsegpt", "rose", "rose-ascending"], configs
+        ):
+            if plan.was_reordered:
+                reordered += 1
+                assert_close_outcome(outcome, prune_layer(bundle_from_hessian(
+                    layer, config.damp_fraction, plan.permutation), config), w)
+        assert reordered == 2 * len(configs)
 
     def test_rose_prune_layer_is_the_rose_run(self):
         w, x = columnar_fixture(seed=8, rows=16, cols=64, blocksize=16)
