@@ -23,6 +23,7 @@ from .errors import (
     OracleScaleError,
     PruneError,
     SingularOracleError,
+    StaleFactorError,
 )
 from .oracle import exact_masked_reconstruction, naive_obs_prune, obs_update_row
 from .reorder import (

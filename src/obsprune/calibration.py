@@ -3,39 +3,40 @@
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
 activation batches are read and checked: it streams them with ``dsyrk``
-into one triangle, reads each batch's finiteness off H's diagonal, and
-mirrors the triangle once.  ``checked_layer`` is the one place W and H are
-checked against each other; the ``Layer`` it returns holds them with the
-column norms, the dead channels and the dense output energy, derived once,
-and every method reads them from it.  Every error is a quadratic form in
-H: ``error_total`` gives the whole of one, ``error_prefix`` its running
-sum over the columns.  For pruning, H is dampened by a multiple of its mean
-diagonal, and the upper Cholesky factor of its inverse drives the
-compensation engine.  It is made one of two ways.  ``bundle_from_hessian``
-factors H in pruning order with rows and columns reversed, inverts the
-factor as a triangle and reads it transposed and in reverse.  Once a
-channel-order factor exists, ``invert_in_place`` turns its buffer into the
-whole inverse, and ``bundle_from_inverse`` gathers that inverse in another
-order and factors it with one ``dpotrf``.
+into the upper triangle of one row-major buffer and reads each batch's
+finiteness off H's diagonal.  ``checked_layer`` is the one place W and H
+are checked against each other; the ``Layer`` it returns holds them with
+the column norms, the dead channels and the dense output energy, derived
+once, and every method reads them from it.  Every error is a quadratic
+form in H read from its upper triangle: ``error_total`` gives the whole of
+one, ``error_prefix`` its running sum over the columns.  For pruning, H is
+dampened by a multiple of its mean diagonal, and the upper Cholesky factor
+of its inverse drives the compensation engine.  Every factor is built in
+the strict lower triangle of H's own buffer, with its diagonal kept apart,
+so one n x n buffer serves a layer.  It is made one of two ways.
+``bundle_from_hessian`` factors H in pruning order with rows and columns
+reversed, inverts the factor as a triangle and reads it transposed and in
+reverse.  Once a channel-order factor exists, ``invert_in_place`` copies it
+out into the whole inverse, and ``bundle_from_inverse`` gathers that
+inverse in another order and factors it with one ``dpotrf``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import DimensionError, IndefiniteHessianError, NumericOverflowError
+from .errors import (DimensionError, IndefiniteHessianError, NumericOverflowError,
+                     StaleFactorError)
 from .tensors import Permutation, as_matrix, finite_matrix
 
-#: rows per panel when ``raw_hessian`` mirrors its triangle; of 32, 64, 128
-#: and 256, 64 mirrored fastest at n = 1024 and 2048 (at 2048: 11.5, 8.2,
-#: 10.3 and 18.0 ms, 2 BLAS threads)
-MIRROR_PANEL = 64
-#: rows per panel when a factor gathers the columns of H or of its inverse
-GATHER_PANEL = 64
+#: rows per panel wherever a triangle is gathered, copied or mirrored; of
+#: 32, 64, 128 and 256, 64 mirrored fastest at n = 1024 and 2048 (at 2048:
+#: 11.5, 8.2, 10.3 and 18.0 ms, 2 BLAS threads)
+PANEL = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +45,13 @@ class Layer:
 
     Built only by ``checked_layer``; equality is by identity.  ``w`` is
     finite and row-major, so every sum over it runs in one order whatever
-    the caller's layout; ``raw`` is the caller's X.T @ X in channel order,
+    the caller's layout.  ``raw`` is the caller's X.T @ X in channel order,
     without dampening, the matrix every reconstruction error is measured
-    in.  ``norms`` are the column norms, ``dead`` is True for each channel
-    whose diagonal in H is zero, and ``dense_energy`` is the dense layer's
-    output energy sum(W @ H @ W.T).
+    in, in its upper triangle and diagonal; the strict lower triangle is
+    the workspace the layer's factors are built in.  ``norms`` are the
+    column norms, ``dead`` is True for each channel whose diagonal in H is
+    zero, and ``dense_energy`` is the dense layer's output energy
+    sum(W @ H @ W.T).
     """
 
     w: np.ndarray
@@ -56,26 +59,41 @@ class Layer:
     norms: np.ndarray
     dead: np.ndarray
     dense_energy: float
+    #: [the ``diag`` of the bundle whose factor the workspace holds], or [None]
+    _holder: list = field(default_factory=lambda: [None], init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
 class HessianBundle:
     """A layer and the inverse factor used to prune it; equality is by identity.
 
-    ``chol_upper`` is the upper triangular U, zeros below, with inv(H) =
-    U.T @ U for the dampened Hessian H[order][:, order].  From
-    ``bundle_from_hessian`` it is LAPACK's buffer transposed and read in
-    reverse, a view with strides (-8n, -8); from ``bundle_from_inverse`` it
-    is LAPACK's buffer itself, a plain column-major array.  Its trailing
-    blocks reproduce the inverses of all trailing Hessian submatrices,
-    which is what lets one factorization serve the whole left-to-right
-    sweep.
+    The upper triangular U, with inv(H) = U.T @ U for the dampened Hessian
+    H[order][:, order], is the strict upper triangle of ``chol_upper`` and
+    the diagonal ``diag``.  ``chol_upper`` views the layer's H buffer, whose
+    other triangle holds H: from ``bundle_from_hessian`` transposed and
+    read in reverse, with strides (-8n, -8), and from
+    ``bundle_from_inverse`` as the column-major buffer LAPACK wrote.  Its
+    trailing blocks reproduce the inverses of all trailing Hessian
+    submatrices, which is what lets one factorization serve the whole
+    left-to-right sweep.  The bundle is valid until its layer is factored
+    again; ``valid`` raises StaleFactorError after that.
     """
 
     layer: Layer
     chol_upper: np.ndarray
+    diag: np.ndarray
     damp_lambda: float
     order: Permutation
+
+    def __post_init__(self):
+        # the newest bundle of a layer holds its workspace
+        self.layer._holder[0] = self.diag
+
+    def valid(self) -> "HessianBundle":
+        """The bundle itself, while the layer's workspace still holds its factor."""
+        if self.layer._holder[0] is not self.diag:
+            raise StaleFactorError("the layer was factored again, over this factor")
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +163,12 @@ def checked_layer(w, raw) -> Layer:
     W, with a non-negative diagonal, as a Gram matrix's is: the first
     negative entry is the pivot.  The dense output energy, ``error_total``
     of W, must be finite, so that every relative error has a denominator.
+    H is read from its upper triangle and diagonal.  The layer owns the
+    buffer (a copy if not row-major and writeable): its factors overwrite
+    the strict lower triangle.
     """
     w = np.ascontiguousarray(finite_matrix(w))
-    raw = finite_matrix(raw, "hessian")
+    raw = np.require(finite_matrix(raw, "hessian"), requirements="CW")
     n = raw.shape[0]
     if n == 0 or raw.shape[1] != n:
         raise DimensionError(f"hessian must be square and non-empty, got {raw.shape}")
@@ -165,17 +186,17 @@ def checked_layer(w, raw) -> Layer:
 
 
 def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Sum of per-batch Gram matrices X.T @ X, without dampening.
+    """Sum of per-batch Gram matrices X.T @ X, without dampening, in its upper triangle.
 
     ``width`` is the layer's: W's column count.  One pass: each batch is
     checked as it arrives, 2-D and ``width`` columns wide, before anything
     is allocated for it, so the width x width buffer is sized only once
-    batch 0 has passed.  Each batch is added by ``dsyrk`` into the upper
-    triangle of that column-major buffer, and then checked on its diagonal:
-    a NaN or infinity in column j, or squares that overflow, make H_jj NaN
-    or inf, so one O(width) read names the batch.  The triangle is mirrored
-    once at the end, in place one panel of rows at a time, so the result is
-    exactly symmetric and no temporary outgrows a panel.
+    batch 0 has passed.  Each batch is added by ``dsyrk`` into the lower
+    triangle of that column-major buffer, the upper one of the row-major
+    view returned, and then checked on its diagonal: a NaN or infinity in
+    column j, or squares that overflow, make H_jj NaN or inf, so one
+    O(width) read names the batch.  The strict lower triangle of the
+    result is zero, the free workspace of the layer's factors.
     """
     acc = None
     for i, b in enumerate(activations):
@@ -187,26 +208,24 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
             acc = np.zeros((width, width), order="F")
         if b.size:
             # a row-major batch is the column-major b.T that BLAS reads uncopied
-            acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
+            acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, lower=1, overwrite_c=1)
             if not np.isfinite(acc.diagonal()).all():
                 raise NumericOverflowError(f"{what} is not finite or overflows "
                                            "the Hessian")
     if acc is None:
         raise DimensionError("need at least one activation batch")
-    _mirror_upper(acc)
-    # symmetric, so the row-major view holds the same matrix
     return acc.T
 
 
 def _mirror_upper(a: np.ndarray):
     """Copy the upper triangle of ``a``, whose strict lower one is zero, below it.
 
-    In place, one panel of ``MIRROR_PANEL`` rows at a time, so the result
-    is exactly symmetric and no temporary outgrows a panel.
+    In place, one panel of rows at a time, so the result is exactly
+    symmetric and no temporary outgrows a panel.
     """
     n = a.shape[0]
-    for j1 in range(0, n, MIRROR_PANEL):
-        j2 = min(j1 + MIRROR_PANEL, n)
+    for j1 in range(0, n, PANEL):
+        j2 = min(j1 + PANEL, n)
         a[j1:j2, :j1] = a[:j1, j1:j2].T
         diagonal = a[j1:j2, j1:j2]
         diagonal += np.triu(diagonal, 1).T
@@ -232,45 +251,38 @@ def bundle_from_hessian(
 ) -> HessianBundle:
     """Factor the layer's dampened H[order][:, order] (channel order by default).
 
-    The one copy of H made here is h = H[q][:, q] for q the order reversed,
-    whose leading k x k block is the trailing block of H[order][:, order]
-    reversed.  It is gathered by ``_gather_lower``, factored and inverted
-    in place; U is that buffer transposed and read in reverse.  ``damping``
-    is checked before H is copied.
+    ``_factor`` factors H[q][:, q] for q the order reversed, whose leading
+    k x k block is the trailing block of H[order][:, order] reversed, and
+    inverts the factor; U is the row-major view read in reverse.
+    ``damping`` is checked before the workspace is written.
     """
     raw = layer.raw
-    n = raw.shape[0]
-    if order is None:
-        order = Permutation.identity(n)
-    elif order.size != n:
-        raise DimensionError(f"order size {order.size} != Hessian size {n}")
+    order = Permutation.identity(raw.shape[0]) if order is None else order
     lam = damping(raw, damp_fraction)
-    q = order.forward[::-1]
-    h = _gather_lower(raw, q)
-    h.reshape(-1)[:: n + 1] += lam
-    inv_up, info = lapack.dtrtri(_upper_cholesky(h, q), lower=0, overwrite_c=1)
-    if info != 0:
-        raise IndefiniteHessianError(f"dtrtri failed with info={info}")
-    return HessianBundle(layer, inv_up.T[::-1, ::-1], lam, order)
+    diag = _factor(layer, raw, order, lam)[::-1].copy()
+    return HessianBundle(layer, raw[::-1, ::-1], diag, lam, order)
 
 
 def invert_in_place(bundle: HessianBundle) -> DampedInverse:
-    """The damped inverse, written over the channel-order bundle's own factor.
+    """The damped inverse, made from the channel-order bundle's factor.
 
-    The bundle's buffer holds inv(R) for the reversed H + lambda I = R.T R,
-    so one ``dlauum``, inv(R) inv(R).T, makes the inverse of H in reversed
-    order, and the panel mirror makes it whole.  inv(R) is first scaled by
-    2**shift, a power of two that grows by k when H grows by 4**k, so no
-    bit of the result depends on the scale of H.  The bundle must not be
-    used afterwards.
+    The layer's workspace, read column-major, holds inv(R) for the reversed
+    H + lambda I = R.T R, whose diagonal is ``diag`` reversed.  It is copied
+    out one panel of rows at a time into the inverse's own buffer, scaled
+    by 2**shift, a power of two that grows by k when H grows by 4**k, so no
+    bit of the result depends on the scale of H.  One ``dlauum`` there,
+    inv(R) inv(R).T, makes the inverse of H in reversed order, and the
+    panel mirror makes it whole.  The bundle stays valid.
     """
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
         raise ValueError("only a channel-order factor can be inverted in place")
-    # the column-major buffer dtrtri wrote, upper inv(R) and zeros below
-    buf = bundle.chol_upper[::-1, ::-1].T
-    top = bundle.layer.raw.diagonal().max() + bundle.damp_lambda
+    raw = bundle.valid().layer.raw
+    top = raw.diagonal().max() + bundle.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
-    np.ldexp(buf, shift, out=buf)
+    buf = np.zeros(raw.shape, order="F")
+    for rows, below in _panels(raw.shape[0]):
+        np.ldexp(raw[rows, : rows.stop], shift, out=buf.T[rows, : rows.stop], where=below)
+    np.fill_diagonal(buf, np.ldexp(bundle.diag[::-1], shift))
     buf, info = lapack.dlauum(buf, lower=0, overwrite_c=1)
     if info != 0:
         raise IndefiniteHessianError(f"dlauum failed with info={info}")
@@ -282,59 +294,98 @@ def invert_in_place(bundle: HessianBundle) -> DampedInverse:
 def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBundle:
     """Factor the dampened H[order][:, order] from the layer's damped inverse.
 
-    inv(H)[order][:, order] is gathered from the reversed inverse by
-    ``_gather_lower`` and factored by one upper ``dpotrf``, which is U
-    itself: no reversal and no triangular inverse.  Scaling back by
-    2**-shift is exact, so U matches ``bundle_from_hessian``'s to rounding.
+    ``_factor`` factors inv(H)[order][:, order], gathered from the reversed
+    inverse, by one upper ``dpotrf``, which is U itself: no reversal and no
+    triangular inverse.  Scaling U back by 2**-shift is exact, so it
+    matches ``bundle_from_hessian``'s to rounding.
     """
-    n = inverse.reversed.shape[0]
+    raw = inverse.layer.raw
+    diag = _factor(inverse.layer, inverse.reversed, order)
+    for rows, below in _panels(raw.shape[0]):
+        np.ldexp(raw[rows, : rows.stop], -inverse.shift, out=raw[rows, : rows.stop],
+                 where=below)
+    return HessianBundle(inverse.layer, raw.T, np.ldexp(diag, -inverse.shift),
+                         inverse.damp_lambda, order)
+
+
+def _panels(n: int, last_first: bool = False):
+    """(rows, below) for each panel of ``PANEL`` rows of an n x n matrix.
+
+    ``below`` is True where the panel's first rows.stop columns lie in the
+    strict lower triangle.
+    """
+    starts = range(0, n, PANEL)
+    for i1 in reversed(starts) if last_first else starts:
+        i2 = min(i1 + PANEL, n)
+        yield slice(i1, i2), np.arange(i2) < np.arange(i1, i2)[:, None]
+
+
+def _factor(layer: Layer, m: np.ndarray, order: Permutation,
+            lam: float = 0.0) -> np.ndarray:
+    """Factor m[idx][:, idx] + lam I in the layer's workspace; the factor's diagonal.
+
+    m is H, whose idx is the order reversed, or the reversed inverse, where
+    channel j is at n - 1 - j.  ``_gather`` fills the workspace, which is
+    the upper triangle of the column-major buffer LAPACK overwrites, where
+    the upper variant runs faster.  H's diagonal is saved and the matrix's
+    put in its place; upper ``dpotrf`` with clean=0, which leaves H's
+    triangle as it is, factors it, and when m is H, ``dtrtri`` inverts the
+    factor.  H's diagonal goes back, also on failure.  Every bundle of the
+    layer is stale from the first write.
+    """
+    raw = layer.raw
+    n = raw.shape[0]
     if order.size != n:
         raise DimensionError(f"order size {order.size} != Hessian size {n}")
-    # channel j is row and column n - 1 - j of the reversed inverse
-    h = _gather_lower(inverse.reversed, (n - 1) - order.forward)
-    up = _upper_cholesky(h, order.forward)
-    np.ldexp(up, -inverse.shift, out=up)
-    return HessianBundle(inverse.layer, up, inverse.damp_lambda, order)
+    channels = order.forward[::-1] if m is raw else order.forward
+    idx = channels if m is raw else (n - 1) - channels
+    layer._holder[0] = None
+    h_diag = raw.diagonal().copy()
+    _gather(raw, m, idx)
+    diagonal = raw.reshape(-1)[:: n + 1]
+    try:
+        diagonal[...] = (h_diag if m is raw else m.diagonal())[idx] + lam
+        _, info = lapack.dpotrf(raw.T, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
+            pivot = int(channels[info - 1])
+            raise IndefiniteHessianError(
+                f"dampened Hessian is not positive definite (pivot {pivot})",
+                pivot=pivot,
+            )
+        if info < 0:
+            raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
+        if m is raw:
+            _, info = lapack.dtrtri(raw.T, lower=0, overwrite_c=1)
+            if info != 0:
+                raise IndefiniteHessianError(f"dtrtri failed with info={info}")
+        return diagonal.copy()
+    finally:
+        diagonal[...] = h_diag
 
 
-def _gather_lower(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The lower triangle of m[q][:, q], row-major, in one new buffer.
+def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray):
+    """Write the strict lower triangle of m[idx][:, idx] over that of ``raw``.
 
-    Only the triangle the upper ``dpotrf`` reads of its transpose is
-    gathered: each panel of 64 rows takes its rows of m, then its first
-    columns in the order q (a peak of n**2 + 64 n doubles).
+    Panel by panel, the last first, each takes its rows of m and gathers
+    their leading columns in the order idx: a peak of a few panels, and
+    every read from m is of a row.  H, whose buffer holds only its upper
+    triangle, holds H[a, b] for b < a as H[b, a], in row b, so the panel of
+    row b also fills those entries in its diagonal block and, transposed,
+    in later rows, over what their own panels wrote there.
     """
-    n = q.size
-    h = np.empty((n, n))
-    for i in range(0, n, GATHER_PANEL):
-        j = min(i + GATHER_PANEL, n)
-        # q is a permutation, so no index clips; the default mode="raise"
-        # would buffer the rows before writing them into h
-        m.take(q[i:j], axis=0, out=h[i:j], mode="clip")
-        h[i:j, :j] = h[i:j].take(q[:j], axis=1)
-    return h
-
-
-def _upper_cholesky(h: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """LAPACK's upper Cholesky factor of h.T, in h's buffer, zeros below.
-
-    h.T is the column-major matrix LAPACK overwrites, where the upper
-    variant runs faster than the lower.  It reads only the upper triangle
-    of h.T, the one ``_gather_lower`` gathers, and its default clean=1
-    zeroes the strict lower one, left ungathered.  ``channels[j]`` names
-    the channel of h's column j, the pivot an IndefiniteHessianError
-    reports.
-    """
-    up, info = lapack.dpotrf(h.T, lower=0, overwrite_a=1)
-    if info > 0:
-        pivot = int(channels[info - 1])
-        raise IndefiniteHessianError(
-            f"dampened Hessian is not positive definite (pivot {pivot})",
-            pivot=pivot,
-        )
-    if info < 0:
-        raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-    return up
+    n = idx.size
+    for rows, below in _panels(n, last_first=True):
+        i1, i2 = rows.start, rows.stop
+        taken = m.take(idx[rows], axis=0)
+        raw[rows, :i1] = taken.take(idx[:i1], axis=1)
+        block = taken.take(idx[rows], axis=1)
+        if m is raw:
+            block = np.where(idx[rows] > idx[rows, None], block, block.T)
+        np.copyto(raw[rows, rows], block, where=below[:, i1:])
+        later = idx[i2:]
+        if m is raw and later.max(initial=-1) > idx[rows].min():
+            np.copyto(raw[i2:, rows].T, taken.take(later, axis=1),
+                      where=later > idx[rows, None])
 
 
 def column_norms(raw: np.ndarray) -> np.ndarray:

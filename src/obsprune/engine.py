@@ -157,8 +157,10 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     """Prune the bundle's layer block by block with OBS compensation.
 
     The layer was checked when it was built, so only the config is checked
-    here.  The columns of W are swept in ``bundle.order``, the order its
-    factor was made in; weights and mask come back in channel order.  Under
+    here; a stale bundle raises StaleFactorError, and a factor diagonal
+    whose square overflows NumericOverflowError naming the channel.  The
+    columns of W are swept in ``bundle.order``, the order its factor was
+    made in; weights and mask come back in channel order.  Under
     an n:m pattern, an order that splits a group of m is rejected with a
     ConfigError before the sweep.  The error after block k is measured in
     the raw Hessian.  Every pruned weight is compensated, so the dampened
@@ -170,7 +172,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     of H: short of overflow or underflow, scaling X by 2**k leaves masks
     and weights bit for bit and scales every error by 4**k.
     """
-    layer = bundle.layer
+    layer = bundle.valid().layer
     rows, n = layer.w.shape
     ranges = config.block_ranges(n)  # raises ConfigError for an untiled n:m
     order = bundle.order
@@ -181,9 +183,12 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             raise ConfigError(f"the column order splits a group of m={m}: "
                               "the n:m pattern would break in channel order")
 
-    upper = bundle.chol_upper
-    diag = upper.diagonal()
-    inv_diag = diag * diag
+    upper, diag = bundle.chol_upper, bundle.diag
+    with np.errstate(over="ignore"):  # raised just below
+        inv_diag = diag * diag
+    if np.isinf(inv_diag).any():
+        raise NumericOverflowError("inverse Hessian diagonal overflows at channel "
+                                   f"{order.forward[np.argmax(np.isinf(inv_diag))]}")
     dead = layer.dead[order.forward]
     group = config.group_width
     step = SUB_BLOCK if config.pattern is None else max(1, SUB_BLOCK // group) * group

@@ -39,6 +39,10 @@ class NumericOverflowError(PruneError):
         self.block = block
 
 
+class StaleFactorError(PruneError):
+    """A factor was used after its layer was factored again, over it."""
+
+
 class SingularOracleError(PruneError):
     """The kept-column submatrix handed to the exact oracle is singular."""
 

@@ -122,7 +122,8 @@ def naive_obs_prune(
     xs = np.vstack([as_matrix(a) for a in activations])
     lam = damping(raw, config.damp_fraction)
     dead = raw.diagonal() == 0.0
-    h = raw + lam * np.eye(n)
+    h = np.triu(raw) + np.triu(raw, 1).T  # raw_hessian gives the upper triangle
+    h[np.diag_indices(n)] += lam
 
     w_cur = w_dense.copy()
     pruned_full = np.zeros((rows, n), dtype=bool)
@@ -210,9 +211,11 @@ def cross_check(seed: int, damp: float) -> list[str]:
         X[:, rng.choice(n, size=3, replace=False)] = 0.0
     layer = checked_layer(np.zeros((1, n)), raw_hessian([X], n))
     order = Permutation(rng.permutation(n))
-    want = bundle_from_hessian(layer, damp, order).chol_upper
-    inverse = invert_in_place(bundle_from_hessian(layer, damp))
-    got = bundle_from_inverse(inverse, order).chol_upper
+    b = bundle_from_hessian(layer, damp, order)
+    # a copy of U, whose buffer the layer's next factor overwrites
+    want = np.triu(b.chol_upper, 1) + np.diag(b.diag)
+    b = bundle_from_inverse(invert_in_place(bundle_from_hessian(layer, damp)), order)
+    got = np.triu(b.chol_upper, 1) + np.diag(b.diag)
     if np.max(np.abs(got - want)) > 1e-12 * np.max(np.abs(want)):
         failures.append("FAIL factor from the damped inverse")
     return failures

@@ -36,10 +36,20 @@ def block_order(config, n, blocks):
     return Permutation(np.concatenate([np.arange(*ranges[b]) for b in blocks]))
 
 
+def symmetric(raw):
+    """The whole H of a buffer that holds it in its upper triangle."""
+    return np.triu(raw) + np.triu(raw, 1).T
+
+
+def upper_factor(bundle):
+    """A copy of the bundle's U: chol_upper's strict upper triangle, and diag."""
+    return np.triu(bundle.chol_upper, 1) + np.diag(bundle.diag)
+
+
 def dampened_hessian(bundle):
     """The matrix the bundle factored: raw + damp_lambda * I, in its order."""
     f = bundle.order.forward
-    h = bundle.layer.raw[np.ix_(f, f)]
+    h = symmetric(bundle.layer.raw)[np.ix_(f, f)]
     h[np.diag_indices(f.size)] += bundle.damp_lambda
     return h
 
@@ -59,6 +69,6 @@ def cholesky_inverse_identity_check(bundle, i):
         direct = np.linalg.inv(trailing)
     except np.linalg.LinAlgError as e:
         raise IndefiniteHessianError(f"trailing submatrix at {i} is singular") from e
-    low = bundle.chol_upper.T
+    low = upper_factor(bundle).T
     prod = low[i:, i:] @ low[i:, i:].T
     return float(np.max(np.abs(direct - prod)))

@@ -80,7 +80,8 @@ def columnar_runs():
                 bundle_from_hessian(bundle.layer, 0.01, aplan.permutation), cfg
             )
             runs["rose-ascending"][(seed, p)] = (asc, aplan, None, w, x)
-            plain = prune_layer(bundle, cfg)
+            # the reordered factor above overwrote the channel-order one
+            plain = prune_layer(bundle_from_hessian(bundle.layer, 0.01), cfg)
             runs["sparsegpt"][(seed, p)] = (plain, None, None, w, x)
             TRAJECTORIES.extend(
                 [out.block_error_trajectory, asc.block_error_trajectory,

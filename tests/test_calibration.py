@@ -12,7 +12,9 @@ from obsprune import (
     IndefiniteHessianError,
     NumericOverflowError,
     Permutation,
+    PruneError,
     SparsityConfig,
+    StaleFactorError,
     bundle_from_hessian,
     bundle_from_inverse,
     checked_layer,
@@ -28,13 +30,15 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import baselines, engine
-from obsprune.calibration import GATHER_PANEL, MIRROR_PANEL, DampedInverse
+from obsprune.calibration import PANEL, DampedInverse, _mirror_upper
 
 from hessian_helpers import (
     accumulate_hessian,
     cholesky_inverse_identity_check,
     dampened_hessian,
     factor,
+    symmetric,
+    upper_factor,
 )
 
 
@@ -66,14 +70,15 @@ def random_spd(n, seed, cond=1e3):
 
 def inverse(bundle):
     """The dampened inverse Hessian that the bundle's factor encodes."""
-    return bundle.chol_upper.T @ bundle.chol_upper
+    u = upper_factor(bundle)
+    return u.T @ u
 
 
 def test_identity_activations():
     b = accumulate_hessian([np.eye(2)], damp_fraction=0.0, width=2)
     np.testing.assert_allclose(dampened_hessian(b), np.eye(2))
     np.testing.assert_allclose(inverse(b), np.eye(2))
-    np.testing.assert_allclose(b.chol_upper, np.eye(2))
+    np.testing.assert_allclose(upper_factor(b), np.eye(2))
     assert b.damp_lambda == 0.0
 
 
@@ -95,8 +100,7 @@ def test_bundle_invariants():
     x = np.random.default_rng(4).standard_normal((40, 12))
     b = accumulate_hessian([x], damp_fraction=0.01, width=12)
     assert np.max(np.abs(dampened_hessian(b) @ inverse(b) - np.eye(12))) < 1e-8
-    low = b.chol_upper.T
-    assert np.allclose(low, np.tril(low))
+    low = upper_factor(b).T
     assert np.max(np.abs(low @ low.T - gauss_inverse(dampened_hessian(b)))) < 1e-8
 
 
@@ -157,7 +161,7 @@ def test_factor_matches_inverse_then_factor_route(seed):
     x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
     b = accumulate_hessian([x], damp_fraction=0.01, width=n)
     want = factor_of_inverse(dampened_hessian(b))
-    assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_requires_batches_and_consistent_cols():
@@ -258,14 +262,18 @@ def test_any_order_factors_the_permuted_hessian(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((60, 24))
     raw = raw_hessian([x], 24)
+    h = symmetric(raw)
     order = Permutation(rng.permutation(24))
     b = factor(raw, 0.01, order)
     f = order.forward
     assert b.order is order
+    # U's strict upper triangle lies in H's own buffer, whose upper one
+    # still holds H
+    assert np.shares_memory(b.chol_upper, raw)
+    assert np.array_equal(np.triu(raw), np.triu(h))
+    want = factor_of_inverse(h[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
+    assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
     assert b.damp_lambda == factor(raw, 0.01).damp_lambda
-    want = factor_of_inverse(raw[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
-    assert np.max(np.abs(b.chol_upper - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(b.chol_upper, np.triu(b.chol_upper))
 
 
 def test_panel_gather_factors_the_direct_gather_bitwise():
@@ -276,15 +284,18 @@ def test_panel_gather_factors_the_direct_gather_bitwise():
     layer = checked_layer(np.zeros((1, n)),
                           raw_hessian([rng.standard_normal((n + 20, n))], n))
     order = Permutation(rng.permutation(n))
+    h_before = layer.raw.copy()
     b = bundle_from_hessian(layer, 0.01, order)
     q = order.forward[::-1]
-    h = layer.raw[np.ix_(q, q)]
+    h = symmetric(h_before)[np.ix_(q, q)]
     h.reshape(-1)[:: n + 1] += b.damp_lambda
     up, info = lapack.dpotrf(h.T, lower=0, overwrite_a=1)
     assert info == 0
     inv_up, info = lapack.dtrtri(up, lower=0, overwrite_c=1)
     assert info == 0
-    np.testing.assert_array_equal(b.chol_upper, inv_up.T[::-1, ::-1])
+    np.testing.assert_array_equal(upper_factor(b), inv_up.T[::-1, ::-1])
+    # built in H's free triangle: H's triangle and diagonal are as they were
+    assert np.array_equal(np.triu(layer.raw), np.triu(h_before))
 
 
 def layer_with_dead(n, dead, seed):
@@ -307,11 +318,12 @@ def group_keeping_order(n, m, seed):
 def test_inverse_in_place_is_the_damped_inverse(n, dead):
     layer = layer_with_dead(n, dead, seed=n)
     b = bundle_from_hessian(layer, 0.01)
-    held = b.chol_upper
     inv = invert_in_place(b)
-    # written over the factor's own buffer, whole and exactly symmetric
-    assert np.shares_memory(inv.reversed, held)
+    # copied out into a buffer of its own, whole and exactly symmetric; the
+    # factor stays where it was
+    assert not np.shares_memory(inv.reversed, layer.raw)
     assert np.array_equal(inv.reversed, inv.reversed.T)
+    assert b.valid() is b
     assert (inv.layer, inv.damp_lambda) == (layer, b.damp_lambda)
     want = np.linalg.inv(dampened_hessian(b))
     got = np.ldexp(inv.reversed[::-1, ::-1], -2 * inv.shift)
@@ -321,19 +333,21 @@ def test_inverse_in_place_is_the_damped_inverse(n, dead):
 @pytest.mark.parametrize("dead", [0, 3])
 @pytest.mark.parametrize("kind", ["identity", "random", "2:4 groups"])
 def test_factor_from_inverse_matches_factor_of_h(kind, dead):
-    n = 2 * GATHER_PANEL + 12
+    n = 2 * PANEL + 12
     layer = layer_with_dead(n, dead, seed=dead)
     order = {"identity": Permutation.identity(n),
              "random": Permutation(np.random.default_rng(5).permutation(n)),
              "2:4 groups": group_keeping_order(n, 4, seed=6)}[kind]
     want = bundle_from_hessian(layer, 0.01, order)
+    want_u = upper_factor(want)
     got = bundle_from_inverse(invert_in_place(bundle_from_hessian(layer, 0.01)), order)
     assert got.layer is layer and got.order is order
     assert got.damp_lambda == want.damp_lambda
-    # LAPACK's buffer itself, upper triangular
-    u = got.chol_upper
-    assert u.flags.f_contiguous and np.array_equal(u, np.triu(u))
-    assert np.max(np.abs(u - want.chol_upper)) <= 1e-12 * np.max(np.abs(want.chol_upper))
+    # LAPACK's buffer itself, the layer's H buffer read column-major
+    assert got.chol_upper.flags.f_contiguous
+    assert np.shares_memory(got.chol_upper, layer.raw)
+    u = upper_factor(got)
+    assert np.max(np.abs(u - want_u)) <= 1e-12 * np.max(np.abs(want_u))
     for i in (0, n // 3, n - 1):
         assert cholesky_inverse_identity_check(got, i) <= 1e-12 * np.max(
             np.abs(u.T @ u))
@@ -362,7 +376,7 @@ def test_indefinite_inverse_names_the_channel_in_its_order():
 
 @settings(deadline=None, max_examples=60)
 @given(
-    n=st.integers(1, MIRROR_PANEL + 40),
+    n=st.integers(1, PANEL + 40),
     cuts=st.lists(st.integers(0, 40), max_size=5),
     layouts=st.lists(st.sampled_from(["C", "F", "f32"]), min_size=6, max_size=6),
     seed=st.integers(0, 2**32 - 1),
@@ -381,7 +395,9 @@ def test_raw_hessian_any_split(n, cuts, layouts, seed):
             b = b.astype(np.float32)
         batches.append(b)
     h = raw_hessian(batches, n)
-    assert np.array_equal(h, h.T)
+    # H in the upper triangle, the free workspace below it zero
+    assert np.array_equal(h, np.triu(h))
+    h = symmetric(h)
     want = x.T @ x
     # the rounding of each entry scales with sqrt(H_ii H_jj)
     scale = np.sqrt(np.outer(want.diagonal(), want.diagonal()))
@@ -459,25 +475,52 @@ def column_panel_mirror(acc):
     """
     acc = np.array(acc, order="F")
     n = acc.shape[0]
-    for j1 in range(0, n, MIRROR_PANEL):
-        j2 = min(j1 + MIRROR_PANEL, n)
+    for j1 in range(0, n, PANEL):
+        j2 = min(j1 + PANEL, n)
         acc[j2:, j1:j2] = acc[j1:j2, j2:].T
         diagonal = acc[j1:j2, j1:j2]
         diagonal += np.triu(diagonal, 1).T
     return acc.T
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_row_panel_mirror_is_the_column_panel_mirror(n):
-    rng = np.random.default_rng(n)
-    batches = [rng.standard_normal((r, n)) for r in (n + 3, 5)]
+def dsyrk_sum(batches, n, lower):
+    """The column-major sum of the batches' Gram matrices in one triangle."""
     acc = np.zeros((n, n), order="F")
     for b in batches:
-        acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, overwrite_c=1)
-    got = raw_hessian(batches, n)
+        acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, lower=lower, overwrite_c=1)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_row_panel_mirror_is_the_column_panel_mirror(n):
+    # the mirror invert_in_place makes its inverse whole with
+    rng = np.random.default_rng(n)
+    acc = dsyrk_sum([rng.standard_normal((r, n)) for r in (n + 3, 5)], n, lower=0)
     want = column_panel_mirror(acc)
+    _mirror_upper(acc)
+    got = acc.T
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("n,rows", [(1, 4), (65, 70), (77, 300), (130, 135)])
+def test_raw_hessian_holds_the_lower_dsyrk_as_its_upper_triangle(n, rows):
+    """Bit for bit, with the strict lower triangle zero.
+
+    The upper variant of dsyrk, which ``raw_hessian`` once mirrored, sums
+    in another order: here they differ by up to 6.4e-14 at n = 77, within
+    the bound below, and at the bench's shapes they were equal.
+    """
+    rng = np.random.default_rng(n)
+    batches = [rng.standard_normal((r, n)) for r in (rows, 5)]
+    got = raw_hessian(batches, n)
+    assert got.flags.c_contiguous
+    want = dsyrk_sum(batches, n, lower=1).T
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.tril(got, -1).any()
+    upper = dsyrk_sum(batches, n, lower=0)
+    scale = np.sqrt(np.outer(got.diagonal(), got.diagonal()))
+    assert np.all(np.abs(np.triu(got) - np.triu(upper)) <= 1e-13 * scale)
 
 
 def traced_bytes(fn):
@@ -493,20 +536,27 @@ def traced_bytes(fn):
 
 
 def test_memory_budget():
+    """H is the one n x n buffer: the factor is built in its free triangle.
+
+    At n = 512, ``raw_hessian`` peaked 1.9 KB past its n^2, and a factor in
+    a shuffled order at 2.7 gather panels of 64 rows, holding only its
+    diagonal and order after it returns.  When the factor was a copy of H
+    beside it, the peak was n^2 + 1 panel and n^2 was held.
+    """
     n = 512
     square = 8 * n * n
+    panel = 8 * PANEL * n
     rng = np.random.default_rng(11)
     batches = [rng.standard_normal((64, n)) for _ in range(8)]
     raw, peak, _ = traced_bytes(lambda: raw_hessian(batches, n))
-    assert peak <= square + 8 * MIRROR_PANEL * n
+    assert peak <= square + 4096
 
-    order = Permutation(rng.permutation(n))
     layer = checked_layer(np.zeros((1, n)), raw)
-    # one n x n buffer, gathered by rows then by 64-row column panels
-    # (n^2 + 64 n), factored in place and held as it lies
-    _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, 0.01, order))
-    assert peak <= 1.25 * square
-    assert held <= 1.1 * square
+    for order in (None, Permutation(rng.permutation(n))):
+        _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, 0.01, order))
+        assert peak <= 3 * panel
+        # the diagonal, and an identity order's two index arrays
+        assert held <= 3 * 8 * n + 4096
 
 
 def test_prune_layer_memory_budget():
@@ -550,12 +600,13 @@ def test_baseline_memory_budget(prune):
 
 
 def test_prune_runs_memory_budget():
-    """Every method at four sparsities holds two factor-sized buffers at most.
+    """Every method at four sparsities holds one n x n buffer beyond H.
 
-    The channel-order factor becomes the damped inverse in place, and each
-    reordered factor is gathered beside it, so the peak is two n x n
-    buffers and a gather panel, one sweep, and the outcome of the run
-    before.  Keeping the channel factor beside the inverse adds n x n.
+    The damped inverse has a buffer of its own, and every factor is built
+    in H's, so the peak is that n x n, one sweep, the outcome of the run
+    before and a gather panel: measured 0.4 panels past the rest at n =
+    512.  When each reordered factor was gathered beside the inverse, the
+    peak was two n x n buffers and 0.4 panels past the rest.
     """
     rows, n = 64, 512
     square = 8 * n * n
@@ -578,7 +629,81 @@ def test_prune_runs_memory_budget():
 
     reordered, peak, _ = traced_bytes(every_run)
     assert reordered == 8
-    assert peak <= 2 * (square + 8 * GATHER_PANEL * n) + sweep + held + 2**16
+    assert peak <= square + 8 * PANEL * n + sweep + held + 2**16
+
+
+def test_rose_prune_layer_memory_budget():
+    """A reordered rose run at 64 x 512 holds H and one sweep at a time.
+
+    Its factor is built in H's buffer, so past H's n^2 the peak is the
+    sweep's, measured on the same factor, and at most one gather panel:
+    0.1 panels were measured.  When the factor was a copy of H, the peak
+    was 2.56 n^2.
+    """
+    rows, n = 64, 512
+    rng = np.random.default_rng(15)
+    w = gen_columnar(rows, n, 128, 3, 10.0, seed=15)
+    x = rng.standard_normal((2 * n, n))
+    batches, config = [x[:n], x[n:]], SparsityConfig(0.7)
+    (_, plan, _), peak, _ = traced_bytes(lambda: rose_prune_layer(w, batches, config))
+    assert plan.was_reordered
+    b = bundle_from_hessian(checked_layer(w, raw_hessian(batches, n)), 0.01,
+                            plan.permutation)
+    _, sweep, _ = traced_bytes(lambda: prune_layer(b, config))
+    assert peak <= 8 * n * n + sweep + 8 * PANEL * n
+
+
+def stale_after(refactor):
+    """A channel-order bundle, and its layer once ``refactor`` has run on it."""
+    layer = layer_with_dead(16, 2, seed=4)
+    b = bundle_from_hessian(layer, 0.01)
+    before = layer.raw.copy()
+    refactor(b)
+    # H's triangle and diagonal are as they were, whatever became of the factor
+    assert np.array_equal(np.triu(layer.raw), np.triu(before))
+    return b
+
+
+def refactor_from_inverse(b):
+    bundle_from_inverse(invert_in_place(b), Permutation(np.arange(16)[::-1].copy()))
+
+
+def refactor_and_fail(b):
+    # an inverse that is not positive definite fails in dpotrf, after its
+    # gather has written over the workspace
+    inverse = invert_in_place(b)
+    inverse.reversed[...] = -np.eye(16)
+    with pytest.raises(IndefiniteHessianError):
+        bundle_from_inverse(inverse, b.order)
+
+
+@pytest.mark.parametrize("use", [
+    pytest.param(lambda b: prune_layer(b, SparsityConfig(0.5, blocksize=8)),
+                 id="prune_layer"),
+    pytest.param(invert_in_place, id="invert_in_place"),
+])
+@pytest.mark.parametrize("refactor", [
+    pytest.param(lambda b: bundle_from_hessian(b.layer, 0.02), id="from-hessian"),
+    pytest.param(refactor_from_inverse, id="from-inverse"),
+    pytest.param(refactor_and_fail, id="failed"),
+])
+def test_a_stale_bundle_is_rejected(use, refactor):
+    b = stale_after(refactor)
+    with pytest.raises(StaleFactorError, match="factored again") as info:
+        use(b)
+    assert isinstance(info.value, PruneError)
+
+
+def test_a_bundle_stays_valid_until_its_layer_is_factored_again():
+    layer = layer_with_dead(16, 2, seed=4)
+    b = bundle_from_hessian(layer, 0.01)
+    config = SparsityConfig(0.5, blocksize=8)
+    first = prune_layer(b, config)
+    # the damped inverse is a copy: the factor it was made from stays
+    inverse = invert_in_place(b)
+    again = prune_layer(b, config)
+    np.testing.assert_array_equal(again.pruned_weights, first.pruned_weights)
+    assert invert_in_place(b).shift == inverse.shift
 
 
 @pytest.mark.parametrize("prune", [rose_prune_layer, naive_obs_prune])

@@ -564,6 +564,24 @@ def test_overflowing_saliency_exit_1(tmp_path, capsys):
     assert err.startswith("error: saliency") and err.count("\n") == 1
 
 
+def test_overflowing_inverse_diagonal_exit_1(tmp_path, capsys):
+    """X * 2**-513 makes a dead channel's OBS denominator overflow: one typed line."""
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((256, 64)) * 2.0**-513
+    x[:, 5] = 0.0
+    write_tensor(tmp_path / "w.rtns", gen_columnar(16, 64, 16, 2, 10.0, seed=43))
+    write_tensor(tmp_path / "x.rtns", x)
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    code = main(["prune", "--weights", str(tmp_path / "w.rtns"), "--acts",
+                 str(tmp_path / "acts.json"), "--sparsity", "0.5", "--blocksize", "16",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: inverse Hessian diagonal overflows at channel 5")
+    assert err.count("\n") == 1
+
+
 def test_unallocatable_layer_exit_1(tmp_path, capsys):
     """A 71 PiB weight matrix fails to allocate at once, without a traceback."""
     code = main(["prune", "--synth", "uniform", "--sparsity", "0.5",

@@ -29,7 +29,7 @@ from obsprune.calibration import error_prefix, error_total
 from obsprune.engine import CANCELLATION, select_block_mask
 from obsprune.tensors import SemiStructured
 
-from hessian_helpers import accumulate_hessian, dampened_hessian
+from hessian_helpers import accumulate_hessian, dampened_hessian, symmetric
 
 
 def random_layer(seed, rows=8, n=16, samples=None):
@@ -248,7 +248,7 @@ class TestErrorPrefix:
             assert np.array_equal(error_prefix(other, h), got)
             assert error_total(other, h) == total
 
-        dl, hl = d.astype(np.longdouble), h.astype(np.longdouble)
+        dl, hl = d.astype(np.longdouble), symmetric(h).astype(np.longdouble)
         assert got.shape == (n + 1,)
         for e in range(n + 1):
             de, he = dl[:, :e], hl[:e, :e]
@@ -412,7 +412,7 @@ class TestClosedFormTrajectory:
         w = rng.standard_normal((6, 16))
         cfg = SparsityConfig.semi_structured(2, 4, damp_fraction=0.0)
         b = accumulate_hessian([x], cfg.damp_fraction, w)
-        assert np.all(b.chol_upper.diagonal()[4:8] ** 2 < 1e-30)
+        assert np.all(b.diag[4:8] ** 2 < 1e-30)
         out = prune_layer(b, cfg)
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
@@ -523,8 +523,7 @@ def rank1_reference(w, bundle, config):
     matrix product and keeps a running sum, which changes only the rounding.
     """
     rows, n = w.shape
-    upper = bundle.chol_upper
-    d = upper.diagonal()
+    upper, d = bundle.chol_upper, bundle.diag
     w_cur = w.copy()
     kept = np.ones((rows, n), dtype=bool)
     trajectory = []
@@ -543,7 +542,7 @@ def rank1_reference(w, bundle, config):
         delta = w - w_cur
         raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
-            raw_err = float(np.sum((delta @ bundle.layer.raw) * delta))
+            raw_err = float(np.sum((delta @ symmetric(bundle.layer.raw)) * delta))
         trajectory.append(raw_err)
     return w_cur, kept, np.array(trajectory)
 
@@ -566,7 +565,8 @@ def corner_bundle(coupling):
     u = np.eye(8)
     u[0, 0] = 1e-10
     u[0, 5] = coupling
-    return HessianBundle(checked_layer(w, h), u, 0.0, Permutation.identity(8))
+    return HessianBundle(checked_layer(w, h), u, u.diagonal().copy(), 0.0,
+                         Permutation.identity(8))
 
 
 class TestOverflow:
@@ -678,6 +678,13 @@ class TestScale:
     @pytest.mark.parametrize("k", [-508, 500])
     def test_both_factor_routes_scale_exactly_at_the_extremes(self, method, k):
         self.assert_scales_exactly(method, k)
+
+    # X * 2**-513 leaves the dead channel 5 a dampened diagonal, lambda, so
+    # small that its OBS denominator U_55**2 overflows: once a bare warning
+    @pytest.mark.parametrize("method", ["rose", "rose-inverse"])
+    def test_an_overflowing_inverse_diagonal_names_its_channel(self, method):
+        with pytest.raises(NumericOverflowError, match="overflows at channel 5"):
+            scaled_run(method, -513)
 
     @staticmethod
     def assert_scales_exactly(method, k):
