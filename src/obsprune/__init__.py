@@ -10,8 +10,8 @@ from .calibration import (
     bundle_from_inverse,
     checked_layer,
     column_norms,
+    damped_inverse,
     importance_scores,
-    invert_in_place,
     raw_hessian,
 )
 from .engine import PruneOutcome, prune_layer, reconstruction_error

@@ -16,14 +16,15 @@ the strict lower triangle of H's own buffer, with its diagonal kept apart,
 so one n x n buffer serves a layer.  It is made one of two ways.
 ``bundle_from_hessian`` factors H in pruning order with rows and columns
 reversed, inverts the factor as a triangle and reads it transposed and in
-reverse.  Once a channel-order factor exists, ``invert_in_place`` copies it
+reverse.  Once a channel-order factor exists, ``damped_inverse`` copies it
 out into the whole inverse, and ``bundle_from_inverse`` gathers that
 inverse in another order and factors it with one ``dpotrf``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,12 @@ from .tensors import Permutation, as_matrix, finite_matrix
 #: 11.5, 8.2, 10.3 and 18.0 ms, 2 BLAS threads)
 PANEL = 64
 
+#: the H buffers ``raw_hessian`` returned, by id: the layers built on one
+#: share it, and build their factors in its strict lower triangle
+_RAW = weakref.WeakValueDictionary()
+#: the ``diag`` of the bundle whose factor each H buffer holds, by address
+_HOLDERS = weakref.WeakValueDictionary()
+
 
 @dataclass(frozen=True, eq=False)
 class Layer:
@@ -45,10 +52,11 @@ class Layer:
 
     Built only by ``checked_layer``; equality is by identity.  ``w`` is
     finite and row-major, so every sum over it runs in one order whatever
-    the caller's layout.  ``raw`` is the caller's X.T @ X in channel order,
-    without dampening, the matrix every reconstruction error is measured
-    in, in its upper triangle and diagonal; the strict lower triangle is
-    the workspace the layer's factors are built in.  ``norms`` are the
+    the caller's layout.  ``raw`` is X.T @ X in channel order, without
+    dampening, the matrix every reconstruction error is measured in, in
+    its upper triangle and diagonal; the strict lower triangle is the
+    workspace the layer's factors are built in, shared with every layer
+    built on the same ``raw_hessian`` result.  ``norms`` are the
     column norms, ``dead`` is True for each channel whose diagonal in H is
     zero, and ``dense_energy`` is the dense layer's output energy
     sum(W @ H @ W.T).
@@ -59,8 +67,6 @@ class Layer:
     norms: np.ndarray
     dead: np.ndarray
     dense_energy: float
-    #: [the ``diag`` of the bundle whose factor the workspace holds], or [None]
-    _holder: list = field(default_factory=lambda: [None], init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +81,9 @@ class HessianBundle:
     ``bundle_from_inverse`` as the column-major buffer LAPACK wrote.  Its
     trailing blocks reproduce the inverses of all trailing Hessian
     submatrices, which is what lets one factorization serve the whole
-    left-to-right sweep.  The bundle is valid until its layer is factored
-    again; ``valid`` raises StaleFactorError after that.
+    left-to-right sweep.  The bundle is valid until a factor is built
+    again in the same H buffer, by any layer that shares it; ``valid``
+    raises StaleFactorError after that.
     """
 
     layer: Layer
@@ -85,13 +92,11 @@ class HessianBundle:
     damp_lambda: float
     order: Permutation
 
-    def __post_init__(self):
-        # the newest bundle of a layer holds its workspace
-        self.layer._holder[0] = self.diag
-
     def valid(self) -> "HessianBundle":
-        """The bundle itself, while the layer's workspace still holds its factor."""
-        if self.layer._holder[0] is not self.diag:
+        """The bundle itself, unless its factor lay in H's buffer and was overwritten."""
+        raw = self.layer.raw
+        if (np.may_share_memory(self.chol_upper, raw)
+                and _HOLDERS.get(raw.ctypes.data) is not self.diag):
             raise StaleFactorError("the layer was factored again, over this factor")
         return self
 
@@ -163,12 +168,15 @@ def checked_layer(w, raw) -> Layer:
     W, with a non-negative diagonal, as a Gram matrix's is: the first
     negative entry is the pivot.  The dense output energy, ``error_total``
     of W, must be finite, so that every relative error has a denominator.
-    H is read from its upper triangle and diagonal.  The layer owns the
-    buffer (a copy if not row-major and writeable): its factors overwrite
-    the strict lower triangle.
+    H is read from its upper triangle and diagonal.  Factors are built in
+    the strict lower triangle of H's buffer: that of ``raw_hessian``'s
+    result, which every layer built on it shares, or else of a copy, so a
+    caller's own H is never written.
     """
     w = np.ascontiguousarray(finite_matrix(w))
-    raw = np.require(finite_matrix(raw, "hessian"), requirements="CW")
+    raw = finite_matrix(raw, "hessian")
+    if _RAW.get(id(raw)) is not raw:
+        raw = raw.copy()
     n = raw.shape[0]
     if n == 0 or raw.shape[1] != n:
         raise DimensionError(f"hessian must be square and non-empty, got {raw.shape}")
@@ -196,7 +204,8 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
     view returned, and then checked on its diagonal: a NaN or infinity in
     column j, or squares that overflow, make H_jj NaN or inf, so one
     O(width) read names the batch.  The strict lower triangle of the
-    result is zero, the free workspace of the layer's factors.
+    result is zero, the free workspace of the factors of every layer
+    ``checked_layer`` builds on it.
     """
     acc = None
     for i, b in enumerate(activations):
@@ -214,7 +223,9 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
                                            "the Hessian")
     if acc is None:
         raise DimensionError("need at least one activation batch")
-    return acc.T
+    h = acc.T
+    _RAW[id(h)] = h
+    return h
 
 
 def _mirror_upper(a: np.ndarray):
@@ -259,29 +270,31 @@ def bundle_from_hessian(
     raw = layer.raw
     order = Permutation.identity(raw.shape[0]) if order is None else order
     lam = damping(raw, damp_fraction)
-    diag = _factor(layer, raw, order, lam)[::-1].copy()
+    q = order.forward[::-1]
+    diag = _factor(raw, raw, q, q, raw.diagonal() + lam, upper_only=True,
+                   invert=True)[::-1].copy()
+    _HOLDERS[raw.ctypes.data] = diag
     return HessianBundle(layer, raw[::-1, ::-1], diag, lam, order)
 
 
-def invert_in_place(bundle: HessianBundle) -> DampedInverse:
+def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     """The damped inverse, made from the channel-order bundle's factor.
 
     The layer's workspace, read column-major, holds inv(R) for the reversed
     H + lambda I = R.T R, whose diagonal is ``diag`` reversed.  It is copied
-    out one panel of rows at a time into the inverse's own buffer, scaled
-    by 2**shift, a power of two that grows by k when H grows by 4**k, so no
-    bit of the result depends on the scale of H.  One ``dlauum`` there,
-    inv(R) inv(R).T, makes the inverse of H in reversed order, and the
-    panel mirror makes it whole.  The bundle stays valid.
+    into a buffer of its own and scaled there by 2**shift, a power of two
+    that grows by k when H grows by 4**k, so no bit of the result depends
+    on the scale of H.  One ``dlauum`` there, inv(R) inv(R).T, makes the
+    inverse of H in reversed order, and the panel mirror makes it whole.
+    The bundle stays valid.
     """
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
-        raise ValueError("only a channel-order factor can be inverted in place")
+        raise ValueError("only a channel-order factor gives the damped inverse")
     raw = bundle.valid().layer.raw
     top = raw.diagonal().max() + bundle.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
-    buf = np.zeros(raw.shape, order="F")
-    for rows, below in _panels(raw.shape[0]):
-        np.ldexp(raw[rows, : rows.stop], shift, out=buf.T[rows, : rows.stop], where=below)
+    buf = np.tril(raw, -1).T  # column-major, inv(R) in its strict upper triangle
+    np.ldexp(buf, shift, out=buf)
     np.fill_diagonal(buf, np.ldexp(bundle.diag[::-1], shift))
     buf, info = lapack.dlauum(buf, lower=0, overwrite_c=1)
     if info != 0:
@@ -295,56 +308,55 @@ def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBu
     """Factor the dampened H[order][:, order] from the layer's damped inverse.
 
     ``_factor`` factors inv(H)[order][:, order], gathered from the reversed
-    inverse, by one upper ``dpotrf``, which is U itself: no reversal and no
-    triangular inverse.  Scaling U back by 2**-shift is exact, so it
-    matches ``bundle_from_hessian``'s to rounding.
+    inverse, where channel j is at n - 1 - j, by one upper ``dpotrf``,
+    which is U itself: no reversal and no triangular inverse.  Scaling U
+    back by 2**-shift is exact, so it matches ``bundle_from_hessian``'s to
+    rounding.
     """
-    raw = inverse.layer.raw
-    diag = _factor(inverse.layer, inverse.reversed, order)
-    for rows, below in _panels(raw.shape[0]):
+    raw, m = inverse.layer.raw, inverse.reversed
+    n = raw.shape[0]
+    diag = _factor(raw, m, (n - 1) - order.forward, order.forward, m.diagonal(),
+                   upper_only=False, invert=False)
+    for rows, below in _panels(n):
         np.ldexp(raw[rows, : rows.stop], -inverse.shift, out=raw[rows, : rows.stop],
                  where=below)
-    return HessianBundle(inverse.layer, raw.T, np.ldexp(diag, -inverse.shift),
-                         inverse.damp_lambda, order)
+    diag = np.ldexp(diag, -inverse.shift)
+    _HOLDERS[raw.ctypes.data] = diag
+    return HessianBundle(inverse.layer, raw.T, diag, inverse.damp_lambda, order)
 
 
-def _panels(n: int, last_first: bool = False):
-    """(rows, below) for each panel of ``PANEL`` rows of an n x n matrix.
+def _panels(n: int):
+    """(rows, below) for each panel of ``PANEL`` rows of an n x n matrix, the last first.
 
     ``below`` is True where the panel's first rows.stop columns lie in the
     strict lower triangle.
     """
-    starts = range(0, n, PANEL)
-    for i1 in reversed(starts) if last_first else starts:
+    for i1 in reversed(range(0, n, PANEL)):
         i2 = min(i1 + PANEL, n)
         yield slice(i1, i2), np.arange(i2) < np.arange(i1, i2)[:, None]
 
 
-def _factor(layer: Layer, m: np.ndarray, order: Permutation,
-            lam: float = 0.0) -> np.ndarray:
-    """Factor m[idx][:, idx] + lam I in the layer's workspace; the factor's diagonal.
+def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarray,
+            pivots: np.ndarray, *, upper_only: bool, invert: bool) -> np.ndarray:
+    """Factor m[idx][:, idx], its diagonal pivots[idx], in raw's workspace; U's diagonal.
 
-    m is H, whose idx is the order reversed, or the reversed inverse, where
-    channel j is at n - 1 - j.  ``_gather`` fills the workspace, which is
-    the upper triangle of the column-major buffer LAPACK overwrites, where
-    the upper variant runs faster.  H's diagonal is saved and the matrix's
-    put in its place; upper ``dpotrf`` with clean=0, which leaves H's
-    triangle as it is, factors it, and when m is H, ``dtrtri`` inverts the
-    factor.  H's diagonal goes back, also on failure.  Every bundle of the
-    layer is stale from the first write.
+    ``_gather`` fills the workspace, which is the upper triangle of the
+    column-major buffer LAPACK overwrites, where the upper variant runs
+    faster.  H's diagonal is saved and pivots[idx] put in its place; upper
+    ``dpotrf`` with clean=0, which leaves H's triangle as it is, factors
+    it, naming a failed pivot by ``channels``, and with ``invert``,
+    ``dtrtri`` inverts the factor.  H's diagonal goes back, also on
+    failure.  Every bundle over raw is stale from the first write.
     """
-    raw = layer.raw
     n = raw.shape[0]
-    if order.size != n:
-        raise DimensionError(f"order size {order.size} != Hessian size {n}")
-    channels = order.forward[::-1] if m is raw else order.forward
-    idx = channels if m is raw else (n - 1) - channels
-    layer._holder[0] = None
+    if idx.size != n:
+        raise DimensionError(f"order size {idx.size} != Hessian size {n}")
+    _HOLDERS.pop(raw.ctypes.data, None)
     h_diag = raw.diagonal().copy()
-    _gather(raw, m, idx)
+    _gather(raw, m, idx, upper_only)
     diagonal = raw.reshape(-1)[:: n + 1]
     try:
-        diagonal[...] = (h_diag if m is raw else m.diagonal())[idx] + lam
+        diagonal[...] = pivots[idx]
         _, info = lapack.dpotrf(raw.T, lower=0, clean=0, overwrite_a=1)
         if info > 0:
             pivot = int(channels[info - 1])
@@ -354,7 +366,7 @@ def _factor(layer: Layer, m: np.ndarray, order: Permutation,
             )
         if info < 0:
             raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-        if m is raw:
+        if invert:
             _, info = lapack.dtrtri(raw.T, lower=0, overwrite_c=1)
             if info != 0:
                 raise IndefiniteHessianError(f"dtrtri failed with info={info}")
@@ -363,27 +375,27 @@ def _factor(layer: Layer, m: np.ndarray, order: Permutation,
         diagonal[...] = h_diag
 
 
-def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray):
+def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, upper_only: bool):
     """Write the strict lower triangle of m[idx][:, idx] over that of ``raw``.
 
     Panel by panel, the last first, each takes its rows of m and gathers
     their leading columns in the order idx: a peak of a few panels, and
-    every read from m is of a row.  H, whose buffer holds only its upper
-    triangle, holds H[a, b] for b < a as H[b, a], in row b, so the panel of
+    every read from m is of a row.  With ``upper_only``, m is H, whose
+    buffer holds H[a, b] for b < a as H[b, a], in row b, so the panel of
     row b also fills those entries in its diagonal block and, transposed,
     in later rows, over what their own panels wrote there.
     """
     n = idx.size
-    for rows, below in _panels(n, last_first=True):
+    for rows, below in _panels(n):
         i1, i2 = rows.start, rows.stop
         taken = m.take(idx[rows], axis=0)
         raw[rows, :i1] = taken.take(idx[:i1], axis=1)
         block = taken.take(idx[rows], axis=1)
-        if m is raw:
+        if upper_only:
             block = np.where(idx[rows] > idx[rows, None], block, block.T)
         np.copyto(raw[rows, rows], block, where=below[:, i1:])
         later = idx[i2:]
-        if m is raw and later.max(initial=-1) > idx[rows].min():
+        if upper_only and later.max(initial=-1) > idx[rows].min():
             np.copyto(raw[i2:, rows].T, taken.take(later, axis=1),
                       where=later > idx[rows, None])
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import (bundle_from_hessian, bundle_from_inverse, checked_layer,
-                          damping, invert_in_place, raw_hessian)
+                          damping, damped_inverse, raw_hessian)
 from .engine import PruneOutcome, prune_layer
 from .errors import (
     DimensionError,
@@ -214,7 +214,7 @@ def cross_check(seed: int, damp: float) -> list[str]:
     b = bundle_from_hessian(layer, damp, order)
     # a copy of U, whose buffer the layer's next factor overwrites
     want = np.triu(b.chol_upper, 1) + np.diag(b.diag)
-    b = bundle_from_inverse(invert_in_place(bundle_from_hessian(layer, damp)), order)
+    b = bundle_from_inverse(damped_inverse(bundle_from_hessian(layer, damp)), order)
     got = np.triu(b.chol_upper, 1) + np.diag(b.diag)
     if np.max(np.abs(got - want)) > 1e-12 * np.max(np.abs(want)):
         failures.append("FAIL factor from the damped inverse")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import (Layer, bundle_from_hessian, bundle_from_inverse,
-                          checked_layer, importance_scores, invert_in_place,
+                          checked_layer, damped_inverse, importance_scores,
                           raw_hessian)
 from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError
@@ -127,9 +127,9 @@ def prune_runs(layer: Layer, methods: Sequence[str],
     each group the runs left in place go first, in config x method order,
     and share the channel-order factor of H.  The reordered runs follow in
     the same order.  If the channel factor was made, the first of them
-    overwrites it with the damped inverse (``invert_in_place``), and each
-    is factored from that (``bundle_from_inverse``); otherwise each factors
-    H itself.  A run's wall_ms covers its plan, its factor and its prune,
+    copies it into a buffer of its own as the damped inverse
+    (``damped_inverse``), and each is factored from that
+    (``bundle_from_inverse``); otherwise each factors H itself.  A run's wall_ms covers its plan, its factor and its prune,
     and the first reordered one's also the inversion.  An unknown method
     raises ConfigError before any run.
     """
@@ -168,7 +168,7 @@ def prune_runs(layer: Layer, methods: Sequence[str],
             # the run's clock includes its plan, built above
             t0 = time.perf_counter() - plan_s
             if channel is not None:
-                inverse, channel = invert_in_place(channel), None
+                inverse, channel = damped_inverse(channel), None
             order = plan.permutation
             # the factor is bound to no name, so it is freed before the next one
             outcome = prune_layer(bundle_from_hessian(layer, damp, order)

@@ -42,8 +42,11 @@ def symmetric(raw):
 
 
 def upper_factor(bundle):
-    """A copy of the bundle's U: chol_upper's strict upper triangle, and diag."""
-    return np.triu(bundle.chol_upper, 1) + np.diag(bundle.diag)
+    """A copy of the bundle's U: chol_upper's strict upper triangle, and diag.
+
+    A stale bundle raises StaleFactorError: its buffer holds another factor.
+    """
+    return np.triu(bundle.valid().chol_upper, 1) + np.diag(bundle.diag)
 
 
 def dampened_hessian(bundle):

@@ -19,8 +19,8 @@ from obsprune import (
     bundle_from_inverse,
     checked_layer,
     column_norms,
+    damped_inverse,
     gen_columnar,
-    invert_in_place,
     magnitude_prune,
     naive_obs_prune,
     prune_layer,
@@ -267,13 +267,14 @@ def test_any_order_factors_the_permuted_hessian(seed):
     b = factor(raw, 0.01, order)
     f = order.forward
     assert b.order is order
+    # a copy of H: a factor in raw's buffer would make b stale
+    assert b.damp_lambda == factor(raw.copy(), 0.01).damp_lambda
+    want = factor_of_inverse(h[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
+    assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
     # U's strict upper triangle lies in H's own buffer, whose upper one
     # still holds H
     assert np.shares_memory(b.chol_upper, raw)
     assert np.array_equal(np.triu(raw), np.triu(h))
-    want = factor_of_inverse(h[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
-    assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
-    assert b.damp_lambda == factor(raw, 0.01).damp_lambda
 
 
 def test_panel_gather_factors_the_direct_gather_bitwise():
@@ -318,7 +319,7 @@ def group_keeping_order(n, m, seed):
 def test_inverse_in_place_is_the_damped_inverse(n, dead):
     layer = layer_with_dead(n, dead, seed=n)
     b = bundle_from_hessian(layer, 0.01)
-    inv = invert_in_place(b)
+    inv = damped_inverse(b)
     # copied out into a buffer of its own, whole and exactly symmetric; the
     # factor stays where it was
     assert not np.shares_memory(inv.reversed, layer.raw)
@@ -340,7 +341,7 @@ def test_factor_from_inverse_matches_factor_of_h(kind, dead):
              "2:4 groups": group_keeping_order(n, 4, seed=6)}[kind]
     want = bundle_from_hessian(layer, 0.01, order)
     want_u = upper_factor(want)
-    got = bundle_from_inverse(invert_in_place(bundle_from_hessian(layer, 0.01)), order)
+    got = bundle_from_inverse(damped_inverse(bundle_from_hessian(layer, 0.01)), order)
     assert got.layer is layer and got.order is order
     assert got.damp_lambda == want.damp_lambda
     # LAPACK's buffer itself, the layer's H buffer read column-major
@@ -357,7 +358,7 @@ def test_only_a_channel_order_factor_is_inverted():
     layer = layer_with_dead(8, 0, seed=1)
     b = bundle_from_hessian(layer, 0.01, Permutation(np.arange(8)[::-1].copy()))
     with pytest.raises(ValueError, match="channel-order"):
-        invert_in_place(b)
+        damped_inverse(b)
 
 
 def test_indefinite_inverse_names_the_channel_in_its_order():
@@ -493,7 +494,7 @@ def dsyrk_sum(batches, n, lower):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_row_panel_mirror_is_the_column_panel_mirror(n):
-    # the mirror invert_in_place makes its inverse whole with
+    # the mirror damped_inverse makes its inverse whole with
     rng = np.random.default_rng(n)
     acc = dsyrk_sum([rng.standard_normal((r, n)) for r in (n + 3, 5)], n, lower=0)
     want = column_panel_mirror(acc)
@@ -614,7 +615,7 @@ def test_prune_runs_memory_budget():
     w = gen_columnar(rows, n, 128, 3, 10.0, seed=14)
     layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
     configs = [SparsityConfig(p) for p in (0.5, 0.6, 0.7, 0.8)]
-    inverse = invert_in_place(bundle_from_hessian(layer, 0.01))
+    inverse = damped_inverse(bundle_from_hessian(layer, 0.01))
     b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
     outcome, sweep, _ = traced_bytes(lambda: prune_layer(b, configs[0]))
     del inverse, b
@@ -665,13 +666,13 @@ def stale_after(refactor):
 
 
 def refactor_from_inverse(b):
-    bundle_from_inverse(invert_in_place(b), Permutation(np.arange(16)[::-1].copy()))
+    bundle_from_inverse(damped_inverse(b), Permutation(np.arange(16)[::-1].copy()))
 
 
 def refactor_and_fail(b):
     # an inverse that is not positive definite fails in dpotrf, after its
     # gather has written over the workspace
-    inverse = invert_in_place(b)
+    inverse = damped_inverse(b)
     inverse.reversed[...] = -np.eye(16)
     with pytest.raises(IndefiniteHessianError):
         bundle_from_inverse(inverse, b.order)
@@ -680,7 +681,7 @@ def refactor_and_fail(b):
 @pytest.mark.parametrize("use", [
     pytest.param(lambda b: prune_layer(b, SparsityConfig(0.5, blocksize=8)),
                  id="prune_layer"),
-    pytest.param(invert_in_place, id="invert_in_place"),
+    pytest.param(damped_inverse, id="damped_inverse"),
 ])
 @pytest.mark.parametrize("refactor", [
     pytest.param(lambda b: bundle_from_hessian(b.layer, 0.02), id="from-hessian"),
@@ -694,16 +695,45 @@ def test_a_stale_bundle_is_rejected(use, refactor):
     assert isinstance(info.value, PruneError)
 
 
+def test_layers_on_one_raw_hessian_share_its_workspace():
+    # two layers built on one raw_hessian result, as obsprune builds every
+    # weight file of one --acts manifest: a factor of either makes the
+    # other's bundle stale
+    n = 16
+    raw = raw_hessian([np.random.default_rng(3).standard_normal((40, n))], n)
+    first = checked_layer(np.ones((2, n)), raw)
+    second = checked_layer(np.zeros((1, n)), raw)
+    assert first.raw is second.raw is raw
+    b = bundle_from_hessian(first, 0.01)
+    bundle_from_hessian(second, 0.01, Permutation(np.arange(n)[::-1].copy()))
+    for use in (damped_inverse, lambda b: prune_layer(b, SparsityConfig(0.5))):
+        with pytest.raises(StaleFactorError):
+            use(b)
+
+
+def test_a_callers_own_hessian_is_never_written():
+    # H not made by raw_hessian is copied, so each layer has its own buffer
+    n = 16
+    h = symmetric(raw_hessian([np.random.default_rng(3).standard_normal((40, n))], n))
+    before = h.copy()
+    first, second = (checked_layer(np.ones((2, n)), h) for _ in range(2))
+    assert not np.shares_memory(first.raw, h)
+    b = bundle_from_hessian(first, 0.01)
+    bundle_from_hessian(second, 0.01)
+    assert np.array_equal(h, before)
+    assert b.valid() is b
+
+
 def test_a_bundle_stays_valid_until_its_layer_is_factored_again():
     layer = layer_with_dead(16, 2, seed=4)
     b = bundle_from_hessian(layer, 0.01)
     config = SparsityConfig(0.5, blocksize=8)
     first = prune_layer(b, config)
     # the damped inverse is a copy: the factor it was made from stays
-    inverse = invert_in_place(b)
+    inverse = damped_inverse(b)
     again = prune_layer(b, config)
     np.testing.assert_array_equal(again.pruned_weights, first.pruned_weights)
-    assert invert_in_place(b).shift == inverse.shift
+    assert damped_inverse(b).shift == inverse.shift
 
 
 @pytest.mark.parametrize("prune", [rose_prune_layer, naive_obs_prune])
