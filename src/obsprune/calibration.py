@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -193,13 +193,15 @@ def checked_layer(w, raw) -> Layer:
     return Layer(w, raw, column_norms(raw), diag == 0.0, energy)
 
 
-def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
+def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
     """Sum of per-batch Gram matrices X.T @ X, without dampening, in its upper triangle.
 
-    ``width`` is the layer's: W's column count.  One pass: each batch is
-    checked as it arrives, 2-D and ``width`` columns wide, before anything
-    is allocated for it, so the width x width buffer is sized only once
-    batch 0 has passed.  Each batch is added by ``dsyrk`` into the lower
+    ``width`` is the layer's: W's column count.  One pass over any
+    iterable, such as ``read_manifest``'s: each batch is dropped before the
+    next is asked for, so a lazy source is held one batch at a time.  Each
+    batch is checked as it arrives, 2-D and ``width`` columns wide, before
+    anything is allocated for it, so the width x width buffer is sized only
+    once batch 0 has passed.  Each batch is added by ``dsyrk`` into the lower
     triangle of that column-major buffer, the upper one of the row-major
     view returned, and then checked on its diagonal: a NaN or infinity in
     column j, or squares that overflow, make H_jj NaN or inf, so one
@@ -208,7 +210,10 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
     ``checked_layer`` builds on it.
     """
     acc = None
-    for i, b in enumerate(activations):
+    # counted by hand: enumerate's reused tuple would hold a batch while
+    # the next one is read
+    i = 0
+    for b in activations:
         what = f"activation batch {i}"
         b = as_matrix(b, what)
         if b.shape[1] != width:
@@ -221,6 +226,8 @@ def raw_hessian(activations: Sequence[np.ndarray], width: int) -> np.ndarray:
             if not np.isfinite(acc.diagonal()).all():
                 raise NumericOverflowError(f"{what} is not finite or overflows "
                                            "the Hessian")
+        del b
+        i += 1
     if acc is None:
         raise DimensionError("need at least one activation batch")
     h = acc.T

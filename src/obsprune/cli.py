@@ -248,6 +248,7 @@ def cmd_compare(args) -> int:
             "was_reordered": plan.was_reordered,
             "wall_ms": wall_ms,
         }
+        del outcome  # freed before the next run, not after it
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "compare.csv"
 

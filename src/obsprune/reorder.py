@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,9 +129,11 @@ def prune_runs(layer: Layer, methods: Sequence[str],
     the same order.  If the channel factor was made, the first of them
     copies it into a buffer of its own as the damped inverse
     (``damped_inverse``), and each is factored from that
-    (``bundle_from_inverse``); otherwise each factors H itself.  A run's wall_ms covers its plan, its factor and its prune,
-    and the first reordered one's also the inversion.  An unknown method
-    raises ConfigError before any run.
+    (``bundle_from_inverse``); otherwise each factors H itself.  A run's
+    wall_ms covers its plan, its factor and its prune, and the first
+    reordered one's also the inversion.  Once the caller asks for the next
+    run, the generator holds no outcome: a caller that drops each one holds
+    one at a time.  An unknown method raises ConfigError before any run.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")
@@ -164,6 +166,7 @@ def prune_runs(layer: Layer, methods: Sequence[str],
                     outcome = prune_layer(channel, config)
                 wall_ms = (time.perf_counter() - t0) * 1000.0
                 yield config, method, outcome, plan, profile, wall_ms
+                del outcome  # the caller's to keep, not the next run's
         for config, method, plan, profile, plan_s in reordered:
             # the run's clock includes its plan, built above
             t0 = time.perf_counter() - plan_s
@@ -176,14 +179,19 @@ def prune_runs(layer: Layer, methods: Sequence[str],
                                   else bundle_from_inverse(inverse, order), config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             yield config, method, outcome, plan, profile, wall_ms
+            del outcome
 
 
 def rose_prune_layer(
     w: np.ndarray,
-    activations: Sequence[np.ndarray],
+    activations: Iterable[np.ndarray],
     config: SparsityConfig,
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
-    """Check W, then score, reorder if columnar, prune and restore channel order."""
+    """Check W, then score, reorder if columnar, prune and restore channel order.
+
+    ``activations`` is any iterable of batches, read once by
+    ``raw_hessian``, one batch at a time.
+    """
     w = finite_matrix(w)
     layer = checked_layer(w, raw_hessian(activations, w.shape[1]))
     [(_, _, outcome, plan, profile, _)] = prune_runs(layer, ["rose"], [config])

@@ -15,6 +15,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -68,7 +69,8 @@ def write_tensor(path, array, dtype="float64") -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Read a tensor, widening f32 payloads to float64."""
-    with open(path, "rb") as f:
+    # a buffer just past the header: the payload goes straight into its array
+    with open(path, "rb", buffering=64) as f:
         head = f.read(8)
         if len(head) < 8 or head[:4] != MAGIC:
             raise RtnsFormatError(f"{path}: bad magic")
@@ -94,16 +96,21 @@ def read_tensor(path) -> np.ndarray:
             )
         if size < remaining:
             raise RtnsFormatError(f"{path}: {remaining - size} trailing bytes")
-        payload = f.read(size)
-    data = np.frombuffer(payload, dtype=dt).reshape(dims)
-    return data.astype(np.float64)
+        data = np.empty(dims, dtype=dt)
+        if f.readinto(data) != size:
+            raise RtnsFormatError(f"{path}: payload ended before {size} bytes")
+    return data.astype(np.float64, copy=False)
 
 
-def read_manifest(path) -> list[np.ndarray]:
-    """Load activation batches listed (in order) by a JSON manifest.
+def read_manifest(path) -> Iterator[np.ndarray]:
+    """The activation batches a JSON manifest lists, read one at a time, in order.
 
     Manifest schema: {"batches": ["relative/or/absolute.rtns", ...]};
-    relative paths resolve against the manifest's directory.
+    relative paths resolve against the manifest's directory.  The whole
+    manifest is checked first: a non-empty list of path strings, each
+    naming an existing file.  The iterator returned then reads each batch
+    only when the next one is asked for, so a reader that drops each batch
+    before asking holds one at a time.
     """
     path = Path(path)
     with open(path) as f:
@@ -114,15 +121,14 @@ def read_manifest(path) -> list[np.ndarray]:
     batches = doc.get("batches") if isinstance(doc, dict) else None
     if not isinstance(batches, list) or not batches:
         raise RtnsFormatError(f"{path}: manifest needs a non-empty 'batches' list")
-    out = []
+    paths = []
     for i, entry in enumerate(batches):
         if not isinstance(entry, str):
             raise RtnsFormatError(f"{path}: batch {i} is {entry!r}, not a path string")
-        p = Path(entry)
-        if not p.is_absolute():
-            p = path.parent / p
-        out.append(read_tensor(p))
-    return out
+        paths.append(path.parent / entry)  # an absolute entry replaces the parent
+        if not paths[-1].is_file():
+            raise RtnsFormatError(f"{path}: batch {i} {paths[-1]} is not a file")
+    return (read_tensor(p) for p in paths)
 
 
 def write_manifest(path, batch_paths) -> None:

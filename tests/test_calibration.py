@@ -604,10 +604,11 @@ def test_prune_runs_memory_budget():
     """Every method at four sparsities holds one n x n buffer beyond H.
 
     The damped inverse has a buffer of its own, and every factor is built
-    in H's, so the peak is that n x n, one sweep, the outcome of the run
-    before and a gather panel: measured 0.4 panels past the rest at n =
-    512.  When each reordered factor was gathered beside the inverse, the
-    peak was two n x n buffers and 0.4 panels past the rest.
+    in H's, so the peak is that n x n, one sweep and a gather panel: no
+    run's outcome outlives the next run's start.  When each reordered
+    factor was gathered beside the inverse, the peak was two n x n buffers
+    and 0.4 panels past the rest, and until the generator dropped each
+    outcome it also held the run before's.
     """
     rows, n = 64, 512
     square = 8 * n * n
@@ -618,8 +619,7 @@ def test_prune_runs_memory_budget():
     inverse = damped_inverse(bundle_from_hessian(layer, 0.01))
     b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
     outcome, sweep, _ = traced_bytes(lambda: prune_layer(b, configs[0]))
-    del inverse, b
-    held = outcome.pruned_weights.nbytes + outcome.mask.kept.nbytes
+    del inverse, b, outcome
 
     def every_run():
         reordered = 0
@@ -630,7 +630,7 @@ def test_prune_runs_memory_budget():
 
     reordered, peak, _ = traced_bytes(every_run)
     assert reordered == 8
-    assert peak <= square + 8 * PANEL * n + sweep + held + 2**16
+    assert peak <= square + 8 * PANEL * n + sweep + 2**16
 
 
 def test_rose_prune_layer_memory_budget():

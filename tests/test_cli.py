@@ -2,6 +2,8 @@ import csv
 import json
 import struct
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from obsprune import (
     engine,
     read_tensor,
     reorder,
+    rtns,
     write_manifest,
     write_tensor,
 )
@@ -496,6 +499,100 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
     assert len(operands["error_prefix"]) == 8
     with open(tmp_path / "out" / "compare.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == 20
+
+
+def write_sweep(tmp_path, batches, rows=128, cols=256):
+    """compare flags for columnar weights and ``batches`` float32 files of ``rows`` each."""
+    tmp_path.mkdir(exist_ok=True)
+    write_tensor(tmp_path / "w.rtns", gen_columnar(32, cols, 64, 3, 10.0, seed=0))
+    x = gen_activations(batches * rows, cols, 0.3, seed=1)
+    names = []
+    for i in range(batches):
+        names.append(tmp_path / f"x{i}.rtns")
+        write_tensor(names[-1], x[i * rows:(i + 1) * rows], dtype="float32")
+    write_manifest(tmp_path / "acts.json", names)
+    return ["compare", "--weights", str(tmp_path / "w.rtns"),
+            "--acts", str(tmp_path / "acts.json"), "--blocksize", "64",
+            "--out", str(tmp_path / "out")]
+
+
+def test_compare_holds_one_outcome_at_a_time(tmp_path, monkeypatch):
+    """When any run starts, every earlier run's outcome is already freed."""
+    outcomes = []
+    for name in ("prune_layer", "magnitude_prune", "wanda_prune"):
+        def held_alone(*args, _run=getattr(reorder, name), **kwargs):
+            assert all(ref() is None for ref in outcomes), "an earlier outcome is alive"
+            outcome = _run(*args, **kwargs)
+            outcomes.append(weakref.ref(outcome))
+            return outcome
+
+        monkeypatch.setattr(reorder, name, held_alone)
+    assert run([*write_sweep(tmp_path, 2), "--sparsity", "0.5,0.7"]) == 0
+    assert len(outcomes) == 10
+    with open(tmp_path / "out" / "compare.csv", newline="") as f:
+        assert sum(r["was_reordered"] == "True" for r in csv.DictReader(f)) == 4
+
+
+def test_compare_peak_does_not_grow_with_the_batch_count(tmp_path):
+    """16 batches cost at most one float64 batch more than one batch of their shape.
+
+    The 16 batches, 4 MiB as float64, outweigh H and the damped inverse
+    (1 MiB); read as a list before H was built, they set compare's peak.
+    """
+    peaks = []
+    for count in (1, 16):
+        argv = write_sweep(tmp_path / str(count), count)
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--sparsity", "0.5,0.7"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, sixteen = peaks
+    assert sixteen <= one + 8 * 128 * 256 + 2**16
+
+
+def test_compare_missing_third_batch_named_before_any_read(tmp_path, capsys,
+                                                           monkeypatch):
+    argv = write_sweep(tmp_path, 3)
+    (tmp_path / "x2.rtns").unlink()
+
+    def read(path):
+        raise AssertionError("a batch was read")
+
+    # the weights are read through cli's own name, the batches through rtns'
+    monkeypatch.setattr(rtns, "read_tensor", read)
+    assert main([*argv, "--sparsity", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"batch 2 {tmp_path / 'x2.rtns'}" in err
+
+
+def test_compare_corrupt_third_batch_named_after_two_are_added(tmp_path, capsys,
+                                                               monkeypatch):
+    """Each batch is read only once the one before it is in H; none is factored."""
+    argv = write_sweep(tmp_path, 3)
+    bad = tmp_path / "x2.rtns"
+    bad.write_bytes(b"NOPE" + bad.read_bytes()[4:])
+    events = []
+    read, syrk = rtns.read_tensor, calibration.blas.dsyrk
+
+    def reading(path):
+        events.append("read")
+        return read(path)
+
+    def adding(*args, **kwargs):
+        events.append("add")
+        return syrk(*args, **kwargs)
+
+    def factored(*args, **kwargs):
+        raise AssertionError("a Hessian was factored")
+
+    monkeypatch.setattr(rtns, "read_tensor", reading)
+    monkeypatch.setattr(calibration.blas, "dsyrk", adding)
+    monkeypatch.setattr(calibration.lapack, "dpotrf", factored)
+    assert main([*argv, "--sparsity", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: bad magic\n"
+    assert events == ["read", "add", "read", "add", "read"]
 
 
 def test_verify_subcommand_passes():

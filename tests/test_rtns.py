@@ -1,8 +1,11 @@
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from obsprune import rtns
 from obsprune.rtns import (
     RtnsFormatError,
     read_manifest,
@@ -79,7 +82,7 @@ def test_manifest_round_trip(tmp_path):
     write_tensor(tmp_path / "a.rtns", a)
     write_tensor(tmp_path / "b.rtns", b)
     write_manifest(tmp_path / "m.json", ["a.rtns", "b.rtns"])
-    batches = read_manifest(tmp_path / "m.json")
+    batches = list(read_manifest(tmp_path / "m.json"))
     assert len(batches) == 2
     np.testing.assert_array_equal(batches[0], a)
     np.testing.assert_array_equal(batches[1], b)
@@ -88,6 +91,60 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_requires_batches(tmp_path):
     (tmp_path / "m.json").write_text("{}")
     with pytest.raises(RtnsFormatError):
+        read_manifest(tmp_path / "m.json")
+
+
+def test_read_holds_a_float64_payload_once(tmp_path):
+    """The payload is read into the returned array, with no bytes copy beside it."""
+    a = np.random.default_rng(2).standard_normal((512, 512))
+    write_tensor(tmp_path / "t.rtns", a)
+    tracemalloc.start()
+    try:
+        back = read_tensor(tmp_path / "t.rtns")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back, a)
+    assert peak <= a.nbytes + 4096
+
+
+def test_short_read_names_the_file(tmp_path, monkeypatch):
+    """A payload that ends early once the size check has passed is a format error."""
+    p = tmp_path / "t.rtns"
+    write_tensor(p, np.ones((4, 4)))
+    p.write_bytes(p.read_bytes()[:-8])
+    size = p.stat().st_size
+    # the file's size as it was when checked, before it shrank
+    monkeypatch.setattr(rtns.os, "fstat", lambda fd: SimpleNamespace(st_size=size + 8))
+    with pytest.raises(RtnsFormatError, match=f"{p}: payload ended"):
+        read_tensor(p)
+
+
+def test_manifest_reads_each_batch_when_asked(tmp_path, monkeypatch):
+    """Every entry is checked up front; a batch is read only by the next ``next``."""
+    for name in ("a", "b"):
+        write_tensor(tmp_path / f"{name}.rtns", np.ones((2, 3)))
+    write_manifest(tmp_path / "m.json", ["a.rtns", tmp_path / "b.rtns"])
+    read = []
+    monkeypatch.setattr(rtns, "read_tensor", lambda p: read.append(p) or p)
+    batches = read_manifest(tmp_path / "m.json")
+    assert read == []
+    assert next(batches) == tmp_path / "a.rtns" and len(read) == 1
+    assert list(batches) == [tmp_path / "b.rtns"] and len(read) == 2
+
+
+@pytest.mark.parametrize("entry", ["missing.rtns", "", "."],
+                         ids=["missing", "empty", "dir"])
+def test_manifest_entry_not_a_file_named_before_any_read(tmp_path, monkeypatch, entry):
+    write_tensor(tmp_path / "a.rtns", np.ones((2, 3)))
+    write_manifest(tmp_path / "m.json", ["a.rtns", "a.rtns", entry])
+
+    def read(p):
+        raise AssertionError("a batch was read")
+
+    monkeypatch.setattr(rtns, "read_tensor", read)
+    with pytest.raises(RtnsFormatError,
+                       match=f"batch 2 {tmp_path / entry} is not a file"):
         read_manifest(tmp_path / "m.json")
 
 
