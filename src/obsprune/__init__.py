@@ -25,7 +25,7 @@ from .errors import (
     SingularOracleError,
     StaleFactorError,
 )
-from .oracle import exact_masked_reconstruction, naive_obs_prune, obs_update_row
+from .oracle import exact_masked_reconstruction, naive_obs_prune
 from .reorder import (
     METHODS,
     LossProfile,

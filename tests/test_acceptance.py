@@ -21,7 +21,6 @@ from obsprune import (
     gen_columnar,
     gen_uniform,
     naive_obs_prune,
-    obs_update_row,
     prune_layer,
     raw_hessian,
     reconstruction_error,
@@ -111,21 +110,26 @@ def test_criterion_1_trailing_cholesky_identity():
 
 
 def test_criterion_2_single_column_compensation():
+    # a 1-row layer in one block at sparsity 1/n, undamped, loses exactly
+    # one weight q; the oracle's sweep must leave the columns before q as
+    # they are and give q: the best row under H[q:, q:]
     rng = np.random.default_rng(202)
     worst = 0.0
+    held = True
     for _ in range(200):
         n = int(rng.integers(2, 17))
         x = rng.standard_normal((2 * n + 4, n))
-        h = x.T @ x + 0.05 * np.eye(n)
-        inv = np.linalg.inv(h)
         row = rng.standard_normal(n)
-        q = int(rng.integers(0, n))
-        kept = np.ones(n, dtype=bool)
-        kept[q] = False
-        got = obs_update_row(row, q, inv)
-        want = exact_masked_reconstruction(row, kept, h)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    report(2, worst <= 1e-8, f"max abs deviation {worst:.2e}")
+        cfg = SparsityConfig(sparsity=1 / n, blocksize=n, damp_fraction=0.0)
+        out = naive_obs_prune(row[None, :], [x], cfg)
+        got, kept = out.pruned_weights[0], out.mask.kept[0]
+        q = int(np.argmin(kept))
+        held &= bool(kept.sum() == n - 1 and np.array_equal(got[:q], row[:q]))
+        want = exact_masked_reconstruction(row[q:], kept[q:], (x.T @ x)[q:, q:])
+        worst = max(worst, float(np.max(np.abs(got[q:] - want))))
+    report(2, held and worst <= 1e-8,
+           f"one weight pruned, earlier columns unchanged: {held}, "
+           f"max abs deviation {worst:.2e}")
 
 
 def test_criterion_3_engine_matches_naive_oracle():

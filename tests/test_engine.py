@@ -17,14 +17,13 @@ from obsprune import (
     exact_masked_reconstruction,
     gen_columnar,
     naive_obs_prune,
-    obs_update_row,
     prune_layer,
     prune_runs,
     raw_hessian,
     reconstruction_error,
     rose_prune_layer,
 )
-from obsprune import engine
+from obsprune import engine, oracle
 from obsprune.calibration import error_prefix, error_total
 from obsprune.engine import CANCELLATION, select_block_mask
 from obsprune.tensors import SemiStructured
@@ -38,36 +37,49 @@ def random_layer(seed, rows=8, n=16, samples=None):
     return rng.standard_normal((rows, n)), rng.standard_normal((samples, n))
 
 
+def prune_one_weight(row, x):
+    """``naive_obs_prune`` of the 1-row layer ``row`` in one block at
+    sparsity 1/n, undamped: it prunes exactly one weight."""
+    n = row.size
+    cfg = SparsityConfig(sparsity=1 / n, blocksize=n, damp_fraction=0.0)
+    out = naive_obs_prune(row[None, :], [x], cfg)
+    assert out.mask.kept.sum() == n - 1
+    return out.pruned_weights[0], out.mask.kept[0]
+
+
 class TestUpdateRow:
+    """The oracle's OBS one-row update, on a layer of one row."""
+
     def test_zero_weight_no_change(self):
-        inv = np.eye(3)
         row = np.array([1.0, 0.0, 3.0])
-        np.testing.assert_array_equal(obs_update_row(row, 1, inv), row)
+        got, kept = prune_one_weight(row, random_layer(1, n=3)[1])
+        np.testing.assert_array_equal(kept, [True, False, True])
+        np.testing.assert_array_equal(got, row)
 
     def test_identity_hessian_decouples(self):
-        out = obs_update_row(np.array([1.0, 2.0, 3.0]), 1, np.eye(3))
-        np.testing.assert_array_equal(out, [1.0, 0.0, 3.0])
+        got, _ = prune_one_weight(np.array([2.0, 1.0, 3.0]), np.eye(3))
+        np.testing.assert_array_equal(got, [2.0, 0.0, 3.0])
 
     def test_matches_normal_equations_oracle(self):
+        # columns before the pruned q stay; q: is the best row with q
+        # pruned under H[q:, q:], the earlier columns held fixed
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = 6
             x = rng.standard_normal((3 * n, n))
-            h = x.T @ x
-            inv = np.linalg.inv(h)
             row = rng.standard_normal(n)
-            q = int(rng.integers(n))
-            kept = np.ones(n, dtype=bool)
-            kept[q] = False
-            got = obs_update_row(row, q, inv)
-            want = exact_masked_reconstruction(row, kept, h)
-            assert np.max(np.abs(got - want)) < 1e-8
+            got, kept = prune_one_weight(row, x)
+            q = int(np.argmin(kept))
+            np.testing.assert_array_equal(got[:q], row[:q])
+            want = exact_masked_reconstruction(row[q:], kept[q:], (x.T @ x)[q:, q:])
+            assert np.max(np.abs(got[q:] - want)) < 1e-8
 
     def test_nonpositive_diag(self):
-        inv = np.eye(2)
-        inv[0, 0] = -1.0
-        with pytest.raises(IndefiniteHessianError):
-            obs_update_row(np.ones(2), 0, inv)
+        for pivot in [-1.0, 0.0, np.nan, np.inf]:
+            inv = np.eye(2)
+            inv[0, 0] = pivot
+            with pytest.raises(IndefiniteHessianError, match="at column 7"):
+                oracle._drop_first(inv, 7)
 
 
 class TestBlockMask:

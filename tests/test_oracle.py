@@ -3,6 +3,7 @@ import pytest
 
 from obsprune import (
     DimensionError,
+    IndefiniteHessianError,
     NumericOverflowError,
     OracleScaleError,
     SingularOracleError,
@@ -116,6 +117,75 @@ def test_naive_agrees_with_engine_on_dead_channels(cfg):
                                slow.block_error_trajectory, rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("case", ["p0.7", "2:4", "dead"])
+def test_naive_agrees_with_engine_at_128x512(case):
+    rng = np.random.default_rng(23)
+    w = rng.standard_normal((128, 512))
+    x = rng.standard_normal((1024, 512))
+    if case == "dead":
+        dead = rng.choice(512, size=3, replace=False)
+        x[:, dead] = 0.0
+        w[:, dead] *= 100.0
+    cfg = (SparsityConfig.semi_structured(2, 4, 128) if case == "2:4"
+           else SparsityConfig(0.7, blocksize=128))
+    fast = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+    slow = naive_obs_prune(w, [x], cfg)
+    np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
+    np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
+                               rtol=0, atol=1e-12 * np.abs(w).max())
+    np.testing.assert_allclose(fast.block_error_trajectory,
+                               slow.block_error_trajectory, rtol=1e-9, atol=0)
+
+
+def test_downdate_is_the_trailing_inverse_at_every_step():
+    rng = np.random.default_rng(24)
+    for n in (1, 7, 32):
+        x = rng.standard_normal((2 * n, n))
+        h = x.T @ x
+        inv = np.linalg.inv(h)
+        for q in range(n):
+            want = np.linalg.inv(h[q:, q:])
+            np.testing.assert_allclose(inv, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+            inv = oracle._drop_first(inv, q)
+        assert inv.shape == (0, 0)
+
+
+def test_batches_are_read_once():
+    rng = np.random.default_rng(25)
+    w = rng.standard_normal((4, 16))
+    x = rng.standard_normal((64, 16))
+    cfg = SparsityConfig(0.5, blocksize=8)
+    listed = naive_obs_prune(w, [x[:32], x[32:]], cfg)
+    once = naive_obs_prune(w, iter([x[:32], x[32:]]), cfg)
+    np.testing.assert_array_equal(once.pruned_weights, listed.pruned_weights)
+    np.testing.assert_array_equal(once.mask.kept, listed.mask.kept)
+    np.testing.assert_array_equal(once.block_error_trajectory,
+                                  listed.block_error_trajectory)
+    assert once.dense_energy == listed.dense_energy
+
+
+def test_singular_hessian_raises():
+    # undamped, a channel no sample reaches makes H exactly singular
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((32, 16))
+    x[:, 5] = 0.0
+    with pytest.raises(IndefiniteHessianError, match="singular"):
+        naive_obs_prune(rng.standard_normal((4, 16)), [x],
+                        SparsityConfig(0.5, blocksize=8, damp_fraction=0.0))
+
+
+def test_rank_deficient_hessian_raises():
+    # 8 samples for 16 channels: H inverts without error, but the sweep
+    # meets a non-positive pivot, as rose_prune_layer's factor does
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        with pytest.raises(IndefiniteHessianError, match="not positive definite"):
+            naive_obs_prune(rng.standard_normal((4, 16)),
+                            [rng.standard_normal((8, 16))],
+                            SparsityConfig(0.5, blocksize=8, damp_fraction=0.0))
+
+
 def test_overflowing_damping_raises():
     # lambda = 1e308 * mean(diag H) overflows; a numpy warning would fail
     # the test under the suite's filterwarnings = error
@@ -130,8 +200,8 @@ def test_overflowing_damping_raises():
 def test_size_cap():
     with pytest.raises(OracleScaleError):
         naive_obs_prune(
-            np.zeros((2, 65)),
-            [np.ones((4, 65))],
+            np.zeros((2, 1025)),
+            [np.ones((4, 1025))],
             SparsityConfig(sparsity=0.5, blocksize=16),
         )
 
@@ -147,12 +217,13 @@ def test_no_columns_rejected_before_hessian(monkeypatch):
 
 
 def test_verify_prints_each_failure_and_exits_1(monkeypatch, capsys):
-    # a one-row update that compensates nothing fails all 20 comparisons
-    # with the exact reconstruction, and nothing else
-    monkeypatch.setattr(oracle, "obs_update_row", lambda row, q, inv: row)
+    # a downdate that drops the column without its rank-one correction
+    # fails all 15 engine comparisons on masks and on error, and nothing else
+    monkeypatch.setattr(oracle, "_drop_first", lambda inv, col: inv[1:, 1:])
     assert main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        *(f"FAIL single-column compensation, trial {t}" for t in range(20)),
-        "verify: 20 failure(s)",
+        *(f"FAIL {what} equivalence, trial {t}"
+          for t in range(15) for what in ("mask", "error")),
+        "verify: 30 failure(s)",
     ]
