@@ -30,14 +30,16 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (DimensionError, IndefiniteHessianError, NumericOverflowError,
-                     StaleFactorError)
+from .errors import (ConfigError, DimensionError, IndefiniteHessianError,
+                     NumericOverflowError, StaleFactorError)
 from .tensors import Permutation, as_matrix, finite_matrix
 
 #: rows per panel wherever a triangle is gathered, copied or mirrored; of
 #: 32, 64, 128 and 256, 64 mirrored fastest at n = 1024 and 2048 (at 2048:
 #: 11.5, 8.2, 10.3 and 18.0 ms, 2 BLAS threads)
 PANEL = 64
+#: the strict lower triangle of a diagonal block of up to PANEL rows
+_BELOW = np.tri(PANEL, k=-1, dtype=bool)
 
 #: the H buffers ``raw_hessian`` returned, by id: the layers built on one
 #: share it, and build their factors in its strict lower triangle
@@ -236,17 +238,14 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
 
 
 def _mirror_upper(a: np.ndarray):
-    """Copy the upper triangle of ``a``, whose strict lower one is zero, below it.
+    """Copy the strict upper triangle of ``a`` over its strict lower one.
 
     In place, one panel of rows at a time, so the result is exactly
     symmetric and no temporary outgrows a panel.
     """
-    n = a.shape[0]
-    for j1 in range(0, n, PANEL):
-        j2 = min(j1 + PANEL, n)
-        a[j1:j2, :j1] = a[:j1, j1:j2].T
-        diagonal = a[j1:j2, j1:j2]
-        diagonal += np.triu(diagonal, 1).T
+    for rows in _panels(a.shape[0]):
+        a[rows, : rows.start] = a[: rows.start, rows].T
+        np.copyto(a[rows, rows], a[rows, rows].T, where=_below(rows))
 
 
 def damping(raw: np.ndarray, damp_fraction: float) -> float:
@@ -296,7 +295,7 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     The bundle stays valid.
     """
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
-        raise ValueError("only a channel-order factor gives the damped inverse")
+        raise ConfigError("only a channel-order factor gives the damped inverse")
     raw = bundle.valid().layer.raw
     top = raw.diagonal().max() + bundle.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
@@ -324,23 +323,25 @@ def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBu
     n = raw.shape[0]
     diag = _factor(raw, m, (n - 1) - order.forward, order.forward, m.diagonal(),
                    upper_only=False, invert=False)
-    for rows, below in _panels(n):
-        np.ldexp(raw[rows, : rows.stop], -inverse.shift, out=raw[rows, : rows.stop],
-                 where=below)
+    for rows in _panels(n):
+        np.ldexp(raw[rows, : rows.start], -inverse.shift, out=raw[rows, : rows.start])
+        np.ldexp(raw[rows, rows], -inverse.shift, out=raw[rows, rows],
+                 where=_below(rows))
     diag = np.ldexp(diag, -inverse.shift)
     _HOLDERS[raw.ctypes.data] = diag
     return HessianBundle(inverse.layer, raw.T, diag, inverse.damp_lambda, order)
 
 
 def _panels(n: int):
-    """(rows, below) for each panel of ``PANEL`` rows of an n x n matrix, the last first.
-
-    ``below`` is True where the panel's first rows.stop columns lie in the
-    strict lower triangle.
-    """
+    """The row slice of each panel of ``PANEL`` rows of an n x n matrix, the last first."""
     for i1 in reversed(range(0, n, PANEL)):
-        i2 = min(i1 + PANEL, n)
-        yield slice(i1, i2), np.arange(i2) < np.arange(i1, i2)[:, None]
+        yield slice(i1, min(i1 + PANEL, n))
+
+
+def _below(rows: slice) -> np.ndarray:
+    """True in the strict lower triangle of the diagonal block of ``rows``."""
+    k = rows.stop - rows.start
+    return _BELOW[:k, :k]
 
 
 def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarray,
@@ -393,14 +394,14 @@ def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, upper_only: bool):
     in later rows, over what their own panels wrote there.
     """
     n = idx.size
-    for rows, below in _panels(n):
+    for rows in _panels(n):
         i1, i2 = rows.start, rows.stop
         taken = m.take(idx[rows], axis=0)
         raw[rows, :i1] = taken.take(idx[:i1], axis=1)
         block = taken.take(idx[rows], axis=1)
         if upper_only:
             block = np.where(idx[rows] > idx[rows, None], block, block.T)
-        np.copyto(raw[rows, rows], block, where=below[:, i1:])
+        np.copyto(raw[rows, rows], block, where=_below(rows))
         later = idx[i2:]
         if upper_only and later.max(initial=-1) > idx[rows].min():
             np.copyto(raw[i2:, rows].T, taken.take(later, axis=1),

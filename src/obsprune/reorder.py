@@ -122,54 +122,50 @@ def prune_runs(layer: Layer, methods: Sequence[str],
 
     Each config gets one loss profile.  magnitude and wanda do not
     compensate; sparsegpt sweeps in channel order, rose in its plan's order
-    and rose-ascending in the flipped one.  Runs are grouped by damping, in
-    the order the dampings first appear, and yielded as they finish.  In
-    each group the runs left in place go first, in config x method order,
-    and share the channel-order factor of H.  The reordered runs follow in
-    the same order.  If the channel factor was made, the first of them
-    copies it into a buffer of its own as the damped inverse
-    (``damped_inverse``), and each is factored from that
-    (``bundle_from_inverse``); otherwise each factors H itself.  A run's
-    wall_ms covers its plan, its factor and its prune, and the first
-    reordered one's also the inversion.  Once the caller asks for the next
-    run, the generator holds no outcome: a caller that drops each one holds
-    one at a time.  An unknown method raises ConfigError before any run.
+    and rose-ascending in the flipped one.  Every run is planned first, in
+    config x method order, then the runs are sorted stably by the first
+    appearance of their damping and by whether their plan reorders, and
+    yielded in that order as they finish.  Within a damping the runs left
+    in place share the channel-order factor of H.  If it was made, the
+    first reordered run copies it out as the damped inverse
+    (``damped_inverse``) and each reordered run is factored from that
+    (``bundle_from_inverse``); otherwise each factors H itself.  wall_ms
+    covers a run's plan, factor and prune, and the first reordered run's
+    inversion.  Once the caller asks for the next run, the generator holds
+    no outcome: a caller that drops each one holds one at a time.  An
+    unknown method raises ConfigError before any run.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
     scores = importance_scores(layer)
-    profiles = [loss_profile(scores, config) for config in configs]
+    runs = []
+    for config in configs:
+        profile = loss_profile(scores, config)
+        for method in methods:
+            t0 = time.perf_counter()
+            plan = in_place
+            if method.startswith("rose"):
+                plan = build_reorder_plan(profile, config, method == "rose")
+            runs.append((config, method, plan, profile, time.perf_counter() - t0))
     del scores  # one scoring serves every profile, and is freed before any run
-    for damp in dict.fromkeys(config.damp_fraction for config in configs):
-        channel = inverse = None
-        reordered = []
-        for config, profile in zip(configs, profiles):
-            if config.damp_fraction != damp:
-                continue
-            for method in methods:
-                t0 = time.perf_counter()
-                plan = in_place
-                if method.startswith("rose"):
-                    plan = build_reorder_plan(profile, config, method == "rose")
-                if plan.was_reordered:
-                    reordered.append((config, method, plan, profile,
-                                      time.perf_counter() - t0))
-                    continue
-                if method == "magnitude":
-                    outcome = magnitude_prune(layer, config)
-                elif method == "wanda":
-                    outcome = wanda_prune(layer, config)
-                else:
-                    if channel is None:
-                        channel = bundle_from_hessian(layer, damp)
-                    outcome = prune_layer(channel, config)
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                yield config, method, outcome, plan, profile, wall_ms
-                del outcome  # the caller's to keep, not the next run's
-        for config, method, plan, profile, plan_s in reordered:
-            # the run's clock includes its plan, built above
-            t0 = time.perf_counter() - plan_s
+    dampings = [config.damp_fraction for config in configs]
+    runs.sort(key=lambda run: (dampings.index(run[0].damp_fraction),
+                               run[2].was_reordered))
+    damp = channel = inverse = None
+    for config, method, plan, profile, plan_s in runs:
+        t0 = time.perf_counter() - plan_s
+        if config.damp_fraction != damp:
+            damp, channel, inverse = config.damp_fraction, None, None
+        if method == "magnitude":
+            outcome = magnitude_prune(layer, config)
+        elif method == "wanda":
+            outcome = wanda_prune(layer, config)
+        elif not plan.was_reordered:
+            if channel is None:
+                channel = bundle_from_hessian(layer, damp)
+            outcome = prune_layer(channel, config)
+        else:
             if channel is not None:
                 inverse, channel = damped_inverse(channel), None
             order = plan.permutation
@@ -177,9 +173,9 @@ def prune_runs(layer: Layer, methods: Sequence[str],
             outcome = prune_layer(bundle_from_hessian(layer, damp, order)
                                   if inverse is None
                                   else bundle_from_inverse(inverse, order), config)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            yield config, method, outcome, plan, profile, wall_ms
-            del outcome
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        yield config, method, outcome, plan, profile, wall_ms
+        del outcome  # the caller's to keep, not the next run's
 
 
 def rose_prune_layer(

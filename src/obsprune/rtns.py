@@ -56,7 +56,9 @@ def write_tensor(path, array, dtype="float64") -> None:
     a = np.asarray(array, dtype=dtype)
     if a.ndim not in (1, 2):
         raise RtnsFormatError(f"only rank 1 and 2 supported, got {a.ndim}")
-    code = _CODES[a.dtype]
+    code = _CODES.get(a.dtype)
+    if code is None:
+        raise RtnsFormatError(f"only float32 and float64 supported, got {a.dtype}")
     header = MAGIC + struct.pack("<BBBB", VERSION, code, a.ndim, 0)
     header += b"".join(struct.pack("<Q", d) for d in a.shape)
 

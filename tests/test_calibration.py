@@ -357,8 +357,9 @@ def test_factor_from_inverse_matches_factor_of_h(kind, dead):
 def test_only_a_channel_order_factor_is_inverted():
     layer = layer_with_dead(8, 0, seed=1)
     b = bundle_from_hessian(layer, 0.01, Permutation(np.arange(8)[::-1].copy()))
-    with pytest.raises(ValueError, match="channel-order"):
+    with pytest.raises(ValueError, match="channel-order") as info:
         damped_inverse(b)
+    assert isinstance(info.value, PruneError)
 
 
 def test_indefinite_inverse_names_the_channel_in_its_order():

@@ -27,6 +27,7 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import cli, engine, reorder
+from obsprune.calibration import damped_inverse, damping
 
 from hessian_helpers import accumulate_hessian, block_order, symmetric
 
@@ -626,6 +627,49 @@ class TestPruneRuns:
         for config, _, outcome, *_ in runs:
             assert_same_outcome(outcome, prune_layer(
                 bundle_from_hessian(layer, config.damp_fraction), config))
+
+    def test_interleaved_dampings_are_grouped_in_order_of_first_appearance(
+            self, monkeypatch):
+        """Dampings 0.01, 0.1, 0.01: one channel factor and one inverse each.
+
+        The runs come grouped by damping, 0.01 first, and in each group the
+        runs left in place come before the reordered ones.
+        """
+        w, x = columnar_fixture(seed=4, rows=32, cols=128, blocksize=32)
+        layer = checked_layer(w, raw_hessian([x], 128))
+        events = []
+
+        def factored(layer, damp_fraction, order=None):
+            events.append(("factor", damp_fraction, order is None))
+            return bundle_from_hessian(layer, damp_fraction, order)
+
+        def inverted(bundle):
+            events.append(("invert", bundle.damp_lambda))
+            return damped_inverse(bundle)
+
+        monkeypatch.setattr(reorder, "bundle_from_hessian", factored)
+        monkeypatch.setattr(reorder, "damped_inverse", inverted)
+        configs = [SparsityConfig(p, 32, damp_fraction=d)
+                   for d, p in [(0.01, 0.5), (0.1, 0.6), (0.01, 0.7)]]
+        outcomes = []
+        for config, method, outcome, plan, _, _ in prune_runs(
+                layer, ["sparsegpt", "rose"], configs):
+            assert plan.was_reordered == (method == "rose")
+            events.append((method, config.sparsity))
+            outcomes.append((config, plan, outcome))
+        lam = {d: damping(layer.raw, d) for d in (0.01, 0.1)}
+        assert events == [
+            ("factor", 0.01, True), ("sparsegpt", 0.5), ("sparsegpt", 0.7),
+            ("invert", lam[0.01]), ("rose", 0.5), ("rose", 0.7),
+            ("factor", 0.1, True), ("sparsegpt", 0.6),
+            ("invert", lam[0.1]), ("rose", 0.6)]
+        for config, plan, outcome in outcomes:
+            direct = prune_layer(bundle_from_hessian(
+                layer, config.damp_fraction, plan.permutation), config)
+            if plan.was_reordered:
+                assert_close_outcome(outcome, direct, w)
+            else:
+                assert_same_outcome(outcome, direct)
 
 
 def prune_blocks_in_order(w, raw, config, blocks):

@@ -148,6 +148,13 @@ def test_manifest_entry_not_a_file_named_before_any_read(tmp_path, monkeypatch, 
         read_manifest(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("dtype", ["int32", "float16", ">f8"])
+def test_unsupported_dtype_rejected_with_no_file(tmp_path, dtype):
+    with pytest.raises(RtnsFormatError, match=f"got {np.dtype(dtype)}$"):
+        write_tensor(tmp_path / "t.rtns", np.ones((2, 3)), dtype=dtype)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_leaves_target_and_no_temp(tmp_path):
     target = tmp_path / "doc.json"
     write_json(target, {"ok": 1})
