@@ -8,17 +8,18 @@ finiteness off H's diagonal.  ``checked_layer`` is the one place W and H
 are checked against each other; the ``Layer`` it returns holds them with
 the column norms, the dead channels and the dense output energy, derived
 once, and every method reads them from it.  Every error is a quadratic
-form in H read from its upper triangle: ``error_total`` gives the whole of
-one, ``error_prefix`` its running sum over the columns.  For pruning, H is
-dampened by a multiple of its mean diagonal, and the upper Cholesky factor
-of its inverse drives the compensation engine.  Every factor is built in
-the strict lower triangle of H's own buffer, with its diagonal kept apart,
-so one n x n buffer serves a layer.  It is made one of two ways.
-``bundle_from_hessian`` factors H in pruning order with rows and columns
-reversed, inverts the factor as a triangle and reads it transposed and in
-reverse.  Once a channel-order factor exists, ``damped_inverse`` copies it
-out into the whole inverse, and ``bundle_from_inverse`` gathers that
-inverse in another order and factors it with one ``dpotrf``.
+form in H read from its upper triangle, and one kernel, ``error_prefix``,
+gives its running sum over the columns, whose last entry is the whole.
+For pruning, H is dampened by a multiple of its mean diagonal, and the
+upper Cholesky factor of its inverse drives the compensation engine.
+Every factor is built in the strict lower triangle of H's own buffer,
+with its diagonal kept apart, so one n x n buffer serves a layer.  It is
+made one of two ways.  ``bundle_from_hessian`` factors H in pruning order
+with rows and columns reversed, inverts the factor as a triangle and
+reads it transposed and in reverse.  Once a channel-order factor exists,
+``damped_inverse`` copies it out into the whole inverse, and
+``bundle_from_inverse`` gathers that inverse in another order and factors
+it with one ``dpotrf``.
 """
 
 from __future__ import annotations
@@ -123,12 +124,15 @@ class DampedInverse:
 def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     """Entry e is the sum over the rows of d[:, :e] @ H[:e, :e] @ d[:, :e].
 
-    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X, for the baselines'
-    error at each block end; ``error_total`` gives the last entry alone.
-    One ``dtrmm`` makes G = 2 d triu(H), reading only the upper triangle of
-    H, and column j adds sum_rows d_j (G_j - H_jj d_j).  Both operands are
-    made row-major, whose transposes BLAS reads uncopied, so the sums run
-    in one order and the error depends on the values alone.
+    That is ||d[:, :e] X[:, :e].T||^2 for H = X.T X: the baselines' error
+    at each block end, and in its last entry every total.  One ``dtrmm``
+    makes G = 2 d triu(H), reading only the upper triangle of H; column j
+    adds sum_rows d_j G_j - H_jj sum_rows d_j^2, the second sum over G's
+    buffer refilled with d^2, so no temporary outgrows a row of n.  A
+    column's cross term holds its square term, so where it overflows the
+    column is inf, not inf - inf, with no warning: every caller checks.
+    Both operands are made row-major, whose transposes BLAS reads uncopied,
+    so the sums run in one order and the error depends on the values alone.
     """
     d = np.ascontiguousarray(d)
     h = np.ascontiguousarray(hessian)
@@ -136,31 +140,14 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     # f2py rejects an empty operand, which a layer with no rows gives
     if d.size:
         g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
-        g -= h.diagonal() * d
-        g *= d
-        np.cumsum(g.sum(axis=0), out=prefix[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= d
+            cross = g.sum(axis=0)
+            square = np.multiply(d, d, out=g).sum(axis=0)
+            square *= h.diagonal()
+            np.subtract(cross, square, out=cross, where=~np.isinf(cross))
+            np.cumsum(cross, out=prefix[1:])
     return prefix
-
-
-def error_total(d: np.ndarray, hessian: np.ndarray) -> float:
-    """The sum over the rows of d @ H @ d, ||d X.T||^2 for H = X.T X.
-
-    ``error_prefix``'s G = 2 d triu(H), then <d, G> - sum_j H_jj ||d_j||^2
-    by two ``ddot``s, the second over G's buffer refilled with d H_jj: no
-    prefix and no temporary beyond G.  <d, G> holds the second term, so
-    where it overflows the total is inf, not inf - inf, with no warning.
-    """
-    d = np.ascontiguousarray(d)
-    h = np.ascontiguousarray(hessian)
-    # f2py rejects an empty operand, which a layer with no rows gives
-    if not d.size:
-        return 0.0
-    g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
-    flat_d, flat_g = d.reshape(-1), g.reshape(-1)
-    cross = blas.ddot(flat_d, flat_g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(d, h.diagonal(), out=g)
-    return cross if np.isinf(cross) else cross - blas.ddot(flat_d, flat_g)
 
 
 def checked_layer(w, raw) -> Layer:
@@ -168,12 +155,12 @@ def checked_layer(w, raw) -> Layer:
 
     W must be finite.  H must be finite, square, non-empty and as wide as
     W, with a non-negative diagonal, as a Gram matrix's is: the first
-    negative entry is the pivot.  The dense output energy, ``error_total``
-    of W, must be finite, so that every relative error has a denominator.
-    H is read from its upper triangle and diagonal.  Factors are built in
-    the strict lower triangle of H's buffer: that of ``raw_hessian``'s
-    result, which every layer built on it shares, or else of a copy, so a
-    caller's own H is never written.
+    negative entry is the pivot.  The dense output energy, the last entry
+    of W's ``error_prefix``, must be finite, so that every relative error
+    has a denominator.  H is read from its upper triangle and diagonal.
+    Factors are built in the strict lower triangle of H's buffer: that of
+    ``raw_hessian``'s result, which every layer built on it shares, or else
+    of a copy, so a caller's own H is never written.
     """
     w = np.ascontiguousarray(finite_matrix(w))
     raw = finite_matrix(raw, "hessian")
@@ -189,7 +176,7 @@ def checked_layer(w, raw) -> Layer:
     if diag[pivot] < 0:
         raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
                                      pivot=pivot)
-    energy = error_total(w, raw)
+    energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
     return Layer(w, raw, column_norms(raw), diag == 0.0, energy)
@@ -277,8 +264,7 @@ def bundle_from_hessian(
     order = Permutation.identity(raw.shape[0]) if order is None else order
     lam = damping(raw, damp_fraction)
     q = order.forward[::-1]
-    diag = _factor(raw, raw, q, q, raw.diagonal() + lam, upper_only=True,
-                   invert=True)[::-1].copy()
+    diag = _factor(raw, raw, q, q, raw.diagonal() + lam)[::-1].copy()
     _HOLDERS[raw.ctypes.data] = diag
     return HessianBundle(layer, raw[::-1, ::-1], diag, lam, order)
 
@@ -321,8 +307,7 @@ def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBu
     """
     raw, m = inverse.layer.raw, inverse.reversed
     n = raw.shape[0]
-    diag = _factor(raw, m, (n - 1) - order.forward, order.forward, m.diagonal(),
-                   upper_only=False, invert=False)
+    diag = _factor(raw, m, (n - 1) - order.forward, order.forward, m.diagonal())
     for rows in _panels(n):
         np.ldexp(raw[rows, : rows.start], -inverse.shift, out=raw[rows, : rows.start])
         np.ldexp(raw[rows, rows], -inverse.shift, out=raw[rows, rows],
@@ -345,23 +330,24 @@ def _below(rows: slice) -> np.ndarray:
 
 
 def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarray,
-            pivots: np.ndarray, *, upper_only: bool, invert: bool) -> np.ndarray:
+            pivots: np.ndarray) -> np.ndarray:
     """Factor m[idx][:, idx], its diagonal pivots[idx], in raw's workspace; U's diagonal.
 
     ``_gather`` fills the workspace, which is the upper triangle of the
     column-major buffer LAPACK overwrites, where the upper variant runs
     faster.  H's diagonal is saved and pivots[idx] put in its place; upper
     ``dpotrf`` with clean=0, which leaves H's triangle as it is, factors
-    it, naming a failed pivot by ``channels``, and with ``invert``,
-    ``dtrtri`` inverts the factor.  H's diagonal goes back, also on
-    failure.  Every bundle over raw is stale from the first write.
+    it, naming a failed pivot by ``channels``.  When m is raw, the factor
+    is of H, not of its inverse, and ``dtrtri`` inverts it.  H's diagonal
+    goes back, also on failure.  Every bundle over raw is stale from the
+    first write.
     """
     n = raw.shape[0]
     if idx.size != n:
         raise DimensionError(f"order size {idx.size} != Hessian size {n}")
     _HOLDERS.pop(raw.ctypes.data, None)
     h_diag = raw.diagonal().copy()
-    _gather(raw, m, idx, upper_only)
+    _gather(raw, m, idx)
     diagonal = raw.reshape(-1)[:: n + 1]
     try:
         diagonal[...] = pivots[idx]
@@ -374,7 +360,7 @@ def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarra
             )
         if info < 0:
             raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-        if invert:
+        if m is raw:
             _, info = lapack.dtrtri(raw.T, lower=0, overwrite_c=1)
             if info != 0:
                 raise IndefiniteHessianError(f"dtrtri failed with info={info}")
@@ -383,17 +369,17 @@ def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarra
         diagonal[...] = h_diag
 
 
-def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, upper_only: bool):
+def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray):
     """Write the strict lower triangle of m[idx][:, idx] over that of ``raw``.
 
     Panel by panel, the last first, each takes its rows of m and gathers
     their leading columns in the order idx: a peak of a few panels, and
-    every read from m is of a row.  With ``upper_only``, m is H, whose
-    buffer holds H[a, b] for b < a as H[b, a], in row b, so the panel of
-    row b also fills those entries in its diagonal block and, transposed,
-    in later rows, over what their own panels wrote there.
+    every read from m is of a row.  When m is raw, it is H, whose buffer
+    holds H[a, b] for b < a as H[b, a], in row b, so the panel of row b
+    also fills those entries in its diagonal block and, transposed, in
+    later rows, over what their own panels wrote there.
     """
-    n = idx.size
+    n, upper_only = idx.size, m is raw
     for rows in _panels(n):
         i1, i2 = rows.start, rows.stop
         taken = m.take(idx[rows], axis=0)

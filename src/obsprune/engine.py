@@ -30,8 +30,8 @@ two-level lazy-batch schedule.
 Columns past a sub-block (or block) are never read inside it, so deferring
 their updates changes only the rounding.  No activations are needed: the
 per-block error follows in closed form from the sweep's OBS errors, and
-every other error is a quadratic form in the raw Hessian,
-``calibration.error_total``.  Every method returns a ``PruneOutcome``,
+every other error is a quadratic form in the raw Hessian, the last entry
+of ``calibration.error_prefix``.  Every method returns a ``PruneOutcome``,
 which derives its final and relative error from that per-block trajectory.
 """
 
@@ -42,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .calibration import HessianBundle, Layer, error_total
+from .calibration import HessianBundle, Layer, error_prefix
 from .errors import ConfigError, DimensionError, NumericOverflowError
-from .tensors import Permutation, PruneMask, SparsityConfig, pruned_entries
+from .tensors import (Permutation, PruneMask, SparsityConfig, finite_matrix,
+                      pruned_entries)
 
 
 def _relative(absolute: float, energy: float) -> float:
@@ -129,10 +130,16 @@ def _squared_norm(a: np.ndarray) -> float:
 
 
 def reconstruction_error(layer: Layer, w_pruned: np.ndarray) -> tuple[float, float]:
-    """Squared output error ||(W - w_pruned) X.T||^2, absolute and relative."""
+    """Squared output error ||(W - w_pruned) X.T||^2, absolute and relative.
+
+    ``w_pruned`` must be finite and W's shape, and the error finite.
+    """
     if np.shape(w_pruned) != layer.w.shape:
         raise DimensionError(f"pruned shape {np.shape(w_pruned)} != {layer.w.shape}")
-    absolute = error_total(layer.w - w_pruned, layer.raw)
+    w_pruned = finite_matrix(w_pruned, "pruned weights")
+    absolute = float(error_prefix(layer.w - w_pruned, layer.raw)[-1])
+    if not np.isfinite(absolute):
+        raise NumericOverflowError(f"reconstruction error {absolute} is not finite")
     return absolute, _relative(absolute, layer.dense_energy)
 
 
@@ -252,7 +259,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             # before i1 are final and were checked with earlier blocks
             finite = np.isfinite(tail_sq) or np.all(np.isfinite(delta[i1:]))
             if finite:
-                raw_err = error_total(_channel_order(delta, order), layer.raw)
+                raw_err = error_prefix(_channel_order(delta, order), layer.raw)[-1]
             if not np.isfinite(raw_err):
                 what = "reconstruction error" if finite else "weights"
                 raise NumericOverflowError(f"non-finite {what} after block "

@@ -30,7 +30,7 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import baselines, engine
-from obsprune.calibration import PANEL, DampedInverse, _mirror_upper
+from obsprune.calibration import PANEL, DampedInverse, _mirror_upper, error_prefix
 
 from hessian_helpers import (
     accumulate_hessian,
@@ -581,6 +581,22 @@ def test_prune_layer_memory_budget():
     prune_layer(b, config)
     _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
     assert peak <= 1_088_480 + 8 * rows * config.blocksize + 4096
+
+
+def test_error_prefix_memory_budget():
+    """Past its rows x n product G, the error kernel holds rows of n.
+
+    G's buffer is refilled with d^2 for the square terms.  Measured 28 KB
+    past d.nbytes at 256 x 1024; with a second rows x n temporary, as the
+    prefix once made, the peak was 2.04 d.nbytes.
+    """
+    rows, n = 256, 1024
+    rng = np.random.default_rng(15)
+    h = raw_hessian([rng.standard_normal((64, n))], n)
+    d = rng.standard_normal((rows, n))
+    error_prefix(d, h)
+    _, peak, _ = traced_bytes(lambda: error_prefix(d, h))
+    assert peak <= d.nbytes + 2**16
 
 
 @pytest.mark.parametrize("prune", [magnitude_prune, wanda_prune])

@@ -235,6 +235,23 @@ def test_compare_rows_keep_sparsity_by_method_order(tmp_path):
         assert float(sparsegpt["relative_error"]) == in_place.relative_error
 
 
+def test_compare_repeats_keep_grid_order(tmp_path):
+    # a repeated sparsity or method fills a row of its own in sparsity x
+    # method order, and the repeated cells agree in every column but the time
+    assert run(["compare", "--synth", "columnar", "--rows", "32", "--cols", "128",
+                "--blocksize", "32", "--sparsity", "0.5,0.7,0.5",
+                "--methods", "rose,sparsegpt,rose", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "compare.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["method"], r["sparsity"]) for r in rows] == [
+        (m, s) for s in ("0.5", "0.7", "0.5") for m in ("rose", "sparsegpt", "rose")]
+    for r in rows:
+        del r["wall_ms"]
+    assert rows[0] == rows[2] == rows[6] == rows[8]
+    assert rows[1] == rows[7]
+    assert rows[3] == rows[5]
+
+
 def test_compare_profiles_once_per_sparsity(tmp_path, monkeypatch):
     profiles = count_calls(monkeypatch, reorder.loss_profile)
     factors = count_calls(monkeypatch, calibration.bundle_from_hessian)
@@ -461,9 +478,8 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
     """One compare op over compare-sweep's shapes builds one layer.
 
     256 x 1024 columnar weights, 2,048 samples in 4 float32 batches, every
-    method at 4 sparsities: the dense energy is computed once, by
-    ``error_total`` in ``checked_layer``, and ``error_prefix`` once for
-    each of the 8 baseline runs.
+    method at 4 sparsities: ``error_prefix`` runs once on W, for the dense
+    energy in ``checked_layer``, and once for each of the 8 baseline runs.
     """
     w = gen_columnar(256, 1024, 128, 7, 10.0, seed=0)
     write_tensor(tmp_path / "w.rtns", w)
@@ -482,21 +498,21 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
         return layers[-1]
 
     patch_everywhere(monkeypatch, original, checked)
-    operands = {"error_total": [], "error_prefix": []}
-    for name, calls in operands.items():
-        def spy(d, hessian, _calls=calls, _kernel=getattr(calibration, name)):
-            _calls.append(d)
-            return _kernel(d, hessian)
+    operands = []
+    kernel = calibration.error_prefix
 
-        patch_everywhere(monkeypatch, getattr(calibration, name), spy)
+    def spy(d, hessian):
+        operands.append(d)
+        return kernel(d, hessian)
+
+    patch_everywhere(monkeypatch, kernel, spy)
     code = run(["compare", "--weights", str(tmp_path / "w.rtns"),
                 "--acts", str(tmp_path / "acts.json"),
                 "--sparsity", "0.5,0.6,0.7,0.8", "--out", str(tmp_path / "out")])
     assert code == 0
     [layer] = layers
-    [energy] = operands["error_total"]
-    assert energy is layer.w
-    assert len(operands["error_prefix"]) == 8
+    assert len(operands) == 9
+    assert operands[0] is layer.w
     with open(tmp_path / "out" / "compare.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == 20
 

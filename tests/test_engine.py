@@ -24,7 +24,7 @@ from obsprune import (
     rose_prune_layer,
 )
 from obsprune import engine, oracle
-from obsprune.calibration import error_prefix, error_total
+from obsprune.calibration import error_prefix
 from obsprune.engine import CANCELLATION, select_block_mask
 from obsprune.tensors import SemiStructured
 
@@ -176,6 +176,15 @@ class TestReconstructionError:
             with pytest.raises(DimensionError, match="pruned shape"):
                 reconstruction_error(layer, bad)
 
+    def test_pruned_weights_checked(self):
+        layer = checked_layer(np.ones((2, 2)), np.eye(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericOverflowError, match="pruned weights not finite"):
+                reconstruction_error(layer, np.array([[1.0, bad], [1.0, 1.0]]))
+        # finite weights whose error overflows
+        with pytest.raises(NumericOverflowError, match="reconstruction error inf"):
+            reconstruction_error(layer, np.array([[1e300, 0.0], [0.0, 0.0]]))
+
     def test_nan_denominator_raises(self):
         # reconstruction_error and every PruneOutcome divide by the
         # layer's dense energy, so a layer whose energy is NaN or inf is
@@ -235,8 +244,7 @@ class TestOutcome:
 
 
 class TestErrorPrefix:
-    """``error_prefix`` and ``error_total`` against a long-double sum, on every
-    layout of d."""
+    """``error_prefix`` against a long-double sum, on every layout of d."""
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -255,10 +263,8 @@ class TestErrorPrefix:
         spread[:, ::2] = d
         layouts = [d, np.asfortranarray(d), spread[:, ::2]]
         got = error_prefix(layouts[0], h)
-        total = error_total(layouts[0], h)
         for other in layouts[1:]:
             assert np.array_equal(error_prefix(other, h), got)
-            assert error_total(other, h) == total
 
         dl, hl = d.astype(np.longdouble), symmetric(h).astype(np.longdouble)
         assert got.shape == (n + 1,)
@@ -267,8 +273,6 @@ class TestErrorPrefix:
             want = np.sum((de @ he) * de)
             scale = np.sum((np.abs(de) @ np.abs(he)) * np.abs(de))
             assert abs(got[e] - want) <= 1e-12 * scale
-        # the total is the last entry, made without the prefix
-        assert abs(total - want) <= 1e-12 * scale
 
     def test_reads_only_the_upper_triangle(self):
         rng = np.random.default_rng(3)
@@ -444,16 +448,16 @@ class TestClosedFormTrajectory:
         assert b.damp_lambda * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
         assert np.all(np.isfinite(out.block_error_trajectory))
         # the fallback's own kernel, on the weights' final difference
-        assert out.final_error == error_total(w - out.pruned_weights, b.layer.raw)
+        assert out.final_error == error_prefix(w - out.pruned_weights, b.layer.raw)[-1]
 
     @pytest.mark.parametrize("semi", [False, True])
     def test_fallback_in_a_middle_block_measures_the_rebuilt_tail(
         self, monkeypatch, semi
     ):
-        # with the closed form always refused, every block's error is
-        # error_total of W0 - W_k, whose later columns the sweep holds only
-        # as the updates added into W0 - W; in a shuffled order W_k must come
-        # back in channel order, as optimality alone gives it
+        # with the closed form always refused, every block's error is the
+        # error_prefix total of W0 - W_k, whose later columns the sweep holds
+        # only as the updates added into W0 - W; in a shuffled order W_k must
+        # come back in channel order, as optimality alone gives it
         rng = np.random.default_rng(44)
         rows, n = 6, 48
         w = rng.standard_normal((rows, n))
@@ -473,9 +477,9 @@ class TestClosedFormTrajectory:
 
         def recorded(d, hessian):
             measured.append(np.array(d))
-            return error_total(d, hessian)
+            return error_prefix(d, hessian)
 
-        monkeypatch.setattr(engine, "error_total", recorded)
+        monkeypatch.setattr(engine, "error_prefix", recorded)
         out = prune_layer(b, cfg)
         assert len(measured) == 3
 
