@@ -43,14 +43,15 @@ def run_all(name, w, acts):
     # rose is the same engine, swept in the column order of its reorder
     # plan; it runs last, and its plan and profile head the report
     runs = list(prune_runs(layer, list(LABELS), [cfg]))
-    _, _, _, plan, profile, _ = runs[-1]
+    rose = runs[-1]
 
     print(f"\n{name}: relative block-loss range R_rel = "
-          f"{profile.relative_range:.3f} "
-          f"({'reordered' if plan.was_reordered else 'left in place'})")
-    for _, method, out, *_ in runs:
-        print(f"  {LABELS[method]:24s} relative error {out.relative_error:.4f}")
-    return {method: out.relative_error for _, method, out, *_ in runs}
+          f"{rose.profile.relative_range:.3f} "
+          f"({'reordered' if rose.plan.was_reordered else 'left in place'})")
+    for run in runs:
+        print(f"  {LABELS[run.method]:24s} relative error "
+              f"{run.outcome.relative_error:.4f}")
+    return {run.method: run.outcome.relative_error for run in runs}
 
 
 def main():

@@ -30,6 +30,7 @@ from .reorder import (
     METHODS,
     LossProfile,
     ReorderPlan,
+    Run,
     build_reorder_plan,
     loss_profile,
     prune_runs,

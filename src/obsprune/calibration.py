@@ -145,6 +145,9 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
             cross = g.sum(axis=0)
             square = np.multiply(d, d, out=g).sum(axis=0)
             square *= h.diagonal()
+            for j in np.flatnonzero(~np.isfinite(square)):
+                # d^2 overflowed: scale by a dead or tiny H_jj first
+                square[j] = np.sum(d[:, j] * (h[j, j] * d[:, j]))
             np.subtract(cross, square, out=cross, where=~np.isinf(cross))
             np.cumsum(cross, out=prefix[1:])
     return prefix

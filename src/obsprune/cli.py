@@ -199,23 +199,23 @@ def _config_doc(config: SparsityConfig, args) -> dict:
 def cmd_prune(args) -> int:
     config = _make_config(args)
     [layer] = _load_inputs(args, config)
-    [(*_, outcome, plan, profile, wall_ms)] = prune_runs(layer, [args.method], [config])
+    [run] = prune_runs(layer, [args.method], [config])
 
     args.out.mkdir(parents=True, exist_ok=True)
     weights_path = args.out / "pruned_weights.rtns"
-    write_tensor(weights_path, outcome.pruned_weights)
+    write_tensor(weights_path, run.outcome.pruned_weights)
     report = {
         "config": _config_doc(config, args),
         "method": args.method,
-        "relative_error": outcome.relative_error,
-        "absolute_error": outcome.final_error,
-        "block_error_trajectory": list(outcome.block_error_trajectory),
-        "R_rel": profile.relative_range,
-        "was_reordered": plan.was_reordered,
-        "timings_ms": {"prune": wall_ms},
+        "relative_error": run.outcome.relative_error,
+        "absolute_error": run.outcome.final_error,
+        "block_error_trajectory": list(run.outcome.block_error_trajectory),
+        "R_rel": run.profile.relative_range,
+        "was_reordered": run.plan.was_reordered,
+        "timings_ms": {"prune": run.wall_ms},
     }
-    if plan.was_reordered:
-        report["permutation"] = [int(i) for i in plan.permutation.forward]
+    if run.plan.was_reordered:
+        report["permutation"] = [int(i) for i in run.plan.permutation.forward]
     write_json(args.out / "report.json", report)
     print(f"wrote {weights_path} and {args.out / 'report.json'}")
     return 0
@@ -230,25 +230,18 @@ def cmd_compare(args) -> int:
     configs = _make_configs(args)
     # the inputs depend on the blocksize only, which every config shares
     [layer] = _load_inputs(args, configs[0])
-    # rows go in sparsity x method order, whatever order the runs finish in;
-    # a slot is emptied once filled, so a repeated config or method fills
-    # its slots in turn
-    slots = [(id(config), method) for config in configs for method in methods]
-    rows = [None] * len(slots)
-    for config, method, outcome, plan, profile, wall_ms in prune_runs(
-        layer, methods, configs
-    ):
-        i = slots.index((id(config), method))
-        slots[i] = None
-        rows[i] = {
-            "method": method,
-            "sparsity": config.sparsity,
-            "relative_error": outcome.relative_error,
-            "r_rel": profile.relative_range,
-            "was_reordered": plan.was_reordered,
-            "wall_ms": wall_ms,
+    # rows go in sparsity x method order, whatever order the runs finish in
+    rows = [None] * (len(configs) * len(methods))
+    for run in prune_runs(layer, methods, configs):
+        rows[run.index] = {
+            "method": run.method,
+            "sparsity": run.config.sparsity,
+            "relative_error": run.outcome.relative_error,
+            "r_rel": run.profile.relative_range,
+            "was_reordered": run.plan.was_reordered,
+            "wall_ms": run.wall_ms,
         }
-        del outcome  # freed before the next run, not after it
+        del run  # its outcome is freed before the next run, not after it
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "compare.csv"
 

@@ -56,6 +56,19 @@ class ReorderPlan:
     was_reordered: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Run:
+    """A ``prune_runs`` run; ``index`` is its place in config x method order."""
+
+    index: int
+    config: SparsityConfig
+    method: str
+    outcome: PruneOutcome
+    plan: ReorderPlan
+    profile: LossProfile
+    wall_ms: float
+
+
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     """Column and block losses from the candidate set of finite scores.
 
@@ -118,21 +131,22 @@ def build_reorder_plan(
 
 def prune_runs(layer: Layer, methods: Sequence[str],
                configs: Sequence[SparsityConfig]):
-    """(config, method, outcome, plan, profile, wall_ms) for each config x method.
+    """One ``Run`` for each config x method, in the order the runs finish.
 
     Each config gets one loss profile.  magnitude and wanda do not
     compensate; sparsegpt sweeps in channel order, rose in its plan's order
     and rose-ascending in the flipped one.  Every run is planned first, in
     config x method order, then the runs are sorted stably by the first
     appearance of their damping and by whether their plan reorders, and
-    yielded in that order as they finish.  Within a damping the runs left
+    yielded in that order as they finish; each run's ``index`` gives its
+    place in config x method order.  Within a damping the runs left
     in place share the channel-order factor of H.  If it was made, the
     first reordered run copies it out as the damped inverse
     (``damped_inverse``) and each reordered run is factored from that
     (``bundle_from_inverse``); otherwise each factors H itself.  wall_ms
     covers a run's plan, factor and prune, and the first reordered run's
     inversion.  Once the caller asks for the next run, the generator holds
-    no outcome: a caller that drops each one holds one at a time.  An
+    no outcome: a caller that drops each run holds one at a time.  An
     unknown method raises ConfigError before any run.
     """
     if unknown := [m for m in methods if m not in METHODS]:
@@ -147,13 +161,14 @@ def prune_runs(layer: Layer, methods: Sequence[str],
             plan = in_place
             if method.startswith("rose"):
                 plan = build_reorder_plan(profile, config, method == "rose")
-            runs.append((config, method, plan, profile, time.perf_counter() - t0))
+            runs.append((len(runs), config, method, plan, profile,
+                         time.perf_counter() - t0))
     del scores  # one scoring serves every profile, and is freed before any run
     dampings = [config.damp_fraction for config in configs]
-    runs.sort(key=lambda run: (dampings.index(run[0].damp_fraction),
-                               run[2].was_reordered))
+    runs.sort(key=lambda run: (dampings.index(run[1].damp_fraction),
+                               run[3].was_reordered))
     damp = channel = inverse = None
-    for config, method, plan, profile, plan_s in runs:
+    for index, config, method, plan, profile, plan_s in runs:
         t0 = time.perf_counter() - plan_s
         if config.damp_fraction != damp:
             damp, channel, inverse = config.damp_fraction, None, None
@@ -174,7 +189,7 @@ def prune_runs(layer: Layer, methods: Sequence[str],
                                   if inverse is None
                                   else bundle_from_inverse(inverse, order), config)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        yield config, method, outcome, plan, profile, wall_ms
+        yield Run(index, config, method, outcome, plan, profile, wall_ms)
         del outcome  # the caller's to keep, not the next run's
 
 
@@ -185,10 +200,10 @@ def rose_prune_layer(
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Check W, then score, reorder if columnar, prune and restore channel order.
 
-    ``activations`` is any iterable of batches, read once by
-    ``raw_hessian``, one batch at a time.
+    ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile).
+    ``activations``, any iterable of batches, is read once, batch by batch.
     """
     w = finite_matrix(w)
     layer = checked_layer(w, raw_hessian(activations, w.shape[1]))
-    [(_, _, outcome, plan, profile, _)] = prune_runs(layer, ["rose"], [config])
-    return outcome, plan, profile
+    [run] = prune_runs(layer, ["rose"], [config])
+    return run.outcome, run.plan, run.profile

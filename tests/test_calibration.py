@@ -640,9 +640,9 @@ def test_prune_runs_memory_budget():
 
     def every_run():
         reordered = 0
-        for _, _, _, plan, _, _ in reorder.prune_runs(layer, reorder.METHODS,
-                                                      configs):
-            reordered += plan.was_reordered
+        for run in reorder.prune_runs(layer, reorder.METHODS, configs):
+            reordered += run.plan.was_reordered
+            del run  # dropped before the next run starts
         return reordered
 
     reordered, peak, _ = traced_bytes(every_run)
@@ -897,6 +897,14 @@ def test_dense_energy_overflow_rejected_before_factoring(monkeypatch, capfd, ent
         else:
             checked_layer(w, np.eye(8))
     assert factored == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_dense_energy_of_a_huge_weight_on_a_dead_or_tiny_channel(capfd):
+    """A weight whose square overflows still counts as d (H_jj d) there."""
+    w = np.array([[1e200, 1.0]])
+    assert checked_layer(w, np.diag([0.0, 1.0])).dense_energy == 1.0
+    assert checked_layer(w, np.diag([1e-300, 1.0])).dense_energy == 1e100
     assert capfd.readouterr() == ("", "")
 
 

@@ -205,7 +205,7 @@ class TestOutcome:
         w = gain * gen_columnar(8, 48, 16, 2, 10.0, seed=4)
         x = np.random.default_rng(4).standard_normal((96, 48))
         layer = checked_layer(w, raw_hessian([x], 48))
-        outcomes = [o for *_, o, _, _, _ in prune_runs(layer, METHODS, [config])]
+        outcomes = [run.outcome for run in prune_runs(layer, METHODS, [config])]
         assert all(o.dense_energy == layer.dense_energy for o in outcomes)
         # the oracle measures its energy on the stacked activations
         oracle = naive_obs_prune(w, [x], config)
@@ -226,7 +226,8 @@ class TestOutcome:
         w = gen_columnar(8, 48, 16, 2, 10.0, seed=5)
         x = np.random.default_rng(5).standard_normal((96, 48))
         layer = checked_layer(w, raw_hessian([x], 48))
-        for _, method, out, *_ in prune_runs(layer, METHODS, [config]):
+        for run in prune_runs(layer, METHODS, [config]):
+            method, out = run.method, run.outcome
             pruned = ~out.mask.kept
             assert (w[pruned] < 0).any(), method
             lost = out.pruned_weights[pruned]
@@ -666,8 +667,8 @@ def scaled_run(method, k):
             out, plan, profile = rose_prune_layer(w, [x], unstructured)
         else:
             layer = checked_layer(w, raw_hessian([x], 64))
-            [_, (_, _, out, plan, profile, _)] = prune_runs(
-                layer, ["sparsegpt", "rose"], [unstructured])
+            [_, run] = prune_runs(layer, ["sparsegpt", "rose"], [unstructured])
+            out, plan, profile = run.outcome, run.plan, run.profile
         assert plan.was_reordered
         return out, profile.relative_range
     w = rng.standard_normal((16, 64))

@@ -520,11 +520,13 @@ class TestPruneRuns:
         # the runs left in place go first, then the reordered ones, each
         # in config x method order
         grid = [(c, m) for c in configs for m in reorder.METHODS]
-        assert [(c, m) for c, m, *_ in runs] == (
+        assert [(run.config, run.method) for run in runs] == (
             [(c, m) for c, m in grid if not m.startswith("rose")]
             + [(c, m) for c, m in grid if m.startswith("rose")])
-        for config, method, outcome, plan, profile, wall_ms in runs:
-            assert wall_ms >= 0.0
+        for run in runs:
+            config, method, outcome, plan, profile = (
+                run.config, run.method, run.outcome, run.plan, run.profile)
+            assert run.wall_ms >= 0.0
             assert profile.relative_range == loss_profile(
                 importance_scores(layer), config).relative_range
             if method.startswith("rose"):
@@ -559,13 +561,12 @@ class TestPruneRuns:
         configs = ([SparsityConfig.semi_structured(2, 4, blocksize=32)] if semi
                    else [SparsityConfig(p, 32) for p in (0.5, 0.7)])
         reordered = 0
-        for config, method, outcome, plan, _, _ in prune_runs(
-            layer, ["sparsegpt", "rose", "rose-ascending"], configs
-        ):
-            if plan.was_reordered:
+        for run in prune_runs(layer, ["sparsegpt", "rose", "rose-ascending"], configs):
+            if run.plan.was_reordered:
                 reordered += 1
-                assert_close_outcome(outcome, prune_layer(bundle_from_hessian(
-                    layer, config.damp_fraction, plan.permutation), config), w)
+                assert_close_outcome(run.outcome, prune_layer(bundle_from_hessian(
+                    layer, run.config.damp_fraction, run.plan.permutation),
+                    run.config), w)
         assert reordered == 2 * len(configs)
 
     def test_rose_prune_layer_is_the_rose_run(self):
@@ -573,14 +574,32 @@ class TestPruneRuns:
         cfg = SparsityConfig(0.6, 16)
         out, plan, profile = rose_prune_layer(w, [x], cfg)
         layer = checked_layer(w, raw_hessian([x], 64))
-        [(_, method, run, run_plan, run_profile, _)] = prune_runs(layer, ["rose"],
-                                                                  [cfg])
-        assert method == "rose" and plan.was_reordered == run_plan.was_reordered
-        assert_same_outcome(out, run)
+        [run] = prune_runs(layer, ["rose"], [cfg])
+        assert run.method == "rose"
+        assert plan.was_reordered == run.plan.was_reordered
+        assert_same_outcome(out, run.outcome)
         np.testing.assert_array_equal(plan.permutation.forward,
-                                      run_plan.permutation.forward)
-        np.testing.assert_array_equal(profile.block_losses, run_profile.block_losses)
-        assert profile.relative_range == run_profile.relative_range
+                                      run.plan.permutation.forward)
+        np.testing.assert_array_equal(profile.block_losses, run.profile.block_losses)
+        assert profile.relative_range == run.profile.relative_range
+
+    def test_index_is_the_grid_place(self):
+        """Each run's index is its place in config x method order.
+
+        A repeated sparsity and interleaved dampings are where the schedule
+        strays furthest from grid order.
+        """
+        w, x = columnar_fixture(seed=5, rows=16, cols=64, blocksize=16)
+        layer = checked_layer(w, raw_hessian([x], 64))
+        configs = [SparsityConfig(p, 16, damp_fraction=d)
+                   for p, d in [(0.5, 0.01), (0.7, 0.02), (0.5, 0.01)]]
+        methods = ["rose", "sparsegpt", "rose", "magnitude"]
+        runs = list(prune_runs(layer, methods, configs))
+        assert [run.index for run in runs] != list(range(12))
+        assert sorted(run.index for run in runs) == list(range(12))
+        for run in runs:
+            assert run.config is configs[run.index // 4]
+            assert run.method == methods[run.index % 4]
 
     def test_cli_runs_the_library_methods(self):
         assert cli.METHODS is reorder.METHODS
@@ -624,9 +643,9 @@ class TestPruneRuns:
                    for d, p in [(0.01, 0.5), (0.01, 0.6), (0.1, 0.5)]]
         runs = list(prune_runs(layer, ["sparsegpt"], configs))
         assert calls == [0.01, 0.1]
-        for config, _, outcome, *_ in runs:
-            assert_same_outcome(outcome, prune_layer(
-                bundle_from_hessian(layer, config.damp_fraction), config))
+        for run in runs:
+            assert_same_outcome(run.outcome, prune_layer(
+                bundle_from_hessian(layer, run.config.damp_fraction), run.config))
 
     def test_interleaved_dampings_are_grouped_in_order_of_first_appearance(
             self, monkeypatch):
@@ -652,11 +671,10 @@ class TestPruneRuns:
         configs = [SparsityConfig(p, 32, damp_fraction=d)
                    for d, p in [(0.01, 0.5), (0.1, 0.6), (0.01, 0.7)]]
         outcomes = []
-        for config, method, outcome, plan, _, _ in prune_runs(
-                layer, ["sparsegpt", "rose"], configs):
-            assert plan.was_reordered == (method == "rose")
-            events.append((method, config.sparsity))
-            outcomes.append((config, plan, outcome))
+        for run in prune_runs(layer, ["sparsegpt", "rose"], configs):
+            assert run.plan.was_reordered == (run.method == "rose")
+            events.append((run.method, run.config.sparsity))
+            outcomes.append((run.config, run.plan, run.outcome))
         lam = {d: damping(layer.raw, d) for d in (0.01, 0.1)}
         assert events == [
             ("factor", 0.01, True), ("sparsegpt", 0.5), ("sparsegpt", 0.7),
