@@ -17,9 +17,9 @@ with its diagonal kept apart, so one n x n buffer serves a layer.  It is
 made one of two ways.  ``bundle_from_hessian`` factors H in pruning order
 with rows and columns reversed, inverts the factor as a triangle and
 reads it transposed and in reverse.  Once a channel-order factor exists,
-``damped_inverse`` copies it out into the whole inverse, and
-``bundle_from_inverse`` gathers that inverse in another order and factors
-it with one ``dpotrf``.
+``damped_inverse`` turns it into the inverse in place and copies that out
+as row panels of its upper triangle, and ``bundle_from_inverse`` gathers
+the inverse from them in another order and factors it with one ``dpotrf``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from .errors import (ConfigError, DimensionError, IndefiniteHessianError,
                      NumericOverflowError, StaleFactorError)
 from .tensors import Permutation, as_matrix, finite_matrix
 
-#: rows per panel wherever a triangle is gathered, copied or mirrored; of
-#: 32, 64, 128 and 256, 64 mirrored fastest at n = 1024 and 2048 (at 2048:
-#: 11.5, 8.2, 10.3 and 18.0 ms, 2 BLAS threads)
+#: rows per panel wherever a triangle is gathered, scaled or copied; of 32,
+#: 64, 128 and 256, 64 gathered a shuffled order, from H and from the damped
+#: inverse, fastest or within about 10% of it at n = 1024 and 2048 (from H
+#: at 2048: 24.7, 21.9, 25.7 and 30.0 ms, 2 BLAS threads)
 PANEL = 64
 #: the strict lower triangle of a diagonal block of up to PANEL rows
 _BELOW = np.tri(PANEL, k=-1, dtype=bool)
@@ -108,15 +109,16 @@ class HessianBundle:
 class DampedInverse:
     """A layer's inverse dampened Hessian, made once per damping; equality is by identity.
 
-    ``reversed`` is 4**shift * inv(H + damp_lambda I) in channel order with
-    rows and columns reversed, whole and exactly symmetric.  The power of
-    two, set by H's largest dampened diagonal, keeps its entries near the
-    scale of 1, so that they neither underflow nor overflow where the
-    factors made from them do not.
+    The matrix is 4**shift * inv(H + damp_lambda I) in channel order with
+    rows and columns reversed, exactly symmetric.  ``upper`` holds its rows
+    from their panel's first column on, about n**2 / 2 doubles, as laid out
+    by ``_row_starts``.  The power of two, set by H's largest dampened
+    diagonal, keeps its entries near the scale of 1, so that they neither
+    underflow nor overflow where the factors made from them do not.
     """
 
     layer: Layer
-    reversed: np.ndarray
+    upper: np.ndarray
     damp_lambda: float
     shift: int
 
@@ -227,17 +229,6 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
     return h
 
 
-def _mirror_upper(a: np.ndarray):
-    """Copy the strict upper triangle of ``a`` over its strict lower one.
-
-    In place, one panel of rows at a time, so the result is exactly
-    symmetric and no temporary outgrows a panel.
-    """
-    for rows in _panels(a.shape[0]):
-        a[rows, : rows.start] = a[: rows.start, rows].T
-        np.copyto(a[rows, rows], a[rows, rows].T, where=_below(rows))
-
-
 def damping(raw: np.ndarray, damp_fraction: float) -> float:
     """lambda = damp_fraction * mean(diag H), the same in every column order.
 
@@ -267,54 +258,65 @@ def bundle_from_hessian(
     order = Permutation.identity(raw.shape[0]) if order is None else order
     lam = damping(raw, damp_fraction)
     q = order.forward[::-1]
-    diag = _factor(raw, raw, q, q, raw.diagonal() + lam)[::-1].copy()
+    diag = _factor(raw, q, q, raw.diagonal() + lam)[::-1].copy()
     _HOLDERS[raw.ctypes.data] = diag
     return HessianBundle(layer, raw[::-1, ::-1], diag, lam, order)
 
 
 def damped_inverse(bundle: HessianBundle) -> DampedInverse:
-    """The damped inverse, made from the channel-order bundle's factor.
+    """The damped inverse, made in place from the channel-order bundle's factor.
 
     The layer's workspace, read column-major, holds inv(R) for the reversed
-    H + lambda I = R.T R, whose diagonal is ``diag`` reversed.  It is copied
-    into a buffer of its own and scaled there by 2**shift, a power of two
-    that grows by k when H grows by 4**k, so no bit of the result depends
-    on the scale of H.  One ``dlauum`` there, inv(R) inv(R).T, makes the
-    inverse of H in reversed order, and the panel mirror makes it whole.
-    The bundle stays valid.
+    H + lambda I = R.T R, whose diagonal is ``diag`` reversed.  There it is
+    scaled by 2**shift, a power of two that grows by k when H grows by
+    4**k, so no bit of the result depends on the scale of H, and its
+    diagonal goes in place of H's.  One ``dlauum``, inv(R) inv(R).T, makes
+    the inverse of H in reversed order in the same triangle, and each
+    panel of its rows is copied out, its diagonal block mirrored.  H's
+    diagonal goes back, also on failure.  The bundle is stale from the
+    first write.
     """
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
         raise ConfigError("only a channel-order factor gives the damped inverse")
     raw = bundle.valid().layer.raw
+    n = raw.shape[0]
     top = raw.diagonal().max() + bundle.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
-    buf = np.tril(raw, -1).T  # column-major, inv(R) in its strict upper triangle
-    np.ldexp(buf, shift, out=buf)
-    np.fill_diagonal(buf, np.ldexp(bundle.diag[::-1], shift))
-    buf, info = lapack.dlauum(buf, lower=0, overwrite_c=1)
-    if info != 0:
-        raise IndefiniteHessianError(f"dlauum failed with info={info}")
-    _mirror_upper(buf)
-    # symmetric, so the row-major view, whose rows gather fastest, is the same
-    return DampedInverse(bundle.layer, buf.T, bundle.damp_lambda, shift)
+    starts = _row_starts(n)
+    upper = np.empty(starts[-1] + n)
+    _HOLDERS.pop(raw.ctypes.data, None)
+    _scale_lower(raw, shift)
+    h_diag = raw.diagonal().copy()
+    diagonal = raw.reshape(-1)[:: n + 1]
+    try:
+        diagonal[...] = np.ldexp(bundle.diag[::-1], shift)
+        _, info = lapack.dlauum(raw.T, lower=0, overwrite_c=1)
+        if info != 0:
+            raise IndefiniteHessianError(f"dlauum failed with info={info}")
+        for rows in _panels(n):
+            i1, k = rows.start, rows.stop - rows.start
+            panel = upper[starts[i1] + i1 :][: k * (n - i1)].reshape(k, n - i1)
+            panel[:, k:] = raw[rows.stop :, rows].T
+            panel[:, :k] = np.where(_below(rows).T, raw[rows, rows].T, raw[rows, rows])
+    finally:
+        diagonal[...] = h_diag
+    return DampedInverse(bundle.layer, upper, bundle.damp_lambda, shift)
 
 
 def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBundle:
     """Factor the dampened H[order][:, order] from the layer's damped inverse.
 
     ``_factor`` factors inv(H)[order][:, order], gathered from the reversed
-    inverse, where channel j is at n - 1 - j, by one upper ``dpotrf``,
-    which is U itself: no reversal and no triangular inverse.  Scaling U
-    back by 2**-shift is exact, so it matches ``bundle_from_hessian``'s to
-    rounding.
+    inverse's panels, where channel j is at n - 1 - j, by one upper
+    ``dpotrf``, which is U itself: no reversal and no triangular inverse.
+    Scaling U back by 2**-shift is exact, so it matches
+    ``bundle_from_hessian``'s to rounding.
     """
-    raw, m = inverse.layer.raw, inverse.reversed
+    raw, upper = inverse.layer.raw, inverse.upper
     n = raw.shape[0]
-    diag = _factor(raw, m, (n - 1) - order.forward, order.forward, m.diagonal())
-    for rows in _panels(n):
-        np.ldexp(raw[rows, : rows.start], -inverse.shift, out=raw[rows, : rows.start])
-        np.ldexp(raw[rows, rows], -inverse.shift, out=raw[rows, rows],
-                 where=_below(rows))
+    pivots = upper[_row_starts(n) + np.arange(n)]
+    diag = _factor(raw, (n - 1) - order.forward, order.forward, pivots, upper)
+    _scale_lower(raw, -inverse.shift)
     diag = np.ldexp(diag, -inverse.shift)
     _HOLDERS[raw.ctypes.data] = diag
     return HessianBundle(inverse.layer, raw.T, diag, inverse.damp_lambda, order)
@@ -332,16 +334,34 @@ def _below(rows: slice) -> np.ndarray:
     return _BELOW[:k, :k]
 
 
-def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarray,
-            pivots: np.ndarray) -> np.ndarray:
+def _row_starts(n: int) -> np.ndarray:
+    """Offsets of the rows of an n x n matrix's row panels, laid back to back.
+
+    Panel p holds rows [PANEL p, PANEL (p + 1)) from column PANEL p on, and
+    m[a, b] for b from there on is at starts[a] + b.
+    """
+    c1 = np.arange(n) // PANEL * PANEL
+    return c1 * n - c1 * (c1 - PANEL) // 2 + (np.arange(n) - c1) * (n - c1) - c1
+
+
+def _scale_lower(raw: np.ndarray, shift: int):
+    """Scale the strict lower triangle of ``raw`` by 2**shift, exactly, in place."""
+    for rows in _panels(raw.shape[0]):
+        np.ldexp(raw[rows, : rows.start], shift, out=raw[rows, : rows.start])
+        np.ldexp(raw[rows, rows], shift, out=raw[rows, rows], where=_below(rows))
+
+
+def _factor(raw: np.ndarray, idx: np.ndarray, channels: np.ndarray,
+            pivots: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
     """Factor m[idx][:, idx], its diagonal pivots[idx], in raw's workspace; U's diagonal.
 
+    m is H, or the damped inverse when its row panels ``upper`` are given.
     ``_gather`` fills the workspace, which is the upper triangle of the
     column-major buffer LAPACK overwrites, where the upper variant runs
     faster.  H's diagonal is saved and pivots[idx] put in its place; upper
     ``dpotrf`` with clean=0, which leaves H's triangle as it is, factors
-    it, naming a failed pivot by ``channels``.  When m is raw, the factor
-    is of H, not of its inverse, and ``dtrtri`` inverts it.  H's diagonal
+    it, naming a failed pivot by ``channels``.  When m is H, the factor is
+    of H, not of its inverse, and ``dtrtri`` inverts it.  H's diagonal
     goes back, also on failure.  Every bundle over raw is stale from the
     first write.
     """
@@ -350,7 +370,9 @@ def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarra
         raise DimensionError(f"order size {idx.size} != Hessian size {n}")
     _HOLDERS.pop(raw.ctypes.data, None)
     h_diag = raw.diagonal().copy()
-    _gather(raw, m, idx)
+    m, starts = ((raw.reshape(-1), n * np.arange(n)) if upper is None
+                 else (upper, _row_starts(n)))
+    _gather(raw, idx, m, starts)
     diagonal = raw.reshape(-1)[:: n + 1]
     try:
         diagonal[...] = pivots[idx]
@@ -363,7 +385,7 @@ def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarra
             )
         if info < 0:
             raise IndefiniteHessianError(f"invalid argument {-info} to dpotrf")
-        if m is raw:
+        if upper is None:
             _, info = lapack.dtrtri(raw.T, lower=0, overwrite_c=1)
             if info != 0:
                 raise IndefiniteHessianError(f"dtrtri failed with info={info}")
@@ -372,29 +394,23 @@ def _factor(raw: np.ndarray, m: np.ndarray, idx: np.ndarray, channels: np.ndarra
         diagonal[...] = h_diag
 
 
-def _gather(raw: np.ndarray, m: np.ndarray, idx: np.ndarray):
+def _gather(raw: np.ndarray, idx: np.ndarray, m: np.ndarray, starts: np.ndarray):
     """Write the strict lower triangle of m[idx][:, idx] over that of ``raw``.
 
-    Panel by panel, the last first, each takes its rows of m and gathers
-    their leading columns in the order idx: a peak of a few panels, and
-    every read from m is of a row.  When m is raw, it is H, whose buffer
-    holds H[a, b] for b < a as H[b, a], in row b, so the panel of row b
-    also fills those entries in its diagonal block and, transposed, in
-    later rows, over what their own panels wrote there.
+    m is symmetric and read from one triangle only: m[a, b] for a <= b is
+    m[starts[a] + b], in H's own buffer or in the damped inverse's row
+    panels.  Panel by panel, the last first, each reads every entry of its
+    rows' leading columns from the row of its earlier channel: a peak of
+    two panels of indices and values.
     """
-    n, upper_only = idx.size, m is raw
-    for rows in _panels(n):
+    for rows in _panels(idx.size):
         i1, i2 = rows.start, rows.stop
-        taken = m.take(idx[rows], axis=0)
-        raw[rows, :i1] = taken.take(idx[:i1], axis=1)
-        block = taken.take(idx[rows], axis=1)
-        if upper_only:
-            block = np.where(idx[rows] > idx[rows, None], block, block.T)
-        np.copyto(raw[rows, rows], block, where=_below(rows))
-        later = idx[i2:]
-        if upper_only and later.max(initial=-1) > idx[rows].min():
-            np.copyto(raw[i2:, rows].T, taken.take(later, axis=1),
-                      where=later > idx[rows, None])
+        at = starts.take(np.minimum(idx[rows, None], idx[:i2]))
+        at += np.maximum(idx[rows, None], idx[:i2])
+        got = m.take(at)
+        raw[rows, :i1] = got[:, :i1]
+        np.copyto(raw[rows, rows], got[:, i1:], where=_below(rows))
+        del at, got  # freed before the next panel's are made
 
 
 def column_norms(raw: np.ndarray) -> np.ndarray:

@@ -141,9 +141,10 @@ def prune_runs(layer: Layer, methods: Sequence[str],
     yielded in that order as they finish; each run's ``index`` gives its
     place in config x method order.  Within a damping the runs left
     in place share the channel-order factor of H.  If it was made, the
-    first reordered run copies it out as the damped inverse
-    (``damped_inverse``) and each reordered run is factored from that
-    (``bundle_from_inverse``); otherwise each factors H itself.  wall_ms
+    first reordered run turns it into the damped inverse in place
+    (``damped_inverse``), which leaves it stale, and each reordered run is
+    factored from the inverse's row panels (``bundle_from_inverse``);
+    otherwise each factors H itself.  wall_ms
     covers a run's plan, factor and prune, and the first reordered run's
     inversion.  Once the caller asks for the next run, the generator holds
     no outcome: a caller that drops each run holds one at a time.  An

@@ -30,7 +30,7 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import baselines, engine
-from obsprune.calibration import PANEL, DampedInverse, _mirror_upper, error_prefix
+from obsprune.calibration import PANEL, DampedInverse, error_prefix
 
 from hessian_helpers import (
     accumulate_hessian,
@@ -315,20 +315,71 @@ def group_keeping_order(n, m, seed):
                                               axis=1)).reshape(-1))
 
 
+def panel_buffer(m):
+    """The row panels of the upper triangle of the symmetric ``m``, back to back."""
+    return np.concatenate([m[i1 : i1 + PANEL, i1:].reshape(-1)
+                           for i1 in range(0, m.shape[0], PANEL)])
+
+
+def panels_of(inverse):
+    """Panel p of the inverse: its rows [PANEL p, PANEL (p + 1)) from column PANEL p on."""
+    n, at, panels = inverse.layer.raw.shape[0], 0, []
+    for i1 in range(0, n, PANEL):
+        k = min(PANEL, n - i1)
+        panels.append(inverse.upper[at : at + k * (n - i1)].reshape(k, n - i1))
+        at += panels[-1].size
+    assert at == inverse.upper.size
+    return panels
+
+
+def whole(panels):
+    """The symmetric matrix whose upper triangle the row panels hold."""
+    n = panels[0].shape[1]
+    m = np.zeros((n, n))
+    for i1, panel in zip(range(0, n, PANEL), panels):
+        m[i1 : i1 + panel.shape[0], i1:] = panel
+    return mirrored(m)
+
+
+def mirrored(upper):
+    """The symmetric matrix whose upper triangle is that of ``upper``, zeros signed."""
+    return np.where(np.tri(upper.shape[0], dtype=bool), upper.T, upper)
+
+
 @pytest.mark.parametrize("n,dead", [(1, 0), (37, 0), (130, 3), (200, 5)])
 def test_inverse_in_place_is_the_damped_inverse(n, dead):
     layer = layer_with_dead(n, dead, seed=n)
     b = bundle_from_hessian(layer, 0.01)
+    h_before = layer.raw.copy()
     inv = damped_inverse(b)
-    # copied out into a buffer of its own, whole and exactly symmetric; the
-    # factor stays where it was
-    assert not np.shares_memory(inv.reversed, layer.raw)
-    assert np.array_equal(inv.reversed, inv.reversed.T)
-    assert b.valid() is b
+    # made in H's workspace, over the factor, and copied out as panels
+    assert not np.shares_memory(inv.upper, layer.raw)
+    with pytest.raises(StaleFactorError):
+        b.valid()
+    assert np.array_equal(np.triu(layer.raw), np.triu(h_before))
     assert (inv.layer, inv.damp_lambda) == (layer, b.damp_lambda)
     want = np.linalg.inv(dampened_hessian(b))
-    got = np.ldexp(inv.reversed[::-1, ::-1], -2 * inv.shift)
+    got = np.ldexp(whole(panels_of(inv))[::-1, ::-1], -2 * inv.shift)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_each_panel_row_is_the_inverse_row_from_the_panels_first_column(n):
+    # the inverse as it was made whole before the panels: dlauum of the
+    # scaled R^-1 in a buffer of its own, its upper triangle mirrored
+    layer = layer_with_dead(n, n // 20, seed=n)
+    b = bundle_from_hessian(layer, 0.01)
+    r_inv = np.asfortranarray(np.triu(layer.raw.T, 1))
+    inv = damped_inverse(b)
+    np.ldexp(r_inv, inv.shift, out=r_inv)
+    np.fill_diagonal(r_inv, np.ldexp(b.diag[::-1], inv.shift))
+    upper, info = lapack.dlauum(r_inv, lower=0, overwrite_c=1)
+    assert info == 0
+    want = mirrored(upper)
+    for i1, panel in zip(range(0, n, PANEL), panels_of(inv)):
+        assert panel.shape == (min(PANEL, n - i1), n - i1)
+        assert np.array_equal(panel.view(np.uint64),
+                              want[i1 : i1 + PANEL, i1:].view(np.uint64))
 
 
 @pytest.mark.parametrize("dead", [0, 3])
@@ -370,7 +421,7 @@ def test_indefinite_inverse_names_the_channel_in_its_order():
     m = np.eye(n)
     m[5, 5] = -1.0
     order = Permutation(np.array([1, 0, 5, 2, 3, 4]))
-    inverse = DampedInverse(layer, m[::-1, ::-1].copy(), 0.0, 0)
+    inverse = DampedInverse(layer, panel_buffer(m[::-1, ::-1]), 0.0, 0)
     with pytest.raises(IndefiniteHessianError) as exc:
         bundle_from_inverse(inverse, order)
     assert exc.value.pivot == 5
@@ -469,40 +520,12 @@ def test_zero_row_batches_and_dead_columns_pass():
     np.testing.assert_array_equal(h, raw_hessian([x[:7], x[7:]], 5))
 
 
-def column_panel_mirror(acc):
-    """Mirror the upper triangle of ``acc`` one panel of columns at a time.
-
-    Each panel's below-diagonal part is copied from the rows above it, as
-    ``raw_hessian`` once did; the row-major view of the result.
-    """
-    acc = np.array(acc, order="F")
-    n = acc.shape[0]
-    for j1 in range(0, n, PANEL):
-        j2 = min(j1 + PANEL, n)
-        acc[j2:, j1:j2] = acc[j1:j2, j2:].T
-        diagonal = acc[j1:j2, j1:j2]
-        diagonal += np.triu(diagonal, 1).T
-    return acc.T
-
-
 def dsyrk_sum(batches, n, lower):
     """The column-major sum of the batches' Gram matrices in one triangle."""
     acc = np.zeros((n, n), order="F")
     for b in batches:
         acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, lower=lower, overwrite_c=1)
     return acc
-
-
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_row_panel_mirror_is_the_column_panel_mirror(n):
-    # the mirror damped_inverse makes its inverse whole with
-    rng = np.random.default_rng(n)
-    acc = dsyrk_sum([rng.standard_normal((r, n)) for r in (n + 3, 5)], n, lower=0)
-    want = column_panel_mirror(acc)
-    _mirror_upper(acc)
-    got = acc.T
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(got, got.T)
 
 
 @pytest.mark.parametrize("n,rows", [(1, 4), (65, 70), (77, 300), (130, 135)])
@@ -618,17 +641,19 @@ def test_baseline_memory_budget(prune):
 
 
 def test_prune_runs_memory_budget():
-    """Every method at four sparsities holds one n x n buffer beyond H.
+    """Every method at four sparsities holds about half an n x n beyond H.
 
-    The damped inverse has a buffer of its own, and every factor is built
-    in H's, so the peak is that n x n, one sweep and a gather panel: no
-    run's outcome outlives the next run's start.  When each reordered
-    factor was gathered beside the inverse, the peak was two n x n buffers
+    The damped inverse is made in H's workspace and kept as row panels of
+    its upper triangle, and every factor is built in H's workspace, so the
+    peak is the panels, one sweep and a gather panel: no run's outcome
+    outlives the next run's start.  When the inverse was a whole n x n
+    buffer, the bound held n x n where it holds the panels; when each
+    reordered factor was gathered beside it, the peak was two n x n buffers
     and 0.4 panels past the rest, and until the generator dropped each
     outcome it also held the run before's.
     """
     rows, n = 64, 512
-    square = 8 * n * n
+    panels = 8 * sum(PANEL * (n - i1) for i1 in range(0, n, PANEL))
     rng = np.random.default_rng(14)
     w = gen_columnar(rows, n, 128, 3, 10.0, seed=14)
     layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
@@ -636,6 +661,7 @@ def test_prune_runs_memory_budget():
     inverse = damped_inverse(bundle_from_hessian(layer, 0.01))
     b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
     outcome, sweep, _ = traced_bytes(lambda: prune_layer(b, configs[0]))
+    assert inverse.upper.nbytes == panels
     del inverse, b, outcome
 
     def every_run():
@@ -647,7 +673,8 @@ def test_prune_runs_memory_budget():
 
     reordered, peak, _ = traced_bytes(every_run)
     assert reordered == 8
-    assert peak <= square + 8 * PANEL * n + sweep + 2**16
+    assert panels == 1_179_648
+    assert peak <= panels + 8 * PANEL * n + sweep + 2**16
 
 
 def test_rose_prune_layer_memory_budget():
@@ -690,7 +717,7 @@ def refactor_and_fail(b):
     # an inverse that is not positive definite fails in dpotrf, after its
     # gather has written over the workspace
     inverse = damped_inverse(b)
-    inverse.reversed[...] = -np.eye(16)
+    inverse.upper[...] = -np.eye(16).reshape(-1)
     with pytest.raises(IndefiniteHessianError):
         bundle_from_inverse(inverse, b.order)
 
@@ -746,11 +773,13 @@ def test_a_bundle_stays_valid_until_its_layer_is_factored_again():
     b = bundle_from_hessian(layer, 0.01)
     config = SparsityConfig(0.5, blocksize=8)
     first = prune_layer(b, config)
-    # the damped inverse is a copy: the factor it was made from stays
-    inverse = damped_inverse(b)
     again = prune_layer(b, config)
     np.testing.assert_array_equal(again.pruned_weights, first.pruned_weights)
-    assert damped_inverse(b).shift == inverse.shift
+    # the damped inverse is made over the factor it was made from
+    inverse = damped_inverse(b)
+    with pytest.raises(StaleFactorError):
+        prune_layer(b, config)
+    assert damped_inverse(bundle_from_hessian(layer, 0.01)).shift == inverse.shift
 
 
 @pytest.mark.parametrize("prune", [rose_prune_layer, naive_obs_prune])
