@@ -46,4 +46,5 @@ def wanda_prune(layer: Layer, config: SparsityConfig) -> PruneOutcome:
         pruned = pruned_entries(scores, config)
     else:
         pruned = smallest_per_row(scores, pruned_count(config.sparsity, 1, n))
+    del scores  # W-sized, and freed before _outcome allocates three more
     return _outcome(layer, ~pruned, ranges)

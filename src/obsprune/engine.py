@@ -10,10 +10,12 @@ two-level lazy-batch schedule.
   at the group's first column.  Either way a mask is chosen from the
   weights as they stand after every earlier column's update, with the
   squared diagonals of the stored upper factor as the OBS denominators.
-- The sweep holds W0 and the difference D = W0 - W.  A block is loaded
-  once, as W0 - D over its columns, into a buffer of its own; a finished
-  block is written over its rows of the W0 copy, which becomes the output,
-  and its own difference goes back into D.
+- The sweep holds one array the size of W, in pruning order: the later
+  columns' update W0 - W and every finished block's weights.  A block is
+  swept in a buffer of its own, loaded once as its W0, gathered from W,
+  minus its update; its weights go back over its rows, and its W0 becomes
+  its W0 - W.  At the end the rows move into channel order in place, one
+  cycle of the order at a time, and the array is the output.
 - Inside a block, the rank-1 column loop runs over sub-blocks of
   ``SUB_BLOCK`` columns (under n:m, a multiple of m, so that a group never
   straddles two sub-blocks).  A column is one divide, by the factor's
@@ -23,9 +25,10 @@ two-level lazy-batch schedule.
   them +0.0 without a branch: no later column reads a finished one.
 - A finished sub-block updates the rest of its block with one matrix
   product of its OBS errors and the factor's rows; a finished block adds
-  its product into D for every later column the same way.  D then holds
-  W0 - W_k for every column, so ||W0 - W_k||^2 past a block is one
-  ``ddot`` over its rows, not a subtraction per later block.
+  its product into the later columns' update the same way, ``CHUNK``
+  columns at a time.  The update then holds W0 - W_k for every later
+  column, so ||W0 - W_k||^2 past a block is one ``ddot`` over the later
+  rows and one over the block's W0 - W, not a subtraction per later block.
 
 Columns past a sub-block (or block) are never read inside it, so deferring
 their updates changes only the rounding.  No activations are needed: the
@@ -151,13 +154,30 @@ CANCELLATION = 1e-6
 #: at or near the fastest at both 256x1024 (2:4) and 512x2048 (unstructured)
 SUB_BLOCK = 16
 
+#: columns per product of a finished block into the later columns, so that
+#: f2py copies at most blocksize x CHUNK doubles of the factor at a time
+CHUNK = 256
 
-def _channel_order(t: np.ndarray, order: Permutation) -> np.ndarray:
-    """The (rows, n) matrix whose column order.forward[j] is t[j].
 
-    One gather on the transposed view, so the result may be column-major.
+def _into_channel_order(order: Permutation, *arrays: np.ndarray):
+    """Move row j of each array to row order.forward[j], in place.
+
+    One cycle of the order at a time, through one saved row per array, so
+    the identity order moves nothing.
     """
-    return t.T[:, order.inverse]
+    source = order.inverse.tolist()
+    for start in np.flatnonzero(order.inverse != np.arange(order.size)).tolist():
+        if source[start] < 0:
+            continue  # moved with an earlier cycle
+        saved = [a[start].copy() for a in arrays]
+        i = start
+        while (j := source[i]) != start:
+            for a in arrays:
+                a[i] = a[j]
+            source[i], i = -1, j
+        for a, row in zip(arrays, saved):
+            a[i] = row
+        source[i] = -1
 
 
 def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
@@ -174,8 +194,10 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     loss equals the summed squared OBS errors, and
     raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  When that closed
     form is not finite (a huge damping overflows it) or has cancelled,
-    sum(d @ H_raw @ d) is computed instead; if that overflows too,
-    NumericOverflowError names the block.  No rule depends on the scale
+    sum(d @ H_raw @ d) is computed instead, on d rebuilt from W in one
+    temporary the size of W; if that overflows too, NumericOverflowError
+    names the block.  Otherwise the sweep holds one array the size of W,
+    the mask, and blocksize x rows buffers.  No rule depends on the scale
     of H: short of overflow or underflow, scaling X by 2**k leaves masks
     and weights bit for bit and scales every error by 4**k.
     """
@@ -201,15 +223,14 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     step = SUB_BLOCK if config.pattern is None else max(1, SUB_BLOCK // group) * group
 
     # the sweep runs on W.T in pruning order, so that every column it
-    # touches is contiguous; each finished block overwrites its rows of
-    # dense_t, which becomes the output
-    dense_t = layer.w.T[order.forward]
-    # delta = W0 - W: the finished blocks' differences, and the later
-    # columns' updates, added in one product per block
-    delta = np.zeros((n, rows))
+    # touches is contiguous; one array holds the later columns' update
+    # W0 - W, added in one product per block, and each finished block's
+    # weights, and becomes the output
+    work = np.zeros((n, rows))
     pruned_t = np.zeros((n, rows), dtype=bool)
-    # the block being swept, its OBS errors, and its divisors
-    blk_buf, errs_buf, div_buf = np.empty((3, min(config.blocksize, n), rows))
+    # the block being swept, and its OBS errors, each divided in place
+    # from its divisor
+    blk_buf, errs_buf = np.empty((2, min(config.blocksize, n), rows))
     trajectory = []
     loss = 0.0
     # ||W0 - W_k||^2 over the columns of finished blocks, which never change
@@ -217,8 +238,10 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
 
     for block_index, (i1, i2) in enumerate(ranges):
         width = i2 - i1
-        blk = np.subtract(dense_t[i1:i2], delta[i1:i2], out=blk_buf[:width])
-        errs, div = errs_buf[:width], div_buf[:width]
+        # the block's W0, gathered from W; after the block, its W0 - W
+        dense = layer.w.T[order.forward[i1:i2]]
+        blk = np.subtract(dense, work[i1:i2], out=blk_buf[:width])
+        errs = errs_buf[:width]
         ublk = upper[i1:i2, i1:i2]
         diag_b, inv_b = diag[i1:i2], inv_diag[i1:i2]
         pruned_b, dead_b = pruned_t[i1:i2], dead[i1:i2]
@@ -233,33 +256,41 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
                     # diag / 1 where pruned and diag / 0 = inf where kept, with
                     # no branch; x / inf is 0, so a kept weight's error is 0
                     with np.errstate(divide="ignore"):
-                        np.divide(diag_b[g, None], pruned, out=div[g])
-                e = np.divide(blk[q], div[q], out=errs[q])
+                        np.divide(diag_b[g, None], pruned, out=errs[g])
+                e = np.divide(blk[q], errs[q], out=errs[q])
                 # f2py rejects an empty operand: no later column, or no rows
                 if q + 1 < s2 and rows:
                     blas.dger(-1.0, e, ublk[q, q + 1 : s2],
                               a=blk[q + 1 : s2].T, overwrite_a=1)
             if s2 < width:
                 _add_product(blk[s2:], ublk[s1:s2, s2:], errs[s1:s2], -1.0)
-        _add_product(delta[i2:], upper[i1:i2, i2:], errs, 1.0)
+        for c in range(i2, n, CHUNK):
+            _add_product(work[c : c + CHUNK], upper[i1:i2, c : c + CHUNK], errs, 1.0)
         # multiplying the bits by 0 or 1 makes pruned entries +0.0, branch-free
         bits = blk.view(np.uint64)
         bits *= ~pruned_b
-        np.subtract(dense_t[i1:i2], blk, out=delta[i1:i2])
-        dense_t[i1:i2] = blk
+        dense -= blk
+        work[i1:i2] = blk
 
         # a huge damping can overflow the closed form, which is then not finite
         with np.errstate(over="ignore"):
             loss += _squared_norm(errs)
-            block_sq = _squared_norm(delta[i1:i2])
-            tail_sq = block_sq + _squared_norm(delta[i2:])
+            block_sq = _squared_norm(dense)
+            tail_sq = block_sq + _squared_norm(work[i2:])
         raw_err = loss - bundle.damp_lambda * (final_sq + tail_sq)
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             # a non-finite weight makes the tail sum not finite; columns
             # before i1 are final and were checked with earlier blocks
-            finite = np.isfinite(tail_sq) or np.all(np.isfinite(delta[i1:]))
+            finite = np.isfinite(tail_sq) or (np.all(np.isfinite(dense))
+                                              and np.all(np.isfinite(work[i2:])))
             if finite:
-                raw_err = error_prefix(_channel_order(delta, order), layer.raw)[-1]
+                # W0 - W_k, rebuilt in channel order: the one W-sized temporary
+                d = layer.w.T[order.forward]
+                d[:i2] -= work[:i2]
+                d[i2:] = work[i2:]
+                _into_channel_order(order, d)
+                raw_err = error_prefix(d.T, layer.raw)[-1]
+                del d
             if not np.isfinite(raw_err):
                 what = "reconstruction error" if finite else "weights"
                 raise NumericOverflowError(f"non-finite {what} after block "
@@ -267,9 +298,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
         trajectory.append(raw_err)
         final_sq += block_sq
 
-    # the sweep's differences go before the outputs are allocated
-    del delta
-    pruned_weights = _channel_order(dense_t, order)
-    del dense_t
-    return PruneOutcome(pruned_weights, PruneMask(~_channel_order(pruned_t, order)),
-                        np.array(trajectory), layer.dense_energy)
+    _into_channel_order(order, work, pruned_t)
+    kept_t = np.logical_not(pruned_t, out=pruned_t)
+    return PruneOutcome(work.T, PruneMask(kept_t.T), np.array(trajectory),
+                        layer.dense_energy)

@@ -587,13 +587,15 @@ def test_memory_budget():
 def test_prune_layer_memory_budget():
     """prune_layer's peak at 64 x 512 with 128-column blocks, in a shuffled order.
 
-    The sweep holds W0 and W0 - W in pruning order, the mask, and three
-    block buffers: the block it sweeps, its OBS errors and its divisors.
-    f2py's copy of the factor's rows for block 0's product into the later
-    columns sets the peak.  When the sweep held W itself, with two block
-    buffers, the peak was 1,088,480 bytes; the bound is that plus one
-    block of 64 x 128 doubles and 4 KiB for Python objects.  Measured:
-    1,154,928.
+    The sweep holds one array of W's size in pruning order, which becomes
+    the output, the mask, and three blocks of 64 x 128 doubles: the block's
+    W0, gathered from W, the block it sweeps and its OBS errors.  f2py's
+    copy of 128 x ``engine.CHUNK`` doubles of the factor's rows, in a
+    finished block's product into the later columns, sets the peak, beside
+    the squared diagonal and the dead channels (9 bytes a channel) and
+    4 KiB for Python objects.  Measured: 761,552 bytes.  When the sweep
+    held W0 and W0 - W, and copied all of the factor's rows past a block,
+    the peak was 1,154,784 bytes.
     """
     rows, n = 64, 512
     rng = np.random.default_rng(13)
@@ -603,7 +605,25 @@ def test_prune_layer_memory_budget():
     config = SparsityConfig(0.5)
     prune_layer(b, config)
     _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
-    assert peak <= 1_088_480 + 8 * rows * config.blocksize + 4096
+    blocks = 3 * 8 * rows * config.blocksize
+    chunk = 8 * config.blocksize * engine.CHUNK
+    assert peak <= w.nbytes + rows * n + blocks + chunk + 9 * n + 4096
+
+
+def test_prune_layer_memory_at_bench_scale():
+    """At 512 x 2048, prune_layer peaks under 1.5 times W's size.
+
+    Measured 1.45 W; when the sweep held W0 and W0 - W beside the output
+    it allocated in channel order, 2.55 W.
+    """
+    rows, n = 512, 2048
+    rng = np.random.default_rng(14)
+    w = rng.standard_normal((rows, n))
+    layer = checked_layer(w, raw_hessian([rng.standard_normal((512, n))], n))
+    b = bundle_from_hessian(layer, 0.01, Permutation(rng.permutation(n)))
+    config = SparsityConfig(0.7)
+    _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
+    assert peak <= 1.5 * w.nbytes
 
 
 def test_error_prefix_memory_budget():

@@ -360,6 +360,32 @@ class TestPruneLayer:
         out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
 
+    @pytest.mark.parametrize("cycles", [True, False], ids=["cycles", "identity"])
+    def test_outputs_come_back_in_channel_order(self, cycles):
+        # the sweep's rows move into channel order in place, one cycle of
+        # the order at a time: pruning in order p is, bit for bit, pruning
+        # w[:, p] with H[p][:, p] in channel order, mapped back.  Integer
+        # activations make H exact, so its mean diagonal, and the damping,
+        # are the same bits in either column order
+        rng = np.random.default_rng(46)
+        rows, n = 8, 64
+        w = rng.standard_normal((rows, n))
+        h = symmetric(raw_hessian([rng.integers(-3, 4, (3 * n, n)).astype(float)], n))
+        p = np.arange(n)
+        if cycles:
+            p[[3, 10]] = p[[10, 3]]  # a 2-cycle
+            p[20:60] = np.roll(p[20:60], 1)  # a cycle of 40; the rest stay put
+        cfg = SparsityConfig(0.5, blocksize=16)
+        out = prune_layer(bundle_from_hessian(checked_layer(w, h), cfg.damp_fraction,
+                                              Permutation(p)), cfg)
+        ref = prune_layer(bundle_from_hessian(checked_layer(w[:, p], h[p][:, p]),
+                                              cfg.damp_fraction), cfg)
+        assert out.pruned_weights.flags.f_contiguous
+        assert out.mask.kept.flags.f_contiguous
+        assert out.pruned_weights[:, p].tobytes() == ref.pruned_weights.tobytes()
+        np.testing.assert_array_equal(out.mask.kept[:, p], ref.mask.kept)
+        assert out.block_error_trajectory.tobytes() == ref.block_error_trajectory.tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_dead_column_pruned_first_in_any_order(self, seed):
         rng = np.random.default_rng(seed)
