@@ -54,16 +54,16 @@ _HOLDERS = weakref.WeakValueDictionary()
 class Layer:
     """One layer's weights and the raw Hessian of its inputs, checked together.
 
-    Built only by ``checked_layer``; equality is by identity.  ``w`` is
-    finite and row-major, so every sum over it runs in one order whatever
-    the caller's layout.  ``raw`` is X.T @ X in channel order, without
-    dampening, the matrix every reconstruction error is measured in, in
-    its upper triangle and diagonal; the strict lower triangle is the
-    workspace the layer's factors are built in, shared with every layer
-    built on the same ``raw_hessian`` result.  ``norms`` are the
-    column norms, ``dead`` is True for each channel whose diagonal in H is
-    zero, and ``dense_energy`` is the dense layer's output energy
-    sum(W @ H @ W.T).
+    Built only by ``checked_layer``; equality is by identity.  ``w`` has
+    at least one row, and is finite and row-major, so every sum over it
+    runs in one order whatever the caller's layout.  ``raw`` is X.T @ X
+    in channel order, without dampening, the matrix every reconstruction
+    error is measured in, in its upper triangle and diagonal; the strict
+    lower triangle is the workspace the layer's factors are built in,
+    shared with every layer built on the same ``raw_hessian`` result.
+    ``norms`` are the column norms, ``dead`` is True for each channel
+    whose diagonal in H is zero, and ``dense_energy`` is the dense layer's
+    output energy sum(W @ H @ W.T).
     """
 
     w: np.ndarray
@@ -139,35 +139,36 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     d = np.ascontiguousarray(d)
     h = np.ascontiguousarray(hessian)
     prefix = np.zeros(d.shape[1] + 1)
-    # f2py rejects an empty operand, which a layer with no rows gives
-    if d.size:
-        g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
-        with np.errstate(over="ignore", invalid="ignore"):
-            g *= d
-            cross = g.sum(axis=0)
-            square = np.multiply(d, d, out=g).sum(axis=0)
-            square *= h.diagonal()
-            for j in np.flatnonzero(~np.isfinite(square)):
-                # d^2 overflowed: scale by a dead or tiny H_jj first
-                square[j] = np.sum(d[:, j] * (h[j, j] * d[:, j]))
-            np.subtract(cross, square, out=cross, where=~np.isinf(cross))
-            np.cumsum(cross, out=prefix[1:])
+    g = blas.dtrmm(2.0, h.T, d.T, lower=1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g *= d
+        cross = g.sum(axis=0)
+        square = np.multiply(d, d, out=g).sum(axis=0)
+        square *= h.diagonal()
+        for j in np.flatnonzero(~np.isfinite(square)):
+            # d^2 overflowed: scale by a dead or tiny H_jj first
+            square[j] = np.sum(d[:, j] * (h[j, j] * d[:, j]))
+        np.subtract(cross, square, out=cross, where=~np.isinf(cross))
+        np.cumsum(cross, out=prefix[1:])
     return prefix
 
 
 def checked_layer(w, raw) -> Layer:
     """The layer (W, H), once W and H pass every check, before any scoring.
 
-    W must be finite.  H must be finite, square, non-empty and as wide as
-    W, with a non-negative diagonal, as a Gram matrix's is: the first
-    negative entry is the pivot.  The dense output energy, the last entry
-    of W's ``error_prefix``, must be finite, so that every relative error
-    has a denominator.  H is read from its upper triangle and diagonal.
-    Factors are built in the strict lower triangle of H's buffer: that of
-    ``raw_hessian``'s result, which every layer built on it shares, or else
-    of a copy, so a caller's own H is never written.
+    W must be finite and have at least one row.  H must be finite,
+    square, non-empty and as wide as W, with a non-negative diagonal, as a
+    Gram matrix's is: the first negative entry is the pivot.  The dense
+    output energy, the last entry of W's ``error_prefix``, must be finite,
+    so that every relative error has a denominator.  H is read from its
+    upper triangle and diagonal.  Factors are built in the strict lower
+    triangle of H's buffer: that of ``raw_hessian``'s result, which every
+    layer built on it shares, or else of a copy, so a caller's own H is
+    never written.
     """
     w = np.ascontiguousarray(finite_matrix(w))
+    if w.shape[0] == 0:
+        raise DimensionError(f"weights have shape {w.shape}: a layer with no rows")
     raw = finite_matrix(raw, "hessian")
     if _RAW.get(id(raw)) is not raw:
         raw = raw.copy()

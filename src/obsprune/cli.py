@@ -275,7 +275,7 @@ def cmd_detect(args) -> int:
 
 def cmd_verify(args) -> int:
     """Oracle cross-checks at small sizes; exit 0 iff all pass."""
-    failures = cross_check(args.seed, args.damp)
+    failures = cross_check(args.seed)
     for line in failures:
         print(line)
     if failures:
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run oracle cross-checks")
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--damp", type=float, default=0.01)
     p.set_defaults(func=cmd_verify)
     return parser
 

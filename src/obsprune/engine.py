@@ -103,30 +103,10 @@ def select_block_mask(
     return pruned_entries(s.T, config)
 
 
-def _add_product(out: np.ndarray, upper_rows: np.ndarray, errs: np.ndarray,
-                 alpha: float):
-    """out += alpha * upper_rows.T @ errs, in place on the row-major ``out``.
-
-    One ``dgemm`` on the transposes, which are column-major, accumulates
-    into ``out`` without a product temporary.  f2py copies the factor's
-    strided rows into a column-major operand either way; it is handed the
-    rows, or their transpose to read with ``trans_b``, whichever runs down
-    its columns in memory order, which timed faster: the rows of a
-    column-major factor, the transpose of a reversed one.  f2py rejects an
-    empty ``c``, which the last block's (empty) tail and a layer with no
-    rows give.
-    """
-    if out.size:
-        down, across = (abs(s) for s in upper_rows.strides)
-        b, trans_b = (upper_rows, 0) if down <= across else (upper_rows.T, 1)
-        blas.dgemm(alpha, errs.T, b, trans_b=trans_b, beta=1.0, c=out.T,
-                   overwrite_c=1)
-
-
 def _squared_norm(a: np.ndarray) -> float:
     """sum(a**2) of a contiguous array, by ``ddot`` in one pass.
 
-    f2py rejects the empty ``a`` of a layer with no rows.
+    f2py rejects an empty ``a``, which the last block's tail ``work[n:]`` gives.
     """
     a = a.reshape(-1)
     return blas.ddot(a, a) if a.size else 0.0
@@ -258,14 +238,18 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
                     with np.errstate(divide="ignore"):
                         np.divide(diag_b[g, None], pruned, out=errs[g])
                 e = np.divide(blk[q], errs[q], out=errs[q])
-                # f2py rejects an empty operand: no later column, or no rows
-                if q + 1 < s2 and rows:
+                # f2py rejects an empty operand: no later column
+                if q + 1 < s2:
                     blas.dger(-1.0, e, ublk[q, q + 1 : s2],
                               a=blk[q + 1 : s2].T, overwrite_a=1)
+            # dgemm adds errs.T @ U into the later rows' column-major
+            # transpose in place, with no product temporary
             if s2 < width:
-                _add_product(blk[s2:], ublk[s1:s2, s2:], errs[s1:s2], -1.0)
+                blas.dgemm(-1.0, errs[s1:s2].T, ublk[s1:s2, s2:], beta=1.0,
+                           c=blk[s2:].T, overwrite_c=1)
         for c in range(i2, n, CHUNK):
-            _add_product(work[c : c + CHUNK], upper[i1:i2, c : c + CHUNK], errs, 1.0)
+            blas.dgemm(1.0, errs.T, upper[i1:i2, c : c + CHUNK], beta=1.0,
+                       c=work[c : c + CHUNK].T, overwrite_c=1)
         # multiplying the bits by 0 or 1 makes pruned entries +0.0, branch-free
         bits = blk.view(np.uint64)
         bits *= ~pruned_b

@@ -164,16 +164,16 @@ def naive_obs_prune(
                         float(np.sum(ref * ref)))
 
 
-def cross_check(seed: int, damp: float) -> list[str]:
+def cross_check(seed: int) -> list[str]:
     """Run the oracle cross-checks at small sizes; one line per failure.
 
-    Fifteen trials compare ``prune_layer`` with ``naive_obs_prune`` on
-    masks and final error, at 64 columns or fewer: ten unstructured, and
-    five 2:4 with masks chosen per group inside wider blocks.  Given a
-    damping, every other one has three dead channels with large weights.
-    A last trial factors H in a random order from its damped inverse and
-    from H itself, and compares the factors; given a damping, with three
-    dead channels.
+    Every trial runs at ``SparsityConfig``'s default damping.  Fifteen
+    trials compare ``prune_layer`` with ``naive_obs_prune`` on masks and
+    final error, at 64 columns or fewer: ten unstructured, and five 2:4
+    with masks chosen per group inside wider blocks.  Every other one has
+    three dead channels with large weights.  A last trial factors H, with
+    three dead channels, in a random order from its damped inverse and
+    from H itself, and compares the factors.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -184,13 +184,12 @@ def cross_check(seed: int, damp: float) -> list[str]:
         p = float(rng.choice([0.25, 0.5, 0.75]))
         X = rng.standard_normal((2 * n, n))
         W = rng.standard_normal((max(2, n // 2), n))
-        if trial % 2 and damp > 0:
+        if trial % 2:
             dead = rng.choice(n, size=3, replace=False)
             X[:, dead] = 0.0
             W[:, dead] *= 100.0
-        common = dict(blocksize=blocksize, damp_fraction=damp)
-        config = (SparsityConfig.semi_structured(2, 4, **common) if nm
-                  else SparsityConfig(sparsity=p, **common))
+        config = (SparsityConfig.semi_structured(2, 4, blocksize) if nm
+                  else SparsityConfig(p, blocksize))
         layer = checked_layer(W, raw_hessian([X], n))
         fast = prune_layer(bundle_from_hessian(layer, config.damp_fraction), config)
         slow = naive_obs_prune(W, [X], config)
@@ -202,10 +201,10 @@ def cross_check(seed: int, damp: float) -> list[str]:
 
     n = int(rng.integers(8, 65))
     X = rng.standard_normal((2 * n, n))
-    if damp > 0:
-        X[:, rng.choice(n, size=3, replace=False)] = 0.0
+    X[:, rng.choice(n, size=3, replace=False)] = 0.0
     layer = checked_layer(np.zeros((1, n)), raw_hessian([X], n))
     order = Permutation(rng.permutation(n))
+    damp = SparsityConfig.damp_fraction  # the default
     b = bundle_from_hessian(layer, damp, order)
     # a copy of U, whose buffer the layer's next factor overwrites
     want = np.triu(b.chol_upper, 1) + np.diag(b.diag)

@@ -133,25 +133,27 @@ def prune_runs(layer: Layer, methods: Sequence[str],
                configs: Sequence[SparsityConfig]):
     """One ``Run`` for each config x method, in the order the runs finish.
 
-    Each config gets one loss profile.  magnitude and wanda do not
-    compensate; sparsegpt sweeps in channel order, rose in its plan's order
-    and rose-ascending in the flipped one.  Every run is planned first, in
-    config x method order, then the runs are sorted stably by the first
-    appearance of their damping and by whether their plan reorders, and
+    Every config must share one ``damp_fraction``.  Each config gets one
+    loss profile.  magnitude and wanda do not compensate; sparsegpt sweeps
+    in channel order, rose in its plan's order and rose-ascending in the
+    flipped one.  Every run is planned first, in config x method order,
+    then the runs are sorted stably by whether their plan reorders, and
     yielded in that order as they finish; each run's ``index`` gives its
-    place in config x method order.  Within a damping the runs left
-    in place share the channel-order factor of H.  If it was made, the
-    first reordered run turns it into the damped inverse in place
-    (``damped_inverse``), which leaves it stale, and each reordered run is
-    factored from the inverse's row panels (``bundle_from_inverse``);
-    otherwise each factors H itself.  wall_ms
-    covers a run's plan, factor and prune, and the first reordered run's
-    inversion.  Once the caller asks for the next run, the generator holds
-    no outcome: a caller that drops each run holds one at a time.  An
-    unknown method raises ConfigError before any run.
+    place in config x method order.  The runs left in place share the
+    channel-order factor of H.  If it was made, the first reordered run
+    turns it into the damped inverse in place (``damped_inverse``), which
+    leaves it stale, and each reordered run is factored from the inverse's
+    row panels (``bundle_from_inverse``); otherwise each factors H itself.
+    wall_ms covers a run's plan, factor and prune, and the first reordered
+    run's inversion.  Once the caller asks for the next run, the generator
+    holds no outcome: a caller that drops each run holds one at a time.
+    An unknown method or a second damping raises ConfigError before any
+    run.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")
+    if len(dampings := {config.damp_fraction for config in configs}) > 1:
+        raise ConfigError(f"one run list takes one damp_fraction, got {sorted(dampings)}")
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
     scores = importance_scores(layer)
     runs = []
@@ -165,28 +167,24 @@ def prune_runs(layer: Layer, methods: Sequence[str],
             runs.append((len(runs), config, method, plan, profile,
                          time.perf_counter() - t0))
     del scores  # one scoring serves every profile, and is freed before any run
-    dampings = [config.damp_fraction for config in configs]
-    runs.sort(key=lambda run: (dampings.index(run[1].damp_fraction),
-                               run[3].was_reordered))
-    damp = channel = inverse = None
+    runs.sort(key=lambda run: run[3].was_reordered)
+    channel = inverse = None
     for index, config, method, plan, profile, plan_s in runs:
         t0 = time.perf_counter() - plan_s
-        if config.damp_fraction != damp:
-            damp, channel, inverse = config.damp_fraction, None, None
         if method == "magnitude":
             outcome = magnitude_prune(layer, config)
         elif method == "wanda":
             outcome = wanda_prune(layer, config)
         elif not plan.was_reordered:
             if channel is None:
-                channel = bundle_from_hessian(layer, damp)
+                channel = bundle_from_hessian(layer, config.damp_fraction)
             outcome = prune_layer(channel, config)
         else:
             if channel is not None:
                 inverse, channel = damped_inverse(channel), None
             order = plan.permutation
             # the factor is bound to no name, so it is freed before the next one
-            outcome = prune_layer(bundle_from_hessian(layer, damp, order)
+            outcome = prune_layer(bundle_from_hessian(layer, config.damp_fraction, order)
                                   if inverse is None
                                   else bundle_from_inverse(inverse, order), config)
         wall_ms = (time.perf_counter() - t0) * 1000.0

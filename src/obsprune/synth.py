@@ -68,8 +68,6 @@ def gen_activations(
         raise ConfigError(f"correlation must be in [0, 1), got {correlation}")
     rng = _rng(seed)
     base = rng.standard_normal((samples, cols))
-    if correlation == 0.0:
-        return base
     shared = rng.standard_normal((samples, 1))
     base *= math.sqrt(1.0 - correlation)
     base += math.sqrt(correlation) * shared

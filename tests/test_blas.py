@@ -16,17 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from obsprune import (
-    Permutation,
-    SparsityConfig,
-    bundle_from_hessian,
-    checked_layer,
-    magnitude_prune,
-    prune_layer,
-    raw_hessian,
-    wanda_prune,
-)
+from obsprune import (DimensionError, SparsityConfig, checked_layer, raw_hessian,
+                      rose_prune_layer)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "obsprune"
@@ -90,31 +83,17 @@ import numpy.linalg
     assert numpy_blas_uses(ast.parse("np.outer(a, b)\nblas.dgemm(1.0, a, b)")) == []
 
 
-@pytest.mark.parametrize("pattern", [None, (2, 4)])
-@pytest.mark.parametrize(
-    "method", ["prune_layer", "prune_in_order", "magnitude", "wanda"]
-)
-def test_zero_row_layer(method, pattern):
-    """f2py's dgemm rejects an empty output; a layer with no rows has error 0."""
+def test_zero_row_layer_rejected(monkeypatch):
+    """A W with no rows is rejected as the layer is checked, before any factor."""
     n = 16
     x = np.random.default_rng(0).standard_normal((64, n))
-    raw = raw_hessian([x], n)
-    cfg = (SparsityConfig(0.5, 8) if pattern is None
-           else SparsityConfig.semi_structured(*pattern, 8))
-    layer = checked_layer(np.zeros((0, n)), raw)
-    if method == "prune_layer":
-        out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction), cfg)
-    elif method == "prune_in_order":
-        # prune_layer swept in a reversed column order
-        order = Permutation(np.arange(n)[::-1].copy())
-        out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, order), cfg)
-    elif method == "magnitude":
-        out = magnitude_prune(layer, cfg)
-    else:
-        out = wanda_prune(layer, cfg)
-    assert out.pruned_weights.shape == out.mask.kept.shape == (0, n)
-    np.testing.assert_array_equal(out.block_error_trajectory, [0.0, 0.0])
-    assert out.final_error == 0.0 and out.relative_error == 0.0
+    factored = []
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
+    with pytest.raises(DimensionError, match="no rows"):
+        checked_layer(np.zeros((0, n)), raw_hessian([x], n))
+    with pytest.raises(DimensionError, match="no rows"):
+        rose_prune_layer(np.zeros((0, n)), [x], SparsityConfig(0.5, 8))
+    assert factored == []
 
 
 #: prunes a reordered unstructured layer, a 2:4 layer and a 1024-row layer

@@ -188,7 +188,7 @@ def test_compare_factors_unpermuted_hessian_once(
 
 
 def test_compare_inverts_one_factor(tmp_path, monkeypatch):
-    """Per damping, one dtrtri and one dlauum; one dpotrf per column order."""
+    """One dtrtri and one dlauum; one dpotrf per column order."""
     calls = {"dpotrf": 0, "dtrtri": 0, "dlauum": 0}
     for name in calls:
         def spy(*args, _name=name, _original=getattr(lapack, name), **kwargs):
@@ -615,6 +615,12 @@ def test_verify_subcommand_passes():
     assert run(["verify", "--seed", "0"]) == 0
 
 
+def test_verify_takes_no_damping(capsys):
+    # the oracle cross-checks run at the default damping only
+    assert run(["verify", "--damp", "0.01"]) == 2
+    assert "unrecognized arguments: --damp 0.01" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--seed", "-1"],
     ["prune", "--synth", "uniform", "--sparsity", "0.5", "--seed", "-1"],
@@ -653,14 +659,10 @@ def test_pattern_reason_reported(capsys):
     assert "argument --pattern: need 0 < n < m, got 4:2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["prune", "--synth", "uniform", "--sparsity", "0.5", "--rows", "4", "--cols", "8"],
-    ["verify"],
-])
-def test_overflowing_damping_exit_1(tmp_path, capsys, argv):
+def test_overflowing_damping_exit_1(tmp_path, capsys):
     """A finite --damp whose lambda overflows fails before any factoring."""
-    code = main([*argv, "--damp", "1e308",
-                 *(["--out", str(tmp_path)] if argv[0] == "prune" else [])])
+    code = main(["prune", "--synth", "uniform", "--sparsity", "0.5", "--rows", "4",
+                 "--cols", "8", "--damp", "1e308", "--out", str(tmp_path)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""

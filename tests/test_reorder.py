@@ -329,9 +329,7 @@ class TestPruneInOrder:
 
     def test_group_breaking_order_rejected(self, monkeypatch):
         # the first group of the order takes columns 0, 1 of the first 2:4
-        # group and 4, 5 of the second; the smallest weights are 0, 1, 2, 3.
-        # A layer with no rows has no mask that could break the pattern, so
-        # only a check of the order itself rejects it.
+        # group and 4, 5 of the second; the smallest weights are 0, 1, 2, 3
         order = Permutation([0, 1, 4, 5, 2, 3, 6, 7])
         cfg = SparsityConfig.semi_structured(2, 4)
 
@@ -339,11 +337,10 @@ class TestPruneInOrder:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(engine, "select_block_mask", sweep)
-        for w in (np.arange(1.0, 9.0).reshape(1, 8), np.zeros((0, 8))):
-            layer = checked_layer(w, np.eye(8))
-            bundle = bundle_from_hessian(layer, cfg.damp_fraction, order)
-            with pytest.raises(ConfigError, match="n:m"):
-                prune_layer(bundle, cfg)
+        layer = checked_layer(np.arange(1.0, 9.0).reshape(1, 8), np.eye(8))
+        bundle = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        with pytest.raises(ConfigError, match="n:m"):
+            prune_layer(bundle, cfg)
 
     def test_order_size_checked(self):
         layer = checked_layer(np.ones((1, 8)), np.eye(8))
@@ -586,13 +583,12 @@ class TestPruneRuns:
     def test_index_is_the_grid_place(self):
         """Each run's index is its place in config x method order.
 
-        A repeated sparsity and interleaved dampings are where the schedule
-        strays furthest from grid order.
+        A repeated sparsity, and reordered runs that the schedule moves
+        behind the runs left in place, put the runs out of grid order.
         """
         w, x = columnar_fixture(seed=5, rows=16, cols=64, blocksize=16)
         layer = checked_layer(w, raw_hessian([x], 64))
-        configs = [SparsityConfig(p, 16, damp_fraction=d)
-                   for p, d in [(0.5, 0.01), (0.7, 0.02), (0.5, 0.01)]]
+        configs = [SparsityConfig(p, 16) for p in (0.5, 0.7, 0.5)]
         methods = ["rose", "sparsegpt", "rose", "magnitude"]
         runs = list(prune_runs(layer, methods, configs))
         assert [run.index for run in runs] != list(range(12))
@@ -628,31 +624,23 @@ class TestPruneRuns:
         assert len(list(prune_runs(layer, methods, configs))) == 16
         assert scored == [layer]
 
-    def test_channel_factor_is_shared_per_damping(self, monkeypatch):
-        """One channel-order factor per damping, never one from another damping."""
+    def test_mixed_dampings_rejected_before_any_factor(self, monkeypatch):
         layer = checked_layer(gen_uniform(8, 32, seed=2), raw_hessian(
             [gen_activations(64, 32, 0.3, seed=3)], 32))
-        calls = []
-
-        def counted(layer, damp_fraction, order=None):
-            calls.append(damp_fraction)
-            return bundle_from_hessian(layer, damp_fraction, order)
-
-        monkeypatch.setattr(reorder, "bundle_from_hessian", counted)
+        factored = []
+        monkeypatch.setattr(reorder, "bundle_from_hessian",
+                            lambda *a, **k: factored.append(a))
         configs = [SparsityConfig(p, 8, damp_fraction=d)
-                   for d, p in [(0.01, 0.5), (0.01, 0.6), (0.1, 0.5)]]
-        runs = list(prune_runs(layer, ["sparsegpt"], configs))
-        assert calls == [0.01, 0.1]
-        for run in runs:
-            assert_same_outcome(run.outcome, prune_layer(
-                bundle_from_hessian(layer, run.config.damp_fraction), run.config))
+                   for d, p in [(0.01, 0.5), (0.1, 0.6), (0.01, 0.7)]]
+        with pytest.raises(ConfigError, match="one damp_fraction"):
+            next(prune_runs(layer, ["sparsegpt", "rose"], configs))
+        assert factored == []
 
-    def test_interleaved_dampings_are_grouped_in_order_of_first_appearance(
-            self, monkeypatch):
-        """Dampings 0.01, 0.1, 0.01: one channel factor and one inverse each.
+    def test_one_channel_factor_then_one_inverse(self, monkeypatch):
+        """The runs left in place share one channel factor, the reordered its inverse.
 
-        The runs come grouped by damping, 0.01 first, and in each group the
-        runs left in place come before the reordered ones.
+        The runs left in place come first, then the one inversion, then the
+        reordered runs, each group in config order.
         """
         w, x = columnar_fixture(seed=4, rows=32, cols=128, blocksize=32)
         layer = checked_layer(w, raw_hessian([x], 128))
@@ -668,19 +656,17 @@ class TestPruneRuns:
 
         monkeypatch.setattr(reorder, "bundle_from_hessian", factored)
         monkeypatch.setattr(reorder, "damped_inverse", inverted)
-        configs = [SparsityConfig(p, 32, damp_fraction=d)
-                   for d, p in [(0.01, 0.5), (0.1, 0.6), (0.01, 0.7)]]
+        configs = [SparsityConfig(p, 32) for p in (0.5, 0.6, 0.7)]
         outcomes = []
         for run in prune_runs(layer, ["sparsegpt", "rose"], configs):
             assert run.plan.was_reordered == (run.method == "rose")
             events.append((run.method, run.config.sparsity))
             outcomes.append((run.config, run.plan, run.outcome))
-        lam = {d: damping(layer.raw, d) for d in (0.01, 0.1)}
         assert events == [
-            ("factor", 0.01, True), ("sparsegpt", 0.5), ("sparsegpt", 0.7),
-            ("invert", lam[0.01]), ("rose", 0.5), ("rose", 0.7),
-            ("factor", 0.1, True), ("sparsegpt", 0.6),
-            ("invert", lam[0.1]), ("rose", 0.6)]
+            ("factor", 0.01, True),
+            ("sparsegpt", 0.5), ("sparsegpt", 0.6), ("sparsegpt", 0.7),
+            ("invert", damping(layer.raw, 0.01)),
+            ("rose", 0.5), ("rose", 0.6), ("rose", 0.7)]
         for config, plan, outcome in outcomes:
             direct = prune_layer(bundle_from_hessian(
                 layer, config.damp_fraction, plan.permutation), config)
