@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import lapack
 
 from obsprune import (DimensionError, SparsityConfig, checked_layer, raw_hessian,
-                      rose_prune_layer)
+                      reorder, rose_prune_layer)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "obsprune"
@@ -83,17 +83,29 @@ import numpy.linalg
     assert numpy_blas_uses(ast.parse("np.outer(a, b)\nblas.dgemm(1.0, a, b)")) == []
 
 
-def test_zero_row_layer_rejected(monkeypatch):
-    """A W with no rows is rejected as the layer is checked, before any factor."""
+@pytest.mark.parametrize("pattern", [None, (2, 4)])
+@pytest.mark.parametrize(
+    "method", ["prune_layer", "prune_in_order", "magnitude", "wanda"]
+)
+def test_zero_row_layer(method, pattern, monkeypatch):
+    """A W with no rows is rejected as the layer is checked, before any factor.
+
+    No method gets a layer to prune, whatever its pattern or column order.
+    """
     n = 16
     x = np.random.default_rng(0).standard_normal((64, n))
-    factored = []
-    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
+    cfg = (SparsityConfig(0.5, 8) if pattern is None
+           else SparsityConfig.semi_structured(*pattern, 8))
+    called = []
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: called.append("dpotrf"))
+    entry = {"prune_layer": "prune_layer", "prune_in_order": "prune_layer",
+             "magnitude": "magnitude_prune", "wanda": "wanda_prune"}[method]
+    monkeypatch.setattr(reorder, entry, lambda *a, **k: called.append(entry))
     with pytest.raises(DimensionError, match="no rows"):
         checked_layer(np.zeros((0, n)), raw_hessian([x], n))
     with pytest.raises(DimensionError, match="no rows"):
-        rose_prune_layer(np.zeros((0, n)), [x], SparsityConfig(0.5, 8))
-    assert factored == []
+        rose_prune_layer(np.zeros((0, n)), [x], cfg)
+    assert called == []
 
 
 #: prunes a reordered unstructured layer, a 2:4 layer and a 1024-row layer
