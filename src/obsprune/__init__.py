@@ -32,6 +32,7 @@ from .reorder import (
     ReorderPlan,
     Run,
     build_reorder_plan,
+    check_runs,
     loss_profile,
     prune_runs,
     rose_prune_layer,

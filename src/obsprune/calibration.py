@@ -156,25 +156,23 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
 def checked_layer(w, raw) -> Layer:
     """The layer (W, H), once W and H pass every check, before any scoring.
 
-    W must be finite and have at least one row.  H must be finite,
-    square, non-empty and as wide as W, with a non-negative diagonal, as a
-    Gram matrix's is: the first negative entry is the pivot.  The dense
-    output energy, the last entry of W's ``error_prefix``, must be finite,
-    so that every relative error has a denominator.  H is read from its
-    upper triangle and diagonal.  Factors are built in the strict lower
-    triangle of H's buffer: that of ``raw_hessian``'s result, which every
-    layer built on it shares, or else of a copy, so a caller's own H is
-    never written.
+    W and H must be finite and have at least one row and one column, as
+    ``finite_matrix`` checks.  H must be square and as wide as W, with a
+    non-negative diagonal, as a Gram matrix's is: the first negative entry
+    is the pivot.  The dense output energy, the last entry of W's
+    ``error_prefix``, must be finite, so that every relative error has a
+    denominator.  H is read from its upper triangle and diagonal.  Factors
+    are built in the strict lower triangle of H's buffer: that of
+    ``raw_hessian``'s result, which every layer built on it shares, or else
+    of a copy, so a caller's own H is never written.
     """
     w = np.ascontiguousarray(finite_matrix(w))
-    if w.shape[0] == 0:
-        raise DimensionError(f"weights have shape {w.shape}: a layer with no rows")
     raw = finite_matrix(raw, "hessian")
     if _RAW.get(id(raw)) is not raw:
         raw = raw.copy()
     n = raw.shape[0]
-    if n == 0 or raw.shape[1] != n:
-        raise DimensionError(f"hessian must be square and non-empty, got {raw.shape}")
+    if raw.shape[1] != n:
+        raise DimensionError(f"hessian must be square, got {raw.shape}")
     if w.shape[1] != n:
         raise DimensionError(f"weight cols {w.shape[1]} != Hessian size {n}")
     diag = raw.diagonal()

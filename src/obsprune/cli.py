@@ -27,7 +27,7 @@ from . import __version__
 from .calibration import Layer, checked_layer, importance_scores, raw_hessian
 from .errors import ConfigError, PruneError
 from .oracle import cross_check
-from .reorder import METHODS, build_reorder_plan, loss_profile, prune_runs
+from .reorder import METHODS, build_reorder_plan, check_runs, loss_profile, prune_runs
 from .rtns import (
     RtnsFormatError,
     atomic_write,
@@ -131,11 +131,7 @@ def _make_config(args) -> SparsityConfig:
 
 
 def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
-    """One layer's weights: the file ``path`` (default ``--weights``) or --synth's.
-
-    They must be a finite, non-empty matrix whose columns an n:m pattern
-    tiles.
-    """
+    """The weights of the file ``path`` (default ``--weights``) or --synth's, checked."""
     if args.synth is not None:
         if args.synth == "columnar":
             n_blocks = math.ceil(args.cols / config.blocksize)
@@ -150,29 +146,28 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
         if path is None:
             raise ConfigError("need --weights or --synth")
         w = read_tensor(path)
-    w = finite_matrix(w, f"{path or 'synthetic'} weights")
-    if w.size == 0:
-        raise ConfigError(f"{path} weights have shape {w.shape}: an empty layer")
-    config.block_ranges(w.shape[1])  # raises ConfigError for an untiled n:m
-    return w
+    return finite_matrix(w, f"{path or 'synthetic'} weights")
 
 
-def _load_inputs(args, config: SparsityConfig, paths=(None,)) -> list[Layer]:
+def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
     """The checked layer of each weight file in ``paths`` (None: --weights or --synth).
 
-    ``--synth`` names no input file, and every weight matrix is checked
-    before any activation is read.  The ``--acts`` manifest is read, and its
-    H built, once, as wide as the first file, since every file shares it;
-    ``checked_layer`` rejects a file of another width.  Without ``--acts``
-    each width gets its own synthetic H: those activations depend on the
-    width alone.
+    ``--synth`` names no input file.  Every weight matrix, and the run list
+    at its width (``check_runs``), is checked before any activation is
+    read.  The ``--acts`` manifest is read, and its H built, once, as wide
+    as the first file, since every file shares it; ``checked_layer``
+    rejects a file of another width.  Without ``--acts`` each width gets
+    its own synthetic H: those activations depend on the width alone.
     """
     if args.synth is not None and (
         args.weights or args.acts or getattr(args, "more_weights", None)
     ):
         raise ConfigError("--synth generates the layer and its activations; "
                           "it takes no --weights, --acts or weight files")
-    weights = [_load_weights(args, config, path) for path in paths]
+    # the inputs depend on the blocksize only, which every config shares
+    weights = [_load_weights(args, configs[0], path) for path in paths]
+    for w in weights:
+        check_runs(w.shape[1], methods, configs)
     if args.acts is not None:
         raw = raw_hessian(read_manifest(args.acts), weights[0].shape[1])
         return [checked_layer(w, raw) for w in weights]
@@ -198,7 +193,7 @@ def _config_doc(config: SparsityConfig, args) -> dict:
 
 def cmd_prune(args) -> int:
     config = _make_config(args)
-    [layer] = _load_inputs(args, config)
+    [layer] = _load_inputs(args, [args.method], [config])
     [run] = prune_runs(layer, [args.method], [config])
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -223,13 +218,8 @@ def cmd_prune(args) -> int:
 
 def cmd_compare(args) -> int:
     methods = METHODS if args.methods is None else args.methods.split(",")
-    # a typo fails before any input is read; prune_runs would only reject
-    # it once the layer is loaded
-    if unknown := [m for m in methods if m not in METHODS]:
-        raise ConfigError(f"unknown method {unknown[0]!r}")
     configs = _make_configs(args)
-    # the inputs depend on the blocksize only, which every config shares
-    [layer] = _load_inputs(args, configs[0])
+    [layer] = _load_inputs(args, methods, configs)
     # rows go in sparsity x method order, whatever order the runs finish in
     rows = [None] * (len(configs) * len(methods))
     for run in prune_runs(layer, methods, configs):
@@ -259,7 +249,7 @@ def cmd_detect(args) -> int:
     config = _make_config(args)
     paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
     layers = []
-    for path, layer in zip(paths, _load_inputs(args, config, paths)):
+    for path, layer in zip(paths, _load_inputs(args, (), [config], paths)):
         profile = loss_profile(importance_scores(layer), config)
         layers.append({
             "layer": f"synth-{args.synth}" if path is None else str(path),

@@ -120,7 +120,6 @@ def build_reorder_plan(
     n = profile.column_losses.size
     if not profile.relative_range > config.columnar_threshold:
         return ReorderPlan(Permutation.identity(n), False)
-    config.block_ranges(n)  # raises ConfigError for an untiled n:m
     j = np.arange(n)
     sign = -1.0 if descending else 1.0
     # tied blocks fall back on the group index, which keeps them in channel order
@@ -129,13 +128,27 @@ def build_reorder_plan(
     return ReorderPlan(Permutation(forward), True)
 
 
+def check_runs(n: int, methods: Sequence[str], configs: Sequence[SparsityConfig]):
+    """Raise ConfigError unless ``prune_runs`` can run this list on n columns.
+
+    Every method is in METHODS, the configs share one damp_fraction, and
+    each config's ``block_ranges`` tiles n columns.
+    """
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ConfigError(f"unknown method {unknown[0]!r}")
+    if len(dampings := {config.damp_fraction for config in configs}) > 1:
+        raise ConfigError(f"one run list takes one damp_fraction, got {sorted(dampings)}")
+    for config in configs:
+        config.block_ranges(n)  # raises ConfigError for an untiled n:m
+
+
 def prune_runs(layer: Layer, methods: Sequence[str],
                configs: Sequence[SparsityConfig]):
     """One ``Run`` for each config x method, in the order the runs finish.
 
-    Every config must share one ``damp_fraction``.  Each config gets one
-    loss profile.  magnitude and wanda do not compensate; sparsegpt sweeps
-    in channel order, rose in its plan's order and rose-ascending in the
+    ``check_runs`` checks the list first.  Each config gets one loss
+    profile.  magnitude and wanda do not compensate; sparsegpt sweeps in
+    channel order, rose in its plan's order and rose-ascending in the
     flipped one.  Every run is planned first, in config x method order,
     then the runs are sorted stably by whether their plan reorders, and
     yielded in that order as they finish; each run's ``index`` gives its
@@ -147,13 +160,8 @@ def prune_runs(layer: Layer, methods: Sequence[str],
     wall_ms covers a run's plan, factor and prune, and the first reordered
     run's inversion.  Once the caller asks for the next run, the generator
     holds no outcome: a caller that drops each run holds one at a time.
-    An unknown method or a second damping raises ConfigError before any
-    run.
     """
-    if unknown := [m for m in methods if m not in METHODS]:
-        raise ConfigError(f"unknown method {unknown[0]!r}")
-    if len(dampings := {config.damp_fraction for config in configs}) > 1:
-        raise ConfigError(f"one run list takes one damp_fraction, got {sorted(dampings)}")
+    check_runs(layer.w.shape[1], methods, configs)
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
     scores = importance_scores(layer)
     runs = []
@@ -197,12 +205,14 @@ def rose_prune_layer(
     activations: Iterable[np.ndarray],
     config: SparsityConfig,
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
-    """Check W, then score, reorder if columnar, prune and restore channel order.
+    """Check W and config, then score, reorder if columnar, prune and restore order.
 
     ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile).
-    ``activations``, any iterable of batches, is read once, batch by batch.
+    ``activations``, any iterable of batches, is read once, batch by batch,
+    and only after W passes ``finite_matrix`` and the config ``check_runs``.
     """
     w = finite_matrix(w)
+    check_runs(w.shape[1], ["rose"], [config])
     layer = checked_layer(w, raw_hessian(activations, w.shape[1]))
     [run] = prune_runs(layer, ["rose"], [config])
     return run.outcome, run.plan, run.profile

@@ -23,8 +23,13 @@ def as_matrix(a, what: str = "matrix") -> np.ndarray:
 
 
 def finite_matrix(a, what: str = "weights") -> np.ndarray:
-    """``as_matrix(a, what)``, once every entry is finite; ``what`` names it."""
+    """``as_matrix(a, what)``, once it has a row, a column and no NaN or infinity.
+
+    Else DimensionError for the shape, NumericOverflowError for an entry.
+    """
     m = as_matrix(a, what)
+    if 0 in m.shape:
+        raise DimensionError(f"{what} must have a row and a column, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NumericOverflowError(f"{what} not finite")
     return m

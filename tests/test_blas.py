@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from obsprune import (DimensionError, SparsityConfig, checked_layer, raw_hessian,
-                      reorder, rose_prune_layer)
+from obsprune import (ConfigError, DimensionError, NumericOverflowError, SparsityConfig,
+                      checked_layer, raw_hessian, reorder, rose_prune_layer)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "obsprune"
@@ -91,6 +91,8 @@ def test_zero_row_layer(method, pattern, monkeypatch):
     """A W with no rows is rejected as the layer is checked, before any factor.
 
     No method gets a layer to prune, whatever its pattern or column order.
+    ``rose_prune_layer`` draws no activation batch for it, nor for a W with
+    no columns, a non-finite W, or, under 2:4, a W of 18 columns.
     """
     n = 16
     x = np.random.default_rng(0).standard_normal((64, n))
@@ -101,10 +103,26 @@ def test_zero_row_layer(method, pattern, monkeypatch):
     entry = {"prune_layer": "prune_layer", "prune_in_order": "prune_layer",
              "magnitude": "magnitude_prune", "wanda": "wanda_prune"}[method]
     monkeypatch.setattr(reorder, entry, lambda *a, **k: called.append(entry))
-    with pytest.raises(DimensionError, match="no rows"):
+    with pytest.raises(DimensionError, match="a row and a column"):
         checked_layer(np.zeros((0, n)), raw_hessian([x], n))
-    with pytest.raises(DimensionError, match="no rows"):
-        rose_prune_layer(np.zeros((0, n)), [x], cfg)
+    drawn = []
+
+    def batches():
+        for i in range(3):
+            drawn.append(i)
+            yield x
+
+    nan = np.ones((4, n))
+    nan[1, 2] = np.nan
+    bad = [(np.zeros((0, n)), DimensionError, r"shape \(0, 16\)"),
+           (np.zeros((4, 0)), DimensionError, r"shape \(4, 0\)"),
+           (nan, NumericOverflowError, "weights not finite")]
+    if pattern is not None:
+        bad.append((np.ones((4, 18)), ConfigError, "groups of m=4"))
+    for w, error, match in bad:
+        with pytest.raises(error, match=match):
+            rose_prune_layer(w, batches(), cfg)
+    assert drawn == []
     assert called == []
 
 

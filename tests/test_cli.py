@@ -4,6 +4,7 @@ import struct
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_compare_rows_keep_sparsity_by_method_order(tmp_path):
 
     args = cli.build_parser().parse_args(argv)
     configs = cli._make_configs(args)
-    [layer] = cli._load_inputs(args, configs[0])
+    [layer] = cli._load_inputs(args, ["rose", "sparsegpt"], configs)
     scores = calibration.importance_scores(layer)
     for config, (rose, sparsegpt) in zip(configs, zip(rows[::2], rows[1::2])):
         plan = reorder.build_reorder_plan(reorder.loss_profile(scores, config), config)
@@ -847,7 +848,7 @@ def assert_rejected(tmp_path, capsys, fault, code):
     "fault",
     ["nan-activation", "inf-weight", "nan-hot-gain", "huge-hot-gain", "huge-dims",
      "trailing-bytes", "acts-cols-mismatch", "one-dim-weights", "huge-weight",
-     "acts-one-dim", "acts-wide"],
+     "acts-one-dim", "acts-wide", "zero-cols", "zero-rows"],
 )
 def test_bad_input_exit_1(tmp_path, capsys, monkeypatch, no_factoring, fault):
     if fault.startswith("acts-"):
@@ -869,9 +870,22 @@ def test_malformed_manifest_exit_1(tmp_path, capsys, no_factoring, fault):
     assert_rejected(tmp_path, capsys, fault, 1)
 
 
-@pytest.mark.parametrize("fault", ["zero-cols", "zero-rows"])
-def test_empty_layer_exit_2(tmp_path, capsys, no_factoring, fault):
-    assert_rejected(tmp_path, capsys, fault, 2)
+def test_untiled_weight_file_exit_2(tmp_path, capsys, monkeypatch, no_factoring):
+    """18 columns under 2:4 fail once the weight file is read, before any batch file."""
+    write_tensor(tmp_path / "w.rtns", gen_uniform(8, 18, seed=0))
+    write_tensor(tmp_path / "x.rtns", gen_activations(64, 18, 0.0, seed=1))
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    read, original = [], rtns.read_tensor
+    patch_everywhere(monkeypatch, original,
+                     lambda path: read.append(Path(path).name) or original(path))
+    code = main(["prune", "--weights", str(tmp_path / "w.rtns"),
+                 "--acts", str(tmp_path / "acts.json"), "--pattern", "2:4",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 18 columns do not split into groups of m=4\n")
+    assert read == ["w.rtns"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_threads_option_removed(capsys):

@@ -6,16 +6,18 @@ from obsprune import (
     IndefiniteHessianError,
     NumericOverflowError,
     OracleScaleError,
+    Permutation,
     SingularOracleError,
     SparsityConfig,
     exact_masked_reconstruction,
     naive_obs_prune,
     prune_layer,
+    raw_hessian,
 )
 from obsprune import oracle
 from obsprune.cli import main
 
-from hessian_helpers import accumulate_hessian
+from hessian_helpers import accumulate_hessian, factor
 
 
 def test_nothing_pruned_returns_row():
@@ -135,6 +137,54 @@ def test_naive_agrees_with_engine_at_128x512(case):
                                rtol=0, atol=1e-12 * np.abs(w).max())
     np.testing.assert_allclose(fast.block_error_trajectory,
                                slow.block_error_trajectory, rtol=1e-9, atol=0)
+
+
+def bench_scale_layer():
+    """W (256 x 1024), 2048 activations of its width, and the generator after them."""
+    rng = np.random.default_rng(0)
+    return rng, rng.standard_normal((256, 1024)), rng.standard_normal((2048, 1024))
+
+
+@pytest.mark.parametrize("case", ["2:4", "p0.7"])
+def test_naive_agrees_with_engine_at_bench_scale(case):
+    """The oracle agrees with prune_layer at 256x1024, with the tolerances above.
+
+    The dense energy and the relative error agree to rtol 1e-9; the oracle
+    measures both on the stacked activations, not in H.
+    """
+    _, w, x = bench_scale_layer()
+    cfg = (SparsityConfig.semi_structured(2, 4, 128) if case == "2:4"
+           else SparsityConfig(0.7, blocksize=128))
+    fast = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+    slow = naive_obs_prune(w, [x], cfg)
+    np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
+    np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
+                               rtol=0, atol=1e-12 * np.abs(w).max())
+    np.testing.assert_allclose(fast.block_error_trajectory,
+                               slow.block_error_trajectory, rtol=1e-9, atol=0)
+    for name in ("dense_energy", "relative_error"):
+        np.testing.assert_allclose(getattr(fast, name), getattr(slow, name),
+                                   rtol=1e-9, atol=0, err_msg=name)
+
+
+def test_block_permuted_sweep_at_bench_scale():
+    """Pruning in a block-permuted order p is, bit for bit, pruning w[:, p].
+
+    That is, with H[p][:, p] in channel order, mapped back: the sweep's rows
+    move into channel order in place.  Integer activations make H, and so
+    the damping, exact in either order.
+    """
+    rng, w, _ = bench_scale_layer()
+    h = raw_hessian([rng.integers(-3, 4, (2048, 1024)).astype(float)], 1024)
+    h = np.triu(h) + np.triu(h, 1).T
+    p = (128 * rng.permutation(8)[:, None] + np.arange(128)).ravel()
+    cfg = SparsityConfig(0.7, blocksize=128)
+    out = prune_layer(factor(h, cfg.damp_fraction, Permutation(p), w), cfg)
+    ref = prune_layer(factor(h[p][:, p], cfg.damp_fraction, w=w[:, p]), cfg)
+    assert out.pruned_weights.flags.f_contiguous and out.mask.kept.flags.f_contiguous
+    assert out.pruned_weights[:, p].tobytes() == ref.pruned_weights.tobytes()
+    assert np.array_equal(out.mask.kept[:, p], ref.mask.kept)
+    assert out.block_error_trajectory.tobytes() == ref.block_error_trajectory.tobytes()
 
 
 def test_downdate_is_the_trailing_inverse_at_every_step():
