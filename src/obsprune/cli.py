@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import Layer, checked_layer, importance_scores, raw_hessian
-from .errors import ConfigError, PruneError
+from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
 from .reorder import METHODS, build_reorder_plan, check_runs, loss_profile, prune_runs
 from .rtns import (
@@ -155,9 +155,10 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
     ``--synth`` names no input file.  Every weight matrix, and the run list
     at its width (``check_runs``), is checked before any activation is
     read.  The ``--acts`` manifest is read, and its H built, once, as wide
-    as the first file, since every file shares it; ``checked_layer``
-    rejects a file of another width.  Without ``--acts`` each width gets
-    its own synthetic H: those activations depend on the width alone.
+    as the first file, since every file shares it, so a file of another
+    width is rejected before it is read.  Without ``--acts`` each width
+    gets its own synthetic H: those activations depend on the width alone.
+    ``--out`` is made last, once every input has passed.
     """
     if args.synth is not None and (
         args.weights or args.acts or getattr(args, "more_weights", None)
@@ -166,15 +167,21 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
                           "it takes no --weights, --acts or weight files")
     # the inputs depend on the blocksize only, which every config shares
     weights = [_load_weights(args, configs[0], path) for path in paths]
-    for w in weights:
+    n = weights[0].shape[1]
+    for path, w in zip(paths, weights):
         check_runs(w.shape[1], methods, configs)
+        if args.acts is not None and w.shape[1] != n:
+            raise DimensionError(f"{path} has {w.shape[1]} columns but {paths[0]} "
+                                 f"has {n}; one --acts serves one width")
     if args.acts is not None:
-        raw = raw_hessian(read_manifest(args.acts), weights[0].shape[1])
-        return [checked_layer(w, raw) for w in weights]
-    hessians = {n: raw_hessian([gen_activations(args.samples, n, args.correlation,
-                                                args.seed + ACT_SEED_OFFSET)], n)
-                for n in dict.fromkeys(w.shape[1] for w in weights)}
-    return [checked_layer(w, hessians[w.shape[1]]) for w in weights]
+        hessians = {n: raw_hessian(read_manifest(args.acts), n)}
+    else:
+        hessians = {k: raw_hessian([gen_activations(args.samples, k, args.correlation,
+                                                    args.seed + ACT_SEED_OFFSET)], k)
+                    for k in dict.fromkeys(w.shape[1] for w in weights)}
+    layers = [checked_layer(w, hessians[w.shape[1]]) for w in weights]
+    args.out.mkdir(parents=True, exist_ok=True)
+    return layers
 
 
 def _config_doc(config: SparsityConfig, args) -> dict:
@@ -195,19 +202,13 @@ def cmd_prune(args) -> int:
     config = _make_config(args)
     [layer] = _load_inputs(args, [args.method], [config])
     [run] = prune_runs(layer, [args.method], [config])
-
-    args.out.mkdir(parents=True, exist_ok=True)
     weights_path = args.out / "pruned_weights.rtns"
     write_tensor(weights_path, run.outcome.pruned_weights)
     report = {
         "config": _config_doc(config, args),
-        "method": args.method,
-        "relative_error": run.outcome.relative_error,
+        **run.record(),
         "absolute_error": run.outcome.final_error,
         "block_error_trajectory": list(run.outcome.block_error_trajectory),
-        "R_rel": run.profile.relative_range,
-        "was_reordered": run.plan.was_reordered,
-        "timings_ms": {"prune": run.wall_ms},
     }
     if run.plan.was_reordered:
         report["permutation"] = [int(i) for i in run.plan.permutation.forward]
@@ -223,16 +224,8 @@ def cmd_compare(args) -> int:
     # rows go in sparsity x method order, whatever order the runs finish in
     rows = [None] * (len(configs) * len(methods))
     for run in prune_runs(layer, methods, configs):
-        rows[run.index] = {
-            "method": run.method,
-            "sparsity": run.config.sparsity,
-            "relative_error": run.outcome.relative_error,
-            "r_rel": run.profile.relative_range,
-            "was_reordered": run.plan.was_reordered,
-            "wall_ms": run.wall_ms,
-        }
+        rows[run.index] = run.record()
         del run  # its outcome is freed before the next run, not after it
-    args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "compare.csv"
 
     def write(f):
@@ -253,11 +246,10 @@ def cmd_detect(args) -> int:
         profile = loss_profile(importance_scores(layer), config)
         layers.append({
             "layer": f"synth-{args.synth}" if path is None else str(path),
-            "R_rel": profile.relative_range,
+            "r_rel": profile.relative_range,
             "columnar": build_reorder_plan(profile, config).was_reordered,
             "block_losses": list(profile.block_losses),
         })
-    args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "detect.json", {"layers": layers})
     print(json.dumps({"layers": layers}, indent=2))
     return 0

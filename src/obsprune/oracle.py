@@ -28,7 +28,7 @@ from .errors import (
     OracleScaleError,
     SingularOracleError,
 )
-from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix
+from .tensors import Permutation, PruneMask, SparsityConfig, as_matrix, finite_matrix
 
 ORACLE_MAX_COLS = 1024
 
@@ -114,12 +114,11 @@ def naive_obs_prune(
     from the same downdate, run on the group's corner of that inverse, and
     dead channels from the oracle's own H.  Its errors and their
     denominator, the dense energy ||W X.T||^2, are measured on the stacked
-    activations, independently of the engine.  The batches are read once.
+    activations, independently of the engine.  The batches are read once,
+    after W passes ``finite_matrix``.
     """
-    w_dense = as_matrix(w)
+    w_dense = finite_matrix(w)
     rows, n = w_dense.shape
-    if n == 0:
-        raise DimensionError("layer must have at least one column")
     if n > ORACLE_MAX_COLS:
         raise OracleScaleError(f"oracle capped at {ORACLE_MAX_COLS} columns, got {n}")
     batches = list(activations)

@@ -68,6 +68,13 @@ class Run:
     profile: LossProfile
     wall_ms: float
 
+    def record(self) -> dict:
+        """The run's scalar facts, each named once: a compare.csv row, report.json's core."""
+        return dict(method=self.method, sparsity=self.config.sparsity,
+                    relative_error=self.outcome.relative_error,
+                    r_rel=self.profile.relative_range,
+                    was_reordered=self.plan.was_reordered, wall_ms=self.wall_ms)
+
 
 def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
     """Column and block losses from the candidate set of finite scores.

@@ -73,7 +73,7 @@ def test_prune_rose_columnar_report(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["method"] == "rose"
     assert report["was_reordered"] is True
-    assert report["R_rel"] > 0.5
+    assert report["r_rel"] > 0.5
     assert sorted(report["permutation"]) == list(range(128))
     assert report["block_error_trajectory"][-1] == pytest.approx(
         report["absolute_error"]
@@ -208,6 +208,31 @@ def test_compare_inverts_one_factor(tmp_path, monkeypatch):
     assert calls == {"dpotrf": 1 + reordered, "dtrtri": 1, "dlauum": 1}
 
 
+def test_prune_report_and_compare_row_agree(tmp_path):
+    """One rose run written by both writers: every record field but the time agrees."""
+    layer = ["--synth", "columnar", "--rows", "32", "--cols", "128",
+             "--blocksize", "32", "--sparsity", "0.7", "--seed", "2", "--out"]
+    assert run(["prune", "--method", "rose", *layer, str(tmp_path / "p")]) == 0
+    assert run(["compare", "--methods", "rose", *layer, str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "p" / "report.json").read_text())
+    with open(tmp_path / "c" / "compare.csv", newline="") as f:
+        [row] = csv.DictReader(f)
+    assert report["was_reordered"] is True and "wall_ms" in report
+    del row["wall_ms"]
+    assert {key: str(report[key]) for key in row} == row
+
+
+def test_out_under_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    pruned = count_calls(monkeypatch, engine.prune_layer)
+    (tmp_path / "file").write_text("")
+    code = main(["compare", "--synth", "columnar", "--rows", "16", "--cols", "64",
+                 "--blocksize", "16", "--sparsity", "0.5,0.7",
+                 "--out", str(tmp_path / "file" / "out")])
+    assert code == 1
+    assert "Not a directory" in capsys.readouterr().err
+    assert pruned == []
+
+
 def test_compare_rows_keep_sparsity_by_method_order(tmp_path):
     # the reordered rose runs finish after sparsegpt's, but their rows go
     # first, as --methods lists them, with the values of the direct route
@@ -336,7 +361,7 @@ def test_detect_columnar_and_uniform(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "a" / "detect.json").read_text())
     assert doc["layers"][0]["columnar"] is True
-    assert doc["layers"][0]["R_rel"] > 0.5
+    assert doc["layers"][0]["r_rel"] > 0.5
 
     code = run([
         "detect", "--synth", "uniform", "--rows", "32", "--cols", "128",
@@ -348,12 +373,12 @@ def test_detect_columnar_and_uniform(tmp_path, capsys):
 
 
 def test_detect_verdict_is_the_rose_plan(tmp_path):
-    """detect's verdict is prune --method rose's, on either side of R_rel."""
+    """detect's verdict is prune --method rose's, on either side of r_rel."""
     layer = ["--synth", "columnar", "--rows", "16", "--cols", "64",
              "--blocksize", "16", "--sparsity", "0.7", "--seed", "3"]
     assert run(["detect", *layer, "--out", str(tmp_path)]) == 0
     [doc] = json.loads((tmp_path / "detect.json").read_text())["layers"]
-    r_rel = doc["R_rel"]
+    r_rel = doc["r_rel"]
     for threshold, columnar in [(np.nextafter(r_rel, 0.0), True), (r_rel, False),
                                 (np.nextafter(r_rel, np.inf), False)]:
         out = tmp_path / repr(threshold)
@@ -362,7 +387,7 @@ def test_detect_verdict_is_the_rose_plan(tmp_path):
         assert run(["prune", "--method", "rose", *flags]) == 0
         [doc] = json.loads((out / "detect.json").read_text())["layers"]
         report = json.loads((out / "report.json").read_text())
-        assert doc["R_rel"] == report["R_rel"] == r_rel
+        assert doc["r_rel"] == report["r_rel"] == r_rel
         assert doc["columnar"] is report["was_reordered"] is columnar
 
 
@@ -458,7 +483,7 @@ def test_detect_checks_every_weight_file_before_activations(
 
 
 def test_detect_rejects_a_second_width(tmp_path, capsys, monkeypatch):
-    """Files of 64 and 128 columns on one manifest: one read, then a width error."""
+    """Files of 64 and 128 columns on one manifest: a width error before any read."""
     paths = []
     for i, cols in enumerate((64, 128)):
         paths.append(str(tmp_path / f"l{i}.rtns"))
@@ -470,8 +495,9 @@ def test_detect_rejects_a_second_width(tmp_path, capsys, monkeypatch):
     assert main(["detect", *paths, "--acts", str(tmp_path / "acts.json"),
                  "--blocksize", "16", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: weight cols 128 != Hessian size 64\n"
-    assert len(manifests) == 1
+    assert err == (f"error: {paths[1]} has 128 columns but {paths[0]} has 64; "
+                   "one --acts serves one width\n")
+    assert manifests == []
     assert not out.exists()
 
 

@@ -257,12 +257,27 @@ def test_size_cap():
 
 
 def test_no_columns_rejected_before_hessian(monkeypatch):
-    # the library's checked_layer rejects n = 0; the oracle must too, before
+    # the library's finite_matrix rejects n = 0; the oracle must too, before
     # raw_hessian and damping, whose mean of an empty diagonal would warn
     built = []
     monkeypatch.setattr(oracle, "raw_hessian", lambda *a: built.append(a))
-    with pytest.raises(DimensionError, match="at least one column"):
+    with pytest.raises(DimensionError, match="must have a row and a column"):
         naive_obs_prune(np.zeros((2, 0)), [np.zeros((3, 0))], SparsityConfig(0.5, 4))
+    assert built == []
+
+
+@pytest.mark.parametrize("w,error,match", [
+    pytest.param(np.where(np.arange(64).reshape(4, 16) == 37, np.nan, 1.0),
+                 NumericOverflowError, "not finite", id="nan"),
+    pytest.param(np.zeros((0, 16)), DimensionError, "must have a row and a column",
+                 id="no-rows"),
+])
+def test_bad_weights_rejected_before_hessian(monkeypatch, w, error, match):
+    """The oracle checks W as every entry point does, not into a nan or 0.0 error."""
+    built = []
+    monkeypatch.setattr(oracle, "raw_hessian", lambda *a: built.append(a))
+    with pytest.raises(error, match=match):
+        naive_obs_prune(w, [np.ones((8, 16))], SparsityConfig(0.5, 4))
     assert built == []
 
 

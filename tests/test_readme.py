@@ -5,7 +5,9 @@ import re
 import shlex
 from pathlib import Path
 
-from obsprune import cli
+import numpy as np
+
+from obsprune import SparsityConfig, checked_layer, cli, prune_runs, raw_hessian
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +32,11 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
         assert cli.main(argv[1:]) == 0, shlex.join(argv)
     assert (tmp_path / "detect.json").is_file()
     assert (tmp_path / "run" / "compare.csv").is_file()
+
+
+def test_outputs_paragraph_names_the_record():
+    """The Outputs paragraph lists exactly ``Run.record()``'s fields, in order."""
+    [listed] = re.findall(r"by `Run\.record\(\)`: (.*?)\.\s", README.read_text(), re.S)
+    layer = checked_layer(np.ones((1, 4)), raw_hessian([np.eye(4)], 4))
+    [run] = prune_runs(layer, ["magnitude"], [SparsityConfig(0.5, 4)])
+    assert re.findall(r"`(\w+)`", listed) == list(run.record())
