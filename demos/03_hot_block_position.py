@@ -45,7 +45,7 @@ def main():
         # whole blocks in this order, the columns of each left in place
         order = rest[:pos] + [HOT] + rest[pos:]
         perm = Permutation(np.concatenate([np.arange(*blocks[b]) for b in order]))
-        out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, perm), cfg)
+        out = prune_layer(bundle_from_hessian(layer, perm), cfg)
         errors.append(out.final_error)
         bar = "#" * int(40 * out.final_error / max(errors[0], 1e-300) / 2)
         print(f"  {pos:2d} of {k - 1:2d}          {out.final_error:12.4e}  {bar}")

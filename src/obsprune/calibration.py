@@ -10,8 +10,8 @@ the column norms, the dead channels and the dense output energy, derived
 once, and every method reads them from it.  Every error is a quadratic
 form in H read from its upper triangle, and one kernel, ``error_prefix``,
 gives its running sum over the columns, whose last entry is the whole.
-For pruning, H is dampened by a multiple of its mean diagonal, and the
-upper Cholesky factor of its inverse drives the compensation engine.
+For pruning, H is dampened by the layer's lambda, a multiple of its mean
+diagonal, and the upper Cholesky factor of its inverse drives the engine.
 Every factor is built in the strict lower triangle of H's own buffer,
 with its diagonal kept apart, so one n x n buffer serves a layer.  It is
 made one of two ways.  ``bundle_from_hessian`` factors H in pruning order
@@ -40,6 +40,8 @@ from .tensors import Permutation, as_matrix, finite_matrix
 #: inverse, fastest or within about 10% of it at n = 1024 and 2048 (from H
 #: at 2048: 24.7, 21.9, 25.7 and 30.0 ms, 2 BLAS threads)
 PANEL = 64
+#: the fraction of H's mean diagonal that dampens it, SparseGPT's 1%
+DAMP_FRACTION = 0.01
 #: the strict lower triangle of a diagonal block of up to PANEL rows
 _BELOW = np.tri(PANEL, k=-1, dtype=bool)
 
@@ -62,8 +64,8 @@ class Layer:
     lower triangle is the workspace the layer's factors are built in,
     shared with every layer built on the same ``raw_hessian`` result.
     ``norms`` are the column norms, ``dead`` is True for each channel
-    whose diagonal in H is zero, and ``dense_energy`` is the dense layer's
-    output energy sum(W @ H @ W.T).
+    whose diagonal in H is zero, ``dense_energy`` is the dense output energy
+    sum(W @ H @ W.T), and ``damp_lambda`` is every factor's lambda in H + lambda I.
     """
 
     w: np.ndarray
@@ -71,6 +73,7 @@ class Layer:
     norms: np.ndarray
     dead: np.ndarray
     dense_energy: float
+    damp_lambda: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +96,6 @@ class HessianBundle:
     layer: Layer
     chol_upper: np.ndarray
     diag: np.ndarray
-    damp_lambda: float
     order: Permutation
 
     def valid(self) -> "HessianBundle":
@@ -107,9 +109,9 @@ class HessianBundle:
 
 @dataclass(frozen=True, eq=False)
 class DampedInverse:
-    """A layer's inverse dampened Hessian, made once per damping; equality is by identity.
+    """A layer's inverse dampened Hessian; equality is by identity.
 
-    The matrix is 4**shift * inv(H + damp_lambda I) in channel order with
+    The matrix is 4**shift * inv(H + lambda I) in channel order with
     rows and columns reversed, exactly symmetric.  ``upper`` holds its rows
     from their panel's first column on, about n**2 / 2 doubles, as laid out
     by ``_row_starts``.  The power of two, set by H's largest dampened
@@ -119,7 +121,6 @@ class DampedInverse:
 
     layer: Layer
     upper: np.ndarray
-    damp_lambda: float
     shift: int
 
 
@@ -153,13 +154,14 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def checked_layer(w, raw) -> Layer:
-    """The layer (W, H), once W and H pass every check, before any scoring.
+def checked_layer(w, raw, damp_fraction: float = DAMP_FRACTION) -> Layer:
+    """The layer (W, H) and its damping, once all pass every check, before any scoring.
 
     W and H must be finite and have at least one row and one column, as
     ``finite_matrix`` checks.  H must be square and as wide as W, with a
     non-negative diagonal, as a Gram matrix's is: the first negative entry
-    is the pivot.  The dense output energy, the last entry of W's
+    is the pivot.  ``damping`` turns ``damp_fraction`` into lambda or rejects
+    it.  The dense output energy, the last entry of W's
     ``error_prefix``, must be finite, so that every relative error has a
     denominator.  H is read from its upper triangle and diagonal.  Factors
     are built in the strict lower triangle of H's buffer: that of
@@ -180,10 +182,11 @@ def checked_layer(w, raw) -> Layer:
     if diag[pivot] < 0:
         raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
                                      pivot=pivot)
+    lam = damping(raw, damp_fraction)
     energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
-    return Layer(w, raw, column_norms(raw), diag == 0.0, energy)
+    return Layer(w, raw, column_norms(raw), diag == 0.0, energy, lam)
 
 
 def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
@@ -231,8 +234,11 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
 def damping(raw: np.ndarray, damp_fraction: float) -> float:
     """lambda = damp_fraction * mean(diag H), the same in every column order.
 
-    One that overflows H + lambda I raises NumericOverflowError, with no warning.
+    A negative or non-finite ``damp_fraction`` raises ConfigError, and a
+    lambda that overflows H + lambda I NumericOverflowError, with no warning.
     """
+    if not 0.0 <= damp_fraction < np.inf:
+        raise ConfigError(f"damp_fraction must be finite and >= 0, got {damp_fraction}")
     diag = raw.diagonal()
     with np.errstate(over="ignore"):  # raised just below
         lam = float(damp_fraction * diag.mean())
@@ -243,23 +249,19 @@ def damping(raw: np.ndarray, damp_fraction: float) -> float:
     return lam
 
 
-def bundle_from_hessian(
-    layer: Layer, damp_fraction: float, order: Permutation | None = None
-) -> HessianBundle:
+def bundle_from_hessian(layer: Layer, order: Permutation | None = None) -> HessianBundle:
     """Factor the layer's dampened H[order][:, order] (channel order by default).
 
     ``_factor`` factors H[q][:, q] for q the order reversed, whose leading
     k x k block is the trailing block of H[order][:, order] reversed, and
     inverts the factor; U is the row-major view read in reverse.
-    ``damping`` is checked before the workspace is written.
     """
     raw = layer.raw
     order = Permutation.identity(raw.shape[0]) if order is None else order
-    lam = damping(raw, damp_fraction)
     q = order.forward[::-1]
-    diag = _factor(raw, q, q, raw.diagonal() + lam)[::-1].copy()
+    diag = _factor(raw, q, q, raw.diagonal() + layer.damp_lambda)[::-1].copy()
     _HOLDERS[raw.ctypes.data] = diag
-    return HessianBundle(layer, raw[::-1, ::-1], diag, lam, order)
+    return HessianBundle(layer, raw[::-1, ::-1], diag, order)
 
 
 def damped_inverse(bundle: HessianBundle) -> DampedInverse:
@@ -279,7 +281,7 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
         raise ConfigError("only a channel-order factor gives the damped inverse")
     raw = bundle.valid().layer.raw
     n = raw.shape[0]
-    top = raw.diagonal().max() + bundle.damp_lambda
+    top = raw.diagonal().max() + bundle.layer.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
     starts = _row_starts(n)
     upper = np.empty(starts[-1] + n)
@@ -299,7 +301,7 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
             panel[:, :k] = np.where(_below(rows).T, raw[rows, rows].T, raw[rows, rows])
     finally:
         diagonal[...] = h_diag
-    return DampedInverse(bundle.layer, upper, bundle.damp_lambda, shift)
+    return DampedInverse(bundle.layer, upper, shift)
 
 
 def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBundle:
@@ -318,7 +320,7 @@ def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBu
     _scale_lower(raw, -inverse.shift)
     diag = np.ldexp(diag, -inverse.shift)
     _HOLDERS[raw.ctypes.data] = diag
-    return HessianBundle(inverse.layer, raw.T, diag, inverse.damp_lambda, order)
+    return HessianBundle(inverse.layer, raw.T, diag, order)
 
 
 def _panels(n: int):

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import Layer, checked_layer, importance_scores, raw_hessian
+from .calibration import (DAMP_FRACTION, Layer, checked_layer, importance_scores,
+                          raw_hessian)
 from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
 from .reorder import METHODS, build_reorder_plan, check_runs, loss_profile, prune_runs
@@ -84,8 +85,8 @@ def _add_common(p: argparse.ArgumentParser):
                         "up to 128; masks are chosen per group of M")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="relative-range gate for reordering (default 0.5)")
-    p.add_argument("--damp", type=float, default=0.01,
-                   help="Hessian dampening fraction (default 0.01)")
+    p.add_argument("--damp", type=float, default=DAMP_FRACTION,
+                   help=f"Hessian dampening fraction (default {DAMP_FRACTION})")
     p.add_argument("--weights", type=Path, default=None,
                    help="RTNS file with the layer weights")
     p.add_argument("--acts", type=Path, default=None,
@@ -108,7 +109,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _make_configs(args) -> list[SparsityConfig]:
     """One config per --sparsity value, or the one config of --pattern."""
-    common = dict(damp_fraction=args.damp, columnar_threshold=args.threshold)
+    common = dict(columnar_threshold=args.threshold)
     if args.pattern is not None:
         if args.sparsity:
             raise ConfigError("--pattern sets the sparsity; drop --sparsity")
@@ -158,8 +159,11 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
     as the first file, since every file shares it, so a file of another
     width is rejected before it is read.  Without ``--acts`` each width
     gets its own synthetic H: those activations depend on the width alone.
-    ``--out`` is made last, once every input has passed.
+    ``--damp`` is checked first, before any file is read, and ``--out`` is
+    made last, once every input and the layer's damping have passed.
     """
+    if not 0.0 <= args.damp < math.inf:
+        raise ConfigError(f"--damp must be finite and >= 0, got {args.damp}")
     if args.synth is not None and (
         args.weights or args.acts or getattr(args, "more_weights", None)
     ):
@@ -179,7 +183,7 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
         hessians = {k: raw_hessian([gen_activations(args.samples, k, args.correlation,
                                                     args.seed + ACT_SEED_OFFSET)], k)
                     for k in dict.fromkeys(w.shape[1] for w in weights)}
-    layers = [checked_layer(w, hessians[w.shape[1]]) for w in weights]
+    layers = [checked_layer(w, hessians[w.shape[1]], args.damp) for w in weights]
     args.out.mkdir(parents=True, exist_ok=True)
     return layers
 
@@ -191,7 +195,7 @@ def _config_doc(config: SparsityConfig, args) -> dict:
         "blocksize": config.blocksize,
         "pattern": (f"{pat.n}:{pat.m}" if isinstance(pat, SemiStructured)
                     else "unstructured"),
-        "damp_fraction": config.damp_fraction,
+        "damp_fraction": args.damp,
         "columnar_threshold": config.columnar_threshold,
         "seed": args.seed,
         "synth": args.synth,

@@ -172,7 +172,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     ConfigError before the sweep.  The error after block k is measured in
     the raw Hessian.  Every pruned weight is compensated, so the dampened
     loss equals the summed squared OBS errors, and
-    raw_k = sum(E**2) - damp_lambda * ||W0 - W_k||^2.  When that closed
+    raw_k = sum(E**2) - layer.damp_lambda * ||W0 - W_k||^2.  When that closed
     form is not finite (a huge damping overflows it) or has cancelled,
     sum(d @ H_raw @ d) is computed instead, on d rebuilt from W in one
     temporary the size of W; if that overflows too, NumericOverflowError
@@ -261,7 +261,7 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
             loss += _squared_norm(errs)
             block_sq = _squared_norm(dense)
             tail_sq = block_sq + _squared_norm(work[i2:])
-        raw_err = loss - bundle.damp_lambda * (final_sq + tail_sq)
+        raw_err = loss - layer.damp_lambda * (final_sq + tail_sq)
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             # a non-finite weight makes the tail sum not finite; columns
             # before i1 are final and were checked with earlier blocks

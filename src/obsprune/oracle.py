@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .calibration import (bundle_from_hessian, bundle_from_inverse, checked_layer,
-                          damping, damped_inverse, raw_hessian)
+from .calibration import (DAMP_FRACTION, bundle_from_hessian, bundle_from_inverse,
+                          checked_layer, damping, damped_inverse, raw_hessian)
 from .engine import PruneOutcome, prune_layer
 from .errors import (
     DimensionError,
@@ -102,12 +102,13 @@ def naive_obs_prune(
     w: np.ndarray,
     activations: Iterable[np.ndarray],
     config: SparsityConfig,
+    damp_fraction: float = DAMP_FRACTION,
 ) -> PruneOutcome:
     """Reference pruner that inverts the dampened H once and downdates it.
 
-    Uses the same mask-selection rule and dampening as the engine (masks
-    chosen at block entry, or at the first column of each n:m group), but no
-    precomputed factor and no deferred updates, so agreement with
+    Uses the engine's mask-selection rule (masks chosen at block entry, or at
+    the first column of each n:m group) and dampening, at ``damp_fraction``,
+    but no precomputed factor and no deferred updates, so agreement with
     ``prune_layer`` exercises the whole Cholesky shortcut.  Column q is
     compensated by the OBS one-row update from the inverse of H[q:, q:],
     which ``_drop_first`` then downdates; the saliency denominators come
@@ -124,7 +125,7 @@ def naive_obs_prune(
     batches = list(activations)
     raw = raw_hessian(batches, n)
     xs = np.vstack([as_matrix(a) for a in batches])
-    lam = damping(raw, config.damp_fraction)
+    lam = damping(raw, damp_fraction)
     dead = raw.diagonal() == 0.0
     h = np.triu(raw) + np.triu(raw, 1).T  # raw_hessian gives the upper triangle
     h[np.diag_indices(n)] += lam
@@ -166,7 +167,7 @@ def naive_obs_prune(
 def cross_check(seed: int) -> list[str]:
     """Run the oracle cross-checks at small sizes; one line per failure.
 
-    Every trial runs at ``SparsityConfig``'s default damping.  Fifteen
+    Every trial runs at ``DAMP_FRACTION``.  Fifteen
     trials compare ``prune_layer`` with ``naive_obs_prune`` on masks and
     final error, at 64 columns or fewer: ten unstructured, and five 2:4
     with masks chosen per group inside wider blocks.  Every other one has
@@ -190,7 +191,7 @@ def cross_check(seed: int) -> list[str]:
         config = (SparsityConfig.semi_structured(2, 4, blocksize) if nm
                   else SparsityConfig(p, blocksize))
         layer = checked_layer(W, raw_hessian([X], n))
-        fast = prune_layer(bundle_from_hessian(layer, config.damp_fraction), config)
+        fast = prune_layer(bundle_from_hessian(layer), config)
         slow = naive_obs_prune(W, [X], config)
         if not np.array_equal(fast.mask.kept, slow.mask.kept):
             failures.append(f"FAIL mask equivalence, trial {trial}")
@@ -203,11 +204,10 @@ def cross_check(seed: int) -> list[str]:
     X[:, rng.choice(n, size=3, replace=False)] = 0.0
     layer = checked_layer(np.zeros((1, n)), raw_hessian([X], n))
     order = Permutation(rng.permutation(n))
-    damp = SparsityConfig.damp_fraction  # the default
-    b = bundle_from_hessian(layer, damp, order)
+    b = bundle_from_hessian(layer, order)
     # a copy of U, whose buffer the layer's next factor overwrites
     want = np.triu(b.chol_upper, 1) + np.diag(b.diag)
-    b = bundle_from_inverse(damped_inverse(bundle_from_hessian(layer, damp)), order)
+    b = bundle_from_inverse(damped_inverse(bundle_from_hessian(layer)), order)
     got = np.triu(b.chol_upper, 1) + np.diag(b.diag)
     if np.max(np.abs(got - want)) > 1e-12 * np.max(np.abs(want)):
         failures.append("FAIL factor from the damped inverse")

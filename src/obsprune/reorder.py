@@ -138,13 +138,11 @@ def build_reorder_plan(
 def check_runs(n: int, methods: Sequence[str], configs: Sequence[SparsityConfig]):
     """Raise ConfigError unless ``prune_runs`` can run this list on n columns.
 
-    Every method is in METHODS, the configs share one damp_fraction, and
-    each config's ``block_ranges`` tiles n columns.
+    Every method is in METHODS, and each config's ``block_ranges`` tiles
+    n columns.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")
-    if len(dampings := {config.damp_fraction for config in configs}) > 1:
-        raise ConfigError(f"one run list takes one damp_fraction, got {sorted(dampings)}")
     for config in configs:
         config.block_ranges(n)  # raises ConfigError for an untiled n:m
 
@@ -192,14 +190,14 @@ def prune_runs(layer: Layer, methods: Sequence[str],
             outcome = wanda_prune(layer, config)
         elif not plan.was_reordered:
             if channel is None:
-                channel = bundle_from_hessian(layer, config.damp_fraction)
+                channel = bundle_from_hessian(layer)
             outcome = prune_layer(channel, config)
         else:
             if channel is not None:
                 inverse, channel = damped_inverse(channel), None
             order = plan.permutation
             # the factor is bound to no name, so it is freed before the next one
-            outcome = prune_layer(bundle_from_hessian(layer, config.damp_fraction, order)
+            outcome = prune_layer(bundle_from_hessian(layer, order)
                                   if inverse is None
                                   else bundle_from_inverse(inverse, order), config)
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -214,9 +212,9 @@ def rose_prune_layer(
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Check W and config, then score, reorder if columnar, prune and restore order.
 
-    ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile).
-    ``activations``, any iterable of batches, is read once, batch by batch,
-    and only after W passes ``finite_matrix`` and the config ``check_runs``.
+    ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile), at
+    ``DAMP_FRACTION``.  ``activations``, any iterable of batches, is read
+    once, batch by batch, after W and config pass their checks.
     """
     w = finite_matrix(w)
     check_runs(w.shape[1], ["rose"], [config])

@@ -67,8 +67,7 @@ class SparsityConfig:
     """Pruning configuration shared by all methods.
 
     ``blocksize`` is the number of consecutive input channels masked and
-    compensated together.  ``damp_fraction`` scales the mean Hessian
-    diagonal into the dampening term.  ``columnar_threshold`` gates the
+    compensated together.  ``columnar_threshold`` gates the
     reordering stage on the relative range of block losses.  ``pattern``
     None prunes unstructured.
     """
@@ -76,7 +75,6 @@ class SparsityConfig:
     sparsity: float
     blocksize: int = 128
     pattern: SemiStructured | None = None
-    damp_fraction: float = 0.01
     columnar_threshold: float = 0.5
 
     def __post_init__(self):
@@ -84,9 +82,6 @@ class SparsityConfig:
             raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
         if not (_integer(self.blocksize) and self.blocksize >= 1):
             raise ConfigError(f"blocksize must be an integer >= 1: {self.blocksize!r}")
-        if not 0.0 <= self.damp_fraction < np.inf:
-            raise ConfigError("damp_fraction must be finite and >= 0, "
-                              f"got {self.damp_fraction}")
         if not 0.0 <= self.columnar_threshold < np.inf:
             raise ConfigError(
                 "columnar_threshold must be finite and >= 0, "

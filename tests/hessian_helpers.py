@@ -10,18 +10,19 @@ from obsprune import (
     checked_layer,
     raw_hessian,
 )
+from obsprune.calibration import DAMP_FRACTION
 
 
 def factor(raw, damp_fraction, order=None, w=None):
-    """The bundle of the layer (w, raw), factored in ``order``.
+    """The bundle of the layer (w, raw), dampened at ``damp_fraction``, in ``order``.
 
     ``w`` defaults to one zero row, for tests of the factor alone.
     """
     w = np.zeros((1, np.shape(raw)[-1])) if w is None else w
-    return bundle_from_hessian(checked_layer(w, raw), damp_fraction, order)
+    return bundle_from_hessian(checked_layer(w, raw, damp_fraction), order)
 
 
-def accumulate_hessian(activations, damp_fraction=0.01, w=None, width=None):
+def accumulate_hessian(activations, damp_fraction=DAMP_FRACTION, w=None, width=None):
     """The bundle of X.T @ X over ``activations``, factored in channel order.
 
     The batches must be ``width`` wide, W's width by default.
@@ -53,7 +54,7 @@ def dampened_hessian(bundle):
     """The matrix the bundle factored: raw + damp_lambda * I, in its order."""
     f = bundle.order.forward
     h = symmetric(bundle.layer.raw)[np.ix_(f, f)]
-    h[np.diag_indices(f.size)] += bundle.damp_lambda
+    h[np.diag_indices(f.size)] += bundle.layer.damp_lambda
     return h
 
 

@@ -76,11 +76,11 @@ def columnar_runs():
             # rose's scores and gate with both sorts flipped
             aplan = build_reorder_plan(prof, cfg, descending=False)
             asc = prune_layer(
-                bundle_from_hessian(bundle.layer, 0.01, aplan.permutation), cfg
+                bundle_from_hessian(bundle.layer, aplan.permutation), cfg
             )
             runs["rose-ascending"][(seed, p)] = (asc, aplan, None, w, x)
             # the reordered factor above overwrote the channel-order one
-            plain = prune_layer(bundle_from_hessian(bundle.layer, 0.01), cfg)
+            plain = prune_layer(bundle_from_hessian(bundle.layer), cfg)
             runs["sparsegpt"][(seed, p)] = (plain, None, None, w, x)
             TRAJECTORIES.extend(
                 [out.block_error_trajectory, asc.block_error_trajectory,
@@ -120,8 +120,8 @@ def test_criterion_2_single_column_compensation():
         n = int(rng.integers(2, 17))
         x = rng.standard_normal((2 * n + 4, n))
         row = rng.standard_normal(n)
-        cfg = SparsityConfig(sparsity=1 / n, blocksize=n, damp_fraction=0.0)
-        out = naive_obs_prune(row[None, :], [x], cfg)
+        cfg = SparsityConfig(sparsity=1 / n, blocksize=n)
+        out = naive_obs_prune(row[None, :], [x], cfg, damp_fraction=0.0)
         got, kept = out.pruned_weights[0], out.mask.kept[0]
         q = int(np.argmin(kept))
         held &= bool(kept.sum() == n - 1 and np.array_equal(got[:q], row[:q]))
@@ -143,7 +143,7 @@ def test_criterion_3_engine_matches_naive_oracle():
         x = rng.standard_normal((2 * n, n))
         w = rng.standard_normal((max(4, n // 2), n))
         cfg = SparsityConfig(sparsity=p, blocksize=16)
-        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        bundle = accumulate_hessian([x], w=w)
         fast = prune_layer(bundle, cfg)
         slow = naive_obs_prune(w, [x], cfg)
         masks_equal &= bool(np.array_equal(fast.mask.kept, slow.mask.kept))
@@ -188,7 +188,7 @@ def test_criterion_5_gate_behavior(columnar_runs):
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         uni_rels.append(prof.relative_range)
         uniform_ok &= prof.relative_range < 0.5 and not plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        bundle = accumulate_hessian([x], w=w)
         plain = prune_layer(bundle, cfg)
         bitwise_ok &= bool(
             np.array_equal(out.pruned_weights, plain.pruned_weights)
@@ -294,7 +294,7 @@ def test_criterion_9_hot_block_position_sweep():
         rest = [b for b in range(k_blocks) if b != hot]
         for pos in range(k_blocks):
             perm = block_order(cfg, 256, rest[:pos] + [hot] + rest[pos:])
-            out = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, perm), cfg)
+            out = prune_layer(bundle_from_hessian(layer, perm), cfg)
             errors[s, pos] = out.final_error
     medians = np.median(errors, axis=0)
     ok = bool(np.all(np.diff(medians) >= -1e-12))

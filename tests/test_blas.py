@@ -126,13 +126,15 @@ def test_zero_row_layer(method, pattern, monkeypatch):
     assert called == []
 
 
-#: prunes a reordered unstructured layer, a 2:4 layer and a 1024-row layer
+#: prunes a reordered unstructured layer, a 2:4 layer and a 1024-row layer,
+#: and a grid of sparsegpt, rose and rose-ascending runs on the columnar
+#: layer, whose reordered runs are factored from the damped inverse
 LAYERS_SCRIPT = """
 import sys
 import numpy as np
 from obsprune import (SparsityConfig, bundle_from_hessian, checked_layer,
                       gen_activations, gen_columnar, gen_uniform, prune_layer,
-                      raw_hessian, rose_prune_layer)
+                      prune_runs, raw_hessian, rose_prune_layer)
 acts = [gen_activations(1024, 512, 0.3, seed) for seed in (11, 12)]
 w = gen_columnar(128, 512, 128, 3, 10.0, seed=5)
 rose, plan, _ = rose_prune_layer(w, acts, SparsityConfig(0.7))
@@ -140,13 +142,22 @@ assert plan.was_reordered
 nm = SparsityConfig.semi_structured(2, 4)
 w_nm = gen_uniform(128, 512, seed=6)
 layer = checked_layer(w_nm, raw_hessian(acts, 512))
-dense = prune_layer(bundle_from_hessian(layer, 0.01), nm)
+dense = prune_layer(bundle_from_hessian(layer), nm)
 # 1024 rows: the column loop's 15-column dger is large enough to be threaded
 w_tall = gen_uniform(1024, 128, seed=7)
 tall_acts = [gen_activations(512, 128, 0.3, 13)]
 tall_layer = checked_layer(w_tall, raw_hessian(tall_acts, 128))
-tall = prune_layer(bundle_from_hessian(tall_layer, 0.01), SparsityConfig(0.5))
-np.savez(sys.argv[1], w_rose=w, w_nm=w_nm, w_tall=w_tall,
+tall = prune_layer(bundle_from_hessian(tall_layer), SparsityConfig(0.5))
+grid = {}
+grid_layer = checked_layer(w, raw_hessian(acts, 512))
+for run in prune_runs(grid_layer, ["sparsegpt", "rose", "rose-ascending"],
+                      [SparsityConfig(0.5), SparsityConfig(0.7)]):
+    assert run.plan.was_reordered == run.method.startswith("rose")
+    out, name = run.outcome, f"grid{run.index}"
+    grid.update({f"w_{name}": w, f"{name}_weights": out.pruned_weights,
+                 f"{name}_kept": out.mask.kept, f"{name}_rel": out.relative_error,
+                 f"{name}_order": run.plan.permutation.forward})
+np.savez(sys.argv[1], **grid, w_rose=w, w_nm=w_nm, w_tall=w_tall,
          rose_weights=rose.pruned_weights, rose_kept=rose.mask.kept,
          rose_order=plan.permutation.forward, rose_rel=rose.relative_error,
          nm_weights=dense.pruned_weights, nm_kept=dense.mask.kept,
@@ -178,8 +189,11 @@ def test_thread_count_contract(tmp_path):
     """Masks bit for bit across BLAS thread counts; weights and errors close."""
     one = prune_with_threads(1, tmp_path / "one.npz")
     two = prune_with_threads(2, tmp_path / "two.npz")
-    np.testing.assert_array_equal(one["rose_order"], two["rose_order"])
-    for layer in ("rose", "nm", "tall"):
+    layers = [key[2:] for key in one if key.startswith("w_")]
+    assert len(layers) == 9  # rose, nm, tall and the 2 x 3 grid
+    for layer in layers:
+        if f"{layer}_order" in one:
+            np.testing.assert_array_equal(one[f"{layer}_order"], two[f"{layer}_order"])
         w = one[f"w_{layer}"]
         np.testing.assert_array_equal(one[f"{layer}_kept"], two[f"{layer}_kept"])
         np.testing.assert_allclose(

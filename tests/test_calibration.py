@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import blas, lapack
 
 from obsprune import (
+    ConfigError,
     DimensionError,
     IndefiniteHessianError,
     NumericOverflowError,
@@ -30,7 +31,7 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import baselines, engine
-from obsprune.calibration import PANEL, DampedInverse, error_prefix
+from obsprune.calibration import DAMP_FRACTION, PANEL, DampedInverse, error_prefix
 
 from hessian_helpers import (
     accumulate_hessian,
@@ -79,7 +80,7 @@ def test_identity_activations():
     np.testing.assert_allclose(dampened_hessian(b), np.eye(2))
     np.testing.assert_allclose(inverse(b), np.eye(2))
     np.testing.assert_allclose(upper_factor(b), np.eye(2))
-    assert b.damp_lambda == 0.0
+    assert b.layer.damp_lambda == 0.0
 
 
 def test_diagonal_case():
@@ -108,7 +109,7 @@ def test_dampening_uses_mean_diagonal():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
     b = accumulate_hessian([x], damp_fraction=0.1, width=2)
     # raw diag (4, 1), mean 2.5
-    assert b.damp_lambda == pytest.approx(0.25)
+    assert b.layer.damp_lambda == pytest.approx(0.25)
     np.testing.assert_allclose(dampened_hessian(b), np.diag([4.25, 1.25]))
 
 
@@ -267,9 +268,7 @@ def test_any_order_factors_the_permuted_hessian(seed):
     b = factor(raw, 0.01, order)
     f = order.forward
     assert b.order is order
-    # a copy of H: a factor in raw's buffer would make b stale
-    assert b.damp_lambda == factor(raw.copy(), 0.01).damp_lambda
-    want = factor_of_inverse(h[np.ix_(f, f)] + b.damp_lambda * np.eye(24))
+    want = factor_of_inverse(h[np.ix_(f, f)] + b.layer.damp_lambda * np.eye(24))
     assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
     # U's strict upper triangle lies in H's own buffer, whose upper one
     # still holds H
@@ -286,10 +285,10 @@ def test_panel_gather_factors_the_direct_gather_bitwise():
                           raw_hessian([rng.standard_normal((n + 20, n))], n))
     order = Permutation(rng.permutation(n))
     h_before = layer.raw.copy()
-    b = bundle_from_hessian(layer, 0.01, order)
+    b = bundle_from_hessian(layer, order)
     q = order.forward[::-1]
     h = symmetric(h_before)[np.ix_(q, q)]
-    h.reshape(-1)[:: n + 1] += b.damp_lambda
+    h.reshape(-1)[:: n + 1] += layer.damp_lambda
     up, info = lapack.dpotrf(h.T, lower=0, overwrite_a=1)
     assert info == 0
     inv_up, info = lapack.dtrtri(up, lower=0, overwrite_c=1)
@@ -349,7 +348,7 @@ def mirrored(upper):
 @pytest.mark.parametrize("n,dead", [(1, 0), (37, 0), (130, 3), (200, 5)])
 def test_inverse_in_place_is_the_damped_inverse(n, dead):
     layer = layer_with_dead(n, dead, seed=n)
-    b = bundle_from_hessian(layer, 0.01)
+    b = bundle_from_hessian(layer)
     h_before = layer.raw.copy()
     inv = damped_inverse(b)
     # made in H's workspace, over the factor, and copied out as panels
@@ -357,7 +356,7 @@ def test_inverse_in_place_is_the_damped_inverse(n, dead):
     with pytest.raises(StaleFactorError):
         b.valid()
     assert np.array_equal(np.triu(layer.raw), np.triu(h_before))
-    assert (inv.layer, inv.damp_lambda) == (layer, b.damp_lambda)
+    assert inv.layer is layer
     want = np.linalg.inv(dampened_hessian(b))
     got = np.ldexp(whole(panels_of(inv))[::-1, ::-1], -2 * inv.shift)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -368,7 +367,7 @@ def test_each_panel_row_is_the_inverse_row_from_the_panels_first_column(n):
     # the inverse as it was made whole before the panels: dlauum of the
     # scaled R^-1 in a buffer of its own, its upper triangle mirrored
     layer = layer_with_dead(n, n // 20, seed=n)
-    b = bundle_from_hessian(layer, 0.01)
+    b = bundle_from_hessian(layer)
     r_inv = np.asfortranarray(np.triu(layer.raw.T, 1))
     inv = damped_inverse(b)
     np.ldexp(r_inv, inv.shift, out=r_inv)
@@ -390,11 +389,10 @@ def test_factor_from_inverse_matches_factor_of_h(kind, dead):
     order = {"identity": Permutation.identity(n),
              "random": Permutation(np.random.default_rng(5).permutation(n)),
              "2:4 groups": group_keeping_order(n, 4, seed=6)}[kind]
-    want = bundle_from_hessian(layer, 0.01, order)
+    want = bundle_from_hessian(layer, order)
     want_u = upper_factor(want)
-    got = bundle_from_inverse(damped_inverse(bundle_from_hessian(layer, 0.01)), order)
+    got = bundle_from_inverse(damped_inverse(bundle_from_hessian(layer)), order)
     assert got.layer is layer and got.order is order
-    assert got.damp_lambda == want.damp_lambda
     # LAPACK's buffer itself, the layer's H buffer read column-major
     assert got.chol_upper.flags.f_contiguous
     assert np.shares_memory(got.chol_upper, layer.raw)
@@ -407,7 +405,7 @@ def test_factor_from_inverse_matches_factor_of_h(kind, dead):
 
 def test_only_a_channel_order_factor_is_inverted():
     layer = layer_with_dead(8, 0, seed=1)
-    b = bundle_from_hessian(layer, 0.01, Permutation(np.arange(8)[::-1].copy()))
+    b = bundle_from_hessian(layer, Permutation(np.arange(8)[::-1].copy()))
     with pytest.raises(ValueError, match="channel-order") as info:
         damped_inverse(b)
     assert isinstance(info.value, PruneError)
@@ -421,7 +419,7 @@ def test_indefinite_inverse_names_the_channel_in_its_order():
     m = np.eye(n)
     m[5, 5] = -1.0
     order = Permutation(np.array([1, 0, 5, 2, 3, 4]))
-    inverse = DampedInverse(layer, panel_buffer(m[::-1, ::-1]), 0.0, 0)
+    inverse = DampedInverse(layer, panel_buffer(m[::-1, ::-1]), 0)
     with pytest.raises(IndefiniteHessianError) as exc:
         bundle_from_inverse(inverse, order)
     assert exc.value.pivot == 5
@@ -578,7 +576,7 @@ def test_memory_budget():
 
     layer = checked_layer(np.zeros((1, n)), raw)
     for order in (None, Permutation(rng.permutation(n))):
-        _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, 0.01, order))
+        _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, order))
         assert peak <= 3 * panel
         # the diagonal, and an identity order's two index arrays
         assert held <= 3 * 8 * n + 4096
@@ -601,7 +599,7 @@ def test_prune_layer_memory_budget():
     rng = np.random.default_rng(13)
     w = rng.standard_normal((rows, n))
     layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
-    b = bundle_from_hessian(layer, 0.01, Permutation(rng.permutation(n)))
+    b = bundle_from_hessian(layer, Permutation(rng.permutation(n)))
     config = SparsityConfig(0.5)
     prune_layer(b, config)
     _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
@@ -620,7 +618,7 @@ def test_prune_layer_memory_at_bench_scale():
     rng = np.random.default_rng(14)
     w = rng.standard_normal((rows, n))
     layer = checked_layer(w, raw_hessian([rng.standard_normal((512, n))], n))
-    b = bundle_from_hessian(layer, 0.01, Permutation(rng.permutation(n)))
+    b = bundle_from_hessian(layer, Permutation(rng.permutation(n)))
     config = SparsityConfig(0.7)
     _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
     assert peak <= 1.5 * w.nbytes
@@ -678,7 +676,7 @@ def test_prune_runs_memory_budget():
     w = gen_columnar(rows, n, 128, 3, 10.0, seed=14)
     layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
     configs = [SparsityConfig(p) for p in (0.5, 0.6, 0.7, 0.8)]
-    inverse = damped_inverse(bundle_from_hessian(layer, 0.01))
+    inverse = damped_inverse(bundle_from_hessian(layer))
     b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
     outcome, sweep, _ = traced_bytes(lambda: prune_layer(b, configs[0]))
     assert inverse.upper.nbytes == panels
@@ -712,8 +710,7 @@ def test_rose_prune_layer_memory_budget():
     batches, config = [x[:n], x[n:]], SparsityConfig(0.7)
     (_, plan, _), peak, _ = traced_bytes(lambda: rose_prune_layer(w, batches, config))
     assert plan.was_reordered
-    b = bundle_from_hessian(checked_layer(w, raw_hessian(batches, n)), 0.01,
-                            plan.permutation)
+    b = bundle_from_hessian(checked_layer(w, raw_hessian(batches, n)), plan.permutation)
     _, sweep, _ = traced_bytes(lambda: prune_layer(b, config))
     assert peak <= 8 * n * n + sweep + 8 * PANEL * n
 
@@ -721,7 +718,7 @@ def test_rose_prune_layer_memory_budget():
 def stale_after(refactor):
     """A channel-order bundle, and its layer once ``refactor`` has run on it."""
     layer = layer_with_dead(16, 2, seed=4)
-    b = bundle_from_hessian(layer, 0.01)
+    b = bundle_from_hessian(layer)
     before = layer.raw.copy()
     refactor(b)
     # H's triangle and diagonal are as they were, whatever became of the factor
@@ -748,7 +745,7 @@ def refactor_and_fail(b):
     pytest.param(damped_inverse, id="damped_inverse"),
 ])
 @pytest.mark.parametrize("refactor", [
-    pytest.param(lambda b: bundle_from_hessian(b.layer, 0.02), id="from-hessian"),
+    pytest.param(lambda b: bundle_from_hessian(b.layer), id="from-hessian"),
     pytest.param(refactor_from_inverse, id="from-inverse"),
     pytest.param(refactor_and_fail, id="failed"),
 ])
@@ -768,8 +765,8 @@ def test_layers_on_one_raw_hessian_share_its_workspace():
     first = checked_layer(np.ones((2, n)), raw)
     second = checked_layer(np.zeros((1, n)), raw)
     assert first.raw is second.raw is raw
-    b = bundle_from_hessian(first, 0.01)
-    bundle_from_hessian(second, 0.01, Permutation(np.arange(n)[::-1].copy()))
+    b = bundle_from_hessian(first)
+    bundle_from_hessian(second, Permutation(np.arange(n)[::-1].copy()))
     for use in (damped_inverse, lambda b: prune_layer(b, SparsityConfig(0.5))):
         with pytest.raises(StaleFactorError):
             use(b)
@@ -782,15 +779,15 @@ def test_a_callers_own_hessian_is_never_written():
     before = h.copy()
     first, second = (checked_layer(np.ones((2, n)), h) for _ in range(2))
     assert not np.shares_memory(first.raw, h)
-    b = bundle_from_hessian(first, 0.01)
-    bundle_from_hessian(second, 0.01)
+    b = bundle_from_hessian(first)
+    bundle_from_hessian(second)
     assert np.array_equal(h, before)
     assert b.valid() is b
 
 
 def test_a_bundle_stays_valid_until_its_layer_is_factored_again():
     layer = layer_with_dead(16, 2, seed=4)
-    b = bundle_from_hessian(layer, 0.01)
+    b = bundle_from_hessian(layer)
     config = SparsityConfig(0.5, blocksize=8)
     first = prune_layer(b, config)
     again = prune_layer(b, config)
@@ -799,7 +796,7 @@ def test_a_bundle_stays_valid_until_its_layer_is_factored_again():
     inverse = damped_inverse(b)
     with pytest.raises(StaleFactorError):
         prune_layer(b, config)
-    assert damped_inverse(bundle_from_hessian(layer, 0.01)).shift == inverse.shift
+    assert damped_inverse(bundle_from_hessian(layer)).shift == inverse.shift
 
 
 @pytest.mark.parametrize("prune", [rose_prune_layer, naive_obs_prune])
@@ -859,9 +856,9 @@ def run_rose(h):
 
 
 ENTRY_POINTS = {
-    "factor": lambda h: bundle_from_hessian(ones_layer(h), 0.01),
+    "factor": lambda h: bundle_from_hessian(ones_layer(h)),
     "factor-reordered": lambda h: bundle_from_hessian(
-        ones_layer(h), 0.01, Permutation(np.arange(h.shape[0])[::-1])
+        ones_layer(h), Permutation(np.arange(h.shape[0])[::-1])
     ),
     "rose": run_rose,
     "magnitude": run_baseline(magnitude_prune),
@@ -901,7 +898,7 @@ def identity_layer(w):
 
 
 def run_engine(w):
-    bundle = bundle_from_hessian(identity_layer(w), 0.01)
+    bundle = bundle_from_hessian(identity_layer(w))
     return prune_layer(bundle, SparsityConfig(0.5, blocksize=4))
 
 
@@ -963,18 +960,24 @@ def test_dense_energy_of_a_huge_weight_on_a_dead_or_tiny_channel(capfd):
     pytest.param(0.5, 1.5e308, id="dampened-diagonal"),
 ])
 def test_overflowing_damping_rejected_before_factoring(monkeypatch, capfd, damp, diagonal):
-    """A finite damping fraction whose lambda overflows fails before dpotrf."""
+    """A finite damping fraction whose lambda overflows fails in checked_layer."""
     factored = []
     monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
-    layer = checked_layer(np.zeros((2, 8)), np.eye(8) * diagonal)
     with pytest.raises(NumericOverflowError, match="damping lambda"):
-        bundle_from_hessian(layer, damp)
+        checked_layer(np.zeros((2, 8)), np.eye(8) * diagonal, damp)
     assert factored == []
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("damp", [np.nan, np.inf, -0.1])
+def test_checked_layer_rejects_bad_damp_fraction(damp):
+    with pytest.raises(ConfigError, match="damp_fraction"):
+        checked_layer(np.ones((2, 8)), np.eye(8), damp)
+    assert checked_layer(np.ones((2, 8)), np.eye(8), 0.0).damp_lambda == 0.0
+
+
 def test_checked_layer_derives_once():
-    """W row-major, the norms, dead channels and dense energy of (W, H)."""
+    """W row-major, the norms, dead channels, dense energy and damping of (W, H)."""
     rng = np.random.default_rng(13)
     x = rng.standard_normal((20, 6))
     x[:, 2] = 0.0
@@ -986,7 +989,8 @@ def test_checked_layer_derives_once():
     np.testing.assert_array_equal(layer.norms, column_norms(raw))
     np.testing.assert_array_equal(np.flatnonzero(layer.dead), [2])
     assert layer.dense_energy == pytest.approx(np.sum(np.square(w @ x.T)), rel=1e-12)
+    assert layer.damp_lambda == DAMP_FRACTION * raw.diagonal().mean()
     # numpy fields: equality and hash are by identity, as for Permutation
-    bundles = [bundle_from_hessian(layer, 0.01) for _ in range(2)]
+    bundles = [bundle_from_hessian(layer) for _ in range(2)]
     assert layer == layer and layer != checked_layer(w, raw)
     assert bundles[0] == bundles[0] and len(set(bundles)) == 2

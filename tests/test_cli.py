@@ -13,6 +13,7 @@ from scipy.linalg import lapack
 from obsprune import (
     Permutation,
     ReorderPlan,
+    baselines,
     calibration,
     cli,
     engine,
@@ -169,9 +170,10 @@ def test_compare_factors_unpermuted_hessian_once(
     original = calibration.bundle_from_hessian
     inverted = count_calls(monkeypatch, calibration.bundle_from_inverse)
 
-    def counted(layer, damp_fraction, order=None):
-        calls.append(damp_fraction)
-        return original(layer, damp_fraction, order)
+    def counted(layer, order=None):
+        # --damp reaches every factor through the layer's lambda
+        calls.append(layer.damp_lambda == calibration.damping(layer.raw, 0.02))
+        return original(layer, order)
 
     patch_everywhere(monkeypatch, original, counted)
     code = run([
@@ -180,7 +182,7 @@ def test_compare_factors_unpermuted_hessian_once(
         "--sparsity", "0.5,0.6,0.7", "--damp", "0.02", "--out", str(tmp_path),
     ])
     assert code == 0
-    assert calls == [0.02] * direct
+    assert calls == [True] * direct
     assert len(inverted) == from_inverse
     with open(tmp_path / "compare.csv", newline="") as f:
         reordered = [r["was_reordered"] for r in csv.DictReader(f)
@@ -253,11 +255,10 @@ def test_compare_rows_keep_sparsity_by_method_order(tmp_path):
         plan = reorder.build_reorder_plan(reorder.loss_profile(scores, config), config)
         assert plan.was_reordered and rose["was_reordered"] == "True"
         direct = engine.prune_layer(calibration.bundle_from_hessian(
-            layer, config.damp_fraction, plan.permutation), config)
+            layer, plan.permutation), config)
         assert float(rose["relative_error"]) == pytest.approx(direct.relative_error,
                                                               rel=1e-9, abs=0)
-        in_place = engine.prune_layer(calibration.bundle_from_hessian(
-            layer, config.damp_fraction), config)
+        in_place = engine.prune_layer(calibration.bundle_from_hessian(layer), config)
         assert float(sparsegpt["relative_error"]) == in_place.relative_error
 
 
@@ -520,8 +521,8 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
     layers = []
     original = calibration.checked_layer
 
-    def checked(w, raw):
-        layers.append(original(w, raw))
+    def checked(w, raw, damp_fraction):
+        layers.append(original(w, raw, damp_fraction))
         return layers[-1]
 
     patch_everywhere(monkeypatch, original, checked)
@@ -694,6 +695,48 @@ def test_overflowing_damping_exit_1(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: damping lambda = inf") and err.count("\n") == 1
+
+
+def write_layer_files(tmp_path):
+    """A 16 x 64 weight file and a one-batch manifest; returns their argv."""
+    write_tensor(tmp_path / "w.rtns", gen_columnar(16, 64, 16, 2, 10.0, seed=8))
+    write_tensor(tmp_path / "x.rtns", gen_activations(128, 64, 0.3, seed=9))
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    return ["--weights", str(tmp_path / "w.rtns"), "--acts", str(tmp_path / "acts.json"),
+            "--blocksize", "16", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("damp", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["prune", "--sparsity", "0.5"], ["compare", "--sparsity", "0.5,0.7"], ["detect"]],
+    ids=["prune", "compare", "detect"])
+def test_bad_damping_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                    command, damp):
+    argv = write_layer_files(tmp_path)
+    read = count_calls(monkeypatch, rtns.read_tensor)
+    assert main([*command, *argv, "--damp", damp]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --damp must be finite and >= 0, got {float(damp)}\n")
+    assert read == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    *(["prune", "--method", method, "--sparsity", "0.5"] for method in cli.METHODS),
+    ["compare", "--sparsity", "0.5,0.7"], ["detect"]],
+    ids=[*(f"prune-{method}" for method in cli.METHODS), "compare", "detect"])
+def test_overflowing_damping_exit_1_before_any_run(tmp_path, capsys, monkeypatch,
+                                                   command):
+    """lambda overflows in checked_layer: no method, score or output file."""
+    argv = write_layer_files(tmp_path)
+    started = [count_calls(monkeypatch, f) for f in (
+        baselines.magnitude_prune, baselines.wanda_prune, reorder.loss_profile,
+        calibration.importance_scores, engine.prune_layer)]
+    assert main([*command, *argv, "--damp", "1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: damping lambda = inf")
+    assert started == [[]] * 5
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_saliency_exit_1(tmp_path, capsys):

@@ -41,8 +41,8 @@ def prune_one_weight(row, x):
     """``naive_obs_prune`` of the 1-row layer ``row`` in one block at
     sparsity 1/n, undamped: it prunes exactly one weight."""
     n = row.size
-    cfg = SparsityConfig(sparsity=1 / n, blocksize=n, damp_fraction=0.0)
-    out = naive_obs_prune(row[None, :], [x], cfg)
+    cfg = SparsityConfig(sparsity=1 / n, blocksize=n)
+    out = naive_obs_prune(row[None, :], [x], cfg, damp_fraction=0.0)
     assert out.mask.kept.sum() == n - 1
     return out.pruned_weights[0], out.mask.kept[0]
 
@@ -291,7 +291,7 @@ class TestPruneLayer:
         w, x = random_layer(2)
         x[:, 5] = 0.0
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         assert np.ascontiguousarray(out.pruned_weights).tobytes() == w.tobytes()
         assert out.relative_error <= 1e-10
@@ -305,7 +305,7 @@ class TestPruneLayer:
         scales = np.array([2.0, 0.5, 1.0, 3.0, 0.7, 1.5])
         x = q * scales
         w = rng.standard_normal((5, 6))
-        cfg = SparsityConfig(sparsity=0.5, blocksize=3, damp_fraction=0.0)
+        cfg = SparsityConfig(sparsity=0.5, blocksize=3)
         b = accumulate_hessian([x], 0.0, w)
         out = prune_layer(b, cfg)
         pruned = ~out.mask.kept
@@ -318,7 +318,7 @@ class TestPruneLayer:
     def test_mask_respect_and_sparsity(self):
         w, x = random_layer(3, rows=10, n=24)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         pruned = np.count_nonzero(~out.mask.kept) / out.mask.kept.size
@@ -328,7 +328,7 @@ class TestPruneLayer:
     def test_trajectory_monotone_and_final(self):
         w, x = random_layer(4, rows=6, n=32)
         cfg = SparsityConfig(sparsity=0.75, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         traj = out.block_error_trajectory
         assert traj.size == 4
@@ -339,7 +339,7 @@ class TestPruneLayer:
         w, x = random_layer(6, rows=9, n=32)
         for n_keep, m in ((2, 4), (4, 8)):
             cfg = SparsityConfig.semi_structured(n_keep, m)
-            b = accumulate_hessian([x], cfg.damp_fraction, w)
+            b = accumulate_hessian([x], w=w)
             out = prune_layer(b, cfg)
             groups = out.mask.kept.reshape(9, 32 // m, m)
             assert np.all(groups.sum(axis=2) == n_keep)
@@ -356,7 +356,7 @@ class TestPruneLayer:
         w = rng.standard_normal((4, 8))
         w[:, 3] = 50.0  # huge weight on a dead channel
         cfg = SparsityConfig(sparsity=0.25, blocksize=8)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
 
@@ -376,10 +376,8 @@ class TestPruneLayer:
             p[[3, 10]] = p[[10, 3]]  # a 2-cycle
             p[20:60] = np.roll(p[20:60], 1)  # a cycle of 40; the rest stay put
         cfg = SparsityConfig(0.5, blocksize=16)
-        out = prune_layer(bundle_from_hessian(checked_layer(w, h), cfg.damp_fraction,
-                                              Permutation(p)), cfg)
-        ref = prune_layer(bundle_from_hessian(checked_layer(w[:, p], h[p][:, p]),
-                                              cfg.damp_fraction), cfg)
+        out = prune_layer(bundle_from_hessian(checked_layer(w, h), Permutation(p)), cfg)
+        ref = prune_layer(bundle_from_hessian(checked_layer(w[:, p], h[p][:, p])), cfg)
         assert out.pruned_weights.flags.f_contiguous
         assert out.mask.kept.flags.f_contiguous
         assert out.pruned_weights[:, p].tobytes() == ref.pruned_weights.tobytes()
@@ -396,7 +394,7 @@ class TestPruneLayer:
         cfg = SparsityConfig(sparsity=0.25, blocksize=4)
         order = Permutation(rng.permutation(8))
         layer = checked_layer(w, raw_hessian([x], w.shape[1]))
-        b = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        b = bundle_from_hessian(layer, order)
         np.testing.assert_array_equal(np.flatnonzero(b.layer.dead), [3])
         out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
@@ -436,7 +434,7 @@ class TestClosedFormTrajectory:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
         else:
             cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         measured = []
         for _, i2 in cfg.block_ranges(n):
@@ -453,14 +451,14 @@ class TestClosedFormTrajectory:
         x = rng.standard_normal((64, 16))
         x[:, 4:8] *= 1e16
         w = rng.standard_normal((6, 16))
-        cfg = SparsityConfig.semi_structured(2, 4, damp_fraction=0.0)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        cfg = SparsityConfig.semi_structured(2, 4)
+        b = accumulate_hessian([x], 0.0, w)
         assert np.all(b.diag[4:8] ** 2 < 1e-30)
         out = prune_layer(b, cfg)
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
         assert out.block_error_trajectory[-1] == out.final_error
-        slow = naive_obs_prune(w, [x], cfg)
+        slow = naive_obs_prune(w, [x], cfg, damp_fraction=0.0)
         np.testing.assert_array_equal(out.mask.kept, slow.mask.kept)
 
     def test_huge_damping_falls_back_to_the_direct_error(self):
@@ -469,10 +467,11 @@ class TestClosedFormTrajectory:
         rng = np.random.default_rng(42)
         x = rng.standard_normal((256, 64))
         w = rng.uniform(-1.0, 1.0, (16, 64))
-        cfg = SparsityConfig(sparsity=0.5, blocksize=16, damp_fraction=4e304)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        cfg = SparsityConfig(sparsity=0.5, blocksize=16)
+        b = accumulate_hessian([x], 4e304, w)
         out = prune_layer(b, cfg)
-        assert b.damp_lambda * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
+        lam = b.layer.damp_lambda
+        assert lam * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
         assert np.all(np.isfinite(out.block_error_trajectory))
         # the fallback's own kernel, on the weights' final difference
         assert out.final_error == error_prefix(w - out.pruned_weights, b.layer.raw)[-1]
@@ -498,7 +497,7 @@ class TestClosedFormTrajectory:
             p = rng.permutation(n)
         order = Permutation(p)
         layer = checked_layer(w, raw_hessian([x], n))
-        b = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        b = bundle_from_hessian(layer, order)
         monkeypatch.setattr(engine, "CANCELLATION", np.inf)
         measured = []
 
@@ -532,7 +531,7 @@ class TestClosedFormTrajectory:
         x[:, :8] = 0.0
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        out = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+        out = prune_layer(accumulate_hessian([x], w=w), cfg)
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
@@ -548,7 +547,7 @@ class TestClosedFormTrajectory:
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         order = Permutation(np.r_[8 + rng.permutation(8), rng.permutation(8)])
         layer = checked_layer(w, raw_hessian([x], w.shape[1]))
-        b = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        b = bundle_from_hessian(layer, order)
         out = prune_layer(b, cfg)
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
@@ -583,7 +582,7 @@ def rank1_reference(w, bundle, config):
             w_cur[:, q + 1 :] -= np.outer(e, upper[q, q + 1 :])
             loss += float(e @ e)
         delta = w - w_cur
-        raw_err = loss - bundle.damp_lambda * float(np.sum(delta * delta))
+        raw_err = loss - bundle.layer.damp_lambda * float(np.sum(delta * delta))
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             raw_err = float(np.sum((delta @ symmetric(bundle.layer.raw)) * delta))
         trajectory.append(raw_err)
@@ -608,7 +607,7 @@ def corner_bundle(coupling):
     u = np.eye(8)
     u[0, 0] = 1e-10
     u[0, 5] = coupling
-    return HessianBundle(checked_layer(w, h), u, u.diagonal().copy(), 0.0,
+    return HessianBundle(checked_layer(w, h, 0.0), u, u.diagonal().copy(),
                          Permutation.identity(8))
 
 
@@ -656,7 +655,7 @@ class TestRank1Reference:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
         else:
             cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         ref_w, ref_kept, ref_traj = rank1_reference(w, b, cfg)
 
@@ -702,7 +701,7 @@ def scaled_run(method, k):
         return naive_obs_prune(w, [x], unstructured), None
     cfg = (SparsityConfig.semi_structured(2, 4, blocksize=16) if method == "2:4"
            else unstructured)
-    return prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg), None
+    return prune_layer(accumulate_hessian([x], w=w), cfg), None
 
 
 class TestScale:
@@ -765,7 +764,7 @@ class TestMaskGroups:
         blocksize = None if groups_per_block is None else groups_per_block * m
         cfg = SparsityConfig.semi_structured(n_keep, m, blocksize=blocksize)
         narrow = SparsityConfig.semi_structured(n_keep, m, blocksize=m)
-        b = accumulate_hessian([x], cfg.damp_fraction, w)
+        b = accumulate_hessian([x], w=w)
         out = prune_layer(b, cfg)
         ref = prune_layer(b, narrow)
 
@@ -809,9 +808,9 @@ class TestLayout:
 
         def errors(a, pruned):
             layer = checked_layer(a, raw)
-            direct = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction), cfg)
+            direct = prune_layer(bundle_from_hessian(layer), cfg)
             ordered = prune_layer(
-                bundle_from_hessian(layer, cfg.damp_fraction, order), cfg
+                bundle_from_hessian(layer, order), cfg
             )
             return [
                 direct.relative_error,
@@ -822,7 +821,7 @@ class TestLayout:
                 *reconstruction_error(layer, pruned),
             ]
 
-        plain = bundle_from_hessian(checked_layer(w, raw), cfg.damp_fraction)
+        plain = bundle_from_hessian(checked_layer(w, raw))
         pruned = prune_layer(plain, cfg).pruned_weights
         want = errors(w, pruned)
         for layout in (np.asfortranarray, strided):

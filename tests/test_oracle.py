@@ -78,8 +78,8 @@ def test_naive_diagonal_hessian_closed_form():
     scales = np.array([1.0, 2.0, 0.5, 1.5, 3.0, 0.8])
     x = q * scales
     w = rng.standard_normal((4, 6))
-    cfg = SparsityConfig(sparsity=0.5, blocksize=3, damp_fraction=0.0)
-    out = naive_obs_prune(w, [x], cfg)
+    cfg = SparsityConfig(sparsity=0.5, blocksize=3)
+    out = naive_obs_prune(w, [x], cfg, damp_fraction=0.0)
     pruned = ~out.mask.kept
     expected = float(np.sum((w * w * scales**2)[pruned]))
     assert out.final_error == pytest.approx(expected, abs=1e-8)
@@ -90,7 +90,7 @@ def test_naive_agrees_with_engine():
     w = rng.standard_normal((8, 16))
     x = rng.standard_normal((48, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=4)
-    bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+    bundle = accumulate_hessian([x], w=w)
     fast = prune_layer(bundle, cfg)
     slow = naive_obs_prune(w, [x], cfg)
     assert np.array_equal(fast.mask.kept, slow.mask.kept)
@@ -109,7 +109,7 @@ def test_naive_agrees_with_engine_on_dead_channels(cfg):
     dead = [3, 9, 17, 30]
     x[:, dead] = 0.0
     w[:, dead] *= 100.0
-    fast = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+    fast = prune_layer(accumulate_hessian([x], w=w), cfg)
     slow = naive_obs_prune(w, [x], cfg)
     assert not slow.mask.kept[:, dead].any()
     np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
@@ -130,7 +130,7 @@ def test_naive_agrees_with_engine_at_128x512(case):
         w[:, dead] *= 100.0
     cfg = (SparsityConfig.semi_structured(2, 4, 128) if case == "2:4"
            else SparsityConfig(0.7, blocksize=128))
-    fast = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+    fast = prune_layer(accumulate_hessian([x], w=w), cfg)
     slow = naive_obs_prune(w, [x], cfg)
     np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
     np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
@@ -155,7 +155,7 @@ def test_naive_agrees_with_engine_at_bench_scale(case):
     _, w, x = bench_scale_layer()
     cfg = (SparsityConfig.semi_structured(2, 4, 128) if case == "2:4"
            else SparsityConfig(0.7, blocksize=128))
-    fast = prune_layer(accumulate_hessian([x], cfg.damp_fraction, w), cfg)
+    fast = prune_layer(accumulate_hessian([x], w=w), cfg)
     slow = naive_obs_prune(w, [x], cfg)
     np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
     np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
@@ -179,8 +179,8 @@ def test_block_permuted_sweep_at_bench_scale():
     h = np.triu(h) + np.triu(h, 1).T
     p = (128 * rng.permutation(8)[:, None] + np.arange(128)).ravel()
     cfg = SparsityConfig(0.7, blocksize=128)
-    out = prune_layer(factor(h, cfg.damp_fraction, Permutation(p), w), cfg)
-    ref = prune_layer(factor(h[p][:, p], cfg.damp_fraction, w=w[:, p]), cfg)
+    out = prune_layer(factor(h, 0.01, Permutation(p), w), cfg)
+    ref = prune_layer(factor(h[p][:, p], 0.01, w=w[:, p]), cfg)
     assert out.pruned_weights.flags.f_contiguous and out.mask.kept.flags.f_contiguous
     assert out.pruned_weights[:, p].tobytes() == ref.pruned_weights.tobytes()
     assert np.array_equal(out.mask.kept[:, p], ref.mask.kept)
@@ -222,7 +222,7 @@ def test_singular_hessian_raises():
     x[:, 5] = 0.0
     with pytest.raises(IndefiniteHessianError, match="singular"):
         naive_obs_prune(rng.standard_normal((4, 16)), [x],
-                        SparsityConfig(0.5, blocksize=8, damp_fraction=0.0))
+                        SparsityConfig(0.5, blocksize=8), damp_fraction=0.0)
 
 
 def test_rank_deficient_hessian_raises():
@@ -233,7 +233,7 @@ def test_rank_deficient_hessian_raises():
         with pytest.raises(IndefiniteHessianError, match="not positive definite"):
             naive_obs_prune(rng.standard_normal((4, 16)),
                             [rng.standard_normal((8, 16))],
-                            SparsityConfig(0.5, blocksize=8, damp_fraction=0.0))
+                            SparsityConfig(0.5, blocksize=8), damp_fraction=0.0)
 
 
 def test_overflowing_damping_raises():
@@ -242,9 +242,9 @@ def test_overflowing_damping_raises():
     rng = np.random.default_rng(21)
     w = rng.standard_normal((4, 8))
     x = rng.standard_normal((16, 8))
-    cfg = SparsityConfig(0.5, blocksize=4, damp_fraction=1e308)
+    cfg = SparsityConfig(0.5, blocksize=4)
     with pytest.raises(NumericOverflowError, match="damping lambda = inf"):
-        naive_obs_prune(w, [x], cfg)
+        naive_obs_prune(w, [x], cfg, damp_fraction=1e308)
 
 
 def test_size_cap():

@@ -27,7 +27,7 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import cli, engine, reorder
-from obsprune.calibration import damped_inverse, damping
+from obsprune.calibration import damped_inverse
 
 from hessian_helpers import accumulate_hessian, block_order, symmetric
 
@@ -291,13 +291,11 @@ class TestPruneInOrder:
             cfg = SparsityConfig(sparsity=float(rng.choice([0.3, 0.5, 0.7])),
                                  blocksize=int(rng.integers(1, n + 1)))
             p = rng.permutation(n)
-        bundle = bundle_from_hessian(checked_layer(w, raw), cfg.damp_fraction,
-                                     Permutation(p))
+        bundle = bundle_from_hessian(checked_layer(w, raw), Permutation(p))
         # the damping of the pre-permuted H comes from a diagonal summed in
         # another order, so the two runs agree to rounding, masks exactly
         pre_permuted = bundle_from_hessian(
-            checked_layer(w[:, p], symmetric(raw)[np.ix_(p, p)]), cfg.damp_fraction
-        )
+            checked_layer(w[:, p], symmetric(raw)[np.ix_(p, p)]))
 
         got = prune_layer(bundle, cfg)
         direct = prune_layer(pre_permuted, cfg)
@@ -320,8 +318,8 @@ class TestPruneInOrder:
                else SparsityConfig(sparsity=0.6, blocksize=16))
         identity = Permutation.identity(64)
         layer = checked_layer(w, raw)
-        got = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction, identity), cfg)
-        plain = prune_layer(bundle_from_hessian(layer, cfg.damp_fraction), cfg)
+        got = prune_layer(bundle_from_hessian(layer, identity), cfg)
+        plain = prune_layer(bundle_from_hessian(layer), cfg)
         assert np.array_equal(got.pruned_weights, plain.pruned_weights)
         assert np.array_equal(got.mask.kept, plain.mask.kept)
         assert np.array_equal(got.block_error_trajectory,
@@ -338,14 +336,14 @@ class TestPruneInOrder:
 
         monkeypatch.setattr(engine, "select_block_mask", sweep)
         layer = checked_layer(np.arange(1.0, 9.0).reshape(1, 8), np.eye(8))
-        bundle = bundle_from_hessian(layer, cfg.damp_fraction, order)
+        bundle = bundle_from_hessian(layer, order)
         with pytest.raises(ConfigError, match="n:m"):
             prune_layer(bundle, cfg)
 
     def test_order_size_checked(self):
         layer = checked_layer(np.ones((1, 8)), np.eye(8))
         with pytest.raises(DimensionError, match="order size 4"):
-            bundle_from_hessian(layer, 0.01, Permutation.identity(4))
+            bundle_from_hessian(layer, Permutation.identity(4))
 
 
 def columnar_fixture(seed, rows=64, cols=256, blocksize=128):
@@ -361,7 +359,7 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=16)
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         assert not plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        bundle = accumulate_hessian([x], w=w)
         plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
         assert np.array_equal(out.mask.kept, plain.mask.kept)
@@ -384,7 +382,7 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         assert plan.was_reordered
-        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        bundle = accumulate_hessian([x], w=w)
         plain = prune_layer(bundle, cfg)
         assert out.relative_error <= plain.relative_error
 
@@ -422,9 +420,8 @@ class TestRosePruneLayer:
         profile = loss_profile(importance_scores(layer), cfg)
         plan = build_reorder_plan(profile, cfg, descending=False)
         assert plan.was_reordered
-        damp = cfg.damp_fraction
-        asc = prune_layer(bundle_from_hessian(layer, damp, plan.permutation), cfg)
-        plain = prune_layer(bundle_from_hessian(layer, damp), cfg)
+        asc = prune_layer(bundle_from_hessian(layer, plan.permutation), cfg)
+        plain = prune_layer(bundle_from_hessian(layer), cfg)
         assert asc.relative_error >= plain.relative_error
 
     def test_reorder_back_round_trip_exact(self):
@@ -437,7 +434,7 @@ class TestRosePruneLayer:
         perm_view = apply_column_permutation(out.mask.kept, plan.permutation)
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
-        bundle = accumulate_hessian([xp], cfg.damp_fraction, wp)
+        bundle = accumulate_hessian([xp], w=wp)
         direct = prune_layer(bundle, cfg)
         assert np.array_equal(perm_view, direct.mask.kept)
         inverse = Permutation(plan.permutation.inverse)
@@ -538,7 +535,7 @@ class TestPruneRuns:
                 "magnitude": lambda: magnitude_prune(layer, config),
                 "wanda": lambda: wanda_prune(layer, config),
             }.get(method, lambda: prune_layer(bundle_from_hessian(
-                layer, config.damp_fraction, plan.permutation), config))
+                layer, plan.permutation), config))
             # a reordered plan is factored from the damped inverse
             if plan.was_reordered:
                 assert_close_outcome(outcome, direct(), w)
@@ -562,7 +559,7 @@ class TestPruneRuns:
             if run.plan.was_reordered:
                 reordered += 1
                 assert_close_outcome(run.outcome, prune_layer(bundle_from_hessian(
-                    layer, run.config.damp_fraction, run.plan.permutation),
+                    layer, run.plan.permutation),
                     run.config), w)
         assert reordered == 2 * len(configs)
 
@@ -624,18 +621,6 @@ class TestPruneRuns:
         assert len(list(prune_runs(layer, methods, configs))) == 16
         assert scored == [layer]
 
-    def test_mixed_dampings_rejected_before_any_factor(self, monkeypatch):
-        layer = checked_layer(gen_uniform(8, 32, seed=2), raw_hessian(
-            [gen_activations(64, 32, 0.3, seed=3)], 32))
-        factored = []
-        monkeypatch.setattr(reorder, "bundle_from_hessian",
-                            lambda *a, **k: factored.append(a))
-        configs = [SparsityConfig(p, 8, damp_fraction=d)
-                   for d, p in [(0.01, 0.5), (0.1, 0.6), (0.01, 0.7)]]
-        with pytest.raises(ConfigError, match="one damp_fraction"):
-            next(prune_runs(layer, ["sparsegpt", "rose"], configs))
-        assert factored == []
-
     def test_one_channel_factor_then_one_inverse(self, monkeypatch):
         """The runs left in place share one channel factor, the reordered its inverse.
 
@@ -646,12 +631,12 @@ class TestPruneRuns:
         layer = checked_layer(w, raw_hessian([x], 128))
         events = []
 
-        def factored(layer, damp_fraction, order=None):
-            events.append(("factor", damp_fraction, order is None))
-            return bundle_from_hessian(layer, damp_fraction, order)
+        def factored(layer, order=None):
+            events.append(("factor", order is None))
+            return bundle_from_hessian(layer, order)
 
         def inverted(bundle):
-            events.append(("invert", bundle.damp_lambda))
+            events.append(("invert",))
             return damped_inverse(bundle)
 
         monkeypatch.setattr(reorder, "bundle_from_hessian", factored)
@@ -663,13 +648,13 @@ class TestPruneRuns:
             events.append((run.method, run.config.sparsity))
             outcomes.append((run.config, run.plan, run.outcome))
         assert events == [
-            ("factor", 0.01, True),
+            ("factor", True),
             ("sparsegpt", 0.5), ("sparsegpt", 0.6), ("sparsegpt", 0.7),
-            ("invert", damping(layer.raw, 0.01)),
+            ("invert",),
             ("rose", 0.5), ("rose", 0.6), ("rose", 0.7)]
         for config, plan, outcome in outcomes:
             direct = prune_layer(bundle_from_hessian(
-                layer, config.damp_fraction, plan.permutation), config)
+                layer, plan.permutation), config)
             if plan.was_reordered:
                 assert_close_outcome(outcome, direct, w)
             else:
@@ -679,7 +664,7 @@ class TestPruneRuns:
 def prune_blocks_in_order(w, raw, config, blocks):
     order = block_order(config, w.shape[1], blocks)
     layer = checked_layer(w, raw)
-    return prune_layer(bundle_from_hessian(layer, config.damp_fraction, order), config)
+    return prune_layer(bundle_from_hessian(layer, order), config)
 
 
 class TestManualBlockOrder:
@@ -690,7 +675,7 @@ class TestManualBlockOrder:
         np.testing.assert_array_equal(block_order(cfg, 32, [0, 1, 2, 3]).forward,
                                       np.arange(32))
         out = prune_blocks_in_order(w, raw_hessian([x], w.shape[1]), cfg, [0, 1, 2, 3])
-        bundle = accumulate_hessian([x], cfg.damp_fraction, w)
+        bundle = accumulate_hessian([x], w=w)
         plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
 

@@ -143,13 +143,6 @@ def test_config_rejects_bad_columnar_threshold(threshold):
     assert SparsityConfig(sparsity=0.5, columnar_threshold=0.0)
 
 
-@pytest.mark.parametrize("damp", [np.nan, np.inf, -0.1])
-def test_config_rejects_bad_damp_fraction(damp):
-    with pytest.raises(ConfigError, match="damp_fraction"):
-        SparsityConfig(sparsity=0.5, damp_fraction=damp)
-    assert SparsityConfig(sparsity=0.5, damp_fraction=0.0)
-
-
 def test_default_pattern_is_unstructured():
     cfg = SparsityConfig(sparsity=0.3)
     assert cfg.pattern is None
