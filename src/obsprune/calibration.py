@@ -33,7 +33,7 @@ from scipy.linalg import blas, lapack
 
 from .errors import (ConfigError, DimensionError, IndefiniteHessianError,
                      NumericOverflowError, StaleFactorError)
-from .tensors import Permutation, as_matrix, finite_matrix
+from .tensors import Permutation, as_matrix, check_nonnegative, finite_matrix
 
 #: rows per panel wherever a triangle is gathered, scaled or copied; of 32,
 #: 64, 128 and 256, 64 gathered a shuffled order, from H and from the damped
@@ -237,8 +237,7 @@ def damping(raw: np.ndarray, damp_fraction: float) -> float:
     A negative or non-finite ``damp_fraction`` raises ConfigError, and a
     lambda that overflows H + lambda I NumericOverflowError, with no warning.
     """
-    if not 0.0 <= damp_fraction < np.inf:
-        raise ConfigError(f"damp_fraction must be finite and >= 0, got {damp_fraction}")
+    check_nonnegative(damp_fraction, "damp_fraction")
     diag = raw.diagonal()
     with np.errstate(over="ignore"):  # raised just below
         lam = float(damp_fraction * diag.mean())

@@ -28,7 +28,8 @@ from .calibration import (DAMP_FRACTION, Layer, checked_layer, importance_scores
                           raw_hessian)
 from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
-from .reorder import METHODS, build_reorder_plan, check_runs, loss_profile, prune_runs
+from .reorder import (COLUMNAR_THRESHOLD, METHODS, build_reorder_plan, check_runs,
+                      loss_profile, prune_runs)
 from .rtns import (
     RtnsFormatError,
     atomic_write,
@@ -38,7 +39,8 @@ from .rtns import (
     write_tensor,
 )
 from .synth import gen_activations, gen_columnar, gen_uniform
-from .tensors import SemiStructured, SparsityConfig, finite_matrix
+from .tensors import (BLOCKSIZE, SemiStructured, SparsityConfig, check_nonnegative,
+                      finite_matrix)
 
 #: Seed offset separating activation draws from weight draws.
 ACT_SEED_OFFSET = 1000003
@@ -78,13 +80,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--sparsity", type=_parse_sparsities, default=None,
                    help="sparsity fraction, or comma list for compare")
     p.add_argument("--blocksize", type=int, default=None,
-                   help="columns per pruning block (default 128)")
+                   help=f"columns per pruning block (default {BLOCKSIZE})")
     p.add_argument("--pattern", type=_parse_pattern, default=None,
                    help="semi-structured N:M pattern; sets sparsity to "
                         "(M-N)/M and blocksize to the largest multiple of M "
-                        "up to 128; masks are chosen per group of M")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="relative-range gate for reordering (default 0.5)")
+                        f"up to {BLOCKSIZE}; masks are chosen per group of M")
+    p.add_argument("--threshold", type=float, default=COLUMNAR_THRESHOLD,
+                   help=f"reorder gate on the relative range (default {COLUMNAR_THRESHOLD})")
     p.add_argument("--damp", type=float, default=DAMP_FRACTION,
                    help=f"Hessian dampening fraction (default {DAMP_FRACTION})")
     p.add_argument("--weights", type=Path, default=None,
@@ -109,18 +111,15 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _make_configs(args) -> list[SparsityConfig]:
     """One config per --sparsity value, or the one config of --pattern."""
-    common = dict(columnar_threshold=args.threshold)
     if args.pattern is not None:
         if args.sparsity:
             raise ConfigError("--pattern sets the sparsity; drop --sparsity")
         pat = args.pattern
-        return [
-            SparsityConfig.semi_structured(pat.n, pat.m, args.blocksize, **common)
-        ]
+        return [SparsityConfig.semi_structured(pat.n, pat.m, args.blocksize)]
     if not args.sparsity:
         raise ConfigError("--sparsity is required without --pattern")
-    blocksize = 128 if args.blocksize is None else args.blocksize
-    return [SparsityConfig(s, blocksize, **common) for s in args.sparsity]
+    blocksize = BLOCKSIZE if args.blocksize is None else args.blocksize
+    return [SparsityConfig(s, blocksize) for s in args.sparsity]
 
 
 def _make_config(args) -> SparsityConfig:
@@ -159,11 +158,11 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
     as the first file, since every file shares it, so a file of another
     width is rejected before it is read.  Without ``--acts`` each width
     gets its own synthetic H: those activations depend on the width alone.
-    ``--damp`` is checked first, before any file is read, and ``--out`` is
-    made last, once every input and the layer's damping have passed.
+    ``--damp`` and ``--threshold`` are checked before any file is read, and
+    ``--out`` is made last, once every input and the layer's damping pass.
     """
-    if not 0.0 <= args.damp < math.inf:
-        raise ConfigError(f"--damp must be finite and >= 0, got {args.damp}")
+    check_nonnegative(args.damp, "--damp")
+    check_nonnegative(args.threshold, "--threshold")
     if args.synth is not None and (
         args.weights or args.acts or getattr(args, "more_weights", None)
     ):
@@ -173,7 +172,7 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
     weights = [_load_weights(args, configs[0], path) for path in paths]
     n = weights[0].shape[1]
     for path, w in zip(paths, weights):
-        check_runs(w.shape[1], methods, configs)
+        check_runs(w.shape[1], methods, configs, threshold=args.threshold)
         if args.acts is not None and w.shape[1] != n:
             raise DimensionError(f"{path} has {w.shape[1]} columns but {paths[0]} "
                                  f"has {n}; one --acts serves one width")
@@ -196,7 +195,7 @@ def _config_doc(config: SparsityConfig, args) -> dict:
         "pattern": (f"{pat.n}:{pat.m}" if isinstance(pat, SemiStructured)
                     else "unstructured"),
         "damp_fraction": args.damp,
-        "columnar_threshold": config.columnar_threshold,
+        "columnar_threshold": args.threshold,
         "seed": args.seed,
         "synth": args.synth,
     }
@@ -205,7 +204,7 @@ def _config_doc(config: SparsityConfig, args) -> dict:
 def cmd_prune(args) -> int:
     config = _make_config(args)
     [layer] = _load_inputs(args, [args.method], [config])
-    [run] = prune_runs(layer, [args.method], [config])
+    [run] = prune_runs(layer, [args.method], [config], threshold=args.threshold)
     weights_path = args.out / "pruned_weights.rtns"
     write_tensor(weights_path, run.outcome.pruned_weights)
     report = {
@@ -227,7 +226,7 @@ def cmd_compare(args) -> int:
     [layer] = _load_inputs(args, methods, configs)
     # rows go in sparsity x method order, whatever order the runs finish in
     rows = [None] * (len(configs) * len(methods))
-    for run in prune_runs(layer, methods, configs):
+    for run in prune_runs(layer, methods, configs, threshold=args.threshold):
         rows[run.index] = run.record()
         del run  # its outcome is freed before the next run, not after it
     out_path = args.out / "compare.csv"
@@ -251,7 +250,8 @@ def cmd_detect(args) -> int:
         layers.append({
             "layer": f"synth-{args.synth}" if path is None else str(path),
             "r_rel": profile.relative_range,
-            "columnar": build_reorder_plan(profile, config).was_reordered,
+            "columnar": build_reorder_plan(profile, config,
+                                           threshold=args.threshold).was_reordered,
             "block_losses": list(profile.block_losses),
         })
     write_json(args.out / "detect.json", {"layers": layers})

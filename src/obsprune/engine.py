@@ -256,11 +256,10 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
         dense -= blk
         work[i1:i2] = blk
 
-        # a huge damping can overflow the closed form, which is then not finite
-        with np.errstate(over="ignore"):
-            loss += _squared_norm(errs)
-            block_sq = _squared_norm(dense)
-            tail_sq = block_sq + _squared_norm(work[i2:])
+        # float sums: a huge damping overflows the closed form with no warning
+        loss += _squared_norm(errs)
+        block_sq = _squared_norm(dense)
+        tail_sq = block_sq + _squared_norm(work[i2:])
         raw_err = loss - layer.damp_lambda * (final_sq + tail_sq)
         if not (np.isfinite(raw_err) and raw_err >= CANCELLATION * loss):
             # a non-finite weight makes the tail sum not finite; columns

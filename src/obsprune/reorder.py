@@ -33,10 +33,13 @@ from .calibration import (Layer, bundle_from_hessian, bundle_from_inverse,
                           raw_hessian)
 from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError
-from .tensors import Permutation, SparsityConfig, finite_matrix, pruned_entries
+from .tensors import (Permutation, SparsityConfig, check_nonnegative, finite_matrix,
+                      pruned_entries)
 
 #: every method ``prune_runs`` runs, in the order ``obsprune compare`` lists them
 METHODS = ("magnitude", "wanda", "sparsegpt", "rose", "rose-ascending")
+#: the relative range of block losses above which a plan reorders, for every config
+COLUMNAR_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,23 +102,14 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
         block_losses[k] = picked.sum()
         per_col[k] = block_losses[k] / (i2 - i1)
     mean = per_col.mean() if per_col.size else 0.0
-    if mean > 0:
-        rel = float((per_col.max() - per_col.min()) / mean)
-    else:
-        rel = 0.0
-    return LossProfile(
-        block_losses=block_losses,
-        column_losses=col_losses,
-        relative_range=rel,
-    )
+    rel = float((per_col.max() - per_col.min()) / mean) if mean > 0 else 0.0
+    return LossProfile(block_losses, col_losses, rel)
 
 
-def build_reorder_plan(
-    profile: LossProfile,
-    config: SparsityConfig,
-    descending: bool = True,
-) -> ReorderPlan:
-    """Two-level permutation, gated on the relative range of block losses.
+def build_reorder_plan(profile: LossProfile, config: SparsityConfig, *,
+                       threshold: float = COLUMNAR_THRESHOLD,
+                       descending: bool = True) -> ReorderPlan:
+    """Two-level permutation, if the block losses' relative range exceeds ``threshold``.
 
     One stable sort: blocks by block loss, then groups in place inside
     their block, then columns by column loss.  A group is the block, or
@@ -125,7 +119,7 @@ def build_reorder_plan(
     weights first; it exists for the worst-case comparison runs.
     """
     n = profile.column_losses.size
-    if not profile.relative_range > config.columnar_threshold:
+    if not profile.relative_range > threshold:
         return ReorderPlan(Permutation.identity(n), False)
     j = np.arange(n)
     sign = -1.0 if descending else 1.0
@@ -135,20 +129,22 @@ def build_reorder_plan(
     return ReorderPlan(Permutation(forward), True)
 
 
-def check_runs(n: int, methods: Sequence[str], configs: Sequence[SparsityConfig]):
+def check_runs(n: int, methods: Sequence[str], configs: Sequence[SparsityConfig], *,
+               threshold: float = COLUMNAR_THRESHOLD):
     """Raise ConfigError unless ``prune_runs`` can run this list on n columns.
 
-    Every method is in METHODS, and each config's ``block_ranges`` tiles
-    n columns.
+    Every method is in METHODS, the threshold is finite and >= 0, and each
+    config's ``block_ranges`` tiles n columns.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown method {unknown[0]!r}")
+    check_nonnegative(threshold, "threshold")
     for config in configs:
         config.block_ranges(n)  # raises ConfigError for an untiled n:m
 
 
-def prune_runs(layer: Layer, methods: Sequence[str],
-               configs: Sequence[SparsityConfig]):
+def prune_runs(layer: Layer, methods: Sequence[str], configs: Sequence[SparsityConfig],
+               *, threshold: float = COLUMNAR_THRESHOLD):
     """One ``Run`` for each config x method, in the order the runs finish.
 
     ``check_runs`` checks the list first.  Each config gets one loss
@@ -165,8 +161,9 @@ def prune_runs(layer: Layer, methods: Sequence[str],
     wall_ms covers a run's plan, factor and prune, and the first reordered
     run's inversion.  Once the caller asks for the next run, the generator
     holds no outcome: a caller that drops each run holds one at a time.
+    Every plan gates on the one ``threshold``.
     """
-    check_runs(layer.w.shape[1], methods, configs)
+    check_runs(layer.w.shape[1], methods, configs, threshold=threshold)
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
     scores = importance_scores(layer)
     runs = []
@@ -176,7 +173,8 @@ def prune_runs(layer: Layer, methods: Sequence[str],
             t0 = time.perf_counter()
             plan = in_place
             if method.startswith("rose"):
-                plan = build_reorder_plan(profile, config, method == "rose")
+                plan = build_reorder_plan(profile, config, threshold=threshold,
+                                          descending=method == "rose")
             runs.append((len(runs), config, method, plan, profile,
                          time.perf_counter() - t0))
     del scores  # one scoring serves every profile, and is freed before any run
@@ -212,9 +210,9 @@ def rose_prune_layer(
 ) -> tuple[PruneOutcome, ReorderPlan, LossProfile]:
     """Check W and config, then score, reorder if columnar, prune and restore order.
 
-    ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile), at
-    ``DAMP_FRACTION``.  ``activations``, any iterable of batches, is read
-    once, batch by batch, after W and config pass their checks.
+    ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile), at the
+    default damping and threshold.  ``activations``, any iterable of
+    batches, is read once, batch by batch, after W and config are checked.
     """
     w = finite_matrix(w)
     check_runs(w.shape[1], ["rose"], [config])

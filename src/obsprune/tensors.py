@@ -40,6 +40,12 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_nonnegative(x, what: str):
+    """Raise ConfigError, naming ``what``, unless ``x`` is finite and >= 0."""
+    if not 0.0 <= x < np.inf:
+        raise ConfigError(f"{what} must be finite and >= 0, got {x}")
+
+
 # ---------------------------------------------------------------------------
 # Sparsity patterns
 
@@ -62,31 +68,27 @@ class SemiStructured:
         return (self.m - self.n) / self.m
 
 
+#: columns per block when a config names none
+BLOCKSIZE = 128
+
+
 @dataclass(frozen=True)
 class SparsityConfig:
     """Pruning configuration shared by all methods.
 
     ``blocksize`` is the number of consecutive input channels masked and
-    compensated together.  ``columnar_threshold`` gates the
-    reordering stage on the relative range of block losses.  ``pattern``
-    None prunes unstructured.
+    compensated together.  ``pattern`` None prunes unstructured.
     """
 
     sparsity: float
-    blocksize: int = 128
+    blocksize: int = BLOCKSIZE
     pattern: SemiStructured | None = None
-    columnar_threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
         if not (_integer(self.blocksize) and self.blocksize >= 1):
             raise ConfigError(f"blocksize must be an integer >= 1: {self.blocksize!r}")
-        if not 0.0 <= self.columnar_threshold < np.inf:
-            raise ConfigError(
-                "columnar_threshold must be finite and >= 0, "
-                f"got {self.columnar_threshold}"
-            )
         p = self.pattern
         if p is not None:
             if not isinstance(p, SemiStructured):
@@ -101,20 +103,17 @@ class SparsityConfig:
                 )
 
     @classmethod
-    def semi_structured(cls, n: int, m: int, blocksize: int | None = None, **kw):
+    def semi_structured(cls, n: int, m: int, blocksize: int | None = None):
         """Config for an n:m pattern.
 
-        ``blocksize`` defaults to the largest multiple of m that is at most
-        128 (m itself when m > 128).  Masks are chosen per group of m either
-        way; the blocksize sets how many columns share one lazy update.
+        ``blocksize`` defaults to the largest multiple of m up to BLOCKSIZE,
+        or m when m is larger.  Masks are chosen per group of m either way;
+        the blocksize sets how many columns share one lazy update.
         """
         pat = SemiStructured(n, m)
-        return cls(
-            sparsity=pat.sparsity,
-            blocksize=max(m, 128 // m * m) if blocksize is None else blocksize,
-            pattern=pat,
-            **kw,
-        )
+        if blocksize is None:
+            blocksize = max(m, BLOCKSIZE // m * m)
+        return cls(pat.sparsity, blocksize, pat)
 
     @property
     def group_width(self) -> int:

@@ -390,6 +390,7 @@ def test_detect_verdict_is_the_rose_plan(tmp_path):
         report = json.loads((out / "report.json").read_text())
         assert doc["r_rel"] == report["r_rel"] == r_rel
         assert doc["columnar"] is report["was_reordered"] is columnar
+        assert report["config"]["columnar_threshold"] == float(threshold)
 
 
 def test_detect_multiple_weight_files(tmp_path):
@@ -721,6 +722,33 @@ def test_bad_damping_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["prune", "--sparsity", "0.5"], ["compare", "--sparsity", "0.5,0.7"], ["detect"]],
+    ids=["prune", "compare", "detect"])
+def test_bad_threshold_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                      command, threshold):
+    """The one --threshold is checked before a weight is read or a batch drawn."""
+    argv = write_layer_files(tmp_path)
+    read = count_calls(monkeypatch, rtns.read_tensor)
+    drawn = []
+
+    def manifest(path):
+        for batch in rtns.read_manifest(path):
+            drawn.append(1)
+            yield batch
+
+    monkeypatch.setattr(cli, "read_manifest", manifest)
+    assert main([*command, *argv, "--threshold", threshold]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --threshold must be finite and >= 0, got {float(threshold)}\n")
+    assert read == drawn == []
+    assert not (tmp_path / "out").exists()
+    # the counting reader is the one the CLI draws its batches through
+    assert main([*command, *argv]) == 0
+    assert len(drawn) == 1
+
+
 @pytest.mark.parametrize("command", [
     *(["prune", "--method", method, "--sparsity", "0.5"] for method in cli.METHODS),
     ["compare", "--sparsity", "0.5,0.7"], ["detect"]],
@@ -832,7 +860,7 @@ def test_group_splitting_order_exit_2(tmp_path, capsys, monkeypatch):
     """An order that splits an n:m group fails in prune_layer, before the sweep."""
     split = ReorderPlan(Permutation([0, 1, 4, 5, 2, 3, 6, 7, *range(8, 16)]), True)
     monkeypatch.setattr(reorder, "build_reorder_plan",
-                        lambda profile, config, descending=True: split)
+                        lambda profile, config, *, threshold, descending: split)
 
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep started")

@@ -166,45 +166,45 @@ class TestLossProfile:
              else gen_uniform(64, 300, seed=0))
         x = gen_activations(384, 300, 0.3, seed=1000003)
         prof = loss_profile(importance_scores(checked_layer(w, raw_hessian([x], 300))), cfg)
-        assert (prof.relative_range > cfg.columnar_threshold) == columnar
+        assert (prof.relative_range > reorder.COLUMNAR_THRESHOLD) == columnar
         if not columnar:
             # the sums alone would open the gate
             sums = prof.block_losses
-            assert (sums.max() - sums.min()) / sums.mean() > cfg.columnar_threshold
+            assert (sums.max() - sums.min()) / sums.mean() > reorder.COLUMNAR_THRESHOLD
 
 
 class TestReorderPlan:
     def test_gate_below_threshold_identity(self):
-        cfg = SparsityConfig(sparsity=0.5, blocksize=4, columnar_threshold=10.0)
+        cfg = SparsityConfig(sparsity=0.5, blocksize=4)
         prof = loss_profile(np.random.default_rng(1).random((3, 8)), cfg)
-        plan = build_reorder_plan(prof, cfg)
+        plan = build_reorder_plan(prof, cfg, threshold=10.0)
         assert not plan.was_reordered
         np.testing.assert_array_equal(plan.permutation.forward, np.arange(8))
 
     def test_descending_columns_within_block(self):
-        cfg = SparsityConfig(sparsity=0.99, blocksize=3, columnar_threshold=0.0)
+        cfg = SparsityConfig(sparsity=0.99, blocksize=3)
         # first block column losses [1, 3, 2]; second block differs so the
         # gate fires
         s = np.array([[1.0, 3.0, 2.0, 9.0, 8.0, 7.0]])
         prof = loss_profile(s, cfg)
-        plan = build_reorder_plan(prof, cfg)
+        plan = build_reorder_plan(prof, cfg, threshold=0.0)
         # the second block (loss 24) goes first, then the first block's
         # columns by descending loss
         np.testing.assert_array_equal(plan.permutation.forward, [3, 4, 5, 1, 2, 0])
 
     def test_block_order_descending(self):
-        cfg = SparsityConfig(sparsity=0.99, blocksize=2, columnar_threshold=0.0)
+        cfg = SparsityConfig(sparsity=0.99, blocksize=2)
         # block losses 1, 9, 5 over three 2-column blocks
         s = np.array([[0.5, 0.5, 4.5, 4.5, 2.5, 2.5]])
         prof = loss_profile(s, cfg)
         np.testing.assert_allclose(prof.block_losses, [1.0, 9.0, 5.0])
-        plan = build_reorder_plan(prof, cfg)
+        plan = build_reorder_plan(prof, cfg, threshold=0.0)
         np.testing.assert_array_equal(plan.permutation.forward, [2, 3, 4, 5, 0, 1])
 
     def test_column_stage_stays_within_blocks(self):
-        cfg = SparsityConfig(sparsity=0.7, blocksize=8, columnar_threshold=0.0)
+        cfg = SparsityConfig(sparsity=0.7, blocksize=8)
         scores = np.random.default_rng(3).random((6, 40))
-        plan = build_reorder_plan(loss_profile(scores, cfg), cfg)
+        plan = build_reorder_plan(loss_profile(scores, cfg), cfg, threshold=0.0)
         # every destination block holds one whole source block
         for i1 in range(0, 40, 8):
             seg = plan.permutation.forward[i1 : i1 + 8]
@@ -234,7 +234,7 @@ def nested_loop_plan(profile, config, descending):
 
 @st.composite
 def gated_profiles(draw):
-    """A config and a profile that opens its gate, with losses that tie.
+    """A config and a profile that opens its gate at 0, with losses that tie.
 
     Losses come from a few values, zero among them; the last block may be
     short, and n:m groups sit inside blocks up to four groups wide.
@@ -244,10 +244,9 @@ def gated_profiles(draw):
     blocksize = unit * draw(st.integers(1, 4))
     cols = unit * draw(st.integers(1, 24 // unit + 4))
     if m is None:
-        config = SparsityConfig(0.5, blocksize, columnar_threshold=0.0)
+        config = SparsityConfig(0.5, blocksize)
     else:
-        config = SparsityConfig.semi_structured(m // 2, m, blocksize,
-                                                columnar_threshold=0.0)
+        config = SparsityConfig.semi_structured(m // 2, m, blocksize)
     values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
     n_blocks = len(config.block_ranges(cols))
     profile = reorder.LossProfile(
@@ -263,7 +262,7 @@ def gated_profiles(draw):
 @given(gated_profiles(), st.booleans())
 def test_one_sort_matches_nested_loop(case, descending):
     config, profile = case
-    plan = build_reorder_plan(profile, config, descending)
+    plan = build_reorder_plan(profile, config, threshold=0.0, descending=descending)
     assert plan.was_reordered
     np.testing.assert_array_equal(plan.permutation.forward,
                                   nested_loop_plan(profile, config, descending))
@@ -476,12 +475,12 @@ class TestRosePruneLayer:
         assert pattern_holds(out.mask.kept, cfg.pattern)
 
     def test_gate_strictness(self):
-        cfg = SparsityConfig(sparsity=0.5, blocksize=1, columnar_threshold=1.0)
+        cfg = SparsityConfig(sparsity=0.5, blocksize=1)
         # two blocks with losses 3, 1 give relative range exactly 1.0
         s = np.array([[3.0, 1.0], [6.0, 9.0]])
         prof = loss_profile(s, cfg)
         assert prof.relative_range == pytest.approx(1.0)
-        plan = build_reorder_plan(prof, cfg)
+        plan = build_reorder_plan(prof, cfg, threshold=1.0)
         assert not plan.was_reordered  # strict inequality required
 
 
@@ -524,7 +523,7 @@ class TestPruneRuns:
             assert profile.relative_range == loss_profile(
                 importance_scores(layer), config).relative_range
             if method.startswith("rose"):
-                want = build_reorder_plan(profile, config, method == "rose")
+                want = build_reorder_plan(profile, config, descending=method == "rose")
                 assert plan.was_reordered
                 np.testing.assert_array_equal(plan.permutation.forward,
                                               want.permutation.forward)
@@ -601,6 +600,30 @@ class TestPruneRuns:
         layer = checked_layer(gen_uniform(4, 8, seed=0), np.eye(8))
         with pytest.raises(ConfigError, match="sparsegtp"):
             list(prune_runs(layer, ["sparsegtp"], [SparsityConfig(0.5, 4)]))
+
+    @pytest.mark.parametrize("threshold", [-1.0, np.nan, np.inf])
+    def test_bad_threshold_rejected_before_any_scoring(self, monkeypatch, threshold):
+        def scored(layer):
+            raise AssertionError("the layer was scored")
+
+        monkeypatch.setattr(reorder, "importance_scores", scored)
+        layer = checked_layer(gen_uniform(4, 8, seed=0), np.eye(8))
+        with pytest.raises(ConfigError,
+                           match=f"threshold must be finite and >= 0, got {threshold}"):
+            next(prune_runs(layer, ["rose"], [SparsityConfig(0.5, 4)],
+                            threshold=threshold))
+
+    @pytest.mark.parametrize("threshold, reordered", [(0.0, True), (10.0, False)])
+    def test_one_threshold_gates_every_config(self, threshold, reordered):
+        """Both configs' rose runs open at 0 and none at 10, whatever each R_rel."""
+        w, x = columnar_fixture(seed=3, rows=16, cols=64, blocksize=16)
+        layer = checked_layer(w, raw_hessian([x], 64))
+        configs = [SparsityConfig(0.5, 16), SparsityConfig.semi_structured(2, 4, 16)]
+        runs = list(prune_runs(layer, ["rose", "rose-ascending"], configs,
+                               threshold=threshold))
+        assert sorted(run.index for run in runs) == [0, 1, 2, 3]
+        assert all(0.0 < run.profile.relative_range < 10.0 for run in runs)
+        assert [run.plan.was_reordered for run in runs] == [reordered] * 4
 
     def test_scores_are_checked_once(self, monkeypatch):
         """One scoring serves every loss profile.

@@ -136,11 +136,14 @@ def test_semi_structured_default_blocksize(m, blocksize):
     assert SparsityConfig.semi_structured(1, m).blocksize == blocksize
 
 
-@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1, 0.5])
 def test_config_rejects_bad_columnar_threshold(threshold):
-    with pytest.raises(ConfigError, match="columnar_threshold"):
+    # the reorder gate's threshold is one setting of a run (prune_runs), so
+    # no config takes one, bad or good
+    with pytest.raises(TypeError, match="columnar_threshold"):
         SparsityConfig(sparsity=0.5, columnar_threshold=threshold)
-    assert SparsityConfig(sparsity=0.5, columnar_threshold=0.0)
+    with pytest.raises(TypeError, match="columnar_threshold"):
+        SparsityConfig.semi_structured(2, 4, columnar_threshold=threshold)
 
 
 def test_default_pattern_is_unstructured():
