@@ -44,6 +44,8 @@ from .tensors import (BLOCKSIZE, SemiStructured, SparsityConfig, check_nonnegati
 
 #: Seed offset separating activation draws from weight draws.
 ACT_SEED_OFFSET = 1000003
+#: the pre-pruning candidate sparsity of detect without --sparsity or --pattern
+DETECT_SPARSITY = 0.7
 
 
 def _parse_pattern(text):
@@ -78,7 +80,8 @@ def _parse_sparsities(text):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--sparsity", type=_parse_sparsities, default=None,
-                   help="sparsity fraction, or comma list for compare")
+                   help="sparsity fraction, or comma list for compare "
+                        f"(detect's default {DETECT_SPARSITY})")
     p.add_argument("--blocksize", type=int, default=None,
                    help=f"columns per pruning block (default {BLOCKSIZE})")
     p.add_argument("--pattern", type=_parse_pattern, default=None,
@@ -109,22 +112,22 @@ def _add_common(p: argparse.ArgumentParser):
                    help="output directory for reports")
 
 
-def _make_configs(args) -> list[SparsityConfig]:
-    """One config per --sparsity value, or the one config of --pattern."""
+def _make_configs(args, default=None) -> list[SparsityConfig]:
+    """One config per --sparsity value (else ``default``), or the one of --pattern."""
     if args.pattern is not None:
         if args.sparsity:
             raise ConfigError("--pattern sets the sparsity; drop --sparsity")
         pat = args.pattern
         return [SparsityConfig.semi_structured(pat.n, pat.m, args.blocksize)]
-    if not args.sparsity:
+    if not args.sparsity and default is None:
         raise ConfigError("--sparsity is required without --pattern")
     blocksize = BLOCKSIZE if args.blocksize is None else args.blocksize
-    return [SparsityConfig(s, blocksize) for s in args.sparsity]
+    return [SparsityConfig(s, blocksize) for s in args.sparsity or [default]]
 
 
-def _make_config(args) -> SparsityConfig:
+def _make_config(args, default=None) -> SparsityConfig:
     """The one config of prune and detect."""
-    configs = _make_configs(args)
+    configs = _make_configs(args, default)
     if len(configs) != 1:
         raise ConfigError(f"{args.command} takes one --sparsity value")
     return configs[0]
@@ -242,20 +245,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = _make_config(args)
+    config = _make_config(args, DETECT_SPARSITY)
     paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
-    layers = []
+    doc = {"config": _config_doc(config, args), "layers": []}
     for path, layer in zip(paths, _load_inputs(args, (), [config], paths)):
         profile = loss_profile(importance_scores(layer), config)
-        layers.append({
+        doc["layers"].append({
             "layer": f"synth-{args.synth}" if path is None else str(path),
             "r_rel": profile.relative_range,
             "columnar": build_reorder_plan(profile, config,
                                            threshold=args.threshold).was_reordered,
             "block_losses": list(profile.block_losses),
         })
-    write_json(args.out / "detect.json", {"layers": layers})
-    print(json.dumps({"layers": layers}, indent=2))
+    write_json(args.out / "detect.json", doc)
+    print(json.dumps(doc, indent=2))
     return 0
 
 
@@ -305,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # detect needs sparsity for the pre-pruning candidate size
-    if args.command == "detect" and args.sparsity is None and args.pattern is None:
-        args.sparsity = [0.7]
     try:
         return args.func(args)
     except (PruneError, RtnsFormatError, OSError, MemoryError) as e:

@@ -386,11 +386,30 @@ def test_detect_verdict_is_the_rose_plan(tmp_path):
         flags = [*layer, "--threshold", repr(float(threshold)), "--out", str(out)]
         assert run(["detect", *flags]) == 0
         assert run(["prune", "--method", "rose", *flags]) == 0
-        [doc] = json.loads((out / "detect.json").read_text())["layers"]
+        detected = json.loads((out / "detect.json").read_text())
+        [doc] = detected["layers"]
         report = json.loads((out / "report.json").read_text())
         assert doc["r_rel"] == report["r_rel"] == r_rel
         assert doc["columnar"] is report["was_reordered"] is columnar
+        assert detected["config"] == report["config"]
         assert report["config"]["columnar_threshold"] == float(threshold)
+
+
+def test_detect_default_sparsity(tmp_path, capsys):
+    """Without --sparsity or --pattern, detect pre-prunes at 0.7 and records it."""
+    layer = ["--synth", "columnar", "--rows", "16", "--cols", "64", "--blocksize", "16"]
+    docs = {}
+    for name, flags in [("default", []), ("explicit", ["--sparsity", "0.7"]),
+                        ("pattern", ["--pattern", "2:4"])]:
+        assert run(["detect", *layer, *flags, "--out", str(tmp_path / name)]) == 0
+        docs[name] = json.loads((tmp_path / name / "detect.json").read_text())
+    assert docs["default"] == docs["explicit"]
+    assert docs["default"]["config"]["sparsity"] == 0.7
+    assert docs["pattern"]["config"]["sparsity"] == 0.5
+    assert docs["pattern"]["config"]["pattern"] == "2:4"
+    capsys.readouterr()
+    assert run(["detect", "--help"]) == 0
+    assert "(detect's default 0.7)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_detect_multiple_weight_files(tmp_path):
@@ -747,6 +766,17 @@ def test_bad_threshold_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypa
     # the counting reader is the one the CLI draws its batches through
     assert main([*command, *argv]) == 0
     assert len(drawn) == 1
+
+
+@pytest.mark.parametrize("command", ["prune", "compare"])
+def test_sparsity_required_without_pattern(tmp_path, capsys, monkeypatch, command):
+    """Only detect has a default sparsity: the others exit 2 before any read."""
+    argv = write_layer_files(tmp_path)
+    read = count_calls(monkeypatch, rtns.read_tensor)
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == "error: --sparsity is required without --pattern\n"
+    assert read == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -41,6 +41,16 @@ def test_singular_kept_submatrix():
         exact_masked_reconstruction(np.ones(2), kept, h)
 
 
+@pytest.mark.parametrize("kept, h", [
+    (np.ones(2, dtype=bool), np.eye(3)),
+    (np.ones(3, dtype=bool), np.eye(2)),
+    (np.ones(3, dtype=bool), np.ones((3, 2))),
+], ids=["mask", "hessian", "non-square"])
+def test_reconstruction_sizes_must_agree(kept, h):
+    with pytest.raises(DimensionError, match="row, mask and Hessian sizes disagree"):
+        exact_masked_reconstruction(np.ones(3), kept, h)
+
+
 def test_optimality_against_perturbations():
     rng = np.random.default_rng(17)
     n = 8

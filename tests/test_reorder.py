@@ -139,6 +139,15 @@ class TestLossProfile:
         np.testing.assert_allclose(prof.block_losses, [3.0, 1.0])
         assert prof.relative_range == pytest.approx(1.0)
 
+    def test_relative_range_divides_by_the_mean(self):
+        # block sums 2, 2, 8 over two columns each are 1, 1, 4 per column:
+        # (4 - 1) / mean 2 is 1.5, where the median, 1, would give 3.0
+        cfg = SparsityConfig(sparsity=0.5, blocksize=2)
+        s = np.array([[1.0, 1.0, 1.0, 1.0, 4.0, 4.0], [9.0] * 6])
+        prof = loss_profile(s, cfg)
+        np.testing.assert_array_equal(prof.block_losses, [2.0, 2.0, 8.0])
+        assert prof.relative_range == 1.5
+
     def test_block_losses_sum_columns(self):
         rng = np.random.default_rng(0)
         cfg = SparsityConfig(sparsity=0.6, blocksize=8)

@@ -155,6 +155,14 @@ def test_unsupported_dtype_rejected_with_no_file(tmp_path, dtype):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+def test_unsupported_rank_rejected_with_no_file(tmp_path, shape):
+    match = f"only rank 1 and 2 supported, got {len(shape)}$"
+    with pytest.raises(RtnsFormatError, match=match):
+        write_tensor(tmp_path / "t.rtns", np.ones(shape))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_leaves_target_and_no_temp(tmp_path):
     target = tmp_path / "doc.json"
     write_json(target, {"ok": 1})
