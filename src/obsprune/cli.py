@@ -44,6 +44,8 @@ from .tensors import (BLOCKSIZE, SemiStructured, SparsityConfig, check_nonnegati
 
 #: Seed offset separating activation draws from weight draws.
 ACT_SEED_OFFSET = 1000003
+#: Column correlation of the synthetic activations.
+ACT_CORRELATION = 0.3
 #: the pre-pruning candidate sparsity of detect without --sparsity or --pattern
 DETECT_SPARSITY = 0.7
 
@@ -101,13 +103,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--rows", type=int, default=64)
     p.add_argument("--cols", type=int, default=256)
     p.add_argument("--hot-gain", type=float, default=10.0)
-    p.add_argument("--hot-block", type=int, default=None,
-                   help="hot block index for columnar synth (default: last)")
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--samples", type=int, default=384,
                    help="synthetic calibration rows")
-    p.add_argument("--correlation", type=float, default=0.3,
-                   help="synthetic activation column correlation")
     p.add_argument("--out", type=Path, default=Path("."),
                    help="output directory for reports")
 
@@ -137,8 +135,7 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
     """The weights of the file ``path`` (default ``--weights``) or --synth's, checked."""
     if args.synth is not None:
         if args.synth == "columnar":
-            n_blocks = math.ceil(args.cols / config.blocksize)
-            hot = args.hot_block if args.hot_block is not None else n_blocks - 1
+            hot = math.ceil(args.cols / config.blocksize) - 1  # the last block
             w = gen_columnar(
                 args.rows, args.cols, config.blocksize, hot, args.hot_gain, args.seed
             )
@@ -182,7 +179,7 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
     if args.acts is not None:
         hessians = {n: raw_hessian(read_manifest(args.acts), n)}
     else:
-        hessians = {k: raw_hessian([gen_activations(args.samples, k, args.correlation,
+        hessians = {k: raw_hessian([gen_activations(args.samples, k, ACT_CORRELATION,
                                                     args.seed + ACT_SEED_OFFSET)], k)
                     for k in dict.fromkeys(w.shape[1] for w in weights)}
     layers = [checked_layer(w, hessians[w.shape[1]], args.damp) for w in weights]

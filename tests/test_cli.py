@@ -373,6 +373,14 @@ def test_detect_columnar_and_uniform(tmp_path, capsys):
     assert doc["layers"][0]["columnar"] is False
 
 
+@pytest.mark.parametrize("cols,blocksize", [(128, 64), (256, 64), (256, 128)])
+def test_synth_columnar_hot_block_is_last(tmp_path, cols, blocksize):
+    assert run(["detect", "--synth", "columnar", "--rows", "16", "--cols", str(cols),
+                "--blocksize", str(blocksize), "--out", str(tmp_path)]) == 0
+    [doc] = json.loads((tmp_path / "detect.json").read_text())["layers"]
+    assert np.argmax(doc["block_losses"]) == cols // blocksize - 1
+
+
 def test_detect_verdict_is_the_rose_plan(tmp_path):
     """detect's verdict is prune --method rose's, on either side of r_rel."""
     layer = ["--synth", "columnar", "--rows", "16", "--cols", "64",
@@ -850,9 +858,6 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     ["--sparsity", "0.5", "--blocksize", "0"],
     ["--sparsity", "0.5", "--damp", "nan"],
     ["--pattern", "2:4", "--cols", "250"],
-    # the later --synth wins, as for any repeated option
-    ["--sparsity", "0.5", "--synth", "columnar", "--hot-block", "9"],
-    ["--sparsity", "0.5", "--correlation", "1.5"],
     ["--sparsity", "0.5", "--rows", "-1"],
     ["--sparsity", "0.5", "--rows", "0"],
     ["--sparsity", "0.5", "--cols", "0"],
@@ -1016,5 +1021,8 @@ def test_untiled_weight_file_exit_2(tmp_path, capsys, monkeypatch, no_factoring)
 
 
 def test_threads_option_removed(capsys):
-    assert run(["prune", "--synth", "uniform", "--sparsity", "0.5",
-                "--threads", "1"]) == 2
+    """Removed options are unrecognized arguments, not silently ignored."""
+    for flag in ("--threads", "--hot-block", "--correlation"):
+        assert run(["prune", "--synth", "uniform", "--sparsity", "0.5",
+                    flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
