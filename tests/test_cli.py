@@ -858,6 +858,9 @@ def test_corrupt_weights_file_exit_1(tmp_path):
     ["--sparsity", "0.5", "--blocksize", "0"],
     ["--sparsity", "0.5", "--damp", "nan"],
     ["--pattern", "2:4", "--cols", "250"],
+    ["--sparsity", "-0.1"],
+    # an n:m block must hold whole groups of m columns
+    ["--pattern", "2:4", "--blocksize", "6"],
     ["--sparsity", "0.5", "--rows", "-1"],
     ["--sparsity", "0.5", "--rows", "0"],
     ["--sparsity", "0.5", "--cols", "0"],
