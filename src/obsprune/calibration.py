@@ -25,6 +25,7 @@ the inverse from them in another order and factors it with one ``dpotrf``.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -114,9 +115,10 @@ class DampedInverse:
     The matrix is 4**shift * inv(H + lambda I) in channel order with
     rows and columns reversed, exactly symmetric.  ``upper`` holds its rows
     from their panel's first column on, about n**2 / 2 doubles, as laid out
-    by ``_row_starts``.  The power of two, set by H's largest dampened
-    diagonal, keeps its entries near the scale of 1, so that they neither
-    underflow nor overflow where the factors made from them do not.
+    by ``_row_starts``; entries left of a row's diagonal are unspecified.  The
+    power of two, set by H's largest dampened diagonal, keeps its entries
+    near the scale of 1, so that they neither underflow nor overflow where
+    the factors made from them do not.
     """
 
     layer: Layer
@@ -272,9 +274,7 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     4**k, so no bit of the result depends on the scale of H, and its
     diagonal goes in place of H's.  One ``dlauum``, inv(R) inv(R).T, makes
     the inverse of H in reversed order in the same triangle, and each
-    panel of its rows is copied out, its diagonal block mirrored.  H's
-    diagonal goes back, also on failure.  The bundle is stale from the
-    first write.
+    panel of its rows is copied out as one slice.
     """
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
         raise ConfigError("only a channel-order factor gives the damped inverse")
@@ -284,22 +284,15 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     shift = int(np.frexp(top)[1]) // 2
     starts = _row_starts(n)
     upper = np.empty(starts[-1] + n)
-    _HOLDERS.pop(raw.ctypes.data, None)
-    _scale_lower(raw, shift)
-    h_diag = raw.diagonal().copy()
-    diagonal = raw.reshape(-1)[:: n + 1]
-    try:
-        diagonal[...] = np.ldexp(bundle.diag[::-1], shift)
+    with _rewrite(raw, np.ldexp(bundle.diag[::-1], shift)):
+        _scale_lower(raw, shift)
         _, info = lapack.dlauum(raw.T, lower=0, overwrite_c=1)
         if info != 0:
             raise IndefiniteHessianError(f"dlauum failed with info={info}")
         for rows in _panels(n):
             i1, k = rows.start, rows.stop - rows.start
             panel = upper[starts[i1] + i1 :][: k * (n - i1)].reshape(k, n - i1)
-            panel[:, k:] = raw[rows.stop :, rows].T
-            panel[:, :k] = np.where(_below(rows).T, raw[rows, rows].T, raw[rows, rows])
-    finally:
-        diagonal[...] = h_diag
+            panel[...] = raw[i1:, rows].T
     return DampedInverse(bundle.layer, upper, shift)
 
 
@@ -351,31 +344,40 @@ def _scale_lower(raw: np.ndarray, shift: int):
         np.ldexp(raw[rows, rows], shift, out=raw[rows, rows], where=_below(rows))
 
 
+@contextmanager
+def _rewrite(raw: np.ndarray, pivots: np.ndarray):
+    """Rewrite raw's workspace with ``pivots`` on its diagonal, yielded as a view.
+
+    Every bundle over raw is stale from the first write, and H's diagonal
+    goes back on exit, also on failure.
+    """
+    _HOLDERS.pop(raw.ctypes.data, None)
+    h_diag = raw.diagonal().copy()
+    try:
+        np.fill_diagonal(raw, pivots)
+        yield raw.diagonal()
+    finally:
+        np.fill_diagonal(raw, h_diag)
+
+
 def _factor(raw: np.ndarray, idx: np.ndarray, channels: np.ndarray,
             pivots: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
     """Factor m[idx][:, idx], its diagonal pivots[idx], in raw's workspace; U's diagonal.
 
     m is H, or the damped inverse when its row panels ``upper`` are given.
     ``_gather`` fills the workspace, which is the upper triangle of the
-    column-major buffer LAPACK overwrites, where the upper variant runs
-    faster.  H's diagonal is saved and pivots[idx] put in its place; upper
-    ``dpotrf`` with clean=0, which leaves H's triangle as it is, factors
-    it, naming a failed pivot by ``channels``.  When m is H, the factor is
-    of H, not of its inverse, and ``dtrtri`` inverts it.  H's diagonal
-    goes back, also on failure.  Every bundle over raw is stale from the
-    first write.
+    column-major buffer LAPACK overwrites, since H keeps the other one;
+    upper ``dpotrf`` with clean=0, which leaves H's triangle as it is,
+    factors it, naming a failed pivot by ``channels``.  When m is H, the
+    factor is of H, not of its inverse, and ``dtrtri`` inverts it.
     """
     n = raw.shape[0]
     if idx.size != n:
         raise DimensionError(f"order size {idx.size} != Hessian size {n}")
-    _HOLDERS.pop(raw.ctypes.data, None)
-    h_diag = raw.diagonal().copy()
     m, starts = ((raw.reshape(-1), n * np.arange(n)) if upper is None
                  else (upper, _row_starts(n)))
-    _gather(raw, idx, m, starts)
-    diagonal = raw.reshape(-1)[:: n + 1]
-    try:
-        diagonal[...] = pivots[idx]
+    with _rewrite(raw, pivots[idx]) as diagonal:
+        _gather(raw, idx, m, starts)
         _, info = lapack.dpotrf(raw.T, lower=0, clean=0, overwrite_a=1)
         if info > 0:
             pivot = int(channels[info - 1])
@@ -390,8 +392,6 @@ def _factor(raw: np.ndarray, idx: np.ndarray, channels: np.ndarray,
             if info != 0:
                 raise IndefiniteHessianError(f"dtrtri failed with info={info}")
         return diagonal.copy()
-    finally:
-        diagonal[...] = h_diag
 
 
 def _gather(raw: np.ndarray, idx: np.ndarray, m: np.ndarray, starts: np.ndarray):

@@ -372,13 +372,33 @@ def test_each_panel_row_is_the_inverse_row_from_the_panels_first_column(n):
     inv = damped_inverse(b)
     np.ldexp(r_inv, inv.shift, out=r_inv)
     np.fill_diagonal(r_inv, np.ldexp(b.diag[::-1], inv.shift))
-    upper, info = lapack.dlauum(r_inv, lower=0, overwrite_c=1)
+    want, info = lapack.dlauum(r_inv, lower=0, overwrite_c=1)
     assert info == 0
-    want = mirrored(upper)
+    # from each row's diagonal on: nothing reads the entries left of it
     for i1, panel in zip(range(0, n, PANEL), panels_of(inv)):
         assert panel.shape == (min(PANEL, n - i1), n - i1)
-        assert np.array_equal(panel.view(np.uint64),
-                              want[i1 : i1 + PANEL, i1:].view(np.uint64))
+        read = ~np.tri(*panel.shape, k=-1, dtype=bool)
+        assert np.array_equal(panel[read].view(np.uint64),
+                              want[i1 : i1 + PANEL, i1:][read].view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [65, 130])
+def test_nothing_reads_a_panel_row_left_of_its_diagonal(n):
+    layer = layer_with_dead(n, 3, seed=n)
+    clean = damped_inverse(bundle_from_hessian(layer))
+    poisoned = DampedInverse(layer, clean.upper.copy(), clean.shift)
+    left = 0
+    for panel in panels_of(poisoned):
+        panel[np.tri(*panel.shape, k=-1, dtype=bool)] = np.nan
+        left += panel.shape[0] * (panel.shape[0] - 1) // 2
+    assert np.isnan(poisoned.upper).sum() == left > 0
+    order = Permutation(np.random.default_rng(n).permutation(n))
+    want = bundle_from_inverse(clean, order)
+    want_u, want_diag = np.triu(want.chol_upper, 1), want.diag
+    got = bundle_from_inverse(poisoned, order)
+    assert np.array_equal(np.triu(got.chol_upper, 1).view(np.uint64),
+                          want_u.view(np.uint64))
+    assert np.array_equal(got.diag.view(np.uint64), want_diag.view(np.uint64))
 
 
 @pytest.mark.parametrize("dead", [0, 3])
@@ -722,7 +742,8 @@ def stale_after(refactor):
     before = layer.raw.copy()
     refactor(b)
     # H's triangle and diagonal are as they were, whatever became of the factor
-    assert np.array_equal(np.triu(layer.raw), np.triu(before))
+    assert np.array_equal(np.triu(layer.raw).view(np.uint64),
+                          np.triu(before).view(np.uint64))
     return b
 
 
@@ -770,6 +791,20 @@ def test_layers_on_one_raw_hessian_share_its_workspace():
     for use in (damped_inverse, lambda b: prune_layer(b, SparsityConfig(0.5))):
         with pytest.raises(StaleFactorError):
             use(b)
+
+
+def test_a_failed_factor_from_h_keeps_h_and_stales_the_other_layers_bundle():
+    def fail_directly(b):
+        # a second layer on the same H, undamped over a dead channel, fails
+        # in dpotrf after its gather has written over the workspace
+        second = checked_layer(np.zeros((1, 16)), b.layer.raw, 0.0)
+        assert second.raw is b.layer.raw and second.dead.any()
+        with pytest.raises(IndefiniteHessianError):
+            bundle_from_hessian(second)
+
+    b = stale_after(fail_directly)
+    with pytest.raises(StaleFactorError):
+        b.valid()
 
 
 def test_a_callers_own_hessian_is_never_written():
