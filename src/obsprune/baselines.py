@@ -41,7 +41,7 @@ def wanda_prune(layer: Layer, config: SparsityConfig) -> PruneOutcome:
     """Zero the per-row smallest |w| * activation-norm entries."""
     n = layer.w.shape[1]
     ranges = config.block_ranges(n)  # ConfigError for an untiled n:m
-    scores = importance_scores(layer)
+    scores = importance_scores(layer.w, layer.norms)
     if isinstance(config.pattern, SemiStructured):
         pruned = pruned_entries(scores, config)
     else:

@@ -1,14 +1,14 @@
 """The checked layer: W, the raw Hessian of its inputs, and what derives from them.
 
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
-H = X.T @ X of the input activations.  ``raw_hessian`` is the one place the
-activation batches are read and checked: it streams them with ``dsyrk``
-into the upper triangle of one row-major buffer and reads each batch's
-finiteness off H's diagonal.  ``checked_layer`` is the one place W and H
-are checked against each other; the ``Layer`` it returns holds them with
-the column norms, the dead channels and the dense output energy, derived
-once, and every method reads them from it.  Every error is a quadratic
-form in H read from its upper triangle, and one kernel, ``error_prefix``,
+H = X.T @ X of the input activations.  One step reads and checks each
+activation batch and sums its columns' squares: ``raw_hessian`` runs it
+beside the ``dsyrk`` that streams the batch into the upper triangle of one
+row-major buffer, and ``column_norms`` runs it alone for ``detect``, which
+builds no H.  ``checked_layer`` is the one place W and H are checked
+against each other; the ``Layer`` it returns holds them with the column
+norms, the dead channels and the dense output energy, derived once, and
+every method reads them from it.  Every error is a quadratic form in H read from its upper triangle, and one kernel, ``error_prefix``,
 gives its running sum over the columns, whose last entry is the whole.
 For pruning, H is dampened by the layer's lambda, a multiple of its mean
 diagonal, and the upper Cholesky factor of its inverse drives the engine.
@@ -46,9 +46,13 @@ DAMP_FRACTION = 0.01
 #: the strict lower triangle of a diagonal block of up to PANEL rows
 _BELOW = np.tri(PANEL, k=-1, dtype=bool)
 
-#: the H buffers ``raw_hessian`` returned, by id: the layers built on one
-#: share it, and build their factors in its strict lower triangle
-_RAW = weakref.WeakValueDictionary()
+#: rows of a batch squared at a time
+SQUARED_ROWS = 8
+
+#: the column norms of each live H buffer ``raw_hessian`` returned, by id:
+#: the layers built on one share it, and build their factors in its strict
+#: lower triangle
+_RAW: dict[int, np.ndarray] = {}
 #: the ``diag`` of the bundle whose factor each H buffer holds, by address
 _HOLDERS = weakref.WeakValueDictionary()
 
@@ -64,9 +68,11 @@ class Layer:
     error is measured in, in its upper triangle and diagonal; the strict
     lower triangle is the workspace the layer's factors are built in,
     shared with every layer built on the same ``raw_hessian`` result.
-    ``norms`` are the column norms, ``dead`` is True for each channel
-    whose diagonal in H is zero, ``dense_energy`` is the dense output energy
-    sum(W @ H @ W.T), and ``damp_lambda`` is every factor's lambda in H + lambda I.
+    ``norms`` are the column norms of ``raw_hessian``'s batches or, for a
+    caller's own H, the root of its diagonal.  ``dead`` is True for each
+    channel whose diagonal in H is zero, ``dense_energy`` is the dense output
+    energy sum(W @ H @ W.T), and ``damp_lambda`` is every factor's lambda in
+    H + lambda I.
     """
 
     w: np.ndarray
@@ -172,7 +178,8 @@ def checked_layer(w, raw, damp_fraction: float = DAMP_FRACTION) -> Layer:
     """
     w = np.ascontiguousarray(finite_matrix(w))
     raw = finite_matrix(raw, "hessian")
-    if _RAW.get(id(raw)) is not raw:
+    norms = _RAW.get(id(raw))
+    if norms is None:
         raw = raw.copy()
     n = raw.shape[0]
     if raw.shape[1] != n:
@@ -184,30 +191,59 @@ def checked_layer(w, raw, damp_fraction: float = DAMP_FRACTION) -> Layer:
     if diag[pivot] < 0:
         raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
                                      pivot=pivot)
-    lam = damping(raw, damp_fraction)
+    lam = damping(diag, damp_fraction)
     energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
-    return Layer(w, raw, column_norms(raw), diag == 0.0, energy, lam)
+    if norms is None:
+        norms = np.sqrt(diag)
+    return Layer(w, raw, norms, diag == 0.0, energy, lam)
 
 
 def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
     """Sum of per-batch Gram matrices X.T @ X, without dampening, in its upper triangle.
 
-    ``width`` is the layer's: W's column count.  One pass over any
-    iterable, such as ``read_manifest``'s: each batch is dropped before the
-    next is asked for, so a lazy source is held one batch at a time.  Each
-    batch is checked as it arrives, 2-D and ``width`` columns wide, before
-    anything is allocated for it, so the width x width buffer is sized only
-    once batch 0 has passed.  Each batch is added by ``dsyrk`` into the lower
-    triangle of that column-major buffer, the upper one of the row-major
-    view returned, and then checked on its diagonal: a NaN or infinity in
-    column j, or squares that overflow, make H_jj NaN or inf, so one
-    O(width) read names the batch.  The strict lower triangle of the
-    result is zero, the free workspace of the factors of every layer
-    ``checked_layer`` builds on it.
+    ``width`` is W's column count.  ``_summed_batches`` reads and checks
+    each batch and sums its columns' squares, whose root is the norms of
+    every layer built on the result; then ``dsyrk`` adds the batch into the
+    lower triangle of one column-major buffer, sized once batch 0 has
+    passed, the upper one of the row-major view returned.  The strict lower
+    triangle of the result is zero, the free workspace of the factors of
+    every layer ``checked_layer`` builds on it.
     """
+    sums = np.zeros(width)
     acc = None
+    for b in _summed_batches(activations, width, sums):
+        if acc is None:
+            acc = np.zeros((width, width), order="F")
+        if b.size:
+            # a row-major batch is the column-major b.T that BLAS reads uncopied
+            acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, lower=1, overwrite_c=1)
+        del b
+    h = acc.T
+    _RAW[id(h)] = np.sqrt(sums, out=sums)
+    weakref.finalize(h, _RAW.pop, id(h), None)
+    return h
+
+
+def column_norms(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
+    """l2 norm of each activation column, bit for bit a layer's on the same batches."""
+    sums = np.zeros(width)
+    for b in _summed_batches(activations, width, sums):
+        del b  # held by no name while the next batch is read
+    return np.sqrt(sums, out=sums)
+
+
+def _summed_batches(activations: Iterable[np.ndarray], width: int, sums: np.ndarray):
+    """Each batch, checked and row-major float64, once its columns' squares are in ``sums``.
+
+    One pass over any iterable, such as ``read_manifest``'s: each batch is
+    dropped before the next is asked for, so a lazy source is held one
+    batch at a time.  Each is checked 2-D and ``width`` wide as it arrives,
+    then its squares are summed ``SQUARED_ROWS`` rows at a time, in one
+    order whatever its layout: a NaN or infinity in column j, or squares
+    that overflow, make sums[j] NaN or inf, so one O(width) read names it.
+    """
     # counted by hand: enumerate's reused tuple would hold a batch while
     # the next one is read
     i = 0
@@ -216,31 +252,27 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
         b = as_matrix(b, what)
         if b.shape[1] != width:
             raise DimensionError(f"{what} has {b.shape[1]} columns, expected {width}")
-        if acc is None:
-            acc = np.zeros((width, width), order="F")
-        if b.size:
-            # a row-major batch is the column-major b.T that BLAS reads uncopied
-            acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, lower=1, overwrite_c=1)
-            if not np.isfinite(acc.diagonal()).all():
-                raise NumericOverflowError(f"{what} is not finite or overflows "
-                                           "the Hessian")
+        b = np.ascontiguousarray(b)
+        with np.errstate(over="ignore"):  # raised just below
+            for r in range(0, b.shape[0], SQUARED_ROWS):
+                sums += np.square(b[r : r + SQUARED_ROWS]).sum(axis=0)
+        if not np.isfinite(sums).all():
+            raise NumericOverflowError(f"{what} is not finite or its squares overflow")
+        yield b
         del b
         i += 1
-    if acc is None:
+    if i == 0:
         raise DimensionError("need at least one activation batch")
-    h = acc.T
-    _RAW[id(h)] = h
-    return h
 
 
-def damping(raw: np.ndarray, damp_fraction: float) -> float:
-    """lambda = damp_fraction * mean(diag H), the same in every column order.
+def damping(diag: np.ndarray, damp_fraction: float) -> float:
+    """lambda = damp_fraction * mean(diag), the same in every column order.
 
-    A negative or non-finite ``damp_fraction`` raises ConfigError, and a
+    ``diag`` is H's diagonal, or the squared column norms where there is no
+    H.  A negative or non-finite ``damp_fraction`` raises ConfigError, and a
     lambda that overflows H + lambda I NumericOverflowError, with no warning.
     """
     check_nonnegative(damp_fraction, "damp_fraction")
-    diag = raw.diagonal()
     with np.errstate(over="ignore"):  # raised just below
         lam = float(damp_fraction * diag.mean())
         top = float(diag.max()) + lam
@@ -413,18 +445,14 @@ def _gather(raw: np.ndarray, idx: np.ndarray, m: np.ndarray, starts: np.ndarray)
         del at, got  # freed before the next panel's are made
 
 
-def column_norms(raw: np.ndarray) -> np.ndarray:
-    """l2 norm of each activation column: the root of the raw Hessian's diagonal."""
-    return np.sqrt(raw.diagonal())
-
-
-def importance_scores(layer: Layer) -> np.ndarray:
+def importance_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Per-weight score |w_ij| * norm_j, made in place on one copy of |W|.
 
-    Finite for every checked layer: a score overflows only where H_jj > 1,
-    and there |w_ij| H_jj, a factor of the dense energy's diagonal term,
-    overflows first, so ``checked_layer`` has rejected the layer.
+    Finite for every checked layer's W and norms: a score overflows only
+    where norm_j**2, H_jj to rounding, is above 1, and there |w_ij| H_jj, a
+    factor of the dense energy's diagonal term, overflows first, so
+    ``checked_layer`` has rejected the layer.
     """
-    scores = np.abs(layer.w)
-    scores *= layer.norms
+    scores = np.abs(w)
+    scores *= norms
     return scores

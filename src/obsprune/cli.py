@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (DAMP_FRACTION, Layer, checked_layer, importance_scores,
-                          raw_hessian)
+from .calibration import (DAMP_FRACTION, Layer, checked_layer, column_norms, damping,
+                          importance_scores, raw_hessian)
 from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
 from .reorder import (COLUMNAR_THRESHOLD, METHODS, build_reorder_plan, check_runs,
@@ -149,17 +149,14 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
     return finite_matrix(w, f"{path or 'synthetic'} weights")
 
 
-def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
-    """The checked layer of each weight file in ``paths`` (None: --weights or --synth).
+def _checked_weights(args, methods, configs, paths=(None,)) -> list[np.ndarray]:
+    """The checked weights of each file in ``paths`` (None: --weights or --synth).
 
-    ``--synth`` names no input file.  Every weight matrix, and the run list
-    at its width (``check_runs``), is checked before any activation is
-    read.  The ``--acts`` manifest is read, and its H built, once, as wide
-    as the first file, since every file shares it, so a file of another
-    width is rejected before it is read.  Without ``--acts`` each width
-    gets its own synthetic H: those activations depend on the width alone.
     ``--damp`` and ``--threshold`` are checked before any file is read, and
-    ``--out`` is made last, once every input and the layer's damping pass.
+    every weight matrix, and the run list at its width (``check_runs``),
+    before any activation.  ``--synth`` names no input file.  One
+    ``--acts`` serves one width, so a file of another width than the first
+    is rejected before the manifest is read.
     """
     check_nonnegative(args.damp, "--damp")
     check_nonnegative(args.threshold, "--threshold")
@@ -176,15 +173,24 @@ def _load_inputs(args, methods, configs, paths=(None,)) -> list[Layer]:
         if args.acts is not None and w.shape[1] != n:
             raise DimensionError(f"{path} has {w.shape[1]} columns but {paths[0]} "
                                  f"has {n}; one --acts serves one width")
+    return weights
+
+
+def _activations(args, n: int):
+    """The ``--acts`` batches, read lazily, or else width n's synthetic ones."""
     if args.acts is not None:
-        hessians = {n: raw_hessian(read_manifest(args.acts), n)}
-    else:
-        hessians = {k: raw_hessian([gen_activations(args.samples, k, ACT_CORRELATION,
-                                                    args.seed + ACT_SEED_OFFSET)], k)
-                    for k in dict.fromkeys(w.shape[1] for w in weights)}
-    layers = [checked_layer(w, hessians[w.shape[1]], args.damp) for w in weights]
+        return read_manifest(args.acts)
+    return [gen_activations(args.samples, n, ACT_CORRELATION,
+                            args.seed + ACT_SEED_OFFSET)]
+
+
+def _load_layer(args, methods, configs) -> Layer:
+    """The checked layer of --weights or --synth; ``--out`` is made once it passes."""
+    [w] = _checked_weights(args, methods, configs)
+    n = w.shape[1]
+    layer = checked_layer(w, raw_hessian(_activations(args, n), n), args.damp)
     args.out.mkdir(parents=True, exist_ok=True)
-    return layers
+    return layer
 
 
 def _config_doc(config: SparsityConfig, args) -> dict:
@@ -203,7 +209,7 @@ def _config_doc(config: SparsityConfig, args) -> dict:
 
 def cmd_prune(args) -> int:
     config = _make_config(args)
-    [layer] = _load_inputs(args, [args.method], [config])
+    layer = _load_layer(args, [args.method], [config])
     [run] = prune_runs(layer, [args.method], [config], threshold=args.threshold)
     weights_path = args.out / "pruned_weights.rtns"
     write_tensor(weights_path, run.outcome.pruned_weights)
@@ -223,7 +229,7 @@ def cmd_prune(args) -> int:
 def cmd_compare(args) -> int:
     methods = METHODS if args.methods is None else args.methods.split(",")
     configs = _make_configs(args)
-    [layer] = _load_inputs(args, methods, configs)
+    layer = _load_layer(args, methods, configs)
     # rows go in sparsity x method order, whatever order the runs finish in
     rows = [None] * (len(configs) * len(methods))
     for run in prune_runs(layer, methods, configs, threshold=args.threshold):
@@ -242,18 +248,29 @@ def cmd_compare(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    """Score each layer from W and its width's ``column_norms``, building no H."""
     config = _make_config(args, DETECT_SPARSITY)
     paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
+    weights = _checked_weights(args, (), [config], paths)
+    norms = {}
+    for n in dict.fromkeys(w.shape[1] for w in weights):
+        norms[n] = column_norms(_activations(args, n), n)
+        damping(np.square(norms[n]), args.damp)
     doc = {"config": _config_doc(config, args), "layers": []}
-    for path, layer in zip(paths, _load_inputs(args, (), [config], paths)):
-        profile = loss_profile(importance_scores(layer), config)
+    for path, w in zip(paths, weights):
+        name = f"synth-{args.synth}" if path is None else str(path)
+        with np.errstate(over="ignore"):  # finite_matrix raises
+            scores = importance_scores(w, norms[w.shape[1]])
+        profile = loss_profile(finite_matrix(scores, f"{name} scores"), config)
+        del scores
         doc["layers"].append({
-            "layer": f"synth-{args.synth}" if path is None else str(path),
+            "layer": name,
             "r_rel": profile.relative_range,
             "columnar": build_reorder_plan(profile, config,
                                            threshold=args.threshold).was_reordered,
             "block_losses": list(profile.block_losses),
         })
+    args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "detect.json", doc)
     print(json.dumps(doc, indent=2))
     return 0

@@ -125,7 +125,7 @@ def naive_obs_prune(
     batches = list(activations)
     raw = raw_hessian(batches, n)
     xs = np.vstack([as_matrix(a) for a in batches])
-    lam = damping(raw, damp_fraction)
+    lam = damping(raw.diagonal(), damp_fraction)
     dead = raw.diagonal() == 0.0
     h = np.triu(raw) + np.triu(raw, 1).T  # raw_hessian gives the upper triangle
     h[np.diag_indices(n)] += lam

@@ -165,7 +165,7 @@ def prune_runs(layer: Layer, methods: Sequence[str], configs: Sequence[SparsityC
     """
     check_runs(layer.w.shape[1], methods, configs, threshold=threshold)
     in_place = ReorderPlan(Permutation.identity(layer.w.shape[1]), False)
-    scores = importance_scores(layer)
+    scores = importance_scores(layer.w, layer.norms)
     runs = []
     for config in configs:
         profile = loss_profile(scores, config)

@@ -31,7 +31,8 @@ from obsprune import (
     wanda_prune,
 )
 from obsprune import baselines, engine
-from obsprune.calibration import DAMP_FRACTION, PANEL, DampedInverse, error_prefix
+from obsprune.calibration import (DAMP_FRACTION, PANEL, SQUARED_ROWS, DampedInverse,
+                                 error_prefix)
 
 from hessian_helpers import (
     accumulate_hessian,
@@ -175,20 +176,20 @@ def test_requires_batches_and_consistent_cols():
 
 
 def test_column_norms_345():
-    norms = column_norms(raw_hessian([np.array([[3.0, 0.0], [4.0, 0.0]])], 2))
+    norms = column_norms([np.array([[3.0, 0.0], [4.0, 0.0]])], 2)
     np.testing.assert_allclose(norms, [5.0, 0.0])
 
 
 def test_column_norms_identity():
-    norms = column_norms(raw_hessian([np.eye(3)], 3))
+    norms = column_norms([np.eye(3)], 3)
     np.testing.assert_allclose(norms, [1.0, 1.0, 1.0])
 
 
 def test_column_norms_batches_match_stacked():
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((7, 4)), rng.standard_normal((9, 4))
-    split = column_norms(raw_hessian([a, b], 4))
-    stacked = column_norms(raw_hessian([np.vstack([a, b])], 4))
+    split = column_norms([a, b], 4)
+    stacked = column_norms([np.vstack([a, b])], 4)
     np.testing.assert_allclose(split, stacked, rtol=1e-12)
 
 
@@ -197,8 +198,8 @@ def test_column_norms_row_permutation_invariant():
     x = rng.standard_normal((20, 5))
     shuffled = x[rng.permutation(20)]
     np.testing.assert_allclose(
-        column_norms(raw_hessian([x], 5)),
-        column_norms(raw_hessian([shuffled], 5)),
+        column_norms([x], 5),
+        column_norms([shuffled], 5),
         rtol=1e-12,
     )
 
@@ -210,9 +211,7 @@ def test_zero_rows_batch_changes_nothing():
     b1 = accumulate_hessian([x], 0.01, width=6)
     b2 = accumulate_hessian([x, zeros], 0.01, width=6)
     np.testing.assert_array_equal(dampened_hessian(b1), dampened_hessian(b2))
-    np.testing.assert_array_equal(
-        column_norms(b1.layer.raw), column_norms(b2.layer.raw)
-    )
+    np.testing.assert_array_equal(b1.layer.norms, b2.layer.norms)
 
 
 def test_cholesky_identity_trivial_cases():
@@ -524,8 +523,9 @@ def test_non_finite_batch_named_before_factoring(n, rows, which, layout, bad, se
     ([np.full((2, 4), 1e154)], 0),
 ], ids=["square", "sum-across-batches", "sum-in-batch"])
 def test_finite_batch_whose_squares_overflow_is_named(batches, which):
-    with pytest.raises(NumericOverflowError, match=f"activation batch {which} "):
-        raw_hessian(batches, 4)
+    for one_pass in (raw_hessian, column_norms):
+        with pytest.raises(NumericOverflowError, match=f"activation batch {which} "):
+            one_pass(batches, 4)
 
 
 def test_zero_row_batches_and_dead_columns_pass():
@@ -581,18 +581,21 @@ def traced_bytes(fn):
 def test_memory_budget():
     """H is the one n x n buffer: the factor is built in its free triangle.
 
-    At n = 512, ``raw_hessian`` peaked 1.9 KB past its n^2, and a factor in
-    a shuffled order at 2.7 gather panels of 64 rows, holding only its
-    diagonal and order after it returns.  When the factor was a copy of H
-    beside it, the peak was n^2 + 1 panel and n^2 was held.
+    At n = 512, ``raw_hessian`` peaked 2.3 KB past its n^2, the column
+    sums, and the squares of ``SQUARED_ROWS`` rows and their sum, holding
+    n^2 and the n norms; before it streamed the sums, 1.9 KB past n^2.  A
+    factor in a shuffled order peaked at 2.7 gather panels of 64 rows,
+    holding only its diagonal and order after it returns.  When the factor
+    was a copy of H beside it, the peak was n^2 + 1 panel and n^2 was held.
     """
     n = 512
     square = 8 * n * n
     panel = 8 * PANEL * n
     rng = np.random.default_rng(11)
     batches = [rng.standard_normal((64, n)) for _ in range(8)]
-    raw, peak, _ = traced_bytes(lambda: raw_hessian(batches, n))
-    assert peak <= square + 4096
+    raw, peak, held = traced_bytes(lambda: raw_hessian(batches, n))
+    assert peak <= square + (SQUARED_ROWS + 2) * 8 * n + 4096
+    assert held <= square + 8 * n + 4096
 
     layer = checked_layer(np.zeros((1, n)), raw)
     for order in (None, Permutation(rng.permutation(n))):
@@ -1021,7 +1024,7 @@ def test_checked_layer_derives_once():
     layer = checked_layer(w, raw)
     assert layer.w.flags.c_contiguous and np.array_equal(layer.w, w)
     assert layer.raw is raw
-    np.testing.assert_array_equal(layer.norms, column_norms(raw))
+    np.testing.assert_array_equal(layer.norms, column_norms([x], 6))
     np.testing.assert_array_equal(np.flatnonzero(layer.dead), [2])
     assert layer.dense_energy == pytest.approx(np.sum(np.square(w @ x.T)), rel=1e-12)
     assert layer.damp_lambda == DAMP_FRACTION * raw.diagonal().mean()

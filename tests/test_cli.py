@@ -172,7 +172,7 @@ def test_compare_factors_unpermuted_hessian_once(
 
     def counted(layer, order=None):
         # --damp reaches every factor through the layer's lambda
-        calls.append(layer.damp_lambda == calibration.damping(layer.raw, 0.02))
+        calls.append(layer.damp_lambda == calibration.damping(layer.raw.diagonal(), 0.02))
         return original(layer, order)
 
     patch_everywhere(monkeypatch, original, counted)
@@ -249,8 +249,8 @@ def test_compare_rows_keep_sparsity_by_method_order(tmp_path):
 
     args = cli.build_parser().parse_args(argv)
     configs = cli._make_configs(args)
-    [layer] = cli._load_inputs(args, ["rose", "sparsegpt"], configs)
-    scores = calibration.importance_scores(layer)
+    layer = cli._load_layer(args, ["rose", "sparsegpt"], configs)
+    scores = calibration.importance_scores(layer.w, layer.norms)
     for config, (rose, sparsegpt) in zip(configs, zip(rows[::2], rows[1::2])):
         plan = reorder.build_reorder_plan(reorder.loss_profile(scores, config), config)
         assert plan.was_reordered and rose["was_reordered"] == "True"
@@ -382,25 +382,93 @@ def test_synth_columnar_hot_block_is_last(tmp_path, cols, blocksize):
 
 
 def test_detect_verdict_is_the_rose_plan(tmp_path):
-    """detect's verdict is prune --method rose's, on either side of r_rel."""
-    layer = ["--synth", "columnar", "--rows", "16", "--cols", "64",
+    """detect's verdict and r_rel are prune --method rose's, on either side of r_rel.
+
+    From --synth, and from a manifest of 3 float32 batches on which the
+    streamed column norms and the root of H's diagonal differ in the last
+    bit of some columns, enough to move r_rel at p = 0.6: a layer whose
+    norms were read off H would give prune another r_rel than detect's.
+    """
+    synth = ["--synth", "columnar", "--rows", "16", "--cols", "64",
              "--blocksize", "16", "--sparsity", "0.7", "--seed", "3"]
-    assert run(["detect", *layer, "--out", str(tmp_path)]) == 0
-    [doc] = json.loads((tmp_path / "detect.json").read_text())["layers"]
-    r_rel = doc["r_rel"]
-    for threshold, columnar in [(np.nextafter(r_rel, 0.0), True), (r_rel, False),
-                                (np.nextafter(r_rel, np.inf), False)]:
-        out = tmp_path / repr(threshold)
-        flags = [*layer, "--threshold", repr(float(threshold)), "--out", str(out)]
-        assert run(["detect", *flags]) == 0
-        assert run(["prune", "--method", "rose", *flags]) == 0
-        detected = json.loads((out / "detect.json").read_text())
-        [doc] = detected["layers"]
-        report = json.loads((out / "report.json").read_text())
-        assert doc["r_rel"] == report["r_rel"] == r_rel
-        assert doc["columnar"] is report["was_reordered"] is columnar
-        assert detected["config"] == report["config"]
-        assert report["config"]["columnar_threshold"] == float(threshold)
+    # --weights, --acts and --blocksize of 32 x 256 weights and 3 batches of 128 rows
+    files = [*write_sweep(tmp_path / "files", 3)[1:7], "--sparsity", "0.6"]
+    acts = tmp_path / "files" / "acts.json"
+    streamed = calibration.column_norms(rtns.read_manifest(acts), 256)
+    from_h = np.sqrt(calibration.raw_hessian(rtns.read_manifest(acts), 256).diagonal())
+    assert not np.array_equal(streamed, from_h)
+    for name, layer in [("synth", synth), ("files", files)]:
+        assert run(["detect", *layer, "--out", str(tmp_path / name)]) == 0
+        [doc] = json.loads((tmp_path / name / "detect.json").read_text())["layers"]
+        r_rel = doc["r_rel"]
+        for threshold, columnar in [(np.nextafter(r_rel, 0.0), True), (r_rel, False),
+                                    (np.nextafter(r_rel, np.inf), False)]:
+            out = tmp_path / name / repr(threshold)
+            flags = [*layer, "--threshold", repr(float(threshold)), "--out", str(out)]
+            assert run(["detect", *flags]) == 0
+            assert run(["prune", "--method", "rose", *flags]) == 0
+            detected = json.loads((out / "detect.json").read_text())
+            [doc] = detected["layers"]
+            report = json.loads((out / "report.json").read_text())
+            assert doc["r_rel"] == report["r_rel"] == r_rel
+            assert doc["columnar"] is report["was_reordered"] is columnar
+            assert detected["config"] == report["config"]
+            assert report["config"]["columnar_threshold"] == float(threshold)
+
+
+def test_detect_builds_no_hessian(tmp_path, monkeypatch):
+    """detect at 512 x 2048 from 8 float32 batches holds no n x n array.
+
+    Its peak is at most W, its scores, one float32 and one float64 batch
+    and 2 MiB; no H is built, checked or factored.  Measured: 20.1 MiB;
+    when detect built each layer through ``checked_layer``, 52.0 MiB.
+    """
+    rows, n, samples = 512, 2048, 4096
+    write_tensor(tmp_path / "w.rtns", gen_columnar(rows, n, 128, 15, 10.0, seed=0))
+    names = []
+    for i, batch in enumerate(np.array_split(gen_activations(samples, n, 0.3, seed=1), 8)):
+        names.append(f"x{i}.rtns")
+        write_tensor(tmp_path / names[-1], batch, dtype="float32")
+    write_manifest(tmp_path / "acts.json", names)
+    del batch
+    calls = [count_calls(monkeypatch, f)
+             for f in (calibration.raw_hessian, calibration.checked_layer)]
+    for module, name in [(calibration.blas, "dsyrk"), (calibration.lapack, "dpotrf")]:
+        calls.append([])
+        monkeypatch.setattr(module, name, lambda *a, _calls=calls[-1], **k: _calls.append(1))
+    tracemalloc.start()
+    try:
+        assert main(["detect", "--weights", str(tmp_path / "w.rtns"),
+                     "--acts", str(tmp_path / "acts.json"), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [[]] * 4
+    batch = samples // 8 * n
+    assert peak <= 8 * rows * n * 2 + (4 + 8) * batch + 2**21
+
+
+def test_detect_overflowing_score_exit_1(tmp_path, capsys):
+    """A score |w| * ||x|| that overflows fails, with one line, before any output.
+
+    A weight of 1e200 overflows only the dense energy, which prune rejects
+    and detect, which does not compute it, gives a verdict on.
+    """
+    argv = write_layer_files(tmp_path)
+    w = read_tensor(tmp_path / "w.rtns")
+    w[3, 5] = 1e200
+    write_tensor(tmp_path / "w.rtns", w)
+    assert main(["prune", "--sparsity", "0.5", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: dense output energy inf")
+    assert main(["detect", *argv[:-2], "--out", str(tmp_path / "energy")]) == 0
+    [doc] = json.loads((tmp_path / "energy" / "detect.json").read_text())["layers"]
+    assert np.isfinite(doc["r_rel"])
+    w[3, 5] = 1e308
+    write_tensor(tmp_path / "w.rtns", w)
+    capsys.readouterr()
+    assert main(["detect", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'w.rtns'} scores not finite\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_detect_default_sparsity(tmp_path, capsys):
@@ -482,7 +550,7 @@ def test_detect_weight_files_given_only_as_arguments(tmp_path):
 
 
 def test_detect_reads_shared_activations_once(tmp_path, monkeypatch):
-    """Three weight files share one --acts: one manifest read, one H."""
+    """Three weight files share one --acts: one manifest read, one pass, no H."""
     argv = write_layers(tmp_path, 3)
     alone = []
     for i, path in enumerate(argv[2:5]):
@@ -490,9 +558,10 @@ def test_detect_reads_shared_activations_once(tmp_path, monkeypatch):
         assert run([*argv[:2], path, *argv[5:], "--out", str(out)]) == 0
         alone += json.loads((out / "detect.json").read_text())["layers"]
     manifests = count_calls(monkeypatch, cli.read_manifest)
+    passes = count_calls(monkeypatch, cli.column_norms)
     hessians = count_calls(monkeypatch, cli.raw_hessian)
     assert run([*argv, "--out", str(tmp_path)]) == 0
-    assert len(manifests) == 1 and len(hessians) == 1
+    assert len(manifests) == len(passes) == 1 and hessians == []
     assert json.loads((tmp_path / "detect.json").read_text())["layers"] == alone
 
 
@@ -793,7 +862,7 @@ def test_sparsity_required_without_pattern(tmp_path, capsys, monkeypatch, comman
     ids=[*(f"prune-{method}" for method in cli.METHODS), "compare", "detect"])
 def test_overflowing_damping_exit_1_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command):
-    """lambda overflows in checked_layer: no method, score or output file."""
+    """lambda overflows before any method, score or output file."""
     argv = write_layer_files(tmp_path)
     started = [count_calls(monkeypatch, f) for f in (
         baselines.magnitude_prune, baselines.wanda_prune, reorder.loss_profile,

@@ -40,7 +40,8 @@ def pattern_holds(kept, pattern):
 
 def scores_with_norms(w, norms):
     """``importance_scores`` of the layer whose column norms are ``norms``."""
-    return importance_scores(checked_layer(w, np.diag(np.square(norms))))
+    layer = checked_layer(w, np.diag(np.square(norms)))
+    return importance_scores(layer.w, layer.norms)
 
 
 class TestScores:
@@ -110,7 +111,7 @@ class TestScores:
             layer = checked_layer(w, h)
         except NumericOverflowError:
             return
-        scores = importance_scores(layer)
+        scores = importance_scores(layer.w, layer.norms)
         assert np.all(np.isfinite(scores))
         # steer the search toward the largest scores a checked layer can have
         target(float(np.log10(scores.max())))
@@ -174,7 +175,8 @@ class TestLossProfile:
         w = (gen_columnar(64, 300, 128, 2, 10.0, seed=0) if columnar
              else gen_uniform(64, 300, seed=0))
         x = gen_activations(384, 300, 0.3, seed=1000003)
-        prof = loss_profile(importance_scores(checked_layer(w, raw_hessian([x], 300))), cfg)
+        layer = checked_layer(w, raw_hessian([x], 300))
+        prof = loss_profile(importance_scores(layer.w, layer.norms), cfg)
         assert (prof.relative_range > reorder.COLUMNAR_THRESHOLD) == columnar
         if not columnar:
             # the sums alone would open the gate
@@ -425,7 +427,7 @@ class TestRosePruneLayer:
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
         layer = checked_layer(w, raw_hessian([x], w.shape[1]))
-        profile = loss_profile(importance_scores(layer), cfg)
+        profile = loss_profile(importance_scores(layer.w, layer.norms), cfg)
         plan = build_reorder_plan(profile, cfg, descending=False)
         assert plan.was_reordered
         asc = prune_layer(bundle_from_hessian(layer, plan.permutation), cfg)
@@ -530,7 +532,7 @@ class TestPruneRuns:
                 run.config, run.method, run.outcome, run.plan, run.profile)
             assert run.wall_ms >= 0.0
             assert profile.relative_range == loss_profile(
-                importance_scores(layer), config).relative_range
+                importance_scores(layer.w, layer.norms), config).relative_range
             if method.startswith("rose"):
                 want = build_reorder_plan(profile, config, descending=method == "rose")
                 assert plan.was_reordered
@@ -612,7 +614,7 @@ class TestPruneRuns:
 
     @pytest.mark.parametrize("threshold", [-1.0, np.nan, np.inf])
     def test_bad_threshold_rejected_before_any_scoring(self, monkeypatch, threshold):
-        def scored(layer):
+        def scored(w, norms):
             raise AssertionError("the layer was scored")
 
         monkeypatch.setattr(reorder, "importance_scores", scored)
@@ -641,9 +643,9 @@ class TestPruneRuns:
         """
         scored = []
 
-        def counted(layer):
-            scored.append(layer)
-            return importance_scores(layer)
+        def counted(w, norms):
+            scored.append((w, norms))
+            return importance_scores(w, norms)
 
         monkeypatch.setattr(reorder, "importance_scores", counted)
         layer = checked_layer(gen_columnar(8, 32, 8, 3, 10.0, seed=2), raw_hessian(
@@ -651,7 +653,8 @@ class TestPruneRuns:
         configs = [SparsityConfig(p, 8) for p in (0.5, 0.6, 0.7, 0.8)]
         methods = [m for m in reorder.METHODS if m != "wanda"]
         assert len(list(prune_runs(layer, methods, configs))) == 16
-        assert scored == [layer]
+        [(w, norms)] = scored
+        assert w is layer.w and norms is layer.norms
 
     def test_one_channel_factor_then_one_inverse(self, monkeypatch):
         """The runs left in place share one channel factor, the reordered its inverse.
