@@ -3,13 +3,14 @@
 The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  One step reads and checks each
 activation batch and sums its columns' squares: ``raw_hessian`` runs it
-beside the ``dsyrk`` that streams the batch into the upper triangle of one
-row-major buffer, and ``column_norms`` runs it alone for ``detect``, which
-builds no H.  ``checked_layer`` is the one place W and H are checked
-against each other; the ``Layer`` it returns holds them with the column
-norms, the dead channels and the dense output energy, derived once, and
-every method reads them from it.  Every error is a quadratic form in H read from its upper triangle, and one kernel, ``error_prefix``,
-gives its running sum over the columns, whose last entry is the whole.
+beside the ``dsyrk`` that streams the batch into one row-major buffer's
+upper triangle, and puts the sums on its diagonal; ``column_norms`` runs
+it alone for ``detect``, which builds no H.  ``checked_layer`` checks W
+and H against each other, once; its ``Layer`` holds them with the norms,
+the root of H's diagonal, the dead channels and the dense output energy,
+and every method reads them from it.  Every error is a quadratic form in
+H read from its upper triangle, and one kernel, ``error_prefix``, gives
+its running sum over the columns, whose last entry is the whole.
 For pruning, H is dampened by the layer's lambda, a multiple of its mean
 diagonal, and the upper Cholesky factor of its inverse drives the engine.
 Every factor is built in the strict lower triangle of H's own buffer,
@@ -49,10 +50,10 @@ _BELOW = np.tri(PANEL, k=-1, dtype=bool)
 #: rows of a batch squared at a time
 SQUARED_ROWS = 8
 
-#: the column norms of each live H buffer ``raw_hessian`` returned, by id:
-#: the layers built on one share it, and build their factors in its strict
-#: lower triangle
-_RAW: dict[int, np.ndarray] = {}
+#: the ids of the live H buffers ``raw_hessian`` made, the only ones a layer
+#: writes uncopied: the layers built on one share it, and build their factors
+#: in its strict lower triangle
+_RAW: set[int] = set()
 #: the ``diag`` of the bundle whose factor each H buffer holds, by address
 _HOLDERS = weakref.WeakValueDictionary()
 
@@ -68,8 +69,8 @@ class Layer:
     error is measured in, in its upper triangle and diagonal; the strict
     lower triangle is the workspace the layer's factors are built in,
     shared with every layer built on the same ``raw_hessian`` result.
-    ``norms`` are the column norms of ``raw_hessian``'s batches or, for a
-    caller's own H, the root of its diagonal.  ``dead`` is True for each
+    ``norms`` are the root of H's diagonal, for ``raw_hessian``'s result
+    the column norms of its batches bit for bit.  ``dead`` is True for each
     channel whose diagonal in H is zero, ``dense_energy`` is the dense output
     energy sum(W @ H @ W.T), and ``damp_lambda`` is every factor's lambda in
     H + lambda I.
@@ -171,15 +172,14 @@ def checked_layer(w, raw, damp_fraction: float = DAMP_FRACTION) -> Layer:
     is the pivot.  ``damping`` turns ``damp_fraction`` into lambda or rejects
     it.  The dense output energy, the last entry of W's
     ``error_prefix``, must be finite, so that every relative error has a
-    denominator.  H is read from its upper triangle and diagonal.  Factors
-    are built in the strict lower triangle of H's buffer: that of
-    ``raw_hessian``'s result, which every layer built on it shares, or else
-    of a copy, so a caller's own H is never written.
+    denominator.  H is read from its upper triangle and diagonal, whose
+    root is the norms.  Factors are built in the strict lower triangle of
+    H's buffer: that of ``raw_hessian``'s result, which every layer built
+    on it shares, or else of a copy, so a caller's own H is never written.
     """
     w = np.ascontiguousarray(finite_matrix(w))
     raw = finite_matrix(raw, "hessian")
-    norms = _RAW.get(id(raw))
-    if norms is None:
+    if id(raw) not in _RAW:
         raw = raw.copy()
     n = raw.shape[0]
     if raw.shape[1] != n:
@@ -195,21 +195,19 @@ def checked_layer(w, raw, damp_fraction: float = DAMP_FRACTION) -> Layer:
     energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
-    if norms is None:
-        norms = np.sqrt(diag)
-    return Layer(w, raw, norms, diag == 0.0, energy, lam)
+    return Layer(w, raw, np.sqrt(diag), diag == 0.0, energy, lam)
 
 
 def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
     """Sum of per-batch Gram matrices X.T @ X, without dampening, in its upper triangle.
 
     ``width`` is W's column count.  ``_summed_batches`` reads and checks
-    each batch and sums its columns' squares, whose root is the norms of
-    every layer built on the result; then ``dsyrk`` adds the batch into the
-    lower triangle of one column-major buffer, sized once batch 0 has
-    passed, the upper one of the row-major view returned.  The strict lower
-    triangle of the result is zero, the free workspace of the factors of
-    every layer ``checked_layer`` builds on it.
+    each batch and sums its columns' squares; then ``dsyrk`` adds the batch
+    into the lower triangle of one column-major buffer, sized once batch 0
+    has passed, the upper one of the row-major view returned.  The sums
+    replace dsyrk's diagonal, whose root is then ``column_norms``'s, bit for
+    bit.  The strict lower triangle is zero, the free workspace of the
+    factors of every layer ``checked_layer`` builds on the result.
     """
     sums = np.zeros(width)
     acc = None
@@ -221,8 +219,9 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
             acc = blas.dsyrk(1.0, b.T, beta=1.0, c=acc, lower=1, overwrite_c=1)
         del b
     h = acc.T
-    _RAW[id(h)] = np.sqrt(sums, out=sums)
-    weakref.finalize(h, _RAW.pop, id(h), None)
+    np.fill_diagonal(h, sums)
+    _RAW.add(id(h))
+    weakref.finalize(h, _RAW.discard, id(h))
     return h
 
 

@@ -46,6 +46,8 @@ from .tensors import (BLOCKSIZE, SemiStructured, SparsityConfig, check_nonnegati
 ACT_SEED_OFFSET = 1000003
 #: Column correlation of the synthetic activations.
 ACT_CORRELATION = 0.3
+#: Gain of --synth columnar's hot block over the rest.
+HOT_GAIN = 10.0
 #: the pre-pruning candidate sparsity of detect without --sparsity or --pattern
 DETECT_SPARSITY = 0.7
 
@@ -102,7 +104,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="generate weights instead of loading them")
     p.add_argument("--rows", type=int, default=64)
     p.add_argument("--cols", type=int, default=256)
-    p.add_argument("--hot-gain", type=float, default=10.0)
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--samples", type=int, default=384,
                    help="synthetic calibration rows")
@@ -137,7 +138,7 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
         if args.synth == "columnar":
             hot = math.ceil(args.cols / config.blocksize) - 1  # the last block
             w = gen_columnar(
-                args.rows, args.cols, config.blocksize, hot, args.hot_gain, args.seed
+                args.rows, args.cols, config.blocksize, hot, HOT_GAIN, args.seed
             )
         else:
             w = gen_uniform(args.rows, args.cols, args.seed)

@@ -21,6 +21,7 @@ from obsprune import (
     checked_layer,
     column_norms,
     damped_inverse,
+    gen_activations,
     gen_columnar,
     magnitude_prune,
     naive_obs_prune,
@@ -467,6 +468,8 @@ def test_raw_hessian_any_split(n, cuts, layouts, seed):
     h = raw_hessian(batches, n)
     # H in the upper triangle, the free workspace below it zero
     assert np.array_equal(h, np.triu(h))
+    # the streamed squares are H's diagonal, so detect's norms are a layer's
+    assert np.array_equal(column_norms(batches, n), np.sqrt(h.diagonal()))
     h = symmetric(h)
     want = x.T @ x
     # the rounding of each entry scales with sqrt(H_ii H_jj)
@@ -548,22 +551,44 @@ def dsyrk_sum(batches, n, lower):
 
 @pytest.mark.parametrize("n,rows", [(1, 4), (65, 70), (77, 300), (130, 135)])
 def test_raw_hessian_holds_the_lower_dsyrk_as_its_upper_triangle(n, rows):
-    """Bit for bit, with the strict lower triangle zero.
+    """Bit for bit off the diagonal, with the strict lower triangle zero.
 
-    The upper variant of dsyrk, which ``raw_hessian`` once mirrored, sums
-    in another order: here they differ by up to 6.4e-14 at n = 77, within
-    the bound below, and at the bench's shapes they were equal.
+    The diagonal is the streamed squares, whose root is ``column_norms``
+    bit for bit; dsyrk's own diagonal sums in another order.  The upper
+    variant of dsyrk, which ``raw_hessian`` once mirrored, does too: here
+    they differ by up to 6.4e-14 at n = 77, within the bound below, and at
+    the bench's shapes they were equal.
     """
     rng = np.random.default_rng(n)
     batches = [rng.standard_normal((r, n)) for r in (rows, 5)]
     got = raw_hessian(batches, n)
     assert got.flags.c_contiguous
     want = dsyrk_sum(batches, n, lower=1).T
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    strict = np.triu(np.ones((n, n), dtype=bool), 1)
+    assert np.array_equal(got[strict].view(np.uint64), want[strict].view(np.uint64))
+    assert np.array_equal(np.sqrt(got.diagonal()).view(np.uint64),
+                          column_norms(batches, n).view(np.uint64))
     assert not np.tril(got, -1).any()
     upper = dsyrk_sum(batches, n, lower=0)
     scale = np.sqrt(np.outer(got.diagonal(), got.diagonal()))
     assert np.all(np.abs(np.triu(got) - np.triu(upper)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "f32", "zero-rows"])
+def test_column_norms_are_the_root_of_raw_hessians_diagonal(layout):
+    """Bit for bit, from 3 batches of 128 rows at n = 256, as CI's manifest.
+
+    dsyrk's own diagonal differs from the streamed squares in the last bit
+    of some columns there, so norms read off it would not be detect's.
+    """
+    x = gen_activations(384, 256, 0.3, seed=1)
+    batches = [batch_in_layout(x[128 * i : 128 * (i + 1)], layout) for i in range(3)]
+    if layout == "zero-rows":
+        batches[1:1] = [np.zeros((0, 256))]
+    h = raw_hessian(batches, 256)
+    assert np.array_equal(np.sqrt(h.diagonal()).view(np.uint64),
+                          column_norms(batches, 256).view(np.uint64))
+    assert not np.array_equal(h.diagonal(), dsyrk_sum(batches, 256, lower=1).diagonal())
 
 
 def traced_bytes(fn):
@@ -781,9 +806,9 @@ def test_a_stale_bundle_is_rejected(use, refactor):
 
 
 def test_layers_on_one_raw_hessian_share_its_workspace():
-    # two layers built on one raw_hessian result, as obsprune builds every
-    # weight file of one --acts manifest: a factor of either makes the
-    # other's bundle stale
+    # two layers built on one raw_hessian result, as a library caller may
+    # build the weights that read the same inputs: a factor of either makes
+    # the other's bundle stale
     n = 16
     raw = raw_hessian([np.random.default_rng(3).standard_normal((40, n))], n)
     first = checked_layer(np.ones((2, n)), raw)
@@ -821,6 +846,33 @@ def test_a_callers_own_hessian_is_never_written():
     bundle_from_hessian(second)
     assert np.array_equal(h, before)
     assert b.valid() is b
+
+
+def test_an_h_edited_in_place_gives_the_layer_of_its_copy():
+    """A layer's norms are the root of the H it is built on, whoever made the buffer.
+
+    ``raw_hessian``'s result, its first 16 channels scaled by 100 in place,
+    and a copy of it give layers with the same norms bit for bit, the same
+    wanda mask and the same rose r_rel and verdict: the gate fires on both.
+    """
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((8, 64))
+    raw = raw_hessian([rng.standard_normal((256, 64))], 64)
+    raw[:16] *= 100.0
+    raw[:, :16] *= 100.0
+    edited, copied = checked_layer(w, raw), checked_layer(w, raw.copy())
+    assert edited.raw is raw
+    assert np.array_equal(edited.norms, np.sqrt(raw.diagonal()))
+    assert np.array_equal(edited.norms.view(np.uint64), copied.norms.view(np.uint64))
+    config = SparsityConfig(0.5, blocksize=16)
+    first, second = ({r.method: r for r in reorder.prune_runs(layer, ["wanda", "rose"],
+                                                               [config])}
+                     for layer in (edited, copied))
+    assert np.array_equal(first["wanda"].outcome.mask.kept,
+                          second["wanda"].outcome.mask.kept)
+    r_rel = first["rose"].profile.relative_range
+    assert r_rel == second["rose"].profile.relative_range > 1.0
+    assert first["rose"].plan.was_reordered and second["rose"].plan.was_reordered
 
 
 def test_a_bundle_stays_valid_until_its_layer_is_factored_again():

@@ -384,10 +384,10 @@ def test_synth_columnar_hot_block_is_last(tmp_path, cols, blocksize):
 def test_detect_verdict_is_the_rose_plan(tmp_path):
     """detect's verdict and r_rel are prune --method rose's, on either side of r_rel.
 
-    From --synth, and from a manifest of 3 float32 batches on which the
-    streamed column norms and the root of H's diagonal differ in the last
-    bit of some columns, enough to move r_rel at p = 0.6: a layer whose
-    norms were read off H would give prune another r_rel than detect's.
+    From --synth, and from a manifest of 3 float32 batches on which dsyrk's
+    diagonal differs from the streamed squares in the last bit of some
+    columns, enough to move r_rel at p = 0.6: ``raw_hessian`` puts the
+    streamed squares on H's diagonal, so the root of it is detect's norms.
     """
     synth = ["--synth", "columnar", "--rows", "16", "--cols", "64",
              "--blocksize", "16", "--sparsity", "0.7", "--seed", "3"]
@@ -396,7 +396,7 @@ def test_detect_verdict_is_the_rose_plan(tmp_path):
     acts = tmp_path / "files" / "acts.json"
     streamed = calibration.column_norms(rtns.read_manifest(acts), 256)
     from_h = np.sqrt(calibration.raw_hessian(rtns.read_manifest(acts), 256).diagonal())
-    assert not np.array_equal(streamed, from_h)
+    assert np.array_equal(streamed, from_h)
     for name, layer in [("synth", synth), ("files", files)]:
         assert run(["detect", *layer, "--out", str(tmp_path / name)]) == 0
         [doc] = json.loads((tmp_path / name / "detect.json").read_text())["layers"]
@@ -984,14 +984,8 @@ def test_group_splitting_order_exit_2(tmp_path, capsys, monkeypatch):
 def write_bad_layer(tmp_path, fault):
     """Flags loading a layer whose input is spoiled by ``fault``.
 
-    Every fault but the synthetic one writes weights and one activation
-    batch to disk.
+    Every fault writes weights and one activation batch to disk.
     """
-    if fault == "nan-hot-gain":
-        return ["--synth", "columnar", "--hot-gain", "nan"]
-    if fault == "huge-hot-gain":
-        # finite, but the hot block overflows to inf
-        return ["--synth", "columnar", "--hot-gain", "1e308"]
     w = gen_uniform(8, 32, seed=0)
     x = gen_activations(64, 32, 0.0, seed=1)
     if fault == "zero-cols":
@@ -1050,9 +1044,9 @@ def assert_rejected(tmp_path, capsys, fault, code):
 
 @pytest.mark.parametrize(
     "fault",
-    ["nan-activation", "inf-weight", "nan-hot-gain", "huge-hot-gain", "huge-dims",
-     "trailing-bytes", "acts-cols-mismatch", "one-dim-weights", "huge-weight",
-     "acts-one-dim", "acts-wide", "zero-cols", "zero-rows"],
+    ["nan-activation", "inf-weight", "huge-dims", "trailing-bytes", "acts-cols-mismatch",
+     "one-dim-weights", "huge-weight", "acts-one-dim", "acts-wide", "zero-cols",
+     "zero-rows"],
 )
 def test_bad_input_exit_1(tmp_path, capsys, monkeypatch, no_factoring, fault):
     if fault.startswith("acts-"):
@@ -1094,7 +1088,7 @@ def test_untiled_weight_file_exit_2(tmp_path, capsys, monkeypatch, no_factoring)
 
 def test_threads_option_removed(capsys):
     """Removed options are unrecognized arguments, not silently ignored."""
-    for flag in ("--threads", "--hot-block", "--correlation"):
+    for flag in ("--threads", "--hot-block", "--correlation", "--hot-gain"):
         assert run(["prune", "--synth", "uniform", "--sparsity", "0.5",
                     flag, "1"]) == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
