@@ -18,9 +18,9 @@ with its diagonal kept apart, so one n x n buffer serves a layer.  It is
 made one of two ways.  ``bundle_from_hessian`` factors H in pruning order
 with rows and columns reversed, inverts the factor as a triangle and
 reads it transposed and in reverse.  Once a channel-order factor exists,
-``damped_inverse`` turns it into the inverse in place and copies that out
-as row panels of its upper triangle, and ``bundle_from_inverse`` gathers
-the inverse from them in another order and factors it with one ``dpotrf``.
+``damped_inverse`` turns it into the inverse in place and packs its upper
+triangle with one ``dtrttp``, and ``bundle_from_inverse`` gathers the
+inverse from that in another order and factors it with one ``dpotrf``.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .errors import (ConfigError, DimensionError, IndefiniteHessianError,
                      NumericOverflowError, StaleFactorError)
 from .tensors import Permutation, as_matrix, check_nonnegative, finite_matrix
 
-#: rows per panel wherever a triangle is gathered, scaled or copied; of 32,
-#: 64, 128 and 256, 64 gathered a shuffled order, from H and from the damped
-#: inverse, fastest or within about 10% of it at n = 1024 and 2048 (from H
-#: at 2048: 24.7, 21.9, 25.7 and 30.0 ms, 2 BLAS threads)
+#: rows per panel wherever a triangle is gathered or scaled; of 32, 64, 128
+#: and 256, 64 gathered a shuffled order from H fastest or within about 10%
+#: of it at n = 1024 and 2048 (at 2048: 24.7, 21.9, 25.7 and 30.0 ms, 2 BLAS
+#: threads); from the packed inverse, all four were within run-to-run noise
 PANEL = 64
 #: the fraction of H's mean diagonal that dampens it, SparseGPT's 1%
 DAMP_FRACTION = 0.01
@@ -120,12 +120,12 @@ class DampedInverse:
     """A layer's inverse dampened Hessian; equality is by identity.
 
     The matrix is 4**shift * inv(H + lambda I) in channel order with
-    rows and columns reversed, exactly symmetric.  ``upper`` holds its rows
-    from their panel's first column on, about n**2 / 2 doubles, as laid out
-    by ``_row_starts``; entries left of a row's diagonal are unspecified.  The
-    power of two, set by H's largest dampened diagonal, keeps its entries
-    near the scale of 1, so that they neither underflow nor overflow where
-    the factors made from them do not.
+    rows and columns reversed, exactly symmetric.  ``upper`` is its upper
+    triangle in LAPACK's column-major packed storage, n (n + 1) / 2 doubles
+    with m[a, b], a <= b, at a + b (b + 1) / 2.  The power of two, set by
+    H's largest dampened diagonal, keeps its entries near the scale of 1,
+    so that they neither underflow nor overflow where the factors made
+    from them do not.
     """
 
     layer: Layer
@@ -267,9 +267,9 @@ def _summed_batches(activations: Iterable[np.ndarray], width: int, sums: np.ndar
 def damping(diag: np.ndarray, damp_fraction: float) -> float:
     """lambda = damp_fraction * mean(diag), the same in every column order.
 
-    ``diag`` is H's diagonal, or the squared column norms where there is no
-    H.  A negative or non-finite ``damp_fraction`` raises ConfigError, and a
-    lambda that overflows H + lambda I NumericOverflowError, with no warning.
+    ``diag`` is H's diagonal.  A negative or non-finite ``damp_fraction``
+    raises ConfigError, and a lambda that overflows H + lambda I
+    NumericOverflowError, with no warning.
     """
     check_nonnegative(damp_fraction, "damp_fraction")
     with np.errstate(over="ignore"):  # raised just below
@@ -304,8 +304,8 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     scaled by 2**shift, a power of two that grows by k when H grows by
     4**k, so no bit of the result depends on the scale of H, and its
     diagonal goes in place of H's.  One ``dlauum``, inv(R) inv(R).T, makes
-    the inverse of H in reversed order in the same triangle, and each
-    panel of its rows is copied out as one slice.
+    the inverse of H in reversed order in the same triangle, and one
+    ``dtrttp`` packs it.
     """
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
         raise ConfigError("only a channel-order factor gives the damped inverse")
@@ -313,17 +313,14 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     n = raw.shape[0]
     top = raw.diagonal().max() + bundle.layer.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
-    starts = _row_starts(n)
-    upper = np.empty(starts[-1] + n)
     with _rewrite(raw, np.ldexp(bundle.diag[::-1], shift)):
         _scale_lower(raw, shift)
         _, info = lapack.dlauum(raw.T, lower=0, overwrite_c=1)
         if info != 0:
             raise IndefiniteHessianError(f"dlauum failed with info={info}")
-        for rows in _panels(n):
-            i1, k = rows.start, rows.stop - rows.start
-            panel = upper[starts[i1] + i1 :][: k * (n - i1)].reshape(k, n - i1)
-            panel[...] = raw[i1:, rows].T
+        upper, info = lapack.dtrttp(raw.T)
+        if info != 0:
+            raise IndefiniteHessianError(f"dtrttp failed with info={info}")
     return DampedInverse(bundle.layer, upper, shift)
 
 
@@ -331,14 +328,15 @@ def bundle_from_inverse(inverse: DampedInverse, order: Permutation) -> HessianBu
     """Factor the dampened H[order][:, order] from the layer's damped inverse.
 
     ``_factor`` factors inv(H)[order][:, order], gathered from the reversed
-    inverse's panels, where channel j is at n - 1 - j, by one upper
-    ``dpotrf``, which is U itself: no reversal and no triangular inverse.
-    Scaling U back by 2**-shift is exact, so it matches
-    ``bundle_from_hessian``'s to rounding.
+    inverse's packed triangle, where channel j is at n - 1 - j and pivot j
+    at j (j + 3) / 2, by one upper ``dpotrf``, which is U itself: no
+    reversal and no triangular inverse.  Scaling U back by 2**-shift is
+    exact, so it matches ``bundle_from_hessian``'s to rounding.
     """
     raw, upper = inverse.layer.raw, inverse.upper
     n = raw.shape[0]
-    pivots = upper[_row_starts(n) + np.arange(n)]
+    j = np.arange(n)
+    pivots = upper[j * (j + 3) // 2]
     diag = _factor(raw, (n - 1) - order.forward, order.forward, pivots, upper)
     _scale_lower(raw, -inverse.shift)
     diag = np.ldexp(diag, -inverse.shift)
@@ -356,16 +354,6 @@ def _below(rows: slice) -> np.ndarray:
     """True in the strict lower triangle of the diagonal block of ``rows``."""
     k = rows.stop - rows.start
     return _BELOW[:k, :k]
-
-
-def _row_starts(n: int) -> np.ndarray:
-    """Offsets of the rows of an n x n matrix's row panels, laid back to back.
-
-    Panel p holds rows [PANEL p, PANEL (p + 1)) from column PANEL p on, and
-    m[a, b] for b from there on is at starts[a] + b.
-    """
-    c1 = np.arange(n) // PANEL * PANEL
-    return c1 * n - c1 * (c1 - PANEL) // 2 + (np.arange(n) - c1) * (n - c1) - c1
 
 
 def _scale_lower(raw: np.ndarray, shift: int):
@@ -395,7 +383,7 @@ def _factor(raw: np.ndarray, idx: np.ndarray, channels: np.ndarray,
             pivots: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
     """Factor m[idx][:, idx], its diagonal pivots[idx], in raw's workspace; U's diagonal.
 
-    m is H, or the damped inverse when its row panels ``upper`` are given.
+    m is H, or the damped inverse when its packed triangle ``upper`` is given.
     ``_gather`` fills the workspace, which is the upper triangle of the
     column-major buffer LAPACK overwrites, since H keeps the other one;
     upper ``dpotrf`` with clean=0, which leaves H's triangle as it is,
@@ -405,10 +393,8 @@ def _factor(raw: np.ndarray, idx: np.ndarray, channels: np.ndarray,
     n = raw.shape[0]
     if idx.size != n:
         raise DimensionError(f"order size {idx.size} != Hessian size {n}")
-    m, starts = ((raw.reshape(-1), n * np.arange(n)) if upper is None
-                 else (upper, _row_starts(n)))
     with _rewrite(raw, pivots[idx]) as diagonal:
-        _gather(raw, idx, m, starts)
+        _gather(raw, idx, upper)
         _, info = lapack.dpotrf(raw.T, lower=0, clean=0, overwrite_a=1)
         if info > 0:
             pivot = int(channels[info - 1])
@@ -425,19 +411,25 @@ def _factor(raw: np.ndarray, idx: np.ndarray, channels: np.ndarray,
         return diagonal.copy()
 
 
-def _gather(raw: np.ndarray, idx: np.ndarray, m: np.ndarray, starts: np.ndarray):
+def _gather(raw: np.ndarray, idx: np.ndarray, upper: np.ndarray | None):
     """Write the strict lower triangle of m[idx][:, idx] over that of ``raw``.
 
     m is symmetric and read from one triangle only: m[a, b] for a <= b is
-    m[starts[a] + b], in H's own buffer or in the damped inverse's row
-    panels.  Panel by panel, the last first, each reads every entry of its
-    rows' leading columns from the row of its earlier channel: a peak of
-    two panels of indices and values.
+    at n a + b in H's own buffer, or at a + b (b + 1) / 2 in the damped
+    inverse's packed triangle ``upper``.  Panel by panel, the last first,
+    each reads every entry of its rows' leading columns: a peak of two
+    panels of indices and values.
     """
-    for rows in _panels(idx.size):
+    n = idx.size
+    j = np.arange(n)
+    # for a <= b, at starts[a] + b in H and at starts[b] + a packed
+    m, starts, key, other = ((raw.reshape(-1), n * j, np.minimum, np.maximum)
+                             if upper is None else
+                             (upper, j * (j + 1) // 2, np.maximum, np.minimum))
+    for rows in _panels(n):
         i1, i2 = rows.start, rows.stop
-        at = starts.take(np.minimum(idx[rows, None], idx[:i2]))
-        at += np.maximum(idx[rows, None], idx[:i2])
+        at = starts.take(key(idx[rows, None], idx[:i2]))
+        at += other(idx[rows, None], idx[:i2])
         got = m.take(at)
         raw[rows, :i1] = got[:, :i1]
         np.copyto(raw[rows, rows], got[:, i1:], where=_below(rows))

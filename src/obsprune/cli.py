@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (DAMP_FRACTION, Layer, checked_layer, column_norms, damping,
+from .calibration import (DAMP_FRACTION, Layer, checked_layer, column_norms,
                           importance_scores, raw_hessian)
 from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
@@ -82,7 +82,8 @@ def _parse_sparsities(text):
         raise argparse.ArgumentTypeError(f"sparsity must be a number, got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, damp: bool = True):
+    """The options prune, compare and detect share; only those that factor take --damp."""
     p.add_argument("--sparsity", type=_parse_sparsities, default=None,
                    help="sparsity fraction, or comma list for compare "
                         f"(detect's default {DETECT_SPARSITY})")
@@ -94,8 +95,9 @@ def _add_common(p: argparse.ArgumentParser):
                         f"up to {BLOCKSIZE}; masks are chosen per group of M")
     p.add_argument("--threshold", type=float, default=COLUMNAR_THRESHOLD,
                    help=f"reorder gate on the relative range (default {COLUMNAR_THRESHOLD})")
-    p.add_argument("--damp", type=float, default=DAMP_FRACTION,
-                   help=f"Hessian dampening fraction (default {DAMP_FRACTION})")
+    if damp:
+        p.add_argument("--damp", type=float, default=DAMP_FRACTION,
+                       help=f"Hessian dampening fraction (default {DAMP_FRACTION})")
     p.add_argument("--weights", type=Path, default=None,
                    help="RTNS file with the layer weights")
     p.add_argument("--acts", type=Path, default=None,
@@ -153,13 +155,12 @@ def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
 def _checked_weights(args, methods, configs, paths=(None,)) -> list[np.ndarray]:
     """The checked weights of each file in ``paths`` (None: --weights or --synth).
 
-    ``--damp`` and ``--threshold`` are checked before any file is read, and
-    every weight matrix, and the run list at its width (``check_runs``),
-    before any activation.  ``--synth`` names no input file.  One
-    ``--acts`` serves one width, so a file of another width than the first
-    is rejected before the manifest is read.
+    ``--threshold`` is checked before any file is read, and every weight
+    matrix, and the run list at its width (``check_runs``), before any
+    activation.  ``--synth`` names no input file.  One ``--acts`` serves
+    one width, so a file of another width than the first is rejected
+    before the manifest is read.
     """
-    check_nonnegative(args.damp, "--damp")
     check_nonnegative(args.threshold, "--threshold")
     if args.synth is not None and (
         args.weights or args.acts or getattr(args, "more_weights", None)
@@ -186,7 +187,11 @@ def _activations(args, n: int):
 
 
 def _load_layer(args, methods, configs) -> Layer:
-    """The checked layer of --weights or --synth; ``--out`` is made once it passes."""
+    """The checked layer of --weights or --synth; ``--out`` is made once it passes.
+
+    ``--damp`` is checked before any file is read.
+    """
+    check_nonnegative(args.damp, "--damp")
     [w] = _checked_weights(args, methods, configs)
     n = w.shape[1]
     layer = checked_layer(w, raw_hessian(_activations(args, n), n), args.damp)
@@ -195,13 +200,15 @@ def _load_layer(args, methods, configs) -> Layer:
 
 
 def _config_doc(config: SparsityConfig, args) -> dict:
+    """The run's settings; detect factors nothing, so it has no ``damp_fraction``."""
     pat = config.pattern
+    damp = {"damp_fraction": args.damp} if "damp" in args else {}
     return {
         "sparsity": config.sparsity,
         "blocksize": config.blocksize,
         "pattern": (f"{pat.n}:{pat.m}" if isinstance(pat, SemiStructured)
                     else "unstructured"),
-        "damp_fraction": args.damp,
+        **damp,
         "columnar_threshold": args.threshold,
         "seed": args.seed,
         "synth": args.synth,
@@ -256,7 +263,6 @@ def cmd_detect(args) -> int:
     norms = {}
     for n in dict.fromkeys(w.shape[1] for w in weights):
         norms[n] = column_norms(_activations(args, n), n)
-        damping(np.square(norms[n]), args.damp)
     doc = {"config": _config_doc(config, args), "layers": []}
     for path, w in zip(paths, weights):
         name = f"synth-{args.synth}" if path is None else str(path)
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("detect", help="columnar-layer detection")
-    _add_common(p)
+    _add_common(p, damp=False)
     p.add_argument("more_weights", nargs="*", type=Path,
                    help="additional layer weight files")
     p.set_defaults(func=cmd_detect)

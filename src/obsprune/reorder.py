@@ -157,7 +157,7 @@ def prune_runs(layer: Layer, methods: Sequence[str], configs: Sequence[SparsityC
     channel-order factor of H.  If it was made, the first reordered run
     turns it into the damped inverse in place (``damped_inverse``), which
     leaves it stale, and each reordered run is factored from the inverse's
-    row panels (``bundle_from_inverse``); otherwise each factors H itself.
+    packed triangle (``bundle_from_inverse``); otherwise each factors H itself.
     wall_ms covers a run's plan, factor and prune, and the first reordered
     run's inversion.  Once the caller asks for the next run, the generator
     holds no outcome: a caller that drops each run holds one at a time.

@@ -314,30 +314,11 @@ def group_keeping_order(n, m, seed):
                                               axis=1)).reshape(-1))
 
 
-def panel_buffer(m):
-    """The row panels of the upper triangle of the symmetric ``m``, back to back."""
-    return np.concatenate([m[i1 : i1 + PANEL, i1:].reshape(-1)
-                           for i1 in range(0, m.shape[0], PANEL)])
-
-
-def panels_of(inverse):
-    """Panel p of the inverse: its rows [PANEL p, PANEL (p + 1)) from column PANEL p on."""
-    n, at, panels = inverse.layer.raw.shape[0], 0, []
-    for i1 in range(0, n, PANEL):
-        k = min(PANEL, n - i1)
-        panels.append(inverse.upper[at : at + k * (n - i1)].reshape(k, n - i1))
-        at += panels[-1].size
-    assert at == inverse.upper.size
-    return panels
-
-
-def whole(panels):
-    """The symmetric matrix whose upper triangle the row panels hold."""
-    n = panels[0].shape[1]
-    m = np.zeros((n, n))
-    for i1, panel in zip(range(0, n, PANEL), panels):
-        m[i1 : i1 + panel.shape[0], i1:] = panel
-    return mirrored(m)
+def packed(m):
+    """LAPACK's packed upper triangle of the column-major ``m``."""
+    ap, info = lapack.dtrttp(np.asfortranarray(m))
+    assert info == 0
+    return ap
 
 
 def mirrored(upper):
@@ -351,21 +332,23 @@ def test_inverse_in_place_is_the_damped_inverse(n, dead):
     b = bundle_from_hessian(layer)
     h_before = layer.raw.copy()
     inv = damped_inverse(b)
-    # made in H's workspace, over the factor, and copied out as panels
+    # made in H's workspace, over the factor, and packed out of it
     assert not np.shares_memory(inv.upper, layer.raw)
     with pytest.raises(StaleFactorError):
         b.valid()
     assert np.array_equal(np.triu(layer.raw), np.triu(h_before))
     assert inv.layer is layer
     want = np.linalg.inv(dampened_hessian(b))
-    got = np.ldexp(whole(panels_of(inv))[::-1, ::-1], -2 * inv.shift)
+    upper, info = lapack.dtpttr(n, inv.upper)
+    assert info == 0
+    got = np.ldexp(mirrored(upper)[::-1, ::-1], -2 * inv.shift)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_each_panel_row_is_the_inverse_row_from_the_panels_first_column(n):
-    # the inverse as it was made whole before the panels: dlauum of the
-    # scaled R^-1 in a buffer of its own, its upper triangle mirrored
+def test_upper_is_the_packed_triangle_of_the_inverse(n):
+    # the inverse as it was made whole before it was packed: dlauum of the
+    # scaled R^-1 in a buffer of its own
     layer = layer_with_dead(n, n // 20, seed=n)
     b = bundle_from_hessian(layer)
     r_inv = np.asfortranarray(np.triu(layer.raw.T, 1))
@@ -374,37 +357,23 @@ def test_each_panel_row_is_the_inverse_row_from_the_panels_first_column(n):
     np.fill_diagonal(r_inv, np.ldexp(b.diag[::-1], inv.shift))
     want, info = lapack.dlauum(r_inv, lower=0, overwrite_c=1)
     assert info == 0
-    # from each row's diagonal on: nothing reads the entries left of it
-    for i1, panel in zip(range(0, n, PANEL), panels_of(inv)):
-        assert panel.shape == (min(PANEL, n - i1), n - i1)
-        read = ~np.tri(*panel.shape, k=-1, dtype=bool)
-        assert np.array_equal(panel[read].view(np.uint64),
-                              want[i1 : i1 + PANEL, i1:][read].view(np.uint64))
-
-
-@pytest.mark.parametrize("n", [65, 130])
-def test_nothing_reads_a_panel_row_left_of_its_diagonal(n):
-    layer = layer_with_dead(n, 3, seed=n)
-    clean = damped_inverse(bundle_from_hessian(layer))
-    poisoned = DampedInverse(layer, clean.upper.copy(), clean.shift)
-    left = 0
-    for panel in panels_of(poisoned):
-        panel[np.tri(*panel.shape, k=-1, dtype=bool)] = np.nan
-        left += panel.shape[0] * (panel.shape[0] - 1) // 2
-    assert np.isnan(poisoned.upper).sum() == left > 0
-    order = Permutation(np.random.default_rng(n).permutation(n))
-    want = bundle_from_inverse(clean, order)
-    want_u, want_diag = np.triu(want.chol_upper, 1), want.diag
-    got = bundle_from_inverse(poisoned, order)
-    assert np.array_equal(np.triu(got.chol_upper, 1).view(np.uint64),
-                          want_u.view(np.uint64))
-    assert np.array_equal(got.diag.view(np.uint64), want_diag.view(np.uint64))
+    # its upper triangle, packed: no entry besides
+    assert inv.upper.size == n * (n + 1) // 2
+    assert np.array_equal(inv.upper.view(np.uint64), packed(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("dead", [0, 3])
-@pytest.mark.parametrize("kind", ["identity", "random", "2:4 groups"])
-def test_factor_from_inverse_matches_factor_of_h(kind, dead):
-    n = 2 * PANEL + 12
+@pytest.mark.parametrize("kind,n", [
+    # past two panels, and inside the first and across its edge, where a
+    # wrong packed index fails first; 2:4 needs n a multiple of 4
+    *(pytest.param(kind, 2 * PANEL + 12, id=kind)
+      for kind in ("identity", "random", "2:4 groups")),
+    *(pytest.param(kind, n, id=f"{kind}-n{n}")
+      for n in (PANEL - 1, PANEL + 1) for kind in ("identity", "random")),
+    *(pytest.param(kind, PANEL + 4, id=f"{kind}-n{PANEL + 4}")
+      for kind in ("identity", "random", "2:4 groups")),
+])
+def test_factor_from_inverse_matches_factor_of_h(kind, n, dead):
     layer = layer_with_dead(n, dead, seed=dead)
     order = {"identity": Permutation.identity(n),
              "random": Permutation(np.random.default_rng(5).permutation(n)),
@@ -439,7 +408,7 @@ def test_indefinite_inverse_names_the_channel_in_its_order():
     m = np.eye(n)
     m[5, 5] = -1.0
     order = Permutation(np.array([1, 0, 5, 2, 3, 4]))
-    inverse = DampedInverse(layer, panel_buffer(m[::-1, ::-1]), 0)
+    inverse = DampedInverse(layer, packed(m[::-1, ::-1]), 0)
     with pytest.raises(IndefiniteHessianError) as exc:
         bundle_from_inverse(inverse, order)
     assert exc.value.pivot == 5
@@ -709,17 +678,18 @@ def test_baseline_memory_budget(prune):
 def test_prune_runs_memory_budget():
     """Every method at four sparsities holds about half an n x n beyond H.
 
-    The damped inverse is made in H's workspace and kept as row panels of
-    its upper triangle, and every factor is built in H's workspace, so the
-    peak is the panels, one sweep and a gather panel: no run's outcome
+    The damped inverse is made in H's workspace and kept as its packed
+    upper triangle, and every factor is built in H's workspace, so the
+    peak is the triangle, one sweep and a gather panel: no run's outcome
     outlives the next run's start.  When the inverse was a whole n x n
-    buffer, the bound held n x n where it holds the panels; when each
-    reordered factor was gathered beside it, the peak was two n x n buffers
-    and 0.4 panels past the rest, and until the generator dropped each
-    outcome it also held the run before's.
+    buffer, the bound held n x n where it holds the triangle, and when it
+    was row panels from each panel's first column on, 1,179,648 bytes; when
+    each reordered factor was gathered beside it, the peak was two n x n
+    buffers and 0.4 of the inverse past the rest, and until the generator
+    dropped each outcome it also held the run before's.
     """
     rows, n = 64, 512
-    panels = 8 * sum(PANEL * (n - i1) for i1 in range(0, n, PANEL))
+    triangle = 8 * n * (n + 1) // 2
     rng = np.random.default_rng(14)
     w = gen_columnar(rows, n, 128, 3, 10.0, seed=14)
     layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
@@ -727,7 +697,7 @@ def test_prune_runs_memory_budget():
     inverse = damped_inverse(bundle_from_hessian(layer))
     b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
     outcome, sweep, _ = traced_bytes(lambda: prune_layer(b, configs[0]))
-    assert inverse.upper.nbytes == panels
+    assert inverse.upper.nbytes == triangle
     del inverse, b, outcome
 
     def every_run():
@@ -739,8 +709,8 @@ def test_prune_runs_memory_budget():
 
     reordered, peak, _ = traced_bytes(every_run)
     assert reordered == 8
-    assert panels == 1_179_648
-    assert peak <= panels + 8 * PANEL * n + sweep + 2**16
+    assert triangle == 1_050_624
+    assert peak <= triangle + 8 * PANEL * n + sweep + 2**16
 
 
 def test_rose_prune_layer_memory_budget():
@@ -783,7 +753,7 @@ def refactor_and_fail(b):
     # an inverse that is not positive definite fails in dpotrf, after its
     # gather has written over the workspace
     inverse = damped_inverse(b)
-    inverse.upper[...] = -np.eye(16).reshape(-1)
+    inverse.upper[...] = packed(-np.eye(16))
     with pytest.raises(IndefiniteHessianError):
         bundle_from_inverse(inverse, b.order)
 

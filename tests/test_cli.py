@@ -412,6 +412,9 @@ def test_detect_verdict_is_the_rose_plan(tmp_path):
             report = json.loads((out / "report.json").read_text())
             assert doc["r_rel"] == report["r_rel"] == r_rel
             assert doc["columnar"] is report["was_reordered"] is columnar
+            # detect factors nothing, so its config has no damp_fraction
+            assert "damp_fraction" not in detected["config"]
+            del report["config"]["damp_fraction"]
             assert detected["config"] == report["config"]
             assert report["config"]["columnar_threshold"] == float(threshold)
 
@@ -811,9 +814,13 @@ def test_bad_damping_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypatc
                                                     command, damp):
     argv = write_layer_files(tmp_path)
     read = count_calls(monkeypatch, rtns.read_tensor)
-    assert main([*command, *argv, "--damp", damp]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --damp must be finite and >= 0, got {float(damp)}\n")
+    assert run([*command, *argv, "--damp", damp]) == 2
+    err = capsys.readouterr().err
+    if command == ["detect"]:
+        # detect factors nothing, so it takes no damping
+        assert "unrecognized arguments: --damp" in err
+    else:
+        assert err == f"error: --damp must be finite and >= 0, got {float(damp)}\n"
     assert read == []
     assert not (tmp_path / "out").exists()
 
@@ -862,14 +869,21 @@ def test_sparsity_required_without_pattern(tmp_path, capsys, monkeypatch, comman
     ids=[*(f"prune-{method}" for method in cli.METHODS), "compare", "detect"])
 def test_overflowing_damping_exit_1_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command):
-    """lambda overflows before any method, score or output file."""
+    """lambda overflows before any method, score or output file.
+
+    detect factors nothing, so it takes no damping: its --damp is a usage
+    error.
+    """
     argv = write_layer_files(tmp_path)
     started = [count_calls(monkeypatch, f) for f in (
         baselines.magnitude_prune, baselines.wanda_prune, reorder.loss_profile,
         calibration.importance_scores, engine.prune_layer)]
-    assert main([*command, *argv, "--damp", "1e308"]) == 1
+    detect = command == ["detect"]
+    assert run([*command, *argv, "--damp", "1e308"]) == (2 if detect else 1)
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: damping lambda = inf")
+    assert out == ""
+    assert ("unrecognized arguments: --damp" in err if detect
+            else err.startswith("error: damping lambda = inf"))
     assert started == [[]] * 5
     assert not (tmp_path / "out").exists()
 
