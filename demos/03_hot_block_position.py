@@ -20,7 +20,6 @@ from obsprune import (
     gen_activations,
     gen_columnar,
     prune_layer,
-    raw_hessian,
 )
 
 ROWS, COLS, BLOCK = 64, 256, 32
@@ -32,8 +31,8 @@ def main():
     k = COLS // BLOCK
     cfg = SparsityConfig(sparsity=0.7, blocksize=BLOCK)
     w = gen_columnar(ROWS, COLS, BLOCK, HOT, hot_gain=10.0, seed=SEED)
-    h = raw_hessian([gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)], COLS)
-    layer = checked_layer(w, h)
+    x = gen_activations(384, COLS, correlation=0.3, seed=SEED + 1)
+    layer = checked_layer(w, [x])
 
     print(f"{k} blocks of {BLOCK} columns, hot block index {HOT}, "
           f"sparsity {cfg.sparsity}\n")

@@ -5,12 +5,13 @@ H = X.T @ X of the input activations.  One step reads and checks each
 activation batch and sums its columns' squares: ``raw_hessian`` runs it
 beside the ``dsyrk`` that streams the batch into one row-major buffer's
 upper triangle, and puts the sums on its diagonal; ``column_norms`` runs
-it alone for ``detect``, which builds no H.  ``checked_layer`` checks W
-and H against each other, once; its ``Layer`` holds them with the norms,
-the root of H's diagonal, the dead channels and the dense output energy,
-and every method reads them from it.  Every error is a quadratic form in
-H read from its upper triangle, and one kernel, ``error_prefix``, gives
-its running sum over the columns, whose last entry is the whole.
+it alone for ``detect``, which builds no H.  ``checked_layer``, the one
+way to a ``Layer``, checks W, streams the batches into an H no other layer
+holds and checks both, once; the layer keeps them with the norms, the root
+of H's diagonal, the dead channels and the dense output energy, and every
+method reads them from it.  Every error is a quadratic form in H read
+from its upper triangle, and one kernel, ``error_prefix``, gives its
+running sum over the columns, whose last entry is the whole.
 For pruning, H is dampened by the layer's lambda, a multiple of its mean
 diagonal, and the upper Cholesky factor of its inverse drives the engine.
 Every factor is built in the strict lower triangle of H's own buffer,
@@ -50,10 +51,6 @@ _BELOW = np.tri(PANEL, k=-1, dtype=bool)
 #: rows of a batch squared at a time
 SQUARED_ROWS = 8
 
-#: the ids of the live H buffers ``raw_hessian`` made, the only ones a layer
-#: writes uncopied: the layers built on one share it, and build their factors
-#: in its strict lower triangle
-_RAW: set[int] = set()
 #: the ``diag`` of the bundle whose factor each H buffer holds, by address
 _HOLDERS = weakref.WeakValueDictionary()
 
@@ -67,9 +64,8 @@ class Layer:
     runs in one order whatever the caller's layout.  ``raw`` is X.T @ X
     in channel order, without dampening, the matrix every reconstruction
     error is measured in, in its upper triangle and diagonal; the strict
-    lower triangle is the workspace the layer's factors are built in,
-    shared with every layer built on the same ``raw_hessian`` result.
-    ``norms`` are the root of H's diagonal, for ``raw_hessian``'s result
+    lower triangle is the workspace the layer's factors are built in, a
+    buffer no other layer holds.  ``norms`` are the root of H's diagonal,
     the column norms of its batches bit for bit.  ``dead`` is True for each
     channel whose diagonal in H is zero, ``dense_energy`` is the dense output
     energy sum(W @ H @ W.T), and ``damp_lambda`` is every factor's lambda in
@@ -96,9 +92,8 @@ class HessianBundle:
     ``bundle_from_inverse`` as the column-major buffer LAPACK wrote.  Its
     trailing blocks reproduce the inverses of all trailing Hessian
     submatrices, which is what lets one factorization serve the whole
-    left-to-right sweep.  The bundle is valid until a factor is built
-    again in the same H buffer, by any layer that shares it; ``valid``
-    raises StaleFactorError after that.
+    left-to-right sweep.  The bundle is valid until its layer builds a
+    factor again; ``valid`` raises StaleFactorError after that.
     """
 
     layer: Layer
@@ -163,34 +158,24 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def checked_layer(w, raw, damp_fraction: float = DAMP_FRACTION) -> Layer:
-    """The layer (W, H) and its damping, once all pass every check, before any scoring.
+def checked_layer(w, activations, damp_fraction: float = DAMP_FRACTION) -> Layer:
+    """The layer of W and H = X.T @ X over ``activations``, once all pass every check.
 
-    W and H must be finite and have at least one row and one column, as
-    ``finite_matrix`` checks.  H must be square and as wide as W, with a
-    non-negative diagonal, as a Gram matrix's is: the first negative entry
-    is the pivot.  ``damping`` turns ``damp_fraction`` into lambda or rejects
-    it.  The dense output energy, the last entry of W's
+    W must be finite with a row and a column (``finite_matrix``), and
+    ``damp_fraction`` finite and >= 0 (ConfigError), before any batch is
+    read.  ``raw_hessian`` then streams the batches, each checked as wide
+    as W, into a buffer only this layer holds and builds its factors in.
+    H must be finite, which the batches' sums do not ensure where ``dsyrk``
+    rounds past the largest double; ``damping`` turns ``damp_fraction``
+    into lambda; and the dense output energy, the last entry of W's
     ``error_prefix``, must be finite, so that every relative error has a
     denominator.  H is read from its upper triangle and diagonal, whose
-    root is the norms.  Factors are built in the strict lower triangle of
-    H's buffer: that of ``raw_hessian``'s result, which every layer built
-    on it shares, or else of a copy, so a caller's own H is never written.
+    root is the norms.
     """
     w = np.ascontiguousarray(finite_matrix(w))
-    raw = finite_matrix(raw, "hessian")
-    if id(raw) not in _RAW:
-        raw = raw.copy()
-    n = raw.shape[0]
-    if raw.shape[1] != n:
-        raise DimensionError(f"hessian must be square, got {raw.shape}")
-    if w.shape[1] != n:
-        raise DimensionError(f"weight cols {w.shape[1]} != Hessian size {n}")
+    check_nonnegative(damp_fraction, "damp_fraction")
+    raw = finite_matrix(raw_hessian(activations, w.shape[1]), "hessian")
     diag = raw.diagonal()
-    pivot = int(np.argmax(diag < 0))
-    if diag[pivot] < 0:
-        raise IndefiniteHessianError(f"hessian has a negative diagonal (pivot {pivot})",
-                                     pivot=pivot)
     lam = damping(diag, damp_fraction)
     energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
@@ -207,7 +192,7 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
     has passed, the upper one of the row-major view returned.  The sums
     replace dsyrk's diagonal, whose root is then ``column_norms``'s, bit for
     bit.  The strict lower triangle is zero, the free workspace of the
-    factors of every layer ``checked_layer`` builds on the result.
+    factors of the layer ``checked_layer`` builds on it.
     """
     sums = np.zeros(width)
     acc = None
@@ -220,8 +205,6 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
         del b
     h = acc.T
     np.fill_diagonal(h, sums)
-    _RAW.add(id(h))
-    weakref.finalize(h, _RAW.discard, id(h))
     return h
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (DAMP_FRACTION, Layer, checked_layer, column_norms,
-                          importance_scores, raw_hessian)
+                          importance_scores)
 from .errors import ConfigError, DimensionError, PruneError
 from .oracle import cross_check
 from .reorder import (COLUMNAR_THRESHOLD, METHODS, build_reorder_plan, check_runs,
@@ -194,7 +194,7 @@ def _load_layer(args, methods, configs) -> Layer:
     check_nonnegative(args.damp, "--damp")
     [w] = _checked_weights(args, methods, configs)
     n = w.shape[1]
-    layer = checked_layer(w, raw_hessian(_activations(args, n), n), args.damp)
+    layer = checked_layer(w, _activations(args, n), args.damp)
     args.out.mkdir(parents=True, exist_ok=True)
     return layer
 

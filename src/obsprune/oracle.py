@@ -190,7 +190,7 @@ def cross_check(seed: int) -> list[str]:
             W[:, dead] *= 100.0
         config = (SparsityConfig.semi_structured(2, 4, blocksize) if nm
                   else SparsityConfig(p, blocksize))
-        layer = checked_layer(W, raw_hessian([X], n))
+        layer = checked_layer(W, [X])
         fast = prune_layer(bundle_from_hessian(layer), config)
         slow = naive_obs_prune(W, [X], config)
         if not np.array_equal(fast.mask.kept, slow.mask.kept):
@@ -202,7 +202,7 @@ def cross_check(seed: int) -> list[str]:
     n = int(rng.integers(8, 65))
     X = rng.standard_normal((2 * n, n))
     X[:, rng.choice(n, size=3, replace=False)] = 0.0
-    layer = checked_layer(np.zeros((1, n)), raw_hessian([X], n))
+    layer = checked_layer(np.zeros((1, n)), [X])
     order = Permutation(rng.permutation(n))
     b = bundle_from_hessian(layer, order)
     # a copy of U, whose buffer the layer's next factor overwrites

@@ -29,8 +29,7 @@ import numpy as np
 
 from .baselines import magnitude_prune, wanda_prune
 from .calibration import (Layer, bundle_from_hessian, bundle_from_inverse,
-                          checked_layer, damped_inverse, importance_scores,
-                          raw_hessian)
+                          checked_layer, damped_inverse, importance_scores)
 from .engine import PruneOutcome, prune_layer
 from .errors import ConfigError
 from .tensors import (Permutation, SparsityConfig, check_nonnegative, finite_matrix,
@@ -211,11 +210,11 @@ def rose_prune_layer(
     """Check W and config, then score, reorder if columnar, prune and restore order.
 
     ``prune_runs``'s one ``"rose"`` run, as (outcome, plan, profile), at the
-    default damping and threshold.  ``activations``, any iterable of
-    batches, is read once, batch by batch, after W and config are checked.
+    default damping and threshold.  ``checked_layer`` reads ``activations``,
+    any iterable of batches, once, batch by batch, after W and config pass.
     """
     w = finite_matrix(w)
     check_runs(w.shape[1], ["rose"], [config])
-    layer = checked_layer(w, raw_hessian(activations, w.shape[1]))
+    layer = checked_layer(w, activations)
     [run] = prune_runs(layer, ["rose"], [config])
     return run.outcome, run.plan, run.profile

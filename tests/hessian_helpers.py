@@ -8,27 +8,25 @@ from obsprune import (
     Permutation,
     bundle_from_hessian,
     checked_layer,
-    raw_hessian,
 )
 from obsprune.calibration import DAMP_FRACTION
 
 
-def factor(raw, damp_fraction, order=None, w=None):
-    """The bundle of the layer (w, raw), dampened at ``damp_fraction``, in ``order``.
+def factor(activations, damp_fraction=DAMP_FRACTION, w=None, order=None, width=None):
+    """The bundle of the layer of ``w`` and X.T @ X over ``activations``, in ``order``.
 
-    ``w`` defaults to one zero row, for tests of the factor alone.
+    Dampened at ``damp_fraction``, and factored in channel order by default.
+    ``w`` defaults to one zero row ``width`` wide, for tests of the factor
+    alone; ``width`` defaults to batch 0's.
     """
-    w = np.zeros((1, np.shape(raw)[-1])) if w is None else w
-    return bundle_from_hessian(checked_layer(w, raw, damp_fraction), order)
+    if w is None:
+        w = np.zeros((1, np.shape(activations[0])[1] if width is None else width))
+    return bundle_from_hessian(checked_layer(w, activations, damp_fraction), order)
 
 
-def accumulate_hessian(activations, damp_fraction=DAMP_FRACTION, w=None, width=None):
-    """The bundle of X.T @ X over ``activations``, factored in channel order.
-
-    The batches must be ``width`` wide, W's width by default.
-    """
-    width = w.shape[1] if width is None else width
-    return factor(raw_hessian(activations, width), damp_fraction, w=w)
+def gram_root(h):
+    """One batch X with X.T @ X = h to rounding, for a symmetric positive definite h."""
+    return np.linalg.cholesky(h).T
 
 
 def block_order(config, n, blocks):

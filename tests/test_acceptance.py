@@ -22,17 +22,16 @@ from obsprune import (
     gen_uniform,
     naive_obs_prune,
     prune_layer,
-    raw_hessian,
     reconstruction_error,
     rose_prune_layer,
 )
 from obsprune.tensors import pruned_count
 
 from hessian_helpers import (
-    accumulate_hessian,
     block_order,
     cholesky_inverse_identity_check,
     factor,
+    gram_root,
 )
 
 SEEDS = range(20)
@@ -68,7 +67,7 @@ def columnar_runs():
     runs = {"rose": {}, "rose-ascending": {}, "sparsegpt": {}}
     for seed in SEEDS:
         w, x = columnar_fixture(seed)
-        bundle = accumulate_hessian([x], 0.01, w)
+        bundle = factor([x], 0.01, w)
         for p in SPARSITIES:
             cfg = SparsityConfig(sparsity=p, blocksize=BLOCK)
             out, plan, prof = rose_prune_layer(w, [x], cfg)
@@ -101,7 +100,7 @@ def test_criterion_1_trailing_cholesky_identity():
         eigs *= cond / eigs.max()
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         h = (q * eigs) @ q.T
-        bundle = factor((h + h.T) / 2, 0.0)
+        bundle = factor([gram_root((h + h.T) / 2)], 0.0)
         for i in range(n):
             worst = max(worst, cholesky_inverse_identity_check(bundle, i))
     elapsed = time.perf_counter() - t0
@@ -143,7 +142,7 @@ def test_criterion_3_engine_matches_naive_oracle():
         x = rng.standard_normal((2 * n, n))
         w = rng.standard_normal((max(4, n // 2), n))
         cfg = SparsityConfig(sparsity=p, blocksize=16)
-        bundle = accumulate_hessian([x], w=w)
+        bundle = factor([x], w=w)
         fast = prune_layer(bundle, cfg)
         slow = naive_obs_prune(w, [x], cfg)
         masks_equal &= bool(np.array_equal(fast.mask.kept, slow.mask.kept))
@@ -188,7 +187,7 @@ def test_criterion_5_gate_behavior(columnar_runs):
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         uni_rels.append(prof.relative_range)
         uniform_ok &= prof.relative_range < 0.5 and not plan.was_reordered
-        bundle = accumulate_hessian([x], w=w)
+        bundle = factor([x], w=w)
         plain = prune_layer(bundle, cfg)
         bitwise_ok &= bool(
             np.array_equal(out.pruned_weights, plain.pruned_weights)
@@ -271,10 +270,8 @@ def test_criterion_8_permutation_soundness(columnar_runs):
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        a1, r1 = reconstruction_error(checked_layer(w, raw_hessian([x], w.shape[1])),
-                                      out.pruned_weights)
-        a2, r2 = reconstruction_error(
-            checked_layer(wp, raw_hessian([xp], wp.shape[1])), wpp)
+        a1, r1 = reconstruction_error(checked_layer(w, [x]), out.pruned_weights)
+        a2, r2 = reconstruction_error(checked_layer(wp, [xp]), wpp)
         dev = max(abs(a1 - a2) / max(1.0, abs(a1)), abs(r1 - r2))
         worst = max(worst, dev)
         ok &= dev <= 1e-9
@@ -289,8 +286,8 @@ def test_criterion_9_hot_block_position_sweep():
     errors = np.zeros((10, k_blocks))
     for s, seed in enumerate(range(10)):
         w = gen_columnar(64, 256, 32, hot, 10.0, seed)
-        h = raw_hessian([gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)], 256)
-        layer = checked_layer(w, h)
+        x = gen_activations(384, 256, 0.3, seed + ACT_SEED_OFFSET)
+        layer = checked_layer(w, [x])
         rest = [b for b in range(k_blocks) if b != hot]
         for pos in range(k_blocks):
             perm = block_order(cfg, 256, rest[:pos] + [hot] + rest[pos:])

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import lapack
 
 from obsprune import (ConfigError, DimensionError, NumericOverflowError, SparsityConfig,
-                      checked_layer, raw_hessian, reorder, rose_prune_layer)
+                      checked_layer, reorder, rose_prune_layer)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "obsprune"
@@ -104,7 +104,7 @@ def test_zero_row_layer(method, pattern, monkeypatch):
              "magnitude": "magnitude_prune", "wanda": "wanda_prune"}[method]
     monkeypatch.setattr(reorder, entry, lambda *a, **k: called.append(entry))
     with pytest.raises(DimensionError, match="a row and a column"):
-        checked_layer(np.zeros((0, n)), raw_hessian([x], n))
+        checked_layer(np.zeros((0, n)), [x])
     drawn = []
 
     def batches():
@@ -134,22 +134,22 @@ import sys
 import numpy as np
 from obsprune import (SparsityConfig, bundle_from_hessian, checked_layer,
                       gen_activations, gen_columnar, gen_uniform, prune_layer,
-                      prune_runs, raw_hessian, rose_prune_layer)
+                      prune_runs, rose_prune_layer)
 acts = [gen_activations(1024, 512, 0.3, seed) for seed in (11, 12)]
 w = gen_columnar(128, 512, 128, 3, 10.0, seed=5)
 rose, plan, _ = rose_prune_layer(w, acts, SparsityConfig(0.7))
 assert plan.was_reordered
 nm = SparsityConfig.semi_structured(2, 4)
 w_nm = gen_uniform(128, 512, seed=6)
-layer = checked_layer(w_nm, raw_hessian(acts, 512))
+layer = checked_layer(w_nm, acts)
 dense = prune_layer(bundle_from_hessian(layer), nm)
 # 1024 rows: the column loop's 15-column dger is large enough to be threaded
 w_tall = gen_uniform(1024, 128, seed=7)
 tall_acts = [gen_activations(512, 128, 0.3, 13)]
-tall_layer = checked_layer(w_tall, raw_hessian(tall_acts, 128))
+tall_layer = checked_layer(w_tall, tall_acts)
 tall = prune_layer(bundle_from_hessian(tall_layer), SparsityConfig(0.5))
 grid = {}
-grid_layer = checked_layer(w, raw_hessian(acts, 512))
+grid_layer = checked_layer(w, acts)
 for run in prune_runs(grid_layer, ["sparsegpt", "rose", "rose-ascending"],
                       [SparsityConfig(0.5), SparsityConfig(0.7)]):
     assert run.plan.was_reordered == run.method.startswith("rose")

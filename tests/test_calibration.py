@@ -31,15 +31,15 @@ from obsprune import (
     rose_prune_layer,
     wanda_prune,
 )
-from obsprune import baselines, engine
+from obsprune import baselines, calibration, engine
 from obsprune.calibration import (DAMP_FRACTION, PANEL, SQUARED_ROWS, DampedInverse,
                                  error_prefix)
 
 from hessian_helpers import (
-    accumulate_hessian,
     cholesky_inverse_identity_check,
     dampened_hessian,
     factor,
+    gram_root,
     symmetric,
     upper_factor,
 )
@@ -78,7 +78,7 @@ def inverse(bundle):
 
 
 def test_identity_activations():
-    b = accumulate_hessian([np.eye(2)], damp_fraction=0.0, width=2)
+    b = factor([np.eye(2)], damp_fraction=0.0, width=2)
     np.testing.assert_allclose(dampened_hessian(b), np.eye(2))
     np.testing.assert_allclose(inverse(b), np.eye(2))
     np.testing.assert_allclose(upper_factor(b), np.eye(2))
@@ -87,21 +87,21 @@ def test_identity_activations():
 
 def test_diagonal_case():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
-    b = accumulate_hessian([x], damp_fraction=0.0, width=2)
+    b = factor([x], damp_fraction=0.0, width=2)
     np.testing.assert_allclose(dampened_hessian(b), np.diag([4.0, 1.0]))
     np.testing.assert_allclose(inverse(b), np.diag([0.25, 1.0]))
 
 
 def test_inverse_matches_gauss_oracle():
     x = np.random.default_rng(3).standard_normal((16, 8))
-    b = accumulate_hessian([x], damp_fraction=0.01, width=8)
+    b = factor([x], damp_fraction=0.01, width=8)
     expected = gauss_inverse(dampened_hessian(b))
     assert np.max(np.abs(inverse(b) - expected)) < 1e-8
 
 
 def test_bundle_invariants():
     x = np.random.default_rng(4).standard_normal((40, 12))
-    b = accumulate_hessian([x], damp_fraction=0.01, width=12)
+    b = factor([x], damp_fraction=0.01, width=12)
     assert np.max(np.abs(dampened_hessian(b) @ inverse(b) - np.eye(12))) < 1e-8
     low = upper_factor(b).T
     assert np.max(np.abs(low @ low.T - gauss_inverse(dampened_hessian(b)))) < 1e-8
@@ -109,7 +109,7 @@ def test_bundle_invariants():
 
 def test_dampening_uses_mean_diagonal():
     x = np.array([[2.0, 0.0], [0.0, 1.0]])
-    b = accumulate_hessian([x], damp_fraction=0.1, width=2)
+    b = factor([x], damp_fraction=0.1, width=2)
     # raw diag (4, 1), mean 2.5
     assert b.layer.damp_lambda == pytest.approx(0.25)
     np.testing.assert_allclose(dampened_hessian(b), np.diag([4.25, 1.25]))
@@ -117,32 +117,29 @@ def test_dampening_uses_mean_diagonal():
 
 def test_dead_columns_recorded():
     x = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
-    b = accumulate_hessian([x], damp_fraction=0.01, width=3)
+    b = factor([x], damp_fraction=0.01, width=3)
     np.testing.assert_array_equal(np.flatnonzero(b.layer.dead), [1])
 
 
 def test_indefinite_failure_names_pivot():
     x = np.zeros((2, 3))
     with pytest.raises(IndefiniteHessianError) as exc:
-        accumulate_hessian([x], damp_fraction=0.0, width=3)
+        factor([x], damp_fraction=0.0, width=3)
     assert exc.value.pivot is not None
 
 
 @pytest.mark.parametrize("first,second", [(0, 7), (2, 5), (3, 4), (6, 7)])
 def test_indefinite_pivot_in_original_coordinates(first, second):
-    # columns first < second couple only to each other, through an
-    # indefinite 2 x 2 block: H[first + 1:, first + 1:] is positive definite
-    # and H[first:, first:] is not, while the leading block first fails at
-    # second
-    h = random_spd(8, seed=first)
-    for j in (first, second):
-        h[j, :] = h[:, j] = 0.0
-        h[j, j] = 1.0
-    h[first, second] = h[second, first] = 2.0
+    # channels first < second are dead, and H is undamped:
+    # H[second + 1:, second + 1:] is positive definite and H[second:, second:]
+    # is not, while the leading block first fails at first; reversed, the
+    # failing pivot sits at 7 - second, which no case names
+    x = np.random.default_rng(first).standard_normal((16, 8))
+    x[:, [first, second]] = 0.0
     with pytest.raises(IndefiniteHessianError) as exc:
-        factor(h, 0.0)
-    assert exc.value.pivot == first
-    assert f"pivot {first}" in str(exc.value)
+        factor([x], 0.0)
+    assert exc.value.pivot == second
+    assert f"pivot {second}" in str(exc.value)
 
 
 def factor_of_inverse(h):
@@ -162,18 +159,18 @@ def test_factor_matches_inverse_then_factor_route(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 97))
     x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
-    b = accumulate_hessian([x], damp_fraction=0.01, width=n)
+    b = factor([x], damp_fraction=0.01, width=n)
     want = factor_of_inverse(dampened_hessian(b))
     assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_requires_batches_and_consistent_cols():
     with pytest.raises(DimensionError):
-        accumulate_hessian([], width=3)
+        factor([], width=3)
     with pytest.raises(DimensionError, match="batch 0 has 4 columns, expected 3"):
-        accumulate_hessian([np.ones((2, 4)), np.ones((2, 3))], width=3)
+        factor([np.ones((2, 4)), np.ones((2, 3))], width=3)
     with pytest.raises(DimensionError, match="activation batch 1"):
-        accumulate_hessian([np.ones((2, 3)), np.ones((2, 4))], width=3)
+        factor([np.ones((2, 3)), np.ones((2, 4))], width=3)
 
 
 def test_column_norms_345():
@@ -209,71 +206,66 @@ def test_zero_rows_batch_changes_nothing():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((15, 6))
     zeros = np.zeros((4, 6))
-    b1 = accumulate_hessian([x], 0.01, width=6)
-    b2 = accumulate_hessian([x, zeros], 0.01, width=6)
+    b1 = factor([x], 0.01, width=6)
+    b2 = factor([x, zeros], 0.01, width=6)
     np.testing.assert_array_equal(dampened_hessian(b1), dampened_hessian(b2))
     np.testing.assert_array_equal(b1.layer.norms, b2.layer.norms)
 
 
 def test_cholesky_identity_trivial_cases():
     x = np.random.default_rng(8).standard_normal((30, 6))
-    b = accumulate_hessian([x], 0.01, width=6)
+    b = factor([x], 0.01, width=6)
     full_dev = cholesky_inverse_identity_check(b, 0)
     assert full_dev <= 1e-8
 
-    bd = factor(np.diag([4.0, 1.0]), 0.0)
+    bd = factor([np.diag([2.0, 1.0])], 0.0)
     assert cholesky_inverse_identity_check(bd, 1) == 0.0
 
 
 def test_cholesky_identity_every_index():
-    h = random_spd(32, seed=9, cond=1e4)
-    b = factor(h, 0.0)
+    b = factor([gram_root(random_spd(32, seed=9, cond=1e4))], 0.0)
     for i in range(32):
         assert cholesky_inverse_identity_check(b, i) <= 1e-7
 
 
 def test_cholesky_identity_index_range():
-    b = factor(np.eye(3), 0.0)
+    b = factor([np.eye(3)], 0.0)
     with pytest.raises(DimensionError):
         cholesky_inverse_identity_check(b, 3)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_indefinite_pivot_names_channel_in_any_order(seed):
-    # channels a and b couple only to each other, through an indefinite
-    # 2 x 2 block; H[order][:, order] is factored from its last column
-    # backwards, so it fails at whichever of the two comes first in the order
+    # channels a and b are dead, and H is undamped; H[order][:, order] is
+    # factored from its last column backwards, so it fails at whichever of
+    # the two comes last in the order
     rng = np.random.default_rng(seed)
     a, b = (int(c) for c in rng.choice(8, 2, replace=False))
-    h = random_spd(8, seed=seed)
-    for j in (a, b):
-        h[j, :] = h[:, j] = 0.0
-        h[j, j] = 1.0
-    h[a, b] = h[b, a] = 2.0
+    x = rng.standard_normal((16, 8))
+    x[:, [a, b]] = 0.0
     order = Permutation(rng.permutation(8))
-    first = a if order.inverse[a] < order.inverse[b] else b
+    last = a if order.inverse[a] > order.inverse[b] else b
     with pytest.raises(IndefiniteHessianError) as exc:
-        factor(h, 0.0, order)
-    assert exc.value.pivot == first
-    assert f"pivot {first}" in str(exc.value)
+        factor([x], 0.0, order=order)
+    assert exc.value.pivot == last
+    assert f"pivot {last}" in str(exc.value)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_any_order_factors_the_permuted_hessian(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((60, 24))
-    raw = raw_hessian([x], 24)
-    h = symmetric(raw)
+    h = symmetric(raw_hessian([x], 24))
     order = Permutation(rng.permutation(24))
-    b = factor(raw, 0.01, order)
+    b = factor([x], 0.01, order=order)
     f = order.forward
     assert b.order is order
     want = factor_of_inverse(h[np.ix_(f, f)] + b.layer.damp_lambda * np.eye(24))
     assert np.max(np.abs(upper_factor(b) - want)) <= 1e-12 * np.max(np.abs(want))
     # U's strict upper triangle lies in H's own buffer, whose upper one
     # still holds H
-    assert np.shares_memory(b.chol_upper, raw)
-    assert np.array_equal(np.triu(raw), np.triu(h))
+    assert np.shares_memory(b.chol_upper, b.layer.raw)
+    assert np.array_equal(np.triu(b.layer.raw), np.triu(h))
 
 
 def test_panel_gather_factors_the_direct_gather_bitwise():
@@ -281,8 +273,7 @@ def test_panel_gather_factors_the_direct_gather_bitwise():
     # exact copy: n = 300 ends in a partial panel
     n = 300
     rng = np.random.default_rng(13)
-    layer = checked_layer(np.zeros((1, n)),
-                          raw_hessian([rng.standard_normal((n + 20, n))], n))
+    layer = checked_layer(np.zeros((1, n)), [rng.standard_normal((n + 20, n))])
     order = Permutation(rng.permutation(n))
     h_before = layer.raw.copy()
     b = bundle_from_hessian(layer, order)
@@ -303,7 +294,7 @@ def layer_with_dead(n, dead, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((int(rng.integers(n, 3 * n + 1)), n))
     x[:, rng.choice(n, size=dead, replace=False)] = 0.0
-    return checked_layer(np.zeros((1, n)), raw_hessian([x], n))
+    return checked_layer(np.zeros((1, n)), [x])
 
 
 def group_keeping_order(n, m, seed):
@@ -587,11 +578,11 @@ def test_memory_budget():
     panel = 8 * PANEL * n
     rng = np.random.default_rng(11)
     batches = [rng.standard_normal((64, n)) for _ in range(8)]
-    raw, peak, held = traced_bytes(lambda: raw_hessian(batches, n))
+    _, peak, held = traced_bytes(lambda: raw_hessian(batches, n))
     assert peak <= square + (SQUARED_ROWS + 2) * 8 * n + 4096
     assert held <= square + 8 * n + 4096
 
-    layer = checked_layer(np.zeros((1, n)), raw)
+    layer = checked_layer(np.zeros((1, n)), batches)
     for order in (None, Permutation(rng.permutation(n))):
         _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, order))
         assert peak <= 3 * panel
@@ -615,7 +606,7 @@ def test_prune_layer_memory_budget():
     rows, n = 64, 512
     rng = np.random.default_rng(13)
     w = rng.standard_normal((rows, n))
-    layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
+    layer = checked_layer(w, [rng.standard_normal((2 * n, n))])
     b = bundle_from_hessian(layer, Permutation(rng.permutation(n)))
     config = SparsityConfig(0.5)
     prune_layer(b, config)
@@ -634,7 +625,7 @@ def test_prune_layer_memory_at_bench_scale():
     rows, n = 512, 2048
     rng = np.random.default_rng(14)
     w = rng.standard_normal((rows, n))
-    layer = checked_layer(w, raw_hessian([rng.standard_normal((512, n))], n))
+    layer = checked_layer(w, [rng.standard_normal((512, n))])
     b = bundle_from_hessian(layer, Permutation(rng.permutation(n)))
     config = SparsityConfig(0.7)
     _, peak, _ = traced_bytes(lambda: prune_layer(b, config))
@@ -669,8 +660,7 @@ def test_baseline_memory_budget(prune):
     """
     n = 512
     rng = np.random.default_rng(12)
-    layer = checked_layer(rng.standard_normal((16, n)),
-                          raw_hessian([rng.standard_normal((1024, n))], n))
+    layer = checked_layer(rng.standard_normal((16, n)), [rng.standard_normal((1024, n))])
     _, peak, _ = traced_bytes(lambda: prune(layer, SparsityConfig(0.5)))
     assert peak <= 0.5 * 8 * n * n
 
@@ -692,7 +682,7 @@ def test_prune_runs_memory_budget():
     triangle = 8 * n * (n + 1) // 2
     rng = np.random.default_rng(14)
     w = gen_columnar(rows, n, 128, 3, 10.0, seed=14)
-    layer = checked_layer(w, raw_hessian([rng.standard_normal((2 * n, n))], n))
+    layer = checked_layer(w, [rng.standard_normal((2 * n, n))])
     configs = [SparsityConfig(p) for p in (0.5, 0.6, 0.7, 0.8)]
     inverse = damped_inverse(bundle_from_hessian(layer))
     b = bundle_from_inverse(inverse, Permutation(rng.permutation(n)))
@@ -728,7 +718,7 @@ def test_rose_prune_layer_memory_budget():
     batches, config = [x[:n], x[n:]], SparsityConfig(0.7)
     (_, plan, _), peak, _ = traced_bytes(lambda: rose_prune_layer(w, batches, config))
     assert plan.was_reordered
-    b = bundle_from_hessian(checked_layer(w, raw_hessian(batches, n)), plan.permutation)
+    b = bundle_from_hessian(checked_layer(w, batches), plan.permutation)
     _, sweep, _ = traced_bytes(lambda: prune_layer(b, config))
     assert peak <= 8 * n * n + sweep + 8 * PANEL * n
 
@@ -775,74 +765,44 @@ def test_a_stale_bundle_is_rejected(use, refactor):
     assert isinstance(info.value, PruneError)
 
 
-def test_layers_on_one_raw_hessian_share_its_workspace():
-    # two layers built on one raw_hessian result, as a library caller may
-    # build the weights that read the same inputs: a factor of either makes
-    # the other's bundle stale
+def test_each_layer_owns_its_hessian():
+    # two layers on the same batches, as a library caller may build the
+    # weights that read the same inputs: each holds an H of its own, so a
+    # factor of one leaves the other's bundle valid
     n = 16
-    raw = raw_hessian([np.random.default_rng(3).standard_normal((40, n))], n)
-    first = checked_layer(np.ones((2, n)), raw)
-    second = checked_layer(np.zeros((1, n)), raw)
-    assert first.raw is second.raw is raw
+    x = np.random.default_rng(3).standard_normal((40, n))
+    first = checked_layer(np.ones((2, n)), [x])
+    second = checked_layer(np.zeros((1, n)), [x])
+    assert not np.shares_memory(first.raw, second.raw)
+    assert np.array_equal(first.raw, second.raw)
     b = bundle_from_hessian(first)
     bundle_from_hessian(second, Permutation(np.arange(n)[::-1].copy()))
-    for use in (damped_inverse, lambda b: prune_layer(b, SparsityConfig(0.5))):
-        with pytest.raises(StaleFactorError):
-            use(b)
+    damped_inverse(bundle_from_hessian(second))
+    assert b.valid() is b
+    prune_layer(b, SparsityConfig(0.5))
 
 
 def test_a_failed_factor_from_h_keeps_h_and_stales_the_other_layers_bundle():
+    """A failed factor stales the bundle its layer held before it.
+
+    The patched ``dpotrf`` reports a failed pivot once the real call has
+    written over the workspace, as an indefinite H would.
+    """
     def fail_directly(b):
-        # a second layer on the same H, undamped over a dead channel, fails
-        # in dpotrf after its gather has written over the workspace
-        second = checked_layer(np.zeros((1, 16)), b.layer.raw, 0.0)
-        assert second.raw is b.layer.raw and second.dead.any()
-        with pytest.raises(IndefiniteHessianError):
-            bundle_from_hessian(second)
+        potrf = lapack.dpotrf
+
+        def failing(*args, **kwargs):
+            c, _ = potrf(*args, **kwargs)
+            return c, 1
+
+        with mock.patch.object(lapack, "dpotrf", failing), pytest.raises(
+            IndefiniteHessianError, match="pivot 15"
+        ):
+            bundle_from_hessian(b.layer)
 
     b = stale_after(fail_directly)
     with pytest.raises(StaleFactorError):
         b.valid()
-
-
-def test_a_callers_own_hessian_is_never_written():
-    # H not made by raw_hessian is copied, so each layer has its own buffer
-    n = 16
-    h = symmetric(raw_hessian([np.random.default_rng(3).standard_normal((40, n))], n))
-    before = h.copy()
-    first, second = (checked_layer(np.ones((2, n)), h) for _ in range(2))
-    assert not np.shares_memory(first.raw, h)
-    b = bundle_from_hessian(first)
-    bundle_from_hessian(second)
-    assert np.array_equal(h, before)
-    assert b.valid() is b
-
-
-def test_an_h_edited_in_place_gives_the_layer_of_its_copy():
-    """A layer's norms are the root of the H it is built on, whoever made the buffer.
-
-    ``raw_hessian``'s result, its first 16 channels scaled by 100 in place,
-    and a copy of it give layers with the same norms bit for bit, the same
-    wanda mask and the same rose r_rel and verdict: the gate fires on both.
-    """
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((8, 64))
-    raw = raw_hessian([rng.standard_normal((256, 64))], 64)
-    raw[:16] *= 100.0
-    raw[:, :16] *= 100.0
-    edited, copied = checked_layer(w, raw), checked_layer(w, raw.copy())
-    assert edited.raw is raw
-    assert np.array_equal(edited.norms, np.sqrt(raw.diagonal()))
-    assert np.array_equal(edited.norms.view(np.uint64), copied.norms.view(np.uint64))
-    config = SparsityConfig(0.5, blocksize=16)
-    first, second = ({r.method: r for r in reorder.prune_runs(layer, ["wanda", "rose"],
-                                                               [config])}
-                     for layer in (edited, copied))
-    assert np.array_equal(first["wanda"].outcome.mask.kept,
-                          second["wanda"].outcome.mask.kept)
-    r_rel = first["rose"].profile.relative_range
-    assert r_rel == second["rose"].profile.relative_range > 1.0
-    assert first["rose"].plan.was_reordered and second["rose"].plan.was_reordered
 
 
 def test_a_bundle_stays_valid_until_its_layer_is_factored_again():
@@ -879,48 +839,30 @@ def test_batch_not_as_wide_as_w_rejected_before_h_is_sized(prune, shape):
     assert peak < 2**20
 
 
-def nan_hessian():
-    h = random_spd(32, seed=10)
-    h[3, 7] = np.nan
-    return h
+def batch_with(value):
+    """One 4 x 32 batch of ones with ``value`` at [3, 7]."""
+    x = np.ones((4, 32))
+    x[3, 7] = value
+    return [x]
 
 
-def inf_hessian():
-    h = random_spd(32, seed=10)
-    h[5, 5] = np.inf
-    return h
-
-
-def negative_diagonal_hessian():
-    """A symmetric H whose diagonal goes negative at columns 5 and 9."""
-    h = random_spd(32, seed=10)
-    h[5, 5] = h[9, 9] = -1.0
-    return h
-
-
-def ones_layer(h):
-    """``checked_layer`` of a W of ones with ``h`` as its Hessian."""
-    return checked_layer(np.ones((2, h.shape[1])), h)
+def ones_layer(batches):
+    """``checked_layer`` of a 2 x 32 W of ones on ``batches``."""
+    return checked_layer(np.ones((2, 32)), batches)
 
 
 def run_baseline(fn):
-    return lambda h: fn(ones_layer(h), SparsityConfig(0.5, blocksize=4))
-
-
-def run_rose(h):
-    """``rose_prune_layer`` with ``h`` in place of the Hessian of its batches."""
-    with mock.patch.object(reorder, "raw_hessian", lambda activations, width: h):
-        return rose_prune_layer(
-            np.ones((2, h.shape[1])), [], SparsityConfig(0.5, blocksize=4)
-        )
+    return lambda batches: fn(ones_layer(batches), SparsityConfig(0.5, blocksize=4))
 
 
 ENTRY_POINTS = {
-    "factor": lambda h: bundle_from_hessian(ones_layer(h)),
-    "factor-reordered": lambda h: bundle_from_hessian(
-        ones_layer(h), Permutation(np.arange(h.shape[0])[::-1])
+    "factor": lambda batches: bundle_from_hessian(ones_layer(batches)),
+    "factor-reordered": lambda batches: bundle_from_hessian(
+        ones_layer(batches), Permutation(np.arange(32)[::-1])
     ),
-    "rose": run_rose,
+    "rose": lambda batches: rose_prune_layer(
+        np.ones((2, 32)), batches, SparsityConfig(0.5, blocksize=4)
+    ),
     "magnitude": run_baseline(magnitude_prune),
     "wanda": run_baseline(wanda_prune),
 }
@@ -928,33 +870,73 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 @pytest.mark.parametrize("make,error", [
-    pytest.param(nan_hessian, NumericOverflowError, id="nan"),
-    pytest.param(inf_hessian, NumericOverflowError, id="inf"),
-    pytest.param(lambda: np.zeros((0, 0)), DimensionError, id="empty"),
-    pytest.param(lambda: np.ones((4, 8)), DimensionError, id="non-square"),
-    pytest.param(negative_diagonal_hessian, IndefiniteHessianError,
-                 id="negative-diagonal"),
+    pytest.param(lambda: batch_with(np.nan), NumericOverflowError, id="nan"),
+    pytest.param(lambda: batch_with(np.inf), NumericOverflowError, id="inf"),
+    pytest.param(lambda: batch_with(1e200), NumericOverflowError, id="overflow"),
+    pytest.param(lambda: [], DimensionError, id="empty"),
+    pytest.param(lambda: [np.ones((4, 8))], DimensionError, id="other-width"),
 ])
 def test_bad_raw_hessian_rejected_before_factoring(
     monkeypatch, capfd, entry, make, error
 ):
+    """Batches that cannot make a finite H as wide as W fail before LAPACK.
+
+    A NaN, an infinity or a square past the largest double, no batch at
+    all, or a batch of another width.
+    """
     factored = []
     for name in ("dpotrf", "dtrtri"):
         monkeypatch.setattr(
             lapack, name, lambda *a, _name=name, **k: factored.append(_name)
         )
-    with pytest.raises(error) as exc:
+    with pytest.raises(error):
         ENTRY_POINTS[entry](make())
-    if error is IndefiniteHessianError:
-        # the first negative diagonal, in channel order whatever the order
-        assert exc.value.pivot == 5
     assert factored == []
     assert capfd.readouterr() == ("", "")
 
 
+def test_a_hessian_rounded_past_the_largest_double_is_rejected(monkeypatch, capfd):
+    """``dsyrk`` may round an entry off H's diagonal past the largest double.
+
+    The batches' sums of squares, H's diagonal, do not see it, so
+    ``checked_layer`` checks H before any factoring.
+    """
+    def rounded_over(activations, width):
+        h = raw_hessian(activations, width)
+        h[0, 1] = np.inf
+        return h
+
+    monkeypatch.setattr(calibration, "raw_hessian", rounded_over)
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: pytest.fail("factored"))
+    with pytest.raises(NumericOverflowError, match="hessian not finite"):
+        bundle_from_hessian(checked_layer(np.ones((2, 4)), [np.eye(4)]))
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("w,damp,error", [
+    pytest.param(np.full((2, 8), np.nan), DAMP_FRACTION, NumericOverflowError,
+                 id="nan-w"),
+    pytest.param(np.zeros((0, 8)), DAMP_FRACTION, DimensionError, id="empty-w"),
+    pytest.param(np.ones((2, 8)), -1.0, ConfigError, id="negative-damp"),
+    pytest.param(np.ones((2, 8)), np.nan, ConfigError, id="nan-damp"),
+    pytest.param(np.ones((2, 8)), np.inf, ConfigError, id="inf-damp"),
+])
+def test_checked_layer_fails_before_any_batch_is_read(w, damp, error):
+    read = []
+
+    def batches():
+        for i in range(3):
+            read.append(i)
+            yield np.ones((4, 8))
+
+    with pytest.raises(error):
+        checked_layer(w, batches(), damp)
+    assert read == []
+
+
 def identity_layer(w):
     """``checked_layer`` of ``w`` with H = I."""
-    return checked_layer(w, np.eye(w.shape[1]))
+    return checked_layer(w, [np.eye(w.shape[1])])
 
 
 def run_engine(w):
@@ -980,7 +962,7 @@ def test_non_finite_weights_rejected_at_entry(monkeypatch, entry, bad):
     def started(*args, **kwargs):
         raise AssertionError("work started on non-finite weights")
 
-    monkeypatch.setattr(reorder, "raw_hessian", started)
+    monkeypatch.setattr(calibration, "raw_hessian", started)
     monkeypatch.setattr(engine, "select_block_mask", started)
     monkeypatch.setattr(baselines, "pruned_entries", started)
     monkeypatch.setattr(baselines, "smallest_per_row", started)
@@ -998,33 +980,32 @@ def test_dense_energy_overflow_rejected_before_factoring(monkeypatch, capfd, ent
     w = np.full((2, 8), 1e200)
     with pytest.raises(NumericOverflowError, match="dense output energy inf"):
         if entry == "rose":
-            with mock.patch.object(reorder, "raw_hessian", lambda acts, width: np.eye(8)):
-                rose_prune_layer(w, [], SparsityConfig(0.5, blocksize=4))
+            rose_prune_layer(w, [np.eye(8)], SparsityConfig(0.5, blocksize=4))
         else:
-            checked_layer(w, np.eye(8))
+            checked_layer(w, [np.eye(8)])
     assert factored == []
     assert capfd.readouterr() == ("", "")
 
 
 def test_dense_energy_of_a_huge_weight_on_a_dead_or_tiny_channel(capfd):
     """A weight whose square overflows still counts as d (H_jj d) there."""
-    w = np.array([[1e200, 1.0]])
-    assert checked_layer(w, np.diag([0.0, 1.0])).dense_energy == 1.0
-    assert checked_layer(w, np.diag([1e-300, 1.0])).dense_energy == 1e100
+    w = np.array([[2.0**600, 1.0]])
+    assert checked_layer(w, [np.diag([0.0, 1.0])]).dense_energy == 1.0
+    assert checked_layer(w, [np.diag([2.0**-500, 1.0])]).dense_energy == 2.0**200
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("damp,diagonal", [
-    pytest.param(1e308, 4.0, id="lambda"),
-    # lambda = 0.75e308 is finite, the dampened diagonal 2.25e308 is not
-    pytest.param(0.5, 1.5e308, id="dampened-diagonal"),
+@pytest.mark.parametrize("damp,root", [
+    pytest.param(1e308, 2.0, id="lambda"),
+    # lambda = 15 * 2**1020 is finite, the dampened diagonal 2**1024 is not
+    pytest.param(15.0, 2.0**510, id="dampened-diagonal"),
 ])
-def test_overflowing_damping_rejected_before_factoring(monkeypatch, capfd, damp, diagonal):
+def test_overflowing_damping_rejected_before_factoring(monkeypatch, capfd, damp, root):
     """A finite damping fraction whose lambda overflows fails in checked_layer."""
     factored = []
     monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
     with pytest.raises(NumericOverflowError, match="damping lambda"):
-        checked_layer(np.zeros((2, 8)), np.eye(8) * diagonal, damp)
+        checked_layer(np.zeros((2, 8)), [np.eye(8) * root], damp)
     assert factored == []
     assert capfd.readouterr() == ("", "")
 
@@ -1032,8 +1013,8 @@ def test_overflowing_damping_rejected_before_factoring(monkeypatch, capfd, damp,
 @pytest.mark.parametrize("damp", [np.nan, np.inf, -0.1])
 def test_checked_layer_rejects_bad_damp_fraction(damp):
     with pytest.raises(ConfigError, match="damp_fraction"):
-        checked_layer(np.ones((2, 8)), np.eye(8), damp)
-    assert checked_layer(np.ones((2, 8)), np.eye(8), 0.0).damp_lambda == 0.0
+        checked_layer(np.ones((2, 8)), [np.eye(8)], damp)
+    assert checked_layer(np.ones((2, 8)), [np.eye(8)], 0.0).damp_lambda == 0.0
 
 
 def test_checked_layer_derives_once():
@@ -1043,14 +1024,14 @@ def test_checked_layer_derives_once():
     x[:, 2] = 0.0
     w = np.asfortranarray(rng.standard_normal((3, 6)))
     raw = raw_hessian([x], 6)
-    layer = checked_layer(w, raw)
+    layer = checked_layer(w, [x])
     assert layer.w.flags.c_contiguous and np.array_equal(layer.w, w)
-    assert layer.raw is raw
+    assert np.array_equal(layer.raw.view(np.uint64), raw.view(np.uint64))
     np.testing.assert_array_equal(layer.norms, column_norms([x], 6))
     np.testing.assert_array_equal(np.flatnonzero(layer.dead), [2])
     assert layer.dense_energy == pytest.approx(np.sum(np.square(w @ x.T)), rel=1e-12)
     assert layer.damp_lambda == DAMP_FRACTION * raw.diagonal().mean()
     # numpy fields: equality and hash are by identity, as for Permutation
     bundles = [bundle_from_hessian(layer) for _ in range(2)]
-    assert layer == layer and layer != checked_layer(w, raw)
+    assert layer == layer and layer != checked_layer(w, [x])
     assert bundles[0] == bundles[0] and len(set(bundles)) == 2

@@ -562,7 +562,7 @@ def test_detect_reads_shared_activations_once(tmp_path, monkeypatch):
         alone += json.loads((out / "detect.json").read_text())["layers"]
     manifests = count_calls(monkeypatch, cli.read_manifest)
     passes = count_calls(monkeypatch, cli.column_norms)
-    hessians = count_calls(monkeypatch, cli.raw_hessian)
+    hessians = count_calls(monkeypatch, calibration.raw_hessian)
     assert run([*argv, "--out", str(tmp_path)]) == 0
     assert len(manifests) == len(passes) == 1 and hessians == []
     assert json.loads((tmp_path / "detect.json").read_text())["layers"] == alone
@@ -621,8 +621,8 @@ def test_compare_checks_and_derives_the_layer_once(tmp_path, monkeypatch):
     layers = []
     original = calibration.checked_layer
 
-    def checked(w, raw, damp_fraction):
-        layers.append(original(w, raw, damp_fraction))
+    def checked(w, activations, damp_fraction):
+        layers.append(original(w, activations, damp_fraction))
         return layers[-1]
 
     patch_everywhere(monkeypatch, original, checked)

@@ -28,7 +28,7 @@ from obsprune.calibration import error_prefix
 from obsprune.engine import CANCELLATION, select_block_mask
 from obsprune.tensors import SemiStructured
 
-from hessian_helpers import accumulate_hessian, dampened_hessian, symmetric
+from hessian_helpers import dampened_hessian, factor, symmetric
 
 
 def random_layer(seed, rows=8, n=16, samples=None):
@@ -148,13 +148,13 @@ class TestBlockMask:
 class TestReconstructionError:
     def test_equal_weights(self):
         w, x = random_layer(0)
-        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
+        layer = checked_layer(w, [x])
         assert reconstruction_error(layer, w) == (0.0, 0.0)
 
     def test_zero_pruned(self):
         w, x = random_layer(1)
         absolute, relative = reconstruction_error(
-            checked_layer(w, raw_hessian([x], w.shape[1])), np.zeros_like(w)
+            checked_layer(w, [x]), np.zeros_like(w)
         )
         assert relative == pytest.approx(1.0)
         assert absolute > 0
@@ -163,21 +163,21 @@ class TestReconstructionError:
         w = np.array([[1.0, 1.0]])
         x = np.eye(2)
         wp = np.array([[1.0, 0.0]])
-        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
+        layer = checked_layer(w, [x])
         assert reconstruction_error(layer, wp) == (1.0, 0.5)
 
     def test_zero_denominator(self):
         w = np.zeros((2, 2))
-        assert reconstruction_error(checked_layer(w, np.eye(2)), w) == (0.0, 0.0)
+        assert reconstruction_error(checked_layer(w, [np.eye(2)]), w) == (0.0, 0.0)
 
     def test_pruned_shape_checked(self):
-        layer = checked_layer(np.ones((2, 3)), np.eye(3))
+        layer = checked_layer(np.ones((2, 3)), [np.eye(3)])
         for bad in (np.ones((1, 3)), np.ones(3), np.ones((2, 2))):
             with pytest.raises(DimensionError, match="pruned shape"):
                 reconstruction_error(layer, bad)
 
     def test_pruned_weights_checked(self):
-        layer = checked_layer(np.ones((2, 2)), np.eye(2))
+        layer = checked_layer(np.ones((2, 2)), [np.eye(2)])
         for bad in (np.nan, np.inf):
             with pytest.raises(NumericOverflowError, match="pruned weights not finite"):
                 reconstruction_error(layer, np.array([[1.0, bad], [1.0, 1.0]]))
@@ -191,7 +191,7 @@ class TestReconstructionError:
         # rejected where it is built
         for w in (np.array([[np.nan, 1.0]]), np.array([[1e200, 1.0]])):
             with pytest.raises(NumericOverflowError):
-                checked_layer(w, np.eye(2))
+                checked_layer(w, [np.eye(2)])
 
 
 class TestOutcome:
@@ -204,7 +204,7 @@ class TestOutcome:
         # a columnar layer, so that rose reorders; gain 0 is an all-zero W
         w = gain * gen_columnar(8, 48, 16, 2, 10.0, seed=4)
         x = np.random.default_rng(4).standard_normal((96, 48))
-        layer = checked_layer(w, raw_hessian([x], 48))
+        layer = checked_layer(w, [x])
         outcomes = [run.outcome for run in prune_runs(layer, METHODS, [config])]
         assert all(o.dense_energy == layer.dense_energy for o in outcomes)
         # the oracle measures its energy on the stacked activations
@@ -225,7 +225,7 @@ class TestOutcome:
         # +0.0 with its sign bit clear, as the baselines' np.where does
         w = gen_columnar(8, 48, 16, 2, 10.0, seed=5)
         x = np.random.default_rng(5).standard_normal((96, 48))
-        layer = checked_layer(w, raw_hessian([x], 48))
+        layer = checked_layer(w, [x])
         for run in prune_runs(layer, METHODS, [config]):
             method, out = run.method, run.outcome
             pruned = ~out.mask.kept
@@ -291,7 +291,7 @@ class TestPruneLayer:
         w, x = random_layer(2)
         x[:, 5] = 0.0
         cfg = SparsityConfig(sparsity=0.0, blocksize=4)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         assert np.ascontiguousarray(out.pruned_weights).tobytes() == w.tobytes()
         assert out.relative_error <= 1e-10
@@ -306,7 +306,7 @@ class TestPruneLayer:
         x = q * scales
         w = rng.standard_normal((5, 6))
         cfg = SparsityConfig(sparsity=0.5, blocksize=3)
-        b = accumulate_hessian([x], 0.0, w)
+        b = factor([x], 0.0, w)
         out = prune_layer(b, cfg)
         pruned = ~out.mask.kept
         expected = float(np.sum((w * w * scales**2)[pruned]))
@@ -318,7 +318,7 @@ class TestPruneLayer:
     def test_mask_respect_and_sparsity(self):
         w, x = random_layer(3, rows=10, n=24)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         assert np.all(out.pruned_weights[~out.mask.kept] == 0.0)
         pruned = np.count_nonzero(~out.mask.kept) / out.mask.kept.size
@@ -328,7 +328,7 @@ class TestPruneLayer:
     def test_trajectory_monotone_and_final(self):
         w, x = random_layer(4, rows=6, n=32)
         cfg = SparsityConfig(sparsity=0.75, blocksize=8)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         traj = out.block_error_trajectory
         assert traj.size == 4
@@ -339,7 +339,7 @@ class TestPruneLayer:
         w, x = random_layer(6, rows=9, n=32)
         for n_keep, m in ((2, 4), (4, 8)):
             cfg = SparsityConfig.semi_structured(n_keep, m)
-            b = accumulate_hessian([x], w=w)
+            b = factor([x], w=w)
             out = prune_layer(b, cfg)
             groups = out.mask.kept.reshape(9, 32 // m, m)
             assert np.all(groups.sum(axis=2) == n_keep)
@@ -347,7 +347,7 @@ class TestPruneLayer:
     def test_dimension_mismatch(self):
         w, x = random_layer(7)
         with pytest.raises(DimensionError):
-            checked_layer(w[:, :-1], raw_hessian([x], w.shape[1]))
+            checked_layer(w[:, :-1], [x])
 
     def test_dead_column_pruned_first(self):
         rng = np.random.default_rng(30)
@@ -356,7 +356,7 @@ class TestPruneLayer:
         w = rng.standard_normal((4, 8))
         w[:, 3] = 50.0  # huge weight on a dead channel
         cfg = SparsityConfig(sparsity=0.25, blocksize=8)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         assert not out.mask.kept[:, 3].any()
 
@@ -370,14 +370,14 @@ class TestPruneLayer:
         rng = np.random.default_rng(46)
         rows, n = 8, 64
         w = rng.standard_normal((rows, n))
-        h = symmetric(raw_hessian([rng.integers(-3, 4, (3 * n, n)).astype(float)], n))
+        x = rng.integers(-3, 4, (3 * n, n)).astype(float)
         p = np.arange(n)
         if cycles:
             p[[3, 10]] = p[[10, 3]]  # a 2-cycle
             p[20:60] = np.roll(p[20:60], 1)  # a cycle of 40; the rest stay put
         cfg = SparsityConfig(0.5, blocksize=16)
-        out = prune_layer(bundle_from_hessian(checked_layer(w, h), Permutation(p)), cfg)
-        ref = prune_layer(bundle_from_hessian(checked_layer(w[:, p], h[p][:, p])), cfg)
+        out = prune_layer(bundle_from_hessian(checked_layer(w, [x]), Permutation(p)), cfg)
+        ref = prune_layer(bundle_from_hessian(checked_layer(w[:, p], [x[:, p]])), cfg)
         assert out.pruned_weights.flags.f_contiguous
         assert out.mask.kept.flags.f_contiguous
         assert out.pruned_weights[:, p].tobytes() == ref.pruned_weights.tobytes()
@@ -393,7 +393,7 @@ class TestPruneLayer:
         w[:, 3] = 50.0
         cfg = SparsityConfig(sparsity=0.25, blocksize=4)
         order = Permutation(rng.permutation(8))
-        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
+        layer = checked_layer(w, [x])
         b = bundle_from_hessian(layer, order)
         np.testing.assert_array_equal(np.flatnonzero(b.layer.dead), [3])
         out = prune_layer(b, cfg)
@@ -434,7 +434,7 @@ class TestClosedFormTrajectory:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
         else:
             cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         measured = []
         for _, i2 in cfg.block_ranges(n):
@@ -452,7 +452,7 @@ class TestClosedFormTrajectory:
         x[:, 4:8] *= 1e16
         w = rng.standard_normal((6, 16))
         cfg = SparsityConfig.semi_structured(2, 4)
-        b = accumulate_hessian([x], 0.0, w)
+        b = factor([x], 0.0, w)
         assert np.all(b.diag[4:8] ** 2 < 1e-30)
         out = prune_layer(b, cfg)
         d = (w - out.pruned_weights) @ x.T
@@ -468,7 +468,7 @@ class TestClosedFormTrajectory:
         x = rng.standard_normal((256, 64))
         w = rng.uniform(-1.0, 1.0, (16, 64))
         cfg = SparsityConfig(sparsity=0.5, blocksize=16)
-        b = accumulate_hessian([x], 4e304, w)
+        b = factor([x], 4e304, w)
         out = prune_layer(b, cfg)
         lam = b.layer.damp_lambda
         assert lam * float(np.sum(np.square(w - out.pruned_weights))) == np.inf
@@ -496,7 +496,7 @@ class TestClosedFormTrajectory:
             cfg = SparsityConfig(0.5, blocksize=16)
             p = rng.permutation(n)
         order = Permutation(p)
-        layer = checked_layer(w, raw_hessian([x], n))
+        layer = checked_layer(w, [x])
         b = bundle_from_hessian(layer, order)
         monkeypatch.setattr(engine, "CANCELLATION", np.inf)
         measured = []
@@ -531,7 +531,7 @@ class TestClosedFormTrajectory:
         x[:, :8] = 0.0
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
-        out = prune_layer(accumulate_hessian([x], w=w), cfg)
+        out = prune_layer(factor([x], w=w), cfg)
         assert out.block_error_trajectory[0] == 0.0
         d = (w - out.pruned_weights) @ x.T
         assert out.final_error == pytest.approx(float(np.sum(d * d)), rel=1e-9)
@@ -546,7 +546,7 @@ class TestClosedFormTrajectory:
         w = rng.standard_normal((5, 16))
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         order = Permutation(np.r_[8 + rng.permutation(8), rng.permutation(8)])
-        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
+        layer = checked_layer(w, [x])
         b = bundle_from_hessian(layer, order)
         out = prune_layer(b, cfg)
         assert out.block_error_trajectory[0] == 0.0
@@ -602,12 +602,12 @@ def corner_bundle(coupling):
     1e10 * coupling, in the first block's update of the later columns.
     """
     w = np.random.default_rng(0).standard_normal((3, 8))
-    h = np.eye(8)
-    h[0, 0] = 0.0
+    x = np.eye(8)
+    x[0, 0] = 0.0
     u = np.eye(8)
     u[0, 0] = 1e-10
     u[0, 5] = coupling
-    return HessianBundle(checked_layer(w, h, 0.0), u, u.diagonal().copy(),
+    return HessianBundle(checked_layer(w, [x], 0.0), u, u.diagonal().copy(),
                          Permutation.identity(8))
 
 
@@ -655,7 +655,7 @@ class TestRank1Reference:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=blocksize)
         else:
             cfg = SparsityConfig(sparsity=sparsity, blocksize=blocksize)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         ref_w, ref_kept, ref_traj = rank1_reference(w, b, cfg)
 
@@ -691,7 +691,7 @@ def scaled_run(method, k):
         if method == "rose":
             out, plan, profile = rose_prune_layer(w, [x], unstructured)
         else:
-            layer = checked_layer(w, raw_hessian([x], 64))
+            layer = checked_layer(w, [x])
             [_, run] = prune_runs(layer, ["sparsegpt", "rose"], [unstructured])
             out, plan, profile = run.outcome, run.plan, run.profile
         assert plan.was_reordered
@@ -701,7 +701,7 @@ def scaled_run(method, k):
         return naive_obs_prune(w, [x], unstructured), None
     cfg = (SparsityConfig.semi_structured(2, 4, blocksize=16) if method == "2:4"
            else unstructured)
-    return prune_layer(accumulate_hessian([x], w=w), cfg), None
+    return prune_layer(factor([x], w=w), cfg), None
 
 
 class TestScale:
@@ -764,7 +764,7 @@ class TestMaskGroups:
         blocksize = None if groups_per_block is None else groups_per_block * m
         cfg = SparsityConfig.semi_structured(n_keep, m, blocksize=blocksize)
         narrow = SparsityConfig.semi_structured(n_keep, m, blocksize=m)
-        b = accumulate_hessian([x], w=w)
+        b = factor([x], w=w)
         out = prune_layer(b, cfg)
         ref = prune_layer(b, narrow)
 
@@ -796,7 +796,7 @@ class TestLayout:
         n = 4 * groups
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((rows, n))
-        raw = raw_hessian([rng.standard_normal((3 * n, n))], n)
+        x = rng.standard_normal((3 * n, n))
         if semi:
             cfg = SparsityConfig.semi_structured(2, 4, blocksize=16)
             p = np.concatenate([4 * g + rng.permutation(4)
@@ -807,7 +807,7 @@ class TestLayout:
         order = Permutation(p)
 
         def errors(a, pruned):
-            layer = checked_layer(a, raw)
+            layer = checked_layer(a, [x])
             direct = prune_layer(bundle_from_hessian(layer), cfg)
             ordered = prune_layer(
                 bundle_from_hessian(layer, order), cfg
@@ -821,7 +821,7 @@ class TestLayout:
                 *reconstruction_error(layer, pruned),
             ]
 
-        plain = bundle_from_hessian(checked_layer(w, raw))
+        plain = bundle_from_hessian(checked_layer(w, [x]))
         pruned = prune_layer(plain, cfg).pruned_weights
         want = errors(w, pruned)
         for layout in (np.asfortranarray, strided):

@@ -12,12 +12,11 @@ from obsprune import (
     exact_masked_reconstruction,
     naive_obs_prune,
     prune_layer,
-    raw_hessian,
 )
 from obsprune import oracle
 from obsprune.cli import main
 
-from hessian_helpers import accumulate_hessian, factor
+from hessian_helpers import factor
 
 
 def test_nothing_pruned_returns_row():
@@ -100,7 +99,7 @@ def test_naive_agrees_with_engine():
     w = rng.standard_normal((8, 16))
     x = rng.standard_normal((48, 16))
     cfg = SparsityConfig(sparsity=0.5, blocksize=4)
-    bundle = accumulate_hessian([x], w=w)
+    bundle = factor([x], w=w)
     fast = prune_layer(bundle, cfg)
     slow = naive_obs_prune(w, [x], cfg)
     assert np.array_equal(fast.mask.kept, slow.mask.kept)
@@ -119,7 +118,7 @@ def test_naive_agrees_with_engine_on_dead_channels(cfg):
     dead = [3, 9, 17, 30]
     x[:, dead] = 0.0
     w[:, dead] *= 100.0
-    fast = prune_layer(accumulate_hessian([x], w=w), cfg)
+    fast = prune_layer(factor([x], w=w), cfg)
     slow = naive_obs_prune(w, [x], cfg)
     assert not slow.mask.kept[:, dead].any()
     np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
@@ -140,7 +139,7 @@ def test_naive_agrees_with_engine_at_128x512(case):
         w[:, dead] *= 100.0
     cfg = (SparsityConfig.semi_structured(2, 4, 128) if case == "2:4"
            else SparsityConfig(0.7, blocksize=128))
-    fast = prune_layer(accumulate_hessian([x], w=w), cfg)
+    fast = prune_layer(factor([x], w=w), cfg)
     slow = naive_obs_prune(w, [x], cfg)
     np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
     np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
@@ -165,7 +164,7 @@ def test_naive_agrees_with_engine_at_bench_scale(case):
     _, w, x = bench_scale_layer()
     cfg = (SparsityConfig.semi_structured(2, 4, 128) if case == "2:4"
            else SparsityConfig(0.7, blocksize=128))
-    fast = prune_layer(accumulate_hessian([x], w=w), cfg)
+    fast = prune_layer(factor([x], w=w), cfg)
     slow = naive_obs_prune(w, [x], cfg)
     np.testing.assert_array_equal(fast.mask.kept, slow.mask.kept)
     np.testing.assert_allclose(fast.pruned_weights, slow.pruned_weights,
@@ -185,12 +184,11 @@ def test_block_permuted_sweep_at_bench_scale():
     the damping, exact in either order.
     """
     rng, w, _ = bench_scale_layer()
-    h = raw_hessian([rng.integers(-3, 4, (2048, 1024)).astype(float)], 1024)
-    h = np.triu(h) + np.triu(h, 1).T
+    x = rng.integers(-3, 4, (2048, 1024)).astype(float)
     p = (128 * rng.permutation(8)[:, None] + np.arange(128)).ravel()
     cfg = SparsityConfig(0.7, blocksize=128)
-    out = prune_layer(factor(h, 0.01, Permutation(p), w), cfg)
-    ref = prune_layer(factor(h[p][:, p], 0.01, w=w[:, p]), cfg)
+    out = prune_layer(factor([x], 0.01, w, Permutation(p)), cfg)
+    ref = prune_layer(factor([x[:, p]], 0.01, w[:, p]), cfg)
     assert out.pruned_weights.flags.f_contiguous and out.mask.kept.flags.f_contiguous
     assert out.pruned_weights[:, p].tobytes() == ref.pruned_weights.tobytes()
     assert np.array_equal(out.mask.kept[:, p], ref.mask.kept)

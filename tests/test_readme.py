@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from obsprune import SparsityConfig, checked_layer, cli, prune_runs, raw_hessian
+from obsprune import SparsityConfig, checked_layer, cli, prune_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -49,7 +49,7 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
 def test_outputs_paragraph_names_the_record():
     """The Outputs paragraph lists exactly ``Run.record()``'s fields, in order."""
     [listed] = re.findall(r"by `Run\.record\(\)`: (.*?)\.\s", README.read_text(), re.S)
-    layer = checked_layer(np.ones((1, 4)), raw_hessian([np.eye(4)], 4))
+    layer = checked_layer(np.ones((1, 4)), [np.eye(4)])
     [run] = prune_runs(layer, ["magnitude"], [SparsityConfig(0.5, 4)])
     assert re.findall(r"`(\w+)`", listed) == list(run.record())
 

@@ -26,10 +26,10 @@ from obsprune import (
     rose_prune_layer,
     wanda_prune,
 )
-from obsprune import cli, engine, reorder
+from obsprune import calibration, cli, engine, reorder
 from obsprune.calibration import damped_inverse
 
-from hessian_helpers import accumulate_hessian, block_order, symmetric
+from hessian_helpers import block_order, factor
 
 
 def pattern_holds(kept, pattern):
@@ -40,7 +40,7 @@ def pattern_holds(kept, pattern):
 
 def scores_with_norms(w, norms):
     """``importance_scores`` of the layer whose column norms are ``norms``."""
-    layer = checked_layer(w, np.diag(np.square(norms)))
+    layer = checked_layer(w, [np.diag(norms)])
     return importance_scores(layer.w, layer.norms)
 
 
@@ -64,25 +64,25 @@ class TestScores:
         """No input whose score would be NaN or inf reaches a scoring.
 
         ``importance_scores`` trusts its layer, so ``checked_layer`` rejects
-        each such input first: a non-finite weight, a non-finite H_jj, and
-        finite ones whose score |w| sqrt(H_jj) overflows.
+        each such input first: a non-finite weight, a non-finite activation,
+        and finite ones whose score |w| sqrt(H_jj) overflows.
         """
         w = np.ones((2, 8))
         w[1, 2] = bad
         with pytest.raises(NumericOverflowError, match="weights not finite"):
-            checked_layer(w, np.eye(8))
-        h = np.eye(8)
-        h[5, 5] = bad
-        with pytest.raises(NumericOverflowError, match="hessian not finite"):
-            checked_layer(np.ones((2, 8)), h)
+            checked_layer(w, [np.eye(8)])
+        x = np.eye(8)
+        x[5, 5] = bad
+        with pytest.raises(NumericOverflowError, match="activation batch 0 is not finite"):
+            checked_layer(np.ones((2, 8)), [x])
         w = np.ones((2, 8))
         w[0, 5] = 1e300
-        h = np.eye(8)
-        h[5, 5] = 1e300
+        x = np.eye(8)
+        x[5, 5] = 1e150
         with np.errstate(over="ignore"):
-            assert not np.isfinite(np.abs(w) * np.sqrt(h.diagonal())).all()
+            assert not np.isfinite(np.abs(w) * np.linalg.norm(x, axis=0)).all()
         with pytest.raises(NumericOverflowError, match="dense output energy"):
-            checked_layer(w, h)
+            checked_layer(w, [x])
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -99,16 +99,17 @@ class TestScores:
         H = S ((1 - rho) I + rho J) S correlates the columns fully at rho = 1,
         where W's signs can cancel the dense energy.  A score overflows only
         where |w| H_jj, and so the energy's diagonal term, overflows first.
+        H is X.T @ X for X, the rows of sqrt(1 - rho) S over sqrt(rho) s.
         """
         rng = np.random.default_rng(seed)
         s = rng.uniform(0.5, 2.0, n) * 10.0 ** (h_exp / 2)
         signs = rng.choice([-1.0, 1.0], (3, n))
-        # checked_layer rejects an inf, and a NaN from an inf times rho = 0
-        with np.errstate(over="ignore", invalid="ignore"):
+        # checked_layer rejects an inf
+        with np.errstate(over="ignore"):
             w = signs * rng.uniform(0.5, 2.0, (3, n)) * 10.0 ** w_exp
-            h = np.outer(s, s) * ((1.0 - rho) * np.eye(n) + rho)
+        x = np.vstack([np.sqrt(1.0 - rho) * np.diag(s), np.sqrt(rho) * s])
         try:
-            layer = checked_layer(w, h)
+            layer = checked_layer(w, [x])
         except NumericOverflowError:
             return
         scores = importance_scores(layer.w, layer.norms)
@@ -168,6 +169,24 @@ class TestLossProfile:
         np.testing.assert_array_equal(prof.block_losses, [2.0, 2.0, 1.0])
         assert prof.relative_range == 0.0
 
+    @pytest.mark.parametrize("config", [SparsityConfig(0.5, blocksize=8),
+                                        SparsityConfig.semi_structured(2, 4, 8)],
+                             ids=["unstructured", "2:4"])
+    @pytest.mark.parametrize("blocks", [2, 8, 16])
+    @pytest.mark.parametrize("gain", [1.5, 2.0, 4.0, 10.0])
+    def test_relative_range_of_one_hot_block(self, config, blocks, gain):
+        """One hot block of gain g among B gives r_rel = B (g - 1) / (B - 1 + g).
+
+        W is block 0 copied B - 1 times, then g times block 0, on unit
+        norms: every block prunes the same entries, so the cool blocks lose
+        L per column and the hot one g L, whose mean is (B - 1 + g) L / B.
+        """
+        block = np.random.default_rng(blocks).standard_normal((16, config.blocksize))
+        w = np.hstack([block] * (blocks - 1) + [gain * block])
+        profile = loss_profile(importance_scores(w, np.ones(w.shape[1])), config)
+        want = blocks * (gain - 1.0) / (blocks - 1.0 + gain)
+        assert profile.relative_range == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("columnar", [False, True])
     def test_short_last_block_gates_on_loss_per_column(self, columnar):
         """A 300-wide layer has a 44-column last block, whose sum reads low."""
@@ -175,7 +194,7 @@ class TestLossProfile:
         w = (gen_columnar(64, 300, 128, 2, 10.0, seed=0) if columnar
              else gen_uniform(64, 300, seed=0))
         x = gen_activations(384, 300, 0.3, seed=1000003)
-        layer = checked_layer(w, raw_hessian([x], 300))
+        layer = checked_layer(w, [x])
         prof = loss_profile(importance_scores(layer.w, layer.norms), cfg)
         assert (prof.relative_range > reorder.COLUMNAR_THRESHOLD) == columnar
         if not columnar:
@@ -289,7 +308,7 @@ class TestPruneInOrder:
         w = rng.standard_normal((rows, n))
         # fewer samples than columns half of the time: H is rank deficient
         samples = int(rng.choice([n // 2 + 1, 3 * n]))
-        raw = raw_hessian([rng.standard_normal((samples, n))], n)
+        x = rng.standard_normal((samples, n))
         if nm:
             cfg = SparsityConfig.semi_structured(
                 2, 4, blocksize=4 * int(rng.integers(1, groups + 1))
@@ -301,11 +320,10 @@ class TestPruneInOrder:
             cfg = SparsityConfig(sparsity=float(rng.choice([0.3, 0.5, 0.7])),
                                  blocksize=int(rng.integers(1, n + 1)))
             p = rng.permutation(n)
-        bundle = bundle_from_hessian(checked_layer(w, raw), Permutation(p))
+        bundle = bundle_from_hessian(checked_layer(w, [x]), Permutation(p))
         # the damping of the pre-permuted H comes from a diagonal summed in
         # another order, so the two runs agree to rounding, masks exactly
-        pre_permuted = bundle_from_hessian(
-            checked_layer(w[:, p], symmetric(raw)[np.ix_(p, p)]))
+        pre_permuted = bundle_from_hessian(checked_layer(w[:, p], [x[:, p]]))
 
         got = prune_layer(bundle, cfg)
         direct = prune_layer(pre_permuted, cfg)
@@ -323,11 +341,11 @@ class TestPruneInOrder:
     @pytest.mark.parametrize("nm", [False, True])
     def test_identity_order_is_prune_layer(self, nm):
         w = gen_uniform(16, 64, seed=20)
-        raw = raw_hessian([gen_activations(128, 64, 0.3, seed=21)], 64)
+        x = gen_activations(128, 64, 0.3, seed=21)
         cfg = (SparsityConfig.semi_structured(2, 4) if nm
                else SparsityConfig(sparsity=0.6, blocksize=16))
         identity = Permutation.identity(64)
-        layer = checked_layer(w, raw)
+        layer = checked_layer(w, [x])
         got = prune_layer(bundle_from_hessian(layer, identity), cfg)
         plain = prune_layer(bundle_from_hessian(layer), cfg)
         assert np.array_equal(got.pruned_weights, plain.pruned_weights)
@@ -345,13 +363,13 @@ class TestPruneInOrder:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(engine, "select_block_mask", sweep)
-        layer = checked_layer(np.arange(1.0, 9.0).reshape(1, 8), np.eye(8))
+        layer = checked_layer(np.arange(1.0, 9.0).reshape(1, 8), [np.eye(8)])
         bundle = bundle_from_hessian(layer, order)
         with pytest.raises(ConfigError, match="n:m"):
             prune_layer(bundle, cfg)
 
     def test_order_size_checked(self):
-        layer = checked_layer(np.ones((1, 8)), np.eye(8))
+        layer = checked_layer(np.ones((1, 8)), [np.eye(8)])
         with pytest.raises(DimensionError, match="order size 4"):
             bundle_from_hessian(layer, Permutation.identity(4))
 
@@ -369,7 +387,7 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=16)
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         assert not plan.was_reordered
-        bundle = accumulate_hessian([x], w=w)
+        bundle = factor([x], w=w)
         plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
         assert np.array_equal(out.mask.kept, plain.mask.kept)
@@ -392,41 +410,40 @@ class TestRosePruneLayer:
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
         out, plan, prof = rose_prune_layer(w, [x], cfg)
         assert plan.was_reordered
-        bundle = accumulate_hessian([x], w=w)
+        bundle = factor([x], w=w)
         plain = prune_layer(bundle, cfg)
         assert out.relative_error <= plain.relative_error
 
     def test_reordered_bundle_shares_callers_raw(self, monkeypatch):
+        """The reordered factor is built in the buffer ``raw_hessian`` returned.
+
+        So H was never copied: the layer holds that very buffer.
+        """
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        raws, layers, bundles = [], [], []
+        raws, bundles = [], []
 
         def hessian(activations, width):
             raws.append(raw_hessian(activations, width))
             return raws[-1]
 
-        def checked(w, raw):
-            layers.append(checked_layer(w, raw))
-            return layers[-1]
-
         def spy(bundle, config):
             bundles.append(bundle)
             return prune_layer(bundle, config)
 
-        monkeypatch.setattr(reorder, "raw_hessian", hessian)
-        monkeypatch.setattr(reorder, "checked_layer", checked)
+        monkeypatch.setattr(calibration, "raw_hessian", hessian)
         monkeypatch.setattr(reorder, "prune_layer", spy)
         _, plan, _ = rose_prune_layer(w, [x], cfg)
         assert plan.was_reordered
-        [raw], [layer], [bundle] = raws, layers, bundles
-        assert bundle.layer is layer
-        assert np.shares_memory(bundle.layer.raw, raw)
+        [raw], [bundle] = raws, bundles
+        assert bundle.layer.raw is raw
+        assert np.shares_memory(bundle.chol_upper, raw)
         assert bundle.order is plan.permutation
 
     def test_ascending_worse_than_plain(self):
         w, x = columnar_fixture(seed=7)
         cfg = SparsityConfig(sparsity=0.7, blocksize=128)
-        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
+        layer = checked_layer(w, [x])
         profile = loss_profile(importance_scores(layer.w, layer.norms), cfg)
         plan = build_reorder_plan(profile, cfg, descending=False)
         assert plan.was_reordered
@@ -444,7 +461,7 @@ class TestRosePruneLayer:
         perm_view = apply_column_permutation(out.mask.kept, plan.permutation)
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
-        bundle = accumulate_hessian([xp], w=wp)
+        bundle = factor([xp], w=wp)
         direct = prune_layer(bundle, cfg)
         assert np.array_equal(perm_view, direct.mask.kept)
         inverse = Permutation(plan.permutation.inverse)
@@ -458,10 +475,10 @@ class TestRosePruneLayer:
         wp = apply_column_permutation(w, plan.permutation)
         xp = apply_column_permutation(x, plan.permutation)
         wpp = apply_column_permutation(out.pruned_weights, plan.permutation)
-        layer = checked_layer(w, raw_hessian([x], w.shape[1]))
+        layer = checked_layer(w, [x])
         a1, r1 = reconstruction_error(layer, out.pruned_weights)
         a2, r2 = reconstruction_error(
-            checked_layer(wp, raw_hessian([xp], wp.shape[1])), wpp)
+            checked_layer(wp, [xp]), wpp)
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1)
         assert abs(r1 - r2) <= 1e-9
         assert out.final_error == pytest.approx(a1)
@@ -518,7 +535,7 @@ def assert_close_outcome(a, b, w0):
 class TestPruneRuns:
     def test_every_method_runs_its_own_pipeline(self):
         w, x = columnar_fixture(seed=3, rows=16, cols=64, blocksize=16)
-        layer = checked_layer(w, raw_hessian([x], 64))
+        layer = checked_layer(w, [x])
         configs = [SparsityConfig(0.5, 16), SparsityConfig(0.7, 16)]
         runs = list(prune_runs(layer, reorder.METHODS, configs))
         # the runs left in place go first, then the reordered ones, each
@@ -561,7 +578,7 @@ class TestPruneRuns:
         dead = np.random.default_rng(seed).choice(128, size=3, replace=False)
         x[:, dead] = 0.0
         w[:, dead] *= 100.0
-        layer = checked_layer(w, raw_hessian([x], 128))
+        layer = checked_layer(w, [x])
         configs = ([SparsityConfig.semi_structured(2, 4, blocksize=32)] if semi
                    else [SparsityConfig(p, 32) for p in (0.5, 0.7)])
         reordered = 0
@@ -577,7 +594,7 @@ class TestPruneRuns:
         w, x = columnar_fixture(seed=8, rows=16, cols=64, blocksize=16)
         cfg = SparsityConfig(0.6, 16)
         out, plan, profile = rose_prune_layer(w, [x], cfg)
-        layer = checked_layer(w, raw_hessian([x], 64))
+        layer = checked_layer(w, [x])
         [run] = prune_runs(layer, ["rose"], [cfg])
         assert run.method == "rose"
         assert plan.was_reordered == run.plan.was_reordered
@@ -594,7 +611,7 @@ class TestPruneRuns:
         behind the runs left in place, put the runs out of grid order.
         """
         w, x = columnar_fixture(seed=5, rows=16, cols=64, blocksize=16)
-        layer = checked_layer(w, raw_hessian([x], 64))
+        layer = checked_layer(w, [x])
         configs = [SparsityConfig(p, 16) for p in (0.5, 0.7, 0.5)]
         methods = ["rose", "sparsegpt", "rose", "magnitude"]
         runs = list(prune_runs(layer, methods, configs))
@@ -608,7 +625,7 @@ class TestPruneRuns:
         assert cli.METHODS is reorder.METHODS
 
     def test_unknown_method_rejected(self):
-        layer = checked_layer(gen_uniform(4, 8, seed=0), np.eye(8))
+        layer = checked_layer(gen_uniform(4, 8, seed=0), [np.eye(8)])
         with pytest.raises(ConfigError, match="sparsegtp"):
             list(prune_runs(layer, ["sparsegtp"], [SparsityConfig(0.5, 4)]))
 
@@ -618,7 +635,7 @@ class TestPruneRuns:
             raise AssertionError("the layer was scored")
 
         monkeypatch.setattr(reorder, "importance_scores", scored)
-        layer = checked_layer(gen_uniform(4, 8, seed=0), np.eye(8))
+        layer = checked_layer(gen_uniform(4, 8, seed=0), [np.eye(8)])
         with pytest.raises(ConfigError,
                            match=f"threshold must be finite and >= 0, got {threshold}"):
             next(prune_runs(layer, ["rose"], [SparsityConfig(0.5, 4)],
@@ -628,7 +645,7 @@ class TestPruneRuns:
     def test_one_threshold_gates_every_config(self, threshold, reordered):
         """Both configs' rose runs open at 0 and none at 10, whatever each R_rel."""
         w, x = columnar_fixture(seed=3, rows=16, cols=64, blocksize=16)
-        layer = checked_layer(w, raw_hessian([x], 64))
+        layer = checked_layer(w, [x])
         configs = [SparsityConfig(0.5, 16), SparsityConfig.semi_structured(2, 4, 16)]
         runs = list(prune_runs(layer, ["rose", "rose-ascending"], configs,
                                threshold=threshold))
@@ -648,8 +665,8 @@ class TestPruneRuns:
             return importance_scores(w, norms)
 
         monkeypatch.setattr(reorder, "importance_scores", counted)
-        layer = checked_layer(gen_columnar(8, 32, 8, 3, 10.0, seed=2), raw_hessian(
-            [gen_activations(64, 32, 0.3, seed=3)], 32))
+        layer = checked_layer(gen_columnar(8, 32, 8, 3, 10.0, seed=2),
+                              [gen_activations(64, 32, 0.3, seed=3)])
         configs = [SparsityConfig(p, 8) for p in (0.5, 0.6, 0.7, 0.8)]
         methods = [m for m in reorder.METHODS if m != "wanda"]
         assert len(list(prune_runs(layer, methods, configs))) == 16
@@ -663,7 +680,7 @@ class TestPruneRuns:
         reordered runs, each group in config order.
         """
         w, x = columnar_fixture(seed=4, rows=32, cols=128, blocksize=32)
-        layer = checked_layer(w, raw_hessian([x], 128))
+        layer = checked_layer(w, [x])
         events = []
 
         def factored(layer, order=None):
@@ -696,9 +713,9 @@ class TestPruneRuns:
                 assert_same_outcome(outcome, direct)
 
 
-def prune_blocks_in_order(w, raw, config, blocks):
+def prune_blocks_in_order(w, activations, config, blocks):
     order = block_order(config, w.shape[1], blocks)
-    layer = checked_layer(w, raw)
+    layer = checked_layer(w, activations)
     return prune_layer(bundle_from_hessian(layer, order), config)
 
 
@@ -709,8 +726,8 @@ class TestManualBlockOrder:
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         np.testing.assert_array_equal(block_order(cfg, 32, [0, 1, 2, 3]).forward,
                                       np.arange(32))
-        out = prune_blocks_in_order(w, raw_hessian([x], w.shape[1]), cfg, [0, 1, 2, 3])
-        bundle = accumulate_hessian([x], w=w)
+        out = prune_blocks_in_order(w, [x], cfg, [0, 1, 2, 3])
+        bundle = factor([x], w=w)
         plain = prune_layer(bundle, cfg)
         assert np.array_equal(out.pruned_weights, plain.pruned_weights)
 
@@ -718,9 +735,8 @@ class TestManualBlockOrder:
         cfg = SparsityConfig(sparsity=0.7, blocksize=32)
         w = gen_columnar(64, 128, 32, 3, 10.0, seed=14)
         x = gen_activations(256, 128, 0.3, seed=15)
-        h = raw_hessian([x], w.shape[1])
-        first = prune_blocks_in_order(w, h, cfg, [3, 0, 1, 2])
-        last = prune_blocks_in_order(w, h, cfg, [0, 1, 2, 3])
+        first = prune_blocks_in_order(w, [x], cfg, [3, 0, 1, 2])
+        last = prune_blocks_in_order(w, [x], cfg, [0, 1, 2, 3])
         assert first.final_error < last.final_error
 
     def test_rejects_non_bijection(self):
@@ -728,5 +744,5 @@ class TestManualBlockOrder:
         x = gen_activations(32, 16, 0.0, seed=17)
         cfg = SparsityConfig(sparsity=0.5, blocksize=8)
         with pytest.raises(ValueError, match="bijection"):
-            prune_blocks_in_order(w, raw_hessian([x], w.shape[1]), cfg, [0, 0])
+            prune_blocks_in_order(w, [x], cfg, [0, 0])
 

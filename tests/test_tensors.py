@@ -260,7 +260,7 @@ def test_every_rule_matches_sort_reference(data, cfg):
     np.testing.assert_array_equal(block, reference_pruned(saliency, cfg))
 
     # the layer-global magnitude rule and the per-row (Wanda) rule
-    layer = checked_layer(w, np.eye(width))
+    layer = checked_layer(w, [np.eye(width)])
     np.testing.assert_array_equal(
         ~magnitude_prune(layer, cfg).mask.kept, reference_pruned(mag, cfg)
     )
