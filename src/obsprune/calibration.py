@@ -4,12 +4,13 @@ The Hessian of the layer-wise reconstruction objective is the Gram matrix
 H = X.T @ X of the input activations.  One step reads and checks each
 activation batch and sums its columns' squares: ``raw_hessian`` runs it
 beside the ``dsyrk`` that streams the batch into one row-major buffer's
-upper triangle, and puts the sums on its diagonal; ``column_norms`` runs
+upper triangle, and puts the sums on its diagonal; ``column_sums`` runs
 it alone for ``detect``, which builds no H.  ``checked_layer``, the one
 way to a ``Layer``, checks W, streams the batches into an H no other layer
-holds and checks both, once; the layer keeps them with the norms, the root
-of H's diagonal, the dead channels and the dense output energy, and every
-method reads them from it.  Every error is a quadratic form in H read
+holds and checks both against one numeric domain (``numeric_domain``),
+once; the layer keeps them with the norms, the root of H's diagonal, the
+dead channels and the dense output energy, and every method reads them
+from it.  Every error is a quadratic form in H read
 from its upper triangle, and one kernel, ``error_prefix``, gives its
 running sum over the columns, whose last entry is the whole.
 For pruning, H is dampened by the layer's lambda, a multiple of its mean
@@ -45,6 +46,12 @@ from .tensors import Permutation, as_matrix, check_nonnegative, finite_matrix
 PANEL = 64
 #: the fraction of H's mean diagonal that dampens it, SparseGPT's 1%
 DAMP_FRACTION = 0.01
+#: H's largest dampened diagonal stays below this, one binade under the
+#: largest double (``numeric_domain``)
+TOP = 2.0**1023
+#: the least nonzero lambda and live H_jj + lambda, and the least w**2 H_jj,
+#: each measured (``numeric_domain``)
+LOW, FLOOR = 2.0**-1016, 2.0**-1038
 #: the strict lower triangle of a diagonal block of up to PANEL rows
 _BELOW = np.tri(PANEL, k=-1, dtype=bool)
 
@@ -137,7 +144,11 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     adds sum_rows d_j G_j - H_jj sum_rows d_j^2, the second sum over G's
     buffer refilled with d^2, so no temporary outgrows a row of n.  A
     column's cross term holds its square term, so where it overflows the
-    column is inf, not inf - inf, with no warning: every caller checks.
+    column is inf, not inf - inf, and where only d**2 does it is -inf or
+    NaN, with no warning.  Inside the numeric domain this can still happen in
+    ``checked_layer``'s dense energy, in ``reconstruction_error`` on a
+    caller's weights and in the engine's fallback at damp_fraction 0, and
+    each of them checks.
     Both operands are made row-major, whose transposes BLAS reads uncopied,
     so the sums run in one order and the error depends on the values alone.
     """
@@ -150,37 +161,71 @@ def error_prefix(d: np.ndarray, hessian: np.ndarray) -> np.ndarray:
         cross = g.sum(axis=0)
         square = np.multiply(d, d, out=g).sum(axis=0)
         square *= h.diagonal()
-        for j in np.flatnonzero(~np.isfinite(square)):
-            # d^2 overflowed: scale by a dead or tiny H_jj first
-            square[j] = np.sum(d[:, j] * (h[j, j] * d[:, j]))
         np.subtract(cross, square, out=cross, where=~np.isinf(cross))
         np.cumsum(cross, out=prefix[1:])
     return prefix
 
 
 def checked_layer(w, activations, damp_fraction: float = DAMP_FRACTION) -> Layer:
-    """The layer of W and H = X.T @ X over ``activations``, once all pass every check.
+    """The layer of W and H = X.T @ X over ``activations``, once both pass every check.
 
     W must be finite with a row and a column (``finite_matrix``), and
     ``damp_fraction`` finite and >= 0 (ConfigError), before any batch is
     read.  ``raw_hessian`` then streams the batches, each checked as wide
     as W, into a buffer only this layer holds and builds its factors in.
-    H must be finite, which the batches' sums do not ensure where ``dsyrk``
-    rounds past the largest double; ``damping`` turns ``damp_fraction``
-    into lambda; and the dense output energy, the last entry of W's
-    ``error_prefix``, must be finite, so that every relative error has a
-    denominator.  H is read from its upper triangle and diagonal, whose
-    root is the norms.
+    ``numeric_domain`` checks W, H's diagonal and lambda before any score,
+    energy or factor is made; the dense output energy, the last entry of
+    W's ``error_prefix``, must be finite too, so that every relative error
+    has a denominator.  H is read from its upper triangle and diagonal,
+    whose root is the norms.
     """
     w = np.ascontiguousarray(finite_matrix(w))
     check_nonnegative(damp_fraction, "damp_fraction")
-    raw = finite_matrix(raw_hessian(activations, w.shape[1]), "hessian")
+    raw = raw_hessian(activations, w.shape[1])
     diag = raw.diagonal()
-    lam = damping(diag, damp_fraction)
+    lam = numeric_domain(w, diag, damp_fraction)
     energy = float(error_prefix(w, raw)[-1])
     if not np.isfinite(energy):
         raise NumericOverflowError(f"dense output energy {energy} is not finite")
     return Layer(w, raw, np.sqrt(diag), diag == 0.0, energy, lam)
+
+
+def numeric_domain(w: np.ndarray, diag: np.ndarray, damp_fraction: float) -> float:
+    """lambda = damp_fraction * mean(diag), once W, H and lambda are in the numeric domain.
+
+    ``diag`` is H's diagonal and ``w`` finite.  Saliencies w**2 / [H^-1]_qq
+    and errors, quadratic forms in H, mean something only while their terms
+    are normal doubles, so NumericOverflowError, before any score or factor,
+    unless max H_jj + lambda < ``TOP`` and lambda is 0 or at least ``LOW``;
+    every channel's sum over rows of w**2 (H_jj + lambda), which bounds its
+    weights' first saliencies and its diagonal error terms, is finite; and
+    on each live channel (H_jj > 0) H_jj + lambda >= ``LOW``, and each
+    nonzero w**2 is normal and w**2 H_jj >= ``FLOOR``.  By Cauchy-Schwarz
+    |H_ij| <= sqrt(H_ii H_jj) up to dsyrk's rounding, relative (1 + m u)
+    for m samples, so below ``TOP`` no entry of H is inf and H needs no
+    n x n check.  W is read ``PANEL`` rows at a time.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        lam = float(damp_fraction * diag.mean())
+        top = float(diag.max()) + lam
+    if not (top < TOP and (lam == 0.0 or lam >= LOW)):
+        raise NumericOverflowError(f"damping lambda = {lam} and H's largest dampened "
+                                   f"diagonal {top} are outside the numeric domain")
+    sums, least = np.zeros(diag.size), np.full(diag.size, np.inf)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for r in range(0, w.shape[0], PANEL):
+            a = np.abs(w[r : r + PANEL])
+            np.minimum(least, a.min(axis=0, initial=np.inf, where=a > 0), out=least)
+            sums += np.square(a, out=a).sum(axis=0)
+        least *= least
+        out = ~np.isfinite(sums * (diag + lam)) | (diag > 0) & (
+            (diag + lam < LOW) | (least < np.finfo(float).tiny) | (least * diag < FLOOR))
+    if out.any():
+        j = int(np.argmax(out))
+        raise NumericOverflowError(
+            f"channel {j} is outside the numeric domain: sum of w**2 {sums[j]}, least "
+            f"w**2 {least[j]}, H_jj = {diag[j]}, damping lambda = {lam}")
+    return lam
 
 
 def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
@@ -208,12 +253,17 @@ def raw_hessian(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
     return h
 
 
-def column_norms(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
-    """l2 norm of each activation column, bit for bit a layer's on the same batches."""
+def column_sums(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
+    """Each activation column's sum of squares, a layer's H diagonal bit for bit."""
     sums = np.zeros(width)
     for b in _summed_batches(activations, width, sums):
         del b  # held by no name while the next batch is read
-    return np.sqrt(sums, out=sums)
+    return sums
+
+
+def column_norms(activations: Iterable[np.ndarray], width: int) -> np.ndarray:
+    """l2 norm of each activation column, bit for bit a layer's on the same batches."""
+    return np.sqrt(column_sums(activations, width))
 
 
 def _summed_batches(activations: Iterable[np.ndarray], width: int, sums: np.ndarray):
@@ -247,23 +297,6 @@ def _summed_batches(activations: Iterable[np.ndarray], width: int, sums: np.ndar
         raise DimensionError("need at least one activation batch")
 
 
-def damping(diag: np.ndarray, damp_fraction: float) -> float:
-    """lambda = damp_fraction * mean(diag), the same in every column order.
-
-    ``diag`` is H's diagonal.  A negative or non-finite ``damp_fraction``
-    raises ConfigError, and a lambda that overflows H + lambda I
-    NumericOverflowError, with no warning.
-    """
-    check_nonnegative(damp_fraction, "damp_fraction")
-    with np.errstate(over="ignore"):  # raised just below
-        lam = float(damp_fraction * diag.mean())
-        top = float(diag.max()) + lam
-    if not np.isfinite(top):
-        raise NumericOverflowError(f"damping lambda = {lam} overflows the dampened "
-                                   f"diagonal (largest entry {top})")
-    return lam
-
-
 def bundle_from_hessian(layer: Layer, order: Permutation | None = None) -> HessianBundle:
     """Factor the layer's dampened H[order][:, order] (channel order by default).
 
@@ -293,7 +326,6 @@ def damped_inverse(bundle: HessianBundle) -> DampedInverse:
     if not np.array_equal(bundle.order.forward, np.arange(bundle.order.size)):
         raise ConfigError("only a channel-order factor gives the damped inverse")
     raw = bundle.valid().layer.raw
-    n = raw.shape[0]
     top = raw.diagonal().max() + bundle.layer.damp_lambda
     shift = int(np.frexp(top)[1]) // 2
     with _rewrite(raw, np.ldexp(bundle.diag[::-1], shift)):
@@ -422,10 +454,7 @@ def _gather(raw: np.ndarray, idx: np.ndarray, upper: np.ndarray | None):
 def importance_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Per-weight score |w_ij| * norm_j, made in place on one copy of |W|.
 
-    Finite for every checked layer's W and norms: a score overflows only
-    where norm_j**2, H_jj to rounding, is above 1, and there |w_ij| H_jj, a
-    factor of the dense energy's diagonal term, overflows first, so
-    ``checked_layer`` has rejected the layer.
+    Finite inside ``numeric_domain``, where w**2 H_jj is finite on every live channel.
     """
     scores = np.abs(w)
     scores *= norms

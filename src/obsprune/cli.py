@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (DAMP_FRACTION, Layer, checked_layer, column_norms,
-                          importance_scores)
-from .errors import ConfigError, DimensionError, PruneError
+from .calibration import (DAMP_FRACTION, Layer, checked_layer, column_sums,
+                          importance_scores, numeric_domain)
+from .errors import ConfigError, DimensionError, NumericOverflowError, PruneError
 from .oracle import cross_check
 from .reorder import (COLUMNAR_THRESHOLD, METHODS, build_reorder_plan, check_runs,
                       loss_profile, prune_runs)
@@ -256,19 +256,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    """Score each layer from W and its width's ``column_norms``, building no H."""
+    """Score each layer inside ``numeric_domain``, lambda 0, from W and ``column_sums``."""
     config = _make_config(args, DETECT_SPARSITY)
     paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
     weights = _checked_weights(args, (), [config], paths)
-    norms = {}
+    sums = {}
     for n in dict.fromkeys(w.shape[1] for w in weights):
-        norms[n] = column_norms(_activations(args, n), n)
+        sums[n] = column_sums(_activations(args, n), n)
     doc = {"config": _config_doc(config, args), "layers": []}
     for path, w in zip(paths, weights):
         name = f"synth-{args.synth}" if path is None else str(path)
-        with np.errstate(over="ignore"):  # finite_matrix raises
-            scores = importance_scores(w, norms[w.shape[1]])
-        profile = loss_profile(finite_matrix(scores, f"{name} scores"), config)
+        try:
+            numeric_domain(w, sums[w.shape[1]], 0.0)
+        except NumericOverflowError as e:
+            raise NumericOverflowError(f"{name}: {e}") from None
+        scores = importance_scores(w, np.sqrt(sums[w.shape[1]]))
+        profile = loss_profile(scores, config)
         del scores
         doc["layers"].append({
             "layer": name,

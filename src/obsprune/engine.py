@@ -178,8 +178,8 @@ def prune_layer(bundle: HessianBundle, config: SparsityConfig) -> PruneOutcome:
     temporary the size of W; if that overflows too, NumericOverflowError
     names the block.  Otherwise the sweep holds one array the size of W,
     the mask, and blocksize x rows buffers.  No rule depends on the scale
-    of H: short of overflow or underflow, scaling X by 2**k leaves masks
-    and weights bit for bit and scales every error by 4**k.
+    of H: inside the domain, scaling X by 2**k leaves masks and weights bit
+    for bit and scales every error by 4**k.
     """
     layer = bundle.valid().layer
     rows, n = layer.w.shape

@@ -28,7 +28,8 @@ class IndefiniteHessianError(PruneError):
 
 
 class NumericOverflowError(PruneError):
-    """A non-finite value was found in the input or appeared during pruning.
+    """A non-finite value was found in the input or appeared during pruning,
+    or the input is outside the numeric domain.
 
     ``block`` is the zero-based index of the column block being processed,
     or None when the value came with the input.

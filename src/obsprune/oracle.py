@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .calibration import (DAMP_FRACTION, bundle_from_hessian, bundle_from_inverse,
-                          checked_layer, damping, damped_inverse, raw_hessian)
+                          checked_layer, damped_inverse)
 from .engine import PruneOutcome, prune_layer
 from .errors import (
     DimensionError,
@@ -112,8 +112,9 @@ def naive_obs_prune(
     ``prune_layer`` exercises the whole Cholesky shortcut.  Column q is
     compensated by the OBS one-row update from the inverse of H[q:, q:],
     which ``_drop_first`` then downdates; the saliency denominators come
-    from the same downdate, run on the group's corner of that inverse, and
-    dead channels from the oracle's own H.  Its errors and their
+    from the same downdate, run on the group's corner of that inverse.  H,
+    lambda and the dead channels come from ``checked_layer``, so the oracle
+    rejects the inputs the library rejects; its errors and their
     denominator, the dense energy ||W X.T||^2, are measured on the stacked
     activations, independently of the engine.  The batches are read once,
     after W passes ``finite_matrix``.
@@ -123,12 +124,11 @@ def naive_obs_prune(
     if n > ORACLE_MAX_COLS:
         raise OracleScaleError(f"oracle capped at {ORACLE_MAX_COLS} columns, got {n}")
     batches = list(activations)
-    raw = raw_hessian(batches, n)
+    layer = checked_layer(w_dense, batches, damp_fraction)
     xs = np.vstack([as_matrix(a) for a in batches])
-    lam = damping(raw.diagonal(), damp_fraction)
-    dead = raw.diagonal() == 0.0
-    h = np.triu(raw) + np.triu(raw, 1).T  # raw_hessian gives the upper triangle
-    h[np.diag_indices(n)] += lam
+    dead, raw = layer.dead, layer.raw
+    h = np.triu(raw) + np.triu(raw, 1).T  # the layer's H is its upper triangle
+    h[np.diag_indices(n)] += layer.damp_lambda
     try:
         inv = np.linalg.inv(h)
     except np.linalg.LinAlgError as e:

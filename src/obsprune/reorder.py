@@ -83,7 +83,7 @@ def loss_profile(scores: np.ndarray, config: SparsityConfig) -> LossProfile:
 
     The relative range is taken over each block's loss per column, its sum
     divided by its width.  The scores must be finite, as
-    ``importance_scores`` makes them for every checked layer: a selection
+    ``importance_scores`` makes them inside the numeric domain: a selection
     must see no NaN.
     """
     rows, n = scores.shape

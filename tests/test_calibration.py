@@ -36,10 +36,12 @@ from obsprune.calibration import (DAMP_FRACTION, PANEL, SQUARED_ROWS, DampedInve
                                  error_prefix)
 
 from hessian_helpers import (
+    OUTSIDE,
     cholesky_inverse_identity_check,
     dampened_hessian,
     factor,
     gram_root,
+    outside_the_domain,
     symmetric,
     upper_factor,
 )
@@ -568,10 +570,13 @@ def test_memory_budget():
 
     At n = 512, ``raw_hessian`` peaked 2.3 KB past its n^2, the column
     sums, and the squares of ``SQUARED_ROWS`` rows and their sum, holding
-    n^2 and the n norms; before it streamed the sums, 1.9 KB past n^2.  A
-    factor in a shuffled order peaked at 2.7 gather panels of 64 rows,
-    holding only its diagonal and order after it returns.  When the factor
-    was a copy of H beside it, the peak was n^2 + 1 panel and n^2 was held.
+    n^2 and the n norms; before it streamed the sums, 1.9 KB past n^2.
+    ``checked_layer`` of one row peaked 4.0 KB past ``raw_hessian``: its
+    domain check reads H's diagonal, not H.  When it checked that all of H
+    was finite, an n x n bool temporary put it 224 KB past ``raw_hessian``.  A factor in a shuffled
+    order peaked at 2.7 gather panels of 64 rows, holding only its diagonal
+    and order after it returns.  When the factor was a copy of H beside it,
+    the peak was n^2 + 1 panel and n^2 was held.
     """
     n = 512
     square = 8 * n * n
@@ -582,7 +587,8 @@ def test_memory_budget():
     assert peak <= square + (SQUARED_ROWS + 2) * 8 * n + 4096
     assert held <= square + 8 * n + 4096
 
-    layer = checked_layer(np.zeros((1, n)), batches)
+    layer, peak, _ = traced_bytes(lambda: checked_layer(np.zeros((1, n)), batches))
+    assert peak <= square + (SQUARED_ROWS + 2) * 8 * n + 4096 + 4 * 8 * n
     for order in (None, Permutation(rng.permutation(n))):
         _, peak, held = traced_bytes(lambda: bundle_from_hessian(layer, order))
         assert peak <= 3 * panel
@@ -895,21 +901,24 @@ def test_bad_raw_hessian_rejected_before_factoring(
     assert capfd.readouterr() == ("", "")
 
 
-def test_a_hessian_rounded_past_the_largest_double_is_rejected(monkeypatch, capfd):
-    """``dsyrk`` may round an entry off H's diagonal past the largest double.
+def test_a_hessian_at_the_edge_of_the_margin(monkeypatch, capfd):
+    """H's largest dampened diagonal must stay below 2**1023, so no entry is inf.
 
-    The batches' sums of squares, H's diagonal, do not see it, so
-    ``checked_layer`` checks H before any factoring.
+    X = [[a, a]] makes every entry of H a**2: the largest a whose square is
+    below 2**1023 passes undamped, and the next double up, or the same a
+    at the default damping, fails before any factoring.  The off-diagonal
+    entries are bounded by the diagonal (Cauchy-Schwarz), so H needs no
+    n x n check.
     """
-    def rounded_over(activations, width):
-        h = raw_hessian(activations, width)
-        h[0, 1] = np.inf
-        return h
-
-    monkeypatch.setattr(calibration, "raw_hessian", rounded_over)
+    a = np.sqrt(calibration.TOP)
+    while a * a >= calibration.TOP:
+        a = np.nextafter(a, 0.0)
+    layer = checked_layer(np.zeros((1, 2)), [np.full((1, 2), a)], 0.0)
+    assert np.all(layer.raw[np.triu_indices(2)] == a * a) and a * a < calibration.TOP
     monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: pytest.fail("factored"))
-    with pytest.raises(NumericOverflowError, match="hessian not finite"):
-        bundle_from_hessian(checked_layer(np.ones((2, 4)), [np.eye(4)]))
+    for x, damp in [(np.nextafter(a, np.inf), 0.0), (a, DAMP_FRACTION)]:
+        with pytest.raises(NumericOverflowError, match="outside the numeric domain"):
+            bundle_from_hessian(checked_layer(np.zeros((1, 2)), [np.full((1, 2), x)], damp))
     assert capfd.readouterr() == ("", "")
 
 
@@ -974,24 +983,56 @@ def test_non_finite_weights_rejected_at_entry(monkeypatch, entry, bad):
 
 @pytest.mark.parametrize("entry", ["checked_layer", "rose"])
 def test_dense_energy_overflow_rejected_before_factoring(monkeypatch, capfd, entry):
-    """A finite W whose output energy overflows fails where the layer is built."""
+    """A W inside the numeric domain whose output energy overflows fails where
+    the layer is built: each w**2 (H_jj + lambda) is 1.01 * 2**1020, their sum
+    over 64 entries is not finite."""
     factored = []
     monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1))
-    w = np.full((2, 8), 1e200)
+    w = np.full((4, 16), 2.0**510)
     with pytest.raises(NumericOverflowError, match="dense output energy inf"):
         if entry == "rose":
-            rose_prune_layer(w, [np.eye(8)], SparsityConfig(0.5, blocksize=4))
+            rose_prune_layer(w, [np.eye(16)], SparsityConfig(0.5, blocksize=4))
         else:
-            checked_layer(w, [np.eye(8)])
+            checked_layer(w, [np.eye(16)])
     assert factored == []
     assert capfd.readouterr() == ("", "")
 
 
 def test_dense_energy_of_a_huge_weight_on_a_dead_or_tiny_channel(capfd):
-    """A weight whose square overflows still counts as d (H_jj d) there."""
-    w = np.array([[2.0**600, 1.0]])
+    """A dead channel's weight counts 0 in the dense energy, however large.
+
+    Once its square overflows, on a dead channel or on a live one however
+    tiny its H_jj, the column's sum of w**2 (H_jj + lambda) is not finite,
+    so the layer is outside the numeric domain: ``error_prefix`` never
+    squares a checked layer's weight past the largest double.
+    """
+    w = np.array([[2.0**500, 1.0]])
     assert checked_layer(w, [np.diag([0.0, 1.0])]).dense_energy == 1.0
-    assert checked_layer(w, [np.diag([2.0**-500, 1.0])]).dense_energy == 2.0**200
+    for h in (0.0, 2.0**-500):
+        with pytest.raises(NumericOverflowError, match="channel 0 is outside the numeric"):
+            checked_layer(np.array([[2.0**600, 1.0]]), [np.diag([h, 1.0])])
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE))
+def test_outside_the_domain_fails_before_any_lapack_call(monkeypatch, capfd, case):
+    """Each layer outside the numeric domain fails in ``checked_layer``.
+
+    Through every method and the oracle, with no ``dpotrf``, ``dtrtri`` or
+    ``dlauum`` call and no warning.
+    """
+    calls = []
+    for name in ("dpotrf", "dtrtri", "dlauum"):
+        monkeypatch.setattr(lapack, name, lambda *a, _name=name, **k: calls.append(_name))
+    w, x, damp = outside_the_domain(case)
+    config = SparsityConfig(0.5, blocksize=8)
+    with pytest.raises(NumericOverflowError, match="outside the numeric domain"):
+        checked_layer(w, [x], damp)
+    with pytest.raises(NumericOverflowError, match="outside the numeric domain"):
+        list(reorder.prune_runs(checked_layer(w, [x], damp), reorder.METHODS, [config]))
+    with pytest.raises(NumericOverflowError, match="outside the numeric domain"):
+        naive_obs_prune(w, [x], config, damp)
+    assert calls == []
     assert capfd.readouterr() == ("", "")
 
 

@@ -26,6 +26,8 @@ from obsprune import (
 from obsprune.cli import main
 from obsprune.synth import gen_activations, gen_columnar, gen_uniform
 
+from hessian_helpers import OUTSIDE, collinear_inputs, outside_the_domain
+
 
 def run(argv):
     try:
@@ -172,7 +174,8 @@ def test_compare_factors_unpermuted_hessian_once(
 
     def counted(layer, order=None):
         # --damp reaches every factor through the layer's lambda
-        calls.append(layer.damp_lambda == calibration.damping(layer.raw.diagonal(), 0.02))
+        calls.append(layer.damp_lambda == calibration.numeric_domain(
+            layer.w, layer.raw.diagonal(), 0.02))
         return original(layer, order)
 
     patch_everywhere(monkeypatch, original, counted)
@@ -452,26 +455,59 @@ def test_detect_builds_no_hessian(tmp_path, monkeypatch):
 
 
 def test_detect_overflowing_score_exit_1(tmp_path, capsys):
-    """A score |w| * ||x|| that overflows fails, with one line, before any output.
+    """prune and detect reject the same layer, with one line, before any output.
 
-    A weight of 1e200 overflows only the dense energy, which prune rejects
-    and detect, which does not compute it, gives a verdict on.
+    A weight of 1e200 once overflowed only the dense energy, which prune
+    rejected and detect, which does not compute it, gave a verdict on.  Its
+    square is outside the numeric domain, which both check; so is 1e308,
+    whose score |w| * ||x|| overflows.
     """
     argv = write_layer_files(tmp_path)
     w = read_tensor(tmp_path / "w.rtns")
-    w[3, 5] = 1e200
-    write_tensor(tmp_path / "w.rtns", w)
-    assert main(["prune", "--sparsity", "0.5", *argv]) == 1
-    assert capsys.readouterr().err.startswith("error: dense output energy inf")
-    assert main(["detect", *argv[:-2], "--out", str(tmp_path / "energy")]) == 0
-    [doc] = json.loads((tmp_path / "energy" / "detect.json").read_text())["layers"]
-    assert np.isfinite(doc["r_rel"])
-    w[3, 5] = 1e308
-    write_tensor(tmp_path / "w.rtns", w)
-    capsys.readouterr()
-    assert main(["detect", *argv]) == 1
-    assert capsys.readouterr() == ("", f"error: {tmp_path / 'w.rtns'} scores not finite\n")
+    for big in (1e200, 1e308):
+        w[3, 5] = big
+        write_tensor(tmp_path / "w.rtns", w)
+        for command, named in ((["prune", "--sparsity", "0.5"], ""),
+                               (["detect"], f"{tmp_path / 'w.rtns'}: ")):
+            assert main([*command, *argv]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: {named}channel 5 is outside the numeric domain")
     assert not (tmp_path / "out").exists()
+
+
+def lapack_calls(monkeypatch):
+    """The names of the ``dpotrf``, ``dtrtri`` and ``dlauum`` calls made from here on."""
+    calls = []
+    for name in ("dpotrf", "dtrtri", "dlauum"):
+        def spy(*args, _name=name, _original=getattr(lapack, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", [case for case in OUTSIDE if case != "damp-1e305"])
+@pytest.mark.parametrize("command", [["prune", "--sparsity", "0.5"], ["detect"]],
+                         ids=["prune", "detect"])
+def test_outside_the_domain_exit_1(tmp_path, capsys, monkeypatch, case, command):
+    """prune and detect reject each layer outside the numeric domain alike.
+
+    Exit 1 with one stderr line, no output, and no LAPACK call.
+    """
+    calls = lapack_calls(monkeypatch)
+    w, x, _ = outside_the_domain(case)
+    write_tensor(tmp_path / "w.rtns", w)
+    write_tensor(tmp_path / "x.rtns", x)
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
+    out = tmp_path / "out"
+    assert main([*command, "--weights", str(tmp_path / "w.rtns"), "--acts",
+                 str(tmp_path / "acts.json"), "--blocksize", "8", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "outside the numeric domain" in err
+    assert calls == [] and not out.exists()
 
 
 def test_detect_default_sparsity(tmp_path, capsys):
@@ -561,7 +597,7 @@ def test_detect_reads_shared_activations_once(tmp_path, monkeypatch):
         assert run([*argv[:2], path, *argv[5:], "--out", str(out)]) == 0
         alone += json.loads((out / "detect.json").read_text())["layers"]
     manifests = count_calls(monkeypatch, cli.read_manifest)
-    passes = count_calls(monkeypatch, cli.column_norms)
+    passes = count_calls(monkeypatch, cli.column_sums)
     hessians = count_calls(monkeypatch, calibration.raw_hessian)
     assert run([*argv, "--out", str(tmp_path)]) == 0
     assert len(manifests) == len(passes) == 1 and hessians == []
@@ -888,31 +924,36 @@ def test_overflowing_damping_exit_1_before_any_run(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
-def test_overflowing_saliency_exit_1(tmp_path, capsys):
-    """A finite lambda whose saliencies w**2 / [H^-1]_qq overflow fails cleanly."""
+def test_overflowing_saliency_exit_1(tmp_path, capsys, monkeypatch):
+    """A finite lambda whose saliencies w**2 / [H^-1]_qq would overflow fails cleanly.
+
+    --damp 1e305 makes lambda about 2**1021.8, so w**2 (H_jj + lambda) is
+    past the largest double: outside the numeric domain, with no factor.
+    """
+    calls = lapack_calls(monkeypatch)
     code = main(["prune", "--synth", "uniform", "--sparsity", "0.5", "--rows", "16",
-                 "--cols", "64", "--damp", "1e305", "--out", str(tmp_path)])
+                 "--cols", "64", "--damp", "1e305", "--out", str(tmp_path / "out")])
     assert code == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: saliency") and err.count("\n") == 1
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: channel ") and "outside the numeric domain" in err
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_overflowing_inverse_diagonal_exit_1(tmp_path, capsys):
-    """X * 2**-513 makes a dead channel's OBS denominator overflow: one typed line."""
-    rng = np.random.default_rng(43)
-    x = rng.standard_normal((256, 64)) * 2.0**-513
-    x[:, 5] = 0.0
-    write_tensor(tmp_path / "w.rtns", gen_columnar(16, 64, 16, 2, 10.0, seed=43))
+    """Undamped, two nearly collinear channels at X * 2**-495 are inside the
+    numeric domain, but the first one's OBS denominator overflows: one typed line."""
+    w, x = collinear_inputs()
+    write_tensor(tmp_path / "w.rtns", w)
     write_tensor(tmp_path / "x.rtns", x)
     write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
-    code = main(["prune", "--weights", str(tmp_path / "w.rtns"), "--acts",
-                 str(tmp_path / "acts.json"), "--sparsity", "0.5", "--blocksize", "16",
-                 "--out", str(tmp_path / "out")])
+    code = main(["prune", "--method", "sparsegpt", "--weights", str(tmp_path / "w.rtns"),
+                 "--acts", str(tmp_path / "acts.json"), "--sparsity", "0.5",
+                 "--blocksize", "16", "--damp", "0", "--out", str(tmp_path / "out")])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: inverse Hessian diagonal overflows at channel 5")
+    assert err.startswith("error: inverse Hessian diagonal overflows at channel 4")
     assert err.count("\n") == 1
 
 

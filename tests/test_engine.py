@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from obsprune import (
     DimensionError,
@@ -13,7 +14,9 @@ from obsprune import (
     Permutation,
     PruneOutcome,
     bundle_from_hessian,
+    bundle_from_inverse,
     checked_layer,
+    damped_inverse,
     exact_masked_reconstruction,
     gen_columnar,
     naive_obs_prune,
@@ -28,7 +31,7 @@ from obsprune.calibration import error_prefix
 from obsprune.engine import CANCELLATION, select_block_mask
 from obsprune.tensors import SemiStructured
 
-from hessian_helpers import dampened_hessian, factor, symmetric
+from hessian_helpers import collinear_layer, dampened_hessian, factor, symmetric
 
 
 def random_layer(seed, rows=8, n=16, samples=None):
@@ -621,6 +624,19 @@ class TestOverflow:
             prune_layer(b, SparsityConfig(0.5, blocksize=4))
         assert info.value.block == 0
 
+    def test_a_saliency_grown_inside_the_domain_raises(self):
+        # undamped, the sweep's compensation grows one weight's saliency
+        # about tenfold on this 4-channel layer, found by a search over such
+        # layers: inside the numeric domain it reaches select_block_mask's check
+        rng = np.random.default_rng(122)
+        x = rng.standard_normal((16, 2)) @ rng.standard_normal((2, 4))
+        x += 10.0 ** rng.uniform(-8, -1) * rng.standard_normal((16, 4))
+        x *= 10.0 ** rng.uniform(-2, 2, 4)
+        w = rng.standard_normal((1, 4)) * 10.0 ** rng.uniform(-2, 2, 4) * 2.0**513
+        b = bundle_from_hessian(checked_layer(w, [x], 0.0))
+        with pytest.raises(NumericOverflowError, match="saliency"):
+            prune_layer(b, SparsityConfig(0.5, blocksize=2))
+
     def test_non_finite_weights_name_the_block(self):
         # column 5 overflows to -inf in block 0's update of the later columns
         b = corner_bundle(1e308)
@@ -704,6 +720,31 @@ def scaled_run(method, k):
     return prune_layer(factor([x], w=w), cfg), None
 
 
+def domain_layer(k, j):
+    """``checked_layer`` of scaled_run's rose layer, with X * 2**k and W * 2**j."""
+    rng = np.random.default_rng(43)
+    with np.errstate(over="ignore"):  # an infinite W or X is rejected too
+        x = rng.standard_normal((256, 64)) * 2.0**k
+        w = gen_columnar(16, 64, 16, 2, 10.0, seed=43) * 2.0**j
+    x[:, 5] = 0.0
+    return checked_layer(w, [x])
+
+
+def domain_runs(layer):
+    """Every method at p = 0.5 and 2:4, in a fixed order, on both factor routes.
+
+    ``prune_runs`` factors the reordered rose runs from the damped inverse,
+    since sparsegpt makes the channel-order factor; a rose run alone
+    factors its plan's order from H.
+    """
+    configs = [SparsityConfig(0.5, blocksize=16),
+               SparsityConfig.semi_structured(2, 4, blocksize=16)]
+    runs = sorted(prune_runs(layer, METHODS, configs), key=lambda run: run.index)
+    direct = sorted(prune_runs(layer, ["rose"], configs), key=lambda run: run.index)
+    assert all(run.plan.was_reordered for run in direct)
+    return runs + direct
+
+
 class TestScale:
     # no rule depends on the scale of X, so a power of two scales every
     # error exactly and moves nothing else
@@ -721,12 +762,57 @@ class TestScale:
     def test_both_factor_routes_scale_exactly_at_the_extremes(self, method, k):
         self.assert_scales_exactly(method, k)
 
-    # X * 2**-513 leaves the dead channel 5 a dampened diagonal, lambda, so
-    # small that its OBS denominator U_55**2 overflows: once a bare warning
+    # undamped, two nearly collinear channels at X * 2**-495 are inside the
+    # numeric domain, and the OBS denominator U_qq**2 of the first of them
+    # pruned overflows, on either factor route
     @pytest.mark.parametrize("method", ["rose", "rose-inverse"])
     def test_an_overflowing_inverse_diagonal_names_its_channel(self, method):
-        with pytest.raises(NumericOverflowError, match="overflows at channel 5"):
+        layer = collinear_layer()
+        order = Permutation(np.random.default_rng(1).permutation(64))
+        b = (bundle_from_hessian(layer, order) if method == "rose" else
+             bundle_from_inverse(damped_inverse(bundle_from_hessian(layer)), order))
+        with pytest.raises(NumericOverflowError, match="overflows at channel [45]$"):
+            prune_layer(b, SparsityConfig(sparsity=0.5, blocksize=16))
+
+    # X * 2**-513 makes lambda 2**-1024.7, below the numeric domain, so the
+    # layer fails before any factor, where the dead channel 5's OBS
+    # denominator U_55**2 once overflowed in the sweep
+    @pytest.mark.parametrize("method", ["rose", "rose-inverse"])
+    def test_below_the_domain_fails_before_factoring(self, monkeypatch, method):
+        monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: pytest.fail("factored"))
+        with pytest.raises(NumericOverflowError, match="damping lambda = 3.53"):
             scaled_run(method, -513)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        # most draws near the edges of the domain, on this layer at
+        # k + j = -513 and 500 (501 overflows the dense energy), k = -508
+        # and 507, and j = -501
+        k=st.one_of(st.integers(-515, -500), st.integers(495, 510),
+                    st.integers(-515, 510)),
+        s=st.one_of(st.integers(-517, -505), st.integers(490, 505),
+                    st.integers(-517, 505)),
+    )
+    def test_every_scale_inside_the_domain_is_exact(self, k, s):
+        """X * 2**k and W * 2**(s - k): masks, weights times 2**(k - s),
+        relative errors and r_rel are the unscaled run's bit for bit, and
+        every error is 4**s times its own, on every method and both factor
+        routes, wherever ``checked_layer`` accepts the layer."""
+        j = s - k
+        try:
+            layer = domain_layer(k, j)
+        except NumericOverflowError:
+            return  # outside: rejected where the layer is built
+        runs, base = domain_runs(layer), domain_runs(domain_layer(0, 0))
+        for got, want in zip(runs, base):
+            out, ref = got.outcome, want.outcome
+            np.testing.assert_array_equal(out.mask.kept, ref.mask.kept)
+            np.testing.assert_array_equal(np.ldexp(out.pruned_weights, -j),
+                                          ref.pruned_weights)
+            np.testing.assert_array_equal(np.ldexp(out.block_error_trajectory, -2 * s),
+                                          ref.block_error_trajectory)
+            assert out.relative_error == ref.relative_error
+            assert got.profile.relative_range == want.profile.relative_range
 
     @staticmethod
     def assert_scales_exactly(method, k):

@@ -13,7 +13,7 @@ from obsprune import (
     naive_obs_prune,
     prune_layer,
 )
-from obsprune import oracle
+from obsprune import calibration, oracle
 from obsprune.cli import main
 
 from hessian_helpers import factor
@@ -266,9 +266,9 @@ def test_size_cap():
 
 def test_no_columns_rejected_before_hessian(monkeypatch):
     # the library's finite_matrix rejects n = 0; the oracle must too, before
-    # raw_hessian and damping, whose mean of an empty diagonal would warn
+    # checked_layer's raw_hessian, whose empty diagonal's mean would warn
     built = []
-    monkeypatch.setattr(oracle, "raw_hessian", lambda *a: built.append(a))
+    monkeypatch.setattr(calibration, "raw_hessian", lambda *a: built.append(a))
     with pytest.raises(DimensionError, match="must have a row and a column"):
         naive_obs_prune(np.zeros((2, 0)), [np.zeros((3, 0))], SparsityConfig(0.5, 4))
     assert built == []
@@ -283,7 +283,7 @@ def test_no_columns_rejected_before_hessian(monkeypatch):
 def test_bad_weights_rejected_before_hessian(monkeypatch, w, error, match):
     """The oracle checks W as every entry point does, not into a nan or 0.0 error."""
     built = []
-    monkeypatch.setattr(oracle, "raw_hessian", lambda *a: built.append(a))
+    monkeypatch.setattr(calibration, "raw_hessian", lambda *a: built.append(a))
     with pytest.raises(error, match=match):
         naive_obs_prune(w, [np.ones((8, 16))], SparsityConfig(0.5, 4))
     assert built == []

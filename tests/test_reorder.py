@@ -65,7 +65,8 @@ class TestScores:
 
         ``importance_scores`` trusts its layer, so ``checked_layer`` rejects
         each such input first: a non-finite weight, a non-finite activation,
-        and finite ones whose score |w| sqrt(H_jj) overflows.
+        and finite ones whose score |w| sqrt(H_jj) overflows, which are
+        outside the numeric domain.
         """
         w = np.ones((2, 8))
         w[1, 2] = bad
@@ -81,7 +82,7 @@ class TestScores:
         x[5, 5] = 1e150
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.abs(w) * np.linalg.norm(x, axis=0)).all()
-        with pytest.raises(NumericOverflowError, match="dense output energy"):
+        with pytest.raises(NumericOverflowError, match="outside the numeric domain"):
             checked_layer(w, [x])
 
     @settings(deadline=None, max_examples=200)
