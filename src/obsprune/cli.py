@@ -99,11 +99,11 @@ def _add_common(p: argparse.ArgumentParser, damp: bool = True):
         p.add_argument("--damp", type=float, default=DAMP_FRACTION,
                        help=f"Hessian dampening fraction (default {DAMP_FRACTION})")
     p.add_argument("--weights", type=Path, default=None,
-                   help="RTNS file with the layer weights")
+                   help="RTNS file with the layer weights; needs --acts")
     p.add_argument("--acts", type=Path, default=None,
                    help="JSON manifest listing activation batch files")
     p.add_argument("--synth", choices=("columnar", "uniform"), default=None,
-                   help="generate weights instead of loading them")
+                   help="generate the weights and activations instead of loading them")
     p.add_argument("--rows", type=int, default=64)
     p.add_argument("--cols", type=int, default=256)
     p.add_argument("--seed", type=_parse_seed, default=0)
@@ -134,53 +134,47 @@ def _make_config(args, default=None) -> SparsityConfig:
     return configs[0]
 
 
-def _load_weights(args, config: SparsityConfig, path=None) -> np.ndarray:
-    """The weights of the file ``path`` (default ``--weights``) or --synth's, checked."""
-    if args.synth is not None:
-        if args.synth == "columnar":
-            hot = math.ceil(args.cols / config.blocksize) - 1  # the last block
-            w = gen_columnar(
-                args.rows, args.cols, config.blocksize, hot, HOT_GAIN, args.seed
-            )
-        else:
-            w = gen_uniform(args.rows, args.cols, args.seed)
-    else:
-        path = path or args.weights
-        if path is None:
-            raise ConfigError("need --weights or --synth")
-        w = read_tensor(path)
-    return finite_matrix(w, f"{path or 'synthetic'} weights")
-
-
-def _checked_weights(args, methods, configs, paths=(None,)) -> list[np.ndarray]:
-    """The checked weights of each file in ``paths`` (None: --weights or --synth).
+def _checked_weights(args, methods, configs, paths) -> list[np.ndarray]:
+    """The checked weights of each file in ``paths``, or else --synth's.
 
     ``--threshold`` is checked before any file is read, and every weight
     matrix, and the run list at its width (``check_runs``), before any
-    activation.  ``--synth`` names no input file.  One ``--acts`` serves
-    one width, so a file of another width than the first is rejected
-    before the manifest is read.
+    activation.  ``--synth`` generates the layer and its activations and
+    names no input file; a weight file needs an ``--acts`` manifest, and
+    one ``--acts`` serves one width, so a file of another width than the
+    first is rejected before the manifest is read.
     """
     check_nonnegative(args.threshold, "--threshold")
-    if args.synth is not None and (
-        args.weights or args.acts or getattr(args, "more_weights", None)
-    ):
-        raise ConfigError("--synth generates the layer and its activations; "
-                          "it takes no --weights, --acts or weight files")
-    # the inputs depend on the blocksize only, which every config shares
-    weights = [_load_weights(args, configs[0], path) for path in paths]
+    if args.synth is not None:
+        if paths or args.acts:
+            raise ConfigError("--synth generates the layer and its activations; "
+                              "it takes no --weights, --acts or weight files")
+        # the layer depends on the blocksize only, which every config shares
+        blocksize = configs[0].blocksize
+        if args.synth == "columnar":
+            hot = math.ceil(args.cols / blocksize) - 1  # the last block
+            w = gen_columnar(args.rows, args.cols, blocksize, hot, HOT_GAIN, args.seed)
+        else:
+            w = gen_uniform(args.rows, args.cols, args.seed)
+        weights = [finite_matrix(w, "synthetic weights")]
+    elif not paths:
+        raise ConfigError("need --weights or --synth")
+    elif args.acts is None:
+        raise ConfigError(f"{paths[0]} needs --acts, the manifest of its activations")
+    else:
+        weights = [finite_matrix(read_tensor(p), f"{p} weights") for p in paths]
     n = weights[0].shape[1]
-    for path, w in zip(paths, weights):
+    for i, w in enumerate(weights):
         check_runs(w.shape[1], methods, configs, threshold=args.threshold)
-        if args.acts is not None and w.shape[1] != n:
-            raise DimensionError(f"{path} has {w.shape[1]} columns but {paths[0]} "
+        if w.shape[1] != n:
+            raise DimensionError(f"{paths[i]} has {w.shape[1]} columns but {paths[0]} "
                                  f"has {n}; one --acts serves one width")
     return weights
 
 
 def _activations(args, n: int):
-    """The ``--acts`` batches, read lazily, or else width n's synthetic ones."""
-    if args.acts is not None:
+    """The ``--acts`` batches, read lazily, or else --synth's of width n."""
+    if args.synth is None:
         return read_manifest(args.acts)
     return [gen_activations(args.samples, n, ACT_CORRELATION,
                             args.seed + ACT_SEED_OFFSET)]
@@ -192,9 +186,8 @@ def _load_layer(args, methods, configs) -> Layer:
     ``--damp`` is checked before any file is read.
     """
     check_nonnegative(args.damp, "--damp")
-    [w] = _checked_weights(args, methods, configs)
-    n = w.shape[1]
-    layer = checked_layer(w, _activations(args, n), args.damp)
+    [w] = _checked_weights(args, methods, configs, [args.weights] if args.weights else [])
+    layer = checked_layer(w, _activations(args, w.shape[1]), args.damp)
     args.out.mkdir(parents=True, exist_ok=True)
     return layer
 
@@ -258,19 +251,17 @@ def cmd_compare(args) -> int:
 def cmd_detect(args) -> int:
     """Score each layer inside ``numeric_domain``, lambda 0, from W and ``column_sums``."""
     config = _make_config(args, DETECT_SPARSITY)
-    paths = [p for p in (args.weights, *args.more_weights) if p is not None] or [None]
+    paths = [p for p in (args.weights, *args.more_weights) if p is not None]
     weights = _checked_weights(args, (), [config], paths)
-    sums = {}
-    for n in dict.fromkeys(w.shape[1] for w in weights):
-        sums[n] = column_sums(_activations(args, n), n)
+    n = weights[0].shape[1]
+    sums = column_sums(_activations(args, n), n)
     doc = {"config": _config_doc(config, args), "layers": []}
-    for path, w in zip(paths, weights):
-        name = f"synth-{args.synth}" if path is None else str(path)
+    for name, w in zip([str(p) for p in paths] or [f"synth-{args.synth}"], weights):
         try:
-            numeric_domain(w, sums[w.shape[1]], 0.0)
+            numeric_domain(w, sums, 0.0)
         except NumericOverflowError as e:
             raise NumericOverflowError(f"{name}: {e}") from None
-        scores = importance_scores(w, np.sqrt(sums[w.shape[1]]))
+        scores = importance_scores(w, np.sqrt(sums))
         profile = loss_profile(scores, config)
         del scores
         doc["layers"].append({

@@ -530,31 +530,16 @@ def test_detect_default_sparsity(tmp_path, capsys):
 def test_detect_multiple_weight_files(tmp_path):
     for i, name in enumerate(("l0.rtns", "l1.rtns")):
         write_tensor(tmp_path / name, gen_uniform(8, 32, seed=i))
+    write_tensor(tmp_path / "x.rtns", gen_activations(64, 32, 0.3, seed=9))
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
     code = run([
         "detect", "--weights", str(tmp_path / "l0.rtns"),
-        str(tmp_path / "l1.rtns"), "--blocksize", "16",
-        "--sparsity", "0.7", "--out", str(tmp_path),
+        str(tmp_path / "l1.rtns"), "--acts", str(tmp_path / "acts.json"),
+        "--blocksize", "16", "--sparsity", "0.7", "--out", str(tmp_path),
     ])
     assert code == 0
     doc = json.loads((tmp_path / "detect.json").read_text())
     assert len(doc["layers"]) == 2
-
-
-def test_detect_synthesizes_activations_per_width(tmp_path):
-    """Without --acts, a 64- and a 128-wide file each get their own synthetic H."""
-    paths = []
-    for i, cols in enumerate((64, 128)):
-        paths.append(str(tmp_path / f"l{i}.rtns"))
-        write_tensor(paths[-1], gen_uniform(8, cols, seed=i))
-    flags = ["--sparsity", "0.5", "--blocksize", "16"]
-    assert run(["detect", *paths, *flags, "--out", str(tmp_path / "both")]) == 0
-    both = json.loads((tmp_path / "both" / "detect.json").read_text())["layers"]
-    assert [layer["layer"] for layer in both] == paths
-    # each layer reports what it reports when it is detected alone
-    for i, (path, layer) in enumerate(zip(paths, both)):
-        out = tmp_path / f"alone{i}"
-        assert run(["detect", path, *flags, "--out", str(out)]) == 0
-        assert json.loads((out / "detect.json").read_text())["layers"] == [layer]
 
 
 def write_layers(tmp_path, count, bad=None):
@@ -804,8 +789,9 @@ def test_non_numeric_sparsity_is_a_usage_error(capsys, command, sparsity):
     assert f"argument --sparsity: sparsity must be a number, got {sparsity!r}" in err
 
 
-def test_missing_inputs_exit_2():
+def test_missing_inputs_exit_2(capsys):
     assert run(["prune", "--method", "rose", "--sparsity", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: need --weights or --synth\n"
 
 
 def test_empty_sparsity_list_rejected(capsys):
@@ -969,9 +955,11 @@ def test_unallocatable_layer_exit_1(tmp_path, capsys):
 def test_corrupt_weights_file_exit_1(tmp_path):
     bad = tmp_path / "bad.rtns"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
+    write_tensor(tmp_path / "x.rtns", gen_activations(64, 32, 0.0, seed=1))
+    write_manifest(tmp_path / "acts.json", [tmp_path / "x.rtns"])
     code = run([
         "prune", "--method", "magnitude", "--weights", str(bad),
-        "--sparsity", "0.5", "--out", str(tmp_path),
+        "--acts", str(tmp_path / "acts.json"), "--sparsity", "0.5", "--out", str(tmp_path),
     ])
     assert code == 1
 
@@ -1006,10 +994,14 @@ def test_corrupt_weights_file_exit_1(tmp_path):
      "--methods", "magnitude,sparsegtp"],
     # infinite damping would prune with no compensation at all
     ["--sparsity", "0.5", "--damp", "inf"],
+    # a weight file needs an --acts manifest, checked before the file is read
+    ["prune", "--weights", "w.rtns", "--sparsity", "0.5"],
+    ["compare", "--weights", "w.rtns", "--sparsity", "0.5"],
+    ["detect", "w.rtns", "v.rtns"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, no_factoring, flags):
     # a case that names its own subcommand replaces the prune prefix
-    argv = (flags if flags[0] in ("compare", "detect")
+    argv = (flags if flags[0] in ("prune", "compare", "detect")
             else ["prune", "--synth", "uniform", *flags])
     code = main([*argv, "--out", str(tmp_path)])
     assert code == 2

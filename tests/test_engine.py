@@ -614,15 +614,42 @@ def corner_bundle(coupling):
                          Permutation.identity(8))
 
 
+def undamped_corner(j):
+    """The undamped 2x3 layer W * 2**j over one X, factored by the public API.
+
+    W's rows are (2**495, 0, 0) and (2**496, 0, 0), X is [[0, 1, 1],
+    [1, 0, 2**-20], [0, 0, 2**-20]].  At blocksize 1 and p = 0.5 the run
+    completes for j <= -3, with final error 2**989 * 4**j; for j >= -2 the
+    closed form is NaN and the direct error overflows in block 0.
+    """
+    w = np.array([[2.0**495, 0.0, 0.0], [2.0**496, 0.0, 0.0]]) * 2.0**j
+    x = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0**-20], [0.0, 0.0, 2.0**-20]])
+    return bundle_from_hessian(checked_layer(w, [x], 0.0))
+
+
 class TestOverflow:
     def test_overflowing_direct_error_names_the_block(self):
-        # the weights stay finite near 1e210, but neither the closed form
-        # nor the direct error sum(d @ H @ d) fits a double
-        b = corner_bundle(1e200)
-        with pytest.raises(NumericOverflowError,
-                           match="non-finite reconstruction error after block 0") as info:
-            prune_layer(b, SparsityConfig(0.5, blocksize=4))
-        assert info.value.block == 0
+        # corner_bundle's weights stay finite near 1e210, but neither the
+        # closed form nor the direct error sum(d @ H @ d) fits a double;
+        # undamped_corner(0) is inside the numeric domain and gets there too
+        for b, blocksize in [(corner_bundle(1e200), 4), (undamped_corner(0), 1)]:
+            with pytest.raises(NumericOverflowError,
+                               match="non-finite reconstruction error after block 0"
+                               ) as info:
+                prune_layer(b, SparsityConfig(0.5, blocksize=blocksize))
+            assert info.value.block == 0
+
+    def test_undamped_corner_scales_exactly_below_the_overflow(self):
+        # at j = -3, the largest j whose run completes, the run is the one at
+        # j = -495 scaled exactly: the same masks, weights * 2**492, errors * 4**492
+        config = SparsityConfig(0.5, blocksize=1)
+        small, large = (prune_layer(undamped_corner(j), config) for j in (-495, -3))
+        np.testing.assert_array_equal(large.mask.kept, small.mask.kept)
+        np.testing.assert_array_equal(large.pruned_weights,
+                                      small.pruned_weights * 2.0**492)
+        np.testing.assert_array_equal(large.block_error_trajectory,
+                                      small.block_error_trajectory * 4.0**492)
+        assert large.relative_error == small.relative_error
 
     def test_a_saliency_grown_inside_the_domain_raises(self):
         # undamped, the sweep's compensation grows one weight's saliency
